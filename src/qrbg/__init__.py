@@ -32,20 +32,17 @@ from .minentropy import (
     minentropy_pure,
     minimize_over_decompositions,
     rate_from_coherence,
-    worst_case_minentropy,
 )
 from .sources import (
     Adversarial,
     Entangled,
     EventLog,
-    EventRecord,
     SinglePhoton,
     SourceModel,
     blocked_schedule,
     constant_schedule,
     effective_qubit,
     load_event_log,
-    sample_coincidences,
     sample_events,
     sample_raw_bits,
     save_event_log,

@@ -12,25 +12,26 @@ from pathlib import Path
 
 import click
 
+from .bits import read_bits_file, write_bits_file
 from .errors import (
     ConfigError,
     InsufficientDataError,
     InsufficientEntropyError,
     QrbgError,
 )
-from .extractor import ExtractorParams, extract_stream, format_epsilon, parse_epsilon
-from .bits import BitStream, read_bits_file, write_bits_file
+from .extractor import ExtractorParams
 from .pipeline import (
     PipelineConfig,
+    calibrate as calibrate_log,
+    extract as extract_raw,
     load_config,
     load_raw_bits,
-    resolve_seed,
     run_pipeline,
+    run_tests,
     simulate_logs,
 )
-from .sources import PRNG_NAME, load_event_log
-from .stat_tests import ALL_TESTS, BatteryConfig, battery_report, run_battery
-from .tomography import certify, reconstruct, state_report
+from .sources import load_event_log
+from .stat_tests import battery_report
 
 EXIT_CODES = (
     (InsufficientEntropyError, 2),
@@ -55,16 +56,20 @@ def _exit_on_error(fn):
     return wrapper
 
 
-def _config_from(config_path: str | None) -> PipelineConfig:
-    return load_config(config_path) if config_path else PipelineConfig()
+def _config(cfg: PipelineConfig | None = None, **keys) -> PipelineConfig:
+    """Set config keys from command-line options through the config table;
+    an option left as None is not given."""
+    cfg = cfg or PipelineConfig()
+    for key, value in keys.items():
+        if value is not None:
+            cfg.set(key, str(value))
+    return cfg
 
 
-def _parse_state(text: str | None):
-    if text is None:
-        return None
-    from .pipeline import _parse_triple
-
-    return _parse_triple(text, "state")
+def _write_block(block: str, report_path: str | None) -> None:
+    click.echo(block, nl=False)
+    if report_path:
+        Path(report_path).write_text(block, encoding="ascii")
 
 
 @click.group()
@@ -88,25 +93,18 @@ def main() -> None:
 def simulate(config_path, mode, state, coherence, accidental_fraction,
              adv_target, events, gen_bits, seed, gen_format, out_dir) -> None:
     """Write a calibration event log and a generation log/raw-bit file."""
-    cfg = _config_from(config_path)
-    if mode:
-        cfg.mode = mode
-    if state:
-        cfg.state = _parse_state(state)
-    if coherence is not None:
-        cfg.coherence = coherence
-    if accidental_fraction is not None:
-        cfg.accidental_fraction = accidental_fraction
-    if adv_target:
-        cfg.adv_target = _parse_state(adv_target)
-    if events is not None:
-        cfg.tomography_events = events
-    if gen_bits is not None:
-        cfg.generation_bits = gen_bits
-    if seed is not None:
-        cfg.rng_seed = seed
-    if gen_format is not None:
-        cfg.gen_format = gen_format
+    cfg = _config(
+        load_config(config_path) if config_path else None,
+        mode=mode,
+        state=state,
+        coherence=coherence,
+        accidental_fraction=accidental_fraction,
+        adv_target=adv_target,
+        tomography_events=events,
+        generation_bits=gen_bits,
+        rng_seed=seed,
+        gen_format=gen_format,
+    )
     cfg.validate()
     calib, gen, master = simulate_logs(cfg, out_dir)
     click.echo(f"master_seed={master}")
@@ -123,15 +121,8 @@ def simulate(config_path, mode, state, coherence, accidental_fraction,
 @_exit_on_error
 def calibrate(logfile, alpha, conservative, min_basis_count, report_path) -> None:
     """Reconstruct the state from a calibration log and certify a rate."""
-    log = load_event_log(logfile)
-    result, rate = reconstruct(
-        log, alpha=alpha, conservative=conservative, min_count=min_basis_count
-    )
-    _, lower = certify(result, alpha)
-    block = state_report(result, rate, alpha, lower)
-    click.echo(block, nl=False)
-    if report_path:
-        Path(report_path).write_text(block, encoding="ascii")
+    cfg = _config(alpha=alpha, conservative=conservative, min_basis_count=min_basis_count)
+    _write_block(calibrate_log(load_event_log(logfile), cfg).render(), report_path)
 
 
 @main.command()
@@ -140,13 +131,9 @@ def calibrate(logfile, alpha, conservative, min_basis_count, report_path) -> Non
 @_exit_on_error
 def generate(genlog, out_path) -> None:
     """Pack the outcomes of a generation event log into a raw-bit file."""
-    log = load_event_log(genlog)
-    write_bits_file(
-        out_path,
-        BitStream(log.outcomes),
-        {"role": "raw", "source": log.source, "seed": str(log.seed), "prng": PRNG_NAME},
-    )
-    click.echo(f"raw_bits={log.n}")
+    raw = load_raw_bits(genlog)
+    write_bits_file(out_path, raw, raw.meta)
+    click.echo(f"raw_bits={raw.bit_length}")
     click.echo(f"path={out_path}")
 
 
@@ -160,23 +147,9 @@ def generate(genlog, out_path) -> None:
 @_exit_on_error
 def extract(rawfile, h_rate, block_n, epsilon, seed_file, out_path) -> None:
     """Extract near-uniform bits from a raw-bit file or generation log."""
-    raw = load_raw_bits(rawfile)
-    params = ExtractorParams(block_n, parse_epsilon(epsilon), h_rate)
-    seed, seed_ref = resolve_seed(params, seed_file)
-    result = extract_stream(raw, params, seed=seed)
-    write_bits_file(
-        out_path,
-        result.output,
-        {
-            "role": "extracted",
-            "block_n": str(params.n),
-            "block_m": str(params.m),
-            "epsilon": format_epsilon(params.epsilon),
-            "h_rate": repr(params.h_rate),
-            seed_ref.split("=", 1)[0]: seed_ref.split("=", 1)[1],
-            "source": rawfile,
-        },
-    )
+    cfg = _config(block_n=block_n, epsilon=epsilon, seed_file=seed_file)
+    params = ExtractorParams(cfg.block_n, cfg.epsilon, h_rate)
+    result, _ = extract_raw(load_raw_bits(rawfile), params, cfg.seed_file, Path(out_path))
     click.echo(f"blocks={result.blocks}")
     click.echo(f"block_m={params.m}")
     click.echo(f"ratio={params.ratio!r}")
@@ -192,19 +165,9 @@ def extract(rawfile, h_rate, block_n, epsilon, seed_file, out_path) -> None:
 @_exit_on_error
 def test_cmd(bitsfile, test_list, significance, report_path) -> None:
     """Run the statistical battery on a packed bit file."""
-    stream = read_bits_file(bitsfile)
-    token = test_list.strip().lower()
-    if token == "all":
-        names = ALL_TESTS
-    elif token in ("", "none"):
-        names = ()
-    else:
-        names = tuple(t.strip() for t in test_list.split(",") if t.strip())
-    results = run_battery(stream, BatteryConfig(tests=names, significance=significance))
-    block = battery_report(results)
-    click.echo(block, nl=False)
-    if report_path:
-        Path(report_path).write_text(block, encoding="ascii")
+    cfg = _config(tests=test_list, significance=significance)
+    results = run_tests(read_bits_file(bitsfile), cfg)
+    _write_block(battery_report(results), report_path)
     if any(not r.passed for r in results):
         sys.exit(1)
 
@@ -217,9 +180,7 @@ def test_cmd(bitsfile, test_list, significance, report_path) -> None:
 @_exit_on_error
 def pipeline_cmd(config_path, out_dir, report_path, recalibrate_every) -> None:
     """Run simulate, calibrate, certify, generate, extract and test."""
-    cfg = load_config(config_path)
-    if recalibrate_every is not None:
-        cfg.recalibrate_every = recalibrate_every
+    cfg = _config(load_config(config_path), recalibrate_every=recalibrate_every)
     target = out_dir or cfg.out_dir
     if not target:
         raise ConfigError("no output directory: set out_dir in the config or pass --out")

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import math
 import secrets
+import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 from scipy import fft as _fft
@@ -199,32 +200,29 @@ class ExtractionResult:
     seed: HashSeed
     params: ExtractorParams
     blocks: int
+    seconds: float = 0.0  # wall time of the hashing
 
     @property
     def ratio(self) -> float:
         return self.params.ratio
 
 
-SeedSource = Callable[[int], HashSeed]
-
-
 def extract_stream(
     raw: Union[BitStream, np.ndarray],
     params: ExtractorParams,
     seed: HashSeed | None = None,
-    seed_source: SeedSource | None = None,
 ) -> ExtractionResult:
     """Hash every full n-bit block of ``raw`` with one session seed.
 
     The tail remainder is discarded.  If no seed is supplied one is drawn
-    from ``seed_source`` (default: the operating system's entropy source).
+    from the operating system's entropy source.
     """
+    start = time.perf_counter()
     bits = raw.bits if isinstance(raw, BitStream) else np.asarray(raw, dtype=np.uint8)
     if params.m < 1:
         raise InsufficientEntropyError("extractor params admit no output")
     if seed is None:
-        source = seed_source or HashSeed.system
-        seed = source(params.seed_bits_needed)
+        seed = HashSeed.system(params.seed_bits_needed)
     if seed.bit_length != params.seed_bits_needed:
         raise ParameterError(
             f"seed has {seed.bit_length} bits, params need {params.seed_bits_needed}"
@@ -243,7 +241,9 @@ def extract_stream(
         out[b * params.m : (b + 1) * params.m] = session.extract(
             bits[b * params.n : (b + 1) * params.n]
         )
-    return ExtractionResult(BitStream(out), seed, params, blocks)
+    return ExtractionResult(
+        BitStream(out), seed, params, blocks, time.perf_counter() - start
+    )
 
 
 def toeplitz_matrix(seed_bits: np.ndarray, n: int, m: int) -> np.ndarray:

@@ -81,7 +81,8 @@ def minentropy_decomposition(d: Decomposition) -> EntropyRate:
 
 
 def closed_form_minentropy(rho: DensityMatrix) -> EntropyRate:
-    """Closed-form worst-case rate; depends on rho only through its
+    """Closed-form worst-case rate, the minimum decomposition min-entropy
+    over all decompositions of rho: ``rate_from_coherence`` of its
     coherence.
 
     On the sphere surface the coherence route is ill-conditioned, so pure
@@ -91,17 +92,7 @@ def closed_form_minentropy(rho: DensityMatrix) -> EntropyRate:
     s = density_to_stokes(rho)
     if s.norm_squared >= 1.0 - 1e-12:
         return EntropyRate(-math.log2(0.5 * (1.0 + abs(s.s3))))
-    v2 = 1.0 - s.s1 * s.s1 - s.s2 * s.s2
-    return EntropyRate(-math.log2(0.5 * (1.0 + math.sqrt(max(0.0, v2)))))
-
-
-def worst_case_minentropy(rho: DensityMatrix) -> EntropyRate:
-    """Minimum decomposition min-entropy over all decompositions of rho.
-
-    Equal to closed_form_minentropy; named separately so callers can state
-    which quantity they mean.
-    """
-    return closed_form_minentropy(rho)
+    return rate_from_coherence(s.coherence)
 
 
 @lru_cache(maxsize=8)

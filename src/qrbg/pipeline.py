@@ -8,6 +8,11 @@ that are extracted never enter the tomographic estimate.  The certified
 entropy rate fixes the extractor's output length before any raw bit is
 generated; if it admits no output the run aborts without generating.
 
+Each stage is one function here (``calibrate``, ``generate``, ``extract``,
+``run_tests``), called both by ``run_pipeline`` and by the CLI subcommands,
+so for one ``rng_seed`` and ``seed_file`` the staged commands write the same
+files as a pipeline run.
+
 Every file a run emits is listed in its report together with a SHA-256
 digest, and the extracted file is re-read after writing so the report's
 accounting line reflects the bytes actually on disk.
@@ -18,16 +23,17 @@ from __future__ import annotations
 import hashlib
 import math
 import secrets
-import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .bits import BitStream, read_bits_file, write_bits_file
-from .errors import ConfigError, QrbgError
+from .errors import ConfigError, ParameterError, QrbgError
 from .extractor import (
+    ExtractionResult,
     ExtractorParams,
     HashSeed,
     extract_stream,
@@ -44,6 +50,7 @@ from .sources import (
     SourceModel,
     Variant,
     blocked_schedule,
+    constant_schedule,
     derive_subseeds,
     load_event_log,
     sample_events,
@@ -59,56 +66,97 @@ SECURITY_NOTE = (
     "the security claim rests on the certified min-entropy rate"
 )
 
-_CONFIG_KEYS = (
-    "mode",
-    "rng_seed",
-    "state",
-    "coherence",
-    "accidental_fraction",
-    "phase",
-    "adv_target",
-    "adv_weights",
-    "adv_states",
-    "tomography_events",
-    "alpha",
-    "conservative",
-    "generation_bits",
-    "block_n",
-    "epsilon",
-    "seed_file",
-    "tests",
-    "significance",
-    "gen_format",
-    "out_dir",
-    "recalibrate_every",
-    "min_basis_count",
-)
+
+def _numbers(text: str, count: int | None = None) -> tuple[float, ...]:
+    values = tuple(float(p) for p in text.split(",") if p.strip())
+    if count is not None and len(values) != count:
+        raise ValueError(f"{text!r} needs {count} comma-separated numbers")
+    return values
+
+
+def _parse_vector(text: str) -> StokesVector:
+    return StokesVector(*_numbers(text.replace(";", ","), 3))
+
+
+def _format_vector(s: StokesVector) -> str:
+    return f"{s.s1!r},{s.s2!r},{s.s3!r}"
+
+
+def _parse_tests(text: str) -> tuple[str, ...]:
+    token = text.lower()
+    if token in ("", "none"):
+        return ()
+    if token == "all":
+        return ALL_TESTS
+    names = tuple(t.strip() for t in text.split(",") if t.strip())
+    unknown = [t for t in names if t not in ALL_TESTS]
+    if unknown:
+        raise ValueError(f"unknown tests {unknown}")
+    return names
+
+
+def _key(default, parse, show=str):
+    """A config key: its default, its text parser and its text formatter."""
+    return field(default=default, metadata={"parse": parse, "show": show})
 
 
 @dataclass
 class PipelineConfig:
-    mode: str = "single"
-    rng_seed: int | None = None
-    state: StokesVector | None = None
-    coherence: float | None = None
-    accidental_fraction: float = 0.0
-    phase: float = 0.0
-    adv_target: StokesVector | None = None
-    adv_weights: tuple[float, ...] | None = None
-    adv_states: tuple[tuple[float, float, float], ...] | None = None
-    tomography_events: int = 3_000_000
-    alpha: float = 0.01
-    conservative: bool = False
-    generation_bits: int = 1_000_000
-    block_n: int = 100_000
-    epsilon: float = 2.0 ** -64
-    seed_file: str | None = None
-    tests: tuple[str, ...] = ALL_TESTS
-    significance: float = 0.01
-    gen_format: str = "bits"
-    out_dir: str | None = None
-    recalibrate_every: int | None = None
-    min_basis_count: int = 100
+    """Run configuration; every field is one key of the config file, echoed
+    in this order."""
+
+    mode: str = _key("single", str)
+    rng_seed: int | None = _key(None, int)
+    state: StokesVector | None = _key(None, _parse_vector, _format_vector)
+    coherence: float | None = _key(None, float, repr)
+    accidental_fraction: float = _key(0.0, float, repr)
+    phase: float = _key(0.0, float, repr)
+    adv_target: StokesVector | None = _key(None, _parse_vector, _format_vector)
+    adv_weights: tuple[float, ...] | None = _key(
+        None, _numbers, lambda v: ",".join(map(repr, v))
+    )
+    adv_states: tuple[tuple[float, float, float], ...] | None = _key(
+        None,
+        lambda t: tuple(_numbers(chunk, 3) for chunk in t.split(";")),
+        lambda v: ";".join(",".join(map(repr, s)) for s in v),
+    )
+    tomography_events: int = _key(3_000_000, int)
+    alpha: float = _key(0.01, float, repr)
+    conservative: bool = _key(
+        False, lambda t: t.lower() in ("1", "true", "yes"), lambda v: str(int(v))
+    )
+    generation_bits: int = _key(1_000_000, int)
+    block_n: int = _key(100_000, int)
+    epsilon: float = _key(2.0 ** -64, parse_epsilon, format_epsilon)
+    tests: tuple[str, ...] = _key(
+        ALL_TESTS, _parse_tests, lambda v: ",".join(v) if v else "none"
+    )
+    significance: float = _key(0.01, float, repr)
+    gen_format: str = _key("bits", str)
+    min_basis_count: int = _key(100, int)
+    seed_file: str | None = _key(None, str)
+    recalibrate_every: int | None = _key(None, int)
+    out_dir: str | None = _key(None, str)
+
+    def set(self, key: str, text: str) -> None:
+        """Set one key from its text form, as a config-file line does."""
+        spec = _FIELDS.get(key)
+        if spec is None:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            value = spec.metadata["parse"](text.strip())
+        except (ValueError, QrbgError) as exc:
+            raise ConfigError(f"bad value for {key}: {exc}") from None
+        setattr(self, key, value)
+
+    def echo(self) -> list[tuple[str, str]]:
+        """Canonical key=value view of every key that has a value."""
+        pairs = []
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if value is not None:
+                pairs.append((spec.name, spec.metadata["show"](value)))
+        return pairs
 
     def validate(self) -> None:
         if self.mode not in ("single", "entangled", "adversarial"):
@@ -161,60 +209,8 @@ class PipelineConfig:
             )
         return Adversarial(d)
 
-    def echo(self) -> list[tuple[str, str]]:
-        """Canonical key=value view of the effective configuration."""
-        pairs: list[tuple[str, str]] = [("mode", self.mode)]
-        if self.rng_seed is not None:
-            pairs.append(("rng_seed", str(self.rng_seed)))
-        if self.state is not None:
-            s = self.state
-            pairs.append(("state", f"{s.s1!r},{s.s2!r},{s.s3!r}"))
-        if self.coherence is not None:
-            pairs.append(("coherence", repr(self.coherence)))
-            pairs.append(("accidental_fraction", repr(self.accidental_fraction)))
-            pairs.append(("phase", repr(self.phase)))
-        if self.adv_target is not None:
-            t = self.adv_target
-            pairs.append(("adv_target", f"{t.s1!r},{t.s2!r},{t.s3!r}"))
-        if self.adv_weights is not None:
-            pairs.append(("adv_weights", ",".join(repr(w) for w in self.adv_weights)))
-            pairs.append(
-                (
-                    "adv_states",
-                    ";".join(",".join(repr(c) for c in s) for s in self.adv_states),
-                )
-            )
-        pairs += [
-            ("tomography_events", str(self.tomography_events)),
-            ("alpha", repr(self.alpha)),
-            ("conservative", str(int(self.conservative))),
-            ("generation_bits", str(self.generation_bits)),
-            ("block_n", str(self.block_n)),
-            ("epsilon", format_epsilon(self.epsilon)),
-            ("tests", ",".join(self.tests) if self.tests else "none"),
-            ("significance", repr(self.significance)),
-            ("gen_format", self.gen_format),
-            ("min_basis_count", str(self.min_basis_count)),
-        ]
-        if self.seed_file:
-            pairs.append(("seed_file", self.seed_file))
-        if self.recalibrate_every is not None:
-            pairs.append(("recalibrate_every", str(self.recalibrate_every)))
-        if self.out_dir:
-            pairs.append(("out_dir", self.out_dir))
-        return pairs
 
-
-def _parse_triple(value: str, key: str) -> StokesVector:
-    parts = [p for p in value.replace(";", ",").split(",") if p.strip()]
-    if len(parts) != 3:
-        raise ConfigError(f"{key} needs three comma-separated numbers, got {value!r}")
-    try:
-        return StokesVector(*(float(p) for p in parts))
-    except QrbgError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"bad number in {key}: {exc}") from None
+_FIELDS = {spec.name: spec for spec in fields(PipelineConfig)}
 
 
 def parse_config_text(text: str) -> PipelineConfig:
@@ -228,86 +224,32 @@ def parse_config_text(text: str) -> PipelineConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
         seen.add(key)
         try:
-            _apply_key(cfg, key, value)
-        except (ValueError, QrbgError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
+            cfg.set(key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     cfg.validate()
     return cfg
 
 
-def _apply_key(cfg: PipelineConfig, key: str, value: str) -> None:
-    if key == "mode":
-        cfg.mode = value
-    elif key == "rng_seed":
-        cfg.rng_seed = int(value)
-    elif key == "state":
-        cfg.state = _parse_triple(value, key)
-    elif key == "coherence":
-        cfg.coherence = float(value)
-    elif key == "accidental_fraction":
-        cfg.accidental_fraction = float(value)
-    elif key == "phase":
-        cfg.phase = float(value)
-    elif key == "adv_target":
-        cfg.adv_target = _parse_triple(value, key)
-    elif key == "adv_weights":
-        cfg.adv_weights = tuple(float(p) for p in value.split(",") if p.strip())
-    elif key == "adv_states":
-        triples = []
-        for chunk in value.split(";"):
-            parts = [p for p in chunk.split(",") if p.strip()]
-            if len(parts) != 3:
-                raise ConfigError(f"adv_states entry {chunk!r} needs three numbers")
-            triples.append(tuple(float(p) for p in parts))
-        cfg.adv_states = tuple(triples)
-    elif key == "tomography_events":
-        cfg.tomography_events = int(value)
-    elif key == "alpha":
-        cfg.alpha = float(value)
-    elif key == "conservative":
-        cfg.conservative = value.strip().lower() in ("1", "true", "yes")
-    elif key == "generation_bits":
-        cfg.generation_bits = int(value)
-    elif key == "block_n":
-        cfg.block_n = int(value)
-    elif key == "epsilon":
-        cfg.epsilon = parse_epsilon(value)
-    elif key == "seed_file":
-        cfg.seed_file = value
-    elif key == "tests":
-        token = value.strip().lower()
-        if token in ("", "none"):
-            cfg.tests = ()
-        elif token == "all":
-            cfg.tests = ALL_TESTS
-        else:
-            cfg.tests = tuple(t.strip() for t in value.split(",") if t.strip())
-            unknown = [t for t in cfg.tests if t not in ALL_TESTS]
-            if unknown:
-                raise ConfigError(f"unknown tests {unknown}")
-    elif key == "significance":
-        cfg.significance = float(value)
-    elif key == "gen_format":
-        cfg.gen_format = value
-    elif key == "out_dir":
-        cfg.out_dir = value
-    elif key == "recalibrate_every":
-        cfg.recalibrate_every = int(value)
-    elif key == "min_basis_count":
-        cfg.min_basis_count = int(value)
-
-
 def load_config(path: str) -> PipelineConfig:
     return parse_config_text(Path(path).read_text(encoding="ascii"))
+
+
+@dataclass(frozen=True)
+class Calibration:
+    """A state estimate with its certified rate and Hoeffding companion."""
+
+    tomography: TomographyResult
+    rate: EntropyRate
+    lower: EntropyRate
+    alpha: float
+
+    def render(self) -> str:
+        return state_report(self.tomography, self.rate, self.alpha, self.lower)
 
 
 @dataclass
@@ -323,11 +265,9 @@ class RunReport:
     timestamp: str
     config: list[tuple[str, str]]
     master_seed: int
-    tomography: TomographyResult | None = None
-    certified: EntropyRate | None = None
-    lower: EntropyRate | None = None
-    alpha: float = 0.01
+    calibration: Calibration | None = None
     recalibrations: int = 0
+    certified_segment: int = 0
     blocks: int = 0
     block_n: int = 0
     block_m: int = 0
@@ -337,6 +277,10 @@ class RunReport:
     test_results: list[TestResult] = field(default_factory=list)
     files: list[FileRecord] = field(default_factory=list)
     raw_bits_per_second: float | None = None
+
+    @property
+    def certified(self) -> EntropyRate | None:
+        return self.calibration.rate if self.calibration else None
 
     @property
     def ratio(self) -> float:
@@ -349,15 +293,12 @@ class RunReport:
         out.append(f"master_seed={self.master_seed}")
         out.append("[config]")
         out.extend(f"{k}={v}" for k, v in self.config)
-        if self.tomography is not None:
+        if self.calibration is not None:
             out.append("[tomography]")
-            out.append(
-                state_report(
-                    self.tomography, self.certified, self.alpha, self.lower
-                ).rstrip("\n")
-            )
+            out.append(self.calibration.render().rstrip("\n"))
             if self.recalibrations:
                 out.append(f"recalibrations={self.recalibrations}")
+                out.append(f"certified_segment={self.certified_segment}")
         if self.block_n:
             out.append("[extraction]")
             out.append(f"certified_rate={self.certified.bits_per_sample!r}")
@@ -391,70 +332,106 @@ def _digest(path: Path, label: str) -> FileRecord:
     return FileRecord(label, path.name, hashlib.sha256(data).hexdigest(), len(data))
 
 
-def _stage(name: str, exc: Exception) -> Exception:
-    if isinstance(exc, (QrbgError, OSError)) and not str(exc).startswith("["):
-        try:
-            return type(exc)(f"[{name}] {exc}")
-        except TypeError:
-            return exc
-    return exc
+@contextmanager
+def _stage(name: str):
+    """Prefix any error raised inside with ``[name]``, keeping the error
+    object itself: its type, and an OSError's errno and filename."""
+    try:
+        yield
+    except Exception as exc:
+        if isinstance(exc, OSError) and exc.strerror:
+            exc.strerror = f"[{name}] {exc.strerror}"
+        elif exc.args and isinstance(exc.args[0], str):
+            exc.args = (f"[{name}] {exc.args[0]}",) + exc.args[1:]
+        raise
+
+
+def _streams(config: PipelineConfig, segments: int) -> tuple[int, int, list[int]]:
+    """Master seed, generation seed and one calibration seed per segment."""
+    master = config.rng_seed if config.rng_seed is not None else secrets.randbits(63)
+    gen_seed, *calib_seeds = derive_subseeds(master, 1 + segments)
+    # generation bits must never feed the state estimate
+    if gen_seed in calib_seeds:
+        raise QrbgError("generation stream reuses a calibration seed")
+    return master, gen_seed, calib_seeds
+
+
+def _calibration_log(variant: Variant, seed: int, n: int) -> EventLog:
+    return sample_events(SourceModel(variant, seed), blocked_schedule(n), n)
+
+
+def _raw_stream(bits: np.ndarray, source: str, seed: int) -> BitStream:
+    """Raw generation bits with the header of a raw-bit file."""
+    return BitStream(
+        bits, {"role": "raw", "source": source, "seed": str(seed), "prng": PRNG_NAME}
+    )
+
+
+def calibrate(log: EventLog, config: PipelineConfig) -> Calibration:
+    """Reconstruct the state from a calibration log and certify a rate."""
+    result, rate = reconstruct(
+        log,
+        alpha=config.alpha,
+        conservative=config.conservative,
+        min_count=config.min_basis_count,
+    )
+    _, lower = certify(result, config.alpha)
+    return Calibration(result, rate, lower, config.alpha)
+
+
+def generate(
+    variant: Variant, seed: int, config: PipelineConfig, out: Path
+) -> tuple[Path, BitStream]:
+    """Sample the generation bits and write them in ``config.gen_format``:
+    an all-Z event log or a packed raw-bit file."""
+    model = SourceModel(variant, seed)
+    n = config.generation_bits
+    if config.gen_format == "events":
+        log = sample_events(model, constant_schedule("Z", n), n)
+        path = out / "generation.log"
+        save_event_log(log, str(path))
+        return path, _raw_stream(log.outcomes, log.source, seed)
+    path = out / "raw.bits"
+    raw = _raw_stream(sample_raw_bits(model, n), model.describe(), seed)
+    write_bits_file(str(path), raw, raw.meta)
+    return path, raw
 
 
 def simulate_logs(
     config: PipelineConfig, out_dir: str
 ) -> tuple[Path, Path, int]:
-    """Write a calibration log and a generation log with distinct sub-seeds.
+    """Write the calibration log and the generation file that a pipeline
+    run of the same configuration, without recalibration, writes; nothing
+    is certified.
 
-    Returns (calibration path, generation path, master seed).  The
-    generation file is either an ASCII event log or a packed raw-bit file
-    depending on gen_format.
+    Returns (calibration path, generation path, master seed).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    master = config.rng_seed if config.rng_seed is not None else secrets.randbits(63)
-    calib_seed, gen_seed = derive_subseeds(master, 2)
+    master, gen_seed, (calib_seed,) = _streams(config, 1)
     variant = config.variant()
-
-    calib_log = sample_events(
-        SourceModel(variant, calib_seed),
-        blocked_schedule(config.tomography_events),
-        config.tomography_events,
-    )
     calib_path = out / "calibration.log"
-    save_event_log(calib_log, str(calib_path))
-
-    gen_model = SourceModel(variant, gen_seed)
-    if config.gen_format == "events":
-        gen_log = sample_events(
-            gen_model,
-            np.zeros(config.generation_bits, dtype=np.uint8),
-            config.generation_bits,
-        )
-        gen_path = out / "generation.log"
-        save_event_log(gen_log, str(gen_path))
-    else:
-        raw = sample_raw_bits(gen_model, config.generation_bits)
-        gen_path = out / "raw.bits"
-        write_bits_file(
-            str(gen_path),
-            BitStream(raw),
-            {
-                "role": "raw",
-                "source": gen_model.describe(),
-                "seed": str(gen_seed),
-                "prng": PRNG_NAME,
-            },
-        )
+    save_event_log(
+        _calibration_log(variant, calib_seed, config.tomography_events), str(calib_path)
+    )
+    gen_path, _ = generate(variant, gen_seed, config, out)
     return calib_path, gen_path, master
 
 
-def load_raw_bits(path: str) -> np.ndarray:
-    """Raw generation bits from either container format."""
+def load_raw_bits(path: str) -> BitStream:
+    """Raw generation bits from either container format, with the raw-file
+    header.  An event log must hold computational-basis (Z) events only."""
     with open(path, "rb") as fh:
         head = fh.read(8)
     if head.startswith(b"QRBGBITS"):
-        return read_bits_file(path).bits
-    return load_event_log(path).outcomes
+        return read_bits_file(path)
+    log = load_event_log(path)
+    if log.bases.any():
+        raise ParameterError(
+            f"{path}: {np.count_nonzero(log.bases)} of {log.n} events are not "
+            "Z-basis; generation bits come from Z measurements only"
+        )
+    return _raw_stream(log.outcomes, log.source, log.seed)
 
 
 def resolve_seed(params: ExtractorParams, seed_file: str | None) -> tuple[HashSeed, str]:
@@ -473,6 +450,63 @@ def resolve_seed(params: ExtractorParams, seed_file: str | None) -> tuple[HashSe
     return seed, f"seed_hex={seed.hex}"
 
 
+def extract(
+    raw: BitStream, params: ExtractorParams, seed_file: str | None, path: Path
+) -> tuple[ExtractionResult, str]:
+    """Hash ``raw`` into ``path`` and audit the file's length.
+
+    The header's ``source`` is the raw stream's.  Returns the extraction,
+    whose output is the stream re-read from disk, and the seed reference.
+    """
+    seed, seed_ref = resolve_seed(params, seed_file)
+    result = extract_stream(raw, params, seed=seed)
+    seed_key, seed_value = seed_ref.split("=", 1)
+    write_bits_file(
+        str(path),
+        result.output,
+        {
+            "role": "extracted",
+            "block_n": str(params.n),
+            "block_m": str(params.m),
+            "epsilon": format_epsilon(params.epsilon),
+            "h_rate": repr(params.h_rate),
+            seed_key: seed_value,
+            "source": raw.meta.get("source", "unknown"),
+        },
+    )
+    # accounting audit against the bytes actually written
+    result.output = read_bits_file(str(path))
+    if result.output.bit_length != result.blocks * params.m:
+        raise QrbgError(
+            f"accounting mismatch: file holds {result.output.bit_length} bits, "
+            f"expected {result.blocks * params.m}"
+        )
+    return result, seed_ref
+
+
+def run_tests(bits: BitStream, config: PipelineConfig) -> list[TestResult]:
+    """The configured statistical battery on one stream."""
+    return run_battery(
+        bits, BatteryConfig(tests=config.tests, significance=config.significance)
+    )
+
+
+def _certify_segments(
+    config: PipelineConfig, variant: Variant, seeds: list[int], path: Path
+) -> tuple[Calibration, int]:
+    """Certify one calibration per seed; the lowest rate wins, and its log,
+    the only one written, is the one the report lists."""
+    worst: tuple[Calibration, int, EventLog] | None = None
+    for segment, seed in enumerate(seeds):
+        log = _calibration_log(variant, seed, config.tomography_events)
+        cal = calibrate(log, config)
+        if worst is None or float(cal.rate) < float(worst[0].rate):
+            worst = cal, segment, log
+    cal, segment, log = worst
+    save_event_log(log, str(path))
+    return cal, segment
+
+
 def run_pipeline(
     config: PipelineConfig,
     out_dir: str,
@@ -486,142 +520,47 @@ def run_pipeline(
     config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    master = config.rng_seed if config.rng_seed is not None else secrets.randbits(63)
     variant = config.variant()
+    recal = config.recalibrate_every
+    segments = 1 if recal is None else max(1, math.ceil(config.generation_bits / recal))
+    master, gen_seed, calib_seeds = _streams(config, segments)
     report = RunReport(
         timestamp=datetime.now(timezone.utc).isoformat(),
         config=config.echo(),
         master_seed=master,
-        alpha=config.alpha,
     )
 
-    recal = config.recalibrate_every
-    segments = 1
-    if recal is not None:
-        segments = max(1, math.ceil(config.generation_bits / recal))
-    seeds = derive_subseeds(master, 1 + segments)
-    gen_seed, calib_seeds = seeds[0], seeds[1:]
-
-    # calibrate (certification uses the worst segment)
-    try:
-        certified: EntropyRate | None = None
-        lower: EntropyRate | None = None
-        first_result: TomographyResult | None = None
+    with _stage("calibrate"):
         calib_path = out / "calibration.log"
-        for i, calib_seed in enumerate(calib_seeds):
-            calib_log = sample_events(
-                SourceModel(variant, calib_seed),
-                blocked_schedule(config.tomography_events),
-                config.tomography_events,
-            )
-            if i == 0:
-                save_event_log(calib_log, str(calib_path))
-            result, rate = reconstruct(
-                calib_log,
-                alpha=config.alpha,
-                conservative=config.conservative,
-                min_count=config.min_basis_count,
-            )
-            _, seg_lower = certify(result, config.alpha)
-            if certified is None or float(rate) < float(certified):
-                certified, lower, first_result = rate, seg_lower, result
-        report.tomography = first_result
-        report.certified = certified
-        report.lower = lower
+        report.calibration, report.certified_segment = _certify_segments(
+            config, variant, calib_seeds, calib_path
+        )
         report.recalibrations = segments if recal is not None else 0
         report.files.append(_digest(calib_path, "calibration_log"))
-    except Exception as exc:
-        raise _stage("calibrate", exc) from exc
 
     # certify extractor accounting before generating anything
-    try:
-        params = ExtractorParams(config.block_n, config.epsilon, float(certified))
-    except Exception as exc:
-        raise _stage("certify", exc) from exc
+    with _stage("certify"):
+        params = ExtractorParams(config.block_n, config.epsilon, float(report.certified))
 
-    # generate
-    try:
-        gen_model = SourceModel(variant, gen_seed)
-        raw = sample_raw_bits(gen_model, config.generation_bits)
-        if config.gen_format == "events":
-            gen_path = out / "generation.log"
-            save_event_log(
-                EventLog(
-                    gen_model.describe(),
-                    gen_seed,
-                    np.zeros(config.generation_bits, dtype=np.uint8),
-                    raw,
-                    None,
-                ),
-                str(gen_path),
-            )
-        else:
-            gen_path = out / "raw.bits"
-            write_bits_file(
-                str(gen_path),
-                BitStream(raw),
-                {
-                    "role": "raw",
-                    "source": gen_model.describe(),
-                    "seed": str(gen_seed),
-                    "prng": PRNG_NAME,
-                },
-            )
-        # generation bits must never feed the state estimate
-        assert gen_path != calib_path and gen_seed not in calib_seeds
+    with _stage("generate"):
+        gen_path, raw = generate(variant, gen_seed, config, out)
         report.files.append(_digest(gen_path, "generation_raw"))
-    except Exception as exc:
-        raise _stage("generate", exc) from exc
 
-    # extract
-    try:
-        seed, seed_ref = resolve_seed(params, config.seed_file)
-        t1 = time.perf_counter()
-        result = extract_stream(raw, params, seed=seed)
-        t2 = time.perf_counter()
+    with _stage("extract"):
         extracted_path = out / "extracted.bits"
-        write_bits_file(
-            str(extracted_path),
-            result.output,
-            {
-                "role": "extracted",
-                "block_n": str(params.n),
-                "block_m": str(params.m),
-                "epsilon": format_epsilon(params.epsilon),
-                "h_rate": repr(params.h_rate),
-                seed_ref.split("=", 1)[0]: seed_ref.split("=", 1)[1],
-                "source": gen_model.describe(),
-            },
-        )
-        # accounting audit against the bytes actually written
-        reread = read_bits_file(str(extracted_path))
-        if reread.bit_length != result.blocks * params.m:
-            raise QrbgError(
-                f"accounting mismatch: file holds {reread.bit_length} bits, "
-                f"expected {result.blocks * params.m}"
-            )
+        result, report.seed_ref = extract(raw, params, config.seed_file, extracted_path)
         report.blocks = result.blocks
         report.block_n = params.n
         report.block_m = params.m
-        report.output_bits = reread.bit_length
+        report.output_bits = result.output.bit_length
         report.epsilon = params.epsilon
-        report.seed_ref = seed_ref
-        hashed = result.blocks * params.n
-        if t2 > t1 and hashed:
-            report.raw_bits_per_second = hashed / (t2 - t1)
+        if result.seconds > 0 and result.blocks:
+            report.raw_bits_per_second = result.blocks * params.n / result.seconds
         report.files.append(_digest(extracted_path, "extracted_bits"))
-    except Exception as exc:
-        raise _stage("extract", exc) from exc
 
-    # test
-    try:
+    with _stage("test"):
         if config.tests:
-            battery = BatteryConfig(
-                tests=config.tests, significance=config.significance
-            )
-            report.test_results = run_battery(reread.bits, battery)
-    except Exception as exc:
-        raise _stage("test", exc) from exc
+            report.test_results = run_tests(result.output, config)
 
     target = Path(report_path) if report_path else out / "report.txt"
     target.write_text(report.render(), encoding="ascii")

@@ -25,7 +25,7 @@ concurrently; a single log is generated sequentially.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence, TextIO, Union
+from typing import Sequence, TextIO, Union
 
 import numpy as np
 
@@ -106,13 +106,6 @@ class SourceModel:
         return self.variant.describe()
 
 
-class EventRecord(NamedTuple):
-    index: int
-    basis: str
-    outcome: int
-    eve_label: int | None
-
-
 @dataclass(frozen=True)
 class EventLog:
     """Ordered detection events plus the provenance needed to recreate them."""
@@ -129,16 +122,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return self.n
-
-    def records(self) -> Iterator[EventRecord]:
-        labels = self.eve_labels
-        for i in range(self.n):
-            yield EventRecord(
-                i,
-                BASIS_CHARS[self.bases[i]],
-                int(self.outcomes[i]),
-                None if labels is None else int(labels[i]),
-            )
 
 
 def effective_qubit(
@@ -186,10 +169,6 @@ def blocked_schedule(n: int) -> np.ndarray:
     if rest:
         sched[3 * per :] = [_BASIS_CODE["Z"], _BASIS_CODE["X"]][:rest]
     return sched
-
-
-def round_robin_schedule(n: int) -> np.ndarray:
-    return (np.arange(n) % 3).astype(np.uint8)
 
 
 def as_schedule(schedule: Union[np.ndarray, Sequence[str]], n: int) -> np.ndarray:
@@ -268,24 +247,6 @@ def sample_raw_bits(model: SourceModel, n: int) -> np.ndarray:
     """
     log = sample_events(model, constant_schedule("Z", n), n)
     return log.outcomes
-
-
-def sample_coincidences(
-    coherence: float,
-    accidental_fraction: float,
-    basis_schedule: Union[np.ndarray, Sequence[str]],
-    n: int,
-    seed: int,
-    phase: float = 0.0,
-) -> EventLog:
-    """Coincidence events from the entangled source.
-
-    Provided as its own entry point so the entangled pipeline is explicit:
-    the accidental background enters the state before events are drawn and
-    there is no operation anywhere that removes it afterwards.
-    """
-    model = SourceModel(Entangled(coherence, accidental_fraction, phase), seed)
-    return sample_events(model, basis_schedule, n)
 
 
 def write_event_log(log: EventLog, fh: TextIO) -> None:

@@ -147,9 +147,9 @@ def state_report(
         f"s1={s.s1!r}",
         f"s2={s.s2!r}",
         f"s3={s.s3!r}",
-        f"stderr1={result.stderr[0]!r}",
-        f"stderr2={result.stderr[1]!r}",
-        f"stderr3={result.stderr[2]!r}",
+        f"stderr1={float(result.stderr[0])!r}",
+        f"stderr2={float(result.stderr[1])!r}",
+        f"stderr3={float(result.stderr[2])!r}",
         f"projected={int(result.projected)}",
         f"n_per_basis={','.join(str(int(x)) for x in result.n_per_basis)}",
         f"minentropy_rate={rate.bits_per_sample!r}",

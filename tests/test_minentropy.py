@@ -12,7 +12,6 @@ from qrbg.minentropy import (
     minentropy_pure,
     minimize_over_decompositions,
     rate_from_coherence,
-    worst_case_minentropy,
 )
 from qrbg.states import (
     Decomposition,
@@ -82,9 +81,9 @@ class TestClosedForm:
 
     def test_demo_operating_points(self):
         single = stokes_to_density(StokesVector(0.9996, 0, 0))
-        assert float(worst_case_minentropy(single)) == pytest.approx(0.9598, abs=1e-4)
+        assert float(closed_form_minentropy(single)) == pytest.approx(0.9598, abs=1e-4)
         pairs = stokes_to_density(StokesVector(0.844, 0, 0))
-        assert float(worst_case_minentropy(pairs)) == pytest.approx(0.3805, abs=1e-4)
+        assert float(closed_form_minentropy(pairs)) == pytest.approx(0.3805, abs=1e-4)
 
     def test_rejects_bad_coherence(self):
         with pytest.raises(ParameterError):

@@ -1,10 +1,14 @@
+import errno
+import hashlib
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import qrbg.pipeline
 from qrbg.bits import BitStream, read_bits_file, write_bits_file
 from qrbg.cli import main
-from qrbg.errors import ConfigError, InsufficientEntropyError
+from qrbg.errors import ConfigError, InsufficientEntropyError, QrbgError
 from qrbg.pipeline import (
     load_raw_bits,
     parse_config_text,
@@ -12,6 +16,7 @@ from qrbg.pipeline import (
     simulate_logs,
 )
 from qrbg.sources import load_event_log
+from qrbg.tomography import reconstruct
 
 FAST_CONFIG = """
 mode = single
@@ -168,6 +173,37 @@ class TestRunPipeline:
         with pytest.raises(OSError):
             run_pipeline(cfg, str(tmp_path))
 
+    def test_stage_error_keeps_type_errno_and_filename(self, tmp_path):
+        cfg = parse_config_text(FAST_CONFIG + "seed_file = /nonexistent/seed.bits\n")
+        with pytest.raises(FileNotFoundError) as info:
+            run_pipeline(cfg, str(tmp_path))
+        assert info.value.errno == errno.ENOENT
+        assert info.value.filename == "/nonexistent/seed.bits"
+        assert "[extract]" in str(info.value)
+
+    def test_separation_is_an_explicit_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(qrbg.pipeline, "derive_subseeds", lambda master, count: [7] * count)
+        with pytest.raises(QrbgError, match="calibration seed"):
+            run_pipeline(parse_config_text(FAST_CONFIG), str(tmp_path))
+        with pytest.raises(QrbgError, match="calibration seed"):
+            simulate_logs(parse_config_text(FAST_CONFIG), str(tmp_path))
+        assert not (tmp_path / "raw.bits").exists()
+
+    def test_recalibration_report_matches_listed_log(self, tmp_path):
+        cfg = parse_config_text(FAST_CONFIG + "recalibrate_every = 5000\n")
+        report = run_pipeline(cfg, str(tmp_path))
+        lines = (tmp_path / "report.txt").read_text().splitlines()
+        values = dict(line.split("=", 1) for line in lines if "=" in line)
+        assert values["certified_segment"] == str(report.certified_segment)
+        listed = next(f.path for f in report.files if f.label == "calibration_log")
+        result, rate = reconstruct(
+            load_event_log(str(tmp_path / listed)), alpha=cfg.alpha, min_count=cfg.min_basis_count
+        )
+        assert float(values["s1"]) == result.s_hat.s1
+        assert float(values["s2"]) == result.s_hat.s2
+        assert float(values["s3"]) == result.s_hat.s3
+        assert float(values["minentropy_rate"]) == float(rate) == float(report.certified)
+
 
 class TestSimulateLogs:
     def test_writes_both_files(self, tmp_path):
@@ -176,8 +212,7 @@ class TestSimulateLogs:
         assert master == 4242
         log = load_event_log(str(calib))
         assert log.n == 60000
-        bits = load_raw_bits(str(gen))
-        assert bits.shape[0] == 20000
+        assert load_raw_bits(str(gen)).bit_length == 20000
 
     def test_adversarial_logs_carry_labels(self, tmp_path):
         cfg = parse_config_text(
@@ -284,6 +319,131 @@ class TestCli:
         r = CliRunner().invoke(main, ["test", str(path), "--tests", "monobit"])
         assert r.exit_code == 1
         assert "pass=0" in r.output
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+# Digests of the files run_pipeline wrote for FAST_CONFIG and the
+# write_seed_file(..., 6000) seed before the stages were shared with the CLI.
+# The extracted header records the seed file's path, so only its payload
+# is pinned.
+GOLDEN = {
+    "calibration.log": "e68405a84ba0329bb37dc34535ff3e071a4d134cd478e760334efb32f197cb38",
+    "raw.bits": "9a936fb00a165b12d41844119cb6dc6ff6c566e3b9c5514d21eaccd1d433c726",
+    "generation.log": "264768e651e400b57ea4dd12d0f45adcf633da2643ede4755fe32d87f63cc832",
+    "extracted": "274232e1c3439056b9401cf63a2a341ecf80d7d5cc05cac9faa9e6882b0dfc7a",
+    "extracted_recalibrated": "1bc54f4e21d7a28a03350cc0e4fff75097df83f3e1247e99e4e74f282a3731e8",
+}
+
+
+def extracted_payload(path):
+    return sha256(read_bits_file(str(path)).to_bytes())
+
+
+@pytest.mark.parametrize("gen_format", ["bits", "events"])
+def test_pipeline_outputs_are_pinned(tmp_path, gen_format):
+    seed_path = tmp_path / "seed.bits"
+    write_seed_file(seed_path, 6000)
+    cfg = parse_config_text(FAST_CONFIG + f"gen_format = {gen_format}\nseed_file = {seed_path}\n")
+    out = tmp_path / "out"
+    run_pipeline(cfg, str(out))
+    gen_name = "raw.bits" if gen_format == "bits" else "generation.log"
+    for name in ("calibration.log", gen_name):
+        assert sha256((out / name).read_bytes()) == GOLDEN[name], name
+    assert extracted_payload(out / "extracted.bits") == GOLDEN["extracted"]
+
+
+def test_recalibration_changes_only_the_calibration_log(tmp_path):
+    seed_path = tmp_path / "seed.bits"
+    write_seed_file(seed_path, 6000)
+    cfg = parse_config_text(FAST_CONFIG + f"recalibrate_every = 5000\nseed_file = {seed_path}\n")
+    report = run_pipeline(cfg, str(tmp_path / "out"))
+    assert sha256((tmp_path / "out" / "raw.bits").read_bytes()) == GOLDEN["raw.bits"]
+    assert extracted_payload(tmp_path / "out" / "extracted.bits") == GOLDEN["extracted_recalibrated"]
+    calib = sha256((tmp_path / "out" / "calibration.log").read_bytes())
+    assert (calib == GOLDEN["calibration.log"]) == (report.certified_segment == 0)
+
+
+@pytest.mark.parametrize("gen_format", ["bits", "events"])
+def test_staged_cli_matches_pipeline(tmp_path, gen_format):
+    seed_path = tmp_path / "seed.bits"
+    write_seed_file(seed_path, 6000)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FAST_CONFIG + f"gen_format = {gen_format}\nseed_file = {seed_path}\n")
+    staged, piped = tmp_path / "staged", tmp_path / "piped"
+    runner = CliRunner()
+
+    def run(*args):
+        r = runner.invoke(main, [str(a) for a in args], catch_exceptions=False)
+        assert r.exit_code == 0, r.output
+        return r.output
+
+    run("pipeline", "--config", cfg_path, "--out", piped)
+    run("simulate", "--config", cfg_path, "--out", staged)
+    state = run("calibrate", staged / "calibration.log", "--report", staged / "state.txt")
+    rate = next(l for l in state.splitlines() if l.startswith("minentropy_rate=")).split("=")[1]
+    raw = staged / "raw.bits"
+    if gen_format == "events":
+        run("generate", staged / "generation.log", "--out", raw)
+    run("extract", raw, "--h-rate", rate, "--block-n", "2000", "--epsilon", "2^-16",
+        "--seed-file", seed_path, "--out", staged / "extracted.bits")
+    gen_name = "raw.bits" if gen_format == "bits" else "generation.log"
+    for name in ("calibration.log", gen_name, "extracted.bits"):
+        assert (staged / name).read_bytes() == (piped / name).read_bytes(), name
+    state_block = (piped / "report.txt").read_text().split("[tomography]\n")[1].split("[extraction]")[0]
+    assert state_block == state
+
+
+def test_extract_rejects_mixed_basis_log(tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FAST_CONFIG)
+    out = tmp_path / "out"
+    runner = CliRunner()
+    assert runner.invoke(main, ["simulate", "--config", str(cfg_path), "--out", str(out)]).exit_code == 0
+    r = runner.invoke(main, [
+        "extract", str(out / "calibration.log"), "--h-rate", "0.5",
+        "--block-n", "2000", "--epsilon", "2^-16", "--out", str(out / "ex.bits"),
+    ])
+    assert r.exit_code == 5
+    assert "Z-basis" in r.output
+    assert not (out / "ex.bits").exists()
+    with pytest.raises(QrbgError, match="Z-basis"):
+        load_raw_bits(str(out / "calibration.log"))
+
+
+ROUND_TRIP_CONFIGS = {
+    "single": FAST_CONFIG,
+    "entangled": "mode = entangled\ncoherence = 0.88\naccidental_fraction = 0.0409\nphase = 0.25\n",
+    "adversarial_target": "mode = adversarial\nadv_target = 0.6,0,0.3\nconservative = 1\n",
+    "adversarial_terms": (
+        "mode = adversarial\nadv_weights = 0.6875, 0.3125\n"
+        "adv_states = 0.6,0,0.8; 0.6,0,-0.8\ntests = none\n"
+    ),
+    "recalibrated": FAST_CONFIG + "recalibrate_every = 5000\nout_dir = somewhere\n",
+    "seed_file": FAST_CONFIG.replace("2^-16", "1e-9") + "seed_file = seed.bits\ngen_format = events\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_CONFIGS))
+def test_config_echo_round_trips(name):
+    cfg = parse_config_text(ROUND_TRIP_CONFIGS[name])
+    rendered = "".join(f"{k} = {v}\n" for k, v in cfg.echo())
+    assert parse_config_text(rendered) == cfg
+
+
+def test_tomography_block_holds_plain_numbers(tmp_path):
+    cfg = parse_config_text(FAST_CONFIG + "recalibrate_every = 10000\n")
+    run_pipeline(cfg, str(tmp_path))
+    text = (tmp_path / "report.txt").read_text()
+    block = text.split("[tomography]\n")[1].split("\n[")[0].splitlines()
+    assert any(line.startswith("stderr1=") for line in block)
+    for line in block:
+        key, value = line.split("=", 1)
+        if key != "note":  # the one free-text line
+            for item in value.split(","):
+                float(item)
 
 
 def test_config_echo_is_stable():

@@ -15,8 +15,6 @@ from qrbg.sources import (
     constant_schedule,
     effective_qubit,
     read_event_log,
-    round_robin_schedule,
-    sample_coincidences,
     sample_events,
     sample_raw_bits,
     save_event_log,
@@ -189,17 +187,22 @@ class TestEffectiveQubit:
             effective_qubit(0.5, 1.0)
 
 
+def coincidences(coherence, basis, n, seed):
+    model = SourceModel(Entangled(coherence, 0.0), seed)
+    return sample_events(model, constant_schedule(basis, n), n)
+
+
 class TestSampleCoincidences:
     def test_ideal_pair_balanced_z(self):
-        log = sample_coincidences(1.0, 0.0, constant_schedule("Z", 10**6), 10**6, seed=6)
+        log = coincidences(1.0, "Z", 10**6, seed=6)
         assert abs(log.outcomes.mean() - 0.5) < 0.002
 
     def test_ideal_pair_deterministic_x(self):
-        log = sample_coincidences(1.0, 0.0, constant_schedule("X", 10**5), 10**5, seed=7)
+        log = coincidences(1.0, "X", 10**5, seed=7)
         assert not log.outcomes.any()
 
     def test_degraded_pair_x_fraction(self):
-        log = sample_coincidences(0.844, 0.0, constant_schedule("X", 10**6), 10**6, seed=8)
+        log = coincidences(0.844, "X", 10**6, seed=8)
         zeros = 1.0 - log.outcomes.mean()
         assert abs(zeros - 0.922) < 0.002
 
@@ -207,7 +210,8 @@ class TestSampleCoincidences:
 class TestEventLogFiles:
     def test_roundtrip_with_labels(self):
         d = worst_case_decomposition(stokes_to_density(StokesVector(0.6, 0, 0.3)))
-        log = sample_events(SourceModel(Adversarial(d), 5), round_robin_schedule(500), 500)
+        interleaved = (np.arange(500) % 3).astype(np.uint8)
+        log = sample_events(SourceModel(Adversarial(d), 5), interleaved, 500)
         buf = io.StringIO()
         write_event_log(log, buf)
         back = read_event_log(io.StringIO(buf.getvalue()))
@@ -240,13 +244,12 @@ class TestEventLogFiles:
             read_event_log(io.StringIO("# n=3\n0,Z,0\n1,Z,1\n"))
 
 
-def test_event_records_iteration():
+def test_event_log_fields_follow_schedule():
     log = sample_events(single(0, 0, 1, seed=2), ["Z", "X", "Y"], 3)
-    records = list(log.records())
-    assert [r.index for r in records] == [0, 1, 2]
-    assert [r.basis for r in records] == ["Z", "X", "Y"]
-    assert all(r.eve_label is None for r in records)
-    assert records[0].outcome == 0
+    assert len(log) == 3
+    assert log.bases.tolist() == [0, 1, 2]
+    assert log.eve_labels is None
+    assert log.outcomes[0] == 0
 
 
 def test_blocked_schedule_is_equal_thirds():
