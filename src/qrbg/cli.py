@@ -139,7 +139,7 @@ def generate(genlog, out_path) -> None:
 
 @main.command()
 @click.argument("rawfile", type=click.Path(exists=True))
-@click.option("--h-rate", type=float, required=True, help="certified min-entropy per raw bit")
+@click.option("--h-rate", type=float, required=True, help="certified min-entropy per raw bit, in [0, 1]")
 @click.option("--block-n", type=int, default=100_000, show_default=True)
 @click.option("--epsilon", default="2^-64", show_default=True)
 @click.option("--seed-file", type=click.Path(exists=True), default=None)

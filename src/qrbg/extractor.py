@@ -34,7 +34,7 @@ from typing import Union
 import numpy as np
 from scipy import fft as _fft
 
-from .bits import BitStream, pack_bits, unpack_bits
+from .bits import BitStream, unpack_bits
 from .errors import InsufficientEntropyError, ParameterError
 from .minentropy import EntropyRate
 
@@ -77,7 +77,10 @@ def output_length(
 
 @dataclass(frozen=True)
 class ExtractorParams:
-    """Block size, distance target and certified rate, with m derived."""
+    """Block size, distance target and certified rate, with m derived.
+
+    ``h_rate`` must be an entropy rate, a finite number in [0, 1].
+    """
 
     n: int
     epsilon: float
@@ -85,7 +88,7 @@ class ExtractorParams:
     m: int = 0
 
     def __post_init__(self) -> None:
-        rate = float(self.h_rate)
+        rate = float(EntropyRate(self.h_rate))
         m = output_length(rate, self.n, self.epsilon)
         if m < 1:
             raise InsufficientEntropyError(
@@ -125,14 +128,6 @@ class HashSeed:
     @property
     def bit_length(self) -> int:
         return int(self.bits.shape[0])
-
-    @property
-    def hex(self) -> str:
-        return pack_bits(self.bits).hex()
-
-    @classmethod
-    def from_hex(cls, text: str, bit_length: int) -> "HashSeed":
-        return cls(unpack_bits(bytes.fromhex(text), bit_length))
 
     @classmethod
     def system(cls, bit_length: int) -> "HashSeed":
@@ -210,19 +205,16 @@ class ExtractionResult:
 def extract_stream(
     raw: Union[BitStream, np.ndarray],
     params: ExtractorParams,
-    seed: HashSeed | None = None,
+    seed: HashSeed,
 ) -> ExtractionResult:
     """Hash every full n-bit block of ``raw`` with one session seed.
 
-    The tail remainder is discarded.  If no seed is supplied one is drawn
-    from the operating system's entropy source.
+    The tail remainder is discarded.
     """
     start = time.perf_counter()
     bits = raw.bits if isinstance(raw, BitStream) else np.asarray(raw, dtype=np.uint8)
     if params.m < 1:
         raise InsufficientEntropyError("extractor params admit no output")
-    if seed is None:
-        seed = HashSeed.system(params.seed_bits_needed)
     if seed.bit_length != params.seed_bits_needed:
         raise ParameterError(
             f"seed has {seed.bit_length} bits, params need {params.seed_bits_needed}"

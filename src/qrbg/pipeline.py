@@ -40,7 +40,7 @@ from .extractor import (
     format_epsilon,
     parse_epsilon,
 )
-from .minentropy import EntropyRate
+from .minentropy import EntropyRate, lower_confidence_rate
 from .sources import (
     PRNG_NAME,
     Adversarial,
@@ -59,7 +59,7 @@ from .sources import (
 )
 from .stat_tests import ALL_TESTS, BatteryConfig, TestResult, battery_report, pass_fraction, run_battery
 from .states import Decomposition, PureState, StokesVector, worst_case_decomposition, stokes_to_density
-from .tomography import TomographyResult, certify, reconstruct, state_report
+from .tomography import TomographyResult, reconstruct, state_report
 
 SECURITY_NOTE = (
     "statistical tests check implementation correctness only; "
@@ -273,7 +273,7 @@ class RunReport:
     block_m: int = 0
     output_bits: int = 0
     epsilon: float = 0.0
-    seed_ref: str = ""
+    seed_file: str = ""
     test_results: list[TestResult] = field(default_factory=list)
     files: list[FileRecord] = field(default_factory=list)
     raw_bits_per_second: float | None = None
@@ -308,7 +308,7 @@ class RunReport:
             out.append(f"ratio={self.ratio!r}")
             out.append(f"output_bits={self.output_bits}")
             out.append(f"epsilon={format_epsilon(self.epsilon)}")
-            out.append(f"seed={self.seed_ref}")
+            out.append(f"seed=seed_file={self.seed_file}")
             if self.raw_bits_per_second is not None:
                 out.append(f"raw_bits_per_second={self.raw_bits_per_second:.3e}")
         if self.test_results:
@@ -375,7 +375,7 @@ def calibrate(log: EventLog, config: PipelineConfig) -> Calibration:
         conservative=config.conservative,
         min_count=config.min_basis_count,
     )
-    _, lower = certify(result, config.alpha)
+    lower = lower_confidence_rate(result.s_hat, int(result.n_per_basis.min()), config.alpha)
     return Calibration(result, rate, lower, config.alpha)
 
 
@@ -434,20 +434,17 @@ def load_raw_bits(path: str) -> BitStream:
     return _raw_stream(log.outcomes, log.source, log.seed)
 
 
-def resolve_seed(params: ExtractorParams, seed_file: str | None) -> tuple[HashSeed, str]:
-    """Session seed plus the header reference recording where it came from."""
+def resolve_seed(params: ExtractorParams, seed_file: str) -> HashSeed:
+    """The session seed held in a ``role=seed`` bit file."""
     needed = params.seed_bits_needed
-    if seed_file:
-        stream = read_bits_file(seed_file)
-        if stream.meta.get("role") not in (None, "seed"):
-            raise ConfigError(f"{seed_file} has role={stream.meta.get('role')}, expected seed")
-        if stream.bit_length < needed:
-            raise ConfigError(
-                f"seed file holds {stream.bit_length} bits, extractor needs {needed}"
-            )
-        return HashSeed(stream.bits[:needed]), f"seed_file={seed_file}"
-    seed = HashSeed.system(needed)
-    return seed, f"seed_hex={seed.hex}"
+    stream = read_bits_file(seed_file)
+    if stream.meta.get("role") not in (None, "seed"):
+        raise ConfigError(f"{seed_file} has role={stream.meta.get('role')}, expected seed")
+    if stream.bit_length < needed:
+        raise ConfigError(
+            f"seed file holds {stream.bit_length} bits, extractor needs {needed}"
+        )
+    return HashSeed(stream.bits[:needed])
 
 
 def extract(
@@ -455,12 +452,17 @@ def extract(
 ) -> tuple[ExtractionResult, str]:
     """Hash ``raw`` into ``path`` and audit the file's length.
 
-    The header's ``source`` is the raw stream's.  Returns the extraction,
-    whose output is the stream re-read from disk, and the seed reference.
+    Without a ``seed_file`` a seed is drawn from system entropy and written
+    next to ``path`` (``extracted.bits`` -> ``extracted.seed.bits``), then
+    used as a configured one would be.  The header's ``source`` is the raw
+    stream's.  Returns the extraction, whose output is the stream re-read
+    from disk, and the seed file's path.
     """
-    seed, seed_ref = resolve_seed(params, seed_file)
-    result = extract_stream(raw, params, seed=seed)
-    seed_key, seed_value = seed_ref.split("=", 1)
+    if not seed_file:
+        seed_file = str(path.with_suffix(".seed.bits"))
+        drawn = HashSeed.system(params.seed_bits_needed)
+        write_bits_file(seed_file, BitStream(drawn.bits), {"role": "seed"})
+    result = extract_stream(raw, params, seed=resolve_seed(params, seed_file))
     write_bits_file(
         str(path),
         result.output,
@@ -470,7 +472,7 @@ def extract(
             "block_m": str(params.m),
             "epsilon": format_epsilon(params.epsilon),
             "h_rate": repr(params.h_rate),
-            seed_key: seed_value,
+            "seed_file": seed_file,
             "source": raw.meta.get("source", "unknown"),
         },
     )
@@ -481,7 +483,7 @@ def extract(
             f"accounting mismatch: file holds {result.output.bit_length} bits, "
             f"expected {result.blocks * params.m}"
         )
-    return result, seed_ref
+    return result, seed_file
 
 
 def run_tests(bits: BitStream, config: PipelineConfig) -> list[TestResult]:
@@ -548,7 +550,10 @@ def run_pipeline(
 
     with _stage("extract"):
         extracted_path = out / "extracted.bits"
-        result, report.seed_ref = extract(raw, params, config.seed_file, extracted_path)
+        result, report.seed_file = extract(raw, params, config.seed_file, extracted_path)
+        if not config.seed_file:
+            # a configured seed file may live anywhere; only a drawn one is a run file
+            report.files.append(_digest(Path(report.seed_file), "hash_seed"))
         report.blocks = result.blocks
         report.block_n = params.n
         report.block_m = params.m

@@ -24,6 +24,7 @@ concurrently; a single log is generated sequentially.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence, TextIO, Union
 
@@ -43,6 +44,13 @@ PRNG_NAME = "numpy-pcg64"
 
 BASIS_CHARS = ("Z", "X", "Y")
 _BASIS_CODE = {"Z": 0, "X": 1, "Y": 2}
+_BASIS_BYTES = np.frombuffer("".join(BASIS_CHARS).encode(), dtype=np.uint8)
+
+# Event-log records as parsed; the basis is read two characters wide so
+# that a basis such as 'ZZ' is rejected rather than truncated to 'Z'.
+_RECORD = [("index", np.int64), ("basis", "S2"), ("outcome", np.uint8), ("eve_label", np.int32)]
+# Records formatted per write; bounds the writer's working memory.
+_LOG_ROWS = 1 << 18
 
 # Fixed sampling chunk; part of the reproducibility contract because it
 # determines the order in which random numbers are consumed.
@@ -240,11 +248,8 @@ def sample_events(
 
 
 def sample_raw_bits(model: SourceModel, n: int) -> np.ndarray:
-    """Computational-basis outcomes only, for generation runs.
-
-    Identical to ``sample_events`` with a constant-Z schedule but without
-    materializing the per-event basis array.
-    """
+    """Computational-basis outcomes only, for generation runs: the
+    outcomes of ``sample_events`` under a constant-Z schedule."""
     log = sample_events(model, constant_schedule("Z", n), n)
     return log.outcomes
 
@@ -252,25 +257,14 @@ def sample_raw_bits(model: SourceModel, n: int) -> np.ndarray:
 def write_event_log(log: EventLog, fh: TextIO) -> None:
     """ASCII event-log format: '# key=value' header lines then one
     'index,basis,outcome[,eve_label]' record per line."""
-    fh.write(f"# source={log.source}\n")
-    fh.write(f"# seed={log.seed}\n")
-    fh.write(f"# n={log.n}\n")
-    fh.write(f"# prng={PRNG_NAME}\n")
-    labels = log.eve_labels
-    for start in range(0, log.n, 1 << 20):
-        stop = min(start + (1 << 20), log.n)
-        if labels is None:
-            lines = [
-                f"{i},{BASIS_CHARS[log.bases[i]]},{log.outcomes[i]}"
-                for i in range(start, stop)
-            ]
-        else:
-            lines = [
-                f"{i},{BASIS_CHARS[log.bases[i]]},{log.outcomes[i]},{labels[i]}"
-                for i in range(start, stop)
-            ]
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    fh.write(f"# source={log.source}\n# seed={log.seed}\n# n={log.n}\n# prng={PRNG_NAME}\n")
+    columns = [np.arange(log.n), _BASIS_BYTES[log.bases], log.outcomes]
+    if log.eve_labels is not None:
+        columns.append(log.eve_labels)
+    line = ",".join(("%d", "%c", "%d", "%d")[: len(columns)]) + "\n"
+    for start in range(0, log.n, _LOG_ROWS):
+        rows = np.column_stack([c[start : start + _LOG_ROWS] for c in columns])
+        fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def save_event_log(log: EventLog, path: str) -> None:
@@ -278,48 +272,47 @@ def save_event_log(log: EventLog, path: str) -> None:
         write_event_log(log, fh)
 
 
+def _reject(bad: np.ndarray, what: str) -> None:
+    if bad.any():
+        raise ParameterError(f"event record {int(np.argmax(bad))}: {what}")
+
+
 def read_event_log(fh: TextIO) -> EventLog:
     header: dict[str, str] = {}
-    bases: list[int] = []
-    outcomes: list[int] = []
-    labels: list[int] = []
-    expected = 0
     for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
+        text = line.strip()
+        if text.startswith("#"):
+            key, _, value = text[1:].partition("=")
             header[key.strip()] = value.strip()
-            continue
-        fields = line.split(",")
-        if len(fields) not in (3, 4):
-            raise ParameterError(f"malformed event record: {line!r}")
-        if int(fields[0]) != expected:
-            raise ParameterError(
-                f"event index {fields[0]} out of order (expected {expected})"
-            )
-        expected += 1
-        bases.append(_BASIS_CODE[fields[1]])
-        outcomes.append(int(fields[2]))
-        if len(fields) == 4:
-            labels.append(int(fields[3]))
-    if expected == 0:
+        elif text:
+            break
+    else:
         raise EmptyInputError("event log contains no records")
-    if labels and len(labels) != expected:
-        raise ParameterError("eve_label present on only some records")
-    n_declared = header.get("n")
-    if n_declared is not None and int(n_declared) != expected:
-        raise ParameterError(
-            f"header declares n={n_declared} but log has {expected} records"
+    width = text.count(",") + 1
+    if width not in (3, 4):
+        raise ParameterError(f"malformed event record: {text!r}")
+    try:
+        rec = np.loadtxt(
+            itertools.chain([line], fh),
+            dtype=_RECORD[:width],
+            delimiter=",",
+            comments="#",
+            ndmin=1,
         )
-    return EventLog(
-        header.get("source", "unknown"),
-        int(header.get("seed", 0)),
-        np.array(bases, dtype=np.uint8),
-        np.array(outcomes, dtype=np.uint8),
-        np.array(labels, dtype=np.int32) if labels else None,
-    )
+        seed, declared = int(header.get("seed", 0)), int(header.get("n", rec.shape[0]))
+    except ValueError as exc:
+        raise ParameterError(f"malformed event log: {exc}") from None
+    n = rec.shape[0]
+    _reject(rec["index"] != np.arange(n), "index out of order")
+    bases = np.full(n, len(BASIS_CHARS), dtype=np.uint8)
+    for code, char in enumerate(BASIS_CHARS):
+        bases[rec["basis"] == char.encode()] = code
+    _reject(bases == len(BASIS_CHARS), "basis is not Z, X or Y")
+    _reject(rec["outcome"] > 1, "outcome is not 0 or 1")
+    if declared != n:
+        raise ParameterError(f"header declares n={declared} but log has {n} records")
+    labels = rec["eve_label"].copy() if width == 4 else None
+    return EventLog(header.get("source", "unknown"), seed, bases, rec["outcome"].copy(), labels)
 
 
 def load_event_log(path: str) -> EventLog:

@@ -162,14 +162,3 @@ def state_report(
             "implementation, not part of the certified figure"
         )
     return "\n".join(lines) + "\n"
-
-
-def certify(
-    result: TomographyResult, alpha: float
-) -> tuple[EntropyRate, EntropyRate]:
-    """Plug-in certified rate and its Hoeffding lower companion."""
-    plug_in = rate_from_coherence(result.s_hat.coherence)
-    lower = lower_confidence_rate(
-        result.s_hat, int(result.n_per_basis.min()), alpha
-    )
-    return plug_in, lower

@@ -102,10 +102,11 @@ class TestRunPipeline:
         assert (tmp_path / "extracted.bits").exists()
         assert (tmp_path / "report.txt").exists()
         labels = {f.label for f in report.files}
-        assert labels == {"calibration_log", "generation_raw", "extracted_bits"}
+        assert labels == {"calibration_log", "generation_raw", "hash_seed", "extracted_bits"}
         extracted = read_bits_file(str(tmp_path / "extracted.bits"))
         assert extracted.bit_length == report.output_bits
         assert extracted.meta["role"] == "extracted"
+        assert extracted.meta["seed_file"] == str(tmp_path / "extracted.seed.bits")
         text = (tmp_path / "report.txt").read_text()
         assert "note=statistical tests check implementation correctness only" in text
 
@@ -167,6 +168,24 @@ class TestRunPipeline:
         assert gen.n == 20000
         assert not gen.bases.any()
         assert report.test_results == []
+
+    def test_drawn_seed_is_written_to_a_file(self, tmp_path):
+        cfg = parse_config_text(FAST_CONFIG)
+        report = run_pipeline(cfg, str(tmp_path / "a"))
+        seed_path = tmp_path / "a" / "extracted.seed.bits"
+        seed = read_bits_file(str(seed_path))
+        assert seed.meta["role"] == "seed"
+        assert seed.bit_length == report.block_n + report.block_m - 1
+        text = (tmp_path / "a" / "report.txt").read_text()
+        assert f"seed=seed_file={seed_path}\n" in text
+        assert "file=hash_seed path=extracted.seed.bits " in text
+        assert max(len(line) for line in text.splitlines()) < 200
+        # the drawn seed file reproduces the run as a configured one
+        again = run_pipeline(parse_config_text(FAST_CONFIG + f"seed_file = {seed_path}\n"), str(tmp_path / "b"))
+        assert "hash_seed" not in {f.label for f in again.files}
+        assert extracted_payload(tmp_path / "b" / "extracted.bits") == extracted_payload(
+            tmp_path / "a" / "extracted.bits"
+        )
 
     def test_missing_seed_file_is_io_error(self, tmp_path):
         cfg = parse_config_text(FAST_CONFIG + "seed_file = /nonexistent/seed.bits\n")
@@ -291,6 +310,26 @@ class TestCli:
         r = CliRunner().invoke(main, ["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert r.exit_code == 5
 
+    def test_malformed_log_exit_code(self, tmp_path):
+        log_path = tmp_path / "bad.log"
+        log_path.write_text("# source=x\n# seed=0\n# n=2\n0,Z,2\n1,X,1\n")
+        r = CliRunner().invoke(main, ["calibrate", str(log_path)])
+        assert r.exit_code == 5
+        assert "outcome is not 0 or 1" in r.output
+
+    @pytest.mark.parametrize("h_rate", ["1.5", "nan"])
+    def test_h_rate_outside_unit_interval_exit_code(self, tmp_path, h_rate):
+        raw = tmp_path / "raw.bits"
+        write_bits_file(str(raw), BitStream(np.ones(4000, dtype=np.uint8)), {"role": "raw"})
+        r = CliRunner().invoke(main, [
+            "extract", str(raw), "--h-rate", h_rate, "--block-n", "1000",
+            "--epsilon", "2^-16", "--out", str(tmp_path / "ex.bits"),
+        ])
+        assert r.exit_code == 5
+        assert "entropy rate" in r.output
+        assert not (tmp_path / "ex.bits").exists()
+        assert not (tmp_path / "ex.seed.bits").exists()
+
     def test_insufficient_data_exit_code(self, tmp_path):
         log_path = tmp_path / "tiny.log"
         log_path.write_text("# source=x\n# seed=0\n# n=2\n0,Z,0\n1,X,1\n")
@@ -336,6 +375,23 @@ GOLDEN = {
     "extracted": "274232e1c3439056b9401cf63a2a341ecf80d7d5cc05cac9faa9e6882b0dfc7a",
     "extracted_recalibrated": "1bc54f4e21d7a28a03350cc0e4fff75097df83f3e1247e99e4e74f282a3731e8",
 }
+
+
+# Digests of an adversarial simulate run's event logs, which carry the
+# eve_label column, as written before the event-log codec used numpy.
+GOLDEN_LABELLED = {
+    "calibration.log": "2fdd0f12d6dd9cac498c8359135075b778a8432ed2fe4880c4c77116ff40a2dc",
+    "generation.log": "28e9c792f273f977a20e28667312b00af3de12736a41b1e3cc6a7ec2dd21aa18",
+}
+
+
+def test_labelled_event_logs_are_pinned(tmp_path):
+    cfg = parse_config_text(
+        "mode = adversarial\nadv_target = 0.6,0,0.3\nrng_seed = 77\n"
+        "tomography_events = 3000\ngeneration_bits = 1000\ngen_format = events\n"
+    )
+    for path in simulate_logs(cfg, str(tmp_path))[:2]:
+        assert sha256(path.read_bytes()) == GOLDEN_LABELLED[path.name], path.name
 
 
 def extracted_payload(path):

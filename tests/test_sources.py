@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import qrbg.sources
 from qrbg.errors import EmptyInputError, ParameterError
 from qrbg.minentropy import closed_form_minentropy, minentropy_decomposition
 from qrbg.sources import (
@@ -242,6 +243,36 @@ class TestEventLogFiles:
     def test_header_count_mismatch_rejected(self):
         with pytest.raises(ParameterError):
             read_event_log(io.StringIO("# n=3\n0,Z,0\n1,Z,1\n"))
+
+    def test_written_in_chunks_of_any_size(self, monkeypatch):
+        d = worst_case_decomposition(stokes_to_density(StokesVector(0.6, 0, 0.3)))
+        log = sample_events(SourceModel(Adversarial(d), 9), blocked_schedule(100), 100)
+        whole = io.StringIO()
+        write_event_log(log, whole)
+        monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
+        chunked = io.StringIO()
+        write_event_log(log, chunked)
+        assert chunked.getvalue() == whole.getvalue()
+
+
+HEADER = "# source=x\n# seed=0\n# n=2\n"
+MALFORMED_LOGS = {
+    "basis Q": ("0,Q,0\n1,Z,1\n", ParameterError),
+    "basis ZZ": ("0,ZZ,0\n1,Z,1\n", ParameterError),
+    "outcome 2 on Z": ("0,Z,2\n1,Z,1\n", ParameterError),
+    "index x": ("x,Z,0\n1,Z,1\n", ParameterError),
+    "out of order": ("1,Z,0\n0,Z,1\n", ParameterError),
+    "3 and 4 columns": ("0,Z,0\n1,Z,1,0\n", ParameterError),
+    "header only": ("", EmptyInputError),
+    "header n mismatch": ("0,Z,0\n", ParameterError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_LOGS))
+def test_malformed_log_rejected(name):
+    records, error = MALFORMED_LOGS[name]
+    with pytest.raises(error):
+        read_event_log(io.StringIO(HEADER + records))
 
 
 def test_event_log_fields_follow_schedule():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qrbg.errors import EmptyInputError, InsufficientDataError
-from qrbg.minentropy import rate_from_coherence
+from qrbg.minentropy import lower_confidence_rate, rate_from_coherence
 from qrbg.sources import (
     EventLog,
     SinglePhoton,
@@ -16,7 +16,6 @@ from qrbg.sources import (
 from qrbg.states import StokesVector
 from qrbg.tomography import (
     CountTable,
-    certify,
     estimate_stokes,
     reconstruct,
     state_report,
@@ -167,13 +166,13 @@ class TestReconstruct:
         _, lower = reconstruct(log, alpha=0.01, conservative=True)
         assert float(lower) <= float(plug_in)
 
-    def test_certify_returns_both(self):
+    def test_hoeffding_companion_below_rate(self):
         model = SourceModel(SinglePhoton(StokesVector(0.8, 0, 0.1)), 919)
         log = sample_events(model, blocked_schedule(300_000), 300_000)
         result, rate = reconstruct(log, alpha=0.01)
-        plug_in, lower = certify(result, 0.01)
-        assert float(plug_in) == float(rate)
-        assert float(lower) <= float(plug_in)
+        lower = lower_confidence_rate(result.s_hat, int(result.n_per_basis.min()), 0.01)
+        assert float(rate) == float(rate_from_coherence(result.s_hat.coherence))
+        assert float(lower) <= float(rate)
 
     def test_requires_all_bases(self):
         model = SourceModel(SinglePhoton(StokesVector(0.5, 0, 0)), 10)
@@ -184,7 +183,8 @@ class TestReconstruct:
 
 def test_state_report_block():
     r = estimate_stokes(table(600, 400, 800, 200, 500, 500))
-    plug_in, lower = certify(r, 0.01)
+    plug_in = rate_from_coherence(r.s_hat.coherence)
+    lower = lower_confidence_rate(r.s_hat, int(r.n_per_basis.min()), 0.01)
     block = state_report(r, plug_in, 0.01, lower)
     for key in ("s1=", "s2=", "s3=", "stderr1=", "stderr2=", "stderr3=",
                 "projected=", "minentropy_rate=", "alpha=", "minentropy_lower="):
