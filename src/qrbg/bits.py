@@ -60,10 +60,6 @@ class BitStream:
     def to_bytes(self) -> bytes:
         return pack_bits(self.bits)
 
-    @classmethod
-    def from_bytes(cls, payload: bytes, bit_length: int) -> "BitStream":
-        return cls(unpack_bits(payload, bit_length))
-
 
 def write_bits_file(path: str, stream: BitStream, header: dict[str, str]) -> None:
     """Serialize a stream; 'bit_length' is always written first.
@@ -96,15 +92,15 @@ def read_bits_file(path: str) -> BitStream:
                 raise ParameterError(f"{path}: truncated header")
             if line == b"\n":
                 break
+            if not line.isascii():
+                raise ParameterError(f"{path}: header line {line!r} is not ASCII")
             text = line.decode("ascii").strip()
             if not text.startswith("#"):
                 raise ParameterError(f"{path}: malformed header line {text!r}")
             key, _, value = text[1:].strip().partition("=")
             header[key.strip()] = value.strip()
-        if "bit_length" not in header:
-            raise ParameterError(f"{path}: header lacks bit_length")
-        bit_length = int(header["bit_length"])
+        length = header.get("bit_length", "")
+        if not length.isdigit():
+            raise ParameterError(f"{path}: header needs a bit_length count, got {length!r}")
         payload = fh.read()
-    stream = BitStream.from_bytes(payload, bit_length)
-    stream.meta = header
-    return stream
+    return BitStream(unpack_bits(payload, int(length)), header)

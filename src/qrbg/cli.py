@@ -56,6 +56,10 @@ def _exit_on_error(fn):
     return wrapper
 
 
+# the config table's defaults, as --help shows them
+_DEFAULTS = dict(PipelineConfig().echo())
+
+
 def _config(cfg: PipelineConfig | None = None, **keys) -> PipelineConfig:
     """Set config keys from command-line options through the config table;
     an option left as None is not given."""
@@ -114,9 +118,9 @@ def simulate(config_path, mode, state, coherence, accidental_fraction,
 
 @main.command()
 @click.argument("logfile", type=click.Path(exists=True))
-@click.option("--alpha", type=float, default=0.01, show_default=True)
+@click.option("--alpha", type=float, default=None, show_default=_DEFAULTS["alpha"])
 @click.option("--conservative", is_flag=True, help="certify the deflated lower bound")
-@click.option("--min-basis-count", type=int, default=100, show_default=True)
+@click.option("--min-basis-count", type=int, default=None, show_default=_DEFAULTS["min_basis_count"])
 @click.option("--report", "report_path", type=click.Path(), default=None)
 @_exit_on_error
 def calibrate(logfile, alpha, conservative, min_basis_count, report_path) -> None:
@@ -140,8 +144,8 @@ def generate(genlog, out_path) -> None:
 @main.command()
 @click.argument("rawfile", type=click.Path(exists=True))
 @click.option("--h-rate", type=float, required=True, help="certified min-entropy per raw bit, in [0, 1]")
-@click.option("--block-n", type=int, default=100_000, show_default=True)
-@click.option("--epsilon", default="2^-64", show_default=True)
+@click.option("--block-n", type=int, default=None, show_default=_DEFAULTS["block_n"])
+@click.option("--epsilon", default=None, show_default=_DEFAULTS["epsilon"])
 @click.option("--seed-file", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @_exit_on_error
@@ -159,8 +163,8 @@ def extract(rawfile, h_rate, block_n, epsilon, seed_file, out_path) -> None:
 
 @main.command("test")
 @click.argument("bitsfile", type=click.Path(exists=True))
-@click.option("--tests", "test_list", default="all", show_default=True)
-@click.option("--significance", type=float, default=0.01, show_default=True)
+@click.option("--tests", "test_list", default=None, show_default="all")
+@click.option("--significance", type=float, default=None, show_default=_DEFAULTS["significance"])
 @click.option("--report", "report_path", type=click.Path(), default=None)
 @_exit_on_error
 def test_cmd(bitsfile, test_list, significance, report_path) -> None:

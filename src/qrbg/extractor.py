@@ -4,7 +4,7 @@ A binary Toeplitz matrix hashed against each raw block implements a
 2-universal family: output bit j is the parity of the AND between the raw
 block and matrix row j, with T[j][k] = seed[j - k + n - 1].  The seed of
 n + m - 1 uniform bits is public but must be drawn independently of the
-raw data; one seed is drawn per session and reused across blocks.
+raw data; one seed is drawn per extraction and reused across blocks.
 
 The output length per n-bit block at statistical distance epsilon from
 uniform, given a certified min-entropy rate h, is
@@ -16,10 +16,11 @@ shorter than one block is discarded, never buffered.  Both choices keep
 the accounting stateless and auditable.
 
 The hot path computes each block's parity vector as one integer
-convolution via real FFTs (the seed transform is cached for the whole
-session).  Convolution coefficients are bounded by n, far below the 2^53
-integer ceiling of float64, and a residual guard rejects any transform
-whose rounding error approaches one half, so outputs are bit-exact.
+convolution via real FFTs (the seed transform is computed once per call
+and reused for every block).  Convolution coefficients are bounded by n,
+far below the 2^53 integer ceiling of float64, and a residual guard
+rejects any transform whose rounding error approaches one half, so
+outputs are bit-exact.
 """
 
 from __future__ import annotations
@@ -136,57 +137,38 @@ class HashSeed:
 
 
 def toeplitz_extract(seed: Union[HashSeed, np.ndarray], raw: np.ndarray) -> np.ndarray:
-    """Hash one raw block; the output width is len(seed) - len(raw) + 1.
+    """Hash one raw block, or each row of a 2-D array of blocks; the output
+    width is len(seed) - n + 1 for blocks of n bits.
 
     Output bit j equals parity(sum_k seed[j - k + n - 1] * raw[k]), i.e.
     the (n - 1 + j)-th coefficient of the seed*raw convolution mod 2.
     """
     seed_bits = seed.bits if isinstance(seed, HashSeed) else np.asarray(seed, dtype=np.uint8)
     raw = np.asarray(raw, dtype=np.uint8)
-    n = raw.shape[0]
+    n = raw.shape[-1]
     m = seed_bits.shape[0] - n + 1
     if n < 1 or m < 1:
         raise ParameterError(
             f"seed of {seed_bits.shape[0]} bits cannot hash a {n}-bit block"
         )
-    session = _Session(seed_bits, n, m)
-    return session.extract(raw)
-
-
-class _Session:
-    """Per-session state: the seed and its cached forward transform."""
-
-    def __init__(self, seed_bits: np.ndarray, n: int, m: int) -> None:
-        if seed_bits.shape[0] != n + m - 1:
-            raise ParameterError(
-                f"seed length {seed_bits.shape[0]} != n + m - 1 = {n + m - 1}"
-            )
-        self.n = n
-        self.m = m
-        # Circular convolution of length >= n + m - 1 aliases only the
-        # coefficients below index n - 1, which the output window never
-        # reads, so the transform can stay one block short of the full
-        # linear-convolution length.
-        self.fft_len = _fft.next_fast_len(n + m - 1)
-        self.seed_fft = _fft.rfft(seed_bits.astype(np.float64), self.fft_len)
-        self._block = np.zeros(self.fft_len, dtype=np.float64)
-
-    def extract(self, raw: np.ndarray) -> np.ndarray:
-        if raw.shape[0] != self.n:
-            raise ParameterError(
-                f"raw block has {raw.shape[0]} bits, expected {self.n}"
-            )
-        buf = self._block
-        buf[: self.n] = raw
-        buf[self.n :] = 0.0
-        conv = _fft.irfft(self.seed_fft * _fft.rfft(buf, self.fft_len), self.fft_len)
-        window = conv[self.n - 1 : self.n - 1 + self.m]
+    # Circular convolution of length >= n + m - 1 aliases only the
+    # coefficients below index n - 1, which the output window never reads,
+    # so the transform can stay one block short of the full
+    # linear-convolution length.
+    fft_len = _fft.next_fast_len(n + m - 1)
+    seed_fft = _fft.rfft(seed_bits.astype(np.float64), fft_len)
+    buf = np.zeros(fft_len, dtype=np.float64)
+    out = np.empty(raw.shape[:-1] + (m,), dtype=np.uint8)
+    for block, bits in zip(raw.reshape(-1, n), out.reshape(-1, m)):
+        buf[:n] = block
+        window = _fft.irfft(seed_fft * _fft.rfft(buf), fft_len)[n - 1 : n - 1 + m]
         rounded = np.rint(window)
         if np.max(np.abs(window - rounded)) > _FFT_GUARD:
             raise ParameterError(
                 "FFT convolution lost integer precision; block size too large"
             )
-        return (rounded.astype(np.int64) & 1).astype(np.uint8)
+        bits[:] = rounded.astype(np.int64) & 1
+    return out
 
 
 @dataclass
@@ -207,14 +189,12 @@ def extract_stream(
     params: ExtractorParams,
     seed: HashSeed,
 ) -> ExtractionResult:
-    """Hash every full n-bit block of ``raw`` with one session seed.
+    """Hash every full n-bit block of ``raw`` with one seed.
 
     The tail remainder is discarded.
     """
     start = time.perf_counter()
     bits = raw.bits if isinstance(raw, BitStream) else np.asarray(raw, dtype=np.uint8)
-    if params.m < 1:
-        raise InsufficientEntropyError("extractor params admit no output")
     if seed.bit_length != params.seed_bits_needed:
         raise ParameterError(
             f"seed has {seed.bit_length} bits, params need {params.seed_bits_needed}"
@@ -226,15 +206,9 @@ def extract_stream(
             f"{params.n}-bit block; emitting no output",
             stacklevel=2,
         )
-        return ExtractionResult(BitStream(np.empty(0, dtype=np.uint8)), seed, params, 0)
-    session = _Session(seed.bits, params.n, params.m)
-    out = np.empty(blocks * params.m, dtype=np.uint8)
-    for b in range(blocks):
-        out[b * params.m : (b + 1) * params.m] = session.extract(
-            bits[b * params.n : (b + 1) * params.n]
-        )
+    out = toeplitz_extract(seed, bits[: blocks * params.n].reshape(blocks, params.n))
     return ExtractionResult(
-        BitStream(out), seed, params, blocks, time.perf_counter() - start
+        BitStream(out.ravel()), seed, params, blocks, time.perf_counter() - start
     )
 
 

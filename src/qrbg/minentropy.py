@@ -54,18 +54,24 @@ class EntropyRate:
         return self.bits_per_sample
 
 
+def _pure_rate(z):
+    """-log2((1 + |z|)/2): computational-basis min-entropy of a pure state
+    with vertical Bloch component z (a float, or elementwise an array)."""
+    p_max = 0.5 * (1.0 + abs(z))
+    return -np.log2(p_max) if isinstance(p_max, np.ndarray) else -math.log2(p_max)
+
+
 def rate_from_coherence(c: float) -> EntropyRate:
     """Worst-case min-entropy rate of a state with equatorial coherence c."""
     if not 0.0 <= c <= 1.0 + _CLAMP:
         raise ParameterError(f"coherence {c} outside [0, 1]")
     c = min(1.0, c)
-    return EntropyRate(-math.log2(0.5 * (1.0 + math.sqrt(1.0 - c * c))))
+    return EntropyRate(_pure_rate(math.sqrt(1.0 - c * c)))
 
 
 def minentropy_pure(psi: PureState) -> EntropyRate:
     """-log2(max(P0, P1)) for a single computational-basis measurement."""
-    p_max = 0.5 * (1.0 + abs(psi.bloch.s3))
-    return EntropyRate(-math.log2(p_max))
+    return EntropyRate(_pure_rate(psi.bloch.s3))
 
 
 def minentropy_decomposition(d: Decomposition) -> EntropyRate:
@@ -91,7 +97,7 @@ def closed_form_minentropy(rho: DensityMatrix) -> EntropyRate:
     """
     s = density_to_stokes(rho)
     if s.norm_squared >= 1.0 - 1e-12:
-        return EntropyRate(-math.log2(0.5 * (1.0 + abs(s.s3))))
+        return EntropyRate(_pure_rate(s.s3))
     return rate_from_coherence(s.coherence)
 
 
@@ -157,8 +163,7 @@ def minimize_over_decompositions(
     z_up = np.clip(point[2] + t_up * dirs[:, 2], -1.0, 1.0)
     z_down = np.clip(point[2] + t_down * dirs[:, 2], -1.0, 1.0)
     w_up = -t_down / (t_up - t_down)
-    rates = w_up * -np.log2(0.5 * (1.0 + np.abs(z_up)))
-    rates += (1.0 - w_up) * -np.log2(0.5 * (1.0 + np.abs(z_down)))
+    rates = w_up * _pure_rate(z_up) + (1.0 - w_up) * _pure_rate(z_down)
     return EntropyRate(float(rates.min()))
 
 

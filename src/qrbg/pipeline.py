@@ -54,12 +54,12 @@ from .sources import (
     derive_subseeds,
     load_event_log,
     sample_events,
-    sample_raw_bits,
     save_event_log,
 )
-from .stat_tests import ALL_TESTS, BatteryConfig, TestResult, battery_report, pass_fraction, run_battery
+from .stat_tests import ALL_TESTS, DEFAULT_SIGNIFICANCE, BatteryConfig, TestResult
+from .stat_tests import battery_report, pass_fraction, run_battery
 from .states import Decomposition, PureState, StokesVector, worst_case_decomposition, stokes_to_density
-from .tomography import TomographyResult, reconstruct, state_report
+from .tomography import DEFAULT_MIN_COUNT, TomographyResult, reconstruct, state_report
 
 SECURITY_NOTE = (
     "statistical tests check implementation correctness only; "
@@ -72,6 +72,13 @@ def _numbers(text: str, count: int | None = None) -> tuple[float, ...]:
     if count is not None and len(values) != count:
         raise ValueError(f"{text!r} needs {count} comma-separated numbers")
     return values
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{value} outside (0, 1)")
+    return value
 
 
 def _parse_vector(text: str) -> StokesVector:
@@ -121,7 +128,7 @@ class PipelineConfig:
         lambda v: ";".join(",".join(map(repr, s)) for s in v),
     )
     tomography_events: int = _key(3_000_000, int)
-    alpha: float = _key(0.01, float, repr)
+    alpha: float = _key(0.01, _probability, repr)
     conservative: bool = _key(
         False, lambda t: t.lower() in ("1", "true", "yes"), lambda v: str(int(v))
     )
@@ -131,9 +138,9 @@ class PipelineConfig:
     tests: tuple[str, ...] = _key(
         ALL_TESTS, _parse_tests, lambda v: ",".join(v) if v else "none"
     )
-    significance: float = _key(0.01, float, repr)
+    significance: float = _key(DEFAULT_SIGNIFICANCE, _probability, repr)
     gen_format: str = _key("bits", str)
-    min_basis_count: int = _key(100, int)
+    min_basis_count: int = _key(DEFAULT_MIN_COUNT, int)
     seed_file: str | None = _key(None, str)
     recalibrate_every: int | None = _key(None, int)
     out_dir: str | None = _key(None, str)
@@ -182,10 +189,8 @@ class PipelineConfig:
         ):
             if int(value) < 1:
                 raise ConfigError(f"{name} must be positive, got {value}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha {self.alpha} outside (0, 1)")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ConfigError(f"epsilon {self.epsilon} outside (0, 1)")
+        if self.rng_seed is not None and self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be non-negative, got {self.rng_seed}")
         if self.gen_format not in ("bits", "events"):
             raise ConfigError(f"gen_format must be bits|events, got {self.gen_format!r}")
         if self.recalibrate_every is not None and self.recalibrate_every < 1:
@@ -384,16 +389,15 @@ def generate(
 ) -> tuple[Path, BitStream]:
     """Sample the generation bits and write them in ``config.gen_format``:
     an all-Z event log or a packed raw-bit file."""
-    model = SourceModel(variant, seed)
     n = config.generation_bits
+    log = sample_events(SourceModel(variant, seed), constant_schedule("Z", n), n)
+    raw = _raw_stream(log.outcomes, log.source, seed)
     if config.gen_format == "events":
-        log = sample_events(model, constant_schedule("Z", n), n)
         path = out / "generation.log"
         save_event_log(log, str(path))
-        return path, _raw_stream(log.outcomes, log.source, seed)
-    path = out / "raw.bits"
-    raw = _raw_stream(sample_raw_bits(model, n), model.describe(), seed)
-    write_bits_file(str(path), raw, raw.meta)
+    else:
+        path = out / "raw.bits"
+        write_bits_file(str(path), raw, raw.meta)
     return path, raw
 
 

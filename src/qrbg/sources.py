@@ -35,7 +35,6 @@ from .states import (
     Decomposition,
     DensityMatrix,
     StokesVector,
-    density_to_stokes,
     rotate_equatorial,
     stokes_to_density,
 )
@@ -43,7 +42,7 @@ from .states import (
 PRNG_NAME = "numpy-pcg64"
 
 BASIS_CHARS = ("Z", "X", "Y")
-_BASIS_CODE = {"Z": 0, "X": 1, "Y": 2}
+_BASIS_CODE = {char: code for code, char in enumerate(BASIS_CHARS)}
 _BASIS_BYTES = np.frombuffer("".join(BASIS_CHARS).encode(), dtype=np.uint8)
 
 # Event-log records as parsed; the basis is read two characters wide so
@@ -132,6 +131,11 @@ class EventLog:
         return self.n
 
 
+def _coincidence_bloch(model: Entangled) -> StokesVector:
+    c_eff = model.coherence * (1.0 - model.accidental_fraction)
+    return rotate_equatorial(StokesVector(c_eff, 0.0, 0.0), model.phase)
+
+
 def effective_qubit(
     coherence: float, accidental_fraction: float, phase: float = 0.0
 ) -> DensityMatrix:
@@ -146,21 +150,21 @@ def effective_qubit(
     effect on any coherence-magnitude quantity.
     """
     model = Entangled(coherence, accidental_fraction, phase)
-    c_eff = model.coherence * (1.0 - model.accidental_fraction)
-    bloch = rotate_equatorial(StokesVector(c_eff, 0.0, 0.0), model.phase)
-    return stokes_to_density(bloch)
+    return stokes_to_density(_coincidence_bloch(model))
 
 
-def _variant_bloch(variant: Variant) -> StokesVector:
-    if isinstance(variant, SinglePhoton):
-        return variant.state
-    if isinstance(variant, Entangled):
-        return density_to_stokes(
-            effective_qubit(
-                variant.coherence, variant.accidental_fraction, variant.phase
-            )
-        )
-    raise TypeError(f"no single Bloch vector for {type(variant).__name__}")
+def _born_table(variant: Variant) -> tuple[np.ndarray, np.ndarray | None]:
+    """P(outcome 0) per prepared term (rows) and basis code (columns Z, X,
+    Y), with the cumulative term weights of an adversarial source; any
+    other source prepares one term and has no weights."""
+    if isinstance(variant, Adversarial):
+        d = variant.decomposition
+        blochs, cum = d.bloch_vectors(), np.cumsum(d.weights())
+        cum[-1] = 1.0
+    else:
+        bloch = variant.state if isinstance(variant, SinglePhoton) else _coincidence_bloch(variant)
+        blochs, cum = bloch.as_array()[None, :], None
+    return 0.5 * (1.0 + blochs[:, [2, 0, 1]]), cum
 
 
 def constant_schedule(basis: str, n: int) -> np.ndarray:
@@ -169,14 +173,9 @@ def constant_schedule(basis: str, n: int) -> np.ndarray:
 
 def blocked_schedule(n: int) -> np.ndarray:
     """Equal thirds of Z, X, Y in consecutive blocks (remainder goes Z, X)."""
-    per = n // 3
-    sched = np.full(n, _BASIS_CODE["Y"], dtype=np.uint8)
-    sched[:per] = _BASIS_CODE["Z"]
-    sched[per : 2 * per] = _BASIS_CODE["X"]
-    rest = n - 3 * per
-    if rest:
-        sched[3 * per :] = [_BASIS_CODE["Z"], _BASIS_CODE["X"]][:rest]
-    return sched
+    per, rest = divmod(n, 3)
+    codes = np.arange(len(BASIS_CHARS), dtype=np.uint8)
+    return np.concatenate([np.repeat(codes, per), codes[:rest]])
 
 
 def as_schedule(schedule: Union[np.ndarray, Sequence[str]], n: int) -> np.ndarray:
@@ -198,11 +197,6 @@ def as_schedule(schedule: Union[np.ndarray, Sequence[str]], n: int) -> np.ndarra
     return sched
 
 
-def _basis_p0(bloch: StokesVector) -> np.ndarray:
-    # P(outcome 0) per basis code, order Z, X, Y
-    return 0.5 * (1.0 + np.array([bloch.s3, bloch.s1, bloch.s2]))
-
-
 def sample_events(
     model: SourceModel,
     basis_schedule: Union[np.ndarray, Sequence[str]],
@@ -218,40 +212,23 @@ def sample_events(
         raise ParameterError("n must be >= 1")
     sched = as_schedule(basis_schedule, n)
     rng = np.random.default_rng(model.rng_seed)
+    p0, cum = _born_table(model.variant)
     outcomes = np.empty(n, dtype=np.uint8)
-    variant = model.variant
-
-    if isinstance(variant, Adversarial):
-        d = variant.decomposition
-        cum = np.cumsum(d.weights())
-        cum[-1] = 1.0
-        blochs = d.bloch_vectors()
-        # rows: term, columns: basis code (Z, X, Y)
-        p0 = 0.5 * (1.0 + blochs[:, [2, 0, 1]])
-        labels = np.empty(n, dtype=np.int32)
-        for start in range(0, n, _CHUNK):
-            stop = min(start + _CHUNK, n)
-            chunk_labels = np.searchsorted(
-                cum, rng.random(stop - start), side="right"
-            )
-            labels[start:stop] = chunk_labels
-            p_chunk = p0[chunk_labels, sched[start:stop]]
-            outcomes[start:stop] = rng.random(stop - start) >= p_chunk
-        return EventLog(model.describe(), model.rng_seed, sched, outcomes, labels)
-
-    p0 = _basis_p0(_variant_bloch(variant))
+    labels = None if cum is None else np.empty(n, dtype=np.int32)
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        p_chunk = p0[sched[start:stop]]
-        outcomes[start:stop] = rng.random(stop - start) >= p_chunk
-    return EventLog(model.describe(), model.rng_seed, sched, outcomes, None)
+        terms = 0
+        if labels is not None:
+            terms = np.searchsorted(cum, rng.random(stop - start), side="right")
+            labels[start:stop] = terms
+        outcomes[start:stop] = rng.random(stop - start) >= p0[terms, sched[start:stop]]
+    return EventLog(model.describe(), model.rng_seed, sched, outcomes, labels)
 
 
 def sample_raw_bits(model: SourceModel, n: int) -> np.ndarray:
     """Computational-basis outcomes only, for generation runs: the
     outcomes of ``sample_events`` under a constant-Z schedule."""
-    log = sample_events(model, constant_schedule("Z", n), n)
-    return log.outcomes
+    return sample_events(model, constant_schedule("Z", n), n).outcomes
 
 
 def write_event_log(log: EventLog, fh: TextIO) -> None:

@@ -109,6 +109,14 @@ class TestToeplitzExtract:
         with pytest.raises(ParameterError):
             toeplitz_extract(HashSeed(np.array([1, 0], dtype=np.uint8)), np.zeros(4, dtype=np.uint8))
 
+    def test_rows_hashed_as_blocks(self, rng):
+        seed = HashSeed(rng.integers(0, 2, 300).astype(np.uint8))
+        blocks = rng.integers(0, 2, (5, 200)).astype(np.uint8)
+        got = toeplitz_extract(seed, blocks)
+        assert got.shape == (5, 101)
+        for block, out in zip(blocks, got):
+            assert np.array_equal(out, matrix_oracle(seed.bits, block))
+
     def test_deterministic(self, rng):
         seed = HashSeed(rng.integers(0, 2, 500).astype(np.uint8))
         raw = rng.integers(0, 2, 300).astype(np.uint8)

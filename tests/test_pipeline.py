@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import qrbg.pipeline
-from qrbg.bits import BitStream, read_bits_file, write_bits_file
+from qrbg.bits import MAGIC, BitStream, read_bits_file, write_bits_file
 from qrbg.cli import main
 from qrbg.errors import ConfigError, InsufficientEntropyError, QrbgError
 from qrbg.pipeline import (
@@ -90,6 +90,15 @@ class TestConfigParsing:
             parse_config_text("mode = single\nstate = 1,0,0\nalpha = 2\n")
         with pytest.raises(ConfigError):
             parse_config_text("mode = single\nstate = 1,0,0\nepsilon = 1.5\n")
+
+    @pytest.mark.parametrize("value", ["0", "1", "-0.5", "nan"])
+    def test_significance_must_be_a_probability(self, value):
+        with pytest.raises(ConfigError, match="significance"):
+            parse_config_text(f"mode = single\nstate = 1,0,0\nsignificance = {value}\n")
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="rng_seed"):
+            parse_config_text("mode = single\nstate = 1,0,0\nrng_seed = -1\n")
 
 
 class TestRunPipeline:
@@ -330,6 +339,46 @@ class TestCli:
         assert not (tmp_path / "ex.bits").exists()
         assert not (tmp_path / "ex.seed.bits").exists()
 
+    def test_significance_outside_unit_interval_exit_code(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(FAST_CONFIG + "significance = 0\n")
+        r = CliRunner().invoke(main, ["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert r.exit_code == 5
+        assert "significance" in r.output
+        assert not (tmp_path / "o").exists()
+        path = tmp_path / "ones.bits"
+        write_bits_file(str(path), BitStream(np.ones(2000, dtype=np.uint8)), {"role": "raw"})
+        r = CliRunner().invoke(main, ["test", str(path), "--tests", "monobit", "--significance", "0"])
+        assert r.exit_code == 5
+        assert "pass=" not in r.output
+
+    def test_negative_seed_exit_code(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(FAST_CONFIG)
+        r = CliRunner().invoke(main, ["simulate", "--config", str(cfg_path), "--seed", "-1", "--out", str(tmp_path / "o")])
+        assert r.exit_code == 5
+        assert "rng_seed" in r.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "line", [b"# bit_length=abc\n", b"# bit_length=-5\n", b"# bit_length=8\n# note=\xe9\n"]
+    )
+    def test_malformed_bits_header_exit_code(self, tmp_path, line):
+        path = tmp_path / "bad.bits"
+        path.write_bytes(MAGIC + line + b"\n\xff")
+        r = CliRunner().invoke(main, ["test", str(path)])
+        assert r.exit_code == 5
+        assert str(path) in r.output
+
+    def test_extract_defaults_come_from_the_config_table(self, tmp_path):
+        raw = tmp_path / "raw.bits"
+        write_bits_file(str(raw), BitStream(np.ones(250_000, dtype=np.uint8)), {"role": "raw"})
+        r = CliRunner().invoke(main, ["extract", str(raw), "--h-rate", "0.9", "--out", str(tmp_path / "ex.bits")])
+        assert r.exit_code == 0, r.output
+        meta = read_bits_file(str(tmp_path / "ex.bits")).meta
+        assert (meta["block_n"], meta["epsilon"]) == ("100000", "2^-64")
+        assert "blocks=2" in r.output
+
     def test_insufficient_data_exit_code(self, tmp_path):
         log_path = tmp_path / "tiny.log"
         log_path.write_text("# source=x\n# seed=0\n# n=2\n0,Z,0\n1,X,1\n")
@@ -420,6 +469,51 @@ def test_recalibration_changes_only_the_calibration_log(tmp_path):
     assert extracted_payload(tmp_path / "out" / "extracted.bits") == GOLDEN["extracted_recalibrated"]
     calib = sha256((tmp_path / "out" / "calibration.log").read_bytes())
     assert (calib == GOLDEN["calibration.log"]) == (report.certified_segment == 0)
+
+
+# Digests of the files run_pipeline wrote for an entangled source with a
+# nonzero phase and for an explicit adversarial decomposition, with the
+# write_seed_file(..., 6000) seed, before the sampler drew every source
+# from one Born table.  Both gen_formats hash the same raw bits.
+SOURCE_CONFIGS = {
+    "entangled": "mode = entangled\ncoherence = 0.88\naccidental_fraction = 0.0409\nphase = 0.3\n",
+    "adversarial": (
+        "mode = adversarial\nadv_weights = 0.5, 0.3, 0.2\n"
+        "adv_states = 0.6,0,0.8; 0,0.6,-0.8; 1,0,0\n"
+    ),
+}
+GOLDEN_SOURCES = {
+    "entangled": {
+        "calibration.log": "f806f472b66027adc9d542420f520a7f2ddb4657cea4b71ed9729d16689a1be0",
+        "raw.bits": "29ba810431933656737394164e10200a480a0f277670e74424a427d0fab44c1a",
+        "generation.log": "c196701c931bc4b6554a2998236154de87fb50e2d3e7b10d2ad91d72644c7038",
+        "extracted": "170475634d818d06b882cfc0c29e6a347cd9086ea9ba85d1d8806612a3cc64ab",
+    },
+    "adversarial": {
+        "calibration.log": "965e887ddad7c04bbd41462529c028c615def27cef24613253feb3c2aca2364c",
+        "raw.bits": "6f11907378221bfca65ff80a5b492b46b8a73615a7de97935e77d8602c239700",
+        "generation.log": "4804b23a603bc13b8070fffdc962d66e715e9a4e489ec8634ce6a68b8d64e41a",
+        "extracted": "ec4a986db758ed575b40a53e18ccf7708c34941fc1eece9e601a874d075059ee",
+    },
+}
+
+
+@pytest.mark.parametrize("gen_format", ["bits", "events"])
+@pytest.mark.parametrize("source", sorted(SOURCE_CONFIGS))
+def test_source_outputs_are_pinned(tmp_path, source, gen_format):
+    seed_path = tmp_path / "seed.bits"
+    write_seed_file(seed_path, 6000)
+    cfg = parse_config_text(
+        FAST_CONFIG.replace("mode = single\nstate = 0.95, 0, 0.1\n", SOURCE_CONFIGS[source])
+        + f"gen_format = {gen_format}\nseed_file = {seed_path}\n"
+    )
+    out = tmp_path / "out"
+    run_pipeline(cfg, str(out))
+    golden = GOLDEN_SOURCES[source]
+    gen_name = "raw.bits" if gen_format == "bits" else "generation.log"
+    for name in ("calibration.log", gen_name):
+        assert sha256((out / name).read_bytes()) == golden[name], name
+    assert extracted_payload(out / "extracted.bits") == golden["extracted"]
 
 
 @pytest.mark.parametrize("gen_format", ["bits", "events"])
