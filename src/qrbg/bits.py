@@ -103,4 +103,8 @@ def read_bits_file(path: str) -> BitStream:
         if not length.isdigit():
             raise ParameterError(f"{path}: header needs a bit_length count, got {length!r}")
         payload = fh.read()
-    return BitStream(unpack_bits(payload, int(length)), header)
+    try:
+        bits = unpack_bits(payload, int(length))
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
+    return BitStream(bits, header)

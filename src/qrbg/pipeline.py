@@ -480,7 +480,9 @@ def extract(
             "source": raw.meta.get("source", "unknown"),
         },
     )
-    # accounting audit against the bytes actually written
+    # accounting audit against the bytes actually written; the hashed bits
+    # are dropped first so they are not held beside the re-read copy
+    del result.output
     result.output = read_bits_file(str(path))
     if result.output.bit_length != result.blocks * params.m:
         raise QrbgError(
@@ -555,6 +557,7 @@ def run_pipeline(
     with _stage("extract"):
         extracted_path = out / "extracted.bits"
         result, report.seed_file = extract(raw, params, config.seed_file, extracted_path)
+        del raw  # the battery reads the extracted bits only
         if not config.seed_file:
             # a configured seed file may live anywhere; only a drawn one is a run file
             report.files.append(_digest(Path(report.seed_file), "hash_seed"))

@@ -31,6 +31,8 @@ from .errors import InsufficientDataError, ParameterError
 
 DEFAULT_SIGNIFICANCE = 0.01
 
+_PATTERN_CHUNK = 1 << 20  # bits per bincount in the pattern tests
+
 ALL_TESTS = (
     "monobit",
     "block_frequency",
@@ -199,9 +201,16 @@ def cumulative_sums(bits, significance: float = DEFAULT_SIGNIFICANCE) -> TestRes
     """Both scan directions; the headline p-value is the smaller one."""
     b = as_bits(bits)
     n = _require(b, 100, "cumulative_sums")
-    steps = 2 * b.astype(np.int64) - 1
-    z_fwd = int(np.abs(np.cumsum(steps)).max())
-    z_rev = int(np.abs(np.cumsum(steps[::-1])).max())
+    # one walk S_k of +-1 steps, S_0 = 0, in the narrowest integer that
+    # holds |S_k| <= n; the reverse walk's partial sums are S_n - S_k, k < n
+    steps = b.astype(np.int8)
+    steps *= 2
+    steps -= 1
+    walk = np.cumsum(steps, dtype=np.int32 if n < 2**31 else np.int64)
+    z_fwd = max(int(walk.max()), -int(walk.min()))
+    end, head = int(walk[-1]), walk[:-1]
+    low, high = int(head.min(initial=0)), int(head.max(initial=0))
+    z_rev = max(end - low, high - end)
     p_fwd = _cusum_p(z_fwd, n)
     p_rev = _cusum_p(z_rev, n)
     if p_fwd <= p_rev:
@@ -221,12 +230,19 @@ def cumulative_sums(bits, significance: float = DEFAULT_SIGNIFICANCE) -> TestRes
 
 
 def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
+    """Counts of the m-bit patterns starting at each position, wrapping
+    round the end; accumulated per chunk so no index array is n long."""
     n = b.shape[0]
     aug = np.concatenate([b, b[: m - 1]]) if m > 1 else b
-    idx = np.zeros(n, dtype=np.int64)
-    for j in range(m):
-        idx = (idx << 1) | aug[j : j + n]
-    return np.bincount(idx, minlength=1 << m)
+    counts = np.zeros(1 << m, dtype=np.int64)
+    for start in range(0, n, _PATTERN_CHUNK):
+        stop = min(start + _PATTERN_CHUNK, n)
+        idx = np.zeros(stop - start, dtype=np.int64)
+        for j in range(m):
+            idx <<= 1
+            idx |= aug[start + j : stop + j]
+        counts += np.bincount(idx, minlength=1 << m)
+    return counts
 
 
 def _psi_squared(b: np.ndarray, m: int) -> float:

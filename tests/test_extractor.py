@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qrbg.extractor
 from qrbg.bits import BitStream
 from qrbg.errors import InsufficientEntropyError, ParameterError
 from qrbg.extractor import (
@@ -121,6 +122,26 @@ class TestToeplitzExtract:
         seed = HashSeed(rng.integers(0, 2, 500).astype(np.uint8))
         raw = rng.integers(0, 2, 300).astype(np.uint8)
         assert np.array_equal(toeplitz_extract(seed, raw), toeplitz_extract(seed, raw))
+
+
+class TestBatchedHash:
+    """Blocks are transformed _BATCH_ROWS at a time; the batch size does
+    not change the bytes (a short last batch is test_rows_hashed_as_blocks)."""
+
+    @pytest.mark.parametrize("batch_rows", [1, 3, 8])
+    def test_batch_size_does_not_change_output(self, rng, monkeypatch, batch_rows):
+        seed = HashSeed(rng.integers(0, 2, 300).astype(np.uint8))
+        blocks = rng.integers(0, 2, (7, 200)).astype(np.uint8)
+        default = toeplitz_extract(seed, blocks)
+        monkeypatch.setattr(qrbg.extractor, "_BATCH_ROWS", batch_rows)
+        assert np.array_equal(toeplitz_extract(seed, blocks), default)
+
+    def test_guard_failure_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(qrbg.extractor, "_FFT_GUARD", -1.0)
+        seed = HashSeed(rng.integers(0, 2, 300).astype(np.uint8))
+        blocks = rng.integers(0, 2, (3, 200)).astype(np.uint8)
+        with pytest.raises(ParameterError, match="integer precision"):
+            toeplitz_extract(seed, blocks)
 
 
 class TestUniversality:

@@ -361,7 +361,13 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
-        "line", [b"# bit_length=abc\n", b"# bit_length=-5\n", b"# bit_length=8\n# note=\xe9\n"]
+        "line",
+        [
+            b"# bit_length=abc\n",
+            b"# bit_length=-5\n",
+            b"# bit_length=8\n# note=\xe9\n",
+            b"# bit_length=9\n",  # a payload of one byte holds 8 bits only
+        ],
     )
     def test_malformed_bits_header_exit_code(self, tmp_path, line):
         path = tmp_path / "bad.bits"

@@ -20,7 +20,9 @@ from qrbg.stat_tests import (
     serial,
     battery_report,
 )
+import qrbg.stat_tests
 from qrbg.stat_tests import _cusum_p  # reference-value check at n below the floor
+from qrbg.stat_tests import _pattern_counts
 
 # First 100 binary digits of pi, the SP 800-22 running example.
 PI_100 = (
@@ -165,6 +167,58 @@ class TestBattery:
     def test_as_bits_forms(self):
         assert np.array_equal(as_bits("0101"), np.array([0, 1, 0, 1], dtype=np.uint8))
         assert np.array_equal(as_bits([1, 0]), np.array([1, 0], dtype=np.uint8))
+
+
+def reference_cusum_z(b):
+    """Both scan directions' excursions from full-length int64 walks."""
+    steps = 2 * b.astype(np.int64) - 1
+    return (
+        int(np.abs(np.cumsum(steps)).max()),
+        int(np.abs(np.cumsum(steps[::-1])).max()),
+    )
+
+
+def reference_pattern_counts(b, m):
+    """One int64 index per position over the whole stream."""
+    n = b.shape[0]
+    aug = np.concatenate([b, b[: m - 1]]) if m > 1 else b
+    idx = np.zeros(n, dtype=np.int64)
+    for j in range(m):
+        idx = (idx << 1) | aug[j : j + n]
+    return np.bincount(idx, minlength=1 << m)
+
+
+# seeded streams spanning several pattern-count chunks with a ragged last
+# one, a short stream, and the two constant streams
+REFERENCE_STREAMS = {
+    "seeded": np.random.default_rng(7).integers(0, 2, 2_500_003).astype(np.uint8),
+    "biased": (np.random.default_rng(8).random(1_200_000) < 0.6).astype(np.uint8),
+    "short": np.random.default_rng(9).integers(0, 2, 1000).astype(np.uint8),
+    "zeros": np.zeros((1 << 20) + 5, dtype=np.uint8),
+    "ones": np.ones((1 << 20) + 5, dtype=np.uint8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_STREAMS))
+class TestReferenceFormulas:
+    def test_cumulative_sums_excursions(self, name):
+        b = REFERENCE_STREAMS[name]
+        z_fwd, z_rev = reference_cusum_z(b)
+        params = cumulative_sums(b).parameters
+        assert (params["z_forward"], params["z_reverse"]) == (z_fwd, z_rev)
+        assert params["p_forward"] == _cusum_p(z_fwd, b.shape[0])
+        assert params["p_reverse"] == _cusum_p(z_rev, b.shape[0])
+
+    def test_pattern_counts(self, name):
+        b = REFERENCE_STREAMS[name]
+        for m in range(1, 7):
+            assert np.array_equal(_pattern_counts(b, m), reference_pattern_counts(b, m)), m
+
+    def test_report_unchanged(self, name, monkeypatch):
+        b = REFERENCE_STREAMS[name]
+        got = battery_report(run_battery(b))
+        monkeypatch.setattr(qrbg.stat_tests, "_pattern_counts", reference_pattern_counts)
+        assert battery_report(run_battery(b)) == got
 
 
 class TestCalibration:
