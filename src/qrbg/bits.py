@@ -5,7 +5,8 @@ the most significant bit of the first byte, and a final partial byte is
 zero-padded on the right.  The true bit length travels in the header, not
 in the payload.
 
-File container (also used for hash seeds and raw generation bits):
+File container (also used for hash seeds and raw generation bits), read
+and written a chunk at a time by ``BitsFile`` and ``BitsWriter``:
 
     16-byte ASCII magic 'QRBGBITS v1     '
     ASCII header lines '# key=value'
@@ -15,13 +16,19 @@ File container (also used for hash seeds and raw generation bits):
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ParameterError
 
 MAGIC = b"QRBGBITS v1     "
+
+# Bits per chunk of a streamed file; a multiple of 8, so each chunk after
+# the first starts on a byte boundary.
+CHUNK_BITS = 1 << 22
 
 
 def pack_bits(bits: np.ndarray) -> bytes:
@@ -57,30 +64,124 @@ class BitStream:
     def bit_length(self) -> int:
         return int(self.bits.shape[0])
 
+    def __len__(self) -> int:
+        return self.bit_length
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        for start in range(0, self.bit_length, CHUNK_BITS):
+            yield self.bits[start : start + CHUNK_BITS]
+
     def to_bytes(self) -> bytes:
         return pack_bits(self.bits)
 
 
-def write_bits_file(path: str, stream: BitStream, header: dict[str, str]) -> None:
-    """Serialize a stream; 'bit_length' is always written first.
+class BlockCutter:
+    """Cuts consecutive chunks of a stream into whole blocks of ``width``
+    bits, carrying a partial block to the next chunk in ``rest``."""
 
-    Header keys are emitted in insertion order so identical inputs produce
-    byte-identical files.
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self.rest = np.empty(0, dtype=np.uint8)
+
+    def cut(self, chunk: np.ndarray) -> np.ndarray:
+        """The blocks that ``chunk`` completes, one per row."""
+        data = np.concatenate([self.rest, chunk]) if self.rest.size else chunk
+        whole = data.shape[0] // self.width * self.width
+        self.rest = data[whole:].copy()
+        return data[:whole].reshape(-1, self.width)
+
+
+@dataclass(frozen=True)
+class BitsFile:
+    """A bits file opened for streaming: the header is parsed and the
+    payload's size checked, and ``chunks`` reads the payload a chunk at a
+    time."""
+
+    path: str
+    meta: dict[str, str]
+    bit_length: int
+    offset: int  # of the payload's first byte
+    payload_bytes: int
+
+    def __len__(self) -> int:
+        return self.bit_length
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        with open(self.path, "rb") as fh:
+            fh.seek(self.offset)
+            for start in range(0, self.bit_length, CHUNK_BITS):
+                count = min(CHUNK_BITS, self.bit_length - start)
+                payload = fh.read((count + 7) // 8)
+                if len(payload) * 8 < count:
+                    raise ParameterError(f"{self.path}: payload ends before bit {start + count}")
+                yield unpack_bits(payload, count)
+
+
+class BitsWriter:
+    """Writes a bits file whose length is declared up front; ``write``
+    appends bits packed, carrying a partial byte to the next call.
+
+    The file is written under a temporary name and renamed when complete,
+    so a stream may be read from the path it is written to, and a failed
+    write leaves no file behind.  Header keys are emitted in insertion
+    order, after ``bit_length``, so identical inputs produce byte-identical
+    files.
     """
-    keys = dict(header)
-    keys.pop("bit_length", None)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(f"# bit_length={stream.bit_length}\n".encode("ascii"))
-        for key, value in keys.items():
+
+    def __init__(self, path: str, bit_length: int, header: dict[str, str]) -> None:
+        self.path, self.bit_length = path, bit_length
+        lines = [f"# bit_length={bit_length}\n"]
+        for key, value in header.items():
+            if key == "bit_length":
+                continue
             if "\n" in str(value):
                 raise ParameterError(f"header value for {key!r} contains newline")
-            fh.write(f"# {key}={value}\n".encode("ascii"))
-        fh.write(b"\n")
-        fh.write(stream.to_bytes())
+            lines.append(f"# {key}={value}\n")
+        self._head = MAGIC + "".join(lines).encode("ascii") + b"\n"
+        self._part = path + ".part"
+        self._bytes = BlockCutter(8)
+        self._written = 0
+
+    def __enter__(self) -> "BitsWriter":
+        self._fh = open(self._part, "wb")
+        self._fh.write(self._head)
+        return self
+
+    def write(self, bits: np.ndarray) -> None:
+        bits = np.asarray(bits, dtype=np.uint8)
+        self._written += bits.shape[0]
+        self._fh.write(pack_bits(self._bytes.cut(bits)))
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        complete = False
+        try:
+            with self._fh:
+                if exc_type is None:
+                    self._fh.write(pack_bits(self._bytes.rest))
+                    if self._written != self.bit_length:
+                        raise ParameterError(
+                            f"{self.path}: {self._written} bits written, "
+                            f"header declares {self.bit_length}"
+                        )
+                    complete = True
+        finally:
+            if complete:
+                os.replace(self._part, self.path)
+            else:
+                os.unlink(self._part)
 
 
-def read_bits_file(path: str) -> BitStream:
+def write_bits_file(path: str, stream, header: dict[str, str]) -> None:
+    """Write ``stream`` (a ``BitStream``, a ``BitsFile`` or any source with
+    a length in bits and ``chunks()``) chunk by chunk; see ``BitsWriter``."""
+    with BitsWriter(path, len(stream), header) as out:
+        for chunk in stream.chunks():
+            out.write(chunk)
+
+
+def open_bits_file(path: str) -> BitsFile:
+    """Parse a bits file's header and check that its payload holds
+    ``bit_length`` bits, without reading the payload."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -99,12 +200,24 @@ def read_bits_file(path: str) -> BitStream:
                 raise ParameterError(f"{path}: malformed header line {text!r}")
             key, _, value = text[1:].strip().partition("=")
             header[key.strip()] = value.strip()
-        length = header.get("bit_length", "")
-        if not length.isdigit():
-            raise ParameterError(f"{path}: header needs a bit_length count, got {length!r}")
-        payload = fh.read()
+        offset = fh.tell()
+        size = os.fstat(fh.fileno()).st_size - offset
+    length = header.get("bit_length", "")
+    if not length.isdigit():
+        raise ParameterError(f"{path}: header needs a bit_length count, got {length!r}")
+    if size * 8 < int(length):
+        raise ParameterError(f"{path}: payload of {size} bytes cannot hold {length} bits")
+    return BitsFile(path, header, int(length), offset, size)
+
+
+def read_bits_file(path: str) -> BitStream:
+    """A whole bits file in memory."""
+    opened = open_bits_file(path)
+    with open(path, "rb") as fh:
+        fh.seek(opened.offset)
+        payload = fh.read((opened.bit_length + 7) // 8)
     try:
-        bits = unpack_bits(payload, int(length))
+        bits = unpack_bits(payload, opened.bit_length)
     except ParameterError as exc:
         raise ParameterError(f"{path}: {exc}") from None
-    return BitStream(bits, header)
+    return BitStream(bits, opened.meta)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import click
 
-from .bits import read_bits_file, write_bits_file
+from .bits import open_bits_file, write_bits_file
 from .errors import (
     ConfigError,
     InsufficientDataError,
@@ -170,7 +170,7 @@ def extract(rawfile, h_rate, block_n, epsilon, seed_file, out_path) -> None:
 def test_cmd(bitsfile, test_list, significance, report_path) -> None:
     """Run the statistical battery on a packed bit file."""
     cfg = _config(tests=test_list, significance=significance)
-    results = run_tests(read_bits_file(bitsfile), cfg)
+    results = run_tests(open_bits_file(bitsfile), cfg)
     _write_block(battery_report(results), report_path)
     if any(not r.passed for r in results):
         sys.exit(1)

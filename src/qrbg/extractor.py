@@ -12,16 +12,19 @@ uniform, given a certified min-entropy rate h, is
     m = floor(h*n - 4*log2(1/epsilon) - 2)
 
 m is floored, so fractional entropy is forfeited per block; a raw tail
-shorter than one block is discarded, never buffered.  Both choices keep
-the accounting stateless and auditable.
+shorter than one block is discarded.  Both choices keep the accounting
+stateless and auditable.
 
-The hot path computes each block's parity vector as one integer
-convolution via real FFTs (the seed transform is computed once per call
-and reused for every block, and the blocks are transformed two at a time
-at a length that is fast for real transforms).  Convolution coefficients
-are bounded by n, far below the 2^53 integer ceiling of float64, and a
-residual guard rejects any transform whose rounding error approaches one
-half, so outputs are bit-exact.  The hashing runs on the calling thread
+The raw stream is hashed a chunk at a time: whole blocks are hashed as
+they complete, a partial block is carried to the next chunk, and each
+block group's output can be written out before the next chunk is read,
+so memory does not grow with the stream.  Each block's parity vector is
+one integer convolution via real FFTs (the seed transform is made once
+per extraction and reused for every block, and the blocks are
+transformed two at a time at a length that is fast for real transforms).
+Convolution coefficients are bounded by n, far below the 2^53 integer
+ceiling of float64, and a residual guard rejects any transform whose
+rounding error approaches one half, so outputs are bit-exact.  The hashing runs on the calling thread
 alone, so its speed does not depend on how many cores are free.
 """
 
@@ -32,12 +35,12 @@ import secrets
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 from scipy import fft as _fft
 
-from .bits import BitStream, unpack_bits
+from .bits import BitsFile, BitStream, BlockCutter, unpack_bits
 from .errors import InsufficientEntropyError, ParameterError
 from .minentropy import EntropyRate
 
@@ -142,6 +145,46 @@ class HashSeed:
         return cls(unpack_bits(payload, bit_length))
 
 
+class _Hasher:
+    """Toeplitz hashing of n-bit blocks under one seed.  The seed's
+    transform and the zero-padded input array are made once, for every
+    batch of one extraction."""
+
+    def __init__(self, seed_bits: np.ndarray, n: int) -> None:
+        m = seed_bits.shape[0] - n + 1
+        if n < 1 or m < 1:
+            raise ParameterError(
+                f"seed of {seed_bits.shape[0]} bits cannot hash a {n}-bit block"
+            )
+        self.n, self.m = n, m
+        # Circular convolution of length >= n + m - 1 aliases only the
+        # coefficients below index n - 1, which the output window never
+        # reads, so the transform can stay one block short of the full
+        # linear-convolution length.
+        self.fft_len = _fft.next_fast_len(n + m - 1, real=True)
+        self.seed_fft = _fft.rfft(seed_bits.astype(np.float64), self.fft_len)
+        self.pad = np.zeros((_BATCH_ROWS, self.fft_len), dtype=np.float64)
+
+    def hash(self, blocks: np.ndarray, out: np.ndarray) -> None:
+        """Hash each row of ``blocks`` (k x n) into the row of ``out`` (k x m)."""
+        n, m = self.n, self.m
+        for lo in range(0, len(blocks), _BATCH_ROWS):
+            batch = blocks[lo : lo + _BATCH_ROWS]
+            rows = len(batch)
+            pad = self.pad[:rows]
+            pad[:, :n] = batch
+            spectrum = _fft.rfft(pad, axis=-1)
+            spectrum *= self.seed_fft
+            conv = _fft.irfft(spectrum, self.fft_len, axis=-1, overwrite_x=True)
+            window = conv[:, n - 1 : n - 1 + m]
+            rounded = np.rint(window)
+            if np.max(np.abs(window - rounded)) > _FFT_GUARD:
+                raise ParameterError(
+                    "FFT convolution lost integer precision; block size too large"
+                )
+            out[lo : lo + rows] = rounded.astype(np.int64) & 1
+
+
 def toeplitz_extract(seed: Union[HashSeed, np.ndarray], raw: np.ndarray) -> np.ndarray:
     """Hash one raw block, or each row of a 2-D array of blocks; the output
     width is len(seed) - n + 1 for blocks of n bits.
@@ -151,45 +194,33 @@ def toeplitz_extract(seed: Union[HashSeed, np.ndarray], raw: np.ndarray) -> np.n
     """
     seed_bits = seed.bits if isinstance(seed, HashSeed) else np.asarray(seed, dtype=np.uint8)
     raw = np.asarray(raw, dtype=np.uint8)
-    n = raw.shape[-1]
-    m = seed_bits.shape[0] - n + 1
-    if n < 1 or m < 1:
-        raise ParameterError(
-            f"seed of {seed_bits.shape[0]} bits cannot hash a {n}-bit block"
-        )
-    # Circular convolution of length >= n + m - 1 aliases only the
-    # coefficients below index n - 1, which the output window never reads,
-    # so the transform can stay one block short of the full
-    # linear-convolution length.
-    fft_len = _fft.next_fast_len(n + m - 1, real=True)
-    seed_fft = _fft.rfft(seed_bits.astype(np.float64), fft_len)
-    out = np.empty(raw.shape[:-1] + (m,), dtype=np.uint8)
-    blocks, rows = raw.reshape(-1, n), out.reshape(-1, m)
-    buf = np.zeros((_BATCH_ROWS, fft_len), dtype=np.float64)
-    for lo in range(0, len(blocks), _BATCH_ROWS):
-        batch = blocks[lo : lo + _BATCH_ROWS]
-        pad = buf[: len(batch)]
-        pad[:, :n] = batch
-        spectrum = _fft.rfft(pad, axis=-1)
-        spectrum *= seed_fft
-        conv = _fft.irfft(spectrum, fft_len, axis=-1, overwrite_x=True)
-        window = conv[:, n - 1 : n - 1 + m]
-        rounded = np.rint(window)
-        if np.max(np.abs(window - rounded)) > _FFT_GUARD:
-            raise ParameterError(
-                "FFT convolution lost integer precision; block size too large"
-            )
-        rows[lo : lo + len(batch)] = rounded.astype(np.int64) & 1
+    hasher = _Hasher(seed_bits, raw.shape[-1])
+    out = np.empty(raw.shape[:-1] + (hasher.m,), dtype=np.uint8)
+    hasher.hash(raw.reshape(-1, hasher.n), out.reshape(-1, hasher.m))
     return out
+
+
+def _block_groups(chunks: Iterable[np.ndarray], n: int) -> Iterator[np.ndarray]:
+    """The stream's whole n-bit blocks as (k x n) arrays, k a multiple of
+    _BATCH_ROWS except in the last, so the batches are the same however
+    the stream is chunked; a tail shorter than one block is dropped."""
+    groups = BlockCutter(n * _BATCH_ROWS)
+    for chunk in chunks:
+        blocks = groups.cut(chunk).reshape(-1, n)
+        if blocks.size:
+            yield blocks
+    blocks = BlockCutter(n).cut(groups.rest)
+    if blocks.size:
+        yield blocks
 
 
 @dataclass
 class ExtractionResult:
-    output: BitStream
+    output: Optional[Union[BitStream, BitsFile]]
     seed: HashSeed
     params: ExtractorParams
     blocks: int
-    seconds: float = 0.0  # wall time of the hashing
+    seconds: float = 0.0  # wall time of the extraction, reads and writes included
 
     @property
     def ratio(self) -> float:
@@ -197,31 +228,44 @@ class ExtractionResult:
 
 
 def extract_stream(
-    raw: Union[BitStream, np.ndarray],
+    raw: Union[BitStream, BitsFile, np.ndarray],
     params: ExtractorParams,
     seed: HashSeed,
+    sink: Optional[Callable[[np.ndarray], None]] = None,
 ) -> ExtractionResult:
     """Hash every full n-bit block of ``raw`` with one seed.
 
-    The tail remainder is discarded.
+    ``raw`` is a bit array or any source with a length and ``chunks()``;
+    it is hashed a chunk at a time, and the tail remainder is discarded.
+    Each block group's output goes to ``sink`` as it is hashed, leaving
+    ``output`` None; without a sink the output is returned in memory.
     """
     start = time.perf_counter()
-    bits = raw.bits if isinstance(raw, BitStream) else np.asarray(raw, dtype=np.uint8)
+    source = raw if hasattr(raw, "chunks") else BitStream(raw)
     if seed.bit_length != params.seed_bits_needed:
         raise ParameterError(
             f"seed has {seed.bit_length} bits, params need {params.seed_bits_needed}"
         )
-    blocks = bits.shape[0] // params.n
+    n, m = params.n, params.m
+    blocks = len(source) // n
     if blocks == 0:
         warnings.warn(
-            f"raw stream of {bits.shape[0]} bits is shorter than one "
-            f"{params.n}-bit block; emitting no output",
+            f"raw stream of {len(source)} bits is shorter than one "
+            f"{n}-bit block; emitting no output",
             stacklevel=2,
         )
-    out = toeplitz_extract(seed, bits[: blocks * params.n].reshape(blocks, params.n))
-    return ExtractionResult(
-        BitStream(out.ravel()), seed, params, blocks, time.perf_counter() - start
-    )
+    hasher = _Hasher(seed.bits, n)
+    kept = np.empty((blocks if sink is None else 0) * m, dtype=np.uint8)
+    done = 0
+    for group in _block_groups(source.chunks(), n):
+        k = group.shape[0]
+        out = kept[done * m : (done + k) * m] if sink is None else np.empty(k * m, np.uint8)
+        hasher.hash(group, out.reshape(k, m))
+        if sink is not None:
+            sink(out)
+        done += k
+    output = BitStream(kept) if sink is None else None
+    return ExtractionResult(output, seed, params, blocks, time.perf_counter() - start)
 
 
 def toeplitz_matrix(seed_bits: np.ndarray, n: int, m: int) -> np.ndarray:

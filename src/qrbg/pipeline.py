@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bits import BitStream, read_bits_file, write_bits_file
+from .bits import BitsFile, BitStream, BitsWriter, open_bits_file, read_bits_file, write_bits_file
 from .errors import ConfigError, ParameterError, QrbgError
 from .extractor import (
     ExtractionResult,
@@ -49,10 +49,11 @@ from .sources import (
     SinglePhoton,
     SourceModel,
     Variant,
+    ZStream,
     blocked_schedule,
-    constant_schedule,
     derive_subseeds,
     load_event_log,
+    raw_header,
     sample_events,
     save_event_log,
 )
@@ -333,8 +334,12 @@ class RunReport:
 def _digest(path: Path, label: str) -> FileRecord:
     # paths are recorded relative to the run directory so a report stays
     # valid wherever the directory is moved
-    data = path.read_bytes()
-    return FileRecord(label, path.name, hashlib.sha256(data).hexdigest(), len(data))
+    digest, size = hashlib.sha256(), 0
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+            size += len(block)
+    return FileRecord(label, path.name, digest.hexdigest(), size)
 
 
 @contextmanager
@@ -365,13 +370,6 @@ def _calibration_log(variant: Variant, seed: int, n: int) -> EventLog:
     return sample_events(SourceModel(variant, seed), blocked_schedule(n), n)
 
 
-def _raw_stream(bits: np.ndarray, source: str, seed: int) -> BitStream:
-    """Raw generation bits with the header of a raw-bit file."""
-    return BitStream(
-        bits, {"role": "raw", "source": source, "seed": str(seed), "prng": PRNG_NAME}
-    )
-
-
 def calibrate(log: EventLog, config: PipelineConfig) -> Calibration:
     """Reconstruct the state from a calibration log and certify a rate."""
     result, rate = reconstruct(
@@ -386,19 +384,23 @@ def calibrate(log: EventLog, config: PipelineConfig) -> Calibration:
 
 def generate(
     variant: Variant, seed: int, config: PipelineConfig, out: Path
-) -> tuple[Path, BitStream]:
-    """Sample the generation bits and write them in ``config.gen_format``:
-    an all-Z event log or a packed raw-bit file."""
-    n = config.generation_bits
-    log = sample_events(SourceModel(variant, seed), constant_schedule("Z", n), n)
-    raw = _raw_stream(log.outcomes, log.source, seed)
+) -> tuple[Path, BitsFile | ZStream]:
+    """Sample the generation bits a chunk at a time, each chunk written as
+    it is drawn, in ``config.gen_format``: a packed raw-bit file or an
+    all-Z event log.
+
+    Returns the path and the raw bits to extract: the packed file, read
+    back a chunk at a time, or, since an event log is read only whole, the
+    same events drawn again from the seed.
+    """
+    stream = ZStream(SourceModel(variant, seed), config.generation_bits)
     if config.gen_format == "events":
         path = out / "generation.log"
-        save_event_log(log, str(path))
-    else:
-        path = out / "raw.bits"
-        write_bits_file(str(path), raw, raw.meta)
-    return path, raw
+        save_event_log(stream, str(path))
+        return path, stream
+    path = out / "raw.bits"
+    write_bits_file(str(path), stream, stream.meta)
+    return path, open_bits_file(str(path))
 
 
 def simulate_logs(
@@ -422,20 +424,26 @@ def simulate_logs(
     return calib_path, gen_path, master
 
 
-def load_raw_bits(path: str) -> BitStream:
+def load_raw_bits(path: str) -> BitsFile | BitStream:
     """Raw generation bits from either container format, with the raw-file
-    header.  An event log must hold computational-basis (Z) events only."""
+    header: a bits file opened for chunked reading, or an event log read
+    whole.  A bits file must be raw, not extracted output or a hash seed,
+    and an event log must hold computational-basis (Z) events only."""
     with open(path, "rb") as fh:
         head = fh.read(8)
     if head.startswith(b"QRBGBITS"):
-        return read_bits_file(path)
+        raw = open_bits_file(path)
+        role = raw.meta.get("role")
+        if role not in (None, "raw"):
+            raise ParameterError(f"{path} has role={role}, expected raw")
+        return raw
     log = load_event_log(path)
     if log.bases.any():
         raise ParameterError(
             f"{path}: {np.count_nonzero(log.bases)} of {log.n} events are not "
             "Z-basis; generation bits come from Z measurements only"
         )
-    return _raw_stream(log.outcomes, log.source, log.seed)
+    return BitStream(log.outcomes, raw_header(log.source, log.seed))
 
 
 def resolve_seed(params: ExtractorParams, seed_file: str) -> HashSeed:
@@ -452,48 +460,50 @@ def resolve_seed(params: ExtractorParams, seed_file: str) -> HashSeed:
 
 
 def extract(
-    raw: BitStream, params: ExtractorParams, seed_file: str | None, path: Path
+    raw: BitsFile | BitStream | ZStream,
+    params: ExtractorParams,
+    seed_file: str | None,
+    path: Path,
 ) -> tuple[ExtractionResult, str]:
-    """Hash ``raw`` into ``path`` and audit the file's length.
+    """Hash ``raw`` into ``path`` a chunk at a time and audit the file.
 
     Without a ``seed_file`` a seed is drawn from system entropy and written
     next to ``path`` (``extracted.bits`` -> ``extracted.seed.bits``), then
     used as a configured one would be.  The header's ``source`` is the raw
-    stream's.  Returns the extraction, whose output is the stream re-read
-    from disk, and the seed file's path.
+    stream's.  Returns the extraction, whose output is the file written,
+    opened for chunked reading, and the seed file's path.
     """
     if not seed_file:
         seed_file = str(path.with_suffix(".seed.bits"))
         drawn = HashSeed.system(params.seed_bits_needed)
         write_bits_file(seed_file, BitStream(drawn.bits), {"role": "seed"})
-    result = extract_stream(raw, params, seed=resolve_seed(params, seed_file))
-    write_bits_file(
-        str(path),
-        result.output,
-        {
-            "role": "extracted",
-            "block_n": str(params.n),
-            "block_m": str(params.m),
-            "epsilon": format_epsilon(params.epsilon),
-            "h_rate": repr(params.h_rate),
-            "seed_file": seed_file,
-            "source": raw.meta.get("source", "unknown"),
-        },
-    )
-    # accounting audit against the bytes actually written; the hashed bits
-    # are dropped first so they are not held beside the re-read copy
-    del result.output
-    result.output = read_bits_file(str(path))
-    if result.output.bit_length != result.blocks * params.m:
+    seed = resolve_seed(params, seed_file)
+    header = {
+        "role": "extracted",
+        "block_n": str(params.n),
+        "block_m": str(params.m),
+        "epsilon": format_epsilon(params.epsilon),
+        "h_rate": repr(params.h_rate),
+        "seed_file": seed_file,
+        "source": raw.meta.get("source", "unknown"),
+    }
+    with BitsWriter(str(path), len(raw) // params.n * params.m, header) as out:
+        result = extract_stream(raw, params, seed, sink=out.write)
+    # accounting audit against the file actually written: its header's
+    # length and its payload's size
+    result.output = written = open_bits_file(str(path))
+    expected = result.blocks * params.m
+    if written.bit_length != expected or written.payload_bytes != (expected + 7) // 8:
         raise QrbgError(
-            f"accounting mismatch: file holds {result.output.bit_length} bits, "
-            f"expected {result.blocks * params.m}"
+            f"accounting mismatch: file holds {written.bit_length} bits in "
+            f"{written.payload_bytes} bytes, expected {expected}"
         )
     return result, seed_file
 
 
-def run_tests(bits: BitStream, config: PipelineConfig) -> list[TestResult]:
-    """The configured statistical battery on one stream."""
+def run_tests(bits: BitsFile | BitStream, config: PipelineConfig) -> list[TestResult]:
+    """The configured statistical battery on one stream, read a chunk at a
+    time."""
     return run_battery(
         bits, BatteryConfig(tests=config.tests, significance=config.significance)
     )
@@ -523,9 +533,15 @@ def run_pipeline(
     """Run every stage and write a single report.
 
     Fails fast at the first stage error; insufficient certified entropy
-    aborts before any generation happens.
+    aborts before any generation happens, and a generation too short for
+    one extractor block before any file is written.
     """
     config.validate()
+    if config.generation_bits < config.block_n:
+        raise ConfigError(
+            f"generation_bits={config.generation_bits} cannot fill one "
+            f"block_n={config.block_n}-bit block, so nothing would be extracted"
+        )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     variant = config.variant()
@@ -557,7 +573,6 @@ def run_pipeline(
     with _stage("extract"):
         extracted_path = out / "extracted.bits"
         result, report.seed_file = extract(raw, params, config.seed_file, extracted_path)
-        del raw  # the battery reads the extracted bits only
         if not config.seed_file:
             # a configured seed file may live anywhere; only a drawn one is a run file
             report.files.append(_digest(Path(report.seed_file), "hash_seed"))

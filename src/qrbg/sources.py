@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence, TextIO, Union
+from typing import Iterator, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -199,19 +199,29 @@ def as_schedule(schedule: Union[np.ndarray, Sequence[str]], n: int) -> np.ndarra
 
 def sample_events(
     model: SourceModel,
-    basis_schedule: Union[np.ndarray, Sequence[str]],
+    basis_schedule: Union[np.ndarray, Sequence[str], str],
     n: int,
+    rng: np.random.Generator | None = None,
 ) -> EventLog:
-    """Draw ``n`` Born-rule outcomes under the given basis schedule.
+    """Draw ``n`` Born-rule outcomes under the given basis schedule: one
+    basis code per event, or one basis letter for every event, which reads
+    that basis's column of the Born table and builds no schedule array.
 
     Adversarial sources first draw the prepared term for each event of a
     chunk, then the outcome uniforms for that chunk; the per-event term
-    index is recorded as the event's eve_label.
+    index is recorded as the event's eve_label.  ``rng`` continues a
+    stream that earlier calls drew from in whole ``_CHUNK`` pieces, as
+    ``ZStream`` does; by default the model's seed starts one.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    sched = as_schedule(basis_schedule, n)
-    rng = np.random.default_rng(model.rng_seed)
+    if isinstance(basis_schedule, str) and basis_schedule in _BASIS_CODE:
+        column = _BASIS_CODE[basis_schedule]
+        sched = np.broadcast_to(np.uint8(column), (n,))
+    else:
+        column, sched = None, as_schedule(basis_schedule, n)
+    if rng is None:
+        rng = np.random.default_rng(model.rng_seed)
     p0, cum = _born_table(model.variant)
     outcomes = np.empty(n, dtype=np.uint8)
     labels = None if cum is None else np.empty(n, dtype=np.int32)
@@ -221,30 +231,80 @@ def sample_events(
         if labels is not None:
             terms = np.searchsorted(cum, rng.random(stop - start), side="right")
             labels[start:stop] = terms
-        outcomes[start:stop] = rng.random(stop - start) >= p0[terms, sched[start:stop]]
+        basis = sched[start:stop] if column is None else column
+        outcomes[start:stop] = rng.random(stop - start) >= p0[terms, basis]
     return EventLog(model.describe(), model.rng_seed, sched, outcomes, labels)
 
 
 def sample_raw_bits(model: SourceModel, n: int) -> np.ndarray:
     """Computational-basis outcomes only, for generation runs: the
     outcomes of ``sample_events`` under a constant-Z schedule."""
-    return sample_events(model, constant_schedule("Z", n), n).outcomes
+    return sample_events(model, "Z", n).outcomes
 
 
-def write_event_log(log: EventLog, fh: TextIO) -> None:
+@dataclass(frozen=True)
+class ZStream:
+    """The ``n`` Z-basis events of a generation run, drawn a ``_CHUNK`` at a
+    time from one PCG64 stream: the events of ``sample_events(model, "Z",
+    n)`` without its whole-run arrays.  Each pass draws the same events
+    again from the model's seed.  As a bit source its bits are the
+    outcomes."""
+
+    model: SourceModel
+    n: int
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ParameterError("n must be >= 1")
+
+    @property
+    def source(self) -> str:
+        return self.model.describe()
+
+    @property
+    def seed(self) -> int:
+        return self.model.rng_seed
+
+    @property
+    def meta(self) -> dict[str, str]:
+        return raw_header(self.source, self.seed)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def logs(self) -> Iterator[EventLog]:
+        rng = np.random.default_rng(self.model.rng_seed)
+        for start in range(0, self.n, _CHUNK):
+            yield sample_events(self.model, "Z", min(_CHUNK, self.n - start), rng)
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        for log in self.logs():
+            yield log.outcomes
+
+
+def raw_header(source: str, seed: int) -> dict[str, str]:
+    """Header of a packed raw-bit file of generation outcomes."""
+    return {"role": "raw", "source": source, "seed": str(seed), "prng": PRNG_NAME}
+
+
+def write_event_log(log: Union[EventLog, ZStream], fh: TextIO) -> None:
     """ASCII event-log format: '# key=value' header lines then one
-    'index,basis,outcome[,eve_label]' record per line."""
+    'index,basis,outcome[,eve_label]' record per line.  A ``ZStream`` is
+    written a chunk at a time as it is drawn."""
     fh.write(f"# source={log.source}\n# seed={log.seed}\n# n={log.n}\n# prng={PRNG_NAME}\n")
-    columns = [np.arange(log.n), _BASIS_BYTES[log.bases], log.outcomes]
-    if log.eve_labels is not None:
-        columns.append(log.eve_labels)
-    line = ",".join(("%d", "%c", "%d", "%d")[: len(columns)]) + "\n"
-    for start in range(0, log.n, _LOG_ROWS):
-        rows = np.column_stack([c[start : start + _LOG_ROWS] for c in columns])
-        fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
+    first = 0
+    for piece in log.logs() if isinstance(log, ZStream) else (log,):
+        columns = [np.arange(first, first + piece.n), _BASIS_BYTES[piece.bases], piece.outcomes]
+        if piece.eve_labels is not None:
+            columns.append(piece.eve_labels)
+        line = ",".join(("%d", "%c", "%d", "%d")[: len(columns)]) + "\n"
+        for start in range(0, piece.n, _LOG_ROWS):
+            rows = np.column_stack([c[start : start + _LOG_ROWS] for c in columns])
+            fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
+        first += piece.n
 
 
-def save_event_log(log: EventLog, path: str) -> None:
+def save_event_log(log: Union[EventLog, ZStream], path: str) -> None:
     with open(path, "w", encoding="ascii") as fh:
         write_event_log(log, fh)
 

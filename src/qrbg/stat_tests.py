@@ -12,6 +12,10 @@ not a security argument: passing them proves nothing about
 unpredictability, which rests on the certified min-entropy instead.
 
 Every test is a pure function of its input bits and never mutates them.
+A test reads its input once, a chunk at a time, keeping only exact integer
+state between chunks (counts, the walk's end point and extremes, pattern
+counts with their overlap), so a stream on disk is tested in bounded
+memory and every p-value is the same however the stream is chunked.
 Tests returning several p-values (serial, cumulative sums) report the
 smallest as their headline p_value and carry the individual values in
 ``parameters``.
@@ -26,7 +30,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 from scipy.special import gammaincc
 
-from .bits import BitStream
+from .bits import BitStream, BlockCutter
 from .errors import InsufficientDataError, ParameterError
 
 DEFAULT_SIGNIFICANCE = 0.01
@@ -92,8 +96,7 @@ def as_bits(bits: Union[BitStream, np.ndarray, Sequence[int], str]) -> np.ndarra
     return arr
 
 
-def _require(bits: np.ndarray, minimum: int, test: str) -> int:
-    n = bits.shape[0]
+def _require(n: int, minimum: int, test: str) -> int:
     if n < minimum:
         raise InsufficientDataError(f"{test} needs >= {minimum} bits, got {n}")
     return n
@@ -107,43 +110,91 @@ def _phi(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def monobit(bits, significance: float = DEFAULT_SIGNIFICANCE) -> TestResult:
-    """Frequency test: erfc(|sum of +-1|/sqrt(2n))."""
-    b = as_bits(bits)
-    n = _require(b, 100, "monobit")
-    s = 2.0 * int(b.sum()) - n
-    s_obs = abs(s) / math.sqrt(n)
-    p = math.erfc(s_obs / math.sqrt(2.0))
-    return _result("monobit", s_obs, p, significance, n=n)
+# Each test below is a class that holds exact integer state over
+# consecutive chunks of one stream (``feed``) and applies the published
+# formula once the stream ends (``finish``).  The constructor gets the
+# stream's full length, checks it and the test's parameters, and reads no
+# bits; ``_run`` feeds every chunk to every test.
 
 
-def block_frequency(
-    bits, block_len: int | None = None, significance: float = DEFAULT_SIGNIFICANCE
-) -> TestResult:
-    b = as_bits(bits)
-    n = _require(b, 100, "block_frequency")
-    m = block_len if block_len is not None else max(20, n // 100)
-    if m < 2 or m > n:
-        raise ParameterError(f"block length {m} invalid for {n} bits")
-    big_n = n // m
-    props = b[: big_n * m].reshape(big_n, m).mean(axis=1)
-    chi2 = 4.0 * m * float(((props - 0.5) ** 2).sum())
-    p = _igamc(big_n / 2.0, chi2 / 2.0)
-    return _result("block_frequency", chi2, p, significance, block_len=m, blocks=big_n)
+class _Monobit:
+    def __init__(self, n: int) -> None:
+        self.n = _require(n, 100, "monobit")
+        self.ones = 0
+
+    def feed(self, b: np.ndarray) -> None:
+        self.ones += int(b.sum())
+
+    def finish(self, significance: float) -> TestResult:
+        n = self.n
+        s = 2.0 * self.ones - n
+        s_obs = abs(s) / math.sqrt(n)
+        p = math.erfc(s_obs / math.sqrt(2.0))
+        return _result("monobit", s_obs, p, significance, n=n)
 
 
-def runs(bits, significance: float = DEFAULT_SIGNIFICANCE) -> TestResult:
-    b = as_bits(bits)
-    n = _require(b, 100, "runs")
-    pi = float(b.mean())
-    if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
-        # frequency precondition failed; the standard assigns p = 0
-        return _result("runs", 0.0, 0.0, significance, pi=pi, precheck_failed=True)
-    v_obs = 1 + int((b[1:] != b[:-1]).sum())
-    num = abs(v_obs - 2.0 * n * pi * (1.0 - pi))
-    den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
-    p = math.erfc(num / den)
-    return _result("runs", float(v_obs), p, significance, pi=pi)
+class _Blocks:
+    """Whole m-bit blocks of a stream's first n // m * m bits, a partial
+    block carried across chunks."""
+
+    def __init__(self, n: int, m: int) -> None:
+        self.m, self.big_n = m, n // m
+        self._left = self.big_n * m
+        self._cutter = BlockCutter(m)
+
+    def _blocks(self, b: np.ndarray) -> np.ndarray:
+        b = b[: self._left]
+        self._left -= b.shape[0]
+        return self._cutter.cut(b)
+
+
+class _BlockFrequency(_Blocks):
+    def __init__(self, n: int, block_len: int | None) -> None:
+        _require(n, 100, "block_frequency")
+        m = block_len if block_len is not None else max(20, n // 100)
+        if m < 2 or m > n:
+            raise ParameterError(f"block length {m} invalid for {n} bits")
+        super().__init__(n, m)
+        self.ones: list[np.ndarray] = []  # per block
+
+    def feed(self, b: np.ndarray) -> None:
+        self.ones.append(self._blocks(b).sum(axis=1, dtype=np.int64))
+
+    def finish(self, significance: float) -> TestResult:
+        m, big_n = self.m, self.big_n
+        props = np.concatenate(self.ones) / m
+        chi2 = 4.0 * m * float(((props - 0.5) ** 2).sum())
+        p = _igamc(big_n / 2.0, chi2 / 2.0)
+        return _result("block_frequency", chi2, p, significance, block_len=m, blocks=big_n)
+
+
+class _Runs:
+    def __init__(self, n: int) -> None:
+        self.n = _require(n, 100, "runs")
+        self.ones = 0
+        self.changes = 0  # adjacent unequal pairs
+        self.last: int | None = None
+
+    def feed(self, b: np.ndarray) -> None:
+        if not b.size:
+            return
+        self.ones += int(b.sum())
+        self.changes += int(np.count_nonzero(b[1:] != b[:-1]))
+        if self.last is not None:
+            self.changes += int(b[0]) != self.last
+        self.last = int(b[-1])
+
+    def finish(self, significance: float) -> TestResult:
+        n = self.n
+        pi = self.ones / n
+        if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
+            # frequency precondition failed; the standard assigns p = 0
+            return _result("runs", 0.0, 0.0, significance, pi=pi, precheck_failed=True)
+        v_obs = 1 + self.changes
+        num = abs(v_obs - 2.0 * n * pi * (1.0 - pi))
+        den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
+        p = math.erfc(num / den)
+        return _result("runs", float(v_obs), p, significance, pi=pi)
 
 
 def _longest_run_per_block(blocks: np.ndarray) -> np.ndarray:
@@ -159,29 +210,38 @@ def _longest_run_per_block(blocks: np.ndarray) -> np.ndarray:
     return longest
 
 
-def longest_run_of_ones(bits, significance: float = DEFAULT_SIGNIFICANCE) -> TestResult:
-    b = as_bits(bits)
-    n = _require(b, 128, "longest_run_of_ones")
-    for threshold, m, lowest, pis in _LONGEST_RUN_TABLES:
-        if n >= threshold:
-            break
-    big_n = n // m
-    longest = _longest_run_per_block(b[: big_n * m].reshape(big_n, m))
-    k = len(pis) - 1
-    classes = np.clip(longest, lowest, lowest + k) - lowest
-    nu = np.bincount(classes, minlength=k + 1)
-    expected = big_n * np.asarray(pis)
-    chi2 = float(((nu - expected) ** 2 / expected).sum())
-    p = _igamc(k / 2.0, chi2 / 2.0)
-    return _result(
-        "longest_run_of_ones",
-        chi2,
-        p,
-        significance,
-        block_len=m,
-        blocks=big_n,
-        nu=nu.tolist(),
-    )
+class _LongestRun(_Blocks):
+    def __init__(self, n: int) -> None:
+        _require(n, 128, "longest_run_of_ones")
+        for threshold, m, lowest, pis in _LONGEST_RUN_TABLES:
+            if n >= threshold:
+                break
+        super().__init__(n, m)
+        self.lowest, self.pis = lowest, pis
+        self.nu = np.zeros(len(pis), dtype=np.int64)  # blocks per run-length class
+
+    def feed(self, b: np.ndarray) -> None:
+        blocks = self._blocks(b)
+        if blocks.shape[0]:
+            k = len(self.pis) - 1
+            longest = _longest_run_per_block(blocks)
+            classes = np.clip(longest, self.lowest, self.lowest + k) - self.lowest
+            self.nu += np.bincount(classes, minlength=k + 1)
+
+    def finish(self, significance: float) -> TestResult:
+        nu, big_n, k = self.nu, self.big_n, len(self.pis) - 1
+        expected = big_n * np.asarray(self.pis)
+        chi2 = float(((nu - expected) ** 2 / expected).sum())
+        p = _igamc(k / 2.0, chi2 / 2.0)
+        return _result(
+            "longest_run_of_ones",
+            chi2,
+            p,
+            significance,
+            block_len=self.m,
+            blocks=big_n,
+            nu=nu.tolist(),
+        )
 
 
 def _cusum_p(z: int, n: int) -> float:
@@ -197,103 +257,219 @@ def _cusum_p(z: int, n: int) -> float:
     return total
 
 
-def cumulative_sums(bits, significance: float = DEFAULT_SIGNIFICANCE) -> TestResult:
-    """Both scan directions; the headline p-value is the smaller one."""
-    b = as_bits(bits)
-    n = _require(b, 100, "cumulative_sums")
-    # one walk S_k of +-1 steps, S_0 = 0, in the narrowest integer that
-    # holds |S_k| <= n; the reverse walk's partial sums are S_n - S_k, k < n
-    steps = b.astype(np.int8)
-    steps *= 2
-    steps -= 1
-    walk = np.cumsum(steps, dtype=np.int32 if n < 2**31 else np.int64)
-    z_fwd = max(int(walk.max()), -int(walk.min()))
-    end, head = int(walk[-1]), walk[:-1]
-    low, high = int(head.min(initial=0)), int(head.max(initial=0))
-    z_rev = max(end - low, high - end)
-    p_fwd = _cusum_p(z_fwd, n)
-    p_rev = _cusum_p(z_rev, n)
-    if p_fwd <= p_rev:
-        z, p = z_fwd, p_fwd
-    else:
-        z, p = z_rev, p_rev
-    return _result(
-        "cumulative_sums",
-        float(z),
-        p,
-        significance,
-        z_forward=z_fwd,
-        p_forward=p_fwd,
-        z_reverse=z_rev,
-        p_reverse=p_rev,
-    )
+class _CumulativeSums:
+    """One walk S_k of +-1 steps, S_0 = 0: the forward excursion is the
+    largest |S_k|, and the reverse walk's partial sums are S_n - S_k for
+    k < n, so the reverse excursion needs only the extremes of S_0..S_n-1
+    and the end point S_n."""
+
+    def __init__(self, n: int) -> None:
+        self.n = _require(n, 100, "cumulative_sums")
+        # the narrowest integer that holds |S_k| <= n
+        self.dtype = np.int32 if n < 2**31 else np.int64
+        self.end = self.low = self.high = self.z_forward = 0
+
+    def feed(self, b: np.ndarray) -> None:
+        if not b.size:
+            return
+        steps = b.astype(np.int8)
+        steps *= 2
+        steps -= 1
+        walk = np.cumsum(steps, dtype=self.dtype)
+        walk += self.end
+        self.z_forward = max(self.z_forward, int(walk.max()), -int(walk.min()))
+        head = walk[:-1]  # S_k before this chunk's last, from S_end onwards
+        self.low = min(self.low, int(head.min(initial=self.end)))
+        self.high = max(self.high, int(head.max(initial=self.end)))
+        self.end = int(walk[-1])
+
+    def finish(self, significance: float) -> TestResult:
+        n, z_fwd = self.n, self.z_forward
+        z_rev = max(self.end - self.low, self.high - self.end)
+        p_fwd = _cusum_p(z_fwd, n)
+        p_rev = _cusum_p(z_rev, n)
+        if p_fwd <= p_rev:
+            z, p = z_fwd, p_fwd
+        else:
+            z, p = z_rev, p_rev
+        return _result(
+            "cumulative_sums",
+            float(z),
+            p,
+            significance,
+            z_forward=z_fwd,
+            p_forward=p_fwd,
+            z_reverse=z_rev,
+            p_reverse=p_rev,
+        )
 
 
-def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
-    """Counts of the m-bit patterns starting at each position, wrapping
-    round the end; accumulated per chunk so no index array is n long."""
-    n = b.shape[0]
-    aug = np.concatenate([b, b[: m - 1]]) if m > 1 else b
+def _window_counts(data: np.ndarray, m: int) -> np.ndarray:
+    """Counts of the m-bit patterns lying wholly inside ``data``, indexed
+    with the first bit most significant; no index array is longer than
+    _PATTERN_CHUNK."""
+    starts = data.shape[0] - m + 1
     counts = np.zeros(1 << m, dtype=np.int64)
-    for start in range(0, n, _PATTERN_CHUNK):
-        stop = min(start + _PATTERN_CHUNK, n)
-        idx = np.zeros(stop - start, dtype=np.int64)
+    for lo in range(0, max(starts, 0), _PATTERN_CHUNK):
+        hi = min(lo + _PATTERN_CHUNK, starts)
+        idx = np.zeros(hi - lo, dtype=np.int64)
         for j in range(m):
             idx <<= 1
-            idx |= aug[start + j : stop + j]
+            idx |= data[lo + j : hi + j]
         counts += np.bincount(idx, minlength=1 << m)
     return counts
 
 
-def _psi_squared(b: np.ndarray, m: int) -> float:
+class _Patterns:
+    """Counts of the m-bit patterns starting at each position of a stream
+    read as a cycle.  The last m - 1 bits seen carry each pattern across a
+    chunk boundary, and the stream's first m - 1 bits close the cycle."""
+
+    def __init__(self, m: int) -> None:
+        self.m = m
+        self.counts = np.zeros(1 << m, dtype=np.int64)
+        self.head = self.tail = np.empty(0, dtype=np.uint8)
+
+    def feed(self, b: np.ndarray) -> None:
+        overlap = self.m - 1
+        if self.head.size < overlap:
+            self.head = np.concatenate([self.head, b[: overlap - self.head.size]])
+        data = np.concatenate([self.tail, b]) if self.tail.size else b
+        self.counts += _window_counts(data, self.m)
+        self.tail = data[max(data.shape[0] - overlap, 0) :].copy()
+
+    def finish(self) -> np.ndarray:
+        """The counts; the m - 1 patterns that wrap round the end are added."""
+        return self.counts + _window_counts(np.concatenate([self.tail, self.head]), self.m)
+
+
+def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
+    """Counts of the m-bit patterns starting at each position of ``b``,
+    wrapping round the end."""
+    patterns = _Patterns(m)
+    patterns.feed(b)
+    return patterns.finish()
+
+
+def _shorter(counts: np.ndarray) -> np.ndarray:
+    """Cyclic pattern counts one bit shorter: a pattern's count is the sum
+    over the bit that follows it."""
+    return counts.reshape(-1, 2).sum(axis=1)
+
+
+def _psi_squared(counts: np.ndarray, m: int, n: int) -> float:
     if m < 1:
         return 0.0
-    n = b.shape[0]
-    counts = _pattern_counts(b, m)
     return float((1 << m) / n * (counts.astype(float) ** 2).sum() - n)
 
 
+class _Serial:
+    def __init__(self, n: int, m: int) -> None:
+        if m < 2:
+            raise ParameterError("serial needs pattern length m >= 2")
+        self.n = _require(n, 1 << m, "serial")
+        self.m = m
+        self.patterns = _Patterns(m)
+
+    def feed(self, b: np.ndarray) -> None:
+        self.patterns.feed(b)
+
+    def finish(self, significance: float) -> TestResult:
+        n, m = self.n, self.m
+        counts_m = self.patterns.finish()
+        counts_m1 = _shorter(counts_m)
+        psi_m = _psi_squared(counts_m, m, n)
+        psi_m1 = _psi_squared(counts_m1, m - 1, n)
+        psi_m2 = _psi_squared(_shorter(counts_m1), m - 2, n)
+        d1 = psi_m - psi_m1
+        d2 = psi_m - 2.0 * psi_m1 + psi_m2
+        p1 = _igamc(2.0 ** (m - 2), d1 / 2.0)
+        p2 = _igamc(2.0 ** (m - 3), d2 / 2.0)
+        return _result(
+            "serial",
+            d1,
+            min(p1, p2),
+            significance,
+            m=m,
+            p_value1=p1,
+            p_value2=p2,
+            delta2=d2,
+        )
+
+
+class _ApproximateEntropy:
+    def __init__(self, n: int, m: int) -> None:
+        if m < 1:
+            raise ParameterError("approximate_entropy needs m >= 1")
+        self.n = _require(n, 1 << m, "approximate_entropy")
+        self.m = m
+        self.patterns = _Patterns(m + 1)
+
+    def feed(self, b: np.ndarray) -> None:
+        self.patterns.feed(b)
+
+    def finish(self, significance: float) -> TestResult:
+        n, m = self.n, self.m
+
+        def phi(counts: np.ndarray) -> float:
+            frac = counts[counts > 0] / n
+            return float((frac * np.log(frac)).sum())
+
+        counts_m1 = self.patterns.finish()
+        apen = phi(_shorter(counts_m1)) - phi(counts_m1)
+        chi2 = 2.0 * n * (math.log(2.0) - apen)
+        p = _igamc(2.0 ** (m - 1), chi2 / 2.0)
+        return _result("approximate_entropy", chi2, p, significance, m=m, apen=apen)
+
+
+def _run(bits, makers: list[Callable], significance: float) -> list[TestResult]:
+    """Each maker builds one test for the stream's length; every chunk is
+    fed to every test, then each test reports."""
+    if hasattr(bits, "chunks"):
+        n, chunks = len(bits), bits.chunks()
+    else:
+        b = as_bits(bits)
+        n, chunks = b.shape[0], (b,)
+    tests = [make(n) for make in makers]
+    if tests:
+        for chunk in chunks:
+            for test in tests:
+                test.feed(chunk)
+    return [test.finish(significance) for test in tests]
+
+
+def monobit(bits, significance: float = DEFAULT_SIGNIFICANCE) -> TestResult:
+    """Frequency test: erfc(|sum of +-1|/sqrt(2n))."""
+    return _run(bits, [_Monobit], significance)[0]
+
+
+def block_frequency(
+    bits, block_len: int | None = None, significance: float = DEFAULT_SIGNIFICANCE
+) -> TestResult:
+    return _run(bits, [lambda n: _BlockFrequency(n, block_len)], significance)[0]
+
+
+def runs(bits, significance: float = DEFAULT_SIGNIFICANCE) -> TestResult:
+    return _run(bits, [_Runs], significance)[0]
+
+
+def longest_run_of_ones(bits, significance: float = DEFAULT_SIGNIFICANCE) -> TestResult:
+    return _run(bits, [_LongestRun], significance)[0]
+
+
+def cumulative_sums(bits, significance: float = DEFAULT_SIGNIFICANCE) -> TestResult:
+    """Both scan directions; the headline p-value is the smaller one."""
+    return _run(bits, [_CumulativeSums], significance)[0]
+
+
 def serial(bits, m: int = 5, significance: float = DEFAULT_SIGNIFICANCE) -> TestResult:
-    b = as_bits(bits)
-    if m < 2:
-        raise ParameterError("serial needs pattern length m >= 2")
-    n = _require(b, 1 << m, "serial")
-    psi_m = _psi_squared(b, m)
-    psi_m1 = _psi_squared(b, m - 1)
-    psi_m2 = _psi_squared(b, m - 2)
-    d1 = psi_m - psi_m1
-    d2 = psi_m - 2.0 * psi_m1 + psi_m2
-    p1 = _igamc(2.0 ** (m - 2), d1 / 2.0)
-    p2 = _igamc(2.0 ** (m - 3), d2 / 2.0)
-    return _result(
-        "serial",
-        d1,
-        min(p1, p2),
-        significance,
-        m=m,
-        p_value1=p1,
-        p_value2=p2,
-        delta2=d2,
-    )
+    return _run(bits, [lambda n: _Serial(n, m)], significance)[0]
 
 
 def approximate_entropy(
     bits, m: int = 5, significance: float = DEFAULT_SIGNIFICANCE
 ) -> TestResult:
-    b = as_bits(bits)
-    if m < 1:
-        raise ParameterError("approximate_entropy needs m >= 1")
-    n = _require(b, 1 << m, "approximate_entropy")
-
-    def phi(block: int) -> float:
-        counts = _pattern_counts(b, block)
-        frac = counts[counts > 0] / n
-        return float((frac * np.log(frac)).sum())
-
-    apen = phi(m) - phi(m + 1)
-    chi2 = 2.0 * n * (math.log(2.0) - apen)
-    p = _igamc(2.0 ** (m - 1), chi2 / 2.0)
-    return _result("approximate_entropy", chi2, p, significance, m=m, apen=apen)
+    return _run(bits, [lambda n: _ApproximateEntropy(n, m)], significance)[0]
 
 
 @dataclass(frozen=True)
@@ -311,19 +487,20 @@ class BatteryConfig:
 
 
 def run_battery(bits, config: BatteryConfig | None = None) -> list[TestResult]:
-    """Run every enabled test on the same (unmodified) stream."""
+    """Run every enabled test on the same (unmodified) stream, in one pass
+    over its chunks.  ``bits`` is a bit array in any form ``as_bits`` takes,
+    or any source with a length and ``chunks()``, such as a ``BitsFile``."""
     cfg = config or BatteryConfig()
-    b = as_bits(bits)
-    runners: dict[str, Callable[[], TestResult]] = {
-        "monobit": lambda: monobit(b, cfg.significance),
-        "block_frequency": lambda: block_frequency(b, cfg.block_len, cfg.significance),
-        "runs": lambda: runs(b, cfg.significance),
-        "longest_run_of_ones": lambda: longest_run_of_ones(b, cfg.significance),
-        "cumulative_sums": lambda: cumulative_sums(b, cfg.significance),
-        "serial": lambda: serial(b, cfg.serial_m, cfg.significance),
-        "approximate_entropy": lambda: approximate_entropy(b, cfg.apen_m, cfg.significance),
+    makers: dict[str, Callable] = {
+        "monobit": _Monobit,
+        "block_frequency": lambda n: _BlockFrequency(n, cfg.block_len),
+        "runs": _Runs,
+        "longest_run_of_ones": _LongestRun,
+        "cumulative_sums": _CumulativeSums,
+        "serial": lambda n: _Serial(n, cfg.serial_m),
+        "approximate_entropy": lambda n: _ApproximateEntropy(n, cfg.apen_m),
     }
-    return [runners[name]() for name in cfg.tests]
+    return _run(bits, [makers[name] for name in cfg.tests], cfg.significance)
 
 
 def pass_fraction(results: list[TestResult]) -> float:

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from qrbg.bits import MAGIC, BitStream, pack_bits, read_bits_file, unpack_bits, write_bits_file
+import qrbg.bits
+from qrbg.bits import (
+    MAGIC,
+    BitStream,
+    BitsWriter,
+    open_bits_file,
+    pack_bits,
+    read_bits_file,
+    unpack_bits,
+    write_bits_file,
+)
 from qrbg.errors import ParameterError
 
 
@@ -75,3 +85,43 @@ def test_header_written_in_insertion_order(tmp_path):
     write_bits_file(str(path), BitStream(np.array([1], dtype=np.uint8)), {"b": "2", "a": "1"})
     text = path.read_bytes().split(b"\n\n")[0]
     assert text.index(b"# b=2") < text.index(b"# a=1")
+
+
+def test_writer_carries_partial_bytes(tmp_path, rng):
+    bits = rng.integers(0, 2, 1000).astype(np.uint8)
+    path = tmp_path / "w.bits"
+    with BitsWriter(str(path), 1000, {"role": "raw"}) as out:
+        for lo, hi in ((0, 3), (3, 3), (3, 17), (17, 600), (600, 1000)):
+            out.write(bits[lo:hi])
+    opened = open_bits_file(str(path))
+    assert (opened.bit_length, opened.meta["role"]) == (1000, "raw")
+    assert path.read_bytes()[opened.offset :] == pack_bits(bits)
+
+
+def test_writer_checks_the_declared_length(tmp_path):
+    path = tmp_path / "short.bits"
+    with pytest.raises(ParameterError, match="9 bits written, header declares 10"):
+        with BitsWriter(str(path), 10, {}) as out:
+            out.write(np.ones(9, dtype=np.uint8))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_chunked_read_and_rewrite_in_place(tmp_path, rng, monkeypatch):
+    monkeypatch.setattr(qrbg.bits, "CHUNK_BITS", 16)
+    bits = rng.integers(0, 2, 100).astype(np.uint8)
+    path = tmp_path / "x.bits"
+    write_bits_file(str(path), BitStream(bits), {"role": "raw"})
+    opened = open_bits_file(str(path))
+    assert [len(c) for c in opened.chunks()] == [16] * 6 + [4]
+    assert np.array_equal(np.concatenate(list(opened.chunks())), bits)
+    # the copy is read from the path it replaces
+    write_bits_file(str(path), opened, {"role": "raw", "copy": "1"})
+    back = read_bits_file(str(path))
+    assert np.array_equal(back.bits, bits) and back.meta["copy"] == "1"
+
+
+def test_short_payload_names_the_file(tmp_path):
+    path = tmp_path / "cut.bits"
+    path.write_bytes(MAGIC + b"# bit_length=20\n\n\xff\xff")
+    with pytest.raises(ParameterError, match="cut.bits: payload of 2 bytes cannot hold 20 bits"):
+        open_bits_file(str(path))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qrbg.bits
 import qrbg.extractor
 from qrbg.bits import BitStream
 from qrbg.errors import InsufficientEntropyError, ParameterError
@@ -207,6 +208,21 @@ class TestExtractStream:
                 params,
                 seed=HashSeed(np.ones(10, dtype=np.uint8)),
             )
+
+    def test_chunked_stream_and_sink(self, rng, monkeypatch):
+        params = ExtractorParams(300, 2.0**-8, 0.9)
+        seed = HashSeed(rng.integers(0, 2, params.seed_bits_needed).astype(np.uint8))
+        raw = rng.integers(0, 2, 10_537).astype(np.uint8)
+        whole = extract_stream(raw, params, seed=seed).output.bits
+        assert np.array_equal(
+            whole, toeplitz_extract(seed, raw[: 35 * 300].reshape(35, 300)).ravel()
+        )
+        for chunk in (7, 450, 1000):  # shorter than a block, 1.5 blocks, many
+            monkeypatch.setattr(qrbg.bits, "CHUNK_BITS", chunk)
+            pieces = []
+            res = extract_stream(BitStream(raw), params, seed=seed, sink=pieces.append)
+            assert res.output is None and res.blocks == 35
+            assert np.array_equal(np.concatenate(pieces), whole)
 
     def test_accepts_bitstream_input(self, rng):
         params = ExtractorParams(64, 2.0**-4, 0.9)

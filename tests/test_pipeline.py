@@ -1,21 +1,26 @@
 import errno
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import qrbg.pipeline
-from qrbg.bits import MAGIC, BitStream, read_bits_file, write_bits_file
+from qrbg.bits import MAGIC, BitStream, open_bits_file, pack_bits, read_bits_file, write_bits_file
 from qrbg.cli import main
 from qrbg.errors import ConfigError, InsufficientEntropyError, QrbgError
+from qrbg.extractor import ExtractorParams, toeplitz_extract
 from qrbg.pipeline import (
     load_raw_bits,
     parse_config_text,
     run_pipeline,
     simulate_logs,
 )
-from qrbg.sources import load_event_log
+from qrbg.sources import SourceModel, constant_schedule, derive_subseeds, load_event_log, sample_events
 from qrbg.tomography import reconstruct
 
 FAST_CONFIG = """
@@ -112,6 +117,9 @@ class TestRunPipeline:
         assert (tmp_path / "report.txt").exists()
         labels = {f.label for f in report.files}
         assert labels == {"calibration_log", "generation_raw", "hash_seed", "extracted_bits"}
+        for rec in report.files:
+            data = (tmp_path / rec.path).read_bytes()
+            assert (rec.sha256, rec.size) == (hashlib.sha256(data).hexdigest(), len(data))
         extracted = read_bits_file(str(tmp_path / "extracted.bits"))
         assert extracted.bit_length == report.output_bits
         assert extracted.meta["role"] == "extracted"
@@ -608,3 +616,91 @@ def test_config_echo_is_stable():
     assert a == b
     keys = [k for k, _ in a]
     assert keys.index("mode") == 0
+
+
+def test_run_shorter_than_one_block_is_rejected(tmp_path):
+    cfg = parse_config_text(FAST_CONFIG.replace("block_n = 2000", "block_n = 30000"))
+    with pytest.raises(ConfigError, match="cannot fill one block_n=30000-bit block"):
+        run_pipeline(cfg, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+    cfg_path = tmp_path / "short.cfg"
+    cfg_path.write_text(FAST_CONFIG.replace("block_n = 2000", "block_n = 30000"))
+    r = CliRunner().invoke(main, ["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert r.exit_code == 5
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name, role", [("extracted.bits", "extracted"), ("extracted.seed.bits", "seed")])
+def test_extract_accepts_only_raw_bits_files(tmp_path, name, role):
+    run_pipeline(parse_config_text(FAST_CONFIG), str(tmp_path / "run"))
+    path = tmp_path / "run" / name
+    r = CliRunner().invoke(main, [
+        "extract", str(path), "--h-rate", "0.9", "--block-n", "1000",
+        "--epsilon", "2^-16", "--out", str(tmp_path / "again.bits"),
+    ])
+    assert r.exit_code == 5
+    assert f"{path} has role={role}" in r.output
+    assert not (tmp_path / "again.bits").exists()
+
+
+# The battery's results on the streamed run below, computed from the whole
+# extracted stream in memory before the battery read its input in chunks.
+STREAMED_BATTERY_SHA256 = "efea36e53d62619f26373e037710e578a4c360f4439b8b70e3ccdec040722ccc"
+
+
+def test_streamed_run_matches_whole_array_reference(tmp_path):
+    # more than two sampling chunks, and not a multiple of block_n
+    n_bits, block_n = 2**23 + 12_345, 10_000
+    seed_path = tmp_path / "seed.bits"
+    write_seed_file(seed_path, 2 * block_n)
+    cfg = parse_config_text(
+        FAST_CONFIG.replace("generation_bits = 20000", f"generation_bits = {n_bits}")
+        .replace("block_n = 2000", f"block_n = {block_n}")
+        .replace("tests = monobit,runs\n", "")
+        + f"seed_file = {seed_path}\n"
+    )
+    out = tmp_path / "out"
+    report = run_pipeline(cfg, str(out))
+
+    gen_seed = derive_subseeds(cfg.rng_seed, 2)[0]
+    model = SourceModel(cfg.variant(), gen_seed)
+    outcomes = sample_events(model, constant_schedule("Z", n_bits), n_bits).outcomes
+    params = ExtractorParams(block_n, cfg.epsilon, float(report.certified))
+    blocks = n_bits // block_n
+    seed = read_bits_file(str(seed_path)).bits[: params.seed_bits_needed]
+    hashed = toeplitz_extract(seed, outcomes[: blocks * block_n].reshape(blocks, block_n))
+    for name, bits in (("raw.bits", outcomes), ("extracted.bits", hashed.ravel())):
+        opened = open_bits_file(str(out / name))
+        assert opened.bit_length == bits.shape[0], name
+        assert (out / name).read_bytes()[opened.offset :] == pack_bits(bits), name
+    assert report.output_bits == hashed.size > (1 << 22)  # the battery reads two chunks
+    assert hashlib.sha256(repr(report.test_results).encode()).hexdigest() == STREAMED_BATTERY_SHA256
+
+
+PEAK_RSS_SCRIPT = """
+import resource, sys
+from qrbg.pipeline import parse_config_text, run_pipeline
+run_pipeline(parse_config_text(sys.stdin.read()), sys.argv[1])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_peak_memory_does_not_grow_with_generation_bits(tmp_path):
+    src = str(Path(qrbg.pipeline.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def peak_kib(bits):
+        text = (
+            FAST_CONFIG.replace("generation_bits = 20000", f"generation_bits = {bits}")
+            .replace("block_n = 2000", "block_n = 100000")
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_SCRIPT, str(tmp_path / str(bits))],
+            input=text, capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout.split()[-1])
+
+    # both runs sample, hash and test whole chunks; the second is ten times longer
+    small, large = peak_kib(5_000_000), peak_kib(50_000_000)
+    assert large - small < 20 * 1024, (small, large)

@@ -12,6 +12,7 @@ from qrbg.sources import (
     Entangled,
     SinglePhoton,
     SourceModel,
+    ZStream,
     blocked_schedule,
     constant_schedule,
     effective_qubit,
@@ -70,6 +71,24 @@ class TestSampleEvents:
         # X basis on an s1-polarized state is deterministic
         log = sample_events(single(1, 0, 0, seed=5), constant_schedule("X", 2000), 2000)
         assert not log.outcomes.any()
+
+    @pytest.mark.parametrize("adversarial", [False, True])
+    def test_z_stream_matches_one_constant_z_draw(self, monkeypatch, adversarial):
+        monkeypatch.setattr(qrbg.sources, "_CHUNK", 1000)
+        if adversarial:
+            d = worst_case_decomposition(stokes_to_density(StokesVector(0.6, 0, 0.3)))
+            model = SourceModel(Adversarial(d), 12)
+        else:
+            model = single(0.6, 0, 0.3, seed=12)
+        n = 3500  # three whole chunks and a ragged one
+        log = sample_events(model, constant_schedule("Z", n), n)
+        stream = ZStream(model, n)
+        assert np.array_equal(np.concatenate(list(stream.chunks())), log.outcomes)
+        assert len(stream) == n and stream.meta["source"] == log.source
+        whole, streamed = io.StringIO(), io.StringIO()
+        write_event_log(log, whole)
+        write_event_log(stream, streamed)
+        assert streamed.getvalue() == whole.getvalue()
 
     def test_raw_bits_match_constant_z(self):
         model = single(0.6, 0, 0.3, seed=77)

@@ -20,7 +20,9 @@ from qrbg.stat_tests import (
     serial,
     battery_report,
 )
+import qrbg.bits
 import qrbg.stat_tests
+from qrbg.bits import BitStream
 from qrbg.stat_tests import _cusum_p  # reference-value check at n below the floor
 from qrbg.stat_tests import _pattern_counts
 
@@ -219,6 +221,17 @@ class TestReferenceFormulas:
         got = battery_report(run_battery(b))
         monkeypatch.setattr(qrbg.stat_tests, "_pattern_counts", reference_pattern_counts)
         assert battery_report(run_battery(b)) == got
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_STREAMS))
+def test_battery_is_the_same_however_the_stream_is_chunked(name, monkeypatch):
+    b = REFERENCE_STREAMS[name]
+    configs = (BatteryConfig(), BatteryConfig(block_len=20, serial_m=2, apen_m=1))
+    whole = [run_battery(b, cfg) for cfg in configs]
+    # chunks shorter than a pattern and than a block, or many blocks long
+    # and ending mid-block; all but the last chunk have this length
+    monkeypatch.setattr(qrbg.bits, "CHUNK_BITS", 5 if b.shape[0] < 10**4 else 65_537)
+    assert [run_battery(BitStream(b), cfg) for cfg in configs] == whole
 
 
 class TestCalibration:
