@@ -12,69 +12,12 @@ from .errors import (
     ParameterError,
     QrbgError,
 )
-from .states import (
-    Decomposition,
-    DensityMatrix,
-    PureState,
-    StokesVector,
-    born_probabilities,
-    density_to_stokes,
-    mix,
-    rotate_equatorial,
-    stokes_to_density,
-    worst_case_decomposition,
-)
-from .minentropy import (
-    EntropyRate,
-    closed_form_minentropy,
-    lower_confidence_rate,
-    minentropy_decomposition,
-    minentropy_pure,
-    minimize_over_decompositions,
-    rate_from_coherence,
-)
-from .sources import (
-    Adversarial,
-    Entangled,
-    EventLog,
-    SinglePhoton,
-    SourceModel,
-    blocked_schedule,
-    constant_schedule,
-    effective_qubit,
-    load_event_log,
-    sample_events,
-    sample_raw_bits,
-    save_event_log,
-)
-from .tomography import (
-    CountTable,
-    TomographyResult,
-    estimate_stokes,
-    reconstruct,
-    tally,
-)
-from .bits import BitStream, read_bits_file, write_bits_file
-from .extractor import (
-    ExtractorParams,
-    HashSeed,
-    extract_stream,
-    output_length,
-    toeplitz_extract,
-    universality_check,
-)
-from .stat_tests import (
-    BatteryConfig,
-    TestResult,
-    approximate_entropy,
-    block_frequency,
-    cumulative_sums,
-    longest_run_of_ones,
-    monobit,
-    run_battery,
-    runs,
-    serial,
-)
-from .pipeline import PipelineConfig, RunReport, load_config, run_pipeline
+from .states import StokesVector, stokes_to_density, worst_case_decomposition
+from .minentropy import closed_form_minentropy, minimize_over_decompositions
+from .sources import SinglePhoton, SourceModel, sample_events
+from .tomography import reconstruct
+from .extractor import ExtractorParams, extract_stream
+from .stat_tests import run_battery
+from .pipeline import run_pipeline
 
 __version__ = "0.1.0"

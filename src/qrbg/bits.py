@@ -211,13 +211,6 @@ def open_bits_file(path: str) -> BitsFile:
 
 
 def read_bits_file(path: str) -> BitStream:
-    """A whole bits file in memory."""
+    """A whole bits file in memory: its chunks, concatenated."""
     opened = open_bits_file(path)
-    with open(path, "rb") as fh:
-        fh.seek(opened.offset)
-        payload = fh.read((opened.bit_length + 7) // 8)
-    try:
-        bits = unpack_bits(payload, opened.bit_length)
-    except ParameterError as exc:
-        raise ParameterError(f"{path}: {exc}") from None
-    return BitStream(bits, opened.meta)
+    return BitStream(np.concatenate([np.empty(0, dtype=np.uint8), *opened.chunks()]), opened.meta)

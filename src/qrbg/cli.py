@@ -137,7 +137,7 @@ def generate(genlog, out_path) -> None:
     """Pack the outcomes of a generation event log into a raw-bit file."""
     raw = load_raw_bits(genlog)
     write_bits_file(out_path, raw, raw.meta)
-    click.echo(f"raw_bits={raw.bit_length}")
+    click.echo(f"raw_bits={len(raw)}")
     click.echo(f"path={out_path}")
 
 

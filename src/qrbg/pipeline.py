@@ -28,8 +28,6 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from .bits import BitsFile, BitStream, BitsWriter, open_bits_file, read_bits_file, write_bits_file
 from .errors import ConfigError, ParameterError, QrbgError
 from .extractor import (
@@ -49,11 +47,11 @@ from .sources import (
     SinglePhoton,
     SourceModel,
     Variant,
+    ZLogFile,
     ZStream,
     blocked_schedule,
     derive_subseeds,
-    load_event_log,
-    raw_header,
+    open_z_log,
     sample_events,
     save_event_log,
 )
@@ -382,25 +380,20 @@ def calibrate(log: EventLog, config: PipelineConfig) -> Calibration:
     return Calibration(result, rate, lower, config.alpha)
 
 
-def generate(
-    variant: Variant, seed: int, config: PipelineConfig, out: Path
-) -> tuple[Path, BitsFile | ZStream]:
+def generate(variant: Variant, seed: int, config: PipelineConfig, out: Path) -> Path:
     """Sample the generation bits a chunk at a time, each chunk written as
     it is drawn, in ``config.gen_format``: a packed raw-bit file or an
-    all-Z event log.
-
-    Returns the path and the raw bits to extract: the packed file, read
-    back a chunk at a time, or, since an event log is read only whole, the
-    same events drawn again from the seed.
+    all-Z event log.  Returns the file's path; extraction reads the file
+    back through ``load_raw_bits``, as ``qrbg extract`` does.
     """
     stream = ZStream(SourceModel(variant, seed), config.generation_bits)
     if config.gen_format == "events":
         path = out / "generation.log"
         save_event_log(stream, str(path))
-        return path, stream
-    path = out / "raw.bits"
-    write_bits_file(str(path), stream, stream.meta)
-    return path, open_bits_file(str(path))
+    else:
+        path = out / "raw.bits"
+        write_bits_file(str(path), stream, stream.meta)
+    return path
 
 
 def simulate_logs(
@@ -420,15 +413,16 @@ def simulate_logs(
     save_event_log(
         _calibration_log(variant, calib_seed, config.tomography_events), str(calib_path)
     )
-    gen_path, _ = generate(variant, gen_seed, config, out)
+    gen_path = generate(variant, gen_seed, config, out)
     return calib_path, gen_path, master
 
 
-def load_raw_bits(path: str) -> BitsFile | BitStream:
-    """Raw generation bits from either container format, with the raw-file
-    header: a bits file opened for chunked reading, or an event log read
-    whole.  A bits file must be raw, not extracted output or a hash seed,
-    and an event log must hold computational-basis (Z) events only."""
+def load_raw_bits(path: str) -> BitsFile | ZLogFile:
+    """Raw generation bits from either container format, opened for
+    reading a chunk at a time, with the raw-file header.  A bits file must
+    be raw, not extracted output or a hash seed.  An event log's header
+    must declare ``n``, and each piece of its records must hold
+    computational-basis (Z) events only, which is checked as it is read."""
     with open(path, "rb") as fh:
         head = fh.read(8)
     if head.startswith(b"QRBGBITS"):
@@ -437,13 +431,7 @@ def load_raw_bits(path: str) -> BitsFile | BitStream:
         if role not in (None, "raw"):
             raise ParameterError(f"{path} has role={role}, expected raw")
         return raw
-    log = load_event_log(path)
-    if log.bases.any():
-        raise ParameterError(
-            f"{path}: {np.count_nonzero(log.bases)} of {log.n} events are not "
-            "Z-basis; generation bits come from Z measurements only"
-        )
-    return BitStream(log.outcomes, raw_header(log.source, log.seed))
+    return open_z_log(path)
 
 
 def resolve_seed(params: ExtractorParams, seed_file: str) -> HashSeed:
@@ -460,24 +448,26 @@ def resolve_seed(params: ExtractorParams, seed_file: str) -> HashSeed:
 
 
 def extract(
-    raw: BitsFile | BitStream | ZStream,
+    raw: BitsFile | ZLogFile,
     params: ExtractorParams,
     seed_file: str | None,
     path: Path,
 ) -> tuple[ExtractionResult, str]:
     """Hash ``raw`` into ``path`` a chunk at a time and audit the file.
 
-    Without a ``seed_file`` a seed is drawn from system entropy and written
-    next to ``path`` (``extracted.bits`` -> ``extracted.seed.bits``), then
-    used as a configured one would be.  The header's ``source`` is the raw
-    stream's.  Returns the extraction, whose output is the file written,
-    opened for chunked reading, and the seed file's path.
+    Without a ``seed_file`` a seed is drawn from system entropy and, once
+    the output is complete, written next to ``path`` (``extracted.bits`` ->
+    ``extracted.seed.bits``), so a failed extraction leaves neither file.
+    The header's ``source`` is the raw stream's.  Returns the extraction,
+    whose output is the file written, opened for chunked reading, and the
+    seed file's path.
     """
-    if not seed_file:
+    drawn = not seed_file
+    if drawn:
         seed_file = str(path.with_suffix(".seed.bits"))
-        drawn = HashSeed.system(params.seed_bits_needed)
-        write_bits_file(seed_file, BitStream(drawn.bits), {"role": "seed"})
-    seed = resolve_seed(params, seed_file)
+        seed = HashSeed.system(params.seed_bits_needed)
+    else:
+        seed = resolve_seed(params, seed_file)
     header = {
         "role": "extracted",
         "block_n": str(params.n),
@@ -489,6 +479,8 @@ def extract(
     }
     with BitsWriter(str(path), len(raw) // params.n * params.m, header) as out:
         result = extract_stream(raw, params, seed, sink=out.write)
+        if drawn:
+            write_bits_file(seed_file, BitStream(seed.bits), {"role": "seed"})
     # accounting audit against the file actually written: its header's
     # length and its payload's size
     result.output = written = open_bits_file(str(path))
@@ -567,12 +559,14 @@ def run_pipeline(
         params = ExtractorParams(config.block_n, config.epsilon, float(report.certified))
 
     with _stage("generate"):
-        gen_path, raw = generate(variant, gen_seed, config, out)
+        gen_path = generate(variant, gen_seed, config, out)
         report.files.append(_digest(gen_path, "generation_raw"))
 
     with _stage("extract"):
         extracted_path = out / "extracted.bits"
-        result, report.seed_file = extract(raw, params, config.seed_file, extracted_path)
+        result, report.seed_file = extract(
+            load_raw_bits(str(gen_path)), params, config.seed_file, extracted_path
+        )
         if not config.seed_file:
             # a configured seed file may live anywhere; only a drawn one is a run file
             report.files.append(_digest(Path(report.seed_file), "hash_seed"))

@@ -33,10 +33,8 @@ import numpy as np
 from .errors import EmptyInputError, ParameterError
 from .states import (
     Decomposition,
-    DensityMatrix,
     StokesVector,
     rotate_equatorial,
-    stokes_to_density,
 )
 
 PRNG_NAME = "numpy-pcg64"
@@ -48,7 +46,8 @@ _BASIS_BYTES = np.frombuffer("".join(BASIS_CHARS).encode(), dtype=np.uint8)
 # Event-log records as parsed; the basis is read two characters wide so
 # that a basis such as 'ZZ' is rejected rather than truncated to 'Z'.
 _RECORD = [("index", np.int64), ("basis", "S2"), ("outcome", np.uint8), ("eve_label", np.int32)]
-# Records formatted per write; bounds the writer's working memory.
+# Records per piece of event-log I/O, written or read; bounds the working
+# memory of both directions.
 _LOG_ROWS = 1 << 18
 
 # Fixed sampling chunk; part of the reproducibility contract because it
@@ -132,25 +131,11 @@ class EventLog:
 
 
 def _coincidence_bloch(model: Entangled) -> StokesVector:
+    """Bloch vector of the effective qubit that coincidence detection sees:
+    equatorial, of length coherence*(1 - accidental_fraction) (populations
+    stay at 1/2 each), rotated in the equatorial plane by ``phase``."""
     c_eff = model.coherence * (1.0 - model.accidental_fraction)
     return rotate_equatorial(StokesVector(c_eff, 0.0, 0.0), model.phase)
-
-
-def effective_qubit(
-    coherence: float, accidental_fraction: float, phase: float = 0.0
-) -> DensityMatrix:
-    """Effective qubit seen by coincidence detection of a photon pair.
-
-    A dephased maximally entangled pair restricted to the coincidence
-    subspace gives a balanced state with equatorial Bloch vector of length
-    ``coherence``.  Accidental coincidences add a uniform background in the
-    same subspace, shrinking the coherence to coherence*(1 - fraction)
-    while the populations stay at 1/2 each.  ``phase`` rotates the
-    coherence in the equatorial plane (fiber birefringence) and has no
-    effect on any coherence-magnitude quantity.
-    """
-    model = Entangled(coherence, accidental_fraction, phase)
-    return stokes_to_density(_coincidence_bloch(model))
 
 
 def _born_table(variant: Variant) -> tuple[np.ndarray, np.ndarray | None]:
@@ -246,9 +231,10 @@ def sample_raw_bits(model: SourceModel, n: int) -> np.ndarray:
 class ZStream:
     """The ``n`` Z-basis events of a generation run, drawn a ``_CHUNK`` at a
     time from one PCG64 stream: the events of ``sample_events(model, "Z",
-    n)`` without its whole-run arrays.  Each pass draws the same events
-    again from the model's seed.  As a bit source its bits are the
-    outcomes."""
+    n)`` without its whole-run arrays.  It is what a generation file is
+    written from: ``logs`` yields event-log pieces and ``chunks`` their
+    outcomes as bits.  Extraction reads that file back (``BitsFile`` or
+    ``ZLogFile``), never this stream."""
 
     model: SourceModel
     n: int
@@ -309,12 +295,19 @@ def save_event_log(log: Union[EventLog, ZStream], path: str) -> None:
         write_event_log(log, fh)
 
 
-def _reject(bad: np.ndarray, what: str) -> None:
+def _reject(bad: np.ndarray, first: int, what: str) -> None:
     if bad.any():
-        raise ParameterError(f"event record {int(np.argmax(bad))}: {what}")
+        raise ParameterError(f"event record {first + int(np.argmax(bad))}: {what}")
 
 
-def read_event_log(fh: TextIO) -> EventLog:
+def _read_log(fh: TextIO) -> tuple[str, int, int | None, Iterator[EventLog]]:
+    """An event log's '# key=value' header, parsed now, as its source, seed
+    and declared record count ``n`` (None if not given), and its records as
+    pieces of at most ``_LOG_ROWS`` lines, each parsed by one ``np.loadtxt``
+    call and checked as it is read: indices continue from the previous
+    piece, the basis is exactly Z, X or Y, the outcome is 0 or 1, and every
+    record has the first record's column count.  ``n`` is checked against
+    the record count after the last piece."""
     header: dict[str, str] = {}
     for line in fh:
         text = line.strip()
@@ -329,32 +322,108 @@ def read_event_log(fh: TextIO) -> EventLog:
     if width not in (3, 4):
         raise ParameterError(f"malformed event record: {text!r}")
     try:
-        rec = np.loadtxt(
-            itertools.chain([line], fh),
-            dtype=_RECORD[:width],
-            delimiter=",",
-            comments="#",
-            ndmin=1,
-        )
-        seed, declared = int(header.get("seed", 0)), int(header.get("n", rec.shape[0]))
-    except ValueError as exc:
-        raise ParameterError(f"malformed event log: {exc}") from None
-    n = rec.shape[0]
-    _reject(rec["index"] != np.arange(n), "index out of order")
-    bases = np.full(n, len(BASIS_CHARS), dtype=np.uint8)
-    for code, char in enumerate(BASIS_CHARS):
-        bases[rec["basis"] == char.encode()] = code
-    _reject(bases == len(BASIS_CHARS), "basis is not Z, X or Y")
-    _reject(rec["outcome"] > 1, "outcome is not 0 or 1")
-    if declared != n:
-        raise ParameterError(f"header declares n={declared} but log has {n} records")
-    labels = rec["eve_label"].copy() if width == 4 else None
-    return EventLog(header.get("source", "unknown"), seed, bases, rec["outcome"].copy(), labels)
+        seed = int(header.get("seed", 0))
+    except ValueError:
+        raise ParameterError(f"event log seed {header['seed']!r} is not an integer") from None
+    declared = header.get("n")
+    if declared is not None and not declared.isdigit():
+        raise ParameterError(f"event log header n={declared!r} is not a record count")
+    source, n = header.get("source", "unknown"), None if declared is None else int(declared)
+    return source, seed, n, _log_pieces(source, seed, n, width, itertools.chain([line], fh))
+
+
+def _log_pieces(
+    source: str, seed: int, n: int | None, width: int, lines: Iterator[str]
+) -> Iterator[EventLog]:
+    done = 0
+    for first in lines:
+        if first.isspace() or first.lstrip().startswith("#"):
+            continue  # a piece of blank and comment lines holds no record
+        try:
+            rec = np.loadtxt(
+                itertools.chain([first], itertools.islice(lines, _LOG_ROWS - 1)),
+                dtype=_RECORD[:width],
+                delimiter=",",
+                comments="#",
+                ndmin=1,
+            )
+        except ValueError as exc:
+            raise ParameterError(f"malformed event log after record {done}: {exc}") from None
+        rows = rec.shape[0]
+        _reject(rec["index"] != np.arange(done, done + rows), done, "index out of order")
+        bases = np.full(rows, len(BASIS_CHARS), dtype=np.uint8)
+        for code, char in enumerate(BASIS_CHARS):
+            bases[rec["basis"] == char.encode()] = code
+        _reject(bases == len(BASIS_CHARS), done, "basis is not Z, X or Y")
+        _reject(rec["outcome"] > 1, done, "outcome is not 0 or 1")
+        labels = rec["eve_label"].copy() if width == 4 else None
+        yield EventLog(source, seed, bases, rec["outcome"].copy(), labels)
+        done += rows
+    if n is not None and n != done:
+        raise ParameterError(f"header declares n={n} but log has {done} records")
+
+
+def read_event_log(fh: TextIO) -> EventLog:
+    """A whole event log in memory: its pieces, concatenated."""
+    *_, pieces = _read_log(fh)
+    logs = list(pieces)
+    labels = None if logs[0].eve_labels is None else np.concatenate([p.eve_labels for p in logs])
+    return EventLog(
+        logs[0].source,
+        logs[0].seed,
+        np.concatenate([p.bases for p in logs]),
+        np.concatenate([p.outcomes for p in logs]),
+        labels,
+    )
 
 
 def load_event_log(path: str) -> EventLog:
     with open(path, "r", encoding="ascii") as fh:
         return read_event_log(fh)
+
+
+@dataclass(frozen=True)
+class ZLogFile:
+    """An all-Z generation event log opened as a raw-bit source, as
+    ``bits.BitsFile`` is a packed one: its header is parsed and declares
+    the record count ``n``, and ``chunks`` yields the outcomes of each piece
+    of records as it is read.  A piece holding any event not measured in Z
+    stops the read."""
+
+    path: str
+    source: str
+    seed: int
+    n: int
+
+    @property
+    def meta(self) -> dict[str, str]:
+        return raw_header(self.source, self.seed)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        with open(self.path, "r", encoding="ascii") as fh:
+            *_, pieces = _read_log(fh)
+            done = 0
+            for piece in pieces:
+                _reject(
+                    piece.bases != 0,
+                    done,
+                    f"not Z-basis in {self.path}; generation bits come from Z measurements only",
+                )
+                yield piece.outcomes
+                done += piece.n
+
+
+def open_z_log(path: str) -> ZLogFile:
+    """Parse a generation log's header, which must declare ``n``, without
+    reading its records."""
+    with open(path, "r", encoding="ascii") as fh:
+        source, seed, n, _ = _read_log(fh)
+    if n is None:
+        raise ParameterError(f"{path}: a generation log's header must declare n, its record count")
+    return ZLogFile(path, source, seed, n)
 
 
 def derive_subseeds(master_seed: int, count: int) -> list[int]:

@@ -194,13 +194,6 @@ def density_to_stokes(rho: DensityMatrix) -> StokesVector:
     )
 
 
-def born_probabilities(rho: DensityMatrix) -> tuple[float, float]:
-    """Computational-basis outcome probabilities ((1+s3)/2, (1-s3)/2)."""
-    s3 = density_to_stokes(rho).s3
-    p0 = 0.5 * (1.0 + s3)
-    return p0, 1.0 - p0
-
-
 def mix(d: Decomposition) -> DensityMatrix:
     """Mixture of the decomposition's terms.
 

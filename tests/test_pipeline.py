@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import qrbg.pipeline
+import qrbg.sources
 from qrbg.bits import MAGIC, BitStream, open_bits_file, pack_bits, read_bits_file, write_bits_file
 from qrbg.cli import main
 from qrbg.errors import ConfigError, InsufficientEntropyError, QrbgError
@@ -573,8 +574,42 @@ def test_extract_rejects_mixed_basis_log(tmp_path):
     assert r.exit_code == 5
     assert "Z-basis" in r.output
     assert not (out / "ex.bits").exists()
+    # the Z check runs as the log's pieces are read
+    raw = load_raw_bits(str(out / "calibration.log"))
     with pytest.raises(QrbgError, match="Z-basis"):
-        load_raw_bits(str(out / "calibration.log"))
+        list(raw.chunks())
+
+
+# Generation logs that generate and extract must refuse, read in pieces of
+# 7 records: the header's n is checked after the last piece, a non-Z event
+# in the piece holding it, and n must be declared before any record is read.
+def z_records(count, x_at=None):
+    return "".join(f"{i},{'X' if i == x_at else 'Z'},{i % 2}\n" for i in range(count))
+
+
+BAD_GENERATION_LOGS = {
+    "n above record count": ("# source=x\n# seed=0\n# n=30\n" + z_records(20), "n=30 but log has 20"),
+    "n below record count": ("# source=x\n# seed=0\n# n=10\n" + z_records(20), "n=10 but log has 20"),
+    "non-Z past first piece": ("# source=x\n# seed=0\n# n=20\n" + z_records(20, x_at=12), "Z-basis"),
+    "no n header": ("# source=x\n# seed=0\n" + z_records(20), "must declare n"),
+}
+
+
+@pytest.mark.parametrize("command", ["generate", "extract"])
+@pytest.mark.parametrize("case", sorted(BAD_GENERATION_LOGS))
+def test_bad_generation_log_exit_code(tmp_path, monkeypatch, command, case):
+    monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
+    text, message = BAD_GENERATION_LOGS[case]
+    log = tmp_path / "generation.log"
+    log.write_text(text)
+    args = [command, str(log), "--out", str(tmp_path / "out.bits")]
+    if command == "extract":
+        args += ["--h-rate", "0.9", "--block-n", "10", "--epsilon", "2^-1"]
+    r = CliRunner().invoke(main, args)
+    assert r.exit_code == 5, r.output
+    assert message in r.output
+    # neither the output nor, for extract, a drawn hash seed is left
+    assert [p.name for p in tmp_path.iterdir()] == ["generation.log"]
 
 
 ROUND_TRIP_CONFIGS = {

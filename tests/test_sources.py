@@ -13,9 +13,11 @@ from qrbg.sources import (
     SinglePhoton,
     SourceModel,
     ZStream,
+    _coincidence_bloch,
     blocked_schedule,
     constant_schedule,
-    effective_qubit,
+    open_z_log,
+    raw_header,
     read_event_log,
     sample_events,
     sample_raw_bits,
@@ -167,17 +169,22 @@ class TestAdversarialSource:
         assert np.array_equal(a.eve_labels, b.eve_labels)
 
 
+def coincidence_state(coherence, accidental_fraction, phase=0.0):
+    """The effective qubit that coincidence detection of a pair sees."""
+    return stokes_to_density(_coincidence_bloch(Entangled(coherence, accidental_fraction, phase)))
+
+
 class TestEffectiveQubit:
     def test_ideal_pair(self):
-        s = density_to_stokes(effective_qubit(1.0, 0.0))
+        s = density_to_stokes(coincidence_state(1.0, 0.0))
         assert (s.s1, s.s2, s.s3) == (1.0, 0.0, 0.0)
 
     def test_fully_dephased(self):
-        s = density_to_stokes(effective_qubit(0.0, 0.7))
+        s = density_to_stokes(coincidence_state(0.0, 0.7))
         assert s.as_array() == pytest.approx(np.zeros(3), abs=1e-15)
 
     def test_accidentals_shrink_coherence(self):
-        rho = effective_qubit(0.88, 0.0409)
+        rho = coincidence_state(0.88, 0.0409)
         s = density_to_stokes(rho)
         assert s.s1 == pytest.approx(0.88 * (1 - 0.0409), abs=1e-12)
         assert s.s3 == pytest.approx(0.0, abs=1e-15)
@@ -185,26 +192,26 @@ class TestEffectiveQubit:
 
     def test_no_subtraction_monotonicity(self):
         rates = [
-            float(closed_form_minentropy(effective_qubit(0.9, a)))
+            float(closed_form_minentropy(coincidence_state(0.9, a)))
             for a in np.linspace(0.0, 0.9, 10)
         ]
         assert all(b < a for a, b in zip(rates, rates[1:]))
 
     def test_phase_leaves_rate_unchanged(self):
-        base = float(closed_form_minentropy(effective_qubit(0.844, 0.0)))
+        base = float(closed_form_minentropy(coincidence_state(0.844, 0.0)))
         for phase in (0.3, 1.2, math.pi / 2, 4.0):
-            rot = float(closed_form_minentropy(effective_qubit(0.844, 0.0, phase)))
+            rot = float(closed_form_minentropy(coincidence_state(0.844, 0.0, phase)))
             assert rot == pytest.approx(base, abs=1e-12)
 
     def test_populations_stay_balanced(self):
-        rho = effective_qubit(0.5, 0.2, 0.7)
+        rho = coincidence_state(0.5, 0.2, 0.7)
         assert rho.matrix[0, 0].real == pytest.approx(0.5, abs=1e-12)
 
     def test_range_validation(self):
         with pytest.raises(ParameterError):
-            effective_qubit(1.2, 0.0)
+            coincidence_state(1.2, 0.0)
         with pytest.raises(ParameterError):
-            effective_qubit(0.5, 1.0)
+            coincidence_state(0.5, 1.0)
 
 
 def coincidences(coherence, basis, n, seed):
@@ -273,6 +280,26 @@ class TestEventLogFiles:
         write_event_log(log, chunked)
         assert chunked.getvalue() == whole.getvalue()
 
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_read_in_pieces_of_any_size(self, monkeypatch, labelled):
+        if labelled:
+            d = worst_case_decomposition(stokes_to_density(StokesVector(0.6, 0, 0.3)))
+            model = SourceModel(Adversarial(d), 9)
+        else:
+            model = single(0.6, 0, 0.3, seed=9)
+        buf = io.StringIO()
+        write_event_log(sample_events(model, blocked_schedule(100), 100), buf)
+        whole = read_event_log(io.StringIO(buf.getvalue()))
+        monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
+        pieced = read_event_log(io.StringIO(buf.getvalue()))
+        assert (pieced.source, pieced.seed) == (whole.source, whole.seed)
+        assert np.array_equal(pieced.bases, whole.bases)
+        assert np.array_equal(pieced.outcomes, whole.outcomes)
+        if labelled:
+            assert np.array_equal(pieced.eve_labels, whole.eve_labels)
+        else:
+            assert pieced.eve_labels is None and whole.eve_labels is None
+
 
 HEADER = "# source=x\n# seed=0\n# n=2\n"
 MALFORMED_LOGS = {
@@ -292,6 +319,47 @@ def test_malformed_log_rejected(name):
     records, error = MALFORMED_LOGS[name]
     with pytest.raises(error):
         read_event_log(io.StringIO(HEADER + records))
+
+
+def after_good_records(records, lead):
+    """``records`` with their indices moved on by ``lead``, after ``lead``
+    valid Z records."""
+    good = "".join(f"{i},Z,{i % 2}\n" for i in range(lead))
+    moved = (line.partition(",") for line in records.splitlines(keepends=True))
+    return good + "".join(
+        f"{int(i) + lead if i.isdigit() else i},{rest}" for i, _, rest in moved
+    )
+
+
+# "header only" has no bad record to move
+@pytest.mark.parametrize("name", sorted(set(MALFORMED_LOGS) - {"header only"}))
+def test_malformed_log_rejected_after_first_piece(monkeypatch, name):
+    monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
+    records, error = MALFORMED_LOGS[name]
+    lead = 10  # the bad record lies in the second piece
+    with pytest.raises(error):
+        read_event_log(io.StringIO(f"# n={lead + 2}\n" + after_good_records(records, lead)))
+
+
+def test_piece_errors_name_the_whole_log_record(monkeypatch):
+    monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
+    log = "# n=12\n" + after_good_records(MALFORMED_LOGS["basis Q"][0], 10)
+    with pytest.raises(ParameterError, match="event record 10: basis"):
+        read_event_log(io.StringIO(log))
+
+
+def test_z_log_rejects_the_piece_holding_a_non_z_event(monkeypatch, tmp_path):
+    monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
+    path = tmp_path / "gen.log"
+    path.write_text("# source=x\n# seed=3\n# n=20\n" + "".join(
+        f"{i},{'X' if i == 12 else 'Z'},{i % 2}\n" for i in range(20)
+    ))
+    raw = open_z_log(str(path))
+    assert len(raw) == 20 and raw.meta == raw_header("x", 3)
+    chunks = raw.chunks()
+    assert next(chunks).tolist() == [0, 1, 0, 1, 0, 1, 0]
+    with pytest.raises(ParameterError, match="event record 12: not Z-basis"):
+        next(chunks)
 
 
 def test_event_log_fields_follow_schedule():

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from qrbg.errors import InvalidDecompositionError, InvalidStateError
+from qrbg.sources import SinglePhoton, _born_table
 from qrbg.states import (
     Decomposition,
     DensityMatrix,
     PureState,
     StokesVector,
-    born_probabilities,
     density_to_stokes,
     mix,
     rotate_equatorial,
@@ -113,17 +113,24 @@ class TestPhysicalityMatchesPositivity:
                 assert eigmin < 0
 
 
+def born_z(s):
+    """Computational-basis outcome probabilities of the state with Bloch
+    vector ``s``, read from the Born table that the sampler draws from."""
+    p0 = float(_born_table(SinglePhoton(s))[0][0, 0])
+    return p0, 1.0 - p0
+
+
 class TestBornProbabilities:
     def test_mixed(self):
-        assert born_probabilities(stokes_to_density(StokesVector(0, 0, 0))) == (0.5, 0.5)
+        assert born_z(StokesVector(0, 0, 0)) == (0.5, 0.5)
 
     def test_pure_h(self):
-        p0, p1 = born_probabilities(stokes_to_density(StokesVector(0, 0, 1)))
+        p0, p1 = born_z(StokesVector(0, 0, 1))
         assert p0 == pytest.approx(1.0, abs=1e-12)
         assert p1 == pytest.approx(0.0, abs=1e-12)
 
     def test_generic(self):
-        p0, p1 = born_probabilities(stokes_to_density(StokesVector(0.6, 0, 0.8)))
+        p0, p1 = born_z(StokesVector(0.6, 0, 0.8))
         assert p0 == pytest.approx(0.9, abs=1e-12)
         assert p1 == pytest.approx(0.1, abs=1e-12)
         assert p0 + p1 == pytest.approx(1.0, abs=1e-15)
