@@ -44,14 +44,15 @@ from .sources import (
     Adversarial,
     Entangled,
     EventLog,
+    EventSource,
     SinglePhoton,
     SourceModel,
     Variant,
-    ZLogFile,
+    ZBits,
     ZStream,
     blocked_schedule,
     derive_subseeds,
-    open_z_log,
+    load_event_log,
     sample_events,
     save_event_log,
 )
@@ -368,8 +369,8 @@ def _calibration_log(variant: Variant, seed: int, n: int) -> EventLog:
     return sample_events(SourceModel(variant, seed), blocked_schedule(n), n)
 
 
-def calibrate(log: EventLog, config: PipelineConfig) -> Calibration:
-    """Reconstruct the state from a calibration log and certify a rate."""
+def calibrate(log: EventSource, config: PipelineConfig) -> Calibration:
+    """Reconstruct the state from calibration events and certify a rate."""
     result, rate = reconstruct(
         log,
         alpha=config.alpha,
@@ -392,7 +393,8 @@ def generate(variant: Variant, seed: int, config: PipelineConfig, out: Path) -> 
         save_event_log(stream, str(path))
     else:
         path = out / "raw.bits"
-        write_bits_file(str(path), stream, stream.meta)
+        raw = ZBits(stream)
+        write_bits_file(str(path), raw, raw.meta)
     return path
 
 
@@ -417,7 +419,7 @@ def simulate_logs(
     return calib_path, gen_path, master
 
 
-def load_raw_bits(path: str) -> BitsFile | ZLogFile:
+def load_raw_bits(path: str) -> BitsFile | ZBits:
     """Raw generation bits from either container format, opened for
     reading a chunk at a time, with the raw-file header.  A bits file must
     be raw, not extracted output or a hash seed.  An event log's header
@@ -431,7 +433,10 @@ def load_raw_bits(path: str) -> BitsFile | ZLogFile:
         if role not in (None, "raw"):
             raise ParameterError(f"{path} has role={role}, expected raw")
         return raw
-    return open_z_log(path)
+    log = load_event_log(path)
+    if log.n is None:
+        raise ParameterError(f"{path}: a generation log's header must declare n, its record count")
+    return ZBits(log)
 
 
 def resolve_seed(params: ExtractorParams, seed_file: str) -> HashSeed:
@@ -448,7 +453,7 @@ def resolve_seed(params: ExtractorParams, seed_file: str) -> HashSeed:
 
 
 def extract(
-    raw: BitsFile | ZLogFile,
+    raw: BitsFile | ZBits,
     params: ExtractorParams,
     seed_file: str | None,
     path: Path,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence, TextIO, Union
+from typing import Iterator, Protocol, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -40,6 +40,9 @@ from .states import (
 PRNG_NAME = "numpy-pcg64"
 
 BASIS_CHARS = ("Z", "X", "Y")
+# The Stokes component (0 = s1, 1 = s2, 2 = s3) that each basis code
+# measures: Z -> s3, X -> s1, Y -> s2.
+BASIS_AXIS = (2, 0, 1)
 _BASIS_CODE = {char: code for code, char in enumerate(BASIS_CHARS)}
 _BASIS_BYTES = np.frombuffer("".join(BASIS_CHARS).encode(), dtype=np.uint8)
 
@@ -129,6 +132,21 @@ class EventLog:
     def __len__(self) -> int:
         return self.n
 
+    def pieces(self) -> Iterator[EventLog]:
+        yield self
+
+
+class EventSource(Protocol):
+    """What the tally, the log writer and ``ZBits`` read: provenance, a
+    record count (None if a log's header gives none) and the events as
+    checked ``EventLog`` pieces, in order."""
+
+    source: str
+    seed: int
+    n: int | None
+
+    def pieces(self) -> Iterator[EventLog]: ...
+
 
 def _coincidence_bloch(model: Entangled) -> StokesVector:
     """Bloch vector of the effective qubit that coincidence detection sees:
@@ -149,7 +167,7 @@ def _born_table(variant: Variant) -> tuple[np.ndarray, np.ndarray | None]:
     else:
         bloch = variant.state if isinstance(variant, SinglePhoton) else _coincidence_bloch(variant)
         blochs, cum = bloch.as_array()[None, :], None
-    return 0.5 * (1.0 + blochs[:, [2, 0, 1]]), cum
+    return 0.5 * (1.0 + blochs[:, BASIS_AXIS]), cum
 
 
 def constant_schedule(basis: str, n: int) -> np.ndarray:
@@ -231,10 +249,9 @@ def sample_raw_bits(model: SourceModel, n: int) -> np.ndarray:
 class ZStream:
     """The ``n`` Z-basis events of a generation run, drawn a ``_CHUNK`` at a
     time from one PCG64 stream: the events of ``sample_events(model, "Z",
-    n)`` without its whole-run arrays.  It is what a generation file is
-    written from: ``logs`` yields event-log pieces and ``chunks`` their
-    outcomes as bits.  Extraction reads that file back (``BitsFile`` or
-    ``ZLogFile``), never this stream."""
+    n)`` as pieces, without its whole-run arrays; each ``pieces`` call
+    draws them again.  It is what a generation file is written from;
+    extraction reads that file back, never this stream."""
 
     model: SourceModel
     n: int
@@ -251,35 +268,20 @@ class ZStream:
     def seed(self) -> int:
         return self.model.rng_seed
 
-    @property
-    def meta(self) -> dict[str, str]:
-        return raw_header(self.source, self.seed)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def logs(self) -> Iterator[EventLog]:
+    def pieces(self) -> Iterator[EventLog]:
         rng = np.random.default_rng(self.model.rng_seed)
         for start in range(0, self.n, _CHUNK):
             yield sample_events(self.model, "Z", min(_CHUNK, self.n - start), rng)
 
-    def chunks(self) -> Iterator[np.ndarray]:
-        for log in self.logs():
-            yield log.outcomes
 
-
-def raw_header(source: str, seed: int) -> dict[str, str]:
-    """Header of a packed raw-bit file of generation outcomes."""
-    return {"role": "raw", "source": source, "seed": str(seed), "prng": PRNG_NAME}
-
-
-def write_event_log(log: Union[EventLog, ZStream], fh: TextIO) -> None:
+def write_event_log(log: EventSource, fh: TextIO) -> None:
     """ASCII event-log format: '# key=value' header lines then one
-    'index,basis,outcome[,eve_label]' record per line.  A ``ZStream`` is
-    written a chunk at a time as it is drawn."""
-    fh.write(f"# source={log.source}\n# seed={log.seed}\n# n={log.n}\n# prng={PRNG_NAME}\n")
+    'index,basis,outcome[,eve_label]' record per line, written a piece at
+    a time as ``log`` yields its pieces."""
+    count = "" if log.n is None else f"# n={log.n}\n"  # an opened log may declare none
+    fh.write(f"# source={log.source}\n# seed={log.seed}\n{count}# prng={PRNG_NAME}\n")
     first = 0
-    for piece in log.logs() if isinstance(log, ZStream) else (log,):
+    for piece in log.pieces():
         columns = [np.arange(first, first + piece.n), _BASIS_BYTES[piece.bases], piece.outcomes]
         if piece.eve_labels is not None:
             columns.append(piece.eve_labels)
@@ -290,7 +292,7 @@ def write_event_log(log: Union[EventLog, ZStream], fh: TextIO) -> None:
         first += piece.n
 
 
-def save_event_log(log: Union[EventLog, ZStream], path: str) -> None:
+def save_event_log(log: EventSource, path: str) -> None:
     with open(path, "w", encoding="ascii") as fh:
         write_event_log(log, fh)
 
@@ -377,53 +379,54 @@ def read_event_log(fh: TextIO) -> EventLog:
     )
 
 
-def load_event_log(path: str) -> EventLog:
-    with open(path, "r", encoding="ascii") as fh:
-        return read_event_log(fh)
-
-
 @dataclass(frozen=True)
-class ZLogFile:
-    """An all-Z generation event log opened as a raw-bit source, as
-    ``bits.BitsFile`` is a packed one: its header is parsed and declares
-    the record count ``n``, and ``chunks`` yields the outcomes of each piece
-    of records as it is read.  A piece holding any event not measured in Z
-    stops the read."""
+class LogFile:
+    """An event log on disk whose header has been parsed: its source, seed
+    and declared record count ``n`` (None if the header gives none).  Each
+    ``pieces`` call reads the records again, a piece at a time, each piece
+    checked as it is read."""
 
     path: str
     source: str
     seed: int
-    n: int
+    n: int | None
+
+    def pieces(self) -> Iterator[EventLog]:
+        with open(self.path, "r", encoding="ascii") as fh:
+            yield from _read_log(fh)[3]
+
+
+def load_event_log(path: str) -> LogFile:
+    """Open an event log: parse its header now and leave its records to
+    ``LogFile.pieces``."""
+    with open(path, "r", encoding="ascii") as fh:
+        return LogFile(path, *_read_log(fh)[:3])
+
+
+@dataclass(frozen=True)
+class ZBits:
+    """The outcomes of Z-basis events as raw generation bits, in the shape
+    of ``bits.BitsFile``: ``meta`` is a raw-bit file's header, ``len`` the
+    event count and ``chunks`` yields each piece's outcomes.  The first
+    piece holding an event not measured in Z stops the read."""
+
+    events: EventSource
 
     @property
     def meta(self) -> dict[str, str]:
-        return raw_header(self.source, self.seed)
+        e = self.events
+        return {"role": "raw", "source": e.source, "seed": str(e.seed), "prng": PRNG_NAME}
 
     def __len__(self) -> int:
-        return self.n
+        return self.events.n
 
     def chunks(self) -> Iterator[np.ndarray]:
-        with open(self.path, "r", encoding="ascii") as fh:
-            *_, pieces = _read_log(fh)
-            done = 0
-            for piece in pieces:
-                _reject(
-                    piece.bases != 0,
-                    done,
-                    f"not Z-basis in {self.path}; generation bits come from Z measurements only",
-                )
-                yield piece.outcomes
-                done += piece.n
-
-
-def open_z_log(path: str) -> ZLogFile:
-    """Parse a generation log's header, which must declare ``n``, without
-    reading its records."""
-    with open(path, "r", encoding="ascii") as fh:
-        source, seed, n, _ = _read_log(fh)
-    if n is None:
-        raise ParameterError(f"{path}: a generation log's header must declare n, its record count")
-    return ZLogFile(path, source, seed, n)
+        done = 0
+        for piece in self.events.pieces():
+            if piece.bases.max(initial=0):  # max is the fast scan of a drawn stride-0 schedule
+                _reject(piece.bases != 0, done, "not Z-basis; generation bits come from Z measurements only")
+            yield piece.outcomes
+            done += piece.n
 
 
 def derive_subseeds(master_seed: int, count: int) -> list[int]:

@@ -107,11 +107,6 @@ class DensityMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def determinant(self) -> float:
-        m = self.matrix
-        return (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
-
 
 @dataclass(frozen=True)
 class PureState:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EmptyInputError, InsufficientDataError
 from .minentropy import EntropyRate, lower_confidence_rate, rate_from_coherence
-from .sources import BASIS_CHARS, EventLog
+from .sources import BASIS_AXIS, BASIS_CHARS, EventSource
 from .states import StokesVector
 
 DEFAULT_MIN_COUNT = 100
@@ -39,15 +39,6 @@ class CountTable:
             raise ValueError("counts must be nonnegative")
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
-
-    def n0(self, basis: str) -> int:
-        return int(self.counts[BASIS_CHARS.index(basis), 0])
-
-    def n1(self, basis: str) -> int:
-        return int(self.counts[BASIS_CHARS.index(basis), 1])
-
-    def total(self) -> int:
-        return int(self.counts.sum())
 
     def per_basis(self) -> np.ndarray:
         return self.counts.sum(axis=1)
@@ -69,13 +60,14 @@ class TomographyResult:
     projected: bool
 
 
-def tally(log: EventLog) -> CountTable:
-    """Count outcomes per (basis, outcome) cell."""
-    if log.n == 0:
+def tally(log: EventSource) -> CountTable:
+    """Count outcomes per (basis, outcome) cell, a piece at a time."""
+    counts = np.zeros(6, dtype=np.int64)
+    for piece in log.pieces():
+        counts += np.bincount(piece.bases.astype(np.int64) * 2 + piece.outcomes, minlength=6)
+    if not counts.any():
         raise EmptyInputError("cannot tally an empty event log")
-    cells = log.bases.astype(np.int64) * 2 + log.outcomes
-    counts = np.bincount(cells, minlength=6).reshape(3, 2)
-    return CountTable(counts)
+    return CountTable(counts.reshape(3, 2))
 
 
 def estimate_stokes(
@@ -94,10 +86,10 @@ def estimate_stokes(
             f"(counts {per_basis.tolist()})"
         )
     diff = (c.counts[:, 0] - c.counts[:, 1]).astype(float)
-    est_zxy = diff / per_basis
-    # reorder basis codes (Z, X, Y) into components (s1, s2, s3)
-    s_raw = np.array([est_zxy[1], est_zxy[2], est_zxy[0]])
-    n_comp = np.array([per_basis[1], per_basis[2], per_basis[0]])
+    # basis codes in component order (s1, s2, s3)
+    order = np.argsort(BASIS_AXIS)
+    s_raw = (diff / per_basis)[order]
+    n_comp = per_basis[order]
     stderr = np.sqrt(np.maximum(0.0, 1.0 - s_raw ** 2) / n_comp)
     norm = float(np.linalg.norm(s_raw))
     projected = norm > 1.0
@@ -112,7 +104,7 @@ def estimate_stokes(
 
 
 def reconstruct(
-    log: EventLog,
+    log: EventSource,
     alpha: float = 0.01,
     conservative: bool = False,
     min_count: int = DEFAULT_MIN_COUNT,

@@ -184,7 +184,7 @@ class TestRunPipeline:
         report = run_pipeline(cfg, str(tmp_path))
         gen = load_event_log(str(tmp_path / "generation.log"))
         assert gen.n == 20000
-        assert not gen.bases.any()
+        assert not any(piece.bases.any() for piece in gen.pieces())
         assert report.test_results == []
 
     def test_drawn_seed_is_written_to_a_file(self, tmp_path):
@@ -257,10 +257,8 @@ class TestSimulateLogs:
             "tomography_events = 3000\ngeneration_bits = 1000\ngen_format = events\n"
         )
         calib, gen, _ = simulate_logs(cfg, str(tmp_path))
-        log = load_event_log(str(calib))
-        assert log.eve_labels is not None
-        gen_log = load_event_log(str(gen))
-        assert gen_log.eve_labels is not None
+        for path in (calib, gen):
+            assert all(piece.eve_labels is not None for piece in load_event_log(str(path)).pieces())
 
 
 class TestCli:
@@ -283,12 +281,15 @@ class TestCli:
             next(l for l in r.output.splitlines() if l.startswith("minentropy_rate=")).split("=")[1]
         )
 
+        seed_path = tmp_path / "seed.bits"
+        write_seed_file(seed_path, 4000)
         r = self.run(
             "extract",
             str(out / "raw.bits"),
             "--h-rate", str(rate),
             "--block-n", "2000",
             "--epsilon", "2^-16",
+            "--seed-file", str(seed_path),
             "--out", str(out / "ex.bits"),
         )
         assert r.exit_code == 0, r.output
@@ -393,6 +394,35 @@ class TestCli:
         meta = read_bits_file(str(tmp_path / "ex.bits")).meta
         assert (meta["block_n"], meta["epsilon"]) == ("100000", "2^-64")
         assert "blocks=2" in r.output
+
+    @pytest.mark.parametrize("mode", ["single", "adversarial"])
+    def test_calibrate_reads_in_pieces_as_whole(self, tmp_path, monkeypatch, mode):
+        # an adversarial log carries a fourth, eve_label column
+        cfg = parse_config_text(
+            FAST_CONFIG.replace("tomography_events = 60000", "tomography_events = 3000")
+            if mode == "single"
+            else "mode = adversarial\nadv_target = 0.6,0,0.3\nrng_seed = 77\n"
+            "tomography_events = 3000\ngeneration_bits = 1000\n"
+        )
+        calib, _, _ = simulate_logs(cfg, str(tmp_path))
+        args = ["calibrate", str(calib), "--min-basis-count", "50"]
+        whole = CliRunner().invoke(main, args)
+        monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
+        pieced = CliRunner().invoke(main, args)
+        assert whole.exit_code == pieced.exit_code == 0, whole.output
+        assert "minentropy_rate=" in whole.output
+        assert pieced.output == whole.output
+
+    def test_malformed_record_past_first_piece_writes_no_report(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
+        records = "".join(f"{i},{'ZXY'[i % 3]},{2 if i == 12 else i % 2}\n" for i in range(20))
+        log_path = tmp_path / "bad.log"
+        log_path.write_text("# source=x\n# seed=0\n# n=20\n" + records)
+        report = tmp_path / "state.txt"
+        r = CliRunner().invoke(main, ["calibrate", str(log_path), "--report", str(report)])
+        assert r.exit_code == 5
+        assert "event record 12: outcome is not 0 or 1" in r.output
+        assert not report.exists()
 
     def test_insufficient_data_exit_code(self, tmp_path):
         log_path = tmp_path / "tiny.log"

@@ -10,14 +10,15 @@ from qrbg.minentropy import closed_form_minentropy, minentropy_decomposition
 from qrbg.sources import (
     Adversarial,
     Entangled,
+    PRNG_NAME,
     SinglePhoton,
     SourceModel,
+    ZBits,
     ZStream,
     _coincidence_bloch,
     blocked_schedule,
     constant_schedule,
-    open_z_log,
-    raw_header,
+    load_event_log,
     read_event_log,
     sample_events,
     sample_raw_bits,
@@ -85,8 +86,9 @@ class TestSampleEvents:
         n = 3500  # three whole chunks and a ragged one
         log = sample_events(model, constant_schedule("Z", n), n)
         stream = ZStream(model, n)
-        assert np.array_equal(np.concatenate(list(stream.chunks())), log.outcomes)
-        assert len(stream) == n and stream.meta["source"] == log.source
+        raw = ZBits(stream)
+        assert np.array_equal(np.concatenate(list(raw.chunks())), log.outcomes)
+        assert len(raw) == n and raw.meta["source"] == log.source
         whole, streamed = io.StringIO(), io.StringIO()
         write_event_log(log, whole)
         write_event_log(stream, streamed)
@@ -354,12 +356,19 @@ def test_z_log_rejects_the_piece_holding_a_non_z_event(monkeypatch, tmp_path):
     path.write_text("# source=x\n# seed=3\n# n=20\n" + "".join(
         f"{i},{'X' if i == 12 else 'Z'},{i % 2}\n" for i in range(20)
     ))
-    raw = open_z_log(str(path))
-    assert len(raw) == 20 and raw.meta == raw_header("x", 3)
+    raw = ZBits(load_event_log(str(path)))
+    assert len(raw) == 20 and raw.meta == {"role": "raw", "source": "x", "seed": "3", "prng": PRNG_NAME}
     chunks = raw.chunks()
     assert next(chunks).tolist() == [0, 1, 0, 1, 0, 1, 0]
     with pytest.raises(ParameterError, match="event record 12: not Z-basis"):
         next(chunks)
+
+
+def test_opened_log_without_n_is_written_without_n(tmp_path):
+    path, copy = tmp_path / "in.log", tmp_path / "copy.log"
+    path.write_text("# source=x\n# seed=4\n0,Z,0\n1,X,1\n")
+    save_event_log(load_event_log(str(path)), str(copy))
+    assert copy.read_text() == f"# source=x\n# seed=4\n# prng={PRNG_NAME}\n0,Z,0\n1,X,1\n"
 
 
 def test_event_log_fields_follow_schedule():

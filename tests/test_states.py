@@ -227,7 +227,7 @@ class TestPureState:
 
     def test_induced_matrix_is_rank_one(self):
         rho = PureState(StokesVector(0.6, 0, 0.8)).density()
-        assert rho.determinant == pytest.approx(0.0, abs=1e-12)
+        assert np.linalg.det(rho.matrix).real == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rotate_equatorial_preserves_coherence_and_s3(rng):

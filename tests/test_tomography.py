@@ -3,17 +3,21 @@ import math
 import numpy as np
 import pytest
 
+import qrbg.sources
 from qrbg.errors import EmptyInputError, InsufficientDataError
 from qrbg.minentropy import lower_confidence_rate, rate_from_coherence
 from qrbg.sources import (
+    Adversarial,
     EventLog,
     SinglePhoton,
     SourceModel,
     blocked_schedule,
     constant_schedule,
+    load_event_log,
     sample_events,
+    save_event_log,
 )
-from qrbg.states import StokesVector
+from qrbg.states import StokesVector, stokes_to_density, worst_case_decomposition
 from qrbg.tomography import (
     CountTable,
     estimate_stokes,
@@ -43,27 +47,40 @@ class TestTally:
     def test_all_same_cell(self):
         log = EventLog("t", 0, np.zeros(10, dtype=np.uint8), np.zeros(10, dtype=np.uint8))
         c = tally(log)
-        assert c.n0("Z") == 10
-        assert c.total() == 10
-        assert c.n1("Z") == c.n0("X") == c.n1("Y") == 0
+        assert c.counts.tolist() == [[10, 0], [0, 0], [0, 0]]
 
     def test_alternating(self):
         outcomes = np.tile([0, 1], 500).astype(np.uint8)
         log = EventLog("t", 0, np.zeros(1000, dtype=np.uint8), outcomes)
         c = tally(log)
-        assert c.n0("Z") == c.n1("Z") == 500
+        assert c.counts[0].tolist() == [500, 500]
 
     def test_simulated_fraction(self):
         model = SourceModel(SinglePhoton(StokesVector(0.6, 0, 0.3)), 2024)
         log = sample_events(model, blocked_schedule(3 * 10**6), 3 * 10**6)
         c = tally(log)
-        frac = c.n0("X") / (c.n0("X") + c.n1("X"))
+        frac = c.counts[1, 0] / c.counts[1].sum()
         assert abs(frac - 0.8) < 0.001
 
     def test_empty_rejected(self):
         log = EventLog("t", 0, np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8))
         with pytest.raises(EmptyInputError):
             tally(log)
+
+    @pytest.mark.parametrize("adversarial", [False, True])
+    def test_pieces_read_back_tally_as_the_log_in_memory(self, tmp_path, monkeypatch, adversarial):
+        if adversarial:
+            d = worst_case_decomposition(stokes_to_density(StokesVector(0.6, 0, 0.3)))
+            model = SourceModel(Adversarial(d), 5)
+        else:
+            model = SourceModel(SinglePhoton(StokesVector(0.6, 0, 0.3)), 5)
+        log = sample_events(model, blocked_schedule(1000), 1000)
+        path = tmp_path / "calibration.log"
+        save_event_log(log, str(path))
+        monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
+        opened = load_event_log(str(path))
+        assert sum(1 for _ in opened.pieces()) == 143
+        assert tally(opened).counts.tolist() == tally(log).counts.tolist()
 
 
 class TestEstimateStokes:
