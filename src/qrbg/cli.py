@@ -60,10 +60,10 @@ def _exit_on_error(fn):
 _DEFAULTS = dict(PipelineConfig().echo())
 
 
-def _config(cfg: PipelineConfig | None = None, **keys) -> PipelineConfig:
+def _config(**keys) -> PipelineConfig:
     """Set config keys from command-line options through the config table;
     an option left as None is not given."""
-    cfg = cfg or PipelineConfig()
+    cfg = PipelineConfig()
     for key, value in keys.items():
         if value is not None:
             cfg.set(key, str(value))
@@ -82,35 +82,12 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--mode", type=click.Choice(["single", "entangled", "adversarial"]), default=None)
-@click.option("--state", default=None, help="single mode Bloch vector 's1,s2,s3'")
-@click.option("--coherence", type=float, default=None)
-@click.option("--accidental-fraction", type=float, default=None)
-@click.option("--adv-target", default=None, help="decompose this state adversarially")
-@click.option("--events", type=int, default=None, help="calibration events (total)")
-@click.option("--gen-bits", type=int, default=None, help="generation raw bits")
-@click.option("--seed", type=int, default=None, help="master PRNG seed")
-@click.option("--gen-format", type=click.Choice(["bits", "events"]), default=None)
+@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_exit_on_error
-def simulate(config_path, mode, state, coherence, accidental_fraction,
-             adv_target, events, gen_bits, seed, gen_format, out_dir) -> None:
+def simulate(config_path, out_dir) -> None:
     """Write a calibration event log and a generation log/raw-bit file."""
-    cfg = _config(
-        load_config(config_path) if config_path else None,
-        mode=mode,
-        state=state,
-        coherence=coherence,
-        accidental_fraction=accidental_fraction,
-        adv_target=adv_target,
-        tomography_events=events,
-        generation_bits=gen_bits,
-        rng_seed=seed,
-        gen_format=gen_format,
-    )
-    cfg.validate()
-    calib, gen, master = simulate_logs(cfg, out_dir)
+    calib, gen, master = simulate_logs(load_config(config_path), out_dir)
     click.echo(f"master_seed={master}")
     click.echo(f"calibration={calib}")
     click.echo(f"generation={gen}")
@@ -120,12 +97,11 @@ def simulate(config_path, mode, state, coherence, accidental_fraction,
 @click.argument("logfile", type=click.Path(exists=True))
 @click.option("--alpha", type=float, default=None, show_default=_DEFAULTS["alpha"])
 @click.option("--conservative", is_flag=True, help="certify the deflated lower bound")
-@click.option("--min-basis-count", type=int, default=None, show_default=_DEFAULTS["min_basis_count"])
 @click.option("--report", "report_path", type=click.Path(), default=None)
 @_exit_on_error
-def calibrate(logfile, alpha, conservative, min_basis_count, report_path) -> None:
+def calibrate(logfile, alpha, conservative, report_path) -> None:
     """Reconstruct the state from a calibration log and certify a rate."""
-    cfg = _config(alpha=alpha, conservative=conservative, min_basis_count=min_basis_count)
+    cfg = _config(alpha=alpha, conservative=conservative)
     _write_block(calibrate_log(load_event_log(logfile), cfg).render(), report_path)
 
 
@@ -180,11 +156,10 @@ def test_cmd(bitsfile, test_list, significance, report_path) -> None:
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--out", "out_dir", type=click.Path(), default=None)
 @click.option("--report", "report_path", type=click.Path(), default=None)
-@click.option("--recalibrate-every", type=int, default=None, help="raw bits between recertifications")
 @_exit_on_error
-def pipeline_cmd(config_path, out_dir, report_path, recalibrate_every) -> None:
+def pipeline_cmd(config_path, out_dir, report_path) -> None:
     """Run simulate, calibrate, certify, generate, extract and test."""
-    cfg = _config(load_config(config_path), recalibrate_every=recalibrate_every)
+    cfg = load_config(config_path)
     target = out_dir or cfg.out_dir
     if not target:
         raise ConfigError("no output directory: set out_dir in the config or pass --out")

@@ -30,6 +30,7 @@ alone, so its speed does not depend on how many cores are free.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import secrets
 import time
@@ -40,7 +41,7 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 import numpy as np
 from scipy import fft as _fft
 
-from .bits import BitsFile, BitStream, BlockCutter, unpack_bits
+from .bits import BitsFile, BitStream, BlockCutter, pack_bits, unpack_bits
 from .errors import InsufficientEntropyError, ParameterError
 from .minentropy import EntropyRate
 
@@ -139,6 +140,12 @@ class HashSeed:
     def bit_length(self) -> int:
         return int(self.bits.shape[0])
 
+    @property
+    def sha256(self) -> str:
+        """Digest of the seed bits packed as a bits file's payload, so a
+        seed is pinned by its content wherever its file lives."""
+        return hashlib.sha256(pack_bits(self.bits)).hexdigest()
+
     @classmethod
     def system(cls, bit_length: int) -> "HashSeed":
         payload = secrets.token_bytes((bit_length + 7) // 8)
@@ -221,10 +228,6 @@ class ExtractionResult:
     params: ExtractorParams
     blocks: int
     seconds: float = 0.0  # wall time of the extraction, reads and writes included
-
-    @property
-    def ratio(self) -> float:
-        return self.params.ratio
 
 
 def extract_stream(

@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .bits import BitsFile, BitStream, BitsWriter, open_bits_file, read_bits_file, write_bits_file
-from .errors import ConfigError, ParameterError, QrbgError
+from .errors import ConfigError, InvalidDecompositionError, InvalidStateError, ParameterError, QrbgError
 from .extractor import (
     ExtractionResult,
     ExtractorParams,
@@ -59,7 +59,7 @@ from .sources import (
 from .stat_tests import ALL_TESTS, DEFAULT_SIGNIFICANCE, BatteryConfig, TestResult
 from .stat_tests import battery_report, pass_fraction, run_battery
 from .states import Decomposition, PureState, StokesVector, worst_case_decomposition, stokes_to_density
-from .tomography import DEFAULT_MIN_COUNT, TomographyResult, reconstruct, state_report
+from .tomography import TomographyResult, reconstruct, state_report
 
 SECURITY_NOTE = (
     "statistical tests check implementation correctness only; "
@@ -74,11 +74,26 @@ def _numbers(text: str, count: int | None = None) -> tuple[float, ...]:
     return values
 
 
-def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{value} outside (0, 1)")
-    return value
+def _checked(parse, check, rule: str):
+    """A key parser that also rejects a parsed value failing ``check``."""
+
+    def parsed(text: str):
+        value = parse(text)
+        if not check(value):
+            raise ValueError(f"{text!r} {rule}")
+        return value
+
+    return parsed
+
+
+def _choice(*options: str):
+    return _checked(str, options.__contains__, f"is not {'|'.join(options)}")
+
+
+_FLAGS = {"0": False, "1": True, "false": False, "true": True, "no": False, "yes": True}
+_flag = _checked(lambda t: _FLAGS.get(t.lower()), lambda v: v is not None, f"is not {'|'.join(_FLAGS)}")
+_probability = _checked(float, lambda v: 0.0 < v < 1.0, "is outside (0, 1)")
+_count = _checked(int, lambda v: v > 0, "is not positive")
 
 
 def _parse_vector(text: str) -> StokesVector:
@@ -102,8 +117,41 @@ def _parse_tests(text: str) -> tuple[str, ...]:
     return names
 
 
+def _single(cfg: PipelineConfig) -> Variant:
+    if cfg.state is None:
+        raise ConfigError("single mode requires 'state = s1,s2,s3'")
+    return SinglePhoton(cfg.state)
+
+
+def _entangled(cfg: PipelineConfig) -> Variant:
+    if cfg.coherence is None:
+        raise ConfigError("entangled mode requires 'coherence'")
+    return Entangled(cfg.coherence, cfg.accidental_fraction, cfg.phase)
+
+
+def _adversarial(cfg: PipelineConfig) -> Variant:
+    explicit = cfg.adv_weights is not None or cfg.adv_states is not None
+    if cfg.adv_target is not None:
+        if explicit:
+            raise ConfigError("give either adv_target or adv_weights/adv_states, not both")
+        return Adversarial(worst_case_decomposition(stokes_to_density(cfg.adv_target)))
+    if not (cfg.adv_weights and cfg.adv_states):
+        raise ConfigError(
+            "adversarial mode requires 'adv_target' or both 'adv_weights' and 'adv_states'"
+        )
+    if len(cfg.adv_weights) != len(cfg.adv_states):
+        raise ConfigError("adv_weights and adv_states differ in length")
+    terms = zip(cfg.adv_weights, cfg.adv_states)
+    return Adversarial(Decomposition(tuple((w, PureState(StokesVector(*s))) for w, s in terms)))
+
+
+# mode -> the builder of its source from the config's keys
+_SOURCES = {"single": _single, "entangled": _entangled, "adversarial": _adversarial}
+
+
 def _key(default, parse, show=str):
-    """A config key: its default, its text parser and its text formatter."""
+    """A config key: its default, its text parser and its text formatter.
+    The parser holds every rule on the key's value alone."""
     return field(default=default, metadata={"parse": parse, "show": show})
 
 
@@ -112,8 +160,8 @@ class PipelineConfig:
     """Run configuration; every field is one key of the config file, echoed
     in this order."""
 
-    mode: str = _key("single", str)
-    rng_seed: int | None = _key(None, int)
+    mode: str = _key("single", _choice(*_SOURCES))
+    rng_seed: int | None = _key(None, _checked(int, lambda v: v >= 0, "is negative"))
     state: StokesVector | None = _key(None, _parse_vector, _format_vector)
     coherence: float | None = _key(None, float, repr)
     accidental_fraction: float = _key(0.0, float, repr)
@@ -127,22 +175,19 @@ class PipelineConfig:
         lambda t: tuple(_numbers(chunk, 3) for chunk in t.split(";")),
         lambda v: ";".join(",".join(map(repr, s)) for s in v),
     )
-    tomography_events: int = _key(3_000_000, int)
+    tomography_events: int = _key(3_000_000, _count)
     alpha: float = _key(0.01, _probability, repr)
-    conservative: bool = _key(
-        False, lambda t: t.lower() in ("1", "true", "yes"), lambda v: str(int(v))
-    )
-    generation_bits: int = _key(1_000_000, int)
-    block_n: int = _key(100_000, int)
+    conservative: bool = _key(False, _flag, lambda v: str(int(v)))
+    generation_bits: int = _key(1_000_000, _count)
+    block_n: int = _key(100_000, _count)
     epsilon: float = _key(2.0 ** -64, parse_epsilon, format_epsilon)
     tests: tuple[str, ...] = _key(
         ALL_TESTS, _parse_tests, lambda v: ",".join(v) if v else "none"
     )
     significance: float = _key(DEFAULT_SIGNIFICANCE, _probability, repr)
-    gen_format: str = _key("bits", str)
-    min_basis_count: int = _key(DEFAULT_MIN_COUNT, int)
+    gen_format: str = _key("bits", _choice("bits", "events"))
     seed_file: str | None = _key(None, str)
-    recalibrate_every: int | None = _key(None, int)
+    recalibrate_every: int | None = _key(None, _count)
     out_dir: str | None = _key(None, str)
 
     def set(self, key: str, text: str) -> None:
@@ -150,11 +195,7 @@ class PipelineConfig:
         spec = _FIELDS.get(key)
         if spec is None:
             raise ConfigError(f"unknown config key {key!r}")
-        try:
-            value = spec.metadata["parse"](text.strip())
-        except (ValueError, QrbgError) as exc:
-            raise ConfigError(f"bad value for {key}: {exc}") from None
-        setattr(self, key, value)
+        setattr(self, key, _parse(spec, text.strip()))
 
     def echo(self) -> list[tuple[str, str]]:
         """Canonical key=value view of every key that has a value."""
@@ -165,57 +206,29 @@ class PipelineConfig:
                 pairs.append((spec.name, spec.metadata["show"](value)))
         return pairs
 
-    def validate(self) -> None:
-        if self.mode not in ("single", "entangled", "adversarial"):
-            raise ConfigError(f"mode must be single|entangled|adversarial, got {self.mode!r}")
-        if self.mode == "single" and self.state is None:
-            raise ConfigError("single mode requires 'state = s1,s2,s3'")
-        if self.mode == "entangled" and self.coherence is None:
-            raise ConfigError("entangled mode requires 'coherence'")
-        if self.mode == "adversarial":
-            has_explicit = self.adv_weights is not None or self.adv_states is not None
-            if self.adv_target is None and not (self.adv_weights and self.adv_states):
-                raise ConfigError(
-                    "adversarial mode requires 'adv_target' or both "
-                    "'adv_weights' and 'adv_states'"
-                )
-            if self.adv_target is not None and has_explicit:
-                raise ConfigError("give either adv_target or adv_weights/adv_states, not both")
-        for name, value in (
-            ("tomography_events", self.tomography_events),
-            ("generation_bits", self.generation_bits),
-            ("block_n", self.block_n),
-            ("min_basis_count", self.min_basis_count),
-        ):
-            if int(value) < 1:
-                raise ConfigError(f"{name} must be positive, got {value}")
-        if self.rng_seed is not None and self.rng_seed < 0:
-            raise ConfigError(f"rng_seed must be non-negative, got {self.rng_seed}")
-        if self.gen_format not in ("bits", "events"):
-            raise ConfigError(f"gen_format must be bits|events, got {self.gen_format!r}")
-        if self.recalibrate_every is not None and self.recalibrate_every < 1:
-            raise ConfigError("recalibrate_every must be positive")
+    def validate(self) -> Variant:
+        """Check every key with its parser, as if read from a file, then
+        build the configured source, so that a configuration whose source
+        cannot be built fails before any file is written."""
+        for key, text in self.echo():
+            _parse(_FIELDS[key], text)
+        return self.variant()
 
     def variant(self) -> Variant:
-        if self.mode == "single":
-            return SinglePhoton(self.state)
-        if self.mode == "entangled":
-            return Entangled(self.coherence, self.accidental_fraction, self.phase)
-        if self.adv_target is not None:
-            d = worst_case_decomposition(stokes_to_density(self.adv_target))
-        else:
-            if len(self.adv_weights) != len(self.adv_states):
-                raise ConfigError("adv_weights and adv_states differ in length")
-            d = Decomposition(
-                tuple(
-                    (w, PureState(StokesVector(*s)))
-                    for w, s in zip(self.adv_weights, self.adv_states)
-                )
-            )
-        return Adversarial(d)
+        try:
+            return _SOURCES[self.mode](self)
+        except (InvalidStateError, InvalidDecompositionError, ParameterError) as exc:
+            raise ConfigError(f"{self.mode} source: {exc}") from None
 
 
 _FIELDS = {spec.name: spec for spec in fields(PipelineConfig)}
+
+
+def _parse(spec, text: str):
+    try:
+        return spec.metadata["parse"](text)
+    except (ValueError, QrbgError) as exc:
+        raise ConfigError(f"bad value for {spec.name}: {exc}") from None
 
 
 def parse_config_text(text: str) -> PipelineConfig:
@@ -273,12 +286,11 @@ class RunReport:
     calibration: Calibration | None = None
     recalibrations: int = 0
     certified_segment: int = 0
+    params: ExtractorParams | None = None
     blocks: int = 0
-    block_n: int = 0
-    block_m: int = 0
     output_bits: int = 0
-    epsilon: float = 0.0
     seed_file: str = ""
+    seed_sha256: str = ""
     test_results: list[TestResult] = field(default_factory=list)
     files: list[FileRecord] = field(default_factory=list)
     raw_bits_per_second: float | None = None
@@ -286,10 +298,6 @@ class RunReport:
     @property
     def certified(self) -> EntropyRate | None:
         return self.calibration.rate if self.calibration else None
-
-    @property
-    def ratio(self) -> float:
-        return self.block_m / self.block_n if self.block_n else 0.0
 
     def render(self) -> str:
         out = ["# qrbg run report"]
@@ -304,16 +312,18 @@ class RunReport:
             if self.recalibrations:
                 out.append(f"recalibrations={self.recalibrations}")
                 out.append(f"certified_segment={self.certified_segment}")
-        if self.block_n:
+        if self.params is not None:
+            p = self.params
             out.append("[extraction]")
             out.append(f"certified_rate={self.certified.bits_per_sample!r}")
             out.append(f"blocks={self.blocks}")
-            out.append(f"block_n={self.block_n}")
-            out.append(f"block_m={self.block_m}")
-            out.append(f"ratio={self.ratio!r}")
+            out.append(f"block_n={p.n}")
+            out.append(f"block_m={p.m}")
+            out.append(f"ratio={p.ratio!r}")
             out.append(f"output_bits={self.output_bits}")
-            out.append(f"epsilon={format_epsilon(self.epsilon)}")
+            out.append(f"epsilon={format_epsilon(p.epsilon)}")
             out.append(f"seed=seed_file={self.seed_file}")
+            out.append(f"seed_sha256={self.seed_sha256}")
             if self.raw_bits_per_second is not None:
                 out.append(f"raw_bits_per_second={self.raw_bits_per_second:.3e}")
         if self.test_results:
@@ -371,12 +381,7 @@ def _calibration_log(variant: Variant, seed: int, n: int) -> EventLog:
 
 def calibrate(log: EventSource, config: PipelineConfig) -> Calibration:
     """Reconstruct the state from calibration events and certify a rate."""
-    result, rate = reconstruct(
-        log,
-        alpha=config.alpha,
-        conservative=config.conservative,
-        min_count=config.min_basis_count,
-    )
+    result, rate = reconstruct(log, alpha=config.alpha, conservative=config.conservative)
     lower = lower_confidence_rate(result.s_hat, int(result.n_per_basis.min()), config.alpha)
     return Calibration(result, rate, lower, config.alpha)
 
@@ -407,10 +412,10 @@ def simulate_logs(
 
     Returns (calibration path, generation path, master seed).
     """
+    variant = config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     master, gen_seed, (calib_seed,) = _streams(config, 1)
-    variant = config.variant()
     calib_path = out / "calibration.log"
     save_event_log(
         _calibration_log(variant, calib_seed, config.tomography_events), str(calib_path)
@@ -463,9 +468,10 @@ def extract(
     Without a ``seed_file`` a seed is drawn from system entropy and, once
     the output is complete, written next to ``path`` (``extracted.bits`` ->
     ``extracted.seed.bits``), so a failed extraction leaves neither file.
-    The header's ``source`` is the raw stream's.  Returns the extraction,
-    whose output is the file written, opened for chunked reading, and the
-    seed file's path.
+    The header's ``source`` is the raw stream's, and its ``seed_sha256``
+    pins the seed by content, not by where its file lives.  Returns the
+    extraction, whose output is the file written, opened for chunked
+    reading, and the seed file's path.
     """
     drawn = not seed_file
     if drawn:
@@ -479,7 +485,7 @@ def extract(
         "block_m": str(params.m),
         "epsilon": format_epsilon(params.epsilon),
         "h_rate": repr(params.h_rate),
-        "seed_file": seed_file,
+        "seed_sha256": seed.sha256,
         "source": raw.meta.get("source", "unknown"),
     }
     with BitsWriter(str(path), len(raw) // params.n * params.m, header) as out:
@@ -533,7 +539,7 @@ def run_pipeline(
     aborts before any generation happens, and a generation too short for
     one extractor block before any file is written.
     """
-    config.validate()
+    variant = config.validate()
     if config.generation_bits < config.block_n:
         raise ConfigError(
             f"generation_bits={config.generation_bits} cannot fill one "
@@ -541,7 +547,6 @@ def run_pipeline(
         )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    variant = config.variant()
     recal = config.recalibrate_every
     segments = 1 if recal is None else max(1, math.ceil(config.generation_bits / recal))
     master, gen_seed, calib_seeds = _streams(config, segments)
@@ -575,11 +580,10 @@ def run_pipeline(
         if not config.seed_file:
             # a configured seed file may live anywhere; only a drawn one is a run file
             report.files.append(_digest(Path(report.seed_file), "hash_seed"))
+        report.params = params
         report.blocks = result.blocks
-        report.block_n = params.n
-        report.block_m = params.m
         report.output_bits = result.output.bit_length
-        report.epsilon = params.epsilon
+        report.seed_sha256 = result.seed.sha256
         if result.seconds > 0 and result.blocks:
             report.raw_bits_per_second = result.blocks * params.n / result.seconds
         report.files.append(_digest(extracted_path, "extracted_bits"))

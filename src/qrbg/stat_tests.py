@@ -37,16 +37,6 @@ DEFAULT_SIGNIFICANCE = 0.01
 
 _PATTERN_CHUNK = 1 << 20  # bits per bincount in the pattern tests
 
-ALL_TESTS = (
-    "monobit",
-    "block_frequency",
-    "runs",
-    "longest_run_of_ones",
-    "cumulative_sums",
-    "serial",
-    "approximate_entropy",
-)
-
 # Longest-run class probabilities. For 8-bit blocks these are the exact
 # run-length fractions out of 256 strings; the larger block sizes use the
 # reference implementation's constants.
@@ -149,7 +139,7 @@ class _Blocks:
 
 
 class _BlockFrequency(_Blocks):
-    def __init__(self, n: int, block_len: int | None) -> None:
+    def __init__(self, n: int, block_len: int | None = None) -> None:
         _require(n, 100, "block_frequency")
         m = block_len if block_len is not None else max(20, n // 100)
         if m < 2 or m > n:
@@ -364,7 +354,7 @@ def _psi_squared(counts: np.ndarray, m: int, n: int) -> float:
 
 
 class _Serial:
-    def __init__(self, n: int, m: int) -> None:
+    def __init__(self, n: int, m: int = 5) -> None:
         if m < 2:
             raise ParameterError("serial needs pattern length m >= 2")
         self.n = _require(n, 1 << m, "serial")
@@ -398,7 +388,7 @@ class _Serial:
 
 
 class _ApproximateEntropy:
-    def __init__(self, n: int, m: int) -> None:
+    def __init__(self, n: int, m: int = 5) -> None:
         if m < 1:
             raise ParameterError("approximate_entropy needs m >= 1")
         self.n = _require(n, 1 << m, "approximate_entropy")
@@ -472,13 +462,23 @@ def approximate_entropy(
     return _run(bits, [lambda n: _ApproximateEntropy(n, m)], significance)[0]
 
 
+# The battery in report order, each test at its default parameters.
+_BATTERY: dict[str, Callable] = {
+    "monobit": _Monobit,
+    "block_frequency": _BlockFrequency,
+    "runs": _Runs,
+    "longest_run_of_ones": _LongestRun,
+    "cumulative_sums": _CumulativeSums,
+    "serial": _Serial,
+    "approximate_entropy": _ApproximateEntropy,
+}
+ALL_TESTS = tuple(_BATTERY)
+
+
 @dataclass(frozen=True)
 class BatteryConfig:
     tests: tuple[str, ...] = ALL_TESTS
     significance: float = DEFAULT_SIGNIFICANCE
-    block_len: int | None = None
-    serial_m: int = 5
-    apen_m: int = 5
 
     def __post_init__(self) -> None:
         unknown = [t for t in self.tests if t not in ALL_TESTS]
@@ -491,16 +491,7 @@ def run_battery(bits, config: BatteryConfig | None = None) -> list[TestResult]:
     over its chunks.  ``bits`` is a bit array in any form ``as_bits`` takes,
     or any source with a length and ``chunks()``, such as a ``BitsFile``."""
     cfg = config or BatteryConfig()
-    makers: dict[str, Callable] = {
-        "monobit": _Monobit,
-        "block_frequency": lambda n: _BlockFrequency(n, cfg.block_len),
-        "runs": _Runs,
-        "longest_run_of_ones": _LongestRun,
-        "cumulative_sums": _CumulativeSums,
-        "serial": lambda n: _Serial(n, cfg.serial_m),
-        "approximate_entropy": lambda n: _ApproximateEntropy(n, cfg.apen_m),
-    }
-    return _run(bits, [makers[name] for name in cfg.tests], cfg.significance)
+    return _run(bits, [_BATTERY[name] for name in cfg.tests], cfg.significance)
 
 
 def pass_fraction(results: list[TestResult]) -> float:

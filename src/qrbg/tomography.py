@@ -22,7 +22,8 @@ from .minentropy import EntropyRate, lower_confidence_rate, rate_from_coherence
 from .sources import BASIS_AXIS, BASIS_CHARS, EventSource
 from .states import StokesVector
 
-DEFAULT_MIN_COUNT = 100
+# events each basis needs before its component is estimated
+MIN_BASIS_COUNT = 100
 
 
 @dataclass(frozen=True)
@@ -70,19 +71,17 @@ def tally(log: EventSource) -> CountTable:
     return CountTable(counts.reshape(3, 2))
 
 
-def estimate_stokes(
-    c: CountTable, min_count: int = DEFAULT_MIN_COUNT
-) -> TomographyResult:
+def estimate_stokes(c: CountTable) -> TomographyResult:
     """Linear inversion with radial projection to the physical ball.
 
     Component estimates are (n0 - n1)/(n0 + n1) per basis (X -> s1,
     Y -> s2, Z -> s3) with standard error sqrt((1 - s^2)/n).
     """
     per_basis = c.per_basis()
-    low = [BASIS_CHARS[i] for i in range(3) if per_basis[i] < min_count]
+    low = [BASIS_CHARS[i] for i in range(3) if per_basis[i] < MIN_BASIS_COUNT]
     if low:
         raise InsufficientDataError(
-            f"bases {low} below the {min_count}-count floor "
+            f"bases {low} below the {MIN_BASIS_COUNT}-count floor "
             f"(counts {per_basis.tolist()})"
         )
     diff = (c.counts[:, 0] - c.counts[:, 1]).astype(float)
@@ -107,7 +106,6 @@ def reconstruct(
     log: EventSource,
     alpha: float = 0.01,
     conservative: bool = False,
-    min_count: int = DEFAULT_MIN_COUNT,
 ) -> tuple[TomographyResult, EntropyRate]:
     """Tally a calibration log, estimate the state, certify a rate.
 
@@ -117,7 +115,7 @@ def reconstruct(
     ``lower_confidence_rate``); the deflated figure is reported in either
     case.
     """
-    result = estimate_stokes(tally(log), min_count=min_count)
+    result = estimate_stokes(tally(log))
     if conservative:
         rate = lower_confidence_rate(
             result.s_hat, int(result.n_per_basis.min()), alpha

@@ -133,13 +133,13 @@ def test_criterion_05_output_length_accounting(tmp_path):
     from qrbg.bits import read_bits_file
 
     on_disk = read_bits_file(str(tmp_path / "extracted.bits")).bit_length
-    ok_c = report.output_bits == report.blocks * report.block_m == on_disk
+    ok_c = report.output_bits == report.blocks * report.params.m == on_disk
     verdict(
         5,
         ok_a and ok_b and ok_c,
         f"output_length(0.96,4096,2^-64)={output_length(0.96, 4096, 2.0**-64)}, "
         f"output_length(1,1000,2^-10)={output_length(1.0, 1000, 2.0**-10)}, "
-        f"file bits {on_disk} == blocks*m {report.blocks * report.block_m}",
+        f"file bits {on_disk} == blocks*m {report.blocks * report.params.m}",
     )
 
 

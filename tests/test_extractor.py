@@ -173,7 +173,7 @@ class TestExtractStream:
         res = extract_stream(raw, params, seed=seed)
         assert res.blocks == 244
         assert res.output.bit_length == 896_456
-        assert res.ratio == pytest.approx(3674 / 4096, abs=1e-12)
+        assert res.params.ratio == pytest.approx(3674 / 4096, abs=1e-12)
 
     def test_blocks_match_session_extraction(self, rng):
         params = ExtractorParams(512, 2.0**-16, 0.9)

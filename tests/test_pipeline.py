@@ -45,6 +45,19 @@ def write_seed_file(path, nbits, seed=5):
     )
 
 
+# Configurations whose keys each parse but whose source cannot be built,
+# with the error each must raise.
+UNBUILDABLE_SOURCES = {
+    "weights and states differ in length": (
+        "mode = adversarial\nadv_weights = 0.5, 0.5\nadv_states = 1,0,0\n", "differ in length"
+    ),
+    "weights sum to 0.9": (
+        "mode = adversarial\nadv_weights = 0.6, 0.3\nadv_states = 1,0,0; -1,0,0\n", "sum"
+    ),
+    "coherence above one": ("mode = entangled\ncoherence = 1.5\n", "coherence"),
+}
+
+
 class TestConfigParsing:
     def test_full_roundtrip(self):
         cfg = parse_config_text(FAST_CONFIG)
@@ -106,12 +119,40 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="rng_seed"):
             parse_config_text("mode = single\nstate = 1,0,0\nrng_seed = -1\n")
 
+    @pytest.mark.parametrize("text, value", [("1", True), ("TRUE", True), ("yes", True),
+                                             ("0", False), ("False", False), ("NO", False)])
+    def test_conservative_flag_values(self, text, value):
+        cfg = parse_config_text(f"mode = single\nstate = 1,0,0\nconservative = {text}\n")
+        assert cfg.conservative is value
+
+    @pytest.mark.parametrize("text", ["ture", "2", ""])
+    def test_conservative_rejects_a_value_that_is_not_a_flag(self, text):
+        with pytest.raises(ConfigError, match="conservative"):
+            parse_config_text(f"mode = single\nstate = 1,0,0\nconservative = {text}\n")
+
+    @pytest.mark.parametrize("case", sorted(UNBUILDABLE_SOURCES))
+    def test_source_that_cannot_be_built_is_rejected(self, case):
+        text, message = UNBUILDABLE_SOURCES[case]
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize("key, value", [("gen_format", "csv"), ("mode", "bogus"), ("block_n", 0),
+                                            ("recalibrate_every", -5), ("alpha", 1.5)])
+    def test_config_built_in_code_is_checked_by_the_table(self, tmp_path, key, value):
+        cfg = parse_config_text(FAST_CONFIG)
+        setattr(cfg, key, value)
+        with pytest.raises(ConfigError, match=key):
+            run_pipeline(cfg, str(tmp_path / "out"))
+        with pytest.raises(ConfigError, match=key):
+            simulate_logs(cfg, str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
 
 class TestRunPipeline:
     def test_fast_run_produces_everything(self, tmp_path):
         cfg = parse_config_text(FAST_CONFIG)
         report = run_pipeline(cfg, str(tmp_path))
-        assert report.output_bits == report.blocks * report.block_m
+        assert report.output_bits == report.blocks * report.params.m
         assert (tmp_path / "calibration.log").exists()
         assert (tmp_path / "raw.bits").exists()
         assert (tmp_path / "extracted.bits").exists()
@@ -124,7 +165,9 @@ class TestRunPipeline:
         extracted = read_bits_file(str(tmp_path / "extracted.bits"))
         assert extracted.bit_length == report.output_bits
         assert extracted.meta["role"] == "extracted"
-        assert extracted.meta["seed_file"] == str(tmp_path / "extracted.seed.bits")
+        seed = read_bits_file(str(tmp_path / "extracted.seed.bits"))
+        assert extracted.meta["seed_sha256"] == sha256(seed.to_bytes())
+        assert "seed_file" not in extracted.meta
         text = (tmp_path / "report.txt").read_text()
         assert "note=statistical tests check implementation correctness only" in text
 
@@ -155,8 +198,8 @@ class TestRunPipeline:
         report = run_pipeline(cfg, str(tmp_path))
         from qrbg.extractor import output_length
 
-        assert report.block_m == output_length(
-            float(report.certified), report.block_n, report.epsilon
+        assert report.params.m == output_length(
+            float(report.certified), report.params.n, report.params.epsilon
         )
         meta = read_bits_file(str(tmp_path / "extracted.bits")).meta
         assert float(meta["h_rate"]) == float(report.certified)
@@ -176,7 +219,7 @@ class TestRunPipeline:
         cfg = parse_config_text(FAST_CONFIG + "recalibrate_every = 5000\n")
         report = run_pipeline(cfg, str(tmp_path))
         assert report.recalibrations == 4
-        assert report.output_bits == report.blocks * report.block_m
+        assert report.output_bits == report.blocks * report.params.m
 
     def test_events_gen_format(self, tmp_path):
         cfg = parse_config_text(FAST_CONFIG.replace("tests = monobit,runs", "tests = none"))
@@ -193,9 +236,10 @@ class TestRunPipeline:
         seed_path = tmp_path / "a" / "extracted.seed.bits"
         seed = read_bits_file(str(seed_path))
         assert seed.meta["role"] == "seed"
-        assert seed.bit_length == report.block_n + report.block_m - 1
+        assert seed.bit_length == report.params.seed_bits_needed
         text = (tmp_path / "a" / "report.txt").read_text()
         assert f"seed=seed_file={seed_path}\n" in text
+        assert f"seed_sha256={sha256(seed.to_bytes())}\n" in text
         assert "file=hash_seed path=extracted.seed.bits " in text
         assert max(len(line) for line in text.splitlines()) < 200
         # the drawn seed file reproduces the run as a configured one
@@ -204,6 +248,23 @@ class TestRunPipeline:
         assert extracted_payload(tmp_path / "b" / "extracted.bits") == extracted_payload(
             tmp_path / "a" / "extracted.bits"
         )
+
+    def test_same_seed_content_at_two_paths_gives_identical_files(self, tmp_path):
+        paths = [tmp_path / "one" / "seed.bits", tmp_path / "two" / "seed.bits"]
+        for path in paths:
+            path.parent.mkdir()
+            write_seed_file(path, 6000)
+        outs = []
+        for i, path in enumerate(paths):
+            outs.append(tmp_path / f"run{i}")
+            run_pipeline(parse_config_text(FAST_CONFIG + f"seed_file = {path}\n"), str(outs[-1]))
+        extracted = [(out / "extracted.bits").read_bytes() for out in outs]
+        assert extracted[0] == extracted[1]
+        meta = read_bits_file(str(outs[0] / "extracted.bits")).meta
+        params = ExtractorParams(int(meta["block_n"]), 2.0**-16, float(meta["h_rate"]))
+        used = read_bits_file(str(paths[0])).bits[: params.seed_bits_needed]
+        assert meta["seed_sha256"] == sha256(pack_bits(used))
+        assert f"seed_sha256={meta['seed_sha256']}\n" in (outs[0] / "report.txt").read_text()
 
     def test_missing_seed_file_is_io_error(self, tmp_path):
         cfg = parse_config_text(FAST_CONFIG + "seed_file = /nonexistent/seed.bits\n")
@@ -233,9 +294,7 @@ class TestRunPipeline:
         values = dict(line.split("=", 1) for line in lines if "=" in line)
         assert values["certified_segment"] == str(report.certified_segment)
         listed = next(f.path for f in report.files if f.label == "calibration_log")
-        result, rate = reconstruct(
-            load_event_log(str(tmp_path / listed)), alpha=cfg.alpha, min_count=cfg.min_basis_count
-        )
+        result, rate = reconstruct(load_event_log(str(tmp_path / listed)), alpha=cfg.alpha)
         assert float(values["s1"]) == result.s_hat.s1
         assert float(values["s2"]) == result.s_hat.s2
         assert float(values["s3"]) == result.s_hat.s3
@@ -364,8 +423,8 @@ class TestCli:
 
     def test_negative_seed_exit_code(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(FAST_CONFIG)
-        r = CliRunner().invoke(main, ["simulate", "--config", str(cfg_path), "--seed", "-1", "--out", str(tmp_path / "o")])
+        cfg_path.write_text(FAST_CONFIG.replace("rng_seed = 4242", "rng_seed = -1"))
+        r = CliRunner().invoke(main, ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert r.exit_code == 5
         assert "rng_seed" in r.output
         assert not (tmp_path / "o").exists()
@@ -405,7 +464,7 @@ class TestCli:
             "tomography_events = 3000\ngeneration_bits = 1000\n"
         )
         calib, _, _ = simulate_logs(cfg, str(tmp_path))
-        args = ["calibrate", str(calib), "--min-basis-count", "50"]
+        args = ["calibrate", str(calib)]
         whole = CliRunner().invoke(main, args)
         monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
         pieced = CliRunner().invoke(main, args)
@@ -436,15 +495,21 @@ class TestCli:
         r = CliRunner().invoke(main, ["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert r.exit_code == 4
 
-    def test_recalibrate_flag(self, tmp_path):
+    def test_pipeline_recalibrates_from_config_file(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(FAST_CONFIG)
-        r = self.run(
-            "pipeline", "--config", str(cfg_path),
-            "--out", str(tmp_path / "o"), "--recalibrate-every", "5000",
-        )
+        cfg_path.write_text(FAST_CONFIG + "recalibrate_every = 5000\n")
+        r = self.run("pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
         assert r.exit_code == 0, r.output
         assert "recalibrations=4" in r.output
+
+    @pytest.mark.parametrize("command", ["pipeline", "simulate"])
+    @pytest.mark.parametrize("case", sorted(UNBUILDABLE_SOURCES))
+    def test_unbuildable_source_exit_code(self, tmp_path, command, case):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(UNBUILDABLE_SOURCES[case][0])
+        r = CliRunner().invoke(main, [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert r.exit_code == 5, r.output
+        assert not (tmp_path / "o").exists()
 
     def test_battery_failure_exit_code(self, tmp_path):
         path = tmp_path / "zeros.bits"

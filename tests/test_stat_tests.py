@@ -88,8 +88,8 @@ class TestPublishedVectors:
 class TestDegenerateInputs:
     def test_all_zeros_fails_everything(self):
         zeros = np.zeros(2000, dtype=np.uint8)
-        results = run_battery(zeros, BatteryConfig(serial_m=3, apen_m=3))
-        assert len(results) == 7
+        results = run_battery(zeros) + [serial(zeros, m=3), approximate_entropy(zeros, m=3)]
+        assert len(results) == 9
         assert all(not r.passed for r in results)
 
     def test_hundred_zeros_monobit(self):
@@ -226,12 +226,18 @@ class TestReferenceFormulas:
 @pytest.mark.parametrize("name", sorted(REFERENCE_STREAMS))
 def test_battery_is_the_same_however_the_stream_is_chunked(name, monkeypatch):
     b = REFERENCE_STREAMS[name]
-    configs = (BatteryConfig(), BatteryConfig(block_len=20, serial_m=2, apen_m=1))
-    whole = [run_battery(b, cfg) for cfg in configs]
+
+    def tests(stream):
+        # the battery at its defaults, then the tests with other parameters
+        return run_battery(stream) + [
+            block_frequency(stream, block_len=20), serial(stream, m=2), approximate_entropy(stream, m=1)
+        ]
+
+    whole = tests(b)
     # chunks shorter than a pattern and than a block, or many blocks long
     # and ending mid-block; all but the last chunk have this length
     monkeypatch.setattr(qrbg.bits, "CHUNK_BITS", 5 if b.shape[0] < 10**4 else 65_537)
-    assert [run_battery(BitStream(b), cfg) for cfg in configs] == whole
+    assert tests(BitStream(b)) == whole
 
 
 class TestCalibration:
