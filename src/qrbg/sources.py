@@ -24,7 +24,6 @@ concurrently; a single log is generated sequentially.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Protocol, Sequence, TextIO, Union
 
@@ -46,12 +45,18 @@ BASIS_AXIS = (2, 0, 1)
 _BASIS_CODE = {char: code for code, char in enumerate(BASIS_CHARS)}
 _BASIS_BYTES = np.frombuffer("".join(BASIS_CHARS).encode(), dtype=np.uint8)
 
-# Event-log records as parsed; the basis is read two characters wide so
-# that a basis such as 'ZZ' is rejected rather than truncated to 'Z'.
-_RECORD = [("index", np.int64), ("basis", "S2"), ("outcome", np.uint8), ("eve_label", np.int32)]
+# Byte lookups of the event-log reader: each byte's basis code (a byte
+# that is no basis letter reads as Z, which the re-encoding check then
+# rejects) and whether it is a decimal digit.
+_BASIS_OF_BYTE = np.zeros(256, dtype=np.uint8)
+_BASIS_OF_BYTE[_BASIS_BYTES] = np.arange(len(BASIS_CHARS))
+_IS_DIGIT = np.zeros(256, dtype=bool)
+_IS_DIGIT[ord("0") : ord("9") + 1] = True
+# The widest eve_label the reader parses; a wider one fails the check.
+_LABEL_DIGITS = 9
 # Records per piece of event-log I/O, written or read; bounds the working
 # memory of both directions.
-_LOG_ROWS = 1 << 18
+_LOG_ROWS = 1 << 17
 
 # Fixed sampling chunk; part of the reproducibility contract because it
 # determines the order in which random numbers are consumed.
@@ -274,6 +279,54 @@ class ZStream:
             yield sample_events(self.model, "Z", min(_CHUNK, self.n - start), rng)
 
 
+def _put_decimal(rows: np.ndarray, values: np.ndarray) -> None:
+    """The ASCII decimal digits of the non-negative ``values``, one column
+    per value, into ``rows``, the last row holding the units; a value with
+    fewer digits than there are rows leaves 0 bytes ahead of its leading
+    digit."""
+    v = values.astype(np.min_scalar_type(values.max()))  # narrow types divide faster
+    np.add(v % 10, ord("0"), out=rows[-1], casting="unsafe")
+    for row in rows[-2::-1]:
+        v //= 10
+        np.add(v % 10, ord("0"), out=row, casting="unsafe")
+        row[v == 0] = 0
+
+
+def _encode(first: int, bases: np.ndarray, outcomes: np.ndarray, labels: np.ndarray | None) -> bytes:
+    """The record lines 'index,basis,outcome[,eve_label]' of events
+    numbered from ``first``, as the log's exact bytes.  Each run of indices
+    of one decimal width fills a (columns x rows) byte table that one
+    transposed copy turns into lines; eve_labels narrower than the widest
+    are padded with 0 bytes, which are then dropped."""
+    label_width = 0
+    if labels is not None:
+        if labels.min(initial=0) < 0:
+            raise ParameterError("eve_label must be non-negative")
+        label_width = len(str(labels.max(initial=0)))
+    runs = []
+    lo, n = 0, len(outcomes)
+    while lo < n:
+        width = len(str(first + lo))
+        hi = min(n, 10 ** width - first)  # the next index has one more digit
+        columns = width + 5 + (0 if labels is None else 1 + label_width)
+        table = np.empty((columns, hi - lo), dtype=np.uint8)
+        _put_decimal(table[:width], np.arange(first + lo, first + hi, dtype=np.min_scalar_type(first + hi)))
+        table[width] = table[width + 2] = ord(",")
+        np.take(_BASIS_BYTES, bases[lo:hi], out=table[width + 1])
+        np.add(outcomes[lo:hi], ord("0"), out=table[width + 3])
+        if labels is not None:
+            table[width + 4] = ord(",")
+            _put_decimal(table[width + 5 : -1], labels[lo:hi])
+        table[-1] = ord("\n")
+        run = table.T.tobytes()
+        if label_width > 1:
+            flat = np.frombuffer(run, dtype=np.uint8)
+            run = flat[flat != 0].tobytes()
+        runs.append(run)
+        lo = hi
+    return b"".join(runs)
+
+
 def write_event_log(log: EventSource, fh: TextIO) -> None:
     """ASCII event-log format: '# key=value' header lines then one
     'index,basis,outcome[,eve_label]' record per line, written a piece at
@@ -282,13 +335,10 @@ def write_event_log(log: EventSource, fh: TextIO) -> None:
     fh.write(f"# source={log.source}\n# seed={log.seed}\n{count}# prng={PRNG_NAME}\n")
     first = 0
     for piece in log.pieces():
-        columns = [np.arange(first, first + piece.n), _BASIS_BYTES[piece.bases], piece.outcomes]
-        if piece.eve_labels is not None:
-            columns.append(piece.eve_labels)
-        line = ",".join(("%d", "%c", "%d", "%d")[: len(columns)]) + "\n"
         for start in range(0, piece.n, _LOG_ROWS):
-            rows = np.column_stack([c[start : start + _LOG_ROWS] for c in columns])
-            fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
+            rows = slice(start, start + _LOG_ROWS)
+            labels = None if piece.eve_labels is None else piece.eve_labels[rows]
+            fh.write(_encode(first + start, piece.bases[rows], piece.outcomes[rows], labels).decode("ascii"))
         first += piece.n
 
 
@@ -302,14 +352,21 @@ def _reject(bad: np.ndarray, first: int, what: str) -> None:
         raise ParameterError(f"event record {first + int(np.argmax(bad))}: {what}")
 
 
+def _is_decimal(text: str) -> bool:
+    """Written as the log writer writes a count: ASCII digits with no sign,
+    padding or leading zero."""
+    return text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")
+
+
 def _read_log(fh: TextIO) -> tuple[str, int, int | None, Iterator[EventLog]]:
     """An event log's '# key=value' header, parsed now, as its source, seed
     and declared record count ``n`` (None if not given), and its records as
-    pieces of at most ``_LOG_ROWS`` lines, each parsed by one ``np.loadtxt``
-    call and checked as it is read: indices continue from the previous
-    piece, the basis is exactly Z, X or Y, the outcome is 0 or 1, and every
-    record has the first record's column count.  ``n`` is checked against
-    the record count after the last piece."""
+    pieces of at most ``_LOG_ROWS`` lines, each checked as it is read: the
+    piece must equal its own re-encoding, which holds exactly when every
+    line is the record the writer would put there (indices continuing from
+    the previous piece, basis Z, X or Y, outcome 0 or 1, the first record's
+    column count).  ``n`` is checked against the record count after the
+    last piece."""
     header: dict[str, str] = {}
     for line in fh:
         text = line.strip()
@@ -323,46 +380,103 @@ def _read_log(fh: TextIO) -> tuple[str, int, int | None, Iterator[EventLog]]:
     width = text.count(",") + 1
     if width not in (3, 4):
         raise ParameterError(f"malformed event record: {text!r}")
-    try:
-        seed = int(header.get("seed", 0))
-    except ValueError:
-        raise ParameterError(f"event log seed {header['seed']!r} is not an integer") from None
-    declared = header.get("n")
-    if declared is not None and not declared.isdigit():
+    seed, declared = header.get("seed", "0"), header.get("n")
+    if not _is_decimal(seed):
+        raise ParameterError(f"event log seed {seed!r} is not a non-negative decimal")
+    if declared is not None and not _is_decimal(declared):
         raise ParameterError(f"event log header n={declared!r} is not a record count")
-    source, n = header.get("source", "unknown"), None if declared is None else int(declared)
-    return source, seed, n, _log_pieces(source, seed, n, width, itertools.chain([line], fh))
+    source, seed, n = header.get("source", "unknown"), int(seed), None if declared is None else int(declared)
+    return source, seed, n, _log_pieces(source, seed, n, width, _record_blocks(line, fh))
+
+
+def _record_blocks(head: str, fh: TextIO) -> Iterator[tuple[bytearray, np.ndarray]]:
+    """The record lines from ``head`` on, as ASCII bytes cut after every
+    ``_LOG_ROWS``-th newline, each block with its newline offsets; a last
+    line with no newline is given one."""
+    buf = bytearray(head.encode("ascii", "replace"))
+    lines, eof = buf.count(b"\n"), False
+    while buf:
+        while lines < _LOG_ROWS and not eof:
+            more = fh.read(_LOG_ROWS).encode("ascii", "replace")  # small reads keep the peak low
+            buf += more
+            lines, eof = lines + more.count(b"\n"), not more
+        if eof and not buf.endswith(b"\n"):
+            buf += b"\n"
+            lines += 1
+        ends = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == ord("\n"))[:_LOG_ROWS]
+        block, buf = buf, buf[ends[-1] + 1 :]  # hand out the buffer, keep the rest
+        del block[ends[-1] + 1 :]
+        lines -= len(ends)
+        yield block, ends
 
 
 def _log_pieces(
-    source: str, seed: int, n: int | None, width: int, lines: Iterator[str]
+    source: str, seed: int, n: int | None, width: int, blocks: Iterator[tuple[bytearray, np.ndarray]]
 ) -> Iterator[EventLog]:
     done = 0
-    for first in lines:
-        if first.isspace() or first.lstrip().startswith("#"):
-            continue  # a piece of blank and comment lines holds no record
-        try:
-            rec = np.loadtxt(
-                itertools.chain([first], itertools.islice(lines, _LOG_ROWS - 1)),
-                dtype=_RECORD[:width],
-                delimiter=",",
-                comments="#",
-                ndmin=1,
-            )
-        except ValueError as exc:
-            raise ParameterError(f"malformed event log after record {done}: {exc}") from None
-        rows = rec.shape[0]
-        _reject(rec["index"] != np.arange(done, done + rows), done, "index out of order")
-        bases = np.full(rows, len(BASIS_CHARS), dtype=np.uint8)
-        for code, char in enumerate(BASIS_CHARS):
-            bases[rec["basis"] == char.encode()] = code
-        _reject(bases == len(BASIS_CHARS), done, "basis is not Z, X or Y")
-        _reject(rec["outcome"] > 1, done, "outcome is not 0 or 1")
-        labels = rec["eve_label"].copy() if width == 4 else None
-        yield EventLog(source, seed, bases, rec["outcome"].copy(), labels)
-        done += rows
+    for block, ends in blocks:
+        fields = _fields(np.frombuffer(block, dtype=np.uint8), ends, width)
+        if _encode(done, *fields) != block:
+            raise _bad_record(block, ends, _encode(done, *fields), done, width)
+        done += len(ends)
+        del block, ends  # the fields are copies: free the text while the piece is used
+        yield EventLog(source, seed, *fields)
     if n is not None and n != done:
         raise ParameterError(f"header declares n={n} but log has {done} records")
+
+
+def _fields(line: np.ndarray, ends: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Each line's basis, outcome and eve_label, read at fixed offsets back
+    from the eve_label, or from one past the newline when there is none;
+    right only for canonical lines, which the re-encoding check ensures."""
+    start, labels = (ends + 1, None) if width == 3 else _trailing_decimals(line, ends)
+    bases = _BASIS_OF_BYTE[line.take(start - 4, mode="clip")]
+    outcomes = (line.take(start - 2, mode="clip") == ord("1")).view(np.uint8)
+    return bases, outcomes, labels
+
+
+def _trailing_decimals(line: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each line's run of at most ``_LABEL_DIGITS`` digits before its
+    newline starts, and the run's value (0 for no digits)."""
+    start, value, scale = ends.copy(), np.zeros(len(ends), dtype=np.int32), 1
+    for _ in range(_LABEL_DIGITS):
+        byte = line.take(start - 1, mode="clip")
+        digit = _IS_DIGIT[byte]
+        if not digit.any():
+            break
+        start -= digit
+        value += np.where(digit, byte - ord("0"), 0).astype(np.int32) * scale
+        scale *= 10
+    return start, value
+
+
+def _bad_record(block: bytearray, ends: np.ndarray, encoded: bytes, first: int, width: int) -> ParameterError:
+    """The error naming the first line of ``block`` that differs from its
+    re-encoding ``encoded``, and what is wrong with it."""
+    got, want = np.frombuffer(block, dtype=np.uint8), np.frombuffer(encoded, dtype=np.uint8)
+    size = min(len(got), len(want))
+    row = int(np.searchsorted(ends, np.flatnonzero(got[:size] != want[:size])[0]))
+    begin = int(ends[row - 1]) + 1 if row else 0
+    text = block[begin : ends[row]].decode("ascii", "replace")
+    return ParameterError(f"event record {first + row}: {_fault(text, first + row, width)}")
+
+
+def _fault(line: str, index: int, width: int) -> str:
+    """What keeps one line from being the record ``index`` of a log whose
+    records have ``width`` fields."""
+    fields = line.split(",")
+    if len(fields) != width:
+        return f"{len(fields)} comma-separated fields where the first record has {width}"
+    written, basis, outcome, *label = fields
+    if written != str(index):
+        if _is_decimal(written):
+            return "index out of order"
+        return f"index {written!r} is not a decimal without sign, padding or leading zero"
+    if basis not in BASIS_CHARS:
+        return "basis is not Z, X or Y"
+    if outcome not in ("0", "1"):
+        return "outcome is not 0 or 1"
+    return f"eve_label {label[0]!r} is not a decimal of at most {_LABEL_DIGITS} digits without sign, padding or leading zero"
 
 
 def read_event_log(fh: TextIO) -> EventLog:

@@ -707,6 +707,21 @@ def test_bad_generation_log_exit_code(tmp_path, monkeypatch, command, case):
     assert [p.name for p in tmp_path.iterdir()] == ["generation.log"]
 
 
+@pytest.mark.parametrize("command", ["calibrate", "generate", "extract"])
+@pytest.mark.parametrize("seed", ["-3", "+3", " 007"])
+def test_header_seed_must_be_a_non_negative_decimal(tmp_path, command, seed):
+    log = tmp_path / "events.log"
+    log.write_text(f"# source=x\n# seed={seed}\n# n=20\n" + z_records(20))
+    args = [command, str(log)]
+    if command != "calibrate":
+        args += ["--out", str(tmp_path / "out.bits")]
+    if command == "extract":
+        args += ["--h-rate", "0.9", "--block-n", "10", "--epsilon", "2^-1"]
+    r = CliRunner().invoke(main, args)
+    assert r.exit_code == 5, r.output
+    assert f"seed {seed.strip()!r} is not a non-negative decimal" in r.output
+
+
 ROUND_TRIP_CONFIGS = {
     "single": FAST_CONFIG,
     "entangled": "mode = entangled\ncoherence = 0.88\naccidental_fraction = 0.0409\nphase = 0.25\n",

@@ -1,5 +1,7 @@
 import io
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,14 +10,17 @@ import qrbg.sources
 from qrbg.errors import EmptyInputError, ParameterError
 from qrbg.minentropy import closed_form_minentropy, minentropy_decomposition
 from qrbg.sources import (
+    _BASIS_BYTES,
     Adversarial,
     Entangled,
+    EventLog,
     PRNG_NAME,
     SinglePhoton,
     SourceModel,
     ZBits,
     ZStream,
     _coincidence_bloch,
+    _encode,
     blocked_schedule,
     constant_schedule,
     load_event_log,
@@ -26,6 +31,8 @@ from qrbg.sources import (
     write_event_log,
 )
 from qrbg.states import (
+    Decomposition,
+    PureState,
     StokesVector,
     density_to_stokes,
     mix,
@@ -369,6 +376,168 @@ def test_opened_log_without_n_is_written_without_n(tmp_path):
     path.write_text("# source=x\n# seed=4\n0,Z,0\n1,X,1\n")
     save_event_log(load_event_log(str(path)), str(copy))
     assert copy.read_text() == f"# source=x\n# seed=4\n# prng={PRNG_NAME}\n0,Z,0\n1,X,1\n"
+
+
+def percent_format_records(first, bases, outcomes, labels=None):
+    """Record lines as the writer wrote them before the byte codec, with
+    one `%`-format: the reference that every emitted byte must match."""
+    columns = [np.arange(first, first + len(outcomes)), _BASIS_BYTES[bases], outcomes]
+    if labels is not None:
+        columns.append(labels)
+    line = ",".join(("%d", "%c", "%d", "%d")[: len(columns)]) + "\n"
+    rows = np.column_stack(columns)
+    return line * len(rows) % tuple(rows.ravel().tolist())
+
+
+def percent_format_log(log):
+    head = f"# source={log.source}\n# seed={log.seed}\n# n={log.n}\n# prng={PRNG_NAME}\n"
+    step = 1 << 18  # bounds the tuple of the reference format
+    return head + "".join(
+        percent_format_records(
+            start,
+            log.bases[start : start + step],
+            log.outcomes[start : start + step],
+            None if log.eve_labels is None else log.eve_labels[start : start + step],
+        )
+        for start in range(0, log.n, step)
+    )
+
+
+def codec_log(labels, n, seed=3):
+    """A log with 3 columns (labels None), one-digit eve_labels
+    (worst-case decomposition, 2 terms) or two-digit ones (12 terms)."""
+    if labels is None:
+        return sample_events(single(0.5, 0.2, 0.4, seed=seed), blocked_schedule(n), n)
+    if labels == "one digit":
+        d = worst_case_decomposition(stokes_to_density(StokesVector(0.6, 0, 0.3)))
+    else:
+        angles = np.linspace(0, 2 * np.pi, 12, endpoint=False)
+        d = Decomposition(tuple(
+            (1 / 12, PureState(StokesVector(0.6 * np.cos(a), 0.6 * np.sin(a), 0.8))) for a in angles
+        ))
+    return sample_events(SourceModel(Adversarial(d), seed), blocked_schedule(n), n)
+
+
+def in_pieces(log, sizes):
+    """``log`` as an event source that yields it cut into pieces of the
+    given sizes."""
+
+    def pieces():
+        for start, stop in itertools.pairwise(np.cumsum((0, *sizes))):
+            labels = None if log.eve_labels is None else log.eve_labels[start:stop]
+            yield EventLog(log.source, log.seed, log.bases[start:stop], log.outcomes[start:stop], labels)
+
+    return SimpleNamespace(source=log.source, seed=log.seed, n=log.n, pieces=pieces)
+
+
+def assert_reads_back(text, log):
+    back = read_event_log(io.StringIO(text))
+    assert np.array_equal(back.bases, log.bases)
+    assert np.array_equal(back.outcomes, log.outcomes)
+    if log.eve_labels is None:
+        assert back.eve_labels is None
+    else:
+        assert back.eve_labels.dtype == np.int32 and np.array_equal(back.eve_labels, log.eve_labels)
+
+
+LABELS = [None, "one digit", "two digits"]
+
+
+class TestEventLogCodec:
+    @pytest.mark.parametrize("labels", LABELS)
+    def test_writer_matches_percent_format_across_width_crossings(self, labels):
+        # 1 000 005 records: the crossings 9 -> 10, 99 999 -> 100 000 and
+        # 999 999 -> 1 000 000 fall inside pieces of the default size
+        log = codec_log(labels, 1_000_005)
+        if labels == "two digits":
+            assert log.eve_labels.max() == 11
+        buf = io.StringIO()
+        write_event_log(log, buf)
+        assert buf.getvalue() == percent_format_log(log)
+        assert_reads_back(buf.getvalue(), log)
+
+    @pytest.mark.parametrize("labels", LABELS)
+    @pytest.mark.parametrize("sizes", [(30,), (3, 7, 20)], ids=["crossing inside", "crossing at boundary"])
+    def test_writer_matches_percent_format_in_small_pieces(self, monkeypatch, labels, sizes):
+        # with 7-row pieces, one source piece of 30 crosses 9 -> 10 inside
+        # its piece 7..13; source pieces of 3, 7 and 20 start a piece at 10
+        monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
+        log = codec_log(labels, 30)
+        buf = io.StringIO()
+        write_event_log(in_pieces(log, sizes), buf)
+        assert buf.getvalue() == percent_format_log(log)
+        assert_reads_back(buf.getvalue(), log)
+
+    @pytest.mark.parametrize("labels", [None, [0, 1, 1, 0, 1, 0, 0], [11, 3, 10, 0, 7, 12, 5]], ids=LABELS)
+    @pytest.mark.parametrize("width_change", [10, 100_000, 1_000_000])
+    @pytest.mark.parametrize("offset", [-7, -3, 0], ids=["ends at crossing", "crosses inside", "starts at crossing"])
+    def test_piece_encoding_matches_percent_format(self, labels, width_change, offset):
+        # a 7-row piece, as the writer encodes it with _LOG_ROWS = 7, whose
+        # indices end just before, straddle or start at a digit more
+        first = width_change + offset
+        bases, outcomes = np.arange(7, dtype=np.uint8) % 3, np.arange(7, dtype=np.uint8) // 2 % 2
+        labels = None if labels is None else np.array(labels, dtype=np.int32)
+        want = percent_format_records(first, bases, outcomes, labels)
+        assert _encode(first, bases, outcomes, labels) == want.encode()
+
+    def test_labels_of_mixed_width_in_one_piece(self):
+        labels = np.array([0, 10, 3, 123, 9, 45], dtype=np.int32)
+        log = EventLog("x", 0, np.zeros(6, dtype=np.uint8), np.ones(6, dtype=np.uint8), labels)
+        want = percent_format_records(8, log.bases, log.outcomes, labels)
+        assert _encode(8, log.bases, log.outcomes, labels).decode() == want
+        assert want.splitlines()[3] == "11,Z,1,123"
+
+    def test_negative_label_is_not_written(self):
+        log = EventLog("x", 0, np.zeros(2, dtype=np.uint8), np.ones(2, dtype=np.uint8), np.array([0, -1], dtype=np.int32))
+        with pytest.raises(ParameterError, match="eve_label"):
+            write_event_log(log, io.StringIO())
+
+
+# One line of each non-canonical form, written where record {i} belongs.
+NON_CANONICAL_LINES = {
+    "index with leading zero": "0{i},Z,0",
+    "index with sign": "+{i},Z,0",
+    "space before index": " {i},Z,0",
+    "space before basis": "{i}, Z,0",
+    "space after outcome": "{i},Z,0 ",
+    "trailing tab": "{i},Z,0\t",
+    "comment line between records": "# note",
+    "blank line between records": "",
+    "trailing comment": "{i},Z,0 # x",
+    "label -1": "{i},Z,0,-1",
+    "label 01": "{i},Z,0,01",
+    "space before label": "{i},Z,0, 1",
+    "CRLF in memory": "{i},Z,0\r",
+}
+
+
+@pytest.mark.parametrize("bad", [0, 1, 9], ids=["first record", "second record", "second piece"])
+@pytest.mark.parametrize("name", sorted(NON_CANONICAL_LINES))
+def test_non_canonical_record_is_rejected_by_number(monkeypatch, name, bad):
+    monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
+    line = NON_CANONICAL_LINES[name]
+    label = ",0" if line.count(",") == 3 else ""
+    good = [f"{i},X,{i % 2}{label}\n" for i in range(bad + 2)]
+    good[bad] = line.format(i=bad) + "\n"
+    with pytest.raises(ParameterError, match=f"^event record {bad}: "):
+        read_event_log(io.StringIO(f"# n={bad + 2}\n" + "".join(good)))
+
+
+def test_crlf_on_disk_and_missing_final_newline_are_accepted(tmp_path):
+    path = tmp_path / "crlf.log"
+    path.write_bytes(b"# source=x\r\n# seed=0\r\n# n=3\r\n0,Z,0\r\n1,X,1\r\n2,Y,0\r\n")
+    (piece,) = load_event_log(str(path)).pieces()
+    assert piece.bases.tolist() == [0, 1, 2] and piece.outcomes.tolist() == [0, 1, 0]
+    for text in ("0,Z,0\n1,X,1", "0,Z,0,4\n1,X,1,12"):
+        log = read_event_log(io.StringIO(HEADER + text))
+        assert log.bases.tolist() == [0, 1] and log.outcomes.tolist() == [0, 1]
+    assert log.eve_labels.tolist() == [4, 12]
+
+
+@pytest.mark.parametrize("seed", ["-3", "+3", " 007", "x"])
+def test_header_seed_must_be_a_non_negative_decimal(seed):
+    with pytest.raises(ParameterError, match="seed"):
+        read_event_log(io.StringIO(f"# seed={seed}\n0,Z,0\n"))
 
 
 def test_event_log_fields_follow_schedule():
