@@ -392,15 +392,17 @@ def _read_log(fh: TextIO) -> tuple[str, int, int | None, Iterator[EventLog]]:
 def _record_blocks(head: str, fh: TextIO) -> Iterator[tuple[bytearray, np.ndarray]]:
     """The record lines from ``head`` on, as ASCII bytes cut after every
     ``_LOG_ROWS``-th newline, each block with its newline offsets; a last
-    line with no newline is given one."""
+    line with no newline is given one.  The file is read ``_LOG_ROWS``
+    characters at a time, which is faster than joining its lines."""
     buf = bytearray(head.encode("ascii", "replace"))
-    lines, eof = buf.count(b"\n"), False
-    while buf:
-        while lines < _LOG_ROWS and not eof:
-            more = fh.read(_LOG_ROWS).encode("ascii", "replace")  # small reads keep the peak low
+    lines = buf.count(b"\n")
+    while True:
+        while lines < _LOG_ROWS and (more := fh.read(_LOG_ROWS).encode("ascii", "replace")):
             buf += more
-            lines, eof = lines + more.count(b"\n"), not more
-        if eof and not buf.endswith(b"\n"):
+            lines += more.count(b"\n")
+        if not buf:
+            return
+        if lines < _LOG_ROWS and not buf.endswith(b"\n"):  # the file ended mid-line
             buf += b"\n"
             lines += 1
         ends = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == ord("\n"))[:_LOG_ROWS]
@@ -419,7 +421,6 @@ def _log_pieces(
         if _encode(done, *fields) != block:
             raise _bad_record(block, ends, _encode(done, *fields), done, width)
         done += len(ends)
-        del block, ends  # the fields are copies: free the text while the piece is used
         yield EventLog(source, seed, *fields)
     if n is not None and n != done:
         raise ParameterError(f"header declares n={n} but log has {done} records")
@@ -465,18 +466,15 @@ def _fault(line: str, index: int, width: int) -> str:
     """What keeps one line from being the record ``index`` of a log whose
     records have ``width`` fields."""
     fields = line.split(",")
-    if len(fields) != width:
-        return f"{len(fields)} comma-separated fields where the first record has {width}"
-    written, basis, outcome, *label = fields
-    if written != str(index):
-        if _is_decimal(written):
+    if len(fields) == width and _is_decimal(fields[0]):
+        written, basis, outcome, *_ = fields
+        if written != str(index):
             return "index out of order"
-        return f"index {written!r} is not a decimal without sign, padding or leading zero"
-    if basis not in BASIS_CHARS:
-        return "basis is not Z, X or Y"
-    if outcome not in ("0", "1"):
-        return "outcome is not 0 or 1"
-    return f"eve_label {label[0]!r} is not a decimal of at most {_LABEL_DIGITS} digits without sign, padding or leading zero"
+        if basis not in BASIS_CHARS:
+            return "basis is not Z, X or Y"
+        if outcome not in ("0", "1"):
+            return "outcome is not 0 or 1"
+    return f"not a canonical record: {line!r}"
 
 
 def read_event_log(fh: TextIO) -> EventLog:

@@ -357,6 +357,20 @@ def test_piece_errors_name_the_whole_log_record(monkeypatch):
         read_event_log(io.StringIO(log))
 
 
+@pytest.mark.parametrize("count", ["# n=10\n", ""], ids=["with n", "without n"])
+def test_piece_ending_on_a_read_boundary_is_read_on(monkeypatch, count):
+    # with 7-row pieces the reader reads 7 characters at a time after the
+    # first record; records 1-6 are 49 characters, so the first piece ends
+    # on its 7th newline at the end of a read and leaves nothing over
+    monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
+    labels = [0, 10, *range(2, 10)]
+    records = [f"{i},Z,{i % 2},{label}\n" for i, label in enumerate(labels)]
+    assert len("".join(records[1:7])) == 7 * 7
+    log = read_event_log(io.StringIO(count + "".join(records)))
+    assert log.eve_labels.tolist() == labels
+    assert log.outcomes.tolist() == [i % 2 for i in range(10)]
+
+
 def test_z_log_rejects_the_piece_holding_a_non_z_event(monkeypatch, tmp_path):
     monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
     path = tmp_path / "gen.log"
