@@ -19,13 +19,19 @@ The raw stream is hashed a chunk at a time: whole blocks are hashed as
 they complete, a partial block is carried to the next chunk, and each
 block group's output can be written out before the next chunk is read,
 so memory does not grow with the stream.  Each block's parity vector is
-one integer convolution via real FFTs (the seed transform is made once
-per extraction and reused for every block, and the blocks are
-transformed two at a time at a length that is fast for real transforms).
+one integer convolution via real FFTs at a length that is fast for real
+transforms.  The seed transform is made once per extraction and reused
+for every block.  Blocks are transformed two at a time while two padded
+float64 rows fit in _BATCH_BYTES (16 MiB, a transform length up to
+2^20), and one at a time above it, so at n = 1e6 a batch's transforms
+are the size of one block's.
 Convolution coefficients are bounded by n, far below the 2^53 integer
 ceiling of float64, and a residual guard rejects any transform whose
-rounding error approaches one half, so outputs are bit-exact.  The hashing runs on the calling thread
-alone, so its speed does not depend on how many cores are free.
+rounding error approaches one half (or is not a number), so outputs are
+bit-exact.  Rounding, the guard and the parity run in buffers made once
+per extraction: a batch allocates only the two arrays the transforms
+return.  The hashing runs on the calling thread alone, so its speed does
+not depend on how many cores are free.
 """
 
 from __future__ import annotations
@@ -46,10 +52,14 @@ from .errors import InsufficientEntropyError, ParameterError
 from .minentropy import EntropyRate
 
 _FFT_GUARD = 0.25
-# Blocks per transform call: pocketfft computes the rows of a 2-D transform
-# side by side in SIMD lanes, which at n = 1e4 and 1e5 hashes 1.2-1.5x
-# faster than one block per call.
+# Blocks per transform call while the batch's padded input fits in
+# _BATCH_BYTES, one block per call above it.  pocketfft computes the rows
+# of a 2-D transform side by side in SIMD lanes: two rows hash a block in
+# 0.35 ms against 0.51 at n = 1e4 and in 5.1 ms against 6.7 at n = 1e5
+# (rate 0.96).  At n = 1e6 two rows are no faster, and each batch's
+# transforms would double the extraction's peak memory.
 _BATCH_ROWS = 2
+_BATCH_BYTES = 16 << 20
 
 
 def parse_epsilon(text: Union[str, float]) -> float:
@@ -119,6 +129,15 @@ class ExtractorParams:
         return self.m / self.n
 
 
+def _bit_array(values, what: str) -> np.ndarray:
+    """``values`` as uint8, rejected unless every value is 0 or 1: a cast
+    first would wrap 256 to 0 and 257 to 1."""
+    values = np.asarray(values)
+    if not ((values == 0) | (values == 1)).all():
+        raise ParameterError(f"{what} must be 0 or 1")
+    return values.astype(np.uint8, copy=False)
+
+
 @dataclass(frozen=True)
 class HashSeed:
     """Uniform public bits defining one Toeplitz matrix (first row and
@@ -127,11 +146,9 @@ class HashSeed:
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        bits = np.asarray(self.bits, dtype=np.uint8)
+        bits = _bit_array(self.bits, "seed bits")
         if bits.ndim != 1 or bits.size == 0:
             raise ParameterError("seed must be a nonempty bit vector")
-        if bits.max() > 1:
-            raise ParameterError("seed bits must be 0 or 1")
         bits = bits.copy()
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
@@ -154,8 +171,8 @@ class HashSeed:
 
 class _Hasher:
     """Toeplitz hashing of n-bit blocks under one seed.  The seed's
-    transform and the zero-padded input array are made once, for every
-    batch of one extraction."""
+    transform, the zero-padded input array and the rounding buffer are
+    made once, for every batch of one extraction."""
 
     def __init__(self, seed_bits: np.ndarray, n: int) -> None:
         m = seed_bits.shape[0] - n + 1
@@ -169,14 +186,22 @@ class _Hasher:
         # reads, so the transform can stay one block short of the full
         # linear-convolution length.
         self.fft_len = _fft.next_fast_len(n + m - 1, real=True)
+        fits = _BATCH_ROWS * self.fft_len * 8 <= _BATCH_BYTES
+        self.rows = _BATCH_ROWS if fits else 1
         self.seed_fft = _fft.rfft(seed_bits.astype(np.float64), self.fft_len)
-        self.pad = np.zeros((_BATCH_ROWS, self.fft_len), dtype=np.float64)
+        self.pad = np.zeros((self.rows, self.fft_len), dtype=np.float64)
+        self.rounded = np.empty((self.rows, m), dtype=np.int64)
 
     def hash(self, blocks: np.ndarray, out: np.ndarray) -> None:
         """Hash each row of ``blocks`` (k x n) into the row of ``out`` (k x m)."""
         n, m = self.n, self.m
-        for lo in range(0, len(blocks), _BATCH_ROWS):
-            batch = blocks[lo : lo + _BATCH_ROWS]
+        # Each batch's transform outputs are released only as the next
+        # batch's are assigned.  Freed together they would leave the top
+        # of glibc's heap free, which it returns to the system, and every
+        # batch would fault its pages in again (at n = 1e6, 20 blocks took
+        # 207k minor faults against 124k).
+        for lo in range(0, len(blocks), self.rows):
+            batch = blocks[lo : lo + self.rows]
             rows = len(batch)
             pad = self.pad[:rows]
             pad[:, :n] = batch
@@ -184,12 +209,18 @@ class _Hasher:
             spectrum *= self.seed_fft
             conv = _fft.irfft(spectrum, self.fft_len, axis=-1, overwrite_x=True)
             window = conv[:, n - 1 : n - 1 + m]
-            rounded = np.rint(window)
-            if np.max(np.abs(window - rounded)) > _FFT_GUARD:
+            rounded = self.rounded[:rows]
+            # A coefficient that is not a number casts to an arbitrary
+            # integer here; its residual stays NaN, which the guard rejects.
+            with np.errstate(invalid="ignore"):
+                np.rint(window, out=rounded, casting="unsafe")
+            np.subtract(window, rounded, out=window)
+            np.abs(window, out=window)
+            if not window.max() <= _FFT_GUARD:
                 raise ParameterError(
                     "FFT convolution lost integer precision; block size too large"
                 )
-            out[lo : lo + rows] = rounded.astype(np.int64) & 1
+            np.bitwise_and(rounded, 1, out=out[lo : lo + rows], casting="unsafe")
 
 
 def toeplitz_extract(seed: Union[HashSeed, np.ndarray], raw: np.ndarray) -> np.ndarray:
@@ -199,19 +230,21 @@ def toeplitz_extract(seed: Union[HashSeed, np.ndarray], raw: np.ndarray) -> np.n
     Output bit j equals parity(sum_k seed[j - k + n - 1] * raw[k]), i.e.
     the (n - 1 + j)-th coefficient of the seed*raw convolution mod 2.
     """
-    seed_bits = seed.bits if isinstance(seed, HashSeed) else np.asarray(seed, dtype=np.uint8)
-    raw = np.asarray(raw, dtype=np.uint8)
+    seed_bits = (seed if isinstance(seed, HashSeed) else HashSeed(seed)).bits
+    raw = _bit_array(raw, "raw bits")
     hasher = _Hasher(seed_bits, raw.shape[-1])
     out = np.empty(raw.shape[:-1] + (hasher.m,), dtype=np.uint8)
     hasher.hash(raw.reshape(-1, hasher.n), out.reshape(-1, hasher.m))
     return out
 
 
-def _block_groups(chunks: Iterable[np.ndarray], n: int) -> Iterator[np.ndarray]:
+def _block_groups(
+    chunks: Iterable[np.ndarray], n: int, rows: int
+) -> Iterator[np.ndarray]:
     """The stream's whole n-bit blocks as (k x n) arrays, k a multiple of
-    _BATCH_ROWS except in the last, so the batches are the same however
-    the stream is chunked; a tail shorter than one block is dropped."""
-    groups = BlockCutter(n * _BATCH_ROWS)
+    ``rows`` except in the last, so the batches are the same however the
+    stream is chunked; a tail shorter than one block is dropped."""
+    groups = BlockCutter(n * rows)
     for chunk in chunks:
         blocks = groups.cut(chunk).reshape(-1, n)
         if blocks.size:
@@ -260,7 +293,7 @@ def extract_stream(
     hasher = _Hasher(seed.bits, n)
     kept = np.empty((blocks if sink is None else 0) * m, dtype=np.uint8)
     done = 0
-    for group in _block_groups(source.chunks(), n):
+    for group in _block_groups(source.chunks(), n, hasher.rows):
         k = group.shape[0]
         out = kept[done * m : (done + k) * m] if sink is None else np.empty(k * m, np.uint8)
         hasher.hash(group, out.reshape(k, m))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,61 @@ class TestBatchedHash:
         with pytest.raises(ParameterError, match="integer precision"):
             toeplitz_extract(seed, blocks)
 
+    def test_guard_rejects_nan(self, rng, monkeypatch):
+        irfft = qrbg.extractor._fft.irfft
+        monkeypatch.setattr(
+            qrbg.extractor._fft, "irfft", lambda *a, **k: np.full_like(irfft(*a, **k), np.nan)
+        )
+        seed = HashSeed(rng.integers(0, 2, 300).astype(np.uint8))
+        blocks = rng.integers(0, 2, (3, 200)).astype(np.uint8)
+        with pytest.raises(ParameterError, match="integer precision"):
+            toeplitz_extract(seed, blocks)
+
+    @pytest.mark.parametrize(
+        "n, m, rows", [(10**4, 9000, 2), (10**5, 90_000, 2), (10**6, 600_000, 1)]
+    )
+    def test_rows_sized_by_byte_budget(self, n, m, rows):
+        assert qrbg.extractor._Hasher(np.ones(n + m - 1, np.uint8), n).rows == rows
+
+    def test_budget_below_two_rows_does_not_change_output(self, rng, monkeypatch):
+        seed = HashSeed(rng.integers(0, 2, 300).astype(np.uint8))
+        blocks = rng.integers(0, 2, (7, 200)).astype(np.uint8)
+        default = toeplitz_extract(seed, blocks)
+        monkeypatch.setattr(qrbg.extractor, "_BATCH_BYTES", 0)
+        assert qrbg.extractor._Hasher(seed.bits, 200).rows == 1
+        assert np.array_equal(toeplitz_extract(seed, blocks), default)
+
+
+class TestLargeBlocks:
+    """n = 1e6, where a batch is one block."""
+
+    N, M, BLOCKS = 10**6, 600_000, 4
+
+    @pytest.fixture
+    def hashed(self, rng):
+        seed = rng.integers(0, 2, self.N + self.M - 1).astype(np.uint8)
+        raw = rng.integers(0, 2, (self.BLOCKS, self.N)).astype(np.uint8)
+        hasher = qrbg.extractor._Hasher(seed, self.N)
+        out = np.empty((self.BLOCKS, self.M), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            hasher.hash(raw, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return seed, raw, out, peak
+
+    def test_hash_peak_stays_under_48_mib(self, hashed):
+        assert hashed[3] < 48 << 20
+
+    def test_sampled_bits_match_direct_parity(self, rng, hashed):
+        seed, raw, out, _ = hashed
+        for block in (0, self.BLOCKS - 1):
+            for j in rng.choice(self.M, 8, replace=False):
+                # T[j][k] = seed[j - k + n - 1], so row j is seed[j : j + n] reversed.
+                row = seed[j : j + self.N][::-1].astype(np.int64)
+                assert out[block, j] == (row @ raw[block]) % 2, (block, j)
+
 
 class TestUniversality:
     def test_small_family_is_exactly_two_universal(self):
@@ -243,6 +299,16 @@ class TestHashSeed:
             HashSeed(np.array([], dtype=np.uint8))
         with pytest.raises(ParameterError):
             HashSeed(np.array([0, 1, 2], dtype=np.uint8))
+
+    @pytest.mark.parametrize("values", [[256, 1, 257], [0, -1], [0.5, 1], [np.nan, 0]])
+    def test_values_other_than_bits_rejected_before_cast(self, values):
+        with pytest.raises(ParameterError, match="seed bits must be 0 or 1"):
+            HashSeed(np.array(values))
+
+    def test_raw_values_other_than_bits_rejected(self):
+        seed = HashSeed(np.ones(3, dtype=np.uint8))
+        with pytest.raises(ParameterError, match="raw bits must be 0 or 1"):
+            toeplitz_extract(seed, np.array([2, 3]))
 
 
 def test_epsilon_parsing():
