@@ -18,20 +18,89 @@ stateless and auditable.
 The raw stream is hashed a chunk at a time: whole blocks are hashed as
 they complete, a partial block is carried to the next chunk, and each
 block group's output can be written out before the next chunk is read,
-so memory does not grow with the stream.  Each block's parity vector is
-one integer convolution via real FFTs at a length that is fast for real
-transforms.  The seed transform is made once per extraction and reused
-for every block.  Blocks are transformed two at a time while two padded
-float64 rows fit in _BATCH_BYTES (16 MiB, a transform length up to
-2^20), and one at a time above it, so at n = 1e6 a batch's transforms
-are the size of one block's.
-Convolution coefficients are bounded by n, far below the 2^53 integer
-ceiling of float64, and a residual guard rejects any transform whose
-rounding error approaches one half (or is not a number), so outputs are
-bit-exact.  Rounding, the guard and the parity run in buffers made once
-per extraction: a batch allocates only the two arrays the transforms
-return.  The hashing runs on the calling thread alone, so its speed does
-not depend on how many cores are free.
+so memory does not grow with the stream.  Output bit j is the parity of
+coefficient n - 1 + j of the integer convolution c = x * s of block and
+seed, computed as irfft(rfft(x) * S), S = rfft(s), at a length N that is
+fast for real transforms (5-smooth), and rounded to the nearest integer.
+S is made once per extraction.  Rows are transformed two at a time while
+two padded float64 rows fit in _BATCH_BYTES (16 MiB, N up to 2^20), and
+one at a time above it, so at n = 1e6 a batch's transforms are the size
+of one row's.  Rounding, the residual guard and the parity run in buffers
+made once per extraction: a batch allocates only the two arrays the
+transforms return.  The hashing runs on the calling thread alone.
+
+Two blocks per row.  With w = n.bit_length(), 2^w > n >= every
+coefficient, so a row holding x_lo + 2^w * x_hi convolves to
+c_lo + 2^w * c_hi, whose bits are c & 1 and (c >> w) & 1: one transform
+pair hashes two blocks.  An odd last block has a zero high half.  A
+hasher packs its rows only where the a-priori bound E below, for packed
+rows and its own seed, is at most 1/4 (_FFT_GUARD); otherwise it puts one
+block in a row.  Whatever the row holds, the run-time guard rejects any
+batch whose residual |c - rint(c)| exceeds 1/4 or is not a number.
+
+The bound.  Let u = 2^-53 and gamma_k = k*u / (1 - k*u) (Higham,
+Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3 and 24).
+
+* One transform.  pocketfft transforms a real array of 5-smooth length N
+  in passes of radix 4, 2 (at most once), 3 and 5, whose product is N.
+  A radix-r pass multiplies by twiddle factors, each taken within
+  mu = 10u of its exact root: pocketfft multiplies two tabulated roots,
+  each a double-precision cosine and sine of a twice-rounded angle, about
+  2.5u each and 8u for the product.  The pass then takes length-r DFTs.
+  A complex product rounds within sqrt(2)*gamma_2 (Higham Lemma 3.5) and
+  an r-term complex inner product within sqrt(2)*gamma_{r+1} of the sum
+  of its terms' moduli.  Against the pass's norm sqrt(r), the pass then
+  has normwise relative error at most
+
+      eta_r = a + sqrt(r) * b_r * (1 + a),
+      a   = mu + sqrt(2)*gamma_2*(1 + mu)       (the twiddle product),
+      b_r = mu + sqrt(2)*gamma_{r+1}*(1 + mu)   (one DFT output),
+
+  i.e. 33u, 40u, 47u and 54u for r = 2, 3, 4, 5.  As in Higham's
+  Theorem 24.2 (there for radix 2), the passes compose to
+
+      ||fl(F x) - F x||_2 <= eps_N * ||F x||_2 = eps_N * sqrt(N) * ||x||_2,
+      eps_N = prod over the passes of (1 + eta_r) - 1,
+
+  and the inverse transform is bounded the same way.  Assumptions: the
+  real passes (FFTPACK's radf and radb) round no worse than the complex
+  passes whose work they halve; pocketfft uses no Bluestein step at a
+  5-smooth length; the final 1/N scaling costs gamma_2 relative.
+* The convolution.  With X = F x, P = X * S and hats for computed
+  values, c^ - c = (irfft^(P^) - irfft(P^)) + irfft(P^ - P).  The first
+  term has 2-norm at most eps_N * ||P^||_2 / sqrt(N), and
+  ||P^||_2 <= (1 + sqrt(2)*gamma_2) * max|S^| * ||X^||_2.  Each entry of
+  the second is at most ||P^ - P||_1 / N; split P^ - P into the product's
+  rounding, X's transform error times S^ and X times S's transform error,
+  and bound each by Cauchy-Schwarz.  For a 0/1 seed with p ones,
+  ||s||_2 = sqrt(p) and max|S| = S[0] = p, so
+  max|S^| <= p + eps_N sqrt(N p), and every coefficient is within
+
+      E = (A + B) * (1 + gamma_2) + gamma_2 * c_max,
+      A = eps_N (1 + eps_N) (1 + sqrt(2) gamma_2) (p + eps_N sqrt(N p)) ||x||_2,
+      B = (sqrt(2) gamma_2 (1 + eps_N)^2 + eps_N (2 + eps_N)) sqrt(p) ||x||_2,
+
+  where c_max bounds |c|.  The worst case over 0/1 blocks is
+  ||x||_2 = sqrt(n), c_max = n for one block per row, and
+  ||x||_2 = (1 + 2^w) sqrt(n), c_max = (1 + 2^w) n for two.
+* Where it packs.  E is dominated by A, which grows with p and, for
+  packed rows (2^w ~ n), with n^1.5.  At rate 0.96 with a random seed,
+  packed rows give E = 0.00062 at n = 1e4 and 0.19 at n = 1e5, so both
+  pack, and packing stops near n = 1.2e5 (7.7e4 for an all-ones seed).
+  An all-ones seed at n = 1e5 gives 0.37 and a random seed at n = 1e6
+  (rate 0.6) gives 45, so those hash one block per row.  The residuals
+  measured on random, all-ones, alternating and seed-reversed blocks
+  were 4.8e-7 packed at n = 1e5 and 1.2e-10 unpacked at n = 1e6.
+  Hashing a block took 0.19-0.29 ms at n = 1e4 (0.34-0.52 one block per
+  row) and 4.0-4.9 ms at n = 1e5 (7.7-9.3), and 85-99 ms, unchanged, at
+  n = 1e6 (rate 0.6): best of 5 hashes of 40, 8 and 4 blocks on one core
+  of a shared 2-vCPU Intel Xeon, Python 3.11.7, numpy 2.4.6, scipy
+  1.17.1.
+* Block-size limit.  For one block per row and the worst-case seed, all
+  ones with m = n, E stays at most 1/4 for every n up to
+  ExtractorParams.MAX_N (taking, for each n, the largest eps_N of any
+  5-smooth length up to its N, so that E grows with n); a larger block
+  size is rejected.
 """
 
 from __future__ import annotations
@@ -42,7 +111,7 @@ import secrets
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, ClassVar, Iterable, Iterator, Optional, Union
 
 import numpy as np
 from scipy import fft as _fft
@@ -52,14 +121,82 @@ from .errors import InsufficientEntropyError, ParameterError
 from .minentropy import EntropyRate
 
 _FFT_GUARD = 0.25
-# Blocks per transform call while the batch's padded input fits in
-# _BATCH_BYTES, one block per call above it.  pocketfft computes the rows
-# of a 2-D transform side by side in SIMD lanes: two rows hash a block in
-# 0.35 ms against 0.51 at n = 1e4 and in 5.1 ms against 6.7 at n = 1e5
-# (rate 0.96).  At n = 1e6 two rows are no faster, and each batch's
-# transforms would double the extraction's peak memory.
+# Rows per transform call while the batch's padded input fits in
+# _BATCH_BYTES, one row per call above it.  pocketfft computes the rows
+# of a 2-D transform side by side in SIMD lanes: two rows of one block
+# each hashed a block in 0.35 ms against 0.51 at n = 1e4 and in 5.1 ms
+# against 6.7 at n = 1e5 (rate 0.96).  At n = 1e6 two rows are no faster,
+# and each batch's transforms would double the extraction's peak memory.
 _BATCH_ROWS = 2
 _BATCH_BYTES = 16 << 20
+
+# The error model of the module docstring: unit roundoff, and how far a
+# computed twiddle factor may lie from its exact root.
+_U = 2.0**-53
+_TWIDDLE_ERROR = 10 * _U
+_SQRT2 = math.sqrt(2.0)
+
+
+def _gamma(k: int) -> float:
+    return k * _U / (1 - k * _U)
+
+
+def _transform_error(length: int) -> float:
+    """eps_N: the normwise relative error bound of one pocketfft real
+    transform of 5-smooth ``length``, a product over its radix passes."""
+    mu = _TWIDDLE_ERROR
+    twiddle = mu + _SQRT2 * _gamma(2) * (1 + mu)
+    growth, rest = 1.0, length
+    for radix in (4, 2, 3, 5):
+        butterfly = mu + _SQRT2 * _gamma(radix + 1) * (1 + mu)
+        while rest % radix == 0:
+            rest //= radix
+            growth *= 1 + twiddle + math.sqrt(radix) * butterfly * (1 + twiddle)
+    if rest != 1:
+        raise ParameterError(f"transform length {length} is not 5-smooth")
+    return growth - 1
+
+
+def _convolution_error(
+    eps: float, length: int, ones: int, x_norm: float, c_max: float
+) -> float:
+    """E: how far any computed coefficient of a length-``length``
+    convolution can lie from the exact one, for transforms within ``eps``,
+    a 0/1 seed with ``ones`` ones, inputs of 2-norm at most ``x_norm`` and
+    coefficients at most ``c_max``."""
+    g2 = _SQRT2 * _gamma(2)
+    spectrum_max = ones + eps * math.sqrt(length * ones)
+    inverse = eps * (1 + eps) * (1 + g2) * spectrum_max * x_norm
+    spectrum = (g2 * (1 + eps) ** 2 + eps * (2 + eps)) * math.sqrt(ones) * x_norm
+    return (inverse + spectrum) * (1 + _gamma(2)) + _gamma(2) * c_max
+
+
+def _largest_exact_n() -> int:
+    """The largest n such that one block per row of any size up to n, with
+    any seed of at most 2n - 1 bits, keeps E at most _FFT_GUARD."""
+    # A block of n' <= n bits is transformed at a 5-smooth length up to
+    # next_fast_len(2n - 1).  With eps the largest eps_N of those lengths,
+    # E grows with n, so a bisection finds the limit.
+    cap = 1 << 30
+    lengths = sorted(
+        2**a * 3**b * 5**c
+        for a in range(31)
+        for b in range(19)
+        for c in range(13)
+        if 2**a * 3**b * 5**c <= cap
+    )
+    eps = np.maximum.accumulate([_transform_error(length) for length in lengths])
+
+    def exact(n: int) -> bool:
+        length = _fft.next_fast_len(2 * n - 1, real=True)
+        worst = eps[np.searchsorted(lengths, length)]
+        return _convolution_error(worst, length, 2 * n - 1, math.sqrt(n), n) <= _FFT_GUARD
+
+    lo, hi = 1, cap // 4
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if exact(mid) else (lo, mid - 1)
+    return lo
 
 
 def parse_epsilon(text: Union[str, float]) -> float:
@@ -100,8 +237,13 @@ def output_length(
 class ExtractorParams:
     """Block size, distance target and certified rate, with m derived.
 
-    ``h_rate`` must be an entropy rate, a finite number in [0, 1].
+    ``h_rate`` must be an entropy rate, a finite number in [0, 1], and
+    ``n`` at most MAX_N, the largest block size for which the module
+    docstring's error bound proves the hash exact whatever the seed.
     """
+
+    # _largest_exact_n(), which takes about 15 ms; a test recomputes it.
+    MAX_N: ClassVar[int] = 135_720_237
 
     n: int
     epsilon: float
@@ -109,6 +251,11 @@ class ExtractorParams:
     m: int = 0
 
     def __post_init__(self) -> None:
+        if self.n > self.MAX_N:
+            raise ParameterError(
+                f"block size n = {self.n} exceeds {self.MAX_N}, the largest "
+                "for which the FFT hash is proven exact"
+            )
         rate = float(EntropyRate(self.h_rate))
         m = output_length(rate, self.n, self.epsilon)
         if m < 1:
@@ -186,8 +333,22 @@ class _Hasher:
         # reads, so the transform can stay one block short of the full
         # linear-convolution length.
         self.fft_len = _fft.next_fast_len(n + m - 1, real=True)
+        # Row i of a batch holds its block i and, where E for packed rows
+        # allows, its block rows + i scaled by 2^shift, above every
+        # coefficient of the first.
+        self.shift = n.bit_length()
+        scale = 1.0 + 2.0**self.shift
+        packed_error = _convolution_error(
+            _transform_error(self.fft_len),
+            self.fft_len,
+            int(np.count_nonzero(seed_bits)),
+            scale * math.sqrt(n),
+            scale * n,
+        )
+        self.per_row = 2 if packed_error <= _FFT_GUARD else 1
         fits = _BATCH_ROWS * self.fft_len * 8 <= _BATCH_BYTES
         self.rows = _BATCH_ROWS if fits else 1
+        self.batch = self.rows * self.per_row
         self.seed_fft = _fft.rfft(seed_bits.astype(np.float64), self.fft_len)
         self.pad = np.zeros((self.rows, self.fft_len), dtype=np.float64)
         self.rounded = np.empty((self.rows, m), dtype=np.int64)
@@ -200,11 +361,15 @@ class _Hasher:
         # of glibc's heap free, which it returns to the system, and every
         # batch would fault its pages in again (at n = 1e6, 20 blocks took
         # 207k minor faults against 124k).
-        for lo in range(0, len(blocks), self.rows):
-            batch = blocks[lo : lo + self.rows]
-            rows = len(batch)
+        for lo in range(0, len(blocks), self.batch):
+            batch = blocks[lo : lo + self.batch]
+            k = len(batch)
+            rows = -(-k // self.per_row)
+            high = k - rows  # rows that also carry a block in their high half
             pad = self.pad[:rows]
-            pad[:, :n] = batch
+            np.multiply(batch[rows:], 2.0**self.shift, out=pad[:high, :n])
+            np.add(pad[:high, :n], batch[:high], out=pad[:high, :n])
+            pad[high:, :n] = batch[high:rows]
             spectrum = _fft.rfft(pad, axis=-1)
             spectrum *= self.seed_fft
             conv = _fft.irfft(spectrum, self.fft_len, axis=-1, overwrite_x=True)
@@ -221,6 +386,8 @@ class _Hasher:
                     "FFT convolution lost integer precision; block size too large"
                 )
             np.bitwise_and(rounded, 1, out=out[lo : lo + rows], casting="unsafe")
+            np.right_shift(rounded[:high], self.shift, out=rounded[:high])
+            np.bitwise_and(rounded[:high], 1, out=out[lo + rows : lo + k], casting="unsafe")
 
 
 def toeplitz_extract(seed: Union[HashSeed, np.ndarray], raw: np.ndarray) -> np.ndarray:
@@ -239,12 +406,13 @@ def toeplitz_extract(seed: Union[HashSeed, np.ndarray], raw: np.ndarray) -> np.n
 
 
 def _block_groups(
-    chunks: Iterable[np.ndarray], n: int, rows: int
+    chunks: Iterable[np.ndarray], n: int, batch: int
 ) -> Iterator[np.ndarray]:
     """The stream's whole n-bit blocks as (k x n) arrays, k a multiple of
-    ``rows`` except in the last, so the batches are the same however the
+    ``batch`` (the blocks one transform call takes) except in the last, so
+    the batches, and which blocks share a row, are the same however the
     stream is chunked; a tail shorter than one block is dropped."""
-    groups = BlockCutter(n * rows)
+    groups = BlockCutter(n * batch)
     for chunk in chunks:
         blocks = groups.cut(chunk).reshape(-1, n)
         if blocks.size:
@@ -293,7 +461,7 @@ def extract_stream(
     hasher = _Hasher(seed.bits, n)
     kept = np.empty((blocks if sink is None else 0) * m, dtype=np.uint8)
     done = 0
-    for group in _block_groups(source.chunks(), n, hasher.rows):
+    for group in _block_groups(source.chunks(), n, hasher.batch):
         k = group.shape[0]
         out = kept[done * m : (done + k) * m] if sink is None else np.empty(k * m, np.uint8)
         hasher.hash(group, out.reshape(k, m))

@@ -94,6 +94,11 @@ _FLAGS = {"0": False, "1": True, "false": False, "true": True, "no": False, "yes
 _flag = _checked(lambda t: _FLAGS.get(t.lower()), lambda v: v is not None, f"is not {'|'.join(_FLAGS)}")
 _probability = _checked(float, lambda v: 0.0 < v < 1.0, "is outside (0, 1)")
 _count = _checked(int, lambda v: v > 0, "is not positive")
+_block_size = _checked(
+    int,
+    lambda v: 0 < v <= ExtractorParams.MAX_N,
+    f"is not in 1..{ExtractorParams.MAX_N}, the block sizes the hash is proven exact for",
+)
 
 
 def _parse_vector(text: str) -> StokesVector:
@@ -179,7 +184,7 @@ class PipelineConfig:
     alpha: float = _key(0.01, _probability, repr)
     conservative: bool = _key(False, _flag, lambda v: str(int(v)))
     generation_bits: int = _key(1_000_000, _count)
-    block_n: int = _key(100_000, _count)
+    block_n: int = _key(100_000, _block_size)
     epsilon: float = _key(2.0 ** -64, parse_epsilon, format_epsilon)
     tests: tuple[str, ...] = _key(
         ALL_TESTS, _parse_tests, lambda v: ",".join(v) if v else "none"

@@ -233,14 +233,30 @@ def sample_events(
     p0, cum = _born_table(model.variant)
     outcomes = np.empty(n, dtype=np.uint8)
     labels = None if cum is None else np.empty(n, dtype=np.int32)
+    # Both uniform draws of a chunk land in one buffer, in the order that
+    # rng.random(size) would return them.
+    draws = np.empty(min(n, _CHUNK))
+    thresholds = None if labels is None else np.empty_like(draws)
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        terms = 0
-        if labels is not None:
-            terms = np.searchsorted(cum, rng.random(stop - start), side="right")
-            labels[start:stop] = terms
+        u = draws[: stop - start]
         basis = sched[start:stop] if column is None else column
-        outcomes[start:stop] = rng.random(stop - start) >= p0[terms, basis]
+        if labels is None:
+            threshold = p0[0, basis]
+        else:
+            # searchsorted(cum, u, side="right") as a count of the edges at
+            # or below u; the last edge, cum[-1] = 1.0, is above every u.
+            terms = labels[start:stop]
+            rng.random(out=u)
+            np.greater_equal(u, cum[0], out=terms)
+            for edge in cum[1:-1]:
+                np.add(terms, u >= edge, out=terms)
+            if column is None:
+                threshold = p0[terms, basis]
+            else:
+                threshold = np.take(p0[:, column], terms, out=thresholds[: stop - start], mode="clip")
+        rng.random(out=u)
+        np.greater_equal(u, threshold, out=outcomes[start:stop])
     return EventLog(model.describe(), model.rng_seed, sched, outcomes, labels)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 
 import qrbg.bits
 import qrbg.extractor
-from qrbg.bits import BitStream
+from qrbg.bits import BitStream, pack_bits
 from qrbg.errors import InsufficientEntropyError, ParameterError
 from qrbg.extractor import (
     ExtractorParams,
@@ -16,6 +17,7 @@ from qrbg.extractor import (
     output_length,
     parse_epsilon,
     toeplitz_extract,
+    toeplitz_matrix,
     universality_check,
 )
 
@@ -170,6 +172,96 @@ class TestBatchedHash:
         assert np.array_equal(toeplitz_extract(seed, blocks), default)
 
 
+class TestPackedHash:
+    """Two blocks per transform row where the error bound allows it."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 7])
+    def test_matches_matrix_oracle(self, rng, count):
+        n, m = 200, 101
+        seed = rng.integers(0, 2, n + m - 1).astype(np.uint8)
+        blocks = rng.integers(0, 2, (count, n)).astype(np.uint8)
+        hasher = qrbg.extractor._Hasher(seed, n)
+        assert (hasher.per_row, hasher.batch) == (2, 4)
+        out = np.empty((count, m), dtype=np.uint8)
+        hasher.hash(blocks, out)
+        want = (blocks.astype(np.int64) @ toeplitz_matrix(seed, n, m).T) % 2
+        assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize(
+        "n, rate, ones, per_row",
+        [(10**4, 0.96, False, 2), (10**5, 0.96, False, 2), (10**5, 0.96, True, 1), (10**6, 0.6, False, 1)],
+    )
+    def test_packing_decision(self, rng, n, rate, ones, per_row):
+        m = output_length(rate, n, 2.0**-64)
+        seed = np.ones(n + m - 1, np.uint8) if ones else rng.integers(0, 2, n + m - 1).astype(np.uint8)
+        assert qrbg.extractor._Hasher(seed, n).per_row == per_row
+
+    def test_extreme_blocks_match_one_block_per_row(self, rng):
+        n = 10**5
+        m = output_length(0.96, n, 2.0**-64)
+        seed = rng.integers(0, 2, n + m - 1).astype(np.uint8)
+        alternating = np.arange(n, dtype=np.uint8) % 2
+        # A reversed seed window makes one coefficient as large as it can be.
+        blocks = np.stack(
+            [np.ones(n, np.uint8), alternating, seed[:n][::-1], seed[m - 1 :][::-1], 1 - alternating]
+        )
+        packed = qrbg.extractor._Hasher(seed, n)
+        assert packed.per_row == 2
+        single = qrbg.extractor._Hasher(seed, n)
+        single.per_row, single.batch = 1, single.rows
+        got, want = (np.empty((len(blocks), m), np.uint8) for _ in range(2))
+        packed.hash(blocks, got)
+        single.hash(blocks, want)
+        assert np.array_equal(got, want)
+
+
+class TestExactnessBound:
+    def test_max_n_is_the_largest_proven_exact(self):
+        assert qrbg.extractor._largest_exact_n() == ExtractorParams.MAX_N
+
+    def test_block_size_above_the_limit_rejected(self):
+        assert ExtractorParams(ExtractorParams.MAX_N, 2.0**-64, 0.9).n == ExtractorParams.MAX_N
+        with pytest.raises(ParameterError, match="proven exact"):
+            ExtractorParams(ExtractorParams.MAX_N + 1, 2.0**-64, 0.9)
+
+    @pytest.mark.parametrize("length", [960, 1000])  # radices 4, 4, 4, 3, 5 and 4, 2, 5, 5, 5
+    def test_transform_error_within_model(self, rng, length):
+        """scipy's real transform stays within eps_N of a long-double DFT."""
+        x = rng.integers(0, 2, length).astype(np.float64)
+        pi = np.longdouble("3.14159265358979323846264338327950288")
+        turns = np.arange(length // 2 + 1)[:, None] * np.arange(length)[None, :] % length
+        angle = 2 * pi * turns.astype(np.longdouble) / length
+        exact_re = np.cos(angle) @ x.astype(np.longdouble)
+        exact_im = -np.sin(angle) @ x.astype(np.longdouble)
+        got = qrbg.extractor._fft.rfft(x)
+        err = (got.real - exact_re) ** 2 + (got.imag - exact_im) ** 2
+        # Bins other than 0 and N/2 stand for a conjugate pair in the full spectrum.
+        weight = np.full(len(err), 2.0)
+        weight[[0, -1]] = 1.0
+        full = math.sqrt(float((weight * err).sum()))
+        eps = qrbg.extractor._transform_error(length)
+        assert full <= eps * math.sqrt(length) * np.linalg.norm(x)
+
+
+class TestPinnedDigests:
+    """sha256 of toeplitz_extract output recorded before blocks were packed
+    two to a transform row; the hash must not change."""
+
+    @pytest.mark.parametrize(
+        "n, m, blocks, stream, digest",
+        [
+            (10**5, 95_742, 5, 1, "55d0ee9243b63ff8f31f4f89f187f84efaae95470899ed24ddea14b4c79fde7b"),
+            (10**6, 600_000, 2, 2, "eb6a20e1f985d2bd42398299cff5d63f329f24c3e554984e1570bd2af3a03aee"),
+        ],
+    )
+    def test_digest(self, n, m, blocks, stream, digest):
+        rng = np.random.default_rng([2006, n, stream])
+        seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
+        raw = rng.integers(0, 2, (blocks, n), dtype=np.uint8)
+        out = toeplitz_extract(seed, raw)
+        assert hashlib.sha256(pack_bits(out.ravel())).hexdigest() == digest
+
+
 class TestLargeBlocks:
     """n = 1e6, where a batch is one block."""
 
@@ -273,12 +365,32 @@ class TestExtractStream:
         assert np.array_equal(
             whole, toeplitz_extract(seed, raw[: 35 * 300].reshape(35, 300)).ravel()
         )
-        for chunk in (7, 450, 1000):  # shorter than a block, 1.5 blocks, many
+        # shorter than a block, 1.5 blocks, three and five blocks (each cuts
+        # a packed pair), many
+        for chunk in (7, 450, 900, 1500, 1000):
             monkeypatch.setattr(qrbg.bits, "CHUNK_BITS", chunk)
             pieces = []
             res = extract_stream(BitStream(raw), params, seed=seed, sink=pieces.append)
             assert res.output is None and res.blocks == 35
             assert np.array_equal(np.concatenate(pieces), whole)
+
+    def test_groups_are_whole_batches(self, rng, monkeypatch):
+        """Chunks of three blocks reach the hasher in groups of whole
+        two-row, two-block-per-row batches, the last one excepted."""
+        params = ExtractorParams(300, 2.0**-8, 0.9)
+        seed = HashSeed(rng.integers(0, 2, params.seed_bits_needed).astype(np.uint8))
+        raw = rng.integers(0, 2, 23 * 300 + 7).astype(np.uint8)
+        sizes = []
+        hash_blocks = qrbg.extractor._Hasher.hash
+
+        def recorded(hasher, blocks, out):
+            sizes.append(len(blocks))
+            hash_blocks(hasher, blocks, out)
+
+        monkeypatch.setattr(qrbg.extractor._Hasher, "hash", recorded)
+        monkeypatch.setattr(qrbg.bits, "CHUNK_BITS", 900)
+        extract_stream(BitStream(raw), params, seed=seed, sink=lambda out: None)
+        assert sum(sizes) == 23 and all(k % 4 == 0 for k in sizes[:-1])
 
     def test_accepts_bitstream_input(self, rng):
         params = ExtractorParams(64, 2.0**-4, 0.9)

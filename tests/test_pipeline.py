@@ -103,6 +103,8 @@ class TestConfigParsing:
         assert cfg.tests == ()
 
     def test_bad_values(self):
+        with pytest.raises(ConfigError, match="block_n"):
+            parse_config_text(f"mode = single\nstate = 1,0,0\nblock_n = {ExtractorParams.MAX_N + 1}\n")
         with pytest.raises(ConfigError):
             parse_config_text("mode = single\nstate = 1,0\n")
         with pytest.raises(ConfigError):
@@ -387,6 +389,16 @@ class TestCli:
         cfg_path.write_text("mode = single\nstate = 1,0,0\nbogus = 1\n")
         r = CliRunner().invoke(main, ["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert r.exit_code == 5
+
+    def test_block_size_above_exactness_limit_exit_code(self, tmp_path):
+        raw = tmp_path / "raw.bits"
+        write_bits_file(str(raw), BitStream(np.ones(4000, dtype=np.uint8)), {"role": "raw"})
+        r = CliRunner().invoke(main, [
+            "extract", str(raw), "--h-rate", "0.9", "--block-n", str(ExtractorParams.MAX_N + 1),
+            "--out", str(tmp_path / "ex.bits"),
+        ])
+        assert r.exit_code == 5
+        assert "proven exact" in r.output
 
     def test_malformed_log_exit_code(self, tmp_path):
         log_path = tmp_path / "bad.log"
