@@ -31,6 +31,19 @@ MAGIC = b"QRBGBITS v1     "
 CHUNK_BITS = 1 << 22
 
 
+def _bit_array(values, what: str) -> np.ndarray:
+    """``values`` as uint8, rejected unless every value is 0 or 1: a cast
+    first would wrap 256 to 0 and 257 to 1."""
+    values = np.asarray(values)
+    if values.dtype.kind in "bu":  # no value below 0; max() needs no temporary
+        bits = values.size == 0 or values.max() <= 1
+    else:
+        bits = ((values == 0) | (values == 1)).all()
+    if not bits:
+        raise ParameterError(f"{what} must be 0 or 1")
+    return values.astype(np.uint8, copy=False)
+
+
 def pack_bits(bits: np.ndarray) -> bytes:
     """MSB-first packing; final partial byte zero-padded."""
     return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
@@ -53,11 +66,9 @@ class BitStream:
     meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        bits = np.asarray(self.bits, dtype=np.uint8)
+        bits = _bit_array(self.bits, "bits")
         if bits.ndim != 1:
             raise ParameterError("bits must be one-dimensional")
-        if bits.size and bits.max() > 1:
-            raise ParameterError("bits must be 0 or 1")
         self.bits = bits
 
     @property

@@ -20,23 +20,40 @@ they complete, a partial block is carried to the next chunk, and each
 block group's output can be written out before the next chunk is read,
 so memory does not grow with the stream.  Output bit j is the parity of
 coefficient n - 1 + j of the integer convolution c = x * s of block and
-seed, computed as irfft(rfft(x) * S), S = rfft(s), at a length N that is
-fast for real transforms (5-smooth), and rounded to the nearest integer.
-S is made once per extraction.  Rows are transformed two at a time while
-two padded float64 rows fit in _BATCH_BYTES (16 MiB, N up to 2^20), and
-one at a time above it, so at n = 1e6 a batch's transforms are the size
-of one row's.  Rounding, the residual guard and the parity run in buffers
-made once per extraction: a batch allocates only the two arrays the
-transforms return.  The hashing runs on the calling thread alone.
+seed.  The hash convolves with the centred seed s' = 2s - 1 instead:
+c' = x * s' is computed as irfft(rfft(x) * S), S = rfft(s'), at a length N
+that is fast for real transforms (5-smooth), and rounded to the nearest
+integer.  Every term of an output coefficient lies inside the seed, so
+there c' = 2c - |x|, |x| the block's popcount.  S is made once per
+extraction.  Rows are transformed two at a time while two padded float64
+rows fit in _BATCH_BYTES (16 MiB, N up to 2^20), and one at a time above
+it, so at n = 1e6 a batch's transforms are the size of one row's.
+Rounding, the residual guard and the parity run in buffers made once per
+extraction: a batch allocates only the two arrays the transforms return.
+The hashing runs on the calling thread alone.
 
 Two blocks per row.  With w = n.bit_length(), 2^w > n >= every
-coefficient, so a row holding x_lo + 2^w * x_hi convolves to
-c_lo + 2^w * c_hi, whose bits are c & 1 and (c >> w) & 1: one transform
-pair hashes two blocks.  An odd last block has a zero high half.  A
-hasher packs its rows only where the a-priori bound E below, for packed
-rows and its own seed, is at most 1/4 (_FFT_GUARD); otherwise it puts one
-block in a row.  Whatever the row holds, the run-time guard rejects any
-batch whose residual |c - rint(c)| exceeds 1/4 or is not a number.
+coefficient of c, so a row holding x_lo + 2^w * x_hi convolves to
+c'_lo + 2^w * c'_hi.  With v its rounded value,
+v + |x_lo| + 2^w * |x_hi| = 2 * (c_lo + 2^w * c_hi), whose bits 1 and
+w + 1 are the two blocks' output bits: one transform pair hashes two
+blocks.  An odd last block has a zero high half.  Whatever the row holds,
+the run-time guard rejects any batch whose residual |c' - rint(c')|
+exceeds 1/4 or is not a number, or whose sum above is odd, which a
+rounding error of an odd integer leaves as its only trace.
+
+Where it packs.  A hasher packs its rows unchecked where its seed-level
+bound E below (its own seed, any 0/1 blocks) is at most 1/4 (_FFT_GUARD).
+Where that bound is larger it still packs, but checks every packed batch:
+after the forward transform it evaluates the batch's own E from the
+computed spectral product and the blocks' popcounts, and hashes a batch
+whose E exceeds 1/4 again at one block per row, which the block-size
+limit proves exact for any seed.  An input crafted against the public
+seed can so slow hashing but never make it wrong.  A seed whose centred
+spectrum still peaks at DC (far more ones than zeros or the reverse, such
+as all ones) meets the DC of every dense block at full strength, so
+ordinary blocks nearly reach the seed-level bound and would fail their
+check; such a hasher puts one block in a row.
 
 The bound.  Let u = 2^-53 and gamma_k = k*u / (1 - k*u) (Higham,
 Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3 and 24).
@@ -67,37 +84,54 @@ Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3 and 24).
   passes whose work they halve; pocketfft uses no Bluestein step at a
   5-smooth length; the final 1/N scaling costs gamma_2 relative.
 * The convolution.  With X = F x, P = X * S and hats for computed
-  values, c^ - c = (irfft^(P^) - irfft(P^)) + irfft(P^ - P).  The first
-  term has 2-norm at most eps_N * ||P^||_2 / sqrt(N), and
-  ||P^||_2 <= (1 + sqrt(2)*gamma_2) * max|S^| * ||X^||_2.  Each entry of
-  the second is at most ||P^ - P||_1 / N; split P^ - P into the product's
-  rounding, X's transform error times S^ and X times S's transform error,
-  and bound each by Cauchy-Schwarz.  For a 0/1 seed with p ones,
-  ||s||_2 = sqrt(p) and max|S| = S[0] = p, so
-  max|S^| <= p + eps_N sqrt(N p), and every coefficient is within
+  values, c'^ - c' = (irfft^(P^) - irfft(P^)) + irfft(P^ - P).  The first
+  term has 2-norm at most eps_N * ||P^||_2 / sqrt(N), ||P^||_2 taken over
+  the full spectrum.  Each entry of the second is at most
+  ||P^ - P||_1 / N; split P^ - P into the product's rounding, X's
+  transform error times S^ and X times S's transform error, and bound
+  each by Cauchy-Schwarz with ||s'||_2 = sqrt(L), L = n + m - 1 the seed
+  length.  Every coefficient is then within
 
-      E = (A + B) * (1 + gamma_2) + gamma_2 * c_max,
-      A = eps_N (1 + eps_N) (1 + sqrt(2) gamma_2) (p + eps_N sqrt(N p)) ||x||_2,
-      B = (sqrt(2) gamma_2 (1 + eps_N)^2 + eps_N (2 + eps_N)) sqrt(p) ||x||_2,
+      E = (eps_N ||P^||_2 / sqrt(N) + B) * (1 + gamma_2) + gamma_2 * c_max,
+      B = (sqrt(2) gamma_2 (1 + eps_N)^2 + eps_N (2 + eps_N)) sqrt(L) ||x||_2,
 
-  where c_max bounds |c|.  The worst case over 0/1 blocks is
-  ||x||_2 = sqrt(n), c_max = n for one block per row, and
-  ||x||_2 = (1 + 2^w) sqrt(n), c_max = (1 + 2^w) n for two.
-* Where it packs.  E is dominated by A, which grows with p and, for
-  packed rows (2^w ~ n), with n^1.5.  At rate 0.96 with a random seed,
-  packed rows give E = 0.00062 at n = 1e4 and 0.19 at n = 1e5, so both
-  pack, and packing stops near n = 1.2e5 (7.7e4 for an all-ones seed).
-  An all-ones seed at n = 1e5 gives 0.37 and a random seed at n = 1e6
-  (rate 0.6) gives 45, so those hash one block per row.  The residuals
-  measured on random, all-ones, alternating and seed-reversed blocks
-  were 4.8e-7 packed at n = 1e5 and 1.2e-10 unpacked at n = 1e6.
-  Hashing a block took 0.19-0.29 ms at n = 1e4 (0.34-0.52 one block per
-  row) and 4.0-4.9 ms at n = 1e5 (7.7-9.3), and 85-99 ms, unchanged, at
-  n = 1e6 (rate 0.6): best of 5 hashes of 40, 8 and 4 blocks on one core
-  of a shared 2-vCPU Intel Xeon, Python 3.11.7, numpy 2.4.6, scipy
-  1.17.1.
+  where c_max bounds |c'|.
+* The seed-level bound takes ||P^||_2 <= (1 + sqrt(2) gamma_2) max|S^|
+  ||X^||_2 and ||X^||_2 <= (1 + eps_N) sqrt(N) ||x||_2, with max|S^| read
+  from the computed spectrum (widened by gamma_2 for the rounding of its
+  moduli), and the worst 0/1 blocks: ||x||_2 = sqrt(n), c_max = n for one
+  block per row, ||x||_2 = (1 + 2^w) sqrt(n), c_max = (1 + 2^w) n for
+  two.  Centring is what makes it small: a 0/1 seed with p ones has
+  S[0] = p, about 8e5 at n = 1e6, while a random centred seed's largest
+  |S| is about 4,800, near sqrt(L ln N).
+* The per-batch bound takes, for each packed row, the exact
+  ||x||_2^2 = |x_lo| + 2^(2w) |x_hi| + 2^(w+1) |x_lo & x_hi| and
+  c_max = |x_lo| + 2^w |x_hi| from popcounts, and ||P^||_2^2 at most
+  twice np.vdot of the row's half spectrum with itself (every other bin
+  stands for a conjugate pair), over 1 - gamma_{N+2} for that sum's
+  rounding.  Its assumptions are those of one transform and numpy's
+  complex product rounding within sqrt(2) gamma_2.  E is evaluated in
+  float64; its own rounding is far inside the gap between 1/4 and the
+  1/2 at which rounding to the nearest integer would go wrong.
+* Figures (rate 0.96 at n = 1e4 and 1e5, 0.6 at n = 1e6, random seeds).
+  The seed-level bound for packed rows is 4.5e-5 at n = 1e4 and 0.0044
+  at n = 1e5, so both pack unchecked, and the unchecked range ends
+  between n = 5e5 and 6e5; it is 0.41-0.44 at n = 1e6 (rates 0.6 and
+  0.62) and 0.369 for an all-ones seed at n = 1e5.  Per batch at
+  n = 1e6, over 40 seeds, random blocks gave E = 0.14-0.21, blocks of
+  density 0.55 at most 0.223, and all-ones blocks 0.16-0.35, above 1/4
+  for 7 seeds; adversarial_recal's blocks gave 0.147-0.202 on four
+  benchmark seeds.  The residuals of packed rows at n = 1e6 were about
+  2e-6 on random blocks and 6.1e-5 on seed-reversed ones.  Hashing a
+  block, in one process alternating with the code that hashed n = 1e6
+  one block per row (same seed and blocks, median of 10-60 paired runs
+  on one core of a shared 2-vCPU Intel Xeon, Python 3.11.7, numpy 2.4.6,
+  scipy 1.17.1), took 0.54 times as long at n = 1e6 (47-50 against
+  88-91 ms); the popcount correction and the parity check cost 4.5-5 %
+  at n = 1e4 (0.21 ms) and 1-1.5 % at n = 1e5 (4.3 ms).
 * Block-size limit.  For one block per row and the worst-case seed, all
-  ones with m = n, E stays at most 1/4 for every n up to
+  ones or all zeros with m = n (its centred spectrum peaks at
+  max|S| = L), E stays at most 1/4 for every n up to
   ExtractorParams.MAX_N (taking, for each n, the largest eps_N of any
   5-smooth length up to its N, so that E grows with n); a larger block
   size is rejected.
@@ -116,7 +150,7 @@ from typing import Callable, ClassVar, Iterable, Iterator, Optional, Union
 import numpy as np
 from scipy import fft as _fft
 
-from .bits import BitsFile, BitStream, BlockCutter, pack_bits, unpack_bits
+from .bits import BitsFile, BitStream, BlockCutter, _bit_array, pack_bits, unpack_bits
 from .errors import InsufficientEntropyError, ParameterError
 from .minentropy import EntropyRate
 
@@ -158,17 +192,22 @@ def _transform_error(length: int) -> float:
 
 
 def _convolution_error(
-    eps: float, length: int, ones: int, x_norm: float, c_max: float
+    eps: float, product_norm: float, seed_norm: float, x_norm: float, c_max: float
 ) -> float:
-    """E: how far any computed coefficient of a length-``length``
-    convolution can lie from the exact one, for transforms within ``eps``,
-    a 0/1 seed with ``ones`` ones, inputs of 2-norm at most ``x_norm`` and
+    """E: how far any computed coefficient of a convolution can lie from the
+    exact one, for transforms within ``eps``, a computed spectral product
+    whose full-spectrum 2-norm is at most ``product_norm`` * sqrt(N), a
+    seed of 2-norm ``seed_norm``, an input of 2-norm ``x_norm`` and
     coefficients at most ``c_max``."""
     g2 = _SQRT2 * _gamma(2)
-    spectrum_max = ones + eps * math.sqrt(length * ones)
-    inverse = eps * (1 + eps) * (1 + g2) * spectrum_max * x_norm
-    spectrum = (g2 * (1 + eps) ** 2 + eps * (2 + eps)) * math.sqrt(ones) * x_norm
-    return (inverse + spectrum) * (1 + _gamma(2)) + _gamma(2) * c_max
+    spectrum = (g2 * (1 + eps) ** 2 + eps * (2 + eps)) * seed_norm * x_norm
+    return (eps * product_norm + spectrum) * (1 + _gamma(2)) + _gamma(2) * c_max
+
+
+def _product_norm(eps: float, spectrum_max: float, x_norm: float) -> float:
+    """The a-priori bound on ||P^||_2 / sqrt(N) for a computed seed spectrum
+    of modulus at most ``spectrum_max`` and an input of 2-norm ``x_norm``."""
+    return (1 + eps) * (1 + _SQRT2 * _gamma(2)) * spectrum_max * x_norm
 
 
 def _largest_exact_n() -> int:
@@ -190,7 +229,13 @@ def _largest_exact_n() -> int:
     def exact(n: int) -> bool:
         length = _fft.next_fast_len(2 * n - 1, real=True)
         worst = eps[np.searchsorted(lengths, length)]
-        return _convolution_error(worst, length, 2 * n - 1, math.sqrt(n), n) <= _FFT_GUARD
+        # The worst +-1 seed is constant: max|S| = 2n - 1, and its computed
+        # spectrum lies within eps * sqrt(N) * ||s||_2 of the exact one.
+        seed_bits = 2 * n - 1
+        peak = seed_bits + worst * math.sqrt(length * seed_bits)
+        x_norm = math.sqrt(n)
+        product = _product_norm(worst, peak, x_norm)
+        return _convolution_error(worst, product, math.sqrt(seed_bits), x_norm, n) <= _FFT_GUARD
 
     lo, hi = 1, cap // 4
     while lo < hi:
@@ -276,15 +321,6 @@ class ExtractorParams:
         return self.m / self.n
 
 
-def _bit_array(values, what: str) -> np.ndarray:
-    """``values`` as uint8, rejected unless every value is 0 or 1: a cast
-    first would wrap 256 to 0 and 257 to 1."""
-    values = np.asarray(values)
-    if not ((values == 0) | (values == 1)).all():
-        raise ParameterError(f"{what} must be 0 or 1")
-    return values.astype(np.uint8, copy=False)
-
-
 @dataclass(frozen=True)
 class HashSeed:
     """Uniform public bits defining one Toeplitz matrix (first row and
@@ -333,61 +369,108 @@ class _Hasher:
         # reads, so the transform can stay one block short of the full
         # linear-convolution length.
         self.fft_len = _fft.next_fast_len(n + m - 1, real=True)
-        # Row i of a batch holds its block i and, where E for packed rows
-        # allows, its block rows + i scaled by 2^shift, above every
-        # coefficient of the first.
+        self.eps = _transform_error(self.fft_len)
+        self.seed_norm = math.sqrt(n + m - 1)
+        # The centred seed 2s - 1 has no DC spike; see the module docstring.
+        self.seed_fft = _fft.rfft(seed_bits * 2.0 - 1.0, self.fft_len)
+        modulus = np.abs(self.seed_fft)
+        # Row i of a batch holds its block i and, where packing is chosen,
+        # its block rows + i scaled by 2^shift, above every coefficient of
+        # the first.
         self.shift = n.bit_length()
         scale = 1.0 + 2.0**self.shift
-        packed_error = _convolution_error(
-            _transform_error(self.fft_len),
-            self.fft_len,
-            int(np.count_nonzero(seed_bits)),
-            scale * math.sqrt(n),
-            scale * n,
+        x_norm = scale * math.sqrt(n)
+        product = _product_norm(self.eps, float(modulus.max()) * (1 + _gamma(2)), x_norm)
+        proven = (
+            _convolution_error(self.eps, product, self.seed_norm, x_norm, scale * n)
+            <= _FFT_GUARD
         )
-        self.per_row = 2 if packed_error <= _FFT_GUARD else 1
+        # Unproven packed batches are checked one by one, unless the seed's
+        # spectrum peaks at DC, where dense blocks would fail the check.
+        self.per_row = 2 if proven or modulus.argmax() != 0 else 1
+        self.checked = not proven
         fits = _BATCH_ROWS * self.fft_len * 8 <= _BATCH_BYTES
         self.rows = _BATCH_ROWS if fits else 1
         self.batch = self.rows * self.per_row
-        self.seed_fft = _fft.rfft(seed_bits.astype(np.float64), self.fft_len)
         self.pad = np.zeros((self.rows, self.fft_len), dtype=np.float64)
         self.rounded = np.empty((self.rows, m), dtype=np.int64)
 
+    def _batch_error(self, spectrum: np.ndarray, blocks: np.ndarray, ones: list[int]) -> float:
+        """The largest E of a batch's rows, from each row's computed
+        spectral product ``spectrum`` and its blocks' popcounts ``ones``."""
+        rows, w = len(spectrum), self.shift
+        high = len(blocks) - rows
+        # vdot sums the N + 2 squares of the half spectrum within
+        # gamma_{N + 2}; the full spectrum counts each at most twice.
+        sum_error = 1 - _gamma(self.fft_len + 2)
+        worst = 0.0
+        for i, row in enumerate(spectrum):
+            lo, hi, both = ones[i], 0, 0
+            if i < high:
+                hi = ones[rows + i]
+                both = np.count_nonzero(blocks[i] & blocks[rows + i])
+            squares = 2 * np.vdot(row, row).real / sum_error
+            error = _convolution_error(
+                self.eps,
+                math.sqrt(squares / self.fft_len),
+                self.seed_norm,
+                math.sqrt(lo + 4**w * hi + 2 ** (w + 1) * both),
+                lo + 2**w * hi,
+            )
+            worst = max(worst, error)
+        return worst
+
     def hash(self, blocks: np.ndarray, out: np.ndarray) -> None:
         """Hash each row of ``blocks`` (k x n) into the row of ``out`` (k x m)."""
-        n, m = self.n, self.m
+        n, m, w = self.n, self.m, self.shift
         # Each batch's transform outputs are released only as the next
         # batch's are assigned.  Freed together they would leave the top
         # of glibc's heap free, which it returns to the system, and every
         # batch would fault its pages in again (at n = 1e6, 20 blocks took
         # 207k minor faults against 124k).
-        for lo in range(0, len(blocks), self.batch):
-            batch = blocks[lo : lo + self.batch]
-            k = len(batch)
-            rows = -(-k // self.per_row)
-            high = k - rows  # rows that also carry a block in their high half
-            pad = self.pad[:rows]
-            np.multiply(batch[rows:], 2.0**self.shift, out=pad[:high, :n])
-            np.add(pad[:high, :n], batch[:high], out=pad[:high, :n])
-            pad[high:, :n] = batch[high:rows]
-            spectrum = _fft.rfft(pad, axis=-1)
-            spectrum *= self.seed_fft
-            conv = _fft.irfft(spectrum, self.fft_len, axis=-1, overwrite_x=True)
-            window = conv[:, n - 1 : n - 1 + m]
-            rounded = self.rounded[:rows]
-            # A coefficient that is not a number casts to an arbitrary
-            # integer here; its residual stays NaN, which the guard rejects.
-            with np.errstate(invalid="ignore"):
-                np.rint(window, out=rounded, casting="unsafe")
-            np.subtract(window, rounded, out=window)
-            np.abs(window, out=window)
-            if not window.max() <= _FFT_GUARD:
-                raise ParameterError(
-                    "FFT convolution lost integer precision; block size too large"
-                )
-            np.bitwise_and(rounded, 1, out=out[lo : lo + rows], casting="unsafe")
-            np.right_shift(rounded[:high], self.shift, out=rounded[:high])
-            np.bitwise_and(rounded[:high], 1, out=out[lo + rows : lo + k], casting="unsafe")
+        for start in range(0, len(blocks), self.batch):
+            end = min(start + self.batch, len(blocks))
+            lo, per_row = start, self.per_row
+            while lo < end:
+                k = min(self.rows * per_row, end - lo)
+                batch = blocks[lo : lo + k]
+                rows = -(-k // per_row)
+                high = k - rows  # rows that also carry a block in their high half
+                ones = [np.count_nonzero(block) for block in batch]  # |x| of each block
+                pad = self.pad[:rows]
+                np.multiply(batch[rows:], 2.0**w, out=pad[:high, :n])
+                np.add(pad[:high, :n], batch[:high], out=pad[:high, :n])
+                pad[high:, :n] = batch[high:rows]
+                spectrum = _fft.rfft(pad, axis=-1)
+                spectrum *= self.seed_fft
+                if high and self.checked and self._batch_error(spectrum, batch, ones) > _FFT_GUARD:
+                    per_row = 1  # hash these blocks again, one per row
+                    continue
+                conv = _fft.irfft(spectrum, self.fft_len, axis=-1, overwrite_x=True)
+                window = conv[:, n - 1 : n - 1 + m]
+                rounded = self.rounded[:rows]
+                # A coefficient that is not a number casts to an arbitrary
+                # integer here; its residual stays NaN, which the guard rejects.
+                with np.errstate(invalid="ignore"):
+                    np.rint(window, out=rounded, casting="unsafe")
+                np.subtract(window, rounded, out=window)
+                np.abs(window, out=window)
+                # rint(x * (2s - 1)) + |x_lo| + 2^w |x_hi| = 2 (c_lo + 2^w c_hi)
+                # when exact, so an odd sum is a rounding error too.
+                offset = ones[:rows]
+                for i in range(high):
+                    offset[i] += ones[rows + i] << w
+                np.add(rounded, np.array(offset)[:, None], out=rounded)
+                low_bits = out[lo : lo + rows]
+                np.bitwise_and(rounded, 3, out=low_bits, casting="unsafe")
+                if not window.max() <= _FFT_GUARD or np.bitwise_or.reduce(low_bits, axis=None) & 1:
+                    raise ParameterError(
+                        "FFT convolution lost integer precision; block size too large"
+                    )
+                np.right_shift(low_bits, 1, out=low_bits)
+                np.right_shift(rounded[:high], w + 1, out=rounded[:high])
+                np.bitwise_and(rounded[:high], 1, out=out[lo + rows : lo + k], casting="unsafe")
+                lo += k
 
 
 def toeplitz_extract(seed: Union[HashSeed, np.ndarray], raw: np.ndarray) -> np.ndarray:

@@ -45,6 +45,13 @@ def test_bitstream_validation():
         BitStream(np.zeros((2, 2), dtype=np.uint8))
 
 
+@pytest.mark.parametrize("values", [[256, 1, 257, 0], [0, -1], [0.5, 1], [np.nan, 0]])
+def test_bitstream_rejects_values_before_the_cast(values):
+    # a uint8 cast would wrap [256, 1, 257, 0] to the valid [0, 1, 1, 0]
+    with pytest.raises(ParameterError, match="bits must be 0 or 1"):
+        BitStream(np.array(values))
+
+
 def test_file_roundtrip(tmp_path, rng):
     bits = rng.integers(0, 2, 12345).astype(np.uint8)
     path = tmp_path / "x.bits"

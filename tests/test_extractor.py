@@ -38,6 +38,13 @@ def matrix_oracle(seed_bits, raw):
     return np.array(out, dtype=np.uint8)
 
 
+def full_spectrum_norm(half):
+    """The 2-norm of the full spectrum whose even-length real-transform half
+    is ``half``: bins other than 0 and N/2 stand for a conjugate pair."""
+    squares = np.abs(half.astype(np.clongdouble)) ** 2
+    return math.sqrt(float(2 * squares.sum() - squares[0] - squares[-1]))
+
+
 class TestOutputLength:
     def test_unit_rate(self):
         assert output_length(1.0, 1000, 2.0**-10) == math.floor(1000 - 4 * 10 - 2)
@@ -157,6 +164,16 @@ class TestBatchedHash:
         with pytest.raises(ParameterError, match="integer precision"):
             toeplitz_extract(seed, blocks)
 
+    def test_odd_coefficient_sum_rejected(self, rng, monkeypatch):
+        """A coefficient off by exactly one leaves no residual, but its sum
+        with the blocks' popcounts turns odd."""
+        irfft = qrbg.extractor._fft.irfft
+        monkeypatch.setattr(qrbg.extractor._fft, "irfft", lambda *a, **k: irfft(*a, **k) + 1.0)
+        seed = HashSeed(rng.integers(0, 2, 300).astype(np.uint8))
+        blocks = rng.integers(0, 2, (3, 200)).astype(np.uint8)
+        with pytest.raises(ParameterError, match="integer precision"):
+            toeplitz_extract(seed, blocks)
+
     @pytest.mark.parametrize(
         "n, m, rows", [(10**4, 9000, 2), (10**5, 90_000, 2), (10**6, 600_000, 1)]
     )
@@ -189,16 +206,18 @@ class TestPackedHash:
 
     @pytest.mark.parametrize(
         "n, rate, ones, per_row",
-        [(10**4, 0.96, False, 2), (10**5, 0.96, False, 2), (10**5, 0.96, True, 1), (10**6, 0.6, False, 1)],
+        [(10**4, 0.96, False, 2), (10**5, 0.96, False, 2), (10**5, 0.96, True, 1), (10**6, 0.6, False, 2)],
     )
     def test_packing_decision(self, rng, n, rate, ones, per_row):
         m = output_length(rate, n, 2.0**-64)
         seed = np.ones(n + m - 1, np.uint8) if ones else rng.integers(0, 2, n + m - 1).astype(np.uint8)
         assert qrbg.extractor._Hasher(seed, n).per_row == per_row
 
-    def test_extreme_blocks_match_one_block_per_row(self, rng):
-        n = 10**5
-        m = output_length(0.96, n, 2.0**-64)
+    @pytest.mark.parametrize("n, rate", [(10**5, 0.96), (10**6, 0.6)])
+    def test_extreme_blocks_match_one_block_per_row(self, rng, n, rate):
+        """At n = 1e5 the seed's bound proves packed rows exact; at n = 1e6
+        each packed batch is checked, and one that fails is hashed again."""
+        m = output_length(rate, n, 2.0**-64)
         seed = rng.integers(0, 2, n + m - 1).astype(np.uint8)
         alternating = np.arange(n, dtype=np.uint8) % 2
         # A reversed seed window makes one coefficient as large as it can be.
@@ -206,13 +225,57 @@ class TestPackedHash:
             [np.ones(n, np.uint8), alternating, seed[:n][::-1], seed[m - 1 :][::-1], 1 - alternating]
         )
         packed = qrbg.extractor._Hasher(seed, n)
-        assert packed.per_row == 2
+        assert packed.per_row == 2 and packed.checked == (n == 10**6)
         single = qrbg.extractor._Hasher(seed, n)
         single.per_row, single.batch = 1, single.rows
         got, want = (np.empty((len(blocks), m), np.uint8) for _ in range(2))
         packed.hash(blocks, got)
         single.hash(blocks, want)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 7])
+    def test_failed_batch_check_hashes_one_block_per_row(self, rng, monkeypatch, count):
+        n, m = 200, 101
+        seed = rng.integers(0, 2, n + m - 1).astype(np.uint8)
+        blocks = rng.integers(0, 2, (count, n)).astype(np.uint8)
+        hasher = qrbg.extractor._Hasher(seed, n)
+        hasher.checked = True
+        monkeypatch.setattr(qrbg.extractor._Hasher, "_batch_error", lambda *a: 1.0)
+        inverses = []
+        irfft = qrbg.extractor._fft.irfft
+        monkeypatch.setattr(
+            qrbg.extractor._fft, "irfft", lambda x, *a, **k: inverses.append(len(x)) or irfft(x, *a, **k)
+        )
+        out = np.empty((count, m), dtype=np.uint8)
+        hasher.hash(blocks, out)
+        # Each batch of up to four blocks in two rows is hashed again at
+        # one block per row, two rows to a transform.
+        assert sum(inverses) == count and len(inverses) == math.ceil(count / 2)
+        assert np.array_equal(out, (blocks.astype(np.int64) @ toeplitz_matrix(seed, n, m).T) % 2)
+
+    def test_batch_check_at_one_million(self, rng, monkeypatch):
+        """Random blocks pass the per-batch bound at n = 1e6; a batch forced
+        to fail it gives the same bits at one block per row."""
+        n, m = 10**6, 600_000
+        seed = rng.integers(0, 2, n + m - 1).astype(np.uint8)
+        blocks = rng.integers(0, 2, (2, n)).astype(np.uint8)
+        hasher = qrbg.extractor._Hasher(seed, n)
+        assert (hasher.per_row, hasher.rows, hasher.checked) == (2, 1, True)
+        errors = []
+        batch_error = qrbg.extractor._Hasher._batch_error
+        monkeypatch.setattr(
+            qrbg.extractor._Hasher, "_batch_error", lambda *a: errors.append(batch_error(*a)) or errors[-1]
+        )
+        packed, fallback = (np.empty((2, m), dtype=np.uint8) for _ in range(2))
+        hasher.hash(blocks, packed)
+        assert len(errors) == 1 and 0 < errors[0] <= qrbg.extractor._FFT_GUARD
+        monkeypatch.setattr(qrbg.extractor._Hasher, "_batch_error", lambda *a: 1.0)
+        hasher.hash(blocks, fallback)
+        assert np.array_equal(fallback, packed)
+        for block in range(2):
+            for j in rng.choice(m, 8, replace=False):
+                row = seed[j : j + n][::-1].astype(np.int64)
+                assert packed[block, j] == (row @ blocks[block]) % 2, (block, j)
 
 
 class TestExactnessBound:
@@ -231,16 +294,29 @@ class TestExactnessBound:
         pi = np.longdouble("3.14159265358979323846264338327950288")
         turns = np.arange(length // 2 + 1)[:, None] * np.arange(length)[None, :] % length
         angle = 2 * pi * turns.astype(np.longdouble) / length
-        exact_re = np.cos(angle) @ x.astype(np.longdouble)
-        exact_im = -np.sin(angle) @ x.astype(np.longdouble)
+        exact = np.cos(angle) @ x.astype(np.longdouble) - 1j * (np.sin(angle) @ x.astype(np.longdouble))
         got = qrbg.extractor._fft.rfft(x)
-        err = (got.real - exact_re) ** 2 + (got.imag - exact_im) ** 2
-        # Bins other than 0 and N/2 stand for a conjugate pair in the full spectrum.
-        weight = np.full(len(err), 2.0)
-        weight[[0, -1]] = 1.0
-        full = math.sqrt(float((weight * err).sum()))
         eps = qrbg.extractor._transform_error(length)
-        assert full <= eps * math.sqrt(length) * np.linalg.norm(x)
+        assert full_spectrum_norm(got - exact) <= eps * math.sqrt(length) * np.linalg.norm(x)
+
+    # The transform lengths of n = 1e4 (staged_events' rate 0.35), n = 1e5
+    # (rate 0.96) and n = 1e6 (rate 0.6).
+    @pytest.mark.parametrize("length", [13824, 196608, 1620000])
+    def test_transforms_within_model_at_workload_lengths(self, rng, length):
+        """scipy's float64 rfft and irfft stay within eps_N of scipy.fft run
+        in long double."""
+        fft = qrbg.extractor._fft
+        eps = qrbg.extractor._transform_error(length)
+        x = rng.integers(0, 2, length).astype(np.float64)
+        spectrum = fft.rfft(x)
+        exact = fft.rfft(x.astype(np.longdouble))
+        assert full_spectrum_norm(spectrum - exact) <= eps * math.sqrt(length) * np.linalg.norm(x)
+        # The inverse, with its 1/N, is bounded relative to its own output.
+        inverse = fft.irfft(spectrum, length)
+        exact = fft.irfft(spectrum.astype(np.clongdouble), length)
+        error = math.sqrt(float(np.sum((inverse - exact) ** 2)))
+        gamma2 = qrbg.extractor._gamma(2)
+        assert error <= eps * (1 + gamma2) * full_spectrum_norm(spectrum) / math.sqrt(length)
 
 
 class TestPinnedDigests:
@@ -263,15 +339,17 @@ class TestPinnedDigests:
 
 
 class TestLargeBlocks:
-    """n = 1e6, where a batch is one block."""
+    """n = 1e6, where a batch is one row of two blocks; the odd last block
+    has a zero high half."""
 
-    N, M, BLOCKS = 10**6, 600_000, 4
+    N, M, BLOCKS = 10**6, 600_000, 5
 
     @pytest.fixture
     def hashed(self, rng):
         seed = rng.integers(0, 2, self.N + self.M - 1).astype(np.uint8)
         raw = rng.integers(0, 2, (self.BLOCKS, self.N)).astype(np.uint8)
         hasher = qrbg.extractor._Hasher(seed, self.N)
+        assert (hasher.rows, hasher.per_row) == (1, 2)
         out = np.empty((self.BLOCKS, self.M), dtype=np.uint8)
         tracemalloc.start()
         try:
@@ -286,7 +364,8 @@ class TestLargeBlocks:
 
     def test_sampled_bits_match_direct_parity(self, rng, hashed):
         seed, raw, out, _ = hashed
-        for block in (0, self.BLOCKS - 1):
+        # a low half, a high half and the lone last block
+        for block in (0, 1, self.BLOCKS - 1):
             for j in rng.choice(self.M, 8, replace=False):
                 # T[j][k] = seed[j - k + n - 1], so row j is seed[j : j + n] reversed.
                 row = seed[j : j + self.N][::-1].astype(np.int64)
@@ -391,6 +470,12 @@ class TestExtractStream:
         monkeypatch.setattr(qrbg.bits, "CHUNK_BITS", 900)
         extract_stream(BitStream(raw), params, seed=seed, sink=lambda out: None)
         assert sum(sizes) == 23 and all(k % 4 == 0 for k in sizes[:-1])
+
+    def test_values_other_than_bits_rejected(self, rng):
+        params = ExtractorParams(100, 2.0**-8, 0.9)
+        seed = HashSeed(rng.integers(0, 2, params.seed_bits_needed).astype(np.uint8))
+        with pytest.raises(ParameterError, match="bits must be 0 or 1"):
+            extract_stream(np.array([256, 1] * 50), params, seed=seed)
 
     def test_accepts_bitstream_input(self, rng):
         params = ExtractorParams(64, 2.0**-4, 0.9)
