@@ -129,11 +129,8 @@ def extract(rawfile, h_rate, block_n, epsilon, seed_file, out_path) -> None:
     """Extract near-uniform bits from a raw-bit file or generation log."""
     cfg = _config(block_n=block_n, epsilon=epsilon, seed_file=seed_file)
     params = ExtractorParams(cfg.block_n, cfg.epsilon, h_rate)
-    result, _ = extract_raw(load_raw_bits(rawfile), params, cfg.seed_file, Path(out_path))
-    click.echo(f"blocks={result.blocks}")
-    click.echo(f"block_m={params.m}")
-    click.echo(f"ratio={params.ratio!r}")
-    click.echo(f"output_bits={result.output.bit_length}")
+    result, seed_file = extract_raw(load_raw_bits(rawfile), params, cfg.seed_file, Path(out_path))
+    click.echo(result.render(seed_file), nl=False)
     click.echo(f"path={out_path}")
 
 

@@ -49,11 +49,7 @@ after the forward transform it evaluates the batch's own E from the
 computed spectral product and the blocks' popcounts, and hashes a batch
 whose E exceeds 1/4 again at one block per row, which the block-size
 limit proves exact for any seed.  An input crafted against the public
-seed can so slow hashing but never make it wrong.  A seed whose centred
-spectrum still peaks at DC (far more ones than zeros or the reverse, such
-as all ones) meets the DC of every dense block at full strength, so
-ordinary blocks nearly reach the seed-level bound and would fail their
-check; such a hasher puts one block in a row.
+seed can so slow hashing but never make it wrong.
 
 The bound.  Let u = 2^-53 and gamma_k = k*u / (1 - k*u) (Higham,
 Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3 and 24).
@@ -104,12 +100,12 @@ Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3 and 24).
   two.  Centring is what makes it small: a 0/1 seed with p ones has
   S[0] = p, about 8e5 at n = 1e6, while a random centred seed's largest
   |S| is about 4,800, near sqrt(L ln N).
-* The per-batch bound takes, for each packed row, the exact
-  ||x||_2^2 = |x_lo| + 2^(2w) |x_hi| + 2^(w+1) |x_lo & x_hi| and
-  c_max = |x_lo| + 2^w |x_hi| from popcounts, and ||P^||_2^2 at most
-  twice np.vdot of the row's half spectrum with itself (every other bin
-  stands for a conjugate pair), over 1 - gamma_{N+2} for that sum's
-  rounding.  Its assumptions are those of one transform and numpy's
+* The per-batch bound takes, for each packed row,
+  ||x||_2 <= sqrt|x_lo| + 2^w sqrt|x_hi| (the triangle inequality) and
+  c_max = |x_lo| + 2^w |x_hi| from the blocks' popcounts, and ||P^||_2^2
+  at most twice np.vdot of the row's half spectrum with itself (every
+  other bin stands for a conjugate pair), over 1 - gamma_{N+2} for that
+  sum's rounding.  Its assumptions are those of one transform and numpy's
   complex product rounding within sqrt(2) gamma_2.  E is evaluated in
   float64; its own rounding is far inside the gap between 1/4 and the
   1/2 at which rounding to the nearest integer would go wrong.
@@ -117,11 +113,14 @@ Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3 and 24).
   The seed-level bound for packed rows is 4.5e-5 at n = 1e4 and 0.0044
   at n = 1e5, so both pack unchecked, and the unchecked range ends
   between n = 5e5 and 6e5; it is 0.41-0.44 at n = 1e6 (rates 0.6 and
-  0.62) and 0.369 for an all-ones seed at n = 1e5.  Per batch at
-  n = 1e6, over 40 seeds, random blocks gave E = 0.14-0.21, blocks of
-  density 0.55 at most 0.223, and all-ones blocks 0.16-0.35, above 1/4
-  for 7 seeds; adversarial_recal's blocks gave 0.147-0.202 on four
-  benchmark seeds.  The residuals of packed rows at n = 1e6 were about
+  0.62) and 0.369 for an all-ones seed at n = 1e5, which is so checked
+  batch by batch.  Per batch at n = 1e6, over 40 seeds, random blocks
+  gave E = 0.14-0.21, blocks of density 0.55 at most 0.223, and all-ones
+  blocks 0.16-0.35, above 1/4 for 7 seeds; adversarial_recal's blocks
+  gave 0.147-0.202 on four benchmark seeds.  These used the exact
+  ||x||_2 from the popcount of x_lo & x_hi; the triangle inequality
+  raises E by a relative 3e-7 on random blocks and leaves it equal on
+  all-ones blocks.  The residuals of packed rows at n = 1e6 were about
   2e-6 on random blocks and 6.1e-5 on seed-reversed ones.  Hashing a
   block, in one process alternating with the code that hashed n = 1e6
   one block per row (same seed and blocks, median of 10-60 paired runs
@@ -143,15 +142,14 @@ import hashlib
 import math
 import secrets
 import time
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterable, Iterator, Optional, Union
 
 import numpy as np
 from scipy import fft as _fft
 
 from .bits import BitsFile, BitStream, BlockCutter, _bit_array, pack_bits, unpack_bits
-from .errors import InsufficientEntropyError, ParameterError
+from .errors import InsufficientDataError, InsufficientEntropyError, ParameterError
 from .minentropy import EntropyRate
 
 _FFT_GUARD = 0.25
@@ -293,7 +291,7 @@ class ExtractorParams:
     n: int
     epsilon: float
     h_rate: float
-    m: int = 0
+    m: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.n > self.MAX_N:
@@ -373,48 +371,42 @@ class _Hasher:
         self.seed_norm = math.sqrt(n + m - 1)
         # The centred seed 2s - 1 has no DC spike; see the module docstring.
         self.seed_fft = _fft.rfft(seed_bits * 2.0 - 1.0, self.fft_len)
-        modulus = np.abs(self.seed_fft)
-        # Row i of a batch holds its block i and, where packing is chosen,
-        # its block rows + i scaled by 2^shift, above every coefficient of
-        # the first.
+        # Row i of a batch holds its block i and its block rows + i scaled
+        # by 2^shift, above every coefficient of the first.
         self.shift = n.bit_length()
         scale = 1.0 + 2.0**self.shift
         x_norm = scale * math.sqrt(n)
-        product = _product_norm(self.eps, float(modulus.max()) * (1 + _gamma(2)), x_norm)
-        proven = (
+        peak = float(np.abs(self.seed_fft).max()) * (1 + _gamma(2))
+        product = _product_norm(self.eps, peak, x_norm)
+        # Packed batches the seed-level bound does not prove are checked one
+        # by one.
+        self.checked = (
             _convolution_error(self.eps, product, self.seed_norm, x_norm, scale * n)
-            <= _FFT_GUARD
+            > _FFT_GUARD
         )
-        # Unproven packed batches are checked one by one, unless the seed's
-        # spectrum peaks at DC, where dense blocks would fail the check.
-        self.per_row = 2 if proven or modulus.argmax() != 0 else 1
-        self.checked = not proven
         fits = _BATCH_ROWS * self.fft_len * 8 <= _BATCH_BYTES
         self.rows = _BATCH_ROWS if fits else 1
-        self.batch = self.rows * self.per_row
+        self.batch = 2 * self.rows
         self.pad = np.zeros((self.rows, self.fft_len), dtype=np.float64)
         self.rounded = np.empty((self.rows, m), dtype=np.int64)
 
-    def _batch_error(self, spectrum: np.ndarray, blocks: np.ndarray, ones: list[int]) -> float:
+    def _batch_error(self, spectrum: np.ndarray, ones: list[int]) -> float:
         """The largest E of a batch's rows, from each row's computed
         spectral product ``spectrum`` and its blocks' popcounts ``ones``."""
         rows, w = len(spectrum), self.shift
-        high = len(blocks) - rows
+        high = len(ones) - rows
         # vdot sums the N + 2 squares of the half spectrum within
         # gamma_{N + 2}; the full spectrum counts each at most twice.
         sum_error = 1 - _gamma(self.fft_len + 2)
         worst = 0.0
         for i, row in enumerate(spectrum):
-            lo, hi, both = ones[i], 0, 0
-            if i < high:
-                hi = ones[rows + i]
-                both = np.count_nonzero(blocks[i] & blocks[rows + i])
+            lo, hi = ones[i], ones[rows + i] if i < high else 0
             squares = 2 * np.vdot(row, row).real / sum_error
             error = _convolution_error(
                 self.eps,
                 math.sqrt(squares / self.fft_len),
                 self.seed_norm,
-                math.sqrt(lo + 4**w * hi + 2 ** (w + 1) * both),
+                math.sqrt(lo) + 2**w * math.sqrt(hi),
                 lo + 2**w * hi,
             )
             worst = max(worst, error)
@@ -430,7 +422,7 @@ class _Hasher:
         # 207k minor faults against 124k).
         for start in range(0, len(blocks), self.batch):
             end = min(start + self.batch, len(blocks))
-            lo, per_row = start, self.per_row
+            lo, per_row = start, 2
             while lo < end:
                 k = min(self.rows * per_row, end - lo)
                 batch = blocks[lo : lo + k]
@@ -443,7 +435,7 @@ class _Hasher:
                 pad[high:, :n] = batch[high:rows]
                 spectrum = _fft.rfft(pad, axis=-1)
                 spectrum *= self.seed_fft
-                if high and self.checked and self._batch_error(spectrum, batch, ones) > _FFT_GUARD:
+                if high and self.checked and self._batch_error(spectrum, ones) > _FFT_GUARD:
                     per_row = 1  # hash these blocks again, one per row
                     continue
                 conv = _fft.irfft(spectrum, self.fft_len, axis=-1, overwrite_x=True)
@@ -513,6 +505,30 @@ class ExtractionResult:
     blocks: int
     seconds: float = 0.0  # wall time of the extraction, reads and writes included
 
+    @property
+    def raw_bits_per_second(self) -> Optional[float]:
+        """Raw bits hashed per second of ``seconds``; None if not timed."""
+        return self.blocks * self.params.n / self.seconds if self.seconds > 0 else None
+
+    def render(self, seed_file: str) -> str:
+        """ASCII key=value block of the extraction's accounting, for an
+        ``output`` that is the file written and the seed read from
+        ``seed_file``."""
+        p = self.params
+        lines = [
+            f"blocks={self.blocks}",
+            f"block_n={p.n}",
+            f"block_m={p.m}",
+            f"ratio={p.ratio!r}",
+            f"output_bits={self.output.bit_length}",
+            f"epsilon={format_epsilon(p.epsilon)}",
+            f"seed=seed_file={seed_file}",
+            f"seed_sha256={self.seed.sha256}",
+        ]
+        if self.raw_bits_per_second is not None:
+            lines.append(f"raw_bits_per_second={self.raw_bits_per_second:.3e}")
+        return "\n".join(lines) + "\n"
+
 
 def extract_stream(
     raw: Union[BitStream, BitsFile, np.ndarray],
@@ -523,7 +539,8 @@ def extract_stream(
     """Hash every full n-bit block of ``raw`` with one seed.
 
     ``raw`` is a bit array or any source with a length and ``chunks()``;
-    it is hashed a chunk at a time, and the tail remainder is discarded.
+    it is hashed a chunk at a time, and the tail remainder is discarded; a
+    stream with no whole block is insufficient data.
     Each block group's output goes to ``sink`` as it is hashed, leaving
     ``output`` None; without a sink the output is returned in memory.
     """
@@ -536,10 +553,8 @@ def extract_stream(
     n, m = params.n, params.m
     blocks = len(source) // n
     if blocks == 0:
-        warnings.warn(
-            f"raw stream of {len(source)} bits is shorter than one "
-            f"{n}-bit block; emitting no output",
-            stacklevel=2,
+        raise InsufficientDataError(
+            f"raw stream of {len(source)} bits is shorter than one {n}-bit block"
         )
     hasher = _Hasher(seed.bits, n)
     kept = np.empty((blocks if sink is None else 0) * m, dtype=np.uint8)

@@ -24,7 +24,7 @@ import hashlib
 import math
 import secrets
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -264,15 +264,23 @@ def load_config(path: str) -> PipelineConfig:
 
 @dataclass(frozen=True)
 class Calibration:
-    """A state estimate with its certified rate and Hoeffding companion."""
+    """A state estimate with its certified rate and Hoeffding companion;
+    for a recalibrated run, also the segment count and the index of the
+    segment certified."""
 
     tomography: TomographyResult
     rate: EntropyRate
     lower: EntropyRate
     alpha: float
+    recalibrations: int = 0
+    certified_segment: int = 0
 
     def render(self) -> str:
-        return state_report(self.tomography, self.rate, self.alpha, self.lower)
+        text = state_report(self.tomography, self.rate, self.alpha, self.lower)
+        if self.recalibrations:
+            text += f"recalibrations={self.recalibrations}\n"
+            text += f"certified_segment={self.certified_segment}\n"
+        return text
 
 
 @dataclass
@@ -285,20 +293,16 @@ class FileRecord:
 
 @dataclass
 class RunReport:
+    """A run's settings, each stage's own result, and the files written."""
+
     timestamp: str
     config: list[tuple[str, str]]
     master_seed: int
     calibration: Calibration | None = None
-    recalibrations: int = 0
-    certified_segment: int = 0
-    params: ExtractorParams | None = None
-    blocks: int = 0
-    output_bits: int = 0
+    extraction: ExtractionResult | None = None
     seed_file: str = ""
-    seed_sha256: str = ""
     test_results: list[TestResult] = field(default_factory=list)
     files: list[FileRecord] = field(default_factory=list)
-    raw_bits_per_second: float | None = None
 
     @property
     def certified(self) -> EntropyRate | None:
@@ -314,23 +318,10 @@ class RunReport:
         if self.calibration is not None:
             out.append("[tomography]")
             out.append(self.calibration.render().rstrip("\n"))
-            if self.recalibrations:
-                out.append(f"recalibrations={self.recalibrations}")
-                out.append(f"certified_segment={self.certified_segment}")
-        if self.params is not None:
-            p = self.params
+        if self.extraction is not None:
             out.append("[extraction]")
             out.append(f"certified_rate={self.certified.bits_per_sample!r}")
-            out.append(f"blocks={self.blocks}")
-            out.append(f"block_n={p.n}")
-            out.append(f"block_m={p.m}")
-            out.append(f"ratio={p.ratio!r}")
-            out.append(f"output_bits={self.output_bits}")
-            out.append(f"epsilon={format_epsilon(p.epsilon)}")
-            out.append(f"seed=seed_file={self.seed_file}")
-            out.append(f"seed_sha256={self.seed_sha256}")
-            if self.raw_bits_per_second is not None:
-                out.append(f"raw_bits_per_second={self.raw_bits_per_second:.3e}")
+            out.append(self.extraction.render(self.seed_file).rstrip("\n"))
         if self.test_results:
             out.append("[tests]")
             out.append(battery_report(self.test_results).rstrip("\n"))
@@ -519,9 +510,11 @@ def run_tests(bits: BitsFile | BitStream, config: PipelineConfig) -> list[TestRe
 
 def _certify_segments(
     config: PipelineConfig, variant: Variant, seeds: list[int], path: Path
-) -> tuple[Calibration, int]:
+) -> Calibration:
     """Certify one calibration per seed; the lowest rate wins, and its log,
-    the only one written, is the one the report lists."""
+    the only one written, is the one the report lists.  With
+    ``recalibrate_every`` set, the calibration returned records the segment
+    count and the winning segment's index."""
     worst: tuple[Calibration, int, EventLog] | None = None
     for segment, seed in enumerate(seeds):
         log = _calibration_log(variant, seed, config.tomography_events)
@@ -530,7 +523,9 @@ def _certify_segments(
             worst = cal, segment, log
     cal, segment, log = worst
     save_event_log(log, str(path))
-    return cal, segment
+    if config.recalibrate_every is None:
+        return cal
+    return replace(cal, recalibrations=len(seeds), certified_segment=segment)
 
 
 def run_pipeline(
@@ -563,10 +558,7 @@ def run_pipeline(
 
     with _stage("calibrate"):
         calib_path = out / "calibration.log"
-        report.calibration, report.certified_segment = _certify_segments(
-            config, variant, calib_seeds, calib_path
-        )
-        report.recalibrations = segments if recal is not None else 0
+        report.calibration = _certify_segments(config, variant, calib_seeds, calib_path)
         report.files.append(_digest(calib_path, "calibration_log"))
 
     # certify extractor accounting before generating anything
@@ -579,23 +571,17 @@ def run_pipeline(
 
     with _stage("extract"):
         extracted_path = out / "extracted.bits"
-        result, report.seed_file = extract(
+        report.extraction, report.seed_file = extract(
             load_raw_bits(str(gen_path)), params, config.seed_file, extracted_path
         )
         if not config.seed_file:
             # a configured seed file may live anywhere; only a drawn one is a run file
             report.files.append(_digest(Path(report.seed_file), "hash_seed"))
-        report.params = params
-        report.blocks = result.blocks
-        report.output_bits = result.output.bit_length
-        report.seed_sha256 = result.seed.sha256
-        if result.seconds > 0 and result.blocks:
-            report.raw_bits_per_second = result.blocks * params.n / result.seconds
         report.files.append(_digest(extracted_path, "extracted_bits"))
 
     with _stage("test"):
         if config.tests:
-            report.test_results = run_tests(result.output, config)
+            report.test_results = run_tests(report.extraction.output, config)
 
     target = Path(report_path) if report_path else out / "report.txt"
     target.write_text(report.render(), encoding="ascii")

@@ -8,7 +8,7 @@ import pytest
 import qrbg.bits
 import qrbg.extractor
 from qrbg.bits import BitStream, pack_bits
-from qrbg.errors import InsufficientEntropyError, ParameterError
+from qrbg.errors import InsufficientDataError, InsufficientEntropyError, ParameterError
 from qrbg.extractor import (
     ExtractorParams,
     HashSeed,
@@ -62,6 +62,11 @@ class TestOutputLength:
     def test_rate_must_be_an_entropy_rate(self, h_rate):
         with pytest.raises(ParameterError):
             ExtractorParams(1000, 2.0**-16, h_rate)
+
+    def test_m_is_derived_not_given(self):
+        assert ExtractorParams(100_000, 2.0**-64, 0.96).m == 95742
+        with pytest.raises(TypeError):
+            ExtractorParams(100_000, 2.0**-64, 0.96, m=5)
 
     def test_epsilon_validation(self):
         with pytest.raises(ParameterError):
@@ -198,38 +203,45 @@ class TestPackedHash:
         seed = rng.integers(0, 2, n + m - 1).astype(np.uint8)
         blocks = rng.integers(0, 2, (count, n)).astype(np.uint8)
         hasher = qrbg.extractor._Hasher(seed, n)
-        assert (hasher.per_row, hasher.batch) == (2, 4)
+        assert (hasher.rows, hasher.batch, hasher.checked) == (2, 4, False)
         out = np.empty((count, m), dtype=np.uint8)
         hasher.hash(blocks, out)
         want = (blocks.astype(np.int64) @ toeplitz_matrix(seed, n, m).T) % 2
         assert np.array_equal(out, want)
 
     @pytest.mark.parametrize(
-        "n, rate, ones, per_row",
-        [(10**4, 0.96, False, 2), (10**5, 0.96, False, 2), (10**5, 0.96, True, 1), (10**6, 0.6, False, 2)],
+        "n, rate, ones, checked",
+        [(10**4, 0.96, False, False), (10**5, 0.96, False, False), (10**5, 0.96, True, True),
+         (10**6, 0.6, False, True)],
     )
-    def test_packing_decision(self, rng, n, rate, ones, per_row):
+    def test_packing_decision(self, rng, n, rate, ones, checked):
+        """Every hasher packs; the seed-level bound decides only whether
+        each packed batch is checked."""
         m = output_length(rate, n, 2.0**-64)
         seed = np.ones(n + m - 1, np.uint8) if ones else rng.integers(0, 2, n + m - 1).astype(np.uint8)
-        assert qrbg.extractor._Hasher(seed, n).per_row == per_row
+        hasher = qrbg.extractor._Hasher(seed, n)
+        assert (hasher.checked, hasher.batch) == (checked, 2 * hasher.rows)
 
-    @pytest.mark.parametrize("n, rate", [(10**5, 0.96), (10**6, 0.6)])
-    def test_extreme_blocks_match_one_block_per_row(self, rng, n, rate):
-        """At n = 1e5 the seed's bound proves packed rows exact; at n = 1e6
-        each packed batch is checked, and one that fails is hashed again."""
+    @pytest.mark.parametrize("n, rate, ones", [(10**5, 0.96, False), (10**5, 0.96, True), (10**6, 0.6, False)])
+    def test_extreme_blocks_match_one_block_per_row(self, rng, monkeypatch, n, rate, ones):
+        """At n = 1e5 a random seed's bound proves packed rows exact; under
+        an all-ones seed, and at n = 1e6, each packed batch is checked, and
+        one that fails is hashed again.  The reference forces every batch
+        to one block per row."""
         m = output_length(rate, n, 2.0**-64)
-        seed = rng.integers(0, 2, n + m - 1).astype(np.uint8)
+        seed = np.ones(n + m - 1, np.uint8) if ones else rng.integers(0, 2, n + m - 1).astype(np.uint8)
         alternating = np.arange(n, dtype=np.uint8) % 2
         # A reversed seed window makes one coefficient as large as it can be.
         blocks = np.stack(
             [np.ones(n, np.uint8), alternating, seed[:n][::-1], seed[m - 1 :][::-1], 1 - alternating]
         )
         packed = qrbg.extractor._Hasher(seed, n)
-        assert packed.per_row == 2 and packed.checked == (n == 10**6)
-        single = qrbg.extractor._Hasher(seed, n)
-        single.per_row, single.batch = 1, single.rows
+        assert packed.checked == (ones or n == 10**6)
         got, want = (np.empty((len(blocks), m), np.uint8) for _ in range(2))
         packed.hash(blocks, got)
+        single = qrbg.extractor._Hasher(seed, n)
+        single.checked = True
+        monkeypatch.setattr(qrbg.extractor._Hasher, "_batch_error", lambda *a: 1.0)
         single.hash(blocks, want)
         assert np.array_equal(got, want)
 
@@ -260,7 +272,7 @@ class TestPackedHash:
         seed = rng.integers(0, 2, n + m - 1).astype(np.uint8)
         blocks = rng.integers(0, 2, (2, n)).astype(np.uint8)
         hasher = qrbg.extractor._Hasher(seed, n)
-        assert (hasher.per_row, hasher.rows, hasher.checked) == (2, 1, True)
+        assert (hasher.rows, hasher.batch, hasher.checked) == (1, 2, True)
         errors = []
         batch_error = qrbg.extractor._Hasher._batch_error
         monkeypatch.setattr(
@@ -349,7 +361,7 @@ class TestLargeBlocks:
         seed = rng.integers(0, 2, self.N + self.M - 1).astype(np.uint8)
         raw = rng.integers(0, 2, (self.BLOCKS, self.N)).astype(np.uint8)
         hasher = qrbg.extractor._Hasher(seed, self.N)
-        assert (hasher.rows, hasher.per_row) == (1, 2)
+        assert (hasher.rows, hasher.batch) == (1, 2)
         out = np.empty((self.BLOCKS, self.M), dtype=np.uint8)
         tracemalloc.start()
         try:
@@ -420,12 +432,13 @@ class TestExtractStream:
         assert res.blocks == 3
         assert res.output.bit_length == 3 * params.m
 
-    def test_short_stream_warns_and_is_empty(self, rng):
+    def test_stream_shorter_than_one_block_is_insufficient_data(self, rng):
         params = ExtractorParams(100, 2.0**-8, 0.9)
         seed = HashSeed(rng.integers(0, 2, params.seed_bits_needed).astype(np.uint8))
-        with pytest.warns(UserWarning):
-            res = extract_stream(np.ones(50, dtype=np.uint8), params, seed=seed)
-        assert res.output.bit_length == 0
+        sink = []
+        with pytest.raises(InsufficientDataError, match="50 bits is shorter than one 100-bit block"):
+            extract_stream(np.ones(50, dtype=np.uint8), params, seed=seed, sink=sink.append)
+        assert sink == []
 
     def test_seed_length_checked(self, rng):
         params = ExtractorParams(100, 2.0**-8, 0.9)

@@ -154,7 +154,8 @@ class TestRunPipeline:
     def test_fast_run_produces_everything(self, tmp_path):
         cfg = parse_config_text(FAST_CONFIG)
         report = run_pipeline(cfg, str(tmp_path))
-        assert report.output_bits == report.blocks * report.params.m
+        ext = report.extraction
+        assert ext.output.bit_length == ext.blocks * ext.params.m
         assert (tmp_path / "calibration.log").exists()
         assert (tmp_path / "raw.bits").exists()
         assert (tmp_path / "extracted.bits").exists()
@@ -165,7 +166,7 @@ class TestRunPipeline:
             data = (tmp_path / rec.path).read_bytes()
             assert (rec.sha256, rec.size) == (hashlib.sha256(data).hexdigest(), len(data))
         extracted = read_bits_file(str(tmp_path / "extracted.bits"))
-        assert extracted.bit_length == report.output_bits
+        assert extracted.bit_length == ext.output.bit_length
         assert extracted.meta["role"] == "extracted"
         seed = read_bits_file(str(tmp_path / "extracted.seed.bits"))
         assert extracted.meta["seed_sha256"] == sha256(seed.to_bytes())
@@ -200,9 +201,8 @@ class TestRunPipeline:
         report = run_pipeline(cfg, str(tmp_path))
         from qrbg.extractor import output_length
 
-        assert report.params.m == output_length(
-            float(report.certified), report.params.n, report.params.epsilon
-        )
+        params = report.extraction.params
+        assert params.m == output_length(float(report.certified), params.n, params.epsilon)
         meta = read_bits_file(str(tmp_path / "extracted.bits")).meta
         assert float(meta["h_rate"]) == float(report.certified)
 
@@ -220,8 +220,9 @@ class TestRunPipeline:
     def test_recalibration_takes_minimum(self, tmp_path):
         cfg = parse_config_text(FAST_CONFIG + "recalibrate_every = 5000\n")
         report = run_pipeline(cfg, str(tmp_path))
-        assert report.recalibrations == 4
-        assert report.output_bits == report.blocks * report.params.m
+        assert report.calibration.recalibrations == 4
+        ext = report.extraction
+        assert ext.output.bit_length == ext.blocks * ext.params.m
 
     def test_events_gen_format(self, tmp_path):
         cfg = parse_config_text(FAST_CONFIG.replace("tests = monobit,runs", "tests = none"))
@@ -238,7 +239,7 @@ class TestRunPipeline:
         seed_path = tmp_path / "a" / "extracted.seed.bits"
         seed = read_bits_file(str(seed_path))
         assert seed.meta["role"] == "seed"
-        assert seed.bit_length == report.params.seed_bits_needed
+        assert seed.bit_length == report.extraction.params.seed_bits_needed
         text = (tmp_path / "a" / "report.txt").read_text()
         assert f"seed=seed_file={seed_path}\n" in text
         assert f"seed_sha256={sha256(seed.to_bytes())}\n" in text
@@ -294,7 +295,17 @@ class TestRunPipeline:
         report = run_pipeline(cfg, str(tmp_path))
         lines = (tmp_path / "report.txt").read_text().splitlines()
         values = dict(line.split("=", 1) for line in lines if "=" in line)
-        assert values["certified_segment"] == str(report.certified_segment)
+        assert values["recalibrations"] == str(report.calibration.recalibrations) == "4"
+        assert values["certified_segment"] == str(report.calibration.certified_segment)
+        # the segment listed is the one whose own calibration certifies least
+        _, _, seeds = qrbg.pipeline._streams(cfg, 4)
+        rates = [
+            float(qrbg.pipeline.calibrate(
+                qrbg.pipeline._calibration_log(cfg.variant(), seed, cfg.tomography_events), cfg
+            ).rate)
+            for seed in seeds
+        ]
+        assert rates.index(min(rates)) == report.calibration.certified_segment
         listed = next(f.path for f in report.files if f.label == "calibration_log")
         result, rate = reconstruct(load_event_log(str(tmp_path / listed)), alpha=cfg.alpha)
         assert float(values["s1"]) == result.s_hat.s1
@@ -457,6 +468,17 @@ class TestCli:
         assert r.exit_code == 5
         assert str(path) in r.output
 
+    def test_stream_shorter_than_one_block_exit_code(self, tmp_path):
+        raw = tmp_path / "raw.bits"
+        write_bits_file(str(raw), BitStream(np.ones(500, dtype=np.uint8)), {"role": "raw"})
+        r = CliRunner().invoke(main, [
+            "extract", str(raw), "--h-rate", "0.9", "--block-n", "1000", "--out", str(tmp_path / "out.bits"),
+        ])
+        assert r.exit_code == 3, r.output
+        assert "500 bits is shorter than one 1000-bit block" in r.output
+        # neither the output, its .part file, nor a drawn hash seed is left
+        assert [p.name for p in tmp_path.iterdir()] == ["raw.bits"]
+
     def test_extract_defaults_come_from_the_config_table(self, tmp_path):
         raw = tmp_path / "raw.bits"
         write_bits_file(str(raw), BitStream(np.ones(250_000, dtype=np.uint8)), {"role": "raw"})
@@ -590,7 +612,7 @@ def test_recalibration_changes_only_the_calibration_log(tmp_path):
     assert sha256((tmp_path / "out" / "raw.bits").read_bytes()) == GOLDEN["raw.bits"]
     assert extracted_payload(tmp_path / "out" / "extracted.bits") == GOLDEN["extracted_recalibrated"]
     calib = sha256((tmp_path / "out" / "calibration.log").read_bytes())
-    assert (calib == GOLDEN["calibration.log"]) == (report.certified_segment == 0)
+    assert (calib == GOLDEN["calibration.log"]) == (report.calibration.certified_segment == 0)
 
 
 # Digests of the files run_pipeline wrote for an entangled source with a
@@ -666,6 +688,31 @@ def test_staged_cli_matches_pipeline(tmp_path, gen_format):
         assert (staged / name).read_bytes() == (piped / name).read_bytes(), name
     state_block = (piped / "report.txt").read_text().split("[tomography]\n")[1].split("[extraction]")[0]
     assert state_block == state
+
+
+def test_extract_prints_the_reports_extraction_lines(tmp_path):
+    """qrbg extract and a pipeline report render one extraction record
+    the same way; only the report has the certified rate, and the speed
+    differs from run to run."""
+    seed_path = tmp_path / "seed.bits"
+    write_seed_file(seed_path, 6000)
+    piped = tmp_path / "piped"
+    report = run_pipeline(parse_config_text(FAST_CONFIG + f"seed_file = {seed_path}\n"), str(piped))
+    r = CliRunner().invoke(main, [
+        "extract", str(piped / "raw.bits"), "--h-rate", repr(float(report.certified)),
+        "--block-n", "2000", "--epsilon", "2^-16", "--seed-file", str(seed_path),
+        "--out", str(tmp_path / "staged.bits"),
+    ])
+    assert r.exit_code == 0, r.output
+    section = (piped / "report.txt").read_text().split("[extraction]\n")[1].split("\n[")[0]
+    assert section.startswith(f"certified_rate={float(report.certified)!r}\n")
+    reported = [l for l in section.splitlines()[1:] if not l.startswith("raw_bits_per_second=")]
+    printed = r.output.splitlines()
+    assert printed[-1] == f"path={tmp_path / 'staged.bits'}"
+    assert [l for l in printed[:-1] if not l.startswith("raw_bits_per_second=")] == reported
+    assert [l.split("=", 1)[0] for l in reported] == [
+        "blocks", "block_n", "block_m", "ratio", "output_bits", "epsilon", "seed", "seed_sha256",
+    ]
 
 
 def test_extract_rejects_mixed_basis_log(tmp_path):
@@ -830,7 +877,7 @@ def test_streamed_run_matches_whole_array_reference(tmp_path):
         opened = open_bits_file(str(out / name))
         assert opened.bit_length == bits.shape[0], name
         assert (out / name).read_bytes()[opened.offset :] == pack_bits(bits), name
-    assert report.output_bits == hashed.size > (1 << 22)  # the battery reads two chunks
+    assert report.extraction.output.bit_length == hashed.size > (1 << 22)  # the battery reads two chunks
     assert hashlib.sha256(repr(report.test_results).encode()).hexdigest() == STREAMED_BATTERY_SHA256
 
 
