@@ -61,6 +61,10 @@ _LOG_ROWS = 1 << 17
 # Fixed sampling chunk; part of the reproducibility contract because it
 # determines the order in which random numbers are consumed.
 _CHUNK = 1 << 22
+# One-basis stretches in a chunk from which sampling looks each event's
+# outcome threshold up in the Born table rather than comparing a stretch
+# at a time.
+_LOOKUP_STRETCHES = 64
 
 
 @dataclass(frozen=True)
@@ -212,14 +216,20 @@ def sample_events(
     rng: np.random.Generator | None = None,
 ) -> EventLog:
     """Draw ``n`` Born-rule outcomes under the given basis schedule: one
-    basis code per event, or one basis letter for every event, which reads
-    that basis's column of the Born table and builds no schedule array.
+    basis code per event, or one basis letter for every event, which builds
+    no schedule array.
 
     Adversarial sources first draw the prepared term for each event of a
     chunk, then the outcome uniforms for that chunk; the per-event term
-    index is recorded as the event's eve_label.  ``rng`` continues a
-    stream that earlier calls drew from in whole ``_CHUNK`` pieces, as
-    ``ZStream`` does; by default the model's seed starts one.
+    index is recorded as the event's eve_label.  An event's outcome is
+    ``u >= p[term]`` for its basis's column ``p`` of the Born table.  Each
+    stretch of a chunk measured in one basis gets it from whole-array
+    comparisons with that column (``_compare``), so no per-event threshold
+    is ever built; a chunk of ``_LOOKUP_STRETCHES`` stretches or more, as
+    an interleaved schedule has, looks each event's threshold up in the
+    table instead.  ``rng`` continues a stream that earlier calls drew from
+    in whole ``_CHUNK`` pieces, as ``ZStream`` does; by default the model's
+    seed starts one.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
@@ -236,13 +246,11 @@ def sample_events(
     # Both uniform draws of a chunk land in one buffer, in the order that
     # rng.random(size) would return them.
     draws = np.empty(min(n, _CHUNK))
-    thresholds = None if labels is None else np.empty_like(draws)
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        u = draws[: stop - start]
-        basis = sched[start:stop] if column is None else column
+        u, out = draws[: stop - start], outcomes[start:stop].view(np.bool_)
         if labels is None:
-            threshold = p0[0, basis]
+            terms = np.broadcast_to(np.int32(0), u.shape)  # the one prepared state
         else:
             # searchsorted(cum, u, side="right") as a count of the edges at
             # or below u; the last edge, cum[-1] = 1.0, is above every u.
@@ -251,13 +259,33 @@ def sample_events(
             np.greater_equal(u, cum[0], out=terms)
             for edge in cum[1:-1]:
                 np.add(terms, u >= edge, out=terms)
-            if column is None:
-                threshold = p0[terms, basis]
-            else:
-                threshold = np.take(p0[:, column], terms, out=thresholds[: stop - start], mode="clip")
         rng.random(out=u)
-        np.greater_equal(u, threshold, out=outcomes[start:stop])
+        if column is not None:
+            _compare(u, terms, p0[:, column], out)
+            continue
+        basis = sched[start:stop]
+        changes = basis[1:] != basis[:-1]
+        if np.count_nonzero(changes) + 1 >= _LOOKUP_STRETCHES:
+            np.greater_equal(u, p0[terms, basis], out=out)
+            continue
+        cuts = np.flatnonzero(changes) + 1
+        for lo, hi in zip([0, *cuts], [*cuts, len(u)]):
+            _compare(u[lo:hi], terms[lo:hi], p0[:, basis[lo]], out[lo:hi])
     return EventLog(model.describe(), model.rng_seed, sched, outcomes, labels)
+
+
+def _compare(u: np.ndarray, terms: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
+    """``out = u >= p[terms]`` from one comparison of ``u`` with each entry
+    of ``p``; over the terms they telescope to ``[u >= p[0]] XOR sum_k
+    [terms >= k] AND ([u >= p[k]] XOR [u >= p[k-1]])``."""
+    np.greater_equal(u, p[0], out=out)
+    below = out
+    for k in range(1, len(p)):
+        above = u >= p[k]
+        flip = above ^ below
+        flip &= terms >= k
+        below = above
+        out ^= flip
 
 
 def sample_raw_bits(model: SourceModel, n: int) -> np.ndarray:

@@ -104,7 +104,8 @@ def _phi(x: float) -> float:
 # consecutive chunks of one stream (``feed``) and applies the published
 # formula once the stream ends (``finish``).  The constructor gets the
 # stream's full length, checks it and the test's parameters, and reads no
-# bits; ``_run`` feeds every chunk to every test.
+# bits; ``_run`` feeds every chunk to every test, or to the pattern counts
+# it reads.
 
 
 class _Monobit:
@@ -333,14 +334,6 @@ class _Patterns:
         return self.counts + _window_counts(np.concatenate([self.tail, self.head]), self.m)
 
 
-def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
-    """Counts of the m-bit patterns starting at each position of ``b``,
-    wrapping round the end."""
-    patterns = _Patterns(m)
-    patterns.feed(b)
-    return patterns.finish()
-
-
 def _shorter(counts: np.ndarray) -> np.ndarray:
     """Cyclic pattern counts one bit shorter: a pattern's count is the sum
     over the bit that follows it."""
@@ -353,20 +346,22 @@ def _psi_squared(counts: np.ndarray, m: int, n: int) -> float:
     return float((1 << m) / n * (counts.astype(float) ** 2).sum() - n)
 
 
+# The pattern tests read cyclic counts of m + 1 bits from a ``patterns``
+# attribute and have no ``feed`` of their own: ``_run`` feeds one
+# ``_Patterns`` per length, however many tests read it.
+
+
 class _Serial:
     def __init__(self, n: int, m: int = 5) -> None:
         if m < 2:
             raise ParameterError("serial needs pattern length m >= 2")
         self.n = _require(n, 1 << m, "serial")
         self.m = m
-        self.patterns = _Patterns(m)
-
-    def feed(self, b: np.ndarray) -> None:
-        self.patterns.feed(b)
+        self.patterns = _Patterns(m + 1)
 
     def finish(self, significance: float) -> TestResult:
         n, m = self.n, self.m
-        counts_m = self.patterns.finish()
+        counts_m = _shorter(self.patterns.finish())
         counts_m1 = _shorter(counts_m)
         psi_m = _psi_squared(counts_m, m, n)
         psi_m1 = _psi_squared(counts_m1, m - 1, n)
@@ -395,9 +390,6 @@ class _ApproximateEntropy:
         self.m = m
         self.patterns = _Patterns(m + 1)
 
-    def feed(self, b: np.ndarray) -> None:
-        self.patterns.feed(b)
-
     def finish(self, significance: float) -> TestResult:
         n, m = self.n, self.m
 
@@ -414,17 +406,23 @@ class _ApproximateEntropy:
 
 def _run(bits, makers: list[Callable], significance: float) -> list[TestResult]:
     """Each maker builds one test for the stream's length; every chunk is
-    fed to every test, then each test reports."""
+    fed to every test, or once to each length of pattern counts that tests
+    read, then each test reports."""
     if hasattr(bits, "chunks"):
         n, chunks = len(bits), bits.chunks()
     else:
         b = as_bits(bits)
         n, chunks = b.shape[0], (b,)
     tests = [make(n) for make in makers]
-    if tests:
+    patterns: dict[int, _Patterns] = {}
+    for test in tests:
+        if hasattr(test, "patterns"):
+            test.patterns = patterns.setdefault(test.patterns.m, test.patterns)
+    fed = [test for test in tests if not hasattr(test, "patterns")] + list(patterns.values())
+    if fed:
         for chunk in chunks:
-            for test in tests:
-                test.feed(chunk)
+            for part in fed:
+                part.feed(chunk)
     return [test.finish(significance) for test in tests]
 
 

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +20,7 @@ from qrbg.sources import (
     SourceModel,
     ZBits,
     ZStream,
+    _born_table,
     _coincidence_bloch,
     _encode,
     blocked_schedule,
@@ -176,6 +178,82 @@ class TestAdversarialSource:
         b = sample_events(model, constant_schedule("Z", n), n)
         assert np.array_equal(a.outcomes, b.outcomes)
         assert np.array_equal(a.eve_labels, b.eve_labels)
+
+
+def reference_sample(model, sched, n):
+    """Labels and outcomes on the sampler's PCG64 stream, drawn as first
+    written: per chunk, each event's term by ``searchsorted`` over the
+    cumulative weights, then its outcome against its own Born-table
+    threshold."""
+    rng = np.random.default_rng(model.rng_seed)
+    p0, cum = _born_table(model.variant)
+    outcomes = np.empty(n, dtype=np.uint8)
+    labels = None if cum is None else np.empty(n, dtype=np.int32)
+    for start in range(0, n, qrbg.sources._CHUNK):
+        stop = min(start + qrbg.sources._CHUNK, n)
+        terms = 0
+        if cum is not None:
+            terms = np.searchsorted(cum, rng.random(stop - start), side="right")
+            labels[start:stop] = terms
+        outcomes[start:stop] = rng.random(stop - start) >= p0[terms, sched[start:stop]]
+    return outcomes, labels
+
+
+def random_decomposition(terms, seed):
+    rng = np.random.default_rng(seed)
+    blochs = rng.normal(size=(terms, 3))
+    blochs /= np.linalg.norm(blochs, axis=1)[:, None]
+    weights = rng.random(terms)
+    weights /= weights.sum()
+    return Decomposition(tuple((float(w), PureState(StokesVector(*b.tolist()))) for w, b in zip(weights, blochs)))
+
+
+ORACLE_EVENTS = 10_007
+ORACLE_SCHEDULES = {
+    "constant_z": constant_schedule("Z", ORACLE_EVENTS),
+    "blocked": blocked_schedule(ORACLE_EVENTS),
+    # 300-event stretches, several to a 1000-event chunk
+    "stretches_300": np.repeat(np.arange(ORACLE_EVENTS // 300 + 1, dtype=np.uint8) % 3, 300)[:ORACLE_EVENTS],
+    # 16-event stretches: 63 to a 1000-event chunk, the most it compares
+    "stretches_16": np.repeat(np.arange(ORACLE_EVENTS // 16 + 1, dtype=np.uint8) % 3, 16)[:ORACLE_EVENTS],
+    "interleaved": (np.arange(ORACLE_EVENTS) % 3).astype(np.uint8),
+}
+
+
+@pytest.mark.parametrize("chunk", [1000, None])
+@pytest.mark.parametrize("schedule", sorted(ORACLE_SCHEDULES))
+@pytest.mark.parametrize("terms", [None, 1, 2, 3, 12])
+def test_sampler_matches_per_event_thresholds(monkeypatch, chunk, schedule, terms):
+    if chunk is not None:  # chunks split stretches and stretches split chunks
+        monkeypatch.setattr(qrbg.sources, "_CHUNK", chunk)
+    if terms is None:
+        model = single(0.6, -0.2, 0.3, seed=21)
+    else:
+        model = SourceModel(Adversarial(random_decomposition(terms, terms)), 21)
+    sched = ORACLE_SCHEDULES[schedule]
+    want_outcomes, want_labels = reference_sample(model, sched, ORACLE_EVENTS)
+    drawn = [sample_events(model, sched, ORACLE_EVENTS)]
+    if schedule == "constant_z":
+        drawn.append(sample_events(model, "Z", ORACLE_EVENTS))
+    for log in drawn:
+        assert np.array_equal(log.outcomes, want_outcomes)
+        assert (log.eve_labels is None) == (want_labels is None)
+        if want_labels is not None:
+            assert np.array_equal(log.eve_labels, want_labels)
+
+
+def test_z_stream_piece_draws_without_a_threshold_buffer():
+    # a whole chunk's draws (32 MiB), labels (16 MiB), outcomes (4 MiB) and
+    # a few one-byte masks; a float64 threshold per event adds 32 MiB more
+    d = worst_case_decomposition(stokes_to_density(StokesVector(0.9, 0.3, 0.1)))
+    pieces = ZStream(SourceModel(Adversarial(d), 3), qrbg.sources._CHUNK).pieces()
+    tracemalloc.start()
+    try:
+        next(pieces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**20
 
 
 def coincidence_state(coherence, accidental_fraction, phase=0.0):

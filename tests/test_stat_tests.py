@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
 from qrbg.errors import InsufficientDataError, ParameterError
 from qrbg.stat_tests import (
     ALL_TESTS,
+    DEFAULT_SIGNIFICANCE,
     BatteryConfig,
     approximate_entropy,
     as_bits,
@@ -24,7 +26,7 @@ import qrbg.bits
 import qrbg.stat_tests
 from qrbg.bits import BitStream
 from qrbg.stat_tests import _cusum_p  # reference-value check at n below the floor
-from qrbg.stat_tests import _pattern_counts
+from qrbg.stat_tests import _Patterns, _result
 
 # First 100 binary digits of pi, the SP 800-22 running example.
 PI_100 = (
@@ -190,6 +192,34 @@ def reference_pattern_counts(b, m):
     return np.bincount(idx, minlength=1 << m)
 
 
+def reference_pattern_tests(b, m=5, significance=DEFAULT_SIGNIFICANCE):
+    """Serial and approximate entropy at pattern length m, each count
+    taken over the whole stream at the length the formula names."""
+    n = b.shape[0]
+
+    def psi_squared(k):
+        if k < 1:
+            return 0.0
+        return float((1 << k) / n * (reference_pattern_counts(b, k).astype(float) ** 2).sum() - n)
+
+    def phi(k):
+        frac = reference_pattern_counts(b, k)
+        frac = frac[frac > 0] / n
+        return float((frac * np.log(frac)).sum())
+
+    d1 = psi_squared(m) - psi_squared(m - 1)
+    d2 = psi_squared(m) - 2.0 * psi_squared(m - 1) + psi_squared(m - 2)
+    p1 = float(gammaincc(2.0 ** (m - 2), d1 / 2.0))
+    p2 = float(gammaincc(2.0 ** (m - 3), d2 / 2.0))
+    apen = phi(m) - phi(m + 1)
+    chi2 = 2.0 * n * (math.log(2.0) - apen)
+    p = float(gammaincc(2.0 ** (m - 1), chi2 / 2.0))
+    return [
+        _result("serial", d1, min(p1, p2), significance, m=m, p_value1=p1, p_value2=p2, delta2=d2),
+        _result("approximate_entropy", chi2, p, significance, m=m, apen=apen),
+    ]
+
+
 # seeded streams spanning several pattern-count chunks with a ragged last
 # one, a short stream, and the two constant streams
 REFERENCE_STREAMS = {
@@ -214,13 +244,17 @@ class TestReferenceFormulas:
     def test_pattern_counts(self, name):
         b = REFERENCE_STREAMS[name]
         for m in range(1, 7):
-            assert np.array_equal(_pattern_counts(b, m), reference_pattern_counts(b, m)), m
+            patterns = _Patterns(m)
+            patterns.feed(b)
+            assert np.array_equal(patterns.finish(), reference_pattern_counts(b, m)), m
 
-    def test_report_unchanged(self, name, monkeypatch):
+    def test_report_unchanged(self, name):
         b = REFERENCE_STREAMS[name]
-        got = battery_report(run_battery(b))
-        monkeypatch.setattr(qrbg.stat_tests, "_pattern_counts", reference_pattern_counts)
-        assert battery_report(run_battery(b)) == got
+        results = run_battery(b)
+        assert [r.name for r in results[-2:]] == ["serial", "approximate_entropy"]
+        want = results[:-2] + reference_pattern_tests(b)
+        assert battery_report(results) == battery_report(want)
+        assert results == want
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_STREAMS))
