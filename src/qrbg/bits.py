@@ -31,6 +31,12 @@ MAGIC = b"QRBGBITS v1     "
 CHUNK_BITS = 1 << 22
 
 
+def _is_decimal(text: str) -> bool:
+    """Written as the writers of bits files and event logs write a count:
+    ASCII digits with no sign, padding or leading zero."""
+    return text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")
+
+
 def _bit_array(values, what: str) -> np.ndarray:
     """``values`` as uint8, rejected unless every value is 0 or 1: a cast
     first would wrap 256 to 0 and 257 to 1."""
@@ -214,7 +220,7 @@ def open_bits_file(path: str) -> BitsFile:
         offset = fh.tell()
         size = os.fstat(fh.fileno()).st_size - offset
     length = header.get("bit_length", "")
-    if not length.isdigit():
+    if not _is_decimal(length):
         raise ParameterError(f"{path}: header needs a bit_length count, got {length!r}")
     if size * 8 < int(length):
         raise ParameterError(f"{path}: payload of {size} bytes cannot hold {length} bits")

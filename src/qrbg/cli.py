@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 insufficient entropy, 3 insufficient data,
-4 I/O failure, 5 configuration or parameter error.
+Exit codes: 0 success, 1 a failed statistical test (``qrbg test``),
+2 insufficient entropy, 3 insufficient data, 4 I/O failure,
+5 configuration or parameter error.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from .pipeline import (
     load_config,
     load_raw_bits,
     run_pipeline,
-    run_tests,
     simulate_logs,
 )
 from .sources import load_event_log
-from .stat_tests import battery_report
+from .stat_tests import battery_report, run_battery
 
 EXIT_CODES = (
     (InsufficientEntropyError, 2),
@@ -143,7 +143,7 @@ def extract(rawfile, h_rate, block_n, epsilon, seed_file, out_path) -> None:
 def test_cmd(bitsfile, test_list, significance, report_path) -> None:
     """Run the statistical battery on a packed bit file."""
     cfg = _config(tests=test_list, significance=significance)
-    results = run_tests(open_bits_file(bitsfile), cfg)
+    results = run_battery(open_bits_file(bitsfile), cfg.tests, cfg.significance)
     _write_block(battery_report(results), report_path)
     if any(not r.passed for r in results):
         sys.exit(1)

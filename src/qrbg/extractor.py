@@ -499,16 +499,15 @@ def _block_groups(
 
 @dataclass
 class ExtractionResult:
-    output: Optional[Union[BitStream, BitsFile]]
+    output: Optional[BitsFile]
     seed: HashSeed
     params: ExtractorParams
     blocks: int
-    seconds: float = 0.0  # wall time of the extraction, reads and writes included
+    seconds: float  # wall time of the extraction, reads and writes included
 
     @property
-    def raw_bits_per_second(self) -> Optional[float]:
-        """Raw bits hashed per second of ``seconds``; None if not timed."""
-        return self.blocks * self.params.n / self.seconds if self.seconds > 0 else None
+    def raw_bits_per_second(self) -> float:
+        return self.blocks * self.params.n / self.seconds
 
     def render(self, seed_file: str) -> str:
         """ASCII key=value block of the extraction's accounting, for an
@@ -524,9 +523,8 @@ class ExtractionResult:
             f"epsilon={format_epsilon(p.epsilon)}",
             f"seed=seed_file={seed_file}",
             f"seed_sha256={self.seed.sha256}",
+            f"raw_bits_per_second={self.raw_bits_per_second:.3e}",
         ]
-        if self.raw_bits_per_second is not None:
-            lines.append(f"raw_bits_per_second={self.raw_bits_per_second:.3e}")
         return "\n".join(lines) + "\n"
 
 
@@ -534,16 +532,13 @@ def extract_stream(
     raw: Union[BitStream, BitsFile, np.ndarray],
     params: ExtractorParams,
     seed: HashSeed,
-    sink: Optional[Callable[[np.ndarray], None]] = None,
+    sink: Callable[[np.ndarray], None],
 ) -> ExtractionResult:
-    """Hash every full n-bit block of ``raw`` with one seed.
-
-    ``raw`` is a bit array or any source with a length and ``chunks()``;
-    it is hashed a chunk at a time, and the tail remainder is discarded; a
-    stream with no whole block is insufficient data.
-    Each block group's output goes to ``sink`` as it is hashed, leaving
-    ``output`` None; without a sink the output is returned in memory.
-    """
+    """Hash every full n-bit block of ``raw`` (a source with a length and
+    ``chunks()``, or a bit array, read as a ``BitStream``) with one seed, a
+    chunk at a time, handing each block group's output to ``sink`` as it is
+    hashed; ``output`` is left for the caller to set.  The tail remainder is
+    discarded; a stream with no whole block is insufficient data."""
     start = time.perf_counter()
     source = raw if hasattr(raw, "chunks") else BitStream(raw)
     if seed.bit_length != params.seed_bits_needed:
@@ -557,20 +552,15 @@ def extract_stream(
             f"raw stream of {len(source)} bits is shorter than one {n}-bit block"
         )
     hasher = _Hasher(seed.bits, n)
-    kept = np.empty((blocks if sink is None else 0) * m, dtype=np.uint8)
-    done = 0
     for group in _block_groups(source.chunks(), n, hasher.batch):
         k = group.shape[0]
-        out = kept[done * m : (done + k) * m] if sink is None else np.empty(k * m, np.uint8)
+        out = np.empty(k * m, np.uint8)
         hasher.hash(group, out.reshape(k, m))
-        if sink is not None:
-            sink(out)
-        done += k
-    output = BitStream(kept) if sink is None else None
-    return ExtractionResult(output, seed, params, blocks, time.perf_counter() - start)
+        sink(out)
+    return ExtractionResult(None, seed, params, blocks, time.perf_counter() - start)
 
 
-def toeplitz_matrix(seed_bits: np.ndarray, n: int, m: int) -> np.ndarray:
+def _toeplitz_matrix(seed_bits: np.ndarray, n: int, m: int) -> np.ndarray:
     """Materialize T[j][k] = seed[j - k + n - 1]; small sizes only."""
     seed_bits = np.asarray(seed_bits, dtype=np.uint8)
     if seed_bits.shape[0] != n + m - 1:
@@ -581,7 +571,7 @@ def toeplitz_matrix(seed_bits: np.ndarray, n: int, m: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class UniversalityReport:
+class _UniversalityReport:
     n: int
     m: int
     seed_count: int
@@ -594,7 +584,7 @@ class UniversalityReport:
         return self.min_collisions == self.max_collisions == self.expected_collisions
 
 
-def universality_check(n: int, m: int) -> UniversalityReport:
+def universality_check(n: int, m: int) -> _UniversalityReport:
     """Exhaustively verify the 2-universal property at small sizes.
 
     For every pair of distinct inputs, counts the seeds mapping both to
@@ -614,11 +604,11 @@ def universality_check(n: int, m: int) -> UniversalityReport:
     collisions = np.zeros((num_inputs, num_inputs), dtype=np.int64)
     for seed_int in range(num_seeds):
         seed_bits = ((seed_int >> seed_shifts) & 1).astype(np.uint8)
-        t = toeplitz_matrix(seed_bits, n, m)
+        t = _toeplitz_matrix(seed_bits, n, m)
         out_ids = ((inputs @ t.T) & 1) @ out_weights
         collisions += out_ids[:, None] == out_ids[None, :]
     off_diag = collisions[~np.eye(num_inputs, dtype=bool)]
-    return UniversalityReport(
+    return _UniversalityReport(
         n=n,
         m=m,
         seed_count=num_seeds,

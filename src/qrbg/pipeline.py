@@ -8,10 +8,10 @@ that are extracted never enter the tomographic estimate.  The certified
 entropy rate fixes the extractor's output length before any raw bit is
 generated; if it admits no output the run aborts without generating.
 
-Each stage is one function here (``calibrate``, ``generate``, ``extract``,
-``run_tests``), called both by ``run_pipeline`` and by the CLI subcommands,
-so for one ``rng_seed`` and ``seed_file`` the staged commands write the same
-files as a pipeline run.
+Each stage is one function (``calibrate``, ``generate`` and ``extract``
+here, and ``stat_tests.run_battery``), called both by ``run_pipeline`` and
+by the CLI subcommands, so for one ``rng_seed`` and ``seed_file`` the staged
+commands write the same files as a pipeline run.
 
 Every file a run emits is listed in its report together with a SHA-256
 digest, and the extracted file is re-read after writing so the report's
@@ -56,10 +56,10 @@ from .sources import (
     sample_events,
     save_event_log,
 )
-from .stat_tests import ALL_TESTS, DEFAULT_SIGNIFICANCE, BatteryConfig, TestResult
+from .stat_tests import ALL_TESTS, DEFAULT_SIGNIFICANCE, TestResult
 from .stat_tests import battery_report, pass_fraction, run_battery
 from .states import Decomposition, PureState, StokesVector, worst_case_decomposition, stokes_to_density
-from .tomography import TomographyResult, reconstruct, state_report
+from .tomography import TomographyResult, reconstruct
 
 SECURITY_NOTE = (
     "statistical tests check implementation correctness only; "
@@ -276,11 +276,25 @@ class Calibration:
     certified_segment: int = 0
 
     def render(self) -> str:
-        text = state_report(self.tomography, self.rate, self.alpha, self.lower)
+        """ASCII key=value block describing the calibration."""
+        t, s = self.tomography, self.tomography.s_hat
+        lines = [
+            f"s1={s.s1!r}",
+            f"s2={s.s2!r}",
+            f"s3={s.s3!r}",
+            *(f"stderr{i}={float(e)!r}" for i, e in enumerate(t.stderr, start=1)),
+            f"projected={int(t.projected)}",
+            f"n_per_basis={','.join(str(int(x)) for x in t.n_per_basis)}",
+            f"minentropy_rate={self.rate.bits_per_sample!r}",
+            f"alpha={self.alpha!r}",
+            f"minentropy_lower={self.lower.bits_per_sample!r}",
+            "note=minentropy_lower is a Hoeffding deflation added by this "
+            "implementation, not part of the certified figure",
+        ]
         if self.recalibrations:
-            text += f"recalibrations={self.recalibrations}\n"
-            text += f"certified_segment={self.certified_segment}\n"
-        return text
+            lines.append(f"recalibrations={self.recalibrations}")
+            lines.append(f"certified_segment={self.certified_segment}")
+        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -376,10 +390,12 @@ def _calibration_log(variant: Variant, seed: int, n: int) -> EventLog:
 
 
 def calibrate(log: EventSource, config: PipelineConfig) -> Calibration:
-    """Reconstruct the state from calibration events and certify a rate."""
-    result, rate = reconstruct(log, alpha=config.alpha, conservative=config.conservative)
+    """Reconstruct the state from calibration events and certify a rate:
+    the plug-in rate, or with ``conservative`` its Hoeffding deflation at
+    confidence ``alpha``, which is reported either way."""
+    result, plug_in = reconstruct(log)
     lower = lower_confidence_rate(result.s_hat, int(result.n_per_basis.min()), config.alpha)
-    return Calibration(result, rate, lower, config.alpha)
+    return Calibration(result, lower if config.conservative else plug_in, lower, config.alpha)
 
 
 def generate(variant: Variant, seed: int, config: PipelineConfig, out: Path) -> Path:
@@ -440,7 +456,7 @@ def load_raw_bits(path: str) -> BitsFile | ZBits:
     return ZBits(log)
 
 
-def resolve_seed(params: ExtractorParams, seed_file: str) -> HashSeed:
+def _resolve_seed(params: ExtractorParams, seed_file: str) -> HashSeed:
     """The session seed held in a ``role=seed`` bit file."""
     needed = params.seed_bits_needed
     stream = read_bits_file(seed_file)
@@ -474,7 +490,7 @@ def extract(
         seed_file = str(path.with_suffix(".seed.bits"))
         seed = HashSeed.system(params.seed_bits_needed)
     else:
-        seed = resolve_seed(params, seed_file)
+        seed = _resolve_seed(params, seed_file)
     header = {
         "role": "extracted",
         "block_n": str(params.n),
@@ -498,14 +514,6 @@ def extract(
             f"{written.payload_bytes} bytes, expected {expected}"
         )
     return result, seed_file
-
-
-def run_tests(bits: BitsFile | BitStream, config: PipelineConfig) -> list[TestResult]:
-    """The configured statistical battery on one stream, read a chunk at a
-    time."""
-    return run_battery(
-        bits, BatteryConfig(tests=config.tests, significance=config.significance)
-    )
 
 
 def _certify_segments(
@@ -581,7 +589,9 @@ def run_pipeline(
 
     with _stage("test"):
         if config.tests:
-            report.test_results = run_tests(report.extraction.output, config)
+            report.test_results = run_battery(
+                report.extraction.output, config.tests, config.significance
+            )
 
     target = Path(report_path) if report_path else out / "report.txt"
     target.write_text(report.render(), encoding="ascii")

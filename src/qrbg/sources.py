@@ -25,10 +25,11 @@ concurrently; a single log is generated sequentially.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Protocol, Sequence, TextIO, Union
+from typing import Iterator, Protocol, TextIO, Union
 
 import numpy as np
 
+from .bits import _is_decimal
 from .errors import EmptyInputError, ParameterError
 from .states import (
     Decomposition,
@@ -179,10 +180,6 @@ def _born_table(variant: Variant) -> tuple[np.ndarray, np.ndarray | None]:
     return 0.5 * (1.0 + blochs[:, BASIS_AXIS]), cum
 
 
-def constant_schedule(basis: str, n: int) -> np.ndarray:
-    return np.full(n, _BASIS_CODE[basis], dtype=np.uint8)
-
-
 def blocked_schedule(n: int) -> np.ndarray:
     """Equal thirds of Z, X, Y in consecutive blocks (remainder goes Z, X)."""
     per, rest = divmod(n, 3)
@@ -190,34 +187,26 @@ def blocked_schedule(n: int) -> np.ndarray:
     return np.concatenate([np.repeat(codes, per), codes[:rest]])
 
 
-def as_schedule(schedule: Union[np.ndarray, Sequence[str]], n: int) -> np.ndarray:
-    if isinstance(schedule, np.ndarray) and schedule.dtype == np.uint8:
-        sched = schedule
-    else:
-        try:
-            sched = np.fromiter(
-                (_BASIS_CODE[b] for b in schedule), dtype=np.uint8
-            )
-        except KeyError as exc:
-            raise ParameterError(f"unknown basis {exc.args[0]!r}") from None
-    if sched.shape[0] != n:
-        raise ParameterError(
-            f"schedule length {sched.shape[0]} does not match n={n}"
-        )
-    if sched.size and sched.max() > 2:
+def _as_schedule(schedule: np.ndarray, n: int) -> np.ndarray:
+    """``schedule`` if it is a uint8 array of ``n`` codes 0 to 2; never cast."""
+    if not (isinstance(schedule, np.ndarray) and schedule.dtype == np.uint8):
+        raise ParameterError("a basis schedule is a uint8 array of basis codes")
+    if schedule.shape != (n,):
+        raise ParameterError(f"schedule of shape {schedule.shape} does not match n={n}")
+    if schedule.size and schedule.max() > 2:
         raise ParameterError("basis codes must be 0 (Z), 1 (X) or 2 (Y)")
-    return sched
+    return schedule
 
 
 def sample_events(
     model: SourceModel,
-    basis_schedule: Union[np.ndarray, Sequence[str], str],
+    basis_schedule: Union[np.ndarray, str],
     n: int,
     rng: np.random.Generator | None = None,
 ) -> EventLog:
-    """Draw ``n`` Born-rule outcomes under the given basis schedule: one
-    basis code per event, or one basis letter for every event, which builds
-    no schedule array.
+    """Draw ``n`` Born-rule outcomes under the given basis schedule: a
+    uint8 array of one basis code per event, or one basis letter for every
+    event, which builds no schedule array.
 
     Adversarial sources first draw the prepared term for each event of a
     chunk, then the outcome uniforms for that chunk; the per-event term
@@ -233,11 +222,13 @@ def sample_events(
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    if isinstance(basis_schedule, str) and basis_schedule in _BASIS_CODE:
+    if isinstance(basis_schedule, str):
+        if basis_schedule not in _BASIS_CODE:
+            raise ParameterError(f"unknown basis {basis_schedule!r}")
         column = _BASIS_CODE[basis_schedule]
         sched = np.broadcast_to(np.uint8(column), (n,))
     else:
-        column, sched = None, as_schedule(basis_schedule, n)
+        column, sched = None, _as_schedule(basis_schedule, n)
     if rng is None:
         rng = np.random.default_rng(model.rng_seed)
     p0, cum = _born_table(model.variant)
@@ -286,12 +277,6 @@ def _compare(u: np.ndarray, terms: np.ndarray, p: np.ndarray, out: np.ndarray) -
         flip &= terms >= k
         below = above
         out ^= flip
-
-
-def sample_raw_bits(model: SourceModel, n: int) -> np.ndarray:
-    """Computational-basis outcomes only, for generation runs: the
-    outcomes of ``sample_events`` under a constant-Z schedule."""
-    return sample_events(model, "Z", n).outcomes
 
 
 @dataclass(frozen=True)
@@ -371,7 +356,7 @@ def _encode(first: int, bases: np.ndarray, outcomes: np.ndarray, labels: np.ndar
     return b"".join(runs)
 
 
-def write_event_log(log: EventSource, fh: TextIO) -> None:
+def _write_event_log(log: EventSource, fh: TextIO) -> None:
     """ASCII event-log format: '# key=value' header lines then one
     'index,basis,outcome[,eve_label]' record per line, written a piece at
     a time as ``log`` yields its pieces."""
@@ -388,18 +373,12 @@ def write_event_log(log: EventSource, fh: TextIO) -> None:
 
 def save_event_log(log: EventSource, path: str) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        write_event_log(log, fh)
+        _write_event_log(log, fh)
 
 
 def _reject(bad: np.ndarray, first: int, what: str) -> None:
     if bad.any():
         raise ParameterError(f"event record {first + int(np.argmax(bad))}: {what}")
-
-
-def _is_decimal(text: str) -> bool:
-    """Written as the log writer writes a count: ASCII digits with no sign,
-    padding or leading zero."""
-    return text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")
 
 
 def _read_log(fh: TextIO) -> tuple[str, int, int | None, Iterator[EventLog]]:
@@ -536,7 +515,7 @@ def read_event_log(fh: TextIO) -> EventLog:
 
 
 @dataclass(frozen=True)
-class LogFile:
+class _LogFile:
     """An event log on disk whose header has been parsed: its source, seed
     and declared record count ``n`` (None if the header gives none).  Each
     ``pieces`` call reads the records again, a piece at a time, each piece
@@ -552,11 +531,11 @@ class LogFile:
             yield from _read_log(fh)[3]
 
 
-def load_event_log(path: str) -> LogFile:
+def load_event_log(path: str) -> _LogFile:
     """Open an event log: parse its header now and leave its records to
-    ``LogFile.pieces``."""
+    ``_LogFile.pieces``."""
     with open(path, "r", encoding="ascii") as fh:
-        return LogFile(path, *_read_log(fh)[:3])
+        return _LogFile(path, *_read_log(fh)[:3])
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaincc
@@ -73,17 +73,6 @@ def _result(
         significance=significance,
         parameters=parameters,
     )
-
-
-def as_bits(bits: Union[BitStream, np.ndarray, Sequence[int], str]) -> np.ndarray:
-    if isinstance(bits, BitStream):
-        return bits.bits
-    if isinstance(bits, str):
-        return np.fromiter((int(c) for c in bits), dtype=np.uint8)
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ParameterError("bit input must be one-dimensional")
-    return arr
 
 
 def _require(n: int, minimum: int, test: str) -> int:
@@ -407,20 +396,17 @@ class _ApproximateEntropy:
 def _run(bits, makers: list[Callable], significance: float) -> list[TestResult]:
     """Each maker builds one test for the stream's length; every chunk is
     fed to every test, or once to each length of pattern counts that tests
-    read, then each test reports."""
-    if hasattr(bits, "chunks"):
-        n, chunks = len(bits), bits.chunks()
-    else:
-        b = as_bits(bits)
-        n, chunks = b.shape[0], (b,)
-    tests = [make(n) for make in makers]
+    read, then each test reports.  ``bits`` is a source with a length and
+    ``chunks()``, or a bit array, read as a ``BitStream``."""
+    source = bits if hasattr(bits, "chunks") else BitStream(bits)
+    tests = [make(len(source)) for make in makers]
     patterns: dict[int, _Patterns] = {}
     for test in tests:
         if hasattr(test, "patterns"):
             test.patterns = patterns.setdefault(test.patterns.m, test.patterns)
     fed = [test for test in tests if not hasattr(test, "patterns")] + list(patterns.values())
     if fed:
-        for chunk in chunks:
+        for chunk in source.chunks():
             for part in fed:
                 part.feed(chunk)
     return [test.finish(significance) for test in tests]
@@ -473,23 +459,16 @@ _BATTERY: dict[str, Callable] = {
 ALL_TESTS = tuple(_BATTERY)
 
 
-@dataclass(frozen=True)
-class BatteryConfig:
-    tests: tuple[str, ...] = ALL_TESTS
-    significance: float = DEFAULT_SIGNIFICANCE
-
-    def __post_init__(self) -> None:
-        unknown = [t for t in self.tests if t not in ALL_TESTS]
-        if unknown:
-            raise ParameterError(f"unknown tests: {unknown}")
-
-
-def run_battery(bits, config: BatteryConfig | None = None) -> list[TestResult]:
-    """Run every enabled test on the same (unmodified) stream, in one pass
-    over its chunks.  ``bits`` is a bit array in any form ``as_bits`` takes,
-    or any source with a length and ``chunks()``, such as a ``BitsFile``."""
-    cfg = config or BatteryConfig()
-    return _run(bits, [_BATTERY[name] for name in cfg.tests], cfg.significance)
+def run_battery(
+    bits, tests: tuple[str, ...] = ALL_TESTS, significance: float = DEFAULT_SIGNIFICANCE
+) -> list[TestResult]:
+    """Run the named tests at their default parameters on the same
+    (unmodified) stream, in one pass over its chunks; ``bits`` as ``_run``
+    takes it."""
+    unknown = [t for t in tests if t not in _BATTERY]
+    if unknown:
+        raise ParameterError(f"unknown tests: {unknown}")
+    return _run(bits, [_BATTERY[name] for name in tests], significance)
 
 
 def pass_fraction(results: list[TestResult]) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, InsufficientDataError
-from .minentropy import EntropyRate, lower_confidence_rate, rate_from_coherence
+from .minentropy import EntropyRate, rate_from_coherence
 from .sources import BASIS_AXIS, BASIS_CHARS, EventSource
 from .states import StokesVector
 
@@ -61,7 +61,7 @@ class TomographyResult:
     projected: bool
 
 
-def tally(log: EventSource) -> CountTable:
+def _tally(log: EventSource) -> CountTable:
     """Count outcomes per (basis, outcome) cell, a piece at a time."""
     counts = np.zeros(6, dtype=np.int64)
     for piece in log.pieces():
@@ -102,53 +102,9 @@ def estimate_stokes(c: CountTable) -> TomographyResult:
     )
 
 
-def reconstruct(
-    log: EventSource,
-    alpha: float = 0.01,
-    conservative: bool = False,
-) -> tuple[TomographyResult, EntropyRate]:
-    """Tally a calibration log, estimate the state, certify a rate.
-
-    The certified rate is the closed form evaluated at the estimated
-    coherence.  With ``conservative=True`` the estimate is first deflated
-    by the Hoeffding margin at confidence ``alpha`` (see
-    ``lower_confidence_rate``); the deflated figure is reported in either
-    case.
-    """
-    result = estimate_stokes(tally(log))
-    if conservative:
-        rate = lower_confidence_rate(
-            result.s_hat, int(result.n_per_basis.min()), alpha
-        )
-    else:
-        rate = rate_from_coherence(result.s_hat.coherence)
-    return result, rate
-
-
-def state_report(
-    result: TomographyResult,
-    rate: EntropyRate,
-    alpha: float,
-    lower: EntropyRate | None = None,
-) -> str:
-    """ASCII key=value block describing a calibration."""
-    s = result.s_hat
-    lines = [
-        f"s1={s.s1!r}",
-        f"s2={s.s2!r}",
-        f"s3={s.s3!r}",
-        f"stderr1={float(result.stderr[0])!r}",
-        f"stderr2={float(result.stderr[1])!r}",
-        f"stderr3={float(result.stderr[2])!r}",
-        f"projected={int(result.projected)}",
-        f"n_per_basis={','.join(str(int(x)) for x in result.n_per_basis)}",
-        f"minentropy_rate={rate.bits_per_sample!r}",
-        f"alpha={alpha!r}",
-    ]
-    if lower is not None:
-        lines.append(f"minentropy_lower={lower.bits_per_sample!r}")
-        lines.append(
-            "note=minentropy_lower is a Hoeffding deflation added by this "
-            "implementation, not part of the certified figure"
-        )
-    return "\n".join(lines) + "\n"
+def reconstruct(log: EventSource) -> tuple[TomographyResult, EntropyRate]:
+    """Tally a calibration log and estimate the state, with its plug-in
+    rate: the closed form evaluated at the estimated coherence.  Which
+    rate certifies is ``pipeline.calibrate``'s choice."""
+    result = estimate_stokes(_tally(log))
+    return result, rate_from_coherence(result.s_hat.coherence)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from qrbg.bits import BitStream, write_bits_file
-from qrbg.extractor import ExtractorParams, HashSeed, extract_stream, output_length, universality_check
+from qrbg.extractor import ExtractorParams, HashSeed, output_length, universality_check
 from qrbg.minentropy import (
     closed_form_minentropy,
     minentropy_decomposition,
@@ -18,15 +18,21 @@ from qrbg.minentropy import (
     rate_from_coherence,
 )
 from qrbg.pipeline import parse_config_text, run_pipeline
-from qrbg.sources import Adversarial, SinglePhoton, SourceModel, constant_schedule, sample_events, sample_raw_bits
-from qrbg.stat_tests import BatteryConfig, monobit, run_battery, runs
+from qrbg.sources import Adversarial, SinglePhoton, SourceModel, sample_events
+from qrbg.stat_tests import monobit, run_battery, runs
 from qrbg.states import StokesVector, stokes_to_density, worst_case_decomposition
 
-PI_100 = (
+
+def from_text(text):
+    """A string of 0s and 1s as a bit array."""
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
+
+
+PI_100 = from_text(
     "1100100100001111110110101010001000100001011010001100001000110100"
     "110001001100011001100010100010111000"
 )
-E_128 = (
+E_128 = from_text(
     "11001100000101010110110001001100111000000000001001"
     "00110101010001000100111101011010000000110101111100"
     "1100111001101101100010110010"
@@ -159,10 +165,10 @@ def test_criterion_06_extractor_universality():
     )
 
 
-def test_criterion_07_adversarial_soundness():
+def test_criterion_07_adversarial_soundness(extract_in_memory):
     rho = stokes_to_density(StokesVector(0.6, 0, 0.3))
     d = worst_case_decomposition(rho)
-    log = sample_events(SourceModel(Adversarial(d), 707), constant_schedule("Z", 10**6), 10**6)
+    log = sample_events(SourceModel(Adversarial(d), 707), "Z", 10**6)
     p_max = np.array([0.5 * (1 + abs(psi.bloch.s3)) for _, psi in d.terms])
     eve_mean = float(np.mean(-np.log2(p_max[log.eve_labels])))
     f = float(closed_form_minentropy(rho))
@@ -170,7 +176,7 @@ def test_criterion_07_adversarial_soundness():
 
     params = ExtractorParams(100_000, 2.0**-32, 0.152)
     seed = HashSeed(np.random.default_rng(708).integers(0, 2, params.seed_bits_needed).astype(np.uint8))
-    extracted = extract_stream(log.outcomes, params, seed=seed).output
+    extracted = extract_in_memory(log.outcomes, params, seed=seed).output
     p_mono = monobit(extracted.bits).p_value
     p_runs = runs(extracted.bits).p_value
     ok_tests = p_mono >= 0.01 and p_runs >= 0.01
@@ -182,18 +188,18 @@ def test_criterion_07_adversarial_soundness():
     )
 
 
-def test_criterion_08_raw_vs_extracted():
+def test_criterion_08_raw_vs_extracted(extract_in_memory):
     t0 = time.perf_counter()
     model = SourceModel(SinglePhoton(StokesVector(0.9, 0, 0.3)), 808)
-    raw = sample_raw_bits(model, 2_200_000)
+    raw = sample_events(model, "Z", 2_200_000).outcomes
     p_raw = monobit(raw[:10**6]).p_value
     ok_raw = p_raw < 1e-6
 
     rate = rate_from_coherence(0.9)
     params = ExtractorParams(100_000, 2.0**-64, float(rate))
     seed = HashSeed(np.random.default_rng(809).integers(0, 2, params.seed_bits_needed).astype(np.uint8))
-    extracted = extract_stream(raw, params, seed=seed).output
-    results = run_battery(extracted.bits[:10**6], BatteryConfig(significance=0.01))
+    extracted = extract_in_memory(raw, params, seed=seed).output
+    results = run_battery(extracted.bits[:10**6], significance=0.01)
     ok_ext = len(results) == 7 and all(r.passed for r in results)
     elapsed = time.perf_counter() - t0
     ok = ok_raw and ok_ext and elapsed < 60
@@ -222,9 +228,9 @@ def test_criterion_09_battery_reference_vectors():
         ("longest_run_of_ones", longest_run_of_ones(E_128).p_value, 0.180609),
         ("cumulative_sums", cumulative_sums(PI_100).parameters["p_forward"], 0.219194),
         ("cumulative_sums_small", _cusum_p(4, 10), 0.4116588),
-        ("serial_p1", serial("0011011101", m=3).parameters["p_value1"], 0.808792),
-        ("serial_p2", serial("0011011101", m=3).parameters["p_value2"], 0.670320),
-        ("approximate_entropy", approximate_entropy("0100110101", m=3).p_value, 0.261961),
+        ("serial_p1", serial(from_text("0011011101"), m=3).parameters["p_value1"], 0.808792),
+        ("serial_p2", serial(from_text("0011011101"), m=3).parameters["p_value2"], 0.670320),
+        ("approximate_entropy", approximate_entropy(from_text("0100110101"), m=3).p_value, 0.261961),
     ]
     bad = [(n, got, want) for n, got, want in checks if abs(got - want) > 1e-6]
     verdict(

@@ -87,6 +87,22 @@ def test_missing_bit_length_rejected(tmp_path):
         read_bits_file(str(path))
 
 
+@pytest.mark.parametrize("count", ["008", "00", "+8", "8.0", "-0", "1e1"])
+def test_bit_length_is_a_count_as_the_writer_writes_it(tmp_path, count):
+    # the same rule as an event log's seed and record count: decimal digits
+    # with no sign or leading zero
+    path = tmp_path / "padded.bits"
+    path.write_bytes(MAGIC + f"# bit_length={count}\n\n".encode() + b"\xff")
+    with pytest.raises(ParameterError, match="header needs a bit_length count"):
+        open_bits_file(str(path))
+
+
+def test_bit_length_zero_is_a_count(tmp_path):
+    path = tmp_path / "empty.bits"
+    write_bits_file(str(path), BitStream(np.empty(0, dtype=np.uint8)), {})
+    assert open_bits_file(str(path)).bit_length == 0
+
+
 def test_header_written_in_insertion_order(tmp_path):
     path = tmp_path / "o.bits"
     write_bits_file(str(path), BitStream(np.array([1], dtype=np.uint8)), {"b": "2", "a": "1"})

@@ -1,3 +1,7 @@
+import ast
+import importlib
+import inspect
+import pkgutil
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -7,12 +11,19 @@ from qrbg.pipeline import PipelineConfig, parse_config_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
+# Public names kept as reference oracles and test seams, which nothing in
+# the package calls.
+ORACLES = {"toeplitz_extract", "universality_check", "minentropy_decomposition", "mix", "read_event_log"}
+
+
+def entry_point_block() -> str:
+    text = README.read_text(encoding="utf-8")
+    return re.search(r"## Library entry points\n.*?```python\n(.*?)```", text, re.S).group(1)
+
 
 def test_readme_import_block_runs():
-    text = README.read_text(encoding="utf-8")
-    block = re.search(r"## Library entry points\n.*?```python\n(.*?)```", text, re.S).group(1)
     namespace: dict = {}
-    exec(block, namespace)
+    exec(entry_point_block(), namespace)
     assert namespace["run_pipeline"] is qrbg.run_pipeline
 
 
@@ -23,3 +34,29 @@ def test_readme_config_example_names_every_key_and_parses():
     keys = [m.group(1) for m in re.finditer(r"^#?\s*(\w+)\s*=", block, re.M)]
     assert keys == [spec.name for spec in fields(PipelineConfig)]
     parse_config_text(block)
+
+
+def referenced(path: Path) -> set[str]:
+    """The names a module imports from another or reads as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_name_is_used_documented_or_an_oracle():
+    # a click command is an instance, neither function nor class, so exempt
+    package = Path(qrbg.__file__).parent
+    documented = set(re.findall(r"\w+", entry_point_block()))
+    unused = []
+    for info in pkgutil.iter_modules(qrbg.__path__):
+        module = importlib.import_module(f"qrbg.{info.name}")
+        elsewhere = set().union(*(referenced(p) for p in package.glob("*.py") if p.stem != info.name))
+        for name, value in vars(module).items():
+            own = (inspect.isfunction(value) or inspect.isclass(value)) and value.__module__ == module.__name__
+            if own and not name.startswith("_") and name not in elsewhere | documented | ORACLES:
+                unused.append(f"{info.name}.{name}")
+    assert unused == []

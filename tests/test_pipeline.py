@@ -21,7 +21,7 @@ from qrbg.pipeline import (
     run_pipeline,
     simulate_logs,
 )
-from qrbg.sources import SourceModel, constant_schedule, derive_subseeds, load_event_log, sample_events
+from qrbg.sources import SourceModel, derive_subseeds, load_event_log, sample_events
 from qrbg.tomography import reconstruct
 
 FAST_CONFIG = """
@@ -307,7 +307,7 @@ class TestRunPipeline:
         ]
         assert rates.index(min(rates)) == report.calibration.certified_segment
         listed = next(f.path for f in report.files if f.label == "calibration_log")
-        result, rate = reconstruct(load_event_log(str(tmp_path / listed)), alpha=cfg.alpha)
+        result, rate = reconstruct(load_event_log(str(tmp_path / listed)))
         assert float(values["s1"]) == result.s_hat.s1
         assert float(values["s2"]) == result.s_hat.s2
         assert float(values["s3"]) == result.s_hat.s3
@@ -794,6 +794,19 @@ ROUND_TRIP_CONFIGS = {
 }
 
 
+def test_conservative_certifies_the_hoeffding_deflation(tmp_path):
+    blocks = {}
+    for flag in ("0", "1"):
+        report = run_pipeline(parse_config_text(FAST_CONFIG + f"conservative = {flag}\n"), str(tmp_path / flag))
+        blocks[flag] = report.calibration.render().splitlines()
+    values = dict(line.split("=", 1) for line in blocks["1"])
+    assert values["minentropy_rate"] == values["minentropy_lower"] == repr(float(report.certified))
+    # the choice of rate is the one line the flag changes
+    assert [line for line in blocks["0"] if not line.startswith("minentropy_rate=")] == [
+        line for line in blocks["1"] if not line.startswith("minentropy_rate=")
+    ]
+
+
 @pytest.mark.parametrize("name", sorted(ROUND_TRIP_CONFIGS))
 def test_config_echo_round_trips(name):
     cfg = parse_config_text(ROUND_TRIP_CONFIGS[name])
@@ -868,7 +881,7 @@ def test_streamed_run_matches_whole_array_reference(tmp_path):
 
     gen_seed = derive_subseeds(cfg.rng_seed, 2)[0]
     model = SourceModel(cfg.variant(), gen_seed)
-    outcomes = sample_events(model, constant_schedule("Z", n_bits), n_bits).outcomes
+    outcomes = sample_events(model, "Z", n_bits).outcomes
     params = ExtractorParams(block_n, cfg.epsilon, float(report.certified))
     blocks = n_bits // block_n
     seed = read_bits_file(str(seed_path)).bits[: params.seed_bits_needed]

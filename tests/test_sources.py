@@ -23,14 +23,12 @@ from qrbg.sources import (
     _born_table,
     _coincidence_bloch,
     _encode,
+    _write_event_log,
     blocked_schedule,
-    constant_schedule,
     load_event_log,
     read_event_log,
     sample_events,
-    sample_raw_bits,
     save_event_log,
-    write_event_log,
 )
 from qrbg.states import (
     Decomposition,
@@ -49,11 +47,11 @@ def single(s1, s2, s3, seed=1):
 
 class TestSampleEvents:
     def test_deterministic_source_all_zero(self):
-        log = sample_events(single(0, 0, 1), constant_schedule("Z", 1000), 1000)
+        log = sample_events(single(0, 0, 1), "Z", 1000)
         assert not log.outcomes.any()
 
     def test_balanced_source_statistics(self):
-        log = sample_events(single(1, 0, 0, seed=42), constant_schedule("Z", 10**6), 10**6)
+        log = sample_events(single(1, 0, 0, seed=42), "Z", 10**6)
         assert abs(log.outcomes.mean() - 0.5) < 0.002
 
     def test_reproducibility_bytewise(self):
@@ -62,26 +60,39 @@ class TestSampleEvents:
         assert np.array_equal(a.outcomes, b.outcomes)
         assert np.array_equal(a.bases, b.bases)
         buf_a, buf_b = io.StringIO(), io.StringIO()
-        write_event_log(a, buf_a)
-        write_event_log(b, buf_b)
+        _write_event_log(a, buf_a)
+        _write_event_log(b, buf_b)
         assert buf_a.getvalue() == buf_b.getvalue()
 
     def test_different_seeds_differ(self):
-        a = sample_events(single(1, 0, 0, seed=1), constant_schedule("Z", 4000), 4000)
-        b = sample_events(single(1, 0, 0, seed=2), constant_schedule("Z", 4000), 4000)
+        a = sample_events(single(1, 0, 0, seed=1), "Z", 4000)
+        b = sample_events(single(1, 0, 0, seed=2), "Z", 4000)
         assert not np.array_equal(a.outcomes, b.outcomes)
 
     def test_schedule_length_mismatch(self):
         with pytest.raises(ParameterError):
-            sample_events(single(0, 0, 1), constant_schedule("Z", 10), 20)
+            sample_events(single(0, 0, 1), np.zeros(10, dtype=np.uint8), 20)
 
     def test_unknown_basis(self):
         with pytest.raises(ParameterError):
             sample_events(single(0, 0, 1), ["Q"], 1)
 
+    def test_unknown_basis_letter(self):
+        with pytest.raises(ParameterError, match="unknown basis 'Q'"):
+            sample_events(single(0, 0, 1), "Q", 1)
+
+    @pytest.mark.parametrize("schedule", [
+        np.array([0, 1, 2], dtype=np.int64),  # valid codes, but a cast would be needed
+        np.array([0, 1, 3], dtype=np.uint8),  # code 3 would wrap to Z modulo 3
+        ["Z", "X", "Y"],  # letters are read one for the whole run, not per event
+    ])
+    def test_schedule_neither_cast_nor_wrapped(self, schedule):
+        with pytest.raises(ParameterError, match="uint8 array|basis codes must be"):
+            sample_events(single(0, 0, 1), schedule, 3)
+
     def test_basis_dependent_probabilities(self):
         # X basis on an s1-polarized state is deterministic
-        log = sample_events(single(1, 0, 0, seed=5), constant_schedule("X", 2000), 2000)
+        log = sample_events(single(1, 0, 0, seed=5), "X", 2000)
         assert not log.outcomes.any()
 
     @pytest.mark.parametrize("adversarial", [False, True])
@@ -93,20 +104,20 @@ class TestSampleEvents:
         else:
             model = single(0.6, 0, 0.3, seed=12)
         n = 3500  # three whole chunks and a ragged one
-        log = sample_events(model, constant_schedule("Z", n), n)
+        log = sample_events(model, "Z", n)
         stream = ZStream(model, n)
         raw = ZBits(stream)
         assert np.array_equal(np.concatenate(list(raw.chunks())), log.outcomes)
         assert len(raw) == n and raw.meta["source"] == log.source
         whole, streamed = io.StringIO(), io.StringIO()
-        write_event_log(log, whole)
-        write_event_log(stream, streamed)
+        _write_event_log(log, whole)
+        _write_event_log(stream, streamed)
         assert streamed.getvalue() == whole.getvalue()
 
     def test_raw_bits_match_constant_z(self):
         model = single(0.6, 0, 0.3, seed=77)
-        raw = sample_raw_bits(model, 50_000)
-        log = sample_events(model, constant_schedule("Z", 50_000), 50_000)
+        raw = sample_events(model, "Z", 50_000).outcomes
+        log = sample_events(model, np.zeros(50_000, dtype=np.uint8), 50_000)
         assert np.array_equal(raw, log.outcomes)
 
 
@@ -115,7 +126,7 @@ class TestAdversarialSource:
         rho = stokes_to_density(StokesVector(0.6, 0, 0.3))
         d = worst_case_decomposition(rho)
         model = SourceModel(Adversarial(d), 31337)
-        log = sample_events(model, constant_schedule("Z", 10**6), 10**6)
+        log = sample_events(model, "Z", 10**6)
         assert log.eve_labels is not None
         zeros = 1.0 - log.outcomes.mean()
         assert abs(zeros - 0.65) < 0.002
@@ -126,7 +137,7 @@ class TestAdversarialSource:
     def test_label_frequencies_match_weights(self):
         rho = stokes_to_density(StokesVector(0.6, 0, 0.3))
         d = worst_case_decomposition(rho)
-        log = sample_events(SourceModel(Adversarial(d), 4), constant_schedule("Z", 10**6), 10**6)
+        log = sample_events(SourceModel(Adversarial(d), 4), "Z", 10**6)
         frac_up = (log.eve_labels == 0).mean()
         assert abs(frac_up - 0.6875) < 0.002
 
@@ -147,7 +158,7 @@ class TestAdversarialSource:
         # equals the closed-form rate of the mixed state
         rho = stokes_to_density(StokesVector(0.6, 0, 0.3))
         d = worst_case_decomposition(rho)
-        log = sample_events(SourceModel(Adversarial(d), 11), constant_schedule("Z", 10**5), 10**5)
+        log = sample_events(SourceModel(Adversarial(d), 11), "Z", 10**5)
         p_max = np.array([0.5 * (1 + abs(psi.bloch.s3)) for _, psi in d.terms])
         empirical = float(np.mean(-np.log2(p_max[log.eve_labels])))
         assert empirical == pytest.approx(float(closed_form_minentropy(rho)), abs=3e-3)
@@ -161,7 +172,7 @@ class TestAdversarialSource:
         d = Decomposition(
             tuple((float(wi), PureState(StokesVector(*r))) for wi, r in zip(w, dirs))
         )
-        log = sample_events(SourceModel(Adversarial(d), 21), constant_schedule("Z", 10**6), 10**6)
+        log = sample_events(SourceModel(Adversarial(d), 21), "Z", 10**6)
         p_max = np.array([0.5 * (1 + abs(psi.bloch.s3)) for _, psi in d.terms])
         surprisal = -np.log2(p_max[log.eve_labels])
         want = float(minentropy_decomposition(d))
@@ -174,8 +185,8 @@ class TestAdversarialSource:
         d = worst_case_decomposition(rho)
         n = (1 << 22) + 17
         model = SourceModel(Adversarial(d), 3)
-        a = sample_events(model, constant_schedule("Z", n), n)
-        b = sample_events(model, constant_schedule("Z", n), n)
+        a = sample_events(model, "Z", n)
+        b = sample_events(model, "Z", n)
         assert np.array_equal(a.outcomes, b.outcomes)
         assert np.array_equal(a.eve_labels, b.eve_labels)
 
@@ -210,7 +221,7 @@ def random_decomposition(terms, seed):
 
 ORACLE_EVENTS = 10_007
 ORACLE_SCHEDULES = {
-    "constant_z": constant_schedule("Z", ORACLE_EVENTS),
+    "constant_z": np.zeros(ORACLE_EVENTS, dtype=np.uint8),
     "blocked": blocked_schedule(ORACLE_EVENTS),
     # 300-event stretches, several to a 1000-event chunk
     "stretches_300": np.repeat(np.arange(ORACLE_EVENTS // 300 + 1, dtype=np.uint8) % 3, 300)[:ORACLE_EVENTS],
@@ -303,7 +314,7 @@ class TestEffectiveQubit:
 
 def coincidences(coherence, basis, n, seed):
     model = SourceModel(Entangled(coherence, 0.0), seed)
-    return sample_events(model, constant_schedule(basis, n), n)
+    return sample_events(model, basis, n)
 
 
 class TestSampleCoincidences:
@@ -327,7 +338,7 @@ class TestEventLogFiles:
         interleaved = (np.arange(500) % 3).astype(np.uint8)
         log = sample_events(SourceModel(Adversarial(d), 5), interleaved, 500)
         buf = io.StringIO()
-        write_event_log(log, buf)
+        _write_event_log(log, buf)
         back = read_event_log(io.StringIO(buf.getvalue()))
         assert back.source == log.source
         assert back.seed == log.seed
@@ -361,10 +372,10 @@ class TestEventLogFiles:
         d = worst_case_decomposition(stokes_to_density(StokesVector(0.6, 0, 0.3)))
         log = sample_events(SourceModel(Adversarial(d), 9), blocked_schedule(100), 100)
         whole = io.StringIO()
-        write_event_log(log, whole)
+        _write_event_log(log, whole)
         monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
         chunked = io.StringIO()
-        write_event_log(log, chunked)
+        _write_event_log(log, chunked)
         assert chunked.getvalue() == whole.getvalue()
 
     @pytest.mark.parametrize("labelled", [False, True])
@@ -375,7 +386,7 @@ class TestEventLogFiles:
         else:
             model = single(0.6, 0, 0.3, seed=9)
         buf = io.StringIO()
-        write_event_log(sample_events(model, blocked_schedule(100), 100), buf)
+        _write_event_log(sample_events(model, blocked_schedule(100), 100), buf)
         whole = read_event_log(io.StringIO(buf.getvalue()))
         monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
         pieced = read_event_log(io.StringIO(buf.getvalue()))
@@ -544,7 +555,7 @@ class TestEventLogCodec:
         if labels == "two digits":
             assert log.eve_labels.max() == 11
         buf = io.StringIO()
-        write_event_log(log, buf)
+        _write_event_log(log, buf)
         assert buf.getvalue() == percent_format_log(log)
         assert_reads_back(buf.getvalue(), log)
 
@@ -556,7 +567,7 @@ class TestEventLogCodec:
         monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
         log = codec_log(labels, 30)
         buf = io.StringIO()
-        write_event_log(in_pieces(log, sizes), buf)
+        _write_event_log(in_pieces(log, sizes), buf)
         assert buf.getvalue() == percent_format_log(log)
         assert_reads_back(buf.getvalue(), log)
 
@@ -582,7 +593,7 @@ class TestEventLogCodec:
     def test_negative_label_is_not_written(self):
         log = EventLog("x", 0, np.zeros(2, dtype=np.uint8), np.ones(2, dtype=np.uint8), np.array([0, -1], dtype=np.int32))
         with pytest.raises(ParameterError, match="eve_label"):
-            write_event_log(log, io.StringIO())
+            _write_event_log(log, io.StringIO())
 
 
 # One line of each non-canonical form, written where record {i} belongs.
@@ -633,7 +644,7 @@ def test_header_seed_must_be_a_non_negative_decimal(seed):
 
 
 def test_event_log_fields_follow_schedule():
-    log = sample_events(single(0, 0, 1, seed=2), ["Z", "X", "Y"], 3)
+    log = sample_events(single(0, 0, 1, seed=2), np.array([0, 1, 2], dtype=np.uint8), 3)
     assert len(log) == 3
     assert log.bases.tolist() == [0, 1, 2]
     assert log.eve_labels is None

@@ -9,9 +9,7 @@ from qrbg.errors import InsufficientDataError, ParameterError
 from qrbg.stat_tests import (
     ALL_TESTS,
     DEFAULT_SIGNIFICANCE,
-    BatteryConfig,
     approximate_entropy,
-    as_bits,
     block_frequency,
     cumulative_sums,
     longest_run_of_ones,
@@ -28,14 +26,19 @@ from qrbg.bits import BitStream
 from qrbg.stat_tests import _cusum_p  # reference-value check at n below the floor
 from qrbg.stat_tests import _Patterns, _result
 
+def from_text(text):
+    """A string of 0s and 1s as a bit array."""
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
+
+
 # First 100 binary digits of pi, the SP 800-22 running example.
-PI_100 = (
+PI_100 = from_text(
     "1100100100001111110110101010001000100001011010001100001000110100"
     "110001001100011001100010100010111000"
 )
 
 # The 128-bit longest-run worked example.
-E_128 = (
+E_128 = from_text(
     "11001100000101010110110001001100111000000000001001"
     "00110101010001000100111101011010000000110101111100"
     "1100111001101101100010110010"
@@ -72,13 +75,13 @@ class TestPublishedVectors:
         assert _cusum_p(4, 10) == pytest.approx(0.4116588, abs=1e-6)
 
     def test_serial_small(self):
-        r = serial("0011011101", m=3)
+        r = serial(from_text("0011011101"), m=3)
         assert r.parameters["p_value1"] == pytest.approx(0.808792, abs=1e-6)
         assert r.parameters["p_value2"] == pytest.approx(0.670320, abs=1e-6)
         assert r.statistic == pytest.approx(1.6, abs=1e-9)
 
     def test_approximate_entropy_small(self):
-        r = approximate_entropy("0100110101", m=3)
+        r = approximate_entropy(from_text("0100110101"), m=3)
         assert r.p_value == pytest.approx(0.261961, abs=1e-6)
 
     def test_approximate_entropy_pi(self):
@@ -127,7 +130,7 @@ class TestValidation:
         with pytest.raises(ParameterError):
             block_frequency(np.ones(200, dtype=np.uint8), block_len=1)
         with pytest.raises(ParameterError):
-            BatteryConfig(tests=("monobit", "nonsense"))
+            run_battery(np.ones(100, dtype=np.uint8), tests=("monobit", "nonsense"))
 
     def test_pass_iff_p_at_least_significance(self, rng):
         bits = rng.integers(0, 2, 5000).astype(np.uint8)
@@ -138,7 +141,7 @@ class TestValidation:
 
 class TestBattery:
     def test_empty_config(self):
-        assert run_battery(np.ones(1000, dtype=np.uint8), BatteryConfig(tests=())) == []
+        assert run_battery(np.ones(1000, dtype=np.uint8), tests=()) == []
 
     def test_read_only(self, rng):
         bits = rng.integers(0, 2, 20_000).astype(np.uint8)
@@ -161,16 +164,22 @@ class TestBattery:
 
     def test_report_lines(self, rng):
         bits = rng.integers(0, 2, 5000).astype(np.uint8)
-        results = run_battery(bits, BatteryConfig(tests=("monobit", "runs")))
+        results = run_battery(bits, tests=("monobit", "runs"))
         lines = battery_report(results).splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("test=monobit stat=")
         assert " p=" in lines[0] and " pass=" in lines[0]
         assert pass_fraction(results) in (0.0, 0.5, 1.0)
 
-    def test_as_bits_forms(self):
-        assert np.array_equal(as_bits("0101"), np.array([0, 1, 0, 1], dtype=np.uint8))
-        assert np.array_equal(as_bits([1, 0]), np.array([1, 0], dtype=np.uint8))
+    @pytest.mark.parametrize("test", [monobit, run_battery])
+    @pytest.mark.parametrize("values", [[2] * 100, [0, 3] * 100, [0, 256] * 100, [0.5, 1] * 100])
+    def test_values_other_than_bits_rejected(self, test, values):
+        with pytest.raises(ParameterError, match="bits must be 0 or 1"):
+            test(np.array(values))
+
+    def test_strings_are_not_parsed(self):
+        with pytest.raises(ParameterError, match="bits must be 0 or 1"):
+            monobit("01" * 50)
 
 
 def reference_cusum_z(b):

@@ -6,13 +6,13 @@ import pytest
 import qrbg.sources
 from qrbg.errors import EmptyInputError, InsufficientDataError
 from qrbg.minentropy import lower_confidence_rate, rate_from_coherence
+from qrbg.pipeline import Calibration, PipelineConfig, calibrate
 from qrbg.sources import (
     Adversarial,
     EventLog,
     SinglePhoton,
     SourceModel,
     blocked_schedule,
-    constant_schedule,
     load_event_log,
     sample_events,
     save_event_log,
@@ -20,10 +20,9 @@ from qrbg.sources import (
 from qrbg.states import StokesVector, stokes_to_density, worst_case_decomposition
 from qrbg.tomography import (
     CountTable,
+    _tally,
     estimate_stokes,
     reconstruct,
-    state_report,
-    tally,
 )
 
 
@@ -46,26 +45,26 @@ def eigenclip(s_raw):
 class TestTally:
     def test_all_same_cell(self):
         log = EventLog("t", 0, np.zeros(10, dtype=np.uint8), np.zeros(10, dtype=np.uint8))
-        c = tally(log)
+        c = _tally(log)
         assert c.counts.tolist() == [[10, 0], [0, 0], [0, 0]]
 
     def test_alternating(self):
         outcomes = np.tile([0, 1], 500).astype(np.uint8)
         log = EventLog("t", 0, np.zeros(1000, dtype=np.uint8), outcomes)
-        c = tally(log)
+        c = _tally(log)
         assert c.counts[0].tolist() == [500, 500]
 
     def test_simulated_fraction(self):
         model = SourceModel(SinglePhoton(StokesVector(0.6, 0, 0.3)), 2024)
         log = sample_events(model, blocked_schedule(3 * 10**6), 3 * 10**6)
-        c = tally(log)
+        c = _tally(log)
         frac = c.counts[1, 0] / c.counts[1].sum()
         assert abs(frac - 0.8) < 0.001
 
     def test_empty_rejected(self):
         log = EventLog("t", 0, np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8))
         with pytest.raises(EmptyInputError):
-            tally(log)
+            _tally(log)
 
     @pytest.mark.parametrize("adversarial", [False, True])
     def test_pieces_read_back_tally_as_the_log_in_memory(self, tmp_path, monkeypatch, adversarial):
@@ -80,7 +79,7 @@ class TestTally:
         monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
         opened = load_event_log(str(path))
         assert sum(1 for _ in opened.pieces()) == 143
-        assert tally(opened).counts.tolist() == tally(log).counts.tolist()
+        assert _tally(opened).counts.tolist() == _tally(log).counts.tolist()
 
 
 class TestEstimateStokes:
@@ -158,51 +157,51 @@ class TestReconstruct:
     def test_high_coherence_source(self):
         model = SourceModel(SinglePhoton(StokesVector(0.9996, 0, 0)), 515)
         log = sample_events(model, blocked_schedule(3 * 10**6), 3 * 10**6)
-        result, rate = reconstruct(log, alpha=0.01)
+        result, rate = reconstruct(log)
         assert 0.94 <= float(rate) <= 0.98
         assert abs(float(rate) - 0.96) < 0.02
 
     def test_ideal_diagonal_source(self):
         model = SourceModel(SinglePhoton(StokesVector(1, 0, 0)), 616)
         log = sample_events(model, blocked_schedule(3 * 10**6), 3 * 10**6)
-        _, rate = reconstruct(log, alpha=0.01)
+        _, rate = reconstruct(log)
         assert float(rate) >= 0.99
 
     def test_zero_coherence_source(self):
         model = SourceModel(SinglePhoton(StokesVector(0, 0, 0.5)), 717)
         log = sample_events(model, blocked_schedule(300_000), 300_000)
-        _, rate = reconstruct(log, alpha=0.01)
+        _, rate = reconstruct(log)
         assert float(rate) < 1e-4
-        _, conservative = reconstruct(log, alpha=0.01, conservative=True)
+        conservative = calibrate(log, PipelineConfig(alpha=0.01, conservative=True)).rate
         assert float(conservative) == 0.0
 
     def test_conservative_rate_never_higher(self):
         model = SourceModel(SinglePhoton(StokesVector(0.8, 0, 0.1)), 818)
         log = sample_events(model, blocked_schedule(300_000), 300_000)
-        _, plug_in = reconstruct(log, alpha=0.01)
-        _, lower = reconstruct(log, alpha=0.01, conservative=True)
+        _, plug_in = reconstruct(log)
+        lower = calibrate(log, PipelineConfig(alpha=0.01, conservative=True)).rate
         assert float(lower) <= float(plug_in)
 
     def test_hoeffding_companion_below_rate(self):
         model = SourceModel(SinglePhoton(StokesVector(0.8, 0, 0.1)), 919)
         log = sample_events(model, blocked_schedule(300_000), 300_000)
-        result, rate = reconstruct(log, alpha=0.01)
+        result, rate = reconstruct(log)
         lower = lower_confidence_rate(result.s_hat, int(result.n_per_basis.min()), 0.01)
         assert float(rate) == float(rate_from_coherence(result.s_hat.coherence))
         assert float(lower) <= float(rate)
 
     def test_requires_all_bases(self):
         model = SourceModel(SinglePhoton(StokesVector(0.5, 0, 0)), 10)
-        log = sample_events(model, constant_schedule("Z", 1000), 1000)
+        log = sample_events(model, "Z", 1000)
         with pytest.raises(InsufficientDataError):
             reconstruct(log)
 
 
-def test_state_report_block():
+def test_calibration_report_block():
     r = estimate_stokes(table(600, 400, 800, 200, 500, 500))
     plug_in = rate_from_coherence(r.s_hat.coherence)
     lower = lower_confidence_rate(r.s_hat, int(r.n_per_basis.min()), 0.01)
-    block = state_report(r, plug_in, 0.01, lower)
+    block = Calibration(r, plug_in, lower, 0.01).render()
     for key in ("s1=", "s2=", "s3=", "stderr1=", "stderr2=", "stderr3=",
                 "projected=", "minentropy_rate=", "alpha=", "minentropy_lower="):
         assert any(line.startswith(key) for line in block.splitlines())
