@@ -12,7 +12,7 @@ from .errors import (
     ParameterError,
     QrbgError,
 )
-from .states import StokesVector, stokes_to_density, worst_case_decomposition
+from .states import StokesVector, worst_case_decomposition
 from .minentropy import closed_form_minentropy, minimize_over_decompositions
 from .sources import SinglePhoton, SourceModel, sample_events
 from .tomography import reconstruct

@@ -88,9 +88,6 @@ class BitStream:
         for start in range(0, self.bit_length, CHUNK_BITS):
             yield self.bits[start : start + CHUNK_BITS]
 
-    def to_bytes(self) -> bytes:
-        return pack_bits(self.bits)
-
 
 class BlockCutter:
     """Cuts consecutive chunks of a stream into whole blocks of ``width``

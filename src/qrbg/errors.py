@@ -9,7 +9,7 @@ class QrbgError(Exception):
 
 
 class InvalidStateError(QrbgError):
-    """A Stokes vector or density matrix violates physicality constraints."""
+    """A Stokes vector violates physicality constraints."""
 
 
 class InvalidDecompositionError(QrbgError):

@@ -242,16 +242,10 @@ def _largest_exact_n() -> int:
     return lo
 
 
-def parse_epsilon(text: Union[str, float]) -> float:
+def parse_epsilon(text: str) -> float:
     """Accept '2^-K' or a plain float literal."""
-    if isinstance(text, (int, float)):
-        eps = float(text)
-    else:
-        text = text.strip()
-        if text.startswith("2^"):
-            eps = 2.0 ** float(text[2:])
-        else:
-            eps = float(text)
+    text = text.strip()
+    eps = 2.0 ** float(text[2:]) if text.startswith("2^") else float(text)
     if not 0.0 < eps < 1.0:
         raise ParameterError(f"epsilon {eps} outside (0, 1)")
     return eps
@@ -264,6 +258,14 @@ def format_epsilon(eps: float) -> str:
     return repr(eps)
 
 
+def _epsilon_cost(epsilon: float) -> float:
+    """4*log2(1/epsilon), the bits a block gives up for distance epsilon,
+    taken as -4*log2(epsilon): 1/epsilon overflows below 2^-1024, while
+    this is finite for every epsilon in (0, 1) and exact for a power of
+    two."""
+    return -4.0 * math.log2(epsilon)
+
+
 def output_length(
     h: Union[EntropyRate, float], n: int, epsilon: float
 ) -> int:
@@ -273,7 +275,7 @@ def output_length(
     if n < 1:
         raise ParameterError("block size n must be >= 1")
     rate = float(h)
-    return math.floor(rate * n - 4.0 * math.log2(1.0 / epsilon) - 2.0)
+    return math.floor(rate * n - _epsilon_cost(epsilon) - 2.0)
 
 
 @dataclass(frozen=True)
@@ -305,7 +307,7 @@ class ExtractorParams:
             raise InsufficientEntropyError(
                 f"no extractable output: floor(h*n - 4*log2(1/eps) - 2) = {m} "
                 f"with h*n = {rate * self.n}, "
-                f"4*log2(1/eps) = {4.0 * math.log2(1.0 / self.epsilon)}"
+                f"4*log2(1/eps) = {_epsilon_cost(self.epsilon)}"
             )
         object.__setattr__(self, "h_rate", rate)
         object.__setattr__(self, "m", m)

@@ -2,8 +2,8 @@
 
 The min-entropy of a binary measurement is -log2 of its most probable
 outcome.  For a source emitting a known pure state this is a plain formula;
-for a source described only by a density matrix, an adversary may realize
-the matrix with any decomposition into pure states and keep the per-event
+for a source described only by its (mixed) state, an adversary may realize
+the state with any decomposition into pure states and keep the per-event
 record for herself.  The worst-case rate over all decompositions has a
 closed form that depends on the state only through its equatorial
 coherence c = sqrt(s1^2 + s2^2):
@@ -27,15 +27,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
-from .states import (
-    Decomposition,
-    DensityMatrix,
-    PureState,
-    StokesVector,
-    density_to_stokes,
-)
+from .states import Decomposition, PureState, StokesVector
 
 _CLAMP = 1e-9
+# States with |s|^2 at least this are evaluated as pure, through their
+# vertical component: on the sphere surface the coherence route is
+# ill-conditioned, and a pure state has only one decomposition.
+_PURE_NORM2 = 1.0 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -86,17 +84,12 @@ def minentropy_decomposition(d: Decomposition) -> EntropyRate:
     return EntropyRate(total)
 
 
-def closed_form_minentropy(rho: DensityMatrix) -> EntropyRate:
+def closed_form_minentropy(s: StokesVector) -> EntropyRate:
     """Closed-form worst-case rate, the minimum decomposition min-entropy
-    over all decompositions of rho: ``rate_from_coherence`` of its
-    coherence.
-
-    On the sphere surface the coherence route is ill-conditioned, so pure
-    states are evaluated through their vertical component instead, which
-    is the same value exactly.
-    """
-    s = density_to_stokes(rho)
-    if s.norm_squared >= 1.0 - 1e-12:
+    over all decompositions of the state ``s``: ``rate_from_coherence`` of
+    its coherence, or for a pure state the same value exactly through its
+    vertical component."""
+    if s.norm_squared >= _PURE_NORM2:
         return EntropyRate(_pure_rate(s.s3))
     return rate_from_coherence(s.coherence)
 
@@ -134,9 +127,10 @@ def _chord_directions(count: int) -> np.ndarray:
 
 
 def minimize_over_decompositions(
-    rho: DensityMatrix, directions: int = 10_000
+    s: StokesVector, directions: int = 10_000
 ) -> EntropyRate:
-    """Brute-force minimum of the decomposition min-entropy of ``rho``.
+    """Brute-force minimum of the decomposition min-entropy of the state
+    ``s``.
 
     Every two-term decomposition corresponds to a chord through the state's
     Bloch point: the chord's sphere intersections are the pure terms and
@@ -150,10 +144,9 @@ def minimize_over_decompositions(
     """
     if directions < 8:
         raise ParameterError("need at least 8 chord directions")
-    s = density_to_stokes(rho)
     point = s.as_array()
     r2 = float(point @ point)
-    if r2 >= 1.0 - 1e-12:
+    if r2 >= _PURE_NORM2:
         return minentropy_pure(PureState(s))
     dirs = _chord_directions(directions)
     ru = dirs @ point

@@ -58,7 +58,7 @@ from .sources import (
 )
 from .stat_tests import ALL_TESTS, DEFAULT_SIGNIFICANCE, TestResult
 from .stat_tests import battery_report, pass_fraction, run_battery
-from .states import Decomposition, PureState, StokesVector, worst_case_decomposition, stokes_to_density
+from .states import Decomposition, PureState, StokesVector, worst_case_decomposition
 from .tomography import TomographyResult, reconstruct
 
 SECURITY_NOTE = (
@@ -94,6 +94,8 @@ _FLAGS = {"0": False, "1": True, "false": False, "true": True, "no": False, "yes
 _flag = _checked(lambda t: _FLAGS.get(t.lower()), lambda v: v is not None, f"is not {'|'.join(_FLAGS)}")
 _probability = _checked(float, lambda v: 0.0 < v < 1.0, "is outside (0, 1)")
 _count = _checked(int, lambda v: v > 0, "is not positive")
+# a path the report records must be ASCII, as the report is
+_ascii_path = _checked(str, str.isascii, "is not ASCII")
 _block_size = _checked(
     int,
     lambda v: 0 < v <= ExtractorParams.MAX_N,
@@ -139,7 +141,7 @@ def _adversarial(cfg: PipelineConfig) -> Variant:
     if cfg.adv_target is not None:
         if explicit:
             raise ConfigError("give either adv_target or adv_weights/adv_states, not both")
-        return Adversarial(worst_case_decomposition(stokes_to_density(cfg.adv_target)))
+        return Adversarial(worst_case_decomposition(cfg.adv_target))
     if not (cfg.adv_weights and cfg.adv_states):
         raise ConfigError(
             "adversarial mode requires 'adv_target' or both 'adv_weights' and 'adv_states'"
@@ -191,9 +193,9 @@ class PipelineConfig:
     )
     significance: float = _key(DEFAULT_SIGNIFICANCE, _probability, repr)
     gen_format: str = _key("bits", _choice("bits", "events"))
-    seed_file: str | None = _key(None, str)
+    seed_file: str | None = _key(None, _ascii_path)
     recalibrate_every: int | None = _key(None, _count)
-    out_dir: str | None = _key(None, str)
+    out_dir: str | None = _key(None, _ascii_path)
 
     def set(self, key: str, text: str) -> None:
         """Set one key from its text form, as a config-file line does."""
@@ -259,7 +261,12 @@ def parse_config_text(text: str) -> PipelineConfig:
 
 
 def load_config(path: str) -> PipelineConfig:
-    return parse_config_text(Path(path).read_text(encoding="ascii"))
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ConfigError(f"{path}: byte 0x{byte:02x} is not ASCII; a config file is ASCII text") from None
+    return parse_config_text(text)
 
 
 @dataclass(frozen=True)
@@ -548,6 +555,7 @@ def run_pipeline(
     one extractor block before any file is written.
     """
     variant = config.validate()
+    _parse(_FIELDS["out_dir"], out_dir)  # the report records paths under it
     if config.generation_bits < config.block_n:
         raise ConfigError(
             f"generation_bits={config.generation_bits} cannot fill one "

@@ -24,6 +24,7 @@ concurrently; a single log is generated sequentially.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Protocol, TextIO, Union
 
@@ -138,9 +139,6 @@ class EventLog:
     @property
     def n(self) -> int:
         return int(self.outcomes.shape[0])
-
-    def __len__(self) -> int:
-        return self.n
 
     def pieces(self) -> Iterator[EventLog]:
         yield self
@@ -417,10 +415,10 @@ def _record_blocks(head: str, fh: TextIO) -> Iterator[tuple[bytearray, np.ndarra
     ``_LOG_ROWS``-th newline, each block with its newline offsets; a last
     line with no newline is given one.  The file is read ``_LOG_ROWS``
     characters at a time, which is faster than joining its lines."""
-    buf = bytearray(head.encode("ascii", "replace"))
+    buf = bytearray(head.encode("ascii"))
     lines = buf.count(b"\n")
     while True:
-        while lines < _LOG_ROWS and (more := fh.read(_LOG_ROWS).encode("ascii", "replace")):
+        while lines < _LOG_ROWS and (more := fh.read(_LOG_ROWS).encode("ascii")):
             buf += more
             lines += more.count(b"\n")
         if not buf:
@@ -481,7 +479,7 @@ def _bad_record(block: bytearray, ends: np.ndarray, encoded: bytes, first: int, 
     size = min(len(got), len(want))
     row = int(np.searchsorted(ends, np.flatnonzero(got[:size] != want[:size])[0]))
     begin = int(ends[row - 1]) + 1 if row else 0
-    text = block[begin : ends[row]].decode("ascii", "replace")
+    text = block[begin : ends[row]].decode("ascii")
     return ParameterError(f"event record {first + row}: {_fault(text, first + row, width)}")
 
 
@@ -501,9 +499,14 @@ def _fault(line: str, index: int, width: int) -> str:
 
 
 def read_event_log(fh: TextIO) -> EventLog:
-    """A whole event log in memory: its pieces, concatenated."""
+    """A whole event log in memory: its pieces, concatenated.  A handle
+    opened in another encoding may hold a character outside ASCII, which
+    no record can hold."""
     *_, pieces = _read_log(fh)
-    logs = list(pieces)
+    try:
+        logs = list(pieces)
+    except UnicodeEncodeError as exc:
+        raise ParameterError(f"event log character {exc.object[exc.start]!r} is not ASCII") from None
     labels = None if logs[0].eve_labels is None else np.concatenate([p.eve_labels for p in logs])
     return EventLog(
         logs[0].source,
@@ -527,14 +530,26 @@ class _LogFile:
     n: int | None
 
     def pieces(self) -> Iterator[EventLog]:
-        with open(self.path, "r", encoding="ascii") as fh:
+        with _open_log(self.path) as fh:
             yield from _read_log(fh)[3]
+
+
+@contextmanager
+def _open_log(path: str) -> Iterator[TextIO]:
+    """An event log opened as ASCII text; a byte outside ASCII, in the
+    header or in a record, is a ``ParameterError`` naming the file."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ParameterError(f"{path}: byte 0x{byte:02x} is not ASCII; an event log is ASCII text") from None
 
 
 def load_event_log(path: str) -> _LogFile:
     """Open an event log: parse its header now and leave its records to
     ``_LogFile.pieces``."""
-    with open(path, "r", encoding="ascii") as fh:
+    with _open_log(path) as fh:
         return _LogFile(path, *_read_log(fh)[:3])
 
 

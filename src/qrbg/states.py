@@ -1,15 +1,17 @@
-"""Qubit state representations on the Poincare (Bloch) sphere.
+"""Qubit states on the Poincare (Bloch) sphere.
 
-A polarization qubit is described either by its real Stokes components
-(s1, s2, s3) with s0 fixed to 1, or by the equivalent 2x2 density matrix
+A polarization qubit is its real Stokes vector (s1, s2, s3), with s0 fixed
+to 1; the vector stands for the density matrix
 
     rho = 1/2 [[1 + s3, s1 - i*s2],
                [s1 + i*s2, 1 - s3]]
 
-in the computational (H/V) basis.  Physical states live inside or on the
+in the computational (H/V) basis, and every quantity this package computes
+is a function of the vector alone.  Physical states live inside or on the
 unit sphere; pure states live on its surface.  A decomposition is a
-probability-weighted list of pure states whose mixture reproduces a given
-density matrix; an adversary preparing the source may pick any of them.
+probability-weighted list of pure states whose mixture, the weighted mean
+of their Bloch vectors, reproduces a given state; an adversary preparing
+the source may pick any of them.
 
 All values here are immutable and all functions are pure, so everything
 in this module is safe for unrestricted concurrent use.
@@ -24,11 +26,14 @@ import numpy as np
 
 from .errors import InvalidDecompositionError, InvalidStateError
 
-# Absolute tolerance for Hermiticity / trace / weight checks.  Inputs within
+# Absolute tolerance for component and weight checks.  Inputs within
 # tolerance are accepted and clamped; beyond it they are rejected.
 ATOL = 1e-12
-# The determinant check "det >= -ATOL" translates to |s|^2 <= 1 + 4*ATOL,
-# so the squared-norm acceptance window must be at least 4*ATOL wide.
+# How far |s|^2 may exceed 1 for a vector that is scaled back onto the
+# sphere rather than rejected: a vector computed in float64 from states on
+# the sphere (a mixture, a rescaled estimate) overshoots by a few ulp, far
+# inside this window.  It is also the bound on v^2 = 1 - s1^2 - s2^2
+# below which ``worst_case_decomposition`` puts a state on the equator.
 _NORM2_TOL = 1e-11
 # Pure states must sit on the sphere to within this squared-length slack.
 _PURE_NORM2_TOL = 2e-9
@@ -80,35 +85,6 @@ class StokesVector:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """A validated 2x2 density matrix in the computational basis.
-
-    Construction enforces Hermiticity, unit trace and positive
-    semidefiniteness (determinant and diagonal nonnegative) to within ATOL.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise InvalidStateError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if abs(m[0, 1] - np.conj(m[1, 0])) > 2 * ATOL:
-            raise InvalidStateError("matrix is not Hermitian")
-        if abs(m[0, 0].imag) > ATOL or abs(m[1, 1].imag) > ATOL:
-            raise InvalidStateError("diagonal entries must be real")
-        trace = (m[0, 0] + m[1, 1]).real
-        if abs(trace - 1.0) > 2 * ATOL:
-            raise InvalidStateError(f"trace is {trace}, expected 1")
-        det = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
-        if det < -ATOL or m[0, 0].real < -ATOL or m[1, 1].real < -ATOL:
-            raise InvalidStateError("matrix is not positive semidefinite")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
 class PureState:
     """A pure qubit state stored as a unit-length Bloch vector.
 
@@ -134,13 +110,10 @@ class PureState:
                 StokesVector(b.s1 * scale, b.s2 * scale, b.s3 * scale),
             )
 
-    def density(self) -> DensityMatrix:
-        return stokes_to_density(self.bloch)
-
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Probability-weighted pure states realizing one density matrix."""
+    """Probability-weighted pure states realizing one mixed state."""
 
     terms: tuple[tuple[float, PureState], ...]
 
@@ -166,53 +139,26 @@ class Decomposition:
         return np.array([psi.bloch.as_array() for _, psi in self.terms])
 
 
-def stokes_to_density(s: StokesVector) -> DensityMatrix:
-    """Build the density matrix with diagonal (1 +- s3)/2 and off-diagonal
-    (s1 -+ i*s2)/2."""
-    m = 0.5 * np.array(
-        [
-            [1.0 + s.s3, s.s1 - 1j * s.s2],
-            [s.s1 + 1j * s.s2, 1.0 - s.s3],
-        ],
-        dtype=complex,
-    )
-    return DensityMatrix(m)
-
-
-def density_to_stokes(rho: DensityMatrix) -> StokesVector:
-    """Invert stokes_to_density; exact for any valid density matrix."""
-    m = rho.matrix
-    return StokesVector(
-        2.0 * m[0, 1].real + 0.0,
-        -2.0 * m[0, 1].imag + 0.0,
-        (m[0, 0] - m[1, 1]).real + 0.0,
-    )
-
-
-def mix(d: Decomposition) -> DensityMatrix:
-    """Mixture of the decomposition's terms.
-
-    The Bloch vector of the mixture is the weight-averaged Bloch vector of
-    the terms, so the average is computed in Stokes space and converted.
-    """
+def mix(d: Decomposition) -> StokesVector:
+    """Mixture of the decomposition's terms: the weight-averaged Bloch
+    vector of the terms."""
     avg = d.weights() @ d.bloch_vectors()
-    return stokes_to_density(StokesVector(avg[0], avg[1], avg[2]))
+    return StokesVector(avg[0], avg[1], avg[2])
 
 
-def worst_case_decomposition(rho: DensityMatrix) -> Decomposition:
+def worst_case_decomposition(s: StokesVector) -> Decomposition:
     """The two-term decomposition that minimizes the decomposition
-    min-entropy of ``rho``.
+    min-entropy of the state ``s``.
 
-    Both terms share the equatorial components (s1, s2) of ``rho`` and sit
+    Both terms share the equatorial components (s1, s2) of ``s`` and sit
     on the sphere at vertical components +-v with v = sqrt(1 - s1^2 - s2^2).
     The weights (1 +- s3/v)/2 follow from the lever rule on the vertical
-    axis and are the unique choice whose mixture reproduces ``rho``.
+    axis and are the unique choice whose mixture reproduces ``s``.
 
     On the equator boundary (v = 0, which forces s3 = 0 for a physical
     state) the two terms coincide with the pure input state and each carry
     weight 1/2.
     """
-    s = density_to_stokes(rho)
     v2 = 1.0 - s.s1 ** 2 - s.s2 ** 2
     if v2 <= _NORM2_TOL:
         if abs(s.s3) > math.sqrt(_NORM2_TOL):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, InsufficientDataError
-from .minentropy import EntropyRate, rate_from_coherence
+from .minentropy import EntropyRate, closed_form_minentropy
 from .sources import BASIS_AXIS, BASIS_CHARS, EventSource
 from .states import StokesVector
 
@@ -104,7 +104,7 @@ def estimate_stokes(c: CountTable) -> TomographyResult:
 
 def reconstruct(log: EventSource) -> tuple[TomographyResult, EntropyRate]:
     """Tally a calibration log and estimate the state, with its plug-in
-    rate: the closed form evaluated at the estimated coherence.  Which
-    rate certifies is ``pipeline.calibrate``'s choice."""
+    rate: the closed form evaluated at the estimated state.  Which rate
+    certifies is ``pipeline.calibrate``'s choice."""
     result = estimate_stokes(_tally(log))
-    return result, rate_from_coherence(result.s_hat.coherence)
+    return result, closed_form_minentropy(result.s_hat)

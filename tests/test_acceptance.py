@@ -20,7 +20,7 @@ from qrbg.minentropy import (
 from qrbg.pipeline import parse_config_text, run_pipeline
 from qrbg.sources import Adversarial, SinglePhoton, SourceModel, sample_events
 from qrbg.stat_tests import monobit, run_battery, runs
-from qrbg.states import StokesVector, stokes_to_density, worst_case_decomposition
+from qrbg.states import StokesVector, worst_case_decomposition
 
 
 def from_text(text):
@@ -57,12 +57,12 @@ def test_criterion_01_worst_case_theorem():
     min_gap = math.inf
     max_attain = 0.0
     for row in random_ball(rng, 1000):
-        rho = stokes_to_density(StokesVector(*row))
-        f = float(closed_form_minentropy(rho))
-        gap = float(minimize_over_decompositions(rho, 10_000)) - f
+        state = StokesVector(*row)
+        f = float(closed_form_minentropy(state))
+        gap = float(minimize_over_decompositions(state, 10_000)) - f
         max_gap = max(max_gap, gap)
         min_gap = min(min_gap, gap)
-        attained = float(minentropy_decomposition(worst_case_decomposition(rho)))
+        attained = float(minentropy_decomposition(worst_case_decomposition(state)))
         max_attain = max(max_attain, abs(attained - f))
     elapsed = time.perf_counter() - t0
     ok = min_gap >= -1e-9 and max_gap <= 1e-3 and max_attain < 1e-12 and elapsed < 60
@@ -166,12 +166,12 @@ def test_criterion_06_extractor_universality():
 
 
 def test_criterion_07_adversarial_soundness(extract_in_memory):
-    rho = stokes_to_density(StokesVector(0.6, 0, 0.3))
-    d = worst_case_decomposition(rho)
+    state = StokesVector(0.6, 0, 0.3)
+    d = worst_case_decomposition(state)
     log = sample_events(SourceModel(Adversarial(d), 707), "Z", 10**6)
     p_max = np.array([0.5 * (1 + abs(psi.bloch.s3)) for _, psi in d.terms])
     eve_mean = float(np.mean(-np.log2(p_max[log.eve_labels])))
-    f = float(closed_form_minentropy(rho))
+    f = float(closed_form_minentropy(state))
     ok_eve = abs(eve_mean - 0.152) <= 0.003 and abs(eve_mean - f) <= 0.003
 
     params = ExtractorParams(100_000, 2.0**-32, 0.152)

@@ -68,6 +68,15 @@ class TestOutputLength:
         with pytest.raises(TypeError):
             ExtractorParams(100_000, 2.0**-64, 0.96, m=5)
 
+    @pytest.mark.parametrize(
+        "text, cost", [("2^-1030", 4120), ("1e-310", 4 * -math.log2(1e-310))], ids=["2^-1030", "1e-310"]
+    )
+    def test_epsilon_below_2_to_minus_1024(self, text, cost):
+        # 1/epsilon overflows to inf here; the cost is still finite
+        assert output_length(1.0, 10**4, parse_epsilon(text)) == math.floor(10**4 - cost - 2)
+        with pytest.raises(InsufficientEntropyError, match=r"4\*log2\(1/eps\) = 4120.0"):
+            ExtractorParams(1000, 2.0**-1030, 1.0)
+
     def test_epsilon_validation(self):
         with pytest.raises(ParameterError):
             output_length(1.0, 100, 0.0)
@@ -525,7 +534,7 @@ class TestHashSeed:
 def test_epsilon_parsing():
     assert parse_epsilon("2^-64") == 2.0**-64
     assert parse_epsilon("0.25") == 0.25
-    assert parse_epsilon(2.0**-10) == 2.0**-10
+    assert parse_epsilon(" 2^-10 ") == 2.0**-10
     with pytest.raises(ParameterError):
         parse_epsilon("2^1")
     with pytest.raises(ParameterError):

@@ -17,7 +17,6 @@ from qrbg.states import (
     Decomposition,
     PureState,
     StokesVector,
-    stokes_to_density,
     worst_case_decomposition,
 )
 
@@ -60,7 +59,7 @@ class TestDecompositionRate:
         assert float(minentropy_decomposition(d)) == 1.0
 
     def test_worst_case_terms_share_one_rate(self):
-        d = worst_case_decomposition(stokes_to_density(StokesVector(0.6, 0, 0.3)))
+        d = worst_case_decomposition(StokesVector(0.6, 0, 0.3))
         assert float(minentropy_decomposition(d)) == pytest.approx(
             -math.log2(0.9), abs=1e-12
         )
@@ -68,21 +67,21 @@ class TestDecompositionRate:
 
 class TestClosedForm:
     def test_no_coherence(self):
-        assert float(closed_form_minentropy(stokes_to_density(StokesVector(0, 0, 0.7)))) == 0.0
+        assert float(closed_form_minentropy(StokesVector(0, 0, 0.7))) == 0.0
 
     def test_full_coherence(self):
         assert float(rate_from_coherence(1.0)) == 1.0
 
     def test_intermediate_coherence(self):
-        rho = stokes_to_density(StokesVector(0.6, 0, 0))
-        assert float(closed_form_minentropy(rho)) == pytest.approx(
+        state = StokesVector(0.6, 0, 0)
+        assert float(closed_form_minentropy(state)) == pytest.approx(
             -math.log2(0.9), abs=1e-12
         )
 
     def test_demo_operating_points(self):
-        single = stokes_to_density(StokesVector(0.9996, 0, 0))
+        single = StokesVector(0.9996, 0, 0)
         assert float(closed_form_minentropy(single)) == pytest.approx(0.9598, abs=1e-4)
-        pairs = stokes_to_density(StokesVector(0.844, 0, 0))
+        pairs = StokesVector(0.844, 0, 0)
         assert float(closed_form_minentropy(pairs)) == pytest.approx(0.3805, abs=1e-4)
 
     def test_rejects_bad_coherence(self):
@@ -113,7 +112,7 @@ class TestClosedForm:
         for row in v:
             psi = PureState(StokesVector(*row))
             a = float(minentropy_pure(psi))
-            b = float(closed_form_minentropy(psi.density()))
+            b = float(closed_form_minentropy(psi.bloch))
             assert abs(a - b) < 1e-12
 
     def test_convexity(self, rng):
@@ -160,9 +159,9 @@ class TestTheorem:
 
     def test_attainment_by_worst_case_decomposition(self, rng):
         for row in random_ball(rng, 1000):
-            rho = stokes_to_density(StokesVector(*row))
-            attained = float(minentropy_decomposition(worst_case_decomposition(rho)))
-            assert abs(attained - float(closed_form_minentropy(rho))) < 1e-12
+            state = StokesVector(*row)
+            attained = float(minentropy_decomposition(worst_case_decomposition(state)))
+            assert abs(attained - float(closed_form_minentropy(state))) < 1e-12
 
     def test_spot_check_with_production_objects(self, rng):
         # a random k-term decomposition through the production types
@@ -177,49 +176,49 @@ class TestTheorem:
             )
             from qrbg.states import mix
 
-            rho = mix(d)
+            state = mix(d)
             assert float(minentropy_decomposition(d)) >= float(
-                closed_form_minentropy(rho)
+                closed_form_minentropy(state)
             ) - 1e-9
 
 
 class TestBruteForceMinimizer:
     def test_matches_closed_form_at_reference_point(self):
-        rho = stokes_to_density(StokesVector(0.6, 0, 0.3))
-        got = float(minimize_over_decompositions(rho, 10_000))
+        state = StokesVector(0.6, 0, 0.3)
+        got = float(minimize_over_decompositions(state, 10_000))
         assert got == pytest.approx(-math.log2(0.9), abs=1e-4)
 
     def test_maximally_mixed(self):
-        rho = stokes_to_density(StokesVector(0, 0, 0))
-        assert float(minimize_over_decompositions(rho, 100)) == pytest.approx(0.0, abs=1e-12)
+        state = StokesVector(0, 0, 0)
+        assert float(minimize_over_decompositions(state, 100)) == pytest.approx(0.0, abs=1e-12)
 
     def test_equatorial_point(self):
-        rho = stokes_to_density(StokesVector(0.5, 0.5, 0))
+        state = StokesVector(0.5, 0.5, 0)
         want = closed_form(math.sqrt(0.5))
-        got = float(minimize_over_decompositions(rho, 10_000))
+        got = float(minimize_over_decompositions(state, 10_000))
         assert got == pytest.approx(want, abs=1e-4)
 
     def test_never_below_closed_form(self, rng):
         for row in random_ball(rng, 200, radius=0.999):
-            rho = stokes_to_density(StokesVector(*row))
-            diff = float(minimize_over_decompositions(rho, 2000)) - float(
-                closed_form_minentropy(rho)
+            state = StokesVector(*row)
+            diff = float(minimize_over_decompositions(state, 2000)) - float(
+                closed_form_minentropy(state)
             )
             assert -1e-9 <= diff <= 1e-3
 
     def test_surface_state_returns_pure_rate(self):
-        rho = stokes_to_density(StokesVector(0.6, 0, 0.8))
-        got = float(minimize_over_decompositions(rho, 64))
+        state = StokesVector(0.6, 0, 0.8)
+        got = float(minimize_over_decompositions(state, 64))
         assert got == pytest.approx(-math.log2(0.9), abs=1e-12)
 
     def test_rejects_tiny_grids(self):
         with pytest.raises(ParameterError):
-            minimize_over_decompositions(stokes_to_density(StokesVector(0, 0, 0)), 7)
+            minimize_over_decompositions(StokesVector(0, 0, 0), 7)
 
     def test_deterministic(self):
-        rho = stokes_to_density(StokesVector(0.3, 0.2, 0.1))
-        a = float(minimize_over_decompositions(rho, 5000))
-        b = float(minimize_over_decompositions(rho, 5000))
+        state = StokesVector(0.3, 0.2, 0.1)
+        a = float(minimize_over_decompositions(state, 5000))
+        b = float(minimize_over_decompositions(state, 5000))
         assert a == b
 
 

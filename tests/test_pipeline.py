@@ -139,7 +139,8 @@ class TestConfigParsing:
             parse_config_text(text)
 
     @pytest.mark.parametrize("key, value", [("gen_format", "csv"), ("mode", "bogus"), ("block_n", 0),
-                                            ("recalibrate_every", -5), ("alpha", 1.5)])
+                                            ("recalibrate_every", -5), ("alpha", 1.5),
+                                            ("seed_file", "\u00fbseed.bits")])
     def test_config_built_in_code_is_checked_by_the_table(self, tmp_path, key, value):
         cfg = parse_config_text(FAST_CONFIG)
         setattr(cfg, key, value)
@@ -169,7 +170,7 @@ class TestRunPipeline:
         assert extracted.bit_length == ext.output.bit_length
         assert extracted.meta["role"] == "extracted"
         seed = read_bits_file(str(tmp_path / "extracted.seed.bits"))
-        assert extracted.meta["seed_sha256"] == sha256(seed.to_bytes())
+        assert extracted.meta["seed_sha256"] == sha256(pack_bits(seed.bits))
         assert "seed_file" not in extracted.meta
         text = (tmp_path / "report.txt").read_text()
         assert "note=statistical tests check implementation correctness only" in text
@@ -242,7 +243,7 @@ class TestRunPipeline:
         assert seed.bit_length == report.extraction.params.seed_bits_needed
         text = (tmp_path / "a" / "report.txt").read_text()
         assert f"seed=seed_file={seed_path}\n" in text
-        assert f"seed_sha256={sha256(seed.to_bytes())}\n" in text
+        assert f"seed_sha256={sha256(pack_bits(seed.bits))}\n" in text
         assert "file=hash_seed path=extracted.seed.bits " in text
         assert max(len(line) for line in text.splitlines()) < 200
         # the drawn seed file reproduces the run as a configured one
@@ -394,6 +395,25 @@ class TestCli:
         )
         r = CliRunner().invoke(main, ["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert r.exit_code == 2
+
+    @pytest.mark.parametrize("epsilon", ["2^-1030", "1e-310"])
+    def test_epsilon_below_2_to_minus_1024_exit_code(self, tmp_path, epsilon):
+        # 4*log2(1/eps) is about 4120 bits, more than a 1000-bit block holds
+        raw = tmp_path / "raw.bits"
+        write_bits_file(str(raw), BitStream(np.ones(4000, dtype=np.uint8)), {"role": "raw"})
+        r = CliRunner().invoke(main, [
+            "extract", str(raw), "--h-rate", "1", "--block-n", "1000",
+            "--epsilon", epsilon, "--out", str(tmp_path / "ex.bits"),
+        ])
+        assert r.exit_code == 2, r.output
+        assert [p.name for p in tmp_path.iterdir()] == ["raw.bits"]
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(FAST_CONFIG.replace("2^-16", epsilon))
+        out = tmp_path / "o"
+        r = CliRunner().invoke(main, ["pipeline", "--config", str(cfg_path), "--out", str(out)])
+        assert r.exit_code == 2, r.output
+        assert "[certify]" in r.output
+        assert [p.name for p in out.iterdir()] == ["calibration.log"]
 
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.cfg"
@@ -588,7 +608,7 @@ def test_labelled_event_logs_are_pinned(tmp_path):
 
 
 def extracted_payload(path):
-    return sha256(read_bits_file(str(path)).to_bytes())
+    return sha256(pack_bits(read_bits_file(str(path)).bits))
 
 
 @pytest.mark.parametrize("gen_format", ["bits", "events"])
@@ -779,6 +799,41 @@ def test_header_seed_must_be_a_non_negative_decimal(tmp_path, command, seed):
     r = CliRunner().invoke(main, args)
     assert r.exit_code == 5, r.output
     assert f"seed {seed.strip()!r} is not a non-negative decimal" in r.output
+
+
+# Inputs holding one byte outside ASCII: an event log, in a record past
+# the first piece of 7 or in a header line, a config file, and the output
+# directory a pipeline report would record.  Each is malformed input.
+Z_LOG = ("# source=x\n# seed=0\n# n=20\n" + z_records(20)).encode()
+NON_ASCII_RECORD = Z_LOG.replace(b"12,Z,0", b"12,Z,\xc3\xa9")
+NON_ASCII_HEADER = Z_LOG.replace(b"source=x", b"source=\xc3\xa9")
+NON_ASCII_CONFIG = FAST_CONFIG.encode() + b"# caf\xc3\xa9\n"
+EXTRACT_ARGS = ["--h-rate", "0.9", "--block-n", "10", "--epsilon", "2^-1", "--out", "out.bits"]
+NON_ASCII_INPUTS = {
+    "calibrate, record": (["calibrate", "events.log", "--report", "state.txt"], NON_ASCII_RECORD),
+    "calibrate, header": (["calibrate", "events.log", "--report", "state.txt"], NON_ASCII_HEADER),
+    "generate, record": (["generate", "events.log", "--out", "raw.bits"], NON_ASCII_RECORD),
+    "generate, header": (["generate", "events.log", "--out", "raw.bits"], NON_ASCII_HEADER),
+    "extract, record": (["extract", "events.log", *EXTRACT_ARGS], NON_ASCII_RECORD),
+    "extract, header": (["extract", "events.log", *EXTRACT_ARGS], NON_ASCII_HEADER),
+    "pipeline, config": (["pipeline", "--config", "run.cfg", "--out", "o"], NON_ASCII_CONFIG),
+    "simulate, config": (["simulate", "--config", "run.cfg", "--out", "o"], NON_ASCII_CONFIG),
+    "pipeline, out dir": (["pipeline", "--config", "run.cfg", "--out", "\u00fbo"], FAST_CONFIG.encode()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_ASCII_INPUTS))
+def test_non_ascii_input_exit_code(tmp_path, monkeypatch, case):
+    monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
+    monkeypatch.chdir(tmp_path)
+    args, data = NON_ASCII_INPUTS[case]
+    name = "run.cfg" if "--config" in args else "events.log"
+    (tmp_path / name).write_bytes(data)
+    r = CliRunner().invoke(main, args)
+    assert r.exit_code == 5, r.output
+    assert "ASCII" in r.output
+    # no report, output file or run directory is left
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 ROUND_TRIP_CONFIGS = {

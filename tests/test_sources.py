@@ -34,9 +34,7 @@ from qrbg.states import (
     Decomposition,
     PureState,
     StokesVector,
-    density_to_stokes,
     mix,
-    stokes_to_density,
     worst_case_decomposition,
 )
 
@@ -99,7 +97,7 @@ class TestSampleEvents:
     def test_z_stream_matches_one_constant_z_draw(self, monkeypatch, adversarial):
         monkeypatch.setattr(qrbg.sources, "_CHUNK", 1000)
         if adversarial:
-            d = worst_case_decomposition(stokes_to_density(StokesVector(0.6, 0, 0.3)))
+            d = worst_case_decomposition(StokesVector(0.6, 0, 0.3))
             model = SourceModel(Adversarial(d), 12)
         else:
             model = single(0.6, 0, 0.3, seed=12)
@@ -123,8 +121,8 @@ class TestSampleEvents:
 
 class TestAdversarialSource:
     def test_labels_recorded_and_marginal(self):
-        rho = stokes_to_density(StokesVector(0.6, 0, 0.3))
-        d = worst_case_decomposition(rho)
+        state = StokesVector(0.6, 0, 0.3)
+        d = worst_case_decomposition(state)
         model = SourceModel(Adversarial(d), 31337)
         log = sample_events(model, "Z", 10**6)
         assert log.eve_labels is not None
@@ -135,17 +133,17 @@ class TestAdversarialSource:
             assert abs((1.0 - sel.mean()) - p0) < 0.003
 
     def test_label_frequencies_match_weights(self):
-        rho = stokes_to_density(StokesVector(0.6, 0, 0.3))
-        d = worst_case_decomposition(rho)
+        state = StokesVector(0.6, 0, 0.3)
+        d = worst_case_decomposition(state)
         log = sample_events(SourceModel(Adversarial(d), 4), "Z", 10**6)
         frac_up = (log.eve_labels == 0).mean()
         assert abs(frac_up - 0.6875) < 0.002
 
     def test_marginal_consistency_three_bases(self):
-        rho = stokes_to_density(StokesVector(0.4, -0.3, 0.5))
-        d = worst_case_decomposition(rho)
+        state = StokesVector(0.4, -0.3, 0.5)
+        d = worst_case_decomposition(state)
         log = sample_events(SourceModel(Adversarial(d), 8), blocked_schedule(10**6), 10**6)
-        want = density_to_stokes(mix(d)).as_array()
+        want = mix(d).as_array()
         per = 10**6 // 3
         for code, comp in ((0, 2), (1, 0), (2, 1)):
             sel = log.outcomes[log.bases == code]
@@ -156,12 +154,12 @@ class TestAdversarialSource:
     def test_eve_advantage_matches_worst_case(self):
         # knowing the per-event term, the adversary's average surprisal
         # equals the closed-form rate of the mixed state
-        rho = stokes_to_density(StokesVector(0.6, 0, 0.3))
-        d = worst_case_decomposition(rho)
+        state = StokesVector(0.6, 0, 0.3)
+        d = worst_case_decomposition(state)
         log = sample_events(SourceModel(Adversarial(d), 11), "Z", 10**5)
         p_max = np.array([0.5 * (1 + abs(psi.bloch.s3)) for _, psi in d.terms])
         empirical = float(np.mean(-np.log2(p_max[log.eve_labels])))
-        assert empirical == pytest.approx(float(closed_form_minentropy(rho)), abs=3e-3)
+        assert empirical == pytest.approx(float(closed_form_minentropy(state)), abs=3e-3)
 
     def test_eve_advantage_generic_decomposition(self, rng):
         from qrbg.states import Decomposition, PureState
@@ -181,8 +179,8 @@ class TestAdversarialSource:
         assert surprisal.mean() >= float(closed_form_minentropy(mix(d))) - 3 * sigma - 1e-9
 
     def test_chunk_boundary_reproducibility(self):
-        rho = stokes_to_density(StokesVector(0.2, 0.1, 0.4))
-        d = worst_case_decomposition(rho)
+        state = StokesVector(0.2, 0.1, 0.4)
+        d = worst_case_decomposition(state)
         n = (1 << 22) + 17
         model = SourceModel(Adversarial(d), 3)
         a = sample_events(model, "Z", n)
@@ -256,7 +254,7 @@ def test_sampler_matches_per_event_thresholds(monkeypatch, chunk, schedule, term
 def test_z_stream_piece_draws_without_a_threshold_buffer():
     # a whole chunk's draws (32 MiB), labels (16 MiB), outcomes (4 MiB) and
     # a few one-byte masks; a float64 threshold per event adds 32 MiB more
-    d = worst_case_decomposition(stokes_to_density(StokesVector(0.9, 0.3, 0.1)))
+    d = worst_case_decomposition(StokesVector(0.9, 0.3, 0.1))
     pieces = ZStream(SourceModel(Adversarial(d), 3), qrbg.sources._CHUNK).pieces()
     tracemalloc.start()
     try:
@@ -269,24 +267,23 @@ def test_z_stream_piece_draws_without_a_threshold_buffer():
 
 def coincidence_state(coherence, accidental_fraction, phase=0.0):
     """The effective qubit that coincidence detection of a pair sees."""
-    return stokes_to_density(_coincidence_bloch(Entangled(coherence, accidental_fraction, phase)))
+    return _coincidence_bloch(Entangled(coherence, accidental_fraction, phase))
 
 
 class TestEffectiveQubit:
     def test_ideal_pair(self):
-        s = density_to_stokes(coincidence_state(1.0, 0.0))
+        s = coincidence_state(1.0, 0.0)
         assert (s.s1, s.s2, s.s3) == (1.0, 0.0, 0.0)
 
     def test_fully_dephased(self):
-        s = density_to_stokes(coincidence_state(0.0, 0.7))
+        s = coincidence_state(0.0, 0.7)
         assert s.as_array() == pytest.approx(np.zeros(3), abs=1e-15)
 
     def test_accidentals_shrink_coherence(self):
-        rho = coincidence_state(0.88, 0.0409)
-        s = density_to_stokes(rho)
+        s = coincidence_state(0.88, 0.0409)
         assert s.s1 == pytest.approx(0.88 * (1 - 0.0409), abs=1e-12)
         assert s.s3 == pytest.approx(0.0, abs=1e-15)
-        assert float(closed_form_minentropy(rho)) == pytest.approx(0.3805, abs=1e-4)
+        assert float(closed_form_minentropy(s)) == pytest.approx(0.3805, abs=1e-4)
 
     def test_no_subtraction_monotonicity(self):
         rates = [
@@ -302,8 +299,8 @@ class TestEffectiveQubit:
             assert rot == pytest.approx(base, abs=1e-12)
 
     def test_populations_stay_balanced(self):
-        rho = coincidence_state(0.5, 0.2, 0.7)
-        assert rho.matrix[0, 0].real == pytest.approx(0.5, abs=1e-12)
+        s = coincidence_state(0.5, 0.2, 0.7)
+        assert s.s3 == pytest.approx(0.0, abs=1e-12)
 
     def test_range_validation(self):
         with pytest.raises(ParameterError):
@@ -334,7 +331,7 @@ class TestSampleCoincidences:
 
 class TestEventLogFiles:
     def test_roundtrip_with_labels(self):
-        d = worst_case_decomposition(stokes_to_density(StokesVector(0.6, 0, 0.3)))
+        d = worst_case_decomposition(StokesVector(0.6, 0, 0.3))
         interleaved = (np.arange(500) % 3).astype(np.uint8)
         log = sample_events(SourceModel(Adversarial(d), 5), interleaved, 500)
         buf = io.StringIO()
@@ -369,7 +366,7 @@ class TestEventLogFiles:
             read_event_log(io.StringIO("# n=3\n0,Z,0\n1,Z,1\n"))
 
     def test_written_in_chunks_of_any_size(self, monkeypatch):
-        d = worst_case_decomposition(stokes_to_density(StokesVector(0.6, 0, 0.3)))
+        d = worst_case_decomposition(StokesVector(0.6, 0, 0.3))
         log = sample_events(SourceModel(Adversarial(d), 9), blocked_schedule(100), 100)
         whole = io.StringIO()
         _write_event_log(log, whole)
@@ -381,7 +378,7 @@ class TestEventLogFiles:
     @pytest.mark.parametrize("labelled", [False, True])
     def test_read_in_pieces_of_any_size(self, monkeypatch, labelled):
         if labelled:
-            d = worst_case_decomposition(stokes_to_density(StokesVector(0.6, 0, 0.3)))
+            d = worst_case_decomposition(StokesVector(0.6, 0, 0.3))
             model = SourceModel(Adversarial(d), 9)
         else:
             model = single(0.6, 0, 0.3, seed=9)
@@ -404,6 +401,7 @@ MALFORMED_LOGS = {
     "basis Q": ("0,Q,0\n1,Z,1\n", ParameterError),
     "basis ZZ": ("0,ZZ,0\n1,Z,1\n", ParameterError),
     "outcome 2 on Z": ("0,Z,2\n1,Z,1\n", ParameterError),
+    "outcome not ASCII": ("0,Z,\u00e9\n1,Z,1\n", ParameterError),
     "index x": ("x,Z,0\n1,Z,1\n", ParameterError),
     "out of order": ("1,Z,0\n0,Z,1\n", ParameterError),
     "3 and 4 columns": ("0,Z,0\n1,Z,1,0\n", ParameterError),
@@ -512,7 +510,7 @@ def codec_log(labels, n, seed=3):
     if labels is None:
         return sample_events(single(0.5, 0.2, 0.4, seed=seed), blocked_schedule(n), n)
     if labels == "one digit":
-        d = worst_case_decomposition(stokes_to_density(StokesVector(0.6, 0, 0.3)))
+        d = worst_case_decomposition(StokesVector(0.6, 0, 0.3))
     else:
         angles = np.linspace(0, 2 * np.pi, 12, endpoint=False)
         d = Decomposition(tuple(
@@ -645,7 +643,7 @@ def test_header_seed_must_be_a_non_negative_decimal(seed):
 
 def test_event_log_fields_follow_schedule():
     log = sample_events(single(0, 0, 1, seed=2), np.array([0, 1, 2], dtype=np.uint8), 3)
-    assert len(log) == 3
+    assert log.n == 3
     assert log.bases.tolist() == [0, 1, 2]
     assert log.eve_labels is None
     assert log.outcomes[0] == 0

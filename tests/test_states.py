@@ -7,13 +7,10 @@ from qrbg.errors import InvalidDecompositionError, InvalidStateError
 from qrbg.sources import SinglePhoton, _born_table
 from qrbg.states import (
     Decomposition,
-    DensityMatrix,
     PureState,
     StokesVector,
-    density_to_stokes,
     mix,
     rotate_equatorial,
-    stokes_to_density,
     worst_case_decomposition,
 )
 
@@ -33,65 +30,12 @@ def raw_matrix(s1, s2, s3):
     )
 
 
-class TestStokesToDensity:
-    def test_maximally_mixed(self):
-        rho = stokes_to_density(StokesVector(0, 0, 0))
-        np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-15)
-
-    def test_pure_diagonal_state(self):
-        rho = stokes_to_density(StokesVector(1, 0, 0))
-        np.testing.assert_allclose(rho.matrix, np.full((2, 2), 0.5), atol=1e-15)
-
-    def test_generic_entries(self):
-        rho = stokes_to_density(StokesVector(0.6, 0, 0.3))
-        assert rho.matrix[0, 0] == pytest.approx(0.65, abs=1e-15)
-        assert rho.matrix[1, 1] == pytest.approx(0.35, abs=1e-15)
-        assert rho.matrix[0, 1] == pytest.approx(0.3, abs=1e-15)
-        assert rho.matrix[1, 0] == pytest.approx(0.3, abs=1e-15)
-
-    def test_imaginary_off_diagonal_sign(self):
-        rho = stokes_to_density(StokesVector(0, 0.8, 0))
-        assert rho.matrix[0, 1] == pytest.approx(-0.4j, abs=1e-15)
-        assert rho.matrix[1, 0] == pytest.approx(0.4j, abs=1e-15)
-
+class TestStokesVector:
     def test_non_physical_rejected(self):
         with pytest.raises(InvalidStateError):
             StokesVector(0.9, 0.9, 0.9)
         with pytest.raises(InvalidStateError):
             StokesVector(1.5, 0, 0)
-
-
-class TestDensityToStokes:
-    def test_identity_over_two(self):
-        s = density_to_stokes(DensityMatrix(np.eye(2) / 2))
-        assert (s.s1, s.s2, s.s3) == (0.0, 0.0, 0.0)
-
-    def test_round_trip_reference_point(self):
-        s = density_to_stokes(stokes_to_density(StokesVector(0.6, 0, 0.3)))
-        assert s.s1 == pytest.approx(0.6, abs=1e-12)
-        assert s.s2 == pytest.approx(0.0, abs=1e-12)
-        assert s.s3 == pytest.approx(0.3, abs=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(InvalidStateError):
-            DensityMatrix(np.array([[0.5, 0.3], [0.1, 0.5]]))
-
-    def test_rejects_bad_trace(self):
-        with pytest.raises(InvalidStateError):
-            DensityMatrix(np.array([[0.6, 0], [0, 0.6]]))
-
-    def test_rejects_negative_eigenvalue(self):
-        # |s| = 1.3 means det < 0
-        with pytest.raises(InvalidStateError):
-            DensityMatrix(raw_matrix(1.3, 0, 0))
-
-    def test_round_trip_random(self, rng):
-        for s1, s2, s3 in random_ball(rng, 10_000):
-            s = StokesVector(s1, s2, s3)
-            back = density_to_stokes(stokes_to_density(s))
-            assert abs(back.s1 - s.s1) < 1e-12
-            assert abs(back.s2 - s.s2) < 1e-12
-            assert abs(back.s3 - s.s3) < 1e-12
 
 
 class TestPhysicalityMatchesPositivity:
@@ -105,7 +49,7 @@ class TestPhysicalityMatchesPositivity:
             s1, s2, s3 = vec * r
             eigmin = np.linalg.eigvalsh(raw_matrix(s1, s2, s3)).min()
             if r <= 1.0:
-                stokes_to_density(StokesVector(s1, s2, s3))
+                StokesVector(s1, s2, s3)
                 assert eigmin >= -1e-12
             elif r > 1.0 + 1e-9:
                 with pytest.raises(InvalidStateError):
@@ -139,9 +83,7 @@ class TestBornProbabilities:
 class TestMix:
     def test_single_term(self):
         d = Decomposition(((1.0, PureState(StokesVector(0, 0, 1))),))
-        np.testing.assert_allclose(
-            mix(d).matrix, stokes_to_density(StokesVector(0, 0, 1)).matrix, atol=1e-15
-        )
+        np.testing.assert_allclose(mix(d).as_array(), [0, 0, 1], atol=1e-15)
 
     def test_equal_hv_mixture(self):
         d = Decomposition(
@@ -150,12 +92,12 @@ class TestMix:
                 (0.5, PureState(StokesVector(0, 0, -1))),
             )
         )
-        np.testing.assert_allclose(mix(d).matrix, np.eye(2) / 2, atol=1e-15)
+        np.testing.assert_allclose(mix(d).as_array(), [0, 0, 0], atol=1e-15)
 
     def test_reconstructs_via_worst_case_decomposition(self):
-        rho = stokes_to_density(StokesVector(0.6, 0, 0.3))
+        s = StokesVector(0.6, 0, 0.3)
         np.testing.assert_allclose(
-            mix(worst_case_decomposition(rho)).matrix, rho.matrix, atol=1e-12
+            mix(worst_case_decomposition(s)).as_array(), s.as_array(), atol=1e-12
         )
 
     def test_rejects_bad_weights(self):
@@ -183,14 +125,14 @@ class TestMix:
                     for wi, row in zip(w, dirs)
                 )
             )
-            got = density_to_stokes(mix(d)).as_array()
+            got = mix(d).as_array()
             want = w @ d.bloch_vectors()
             np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 class TestWorstCaseDecomposition:
     def test_reference_point(self):
-        d = worst_case_decomposition(stokes_to_density(StokesVector(0.6, 0, 0.3)))
+        d = worst_case_decomposition(StokesVector(0.6, 0, 0.3))
         (w_up, up), (w_down, down) = d.terms
         assert w_up == pytest.approx(0.6875, abs=1e-12)
         assert w_down == pytest.approx(0.3125, abs=1e-12)
@@ -199,7 +141,7 @@ class TestWorstCaseDecomposition:
         assert up.bloch.s1 == pytest.approx(0.6, abs=1e-12)
 
     def test_equator_boundary_degenerates(self):
-        d = worst_case_decomposition(stokes_to_density(StokesVector(1, 0, 0)))
+        d = worst_case_decomposition(StokesVector(1, 0, 0))
         assert len(d.terms) == 2
         for w, psi in d.terms:
             assert w == pytest.approx(0.5, abs=1e-12)
@@ -207,16 +149,16 @@ class TestWorstCaseDecomposition:
             assert psi.bloch.s3 == pytest.approx(0.0, abs=1e-9)
 
     def test_maximally_mixed(self):
-        d = worst_case_decomposition(stokes_to_density(StokesVector(0, 0, 0)))
+        d = worst_case_decomposition(StokesVector(0, 0, 0))
         s3s = sorted(psi.bloch.s3 for _, psi in d.terms)
         assert s3s == pytest.approx([-1.0, 1.0], abs=1e-12)
         assert [w for w, _ in d.terms] == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_reconstruction_random(self, rng):
         for s1, s2, s3 in random_ball(rng, 10_000):
-            rho = stokes_to_density(StokesVector(s1, s2, s3))
+            s = StokesVector(s1, s2, s3)
             np.testing.assert_allclose(
-                mix(worst_case_decomposition(rho)).matrix, rho.matrix, atol=1e-12
+                mix(worst_case_decomposition(s)).as_array(), s.as_array(), atol=1e-12
             )
 
 
@@ -224,10 +166,6 @@ class TestPureState:
     def test_requires_unit_length(self):
         with pytest.raises(InvalidStateError):
             PureState(StokesVector(0.5, 0, 0))
-
-    def test_induced_matrix_is_rank_one(self):
-        rho = PureState(StokesVector(0.6, 0, 0.8)).density()
-        assert np.linalg.det(rho.matrix).real == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rotate_equatorial_preserves_coherence_and_s3(rng):

@@ -5,7 +5,7 @@ import pytest
 
 import qrbg.sources
 from qrbg.errors import EmptyInputError, InsufficientDataError
-from qrbg.minentropy import lower_confidence_rate, rate_from_coherence
+from qrbg.minentropy import closed_form_minentropy, lower_confidence_rate, rate_from_coherence
 from qrbg.pipeline import Calibration, PipelineConfig, calibrate
 from qrbg.sources import (
     Adversarial,
@@ -17,7 +17,7 @@ from qrbg.sources import (
     sample_events,
     save_event_log,
 )
-from qrbg.states import StokesVector, stokes_to_density, worst_case_decomposition
+from qrbg.states import StokesVector, worst_case_decomposition
 from qrbg.tomography import (
     CountTable,
     _tally,
@@ -69,7 +69,7 @@ class TestTally:
     @pytest.mark.parametrize("adversarial", [False, True])
     def test_pieces_read_back_tally_as_the_log_in_memory(self, tmp_path, monkeypatch, adversarial):
         if adversarial:
-            d = worst_case_decomposition(stokes_to_density(StokesVector(0.6, 0, 0.3)))
+            d = worst_case_decomposition(StokesVector(0.6, 0, 0.3))
             model = SourceModel(Adversarial(d), 5)
         else:
             model = SourceModel(SinglePhoton(StokesVector(0.6, 0, 0.3)), 5)
@@ -187,7 +187,7 @@ class TestReconstruct:
         log = sample_events(model, blocked_schedule(300_000), 300_000)
         result, rate = reconstruct(log)
         lower = lower_confidence_rate(result.s_hat, int(result.n_per_basis.min()), 0.01)
-        assert float(rate) == float(rate_from_coherence(result.s_hat.coherence))
+        assert float(rate) == float(closed_form_minentropy(result.s_hat))
         assert float(lower) <= float(rate)
 
     def test_requires_all_bases(self):
