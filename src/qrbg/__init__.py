@@ -2,16 +2,7 @@
 sources, state tomography, worst-case min-entropy certification, seeded
 2-universal extraction and statistical validation."""
 
-from .errors import (
-    ConfigError,
-    EmptyInputError,
-    InsufficientDataError,
-    InsufficientEntropyError,
-    InvalidDecompositionError,
-    InvalidStateError,
-    ParameterError,
-    QrbgError,
-)
+from .errors import InsufficientDataError, InsufficientEntropyError, ParameterError, QrbgError
 from .states import StokesVector, worst_case_decomposition
 from .minentropy import closed_form_minentropy, minimize_over_decompositions
 from .sources import SinglePhoton, SourceModel, sample_events

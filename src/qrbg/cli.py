@@ -1,25 +1,22 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a failed statistical test (``qrbg test``),
-2 insufficient entropy, 3 insufficient data, 4 I/O failure,
-5 configuration or parameter error.
+2 insufficient entropy, 3 insufficient data, 4 a missing or unreadable
+input or an unwritable output, 5 a malformed command line, configuration
+or input, or a failed internal check.  A package error exits with its
+class's ``exit_code``; the command group maps every failure, once.
 """
 
 from __future__ import annotations
 
-import functools
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 
 from .bits import open_bits_file, write_bits_file
-from .errors import (
-    ConfigError,
-    InsufficientDataError,
-    InsufficientEntropyError,
-    QrbgError,
-)
+from .errors import QrbgError
 from .extractor import ExtractorParams
 from .pipeline import (
     PipelineConfig,
@@ -33,27 +30,32 @@ from .pipeline import (
 from .sources import load_event_log
 from .stat_tests import battery_report, run_battery
 
-EXIT_CODES = (
-    (InsufficientEntropyError, 2),
-    (InsufficientDataError, 3),
-    (OSError, 4),
-    (QrbgError, 5),
-)
+
+@contextmanager
+def _exit_codes():
+    """Exit with the code of any failure raised inside."""
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.show()
+        sys.exit(5)
+    except (OSError, QrbgError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(4 if isinstance(exc, OSError) else exc.exit_code)
 
 
-def _exit_on_error(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (QrbgError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            for cls, code in EXIT_CODES:
-                if isinstance(exc, cls):
-                    sys.exit(code)
-            sys.exit(5)
+class _Main(click.Group):
+    """The command group, mapping every failure to its exit code: the
+    group's own arguments are parsed in ``make_context``, a subcommand's
+    and its run in ``invoke``."""
 
-    return wrapper
+    def make_context(self, *args, **kwargs) -> click.Context:
+        with _exit_codes():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx: click.Context):
+        with _exit_codes():
+            return super().invoke(ctx)
 
 
 # the config table's defaults, as --help shows them
@@ -76,15 +78,14 @@ def _write_block(block: str, report_path: str | None) -> None:
         Path(report_path).write_text(block, encoding="ascii")
 
 
-@click.group()
+@click.group(cls=_Main)
 def main() -> None:
     """Simulated quantum random-bit generator with certified extraction."""
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
+@click.option("--config", "config_path", type=click.Path(), required=True)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-@_exit_on_error
 def simulate(config_path, out_dir) -> None:
     """Write a calibration event log and a generation log/raw-bit file."""
     calib, gen, master = simulate_logs(load_config(config_path), out_dir)
@@ -94,11 +95,10 @@ def simulate(config_path, out_dir) -> None:
 
 
 @main.command()
-@click.argument("logfile", type=click.Path(exists=True))
+@click.argument("logfile", type=click.Path())
 @click.option("--alpha", type=float, default=None, show_default=_DEFAULTS["alpha"])
 @click.option("--conservative", is_flag=True, help="certify the deflated lower bound")
 @click.option("--report", "report_path", type=click.Path(), default=None)
-@_exit_on_error
 def calibrate(logfile, alpha, conservative, report_path) -> None:
     """Reconstruct the state from a calibration log and certify a rate."""
     cfg = _config(alpha=alpha, conservative=conservative)
@@ -106,9 +106,8 @@ def calibrate(logfile, alpha, conservative, report_path) -> None:
 
 
 @main.command()
-@click.argument("genlog", type=click.Path(exists=True))
+@click.argument("genlog", type=click.Path())
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@_exit_on_error
 def generate(genlog, out_path) -> None:
     """Pack the outcomes of a generation event log into a raw-bit file."""
     raw = load_raw_bits(genlog)
@@ -118,13 +117,12 @@ def generate(genlog, out_path) -> None:
 
 
 @main.command()
-@click.argument("rawfile", type=click.Path(exists=True))
+@click.argument("rawfile", type=click.Path())
 @click.option("--h-rate", type=float, required=True, help="certified min-entropy per raw bit, in [0, 1]")
 @click.option("--block-n", type=int, default=None, show_default=_DEFAULTS["block_n"])
 @click.option("--epsilon", default=None, show_default=_DEFAULTS["epsilon"])
-@click.option("--seed-file", type=click.Path(exists=True), default=None)
+@click.option("--seed-file", type=click.Path(), default=None)
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@_exit_on_error
 def extract(rawfile, h_rate, block_n, epsilon, seed_file, out_path) -> None:
     """Extract near-uniform bits from a raw-bit file or generation log."""
     cfg = _config(block_n=block_n, epsilon=epsilon, seed_file=seed_file)
@@ -135,11 +133,10 @@ def extract(rawfile, h_rate, block_n, epsilon, seed_file, out_path) -> None:
 
 
 @main.command("test")
-@click.argument("bitsfile", type=click.Path(exists=True))
+@click.argument("bitsfile", type=click.Path())
 @click.option("--tests", "test_list", default=None, show_default="all")
 @click.option("--significance", type=float, default=None, show_default=_DEFAULTS["significance"])
 @click.option("--report", "report_path", type=click.Path(), default=None)
-@_exit_on_error
 def test_cmd(bitsfile, test_list, significance, report_path) -> None:
     """Run the statistical battery on a packed bit file."""
     cfg = _config(tests=test_list, significance=significance)
@@ -150,18 +147,12 @@ def test_cmd(bitsfile, test_list, significance, report_path) -> None:
 
 
 @main.command("pipeline")
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--out", "out_dir", type=click.Path(), default=None)
-@click.option("--report", "report_path", type=click.Path(), default=None)
-@_exit_on_error
-def pipeline_cmd(config_path, out_dir, report_path) -> None:
-    """Run simulate, calibrate, certify, generate, extract and test."""
-    cfg = load_config(config_path)
-    target = out_dir or cfg.out_dir
-    if not target:
-        raise ConfigError("no output directory: set out_dir in the config or pass --out")
-    report = run_pipeline(cfg, target, report_path=report_path)
-    click.echo(report.render(), nl=False)
+@click.option("--config", "config_path", type=click.Path(), required=True)
+@click.option("--out", "out_dir", type=click.Path(), required=True)
+def pipeline_cmd(config_path, out_dir) -> None:
+    """Run simulate, calibrate, certify, generate, extract and test; the
+    report is written to OUT/report.txt."""
+    click.echo(run_pipeline(load_config(config_path), out_dir).render(), nl=False)
 
 
 if __name__ == "__main__":

@@ -1,36 +1,28 @@
 """Exception hierarchy shared across the package.
 
-Each class maps to one CLI exit code (see cli.EXIT_CODES).
+Each class carries the exit code the CLI ends with when it is raised.
 """
 
 
 class QrbgError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; raised itself, it is a
+    failed internal check."""
 
-
-class InvalidStateError(QrbgError):
-    """A Stokes vector violates physicality constraints."""
-
-
-class InvalidDecompositionError(QrbgError):
-    """Decomposition weights are negative or do not sum to one."""
+    exit_code = 5
 
 
 class ParameterError(QrbgError):
-    """An argument is outside its documented range."""
+    """An argument, a configuration value or an input file's content is
+    outside its documented range."""
 
 
 class InsufficientDataError(QrbgError):
     """Not enough samples to run an estimator or statistical test."""
 
-
-class EmptyInputError(InsufficientDataError):
-    """An operation received an empty log or stream."""
+    exit_code = 3
 
 
 class InsufficientEntropyError(QrbgError):
     """The certified entropy rate does not admit any extractor output."""
 
-
-class ConfigError(QrbgError):
-    """A pipeline configuration file is malformed or contains unknown keys."""
+    exit_code = 2

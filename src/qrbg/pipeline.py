@@ -27,9 +27,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 from .bits import BitsFile, BitStream, BitsWriter, open_bits_file, read_bits_file, write_bits_file
-from .errors import ConfigError, InvalidDecompositionError, InvalidStateError, ParameterError, QrbgError
+from .errors import ParameterError, QrbgError
 from .extractor import (
     ExtractionResult,
     ExtractorParams,
@@ -124,35 +125,36 @@ def _parse_tests(text: str) -> tuple[str, ...]:
     return names
 
 
-def _single(cfg: PipelineConfig) -> Variant:
+def _single(cfg: PipelineConfig) -> Callable[[], Variant]:
     if cfg.state is None:
-        raise ConfigError("single mode requires 'state = s1,s2,s3'")
-    return SinglePhoton(cfg.state)
+        raise ParameterError("single mode requires 'state = s1,s2,s3'")
+    return lambda: SinglePhoton(cfg.state)
 
 
-def _entangled(cfg: PipelineConfig) -> Variant:
+def _entangled(cfg: PipelineConfig) -> Callable[[], Variant]:
     if cfg.coherence is None:
-        raise ConfigError("entangled mode requires 'coherence'")
-    return Entangled(cfg.coherence, cfg.accidental_fraction, cfg.phase)
+        raise ParameterError("entangled mode requires 'coherence'")
+    return lambda: Entangled(cfg.coherence, cfg.accidental_fraction, cfg.phase)
 
 
-def _adversarial(cfg: PipelineConfig) -> Variant:
+def _adversarial(cfg: PipelineConfig) -> Callable[[], Variant]:
     explicit = cfg.adv_weights is not None or cfg.adv_states is not None
     if cfg.adv_target is not None:
         if explicit:
-            raise ConfigError("give either adv_target or adv_weights/adv_states, not both")
-        return Adversarial(worst_case_decomposition(cfg.adv_target))
+            raise ParameterError("give either adv_target or adv_weights/adv_states, not both")
+        return lambda: Adversarial(worst_case_decomposition(cfg.adv_target))
     if not (cfg.adv_weights and cfg.adv_states):
-        raise ConfigError(
+        raise ParameterError(
             "adversarial mode requires 'adv_target' or both 'adv_weights' and 'adv_states'"
         )
     if len(cfg.adv_weights) != len(cfg.adv_states):
-        raise ConfigError("adv_weights and adv_states differ in length")
+        raise ParameterError("adv_weights and adv_states differ in length")
     terms = zip(cfg.adv_weights, cfg.adv_states)
-    return Adversarial(Decomposition(tuple((w, PureState(StokesVector(*s))) for w, s in terms)))
+    return lambda: Adversarial(Decomposition(tuple((w, PureState(StokesVector(*s))) for w, s in terms)))
 
 
-# mode -> the builder of its source from the config's keys
+# mode -> the builder of its source: it checks that the mode's keys are
+# given and returns the call that builds the source from them
 _SOURCES = {"single": _single, "entangled": _entangled, "adversarial": _adversarial}
 
 
@@ -195,13 +197,12 @@ class PipelineConfig:
     gen_format: str = _key("bits", _choice("bits", "events"))
     seed_file: str | None = _key(None, _ascii_path)
     recalibrate_every: int | None = _key(None, _count)
-    out_dir: str | None = _key(None, _ascii_path)
 
     def set(self, key: str, text: str) -> None:
         """Set one key from its text form, as a config-file line does."""
         spec = _FIELDS.get(key)
         if spec is None:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ParameterError(f"unknown config key {key!r}")
         setattr(self, key, _parse(spec, text.strip()))
 
     def echo(self) -> list[tuple[str, str]]:
@@ -222,10 +223,11 @@ class PipelineConfig:
         return self.variant()
 
     def variant(self) -> Variant:
+        build = _SOURCES[self.mode](self)
         try:
-            return _SOURCES[self.mode](self)
-        except (InvalidStateError, InvalidDecompositionError, ParameterError) as exc:
-            raise ConfigError(f"{self.mode} source: {exc}") from None
+            return build()
+        except ParameterError as exc:
+            raise ParameterError(f"{self.mode} source: {exc}") from None
 
 
 _FIELDS = {spec.name: spec for spec in fields(PipelineConfig)}
@@ -235,7 +237,7 @@ def _parse(spec, text: str):
     try:
         return spec.metadata["parse"](text)
     except (ValueError, QrbgError) as exc:
-        raise ConfigError(f"bad value for {spec.name}: {exc}") from None
+        raise ParameterError(f"bad value for {spec.name}: {exc}") from None
 
 
 def parse_config_text(text: str) -> PipelineConfig:
@@ -246,16 +248,16 @@ def parse_config_text(text: str) -> PipelineConfig:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
+            raise ParameterError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key in seen:
-            raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
+            raise ParameterError(f"line {lineno}: duplicate config key {key!r}")
         seen.add(key)
         try:
             cfg.set(key, value)
-        except ConfigError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
+        except ParameterError as exc:
+            raise ParameterError(f"line {lineno}: {exc}") from None
     cfg.validate()
     return cfg
 
@@ -265,7 +267,7 @@ def load_config(path: str) -> PipelineConfig:
         text = Path(path).read_text(encoding="ascii")
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
-        raise ConfigError(f"{path}: byte 0x{byte:02x} is not ASCII; a config file is ASCII text") from None
+        raise ParameterError(f"{path}: byte 0x{byte:02x} is not ASCII; a config file is ASCII text") from None
     return parse_config_text(text)
 
 
@@ -468,11 +470,9 @@ def _resolve_seed(params: ExtractorParams, seed_file: str) -> HashSeed:
     needed = params.seed_bits_needed
     stream = read_bits_file(seed_file)
     if stream.meta.get("role") not in (None, "seed"):
-        raise ConfigError(f"{seed_file} has role={stream.meta.get('role')}, expected seed")
+        raise ParameterError(f"{seed_file} has role={stream.meta.get('role')}, expected seed")
     if stream.bit_length < needed:
-        raise ConfigError(
-            f"seed file holds {stream.bit_length} bits, extractor needs {needed}"
-        )
+        raise ParameterError(f"{seed_file} holds {stream.bit_length} bits, the extractor needs {needed}")
     return HashSeed(stream.bits[:needed])
 
 
@@ -543,21 +543,19 @@ def _certify_segments(
     return replace(cal, recalibrations=len(seeds), certified_segment=segment)
 
 
-def run_pipeline(
-    config: PipelineConfig,
-    out_dir: str,
-    report_path: str | None = None,
-) -> RunReport:
-    """Run every stage and write a single report.
+def run_pipeline(config: PipelineConfig, out_dir: str) -> RunReport:
+    """Run every stage and write the report into ``out_dir``, beside the
+    files it lists.
 
     Fails fast at the first stage error; insufficient certified entropy
     aborts before any generation happens, and a generation too short for
     one extractor block before any file is written.
     """
     variant = config.validate()
-    _parse(_FIELDS["out_dir"], out_dir)  # the report records paths under it
+    if not out_dir.isascii():  # the report records paths under it
+        raise ParameterError(f"output directory {out_dir!r} is not ASCII")
     if config.generation_bits < config.block_n:
-        raise ConfigError(
+        raise ParameterError(
             f"generation_bits={config.generation_bits} cannot fill one "
             f"block_n={config.block_n}-bit block, so nothing would be extracted"
         )
@@ -601,6 +599,5 @@ def run_pipeline(
                 report.extraction.output, config.tests, config.significance
             )
 
-    target = Path(report_path) if report_path else out / "report.txt"
-    target.write_text(report.render(), encoding="ascii")
+    (out / "report.txt").write_text(report.render(), encoding="ascii")
     return report

@@ -31,7 +31,7 @@ from typing import Iterator, Protocol, TextIO, Union
 import numpy as np
 
 from .bits import _is_decimal
-from .errors import EmptyInputError, ParameterError
+from .errors import InsufficientDataError, ParameterError
 from .states import (
     Decomposition,
     StokesVector,
@@ -397,7 +397,7 @@ def _read_log(fh: TextIO) -> tuple[str, int, int | None, Iterator[EventLog]]:
         elif text:
             break
     else:
-        raise EmptyInputError("event log contains no records")
+        raise InsufficientDataError("event log contains no records")
     width = text.count(",") + 1
     if width not in (3, 4):
         raise ParameterError(f"malformed event record: {text!r}")

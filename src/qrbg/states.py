@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDecompositionError, InvalidStateError
+from .errors import ParameterError
 
 # Absolute tolerance for component and weight checks.  Inputs within
 # tolerance are accepted and clamped; beyond it they are rejected.
@@ -55,12 +55,12 @@ class StokesVector:
         s1, s2, s3 = float(self.s1), float(self.s2), float(self.s3)
         for name, v in (("s1", s1), ("s2", s2), ("s3", s3)):
             if not math.isfinite(v):
-                raise InvalidStateError(f"{name} is not finite: {v!r}")
+                raise ParameterError(f"{name} is not finite: {v!r}")
             if abs(v) > 1.0 + ATOL:
-                raise InvalidStateError(f"{name}={v} outside [-1, 1]")
+                raise ParameterError(f"{name}={v} outside [-1, 1]")
         norm2 = s1 * s1 + s2 * s2 + s3 * s3
         if norm2 > 1.0 + _NORM2_TOL:
-            raise InvalidStateError(
+            raise ParameterError(
                 f"({s1}, {s2}, {s3}) lies outside the unit sphere "
                 f"(|s|^2 = {norm2})"
             )
@@ -99,7 +99,7 @@ class PureState:
         b = self.bloch
         norm2 = b.norm_squared
         if abs(norm2 - 1.0) > _PURE_NORM2_TOL:
-            raise InvalidStateError(
+            raise ParameterError(
                 f"Bloch vector has |s|^2 = {norm2}, a pure state needs 1"
             )
         if norm2 != 1.0:
@@ -120,14 +120,14 @@ class Decomposition:
     def __post_init__(self) -> None:
         terms = tuple((float(w), psi) for w, psi in self.terms)
         if not terms:
-            raise InvalidDecompositionError("decomposition has no terms")
+            raise ParameterError("decomposition has no terms")
         total = 0.0
         for w, _ in terms:
             if not math.isfinite(w) or w < -ATOL:
-                raise InvalidDecompositionError(f"negative weight {w}")
+                raise ParameterError(f"negative weight {w}")
             total += w
         if abs(total - 1.0) > len(terms) * ATOL:
-            raise InvalidDecompositionError(
+            raise ParameterError(
                 f"weights sum to {total}, expected 1"
             )
         object.__setattr__(self, "terms", terms)
@@ -162,7 +162,7 @@ def worst_case_decomposition(s: StokesVector) -> Decomposition:
     v2 = 1.0 - s.s1 ** 2 - s.s2 ** 2
     if v2 <= _NORM2_TOL:
         if abs(s.s3) > math.sqrt(_NORM2_TOL):
-            raise InvalidStateError(
+            raise ParameterError(
                 "state has unit coherence but nonzero s3; not physical"
             )
         psi = PureState(StokesVector(s.s1, s.s2, 0.0))
@@ -174,7 +174,7 @@ def worst_case_decomposition(s: StokesVector) -> Decomposition:
     ratio = s.s3 / v
     if abs(ratio) > 1.0:
         if abs(ratio) > 1.0 + 1e-9:
-            raise InvalidStateError(
+            raise ParameterError(
                 f"vertical component {s.s3} exceeds the sphere chord {v}"
             )
         ratio = math.copysign(1.0, ratio)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError, InsufficientDataError
+from .errors import InsufficientDataError, ParameterError
 from .minentropy import EntropyRate, closed_form_minentropy
 from .sources import BASIS_AXIS, BASIS_CHARS, EventSource
 from .states import StokesVector
@@ -35,9 +35,9 @@ class CountTable:
     def __post_init__(self) -> None:
         c = np.asarray(self.counts, dtype=np.int64)
         if c.shape != (3, 2):
-            raise ValueError(f"expected counts of shape (3, 2), got {c.shape}")
+            raise ParameterError(f"expected counts of shape (3, 2), got {c.shape}")
         if (c < 0).any():
-            raise ValueError("counts must be nonnegative")
+            raise ParameterError("counts must be nonnegative")
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
 
@@ -67,7 +67,7 @@ def _tally(log: EventSource) -> CountTable:
     for piece in log.pieces():
         counts += np.bincount(piece.bases.astype(np.int64) * 2 + piece.outcomes, minlength=6)
     if not counts.any():
-        raise EmptyInputError("cannot tally an empty event log")
+        raise InsufficientDataError("cannot tally an empty event log")
     return CountTable(counts.reshape(3, 2))
 
 

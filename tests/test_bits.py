@@ -148,3 +148,16 @@ def test_short_payload_names_the_file(tmp_path):
     path.write_bytes(MAGIC + b"# bit_length=20\n\n\xff\xff")
     with pytest.raises(ParameterError, match="cut.bits: payload of 2 bytes cannot hold 20 bits"):
         open_bits_file(str(path))
+
+
+def test_header_line_without_hash_rejected(tmp_path):
+    path = tmp_path / "nohash.bits"
+    path.write_bytes(MAGIC + b"# bit_length=8\nrole=raw\n\n\xff")
+    with pytest.raises(ParameterError, match="nohash.bits: malformed header line 'role=raw'"):
+        open_bits_file(str(path))
+
+
+def test_writer_rejects_a_header_value_with_a_newline(tmp_path):
+    with pytest.raises(ParameterError, match="header value for 'note' contains newline"):
+        BitsWriter(str(tmp_path / "o.bits"), 8, {"note": "a\nb"})
+    assert list(tmp_path.iterdir()) == []

@@ -13,7 +13,7 @@ import qrbg.pipeline
 import qrbg.sources
 from qrbg.bits import MAGIC, BitStream, open_bits_file, pack_bits, read_bits_file, write_bits_file
 from qrbg.cli import main
-from qrbg.errors import ConfigError, InsufficientEntropyError, QrbgError
+from qrbg.errors import InsufficientEntropyError, ParameterError, QrbgError
 from qrbg.extractor import ExtractorParams, toeplitz_extract
 from qrbg.pipeline import (
     load_raw_bits,
@@ -69,19 +69,19 @@ class TestConfigParsing:
         assert cfg.tests == ("monobit", "runs")
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config key"):
+        with pytest.raises(ParameterError, match="unknown config key"):
             parse_config_text("mode = single\nstate = 1,0,0\nbogus = 1\n")
 
     def test_duplicate_key_rejected(self):
-        with pytest.raises(ConfigError, match="duplicate"):
+        with pytest.raises(ParameterError, match="duplicate"):
             parse_config_text("mode = single\nstate = 1,0,0\nmode = single\n")
 
     def test_mode_requirements(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError):
             parse_config_text("mode = single\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError):
             parse_config_text("mode = entangled\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError):
             parse_config_text("mode = adversarial\n")
 
     def test_adversarial_explicit_terms(self):
@@ -103,22 +103,22 @@ class TestConfigParsing:
         assert cfg.tests == ()
 
     def test_bad_values(self):
-        with pytest.raises(ConfigError, match="block_n"):
+        with pytest.raises(ParameterError, match="block_n"):
             parse_config_text(f"mode = single\nstate = 1,0,0\nblock_n = {ExtractorParams.MAX_N + 1}\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError):
             parse_config_text("mode = single\nstate = 1,0\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError):
             parse_config_text("mode = single\nstate = 1,0,0\nalpha = 2\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError):
             parse_config_text("mode = single\nstate = 1,0,0\nepsilon = 1.5\n")
 
     @pytest.mark.parametrize("value", ["0", "1", "-0.5", "nan"])
     def test_significance_must_be_a_probability(self, value):
-        with pytest.raises(ConfigError, match="significance"):
+        with pytest.raises(ParameterError, match="significance"):
             parse_config_text(f"mode = single\nstate = 1,0,0\nsignificance = {value}\n")
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ConfigError, match="rng_seed"):
+        with pytest.raises(ParameterError, match="rng_seed"):
             parse_config_text("mode = single\nstate = 1,0,0\nrng_seed = -1\n")
 
     @pytest.mark.parametrize("text, value", [("1", True), ("TRUE", True), ("yes", True),
@@ -129,13 +129,13 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("text", ["ture", "2", ""])
     def test_conservative_rejects_a_value_that_is_not_a_flag(self, text):
-        with pytest.raises(ConfigError, match="conservative"):
+        with pytest.raises(ParameterError, match="conservative"):
             parse_config_text(f"mode = single\nstate = 1,0,0\nconservative = {text}\n")
 
     @pytest.mark.parametrize("case", sorted(UNBUILDABLE_SOURCES))
     def test_source_that_cannot_be_built_is_rejected(self, case):
         text, message = UNBUILDABLE_SOURCES[case]
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ParameterError, match=message):
             parse_config_text(text)
 
     @pytest.mark.parametrize("key, value", [("gen_format", "csv"), ("mode", "bogus"), ("block_n", 0),
@@ -144,11 +144,21 @@ class TestConfigParsing:
     def test_config_built_in_code_is_checked_by_the_table(self, tmp_path, key, value):
         cfg = parse_config_text(FAST_CONFIG)
         setattr(cfg, key, value)
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ParameterError, match=key):
             run_pipeline(cfg, str(tmp_path / "out"))
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ParameterError, match=key):
             simulate_logs(cfg, str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("text, message", [
+        ("mode single\n", "line 1: expected key=value, got 'mode single'"),
+        ("mode = adversarial\nadv_target = 0.6,0,0.3\nadv_weights = 1\n", "either adv_target or adv_weights"),
+        ("mode = single\nstate = 1,0,0\ntests = bogus\n", "line 3: bad value for tests: unknown tests"),
+    ])
+    def test_malformed_config_text_rejected(self, text, message):
+        with pytest.raises(ParameterError, match=message):
+            parse_config_text(text)
 
 
 class TestRunPipeline:
@@ -836,6 +846,115 @@ def test_non_ascii_input_exit_code(tmp_path, monkeypatch, case):
     assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
+# Each input path a subcommand reads, given a file that does not exist:
+# the stage that opens it fails with exit 4 before writing anything.
+MISSING_INPUTS = {
+    "simulate --config": ["simulate", "--config", "missing", "--out", "o"],
+    "calibrate LOGFILE": ["calibrate", "missing", "--report", "state.txt"],
+    "generate GENLOG": ["generate", "missing", "--out", "raw.bits"],
+    "extract RAWFILE": ["extract", "missing", "--h-rate", "0.9", "--out", "out.bits"],
+    "extract --seed-file": ["extract", "raw.bits", "--h-rate", "0.9", "--block-n", "1000",
+                            "--seed-file", "missing", "--out", "out.bits"],
+    "test BITSFILE": ["test", "missing", "--report", "tests.txt"],
+    "pipeline --config": ["pipeline", "--config", "missing", "--out", "o"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_INPUTS))
+def test_missing_input_exit_code(tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    write_bits_file("raw.bits", BitStream(np.ones(1000, dtype=np.uint8)), {"role": "raw"})
+    r = CliRunner().invoke(main, MISSING_INPUTS[case])
+    assert r.exit_code == 4, r.output
+    assert "No such file or directory: 'missing'" in r.output
+    # no report, output file or run directory is left
+    assert [p.name for p in tmp_path.iterdir()] == ["raw.bits"]
+
+
+# Malformed command lines, each a usage error that exits 5, the code of a
+# configuration error, never 2, the code of insufficient entropy.
+USAGE_ERRORS = {
+    "bad option value": ["calibrate", "events.log", "--alpha", "abc"],
+    "missing required option": ["extract", "events.log", "--out", "out.bits"],
+    "missing argument": ["calibrate"],
+    "unknown option": ["calibrate", "events.log", "--bogus"],
+    "unknown subcommand": ["bogus"],
+    "option before the subcommand": ["--alpha", "0.1", "calibrate", "events.log"],
+    "bare qrbg": [],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_exit_code(tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "events.log").write_text(Z_LOG.decode())
+    r = CliRunner().invoke(main, USAGE_ERRORS[case])
+    assert r.exit_code == 5, r.output
+    assert "Usage:" in r.output
+    assert [p.name for p in tmp_path.iterdir()] == ["events.log"]
+
+
+@pytest.mark.parametrize("args, code", [(["calibrate", "missing"], 4), (["calibrate", "--bogus"], 5), ([], 5)])
+def test_exit_code_without_standalone_mode(tmp_path, monkeypatch, args, code):
+    # a caller that handles click's own exceptions still gets each code
+    # through SystemExit
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(args, standalone_mode=False)
+    assert info.value.code == code
+
+
+def test_generate_copies_a_raw_bits_file(tmp_path):
+    raw = tmp_path / "raw.bits"
+    bits = np.random.default_rng(3).integers(0, 2, 1001).astype(np.uint8)
+    write_bits_file(str(raw), BitStream(bits), {"role": "raw", "source": "x", "seed": "3"})
+    r = CliRunner().invoke(main, ["generate", str(raw), "--out", str(tmp_path / "copy.bits")])
+    assert r.exit_code == 0, r.output
+    assert (tmp_path / "copy.bits").read_bytes() == raw.read_bytes()
+
+
+# Seed files that _resolve_seed refuses: the raw data as its own seed, and
+# a seed shorter than the n + m - 1 bits the hash needs.
+BAD_SEED_FILES = {
+    "raw file as seed": ("raw", 6000, "has role=raw, expected seed"),
+    "seed too short": ("seed", 3000, "holds 3000 bits, the extractor needs"),
+}
+
+
+def write_bad_seed(path, case):
+    role, nbits, message = BAD_SEED_FILES[case]
+    write_bits_file(str(path), BitStream(np.ones(nbits, dtype=np.uint8)), {"role": role})
+    return f"{path} {message}"
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SEED_FILES))
+def test_extract_rejects_a_bad_seed_file(tmp_path, case):
+    raw = tmp_path / "raw.bits"
+    write_bits_file(str(raw), BitStream(np.ones(20000, dtype=np.uint8)), {"role": "raw"})
+    message = write_bad_seed(tmp_path / "seed.bits", case)
+    r = CliRunner().invoke(main, [
+        "extract", str(raw), "--h-rate", "0.9", "--block-n", "2000", "--epsilon", "2^-16",
+        "--seed-file", str(tmp_path / "seed.bits"), "--out", str(tmp_path / "out.bits"),
+    ])
+    assert r.exit_code == 5, r.output
+    assert message in r.output
+    # neither the output, its .part file nor a drawn hash seed is written
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.bits", "seed.bits"]
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SEED_FILES))
+def test_pipeline_rejects_a_bad_seed_file(tmp_path, case):
+    message = write_bad_seed(tmp_path / "seed.bits", case)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FAST_CONFIG + f"seed_file = {tmp_path / 'seed.bits'}\n")
+    out = tmp_path / "o"
+    r = CliRunner().invoke(main, ["pipeline", "--config", str(cfg_path), "--out", str(out)])
+    assert r.exit_code == 5, r.output
+    assert f"[extract] {message}" in r.output
+    for name in ("extracted.bits", "extracted.bits.part", "extracted.seed.bits", "report.txt"):
+        assert not (out / name).exists()
+
+
 ROUND_TRIP_CONFIGS = {
     "single": FAST_CONFIG,
     "entangled": "mode = entangled\ncoherence = 0.88\naccidental_fraction = 0.0409\nphase = 0.25\n",
@@ -844,7 +963,7 @@ ROUND_TRIP_CONFIGS = {
         "mode = adversarial\nadv_weights = 0.6875, 0.3125\n"
         "adv_states = 0.6,0,0.8; 0.6,0,-0.8\ntests = none\n"
     ),
-    "recalibrated": FAST_CONFIG + "recalibrate_every = 5000\nout_dir = somewhere\n",
+    "recalibrated": FAST_CONFIG + "recalibrate_every = 5000\n",
     "seed_file": FAST_CONFIG.replace("2^-16", "1e-9") + "seed_file = seed.bits\ngen_format = events\n",
 }
 
@@ -892,7 +1011,7 @@ def test_config_echo_is_stable():
 
 def test_run_shorter_than_one_block_is_rejected(tmp_path):
     cfg = parse_config_text(FAST_CONFIG.replace("block_n = 2000", "block_n = 30000"))
-    with pytest.raises(ConfigError, match="cannot fill one block_n=30000-bit block"):
+    with pytest.raises(ParameterError, match="cannot fill one block_n=30000-bit block"):
         run_pipeline(cfg, str(tmp_path / "out"))
     assert not (tmp_path / "out").exists()
     cfg_path = tmp_path / "short.cfg"

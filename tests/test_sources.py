@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qrbg.sources
-from qrbg.errors import EmptyInputError, ParameterError
+from qrbg.errors import InsufficientDataError, ParameterError
 from qrbg.minentropy import closed_form_minentropy, minentropy_decomposition
 from qrbg.sources import (
     _BASIS_BYTES,
@@ -354,7 +354,7 @@ class TestEventLogFiles:
         assert first_record.startswith("0,Z,")
 
     def test_empty_log_rejected(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InsufficientDataError):
             read_event_log(io.StringIO("# source=x\n# seed=0\n"))
 
     def test_index_gap_rejected(self):
@@ -405,7 +405,7 @@ MALFORMED_LOGS = {
     "index x": ("x,Z,0\n1,Z,1\n", ParameterError),
     "out of order": ("1,Z,0\n0,Z,1\n", ParameterError),
     "3 and 4 columns": ("0,Z,0\n1,Z,1,0\n", ParameterError),
-    "header only": ("", EmptyInputError),
+    "header only": ("", InsufficientDataError),
     "header n mismatch": ("0,Z,0\n", ParameterError),
 }
 
@@ -415,6 +415,22 @@ def test_malformed_log_rejected(name):
     records, error = MALFORMED_LOGS[name]
     with pytest.raises(error):
         read_event_log(io.StringIO(HEADER + records))
+
+
+# Logs whose first record or header the reader rejects before reading
+# the records, with the message each must raise.
+BAD_LOG_HEADS = {
+    "2 fields": (HEADER + "0,Z\n1,Z\n", "malformed event record: '0,Z'"),
+    "5 fields": (HEADER + "0,Z,0,1,1\n1,Z,1,1,1\n", "malformed event record: '0,Z,0,1,1'"),
+    "header n=abc": ("# source=x\n# seed=0\n# n=abc\n0,Z,0\n", "n='abc' is not a record count"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_LOG_HEADS))
+def test_bad_first_record_or_header_rejected(name):
+    text, message = BAD_LOG_HEADS[name]
+    with pytest.raises(ParameterError, match=message):
+        read_event_log(io.StringIO(text))
 
 
 def after_good_records(records, lead):

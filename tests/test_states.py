@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qrbg.errors import InvalidDecompositionError, InvalidStateError
+from qrbg.errors import ParameterError
 from qrbg.sources import SinglePhoton, _born_table
 from qrbg.states import (
     Decomposition,
@@ -32,9 +32,9 @@ def raw_matrix(s1, s2, s3):
 
 class TestStokesVector:
     def test_non_physical_rejected(self):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(ParameterError):
             StokesVector(0.9, 0.9, 0.9)
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(ParameterError):
             StokesVector(1.5, 0, 0)
 
 
@@ -52,7 +52,7 @@ class TestPhysicalityMatchesPositivity:
                 StokesVector(s1, s2, s3)
                 assert eigmin >= -1e-12
             elif r > 1.0 + 1e-9:
-                with pytest.raises(InvalidStateError):
+                with pytest.raises(ParameterError):
                     StokesVector(s1, s2, s3)
                 assert eigmin < 0
 
@@ -101,14 +101,14 @@ class TestMix:
         )
 
     def test_rejects_bad_weights(self):
-        with pytest.raises(InvalidDecompositionError):
+        with pytest.raises(ParameterError):
             Decomposition(
                 (
                     (0.7, PureState(StokesVector(0, 0, 1))),
                     (0.7, PureState(StokesVector(0, 0, -1))),
                 )
             )
-        with pytest.raises(InvalidDecompositionError):
+        with pytest.raises(ParameterError):
             Decomposition(())
 
     def test_bloch_linearity_random(self, rng):
@@ -164,7 +164,7 @@ class TestWorstCaseDecomposition:
 
 class TestPureState:
     def test_requires_unit_length(self):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(ParameterError):
             PureState(StokesVector(0.5, 0, 0))
 
 
@@ -181,3 +181,15 @@ def test_clamping_within_tolerance():
     s = StokesVector(1.0 + 5e-13, 0.0, 0.0)
     assert s.s1 <= 1.0
     assert math.hypot(s.s1, s.s2) <= 1.0
+
+
+def test_non_finite_component_rejected():
+    with pytest.raises(ParameterError, match="s1 is not finite"):
+        StokesVector(math.nan, 0, 0)
+
+
+def test_negative_weight_rejected():
+    # the weights sum to one, so only the sign check can reject them
+    up, down = PureState(StokesVector(0, 0, 1)), PureState(StokesVector(0, 0, -1))
+    with pytest.raises(ParameterError, match="negative weight -0.5"):
+        Decomposition(((1.5, up), (-0.5, down)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qrbg.sources
-from qrbg.errors import EmptyInputError, InsufficientDataError
+from qrbg.errors import InsufficientDataError, ParameterError
 from qrbg.minentropy import closed_form_minentropy, lower_confidence_rate, rate_from_coherence
 from qrbg.pipeline import Calibration, PipelineConfig, calibrate
 from qrbg.sources import (
@@ -63,7 +63,7 @@ class TestTally:
 
     def test_empty_rejected(self):
         log = EventLog("t", 0, np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8))
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InsufficientDataError):
             _tally(log)
 
     @pytest.mark.parametrize("adversarial", [False, True])
@@ -205,3 +205,12 @@ def test_calibration_report_block():
     for key in ("s1=", "s2=", "s3=", "stderr1=", "stderr2=", "stderr3=",
                 "projected=", "minentropy_rate=", "alpha=", "minentropy_lower="):
         assert any(line.startswith(key) for line in block.splitlines())
+
+
+@pytest.mark.parametrize("counts, message", [
+    (np.ones((2, 2)), r"shape \(3, 2\), got \(2, 2\)"),
+    (np.array([[5, 5], [5, -1], [5, 5]]), "nonnegative"),
+])
+def test_count_table_rejects_bad_counts(counts, message):
+    with pytest.raises(ParameterError, match=message):
+        CountTable(counts)
