@@ -465,39 +465,44 @@ def load_raw_bits(path: str) -> BitsFile | ZBits:
     return ZBits(log)
 
 
-def _resolve_seed(params: ExtractorParams, seed_file: str) -> HashSeed:
-    """The session seed held in a ``role=seed`` bit file."""
-    needed = params.seed_bits_needed
+def read_seed_file(seed_file: str | None) -> tuple[str, BitStream] | None:
+    """A hash-seed file's path and bits, read whole, once its header shows
+    a ``role=seed`` bit file; None without a file.  Whether it holds enough
+    bits is checked by ``extract``, since that depends on the certified
+    rate."""
+    if not seed_file:
+        return None
     stream = read_bits_file(seed_file)
     if stream.meta.get("role") not in (None, "seed"):
         raise ParameterError(f"{seed_file} has role={stream.meta.get('role')}, expected seed")
-    if stream.bit_length < needed:
-        raise ParameterError(f"{seed_file} holds {stream.bit_length} bits, the extractor needs {needed}")
-    return HashSeed(stream.bits[:needed])
+    return seed_file, stream
 
 
 def extract(
     raw: BitsFile | ZBits,
     params: ExtractorParams,
-    seed_file: str | None,
+    seed_file: tuple[str, BitStream] | None,
     path: Path,
 ) -> tuple[ExtractionResult, str]:
     """Hash ``raw`` into ``path`` a chunk at a time and audit the file.
 
-    Without a ``seed_file`` a seed is drawn from system entropy and, once
-    the output is complete, written next to ``path`` (``extracted.bits`` ->
+    ``seed_file`` is a seed file as ``read_seed_file`` returns it.  Without
+    one a seed is drawn from system entropy and, once the output is
+    complete, written next to ``path`` (``extracted.bits`` ->
     ``extracted.seed.bits``), so a failed extraction leaves neither file.
     The header's ``source`` is the raw stream's, and its ``seed_sha256``
     pins the seed by content, not by where its file lives.  Returns the
     extraction, whose output is the file written, opened for chunked
     reading, and the seed file's path.
     """
-    drawn = not seed_file
-    if drawn:
-        seed_file = str(path.with_suffix(".seed.bits"))
-        seed = HashSeed.system(params.seed_bits_needed)
+    needed = params.seed_bits_needed
+    if seed_file is None:
+        seed_path, seed = str(path.with_suffix(".seed.bits")), HashSeed.system(needed)
     else:
-        seed = _resolve_seed(params, seed_file)
+        seed_path, stream = seed_file
+        if stream.bit_length < needed:
+            raise ParameterError(f"{seed_path} holds {stream.bit_length} bits, the extractor needs {needed}")
+        seed = HashSeed(stream.bits[:needed])
     header = {
         "role": "extracted",
         "block_n": str(params.n),
@@ -509,8 +514,8 @@ def extract(
     }
     with BitsWriter(str(path), len(raw) // params.n * params.m, header) as out:
         result = extract_stream(raw, params, seed, sink=out.write)
-        if drawn:
-            write_bits_file(seed_file, BitStream(seed.bits), {"role": "seed"})
+        if seed_file is None:
+            write_bits_file(seed_path, BitStream(seed.bits), {"role": "seed"})
     # accounting audit against the file actually written: its header's
     # length and its payload's size
     result.output = written = open_bits_file(str(path))
@@ -520,7 +525,7 @@ def extract(
             f"accounting mismatch: file holds {written.bit_length} bits in "
             f"{written.payload_bytes} bytes, expected {expected}"
         )
-    return result, seed_file
+    return result, seed_path
 
 
 def _certify_segments(
@@ -549,7 +554,8 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> RunReport:
 
     Fails fast at the first stage error; insufficient certified entropy
     aborts before any generation happens, and a generation too short for
-    one extractor block before any file is written.
+    one extractor block, or a ``seed_file`` that is missing or not a
+    ``role=seed`` bit file, before any file is written.
     """
     variant = config.validate()
     if not out_dir.isascii():  # the report records paths under it
@@ -559,6 +565,8 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> RunReport:
             f"generation_bits={config.generation_bits} cannot fill one "
             f"block_n={config.block_n}-bit block, so nothing would be extracted"
         )
+    with _stage("seed"):
+        seed_file = read_seed_file(config.seed_file)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     recal = config.recalibrate_every
@@ -586,7 +594,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> RunReport:
     with _stage("extract"):
         extracted_path = out / "extracted.bits"
         report.extraction, report.seed_file = extract(
-            load_raw_bits(str(gen_path)), params, config.seed_file, extracted_path
+            load_raw_bits(str(gen_path)), params, seed_file, extracted_path
         )
         if not config.seed_file:
             # a configured seed file may live anywhere; only a drawn one is a run file

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Protocol, TextIO, Union
 
 import numpy as np
@@ -56,6 +57,12 @@ _IS_DIGIT = np.zeros(256, dtype=bool)
 _IS_DIGIT[ord("0") : ord("9") + 1] = True
 # The widest eve_label the reader parses; a wider one fails the check.
 _LABEL_DIGITS = 9
+# Column i holds the ASCII digits of i, zero-padded to five: the five low
+# digits of every record index are copied from it.
+_INDEX_SPAN = 10 ** 5
+_INDEX_DIGITS = (
+    np.arange(_INDEX_SPAN, dtype=np.int32) // 10 ** np.arange(4, -1, -1, dtype=np.int32)[:, None] % 10 + ord("0")
+).astype(np.uint8)
 # Records per piece of event-log I/O, written or read; bounds the working
 # memory of both directions.
 _LOG_ROWS = 1 << 17
@@ -307,10 +314,10 @@ class ZStream:
 
 
 def _put_decimal(rows: np.ndarray, values: np.ndarray) -> None:
-    """The ASCII decimal digits of the non-negative ``values``, one column
-    per value, into ``rows``, the last row holding the units; a value with
-    fewer digits than there are rows leaves 0 bytes ahead of its leading
-    digit."""
+    """The ASCII decimal digits of the non-negative eve_labels ``values``,
+    one column per value, into ``rows``, the last row holding the units; a
+    value with fewer digits than there are rows leaves 0 bytes ahead of its
+    leading digit."""
     v = values.astype(np.min_scalar_type(values.max()))  # narrow types divide faster
     np.add(v % 10, ord("0"), out=rows[-1], casting="unsafe")
     for row in rows[-2::-1]:
@@ -322,22 +329,28 @@ def _put_decimal(rows: np.ndarray, values: np.ndarray) -> None:
 def _encode(first: int, bases: np.ndarray, outcomes: np.ndarray, labels: np.ndarray | None) -> bytes:
     """The record lines 'index,basis,outcome[,eve_label]' of events
     numbered from ``first``, as the log's exact bytes.  Each run of indices
-    of one decimal width fills a (columns x rows) byte table that one
-    transposed copy turns into lines; eve_labels narrower than the widest
-    are padded with 0 bytes, which are then dropped."""
+    of one decimal width and one multiple of ``_INDEX_SPAN`` fills a
+    (columns x rows) byte table, its five low index digits a slice of
+    ``_INDEX_DIGITS``, that one transposed copy turns into lines;
+    eve_labels narrower than the widest are padded with 0 bytes, which are
+    then dropped."""
     label_width = 0
     if labels is not None:
-        if labels.min(initial=0) < 0:
-            raise ParameterError("eve_label must be non-negative")
+        if labels.min(initial=0) < 0 or labels.max(initial=0) >= 10 ** _LABEL_DIGITS:
+            raise ParameterError(f"eve_label must be a non-negative decimal of at most {_LABEL_DIGITS} digits")
         label_width = len(str(labels.max(initial=0)))
     runs = []
     lo, n = 0, len(outcomes)
     while lo < n:
-        width = len(str(first + lo))
-        hi = min(n, 10 ** width - first)  # the next index has one more digit
+        index = str(first + lo)
+        width, start = len(index), (first + lo) % _INDEX_SPAN
+        # the next index has one more digit, or other digits above the low five
+        hi = min(n, 10 ** width - first, lo + _INDEX_SPAN - start)
         columns = width + 5 + (0 if labels is None else 1 + label_width)
         table = np.empty((columns, hi - lo), dtype=np.uint8)
-        _put_decimal(table[:width], np.arange(first + lo, first + hi, dtype=np.min_scalar_type(first + hi)))
+        high = max(width - len(_INDEX_DIGITS), 0)  # digits above the table's five
+        table[:high] = np.frombuffer(index[:high].encode(), dtype=np.uint8)[:, None]
+        table[high:width] = _INDEX_DIGITS[high - width :, start : start + hi - lo]
         table[width] = table[width + 2] = ord(",")
         np.take(_BASIS_BYTES, bases[lo:hi], out=table[width + 1])
         np.add(outcomes[lo:hi], ord("0"), out=table[width + 3])
@@ -414,22 +427,27 @@ def _record_blocks(head: str, fh: TextIO) -> Iterator[tuple[bytearray, np.ndarra
     """The record lines from ``head`` on, as ASCII bytes cut after every
     ``_LOG_ROWS``-th newline, each block with its newline offsets; a last
     line with no newline is given one.  The file is read ``_LOG_ROWS``
-    characters at a time, which is faster than joining its lines."""
-    buf = bytearray(head.encode("ascii"))
-    lines = buf.count(b"\n")
+    characters at a time, which is faster than joining its lines, and each
+    read is scanned for newlines once, the offsets past a cut carried on."""
+    reads = chain([head], iter(lambda: fh.read(_LOG_ROWS), ""))
+    buf, found, lines = bytearray(), [], 0
     while True:
-        while lines < _LOG_ROWS and (more := fh.read(_LOG_ROWS).encode("ascii")):
+        while lines < _LOG_ROWS and (more := next(reads, "").encode("ascii")):
+            at = np.flatnonzero(np.frombuffer(more, dtype=np.uint8) == ord("\n"))
+            found.append(at + len(buf))
             buf += more
-            lines += more.count(b"\n")
+            lines += len(at)
         if not buf:
             return
         if lines < _LOG_ROWS and not buf.endswith(b"\n"):  # the file ended mid-line
+            found.append(np.array([len(buf)]))
             buf += b"\n"
-            lines += 1
-        ends = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == ord("\n"))[:_LOG_ROWS]
-        block, buf = buf, buf[ends[-1] + 1 :]  # hand out the buffer, keep the rest
-        del block[ends[-1] + 1 :]
-        lines -= len(ends)
+        ends = np.concatenate(found)
+        ends, rest = ends[:_LOG_ROWS], ends[_LOG_ROWS:]
+        cut = int(ends[-1]) + 1
+        block, buf = buf, buf[cut:]  # hand out the buffer, keep the rest
+        del block[cut:]
+        found, lines = [rest - cut], len(rest)
         yield block, ends
 
 

@@ -291,7 +291,8 @@ class TestRunPipeline:
             run_pipeline(cfg, str(tmp_path))
         assert info.value.errno == errno.ENOENT
         assert info.value.filename == "/nonexistent/seed.bits"
-        assert "[extract]" in str(info.value)
+        assert "[seed]" in str(info.value)
+        assert list(tmp_path.iterdir()) == []  # checked before the calibration log is written
 
     def test_separation_is_an_explicit_error(self, tmp_path, monkeypatch):
         monkeypatch.setattr(qrbg.pipeline, "derive_subseeds", lambda master, count: [7] * count)
@@ -913,7 +914,7 @@ def test_generate_copies_a_raw_bits_file(tmp_path):
     assert (tmp_path / "copy.bits").read_bytes() == raw.read_bytes()
 
 
-# Seed files that _resolve_seed refuses: the raw data as its own seed, and
+# Seed files that a run refuses: the raw data as its own seed, and
 # a seed shorter than the n + m - 1 bits the hash needs.
 BAD_SEED_FILES = {
     "raw file as seed": ("raw", 6000, "has role=raw, expected seed"),
@@ -950,9 +951,13 @@ def test_pipeline_rejects_a_bad_seed_file(tmp_path, case):
     out = tmp_path / "o"
     r = CliRunner().invoke(main, ["pipeline", "--config", str(cfg_path), "--out", str(out)])
     assert r.exit_code == 5, r.output
-    assert f"[extract] {message}" in r.output
-    for name in ("extracted.bits", "extracted.bits.part", "extracted.seed.bits", "report.txt"):
-        assert not (out / name).exists()
+    if case == "seed too short":  # how many bits are needed follows from the certified rate
+        assert f"[extract] {message}" in r.output
+        for name in ("extracted.bits", "extracted.bits.part", "extracted.seed.bits", "report.txt"):
+            assert not (out / name).exists()
+    else:
+        assert f"[seed] {message}" in r.output
+        assert not out.exists()
 
 
 ROUND_TRIP_CONFIGS = {

@@ -12,6 +12,7 @@ from qrbg.errors import InsufficientDataError, ParameterError
 from qrbg.minentropy import closed_form_minentropy, minentropy_decomposition
 from qrbg.sources import (
     _BASIS_BYTES,
+    BASIS_CHARS,
     Adversarial,
     Entangled,
     EventLog,
@@ -23,6 +24,7 @@ from qrbg.sources import (
     _born_table,
     _coincidence_bloch,
     _encode,
+    _record_blocks,
     _write_event_log,
     blocked_schedule,
     load_event_log,
@@ -460,18 +462,63 @@ def test_piece_errors_name_the_whole_log_record(monkeypatch):
         read_event_log(io.StringIO(log))
 
 
+def boundary_records(labels, final_newline):
+    """Ten Z records 'i,Z,i % 2[,label]', one per line."""
+    text = "".join(f"{i},Z,{i % 2}" + ("" if labels is None else f",{labels[i]}") + "\n" for i in range(10))
+    return text if final_newline else text[:-1]
+
+
+def read_ends(text):
+    """Where in ``text`` the reads of the record reader end with 7-row
+    pieces: after the first line, then every 7 characters."""
+    head = text.index("\n") + 1
+    return [*range(head + 7, len(text), 7), len(text)]
+
+
+def cut_after_every_7th_newline(text):
+    """The blocks and newline offsets the reader must hand out for 7-row
+    pieces: a cut after every 7th newline, the last line given one."""
+    lines = text.splitlines(keepends=True)
+    lines[-1] = lines[-1].rstrip("\n") + "\n"
+    for start in range(0, len(lines), 7):
+        block = "".join(lines[start : start + 7]).encode()
+        yield block, [i for i, byte in enumerate(block) if byte == ord("\n")]
+
+
+# Ten-record logs, as (eve_labels, final newline, where a read ends): with
+# 7-row pieces the first piece ends at character ``cut``, after the 7th
+# newline.
+READ_BOUNDARY_LOGS = {
+    # records 1-6 are 49 characters, so the piece ends at the end of a
+    # read and leaves nothing over
+    "piece ends where a read ends": ([0, 10, *range(2, 10)], True, lambda cut, ends: cut in ends),
+    # the read holding the cut ends one character into record 7
+    "read ends mid-line": ([1] * 10, True, lambda cut, ends: cut + 1 in ends),
+    # the read holding the cut ends on record 7's newline, so one whole
+    # line is carried into the next piece
+    "read ends on a newline": (None, True, lambda cut, ends: cut + 6 in ends),
+    "last line without newline": ([1] * 10, False, lambda cut, ends: True),
+}
+
+
 @pytest.mark.parametrize("count", ["# n=10\n", ""], ids=["with n", "without n"])
-def test_piece_ending_on_a_read_boundary_is_read_on(monkeypatch, count):
-    # with 7-row pieces the reader reads 7 characters at a time after the
-    # first record; records 1-6 are 49 characters, so the first piece ends
-    # on its 7th newline at the end of a read and leaves nothing over
+@pytest.mark.parametrize("case", sorted(READ_BOUNDARY_LOGS))
+def test_piece_ending_on_a_read_boundary_is_read_on(monkeypatch, count, case):
     monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
-    labels = [0, 10, *range(2, 10)]
-    records = [f"{i},Z,{i % 2},{label}\n" for i, label in enumerate(labels)]
-    assert len("".join(records[1:7])) == 7 * 7
-    log = read_event_log(io.StringIO(count + "".join(records)))
-    assert log.eve_labels.tolist() == labels
+    labels, final_newline, holds = READ_BOUNDARY_LOGS[case]
+    records = boundary_records(labels, final_newline)
+    cut = [i for i, char in enumerate(records) if char == "\n"][6] + 1
+    assert holds(cut, read_ends(records))
+    fh = io.StringIO(records)
+    blocks = [(bytes(block), ends.tolist()) for block, ends in _record_blocks(fh.readline(), fh)]
+    assert blocks == list(cut_after_every_7th_newline(records))
+    log = read_event_log(io.StringIO(count + records))
+    assert log.bases.tolist() == [0] * 10
     assert log.outcomes.tolist() == [i % 2 for i in range(10)]
+    if labels is None:
+        assert log.eve_labels is None
+    else:
+        assert log.eve_labels.tolist() == labels
 
 
 def test_z_log_rejects_the_piece_holding_a_non_z_event(monkeypatch, tmp_path):
@@ -608,6 +655,64 @@ class TestEventLogCodec:
         log = EventLog("x", 0, np.zeros(2, dtype=np.uint8), np.ones(2, dtype=np.uint8), np.array([0, -1], dtype=np.int32))
         with pytest.raises(ParameterError, match="eve_label"):
             _write_event_log(log, io.StringIO())
+
+
+    @pytest.mark.parametrize("labels", LABELS)
+    def test_log_past_index_100_000_round_trips_through_a_file(self, tmp_path, labels):
+        log = codec_log(labels, 120_000)
+        path = tmp_path / "events.log"
+        save_event_log(log, str(path))
+        assert path.read_text() == percent_format_log(log)
+        pieces = list(load_event_log(str(path)).pieces())
+        assert [p.n for p in pieces] == [120_000]  # index 100 000 lies inside the one default piece
+        assert np.array_equal(np.concatenate([p.bases for p in pieces]), log.bases)
+        assert np.array_equal(np.concatenate([p.outcomes for p in pieces]), log.outcomes)
+        if labels is not None:
+            assert np.array_equal(np.concatenate([p.eve_labels for p in pieces]), log.eve_labels)
+
+    def test_label_wider_than_the_reader_parses_is_not_written(self):
+        def log(*labels):
+            n = len(labels)
+            return EventLog("x", 0, np.zeros(n, dtype=np.uint8), np.ones(n, dtype=np.uint8), np.array(labels, dtype=np.int32))
+
+        with pytest.raises(ParameterError, match="eve_label"):
+            _write_event_log(log(999_999_999, 10 ** 9), io.StringIO())
+        buf = io.StringIO()
+        _write_event_log(log(999_999_999), buf)
+        assert read_event_log(io.StringIO(buf.getvalue())).eve_labels.tolist() == [999_999_999]
+
+
+def f_string_records(first, bases, outcomes, labels):
+    """The plain-Python reference: one f-string per record."""
+    tails = [""] * len(outcomes) if labels is None else [f",{label}" for label in labels.tolist()]
+    return "".join(
+        f"{first + k},{BASIS_CHARS[basis]},{outcome}{tail}\n"
+        for k, (basis, outcome, tail) in enumerate(zip(bases.tolist(), outcomes.tolist(), tails))
+    )
+
+
+# Runs of indices from each ``first`` straddle a change of decimal width,
+# a multiple of 10^5 (where the index digits wrap round their table), or
+# both; a full default piece from 99 999 crosses two multiples.
+INDEX_FIRSTS = [0, 9, 99_990, 99_999, 199_995, 999_990, 10 ** 9 - 5]
+
+
+@pytest.mark.parametrize("labels", ["none", "one digit", "one to nine digits"])
+@pytest.mark.parametrize("first", INDEX_FIRSTS)
+@pytest.mark.parametrize("count", [20, 1 << 17], ids=["short run", "default piece"])
+def test_index_digits_match_f_strings(first, labels, count):
+    rng = np.random.default_rng(first)
+    bases = rng.integers(0, 3, count, dtype=np.uint8)
+    outcomes = rng.integers(0, 2, count, dtype=np.uint8)
+    widths = rng.integers(1, 10, count)
+    labels = {
+        "none": None,
+        "one digit": rng.integers(0, 10, count, dtype=np.int32),
+        "one to nine digits": (rng.integers(0, 10 ** 9, count) // 10 ** (9 - widths)).astype(np.int32),
+    }[labels]
+    if labels is not None:
+        labels[-1] = 10 ** (len(str(labels.max()))) - 1  # the widest label of its width
+    assert _encode(first, bases, outcomes, labels).decode() == f_string_records(first, bases, outcomes, labels)
 
 
 # One line of each non-canonical form, written where record {i} belongs.
