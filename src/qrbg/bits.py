@@ -193,9 +193,10 @@ def write_bits_file(path: str, stream, header: dict[str, str]) -> None:
             out.write(chunk)
 
 
-def open_bits_file(path: str) -> BitsFile:
+def open_bits_file(path: str, role: str | None = None) -> BitsFile:
     """Parse a bits file's header and check that its payload holds
-    ``bit_length`` bits, without reading the payload."""
+    ``bit_length`` bits, without reading the payload.  With ``role``, a
+    header naming another role is rejected; one naming none passes."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -221,10 +222,13 @@ def open_bits_file(path: str) -> BitsFile:
         raise ParameterError(f"{path}: header needs a bit_length count, got {length!r}")
     if size * 8 < int(length):
         raise ParameterError(f"{path}: payload of {size} bytes cannot hold {length} bits")
+    if role is not None and header.get("role", role) != role:
+        raise ParameterError(f"{path} has role={header['role']}, expected {role}")
     return BitsFile(path, header, int(length), offset, size)
 
 
-def read_bits_file(path: str) -> BitStream:
-    """A whole bits file in memory: its chunks, concatenated."""
-    opened = open_bits_file(path)
+def read_bits_file(path: str, role: str | None = None) -> BitStream:
+    """A whole bits file in memory: its chunks, concatenated; ``role`` as
+    for ``open_bits_file``."""
+    opened = open_bits_file(path, role)
     return BitStream(np.concatenate([np.empty(0, dtype=np.uint8), *opened.chunks()]), opened.meta)

@@ -24,7 +24,6 @@ from .pipeline import (
     extract as extract_raw,
     load_config,
     load_raw_bits,
-    read_seed_file,
     run_pipeline,
     simulate_logs,
 )
@@ -128,10 +127,8 @@ def extract(rawfile, h_rate, block_n, epsilon, seed_file, out_path) -> None:
     """Extract near-uniform bits from a raw-bit file or generation log."""
     cfg = _config(block_n=block_n, epsilon=epsilon, seed_file=seed_file)
     params = ExtractorParams(cfg.block_n, cfg.epsilon, h_rate)
-    result, seed_file = extract_raw(
-        load_raw_bits(rawfile), params, read_seed_file(cfg.seed_file), Path(out_path)
-    )
-    click.echo(result.render(seed_file), nl=False)
+    result = extract_raw(load_raw_bits(rawfile), params, cfg.seed_file, Path(out_path))
+    click.echo(result.render(), nl=False)
     click.echo(f"path={out_path}")
 
 

@@ -148,7 +148,7 @@ from typing import Callable, ClassVar, Iterable, Iterator, Optional, Union
 import numpy as np
 from scipy import fft as _fft
 
-from .bits import BitsFile, BitStream, BlockCutter, _bit_array, pack_bits, unpack_bits
+from .bits import BitsFile, BitStream, BlockCutter, _bit_array, pack_bits, read_bits_file, unpack_bits
 from .errors import InsufficientDataError, InsufficientEntropyError, ParameterError
 from .minentropy import EntropyRate
 
@@ -245,7 +245,10 @@ def _largest_exact_n() -> int:
 def parse_epsilon(text: str) -> float:
     """Accept '2^-K' or a plain float literal."""
     text = text.strip()
-    eps = 2.0 ** float(text[2:]) if text.startswith("2^") else float(text)
+    try:
+        eps = 2.0 ** float(text[2:]) if text.startswith("2^") else float(text)
+    except OverflowError:  # 2^K for K >= 1024
+        eps = math.inf
     if not 0.0 < eps < 1.0:
         raise ParameterError(f"epsilon {eps} outside (0, 1)")
     return eps
@@ -324,9 +327,11 @@ class ExtractorParams:
 @dataclass(frozen=True)
 class HashSeed:
     """Uniform public bits defining one Toeplitz matrix (first row and
-    first column concatenated)."""
+    first column concatenated), and the path of the seed file holding
+    them, if any."""
 
     bits: np.ndarray
+    path: Optional[str] = None
 
     def __post_init__(self) -> None:
         bits = _bit_array(self.bits, "seed bits")
@@ -347,9 +352,19 @@ class HashSeed:
         return hashlib.sha256(pack_bits(self.bits)).hexdigest()
 
     @classmethod
-    def system(cls, bit_length: int) -> "HashSeed":
+    def system(cls, bit_length: int, path: str) -> "HashSeed":
+        """A seed drawn from system entropy, to be written to ``path``."""
         payload = secrets.token_bytes((bit_length + 7) // 8)
-        return cls(unpack_bits(payload, bit_length))
+        return cls(unpack_bits(payload, bit_length), path)
+
+    @classmethod
+    def read(cls, path: str, bit_length: int) -> "HashSeed":
+        """The first ``bit_length`` bits of a ``role=seed`` bits file; the
+        rest of the file is not kept."""
+        stream = read_bits_file(path, "seed")
+        if stream.bit_length < bit_length:
+            raise ParameterError(f"{path} holds {stream.bit_length} bits, the extractor needs {bit_length}")
+        return cls(stream.bits[:bit_length], path)
 
 
 class _Hasher:
@@ -511,10 +526,10 @@ class ExtractionResult:
     def raw_bits_per_second(self) -> float:
         return self.blocks * self.params.n / self.seconds
 
-    def render(self, seed_file: str) -> str:
+    def render(self) -> str:
         """ASCII key=value block of the extraction's accounting, for an
-        ``output`` that is the file written and the seed read from
-        ``seed_file``."""
+        ``output`` that is the file written and a seed with its file's
+        path."""
         p = self.params
         lines = [
             f"blocks={self.blocks}",
@@ -523,7 +538,7 @@ class ExtractionResult:
             f"ratio={p.ratio!r}",
             f"output_bits={self.output.bit_length}",
             f"epsilon={format_epsilon(p.epsilon)}",
-            f"seed=seed_file={seed_file}",
+            f"seed=seed_file={self.seed.path}",
             f"seed_sha256={self.seed.sha256}",
             f"raw_bits_per_second={self.raw_bits_per_second:.3e}",
         ]

@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
-from .bits import BitsFile, BitStream, BitsWriter, open_bits_file, read_bits_file, write_bits_file
+from .bits import BitsFile, BitStream, BitsWriter, open_bits_file, write_bits_file
 from .errors import ParameterError, QrbgError
 from .extractor import (
     ExtractionResult,
@@ -174,7 +174,7 @@ class PipelineConfig:
     state: StokesVector | None = _key(None, _parse_vector, _format_vector)
     coherence: float | None = _key(None, float, repr)
     accidental_fraction: float = _key(0.0, float, repr)
-    phase: float = _key(0.0, float, repr)
+    phase: float = _key(0.0, _checked(float, math.isfinite, "is not finite"), repr)
     adv_target: StokesVector | None = _key(None, _parse_vector, _format_vector)
     adv_weights: tuple[float, ...] | None = _key(
         None, _numbers, lambda v: ",".join(map(repr, v))
@@ -323,7 +323,6 @@ class RunReport:
     master_seed: int
     calibration: Calibration | None = None
     extraction: ExtractionResult | None = None
-    seed_file: str = ""
     test_results: list[TestResult] = field(default_factory=list)
     files: list[FileRecord] = field(default_factory=list)
 
@@ -344,7 +343,7 @@ class RunReport:
         if self.extraction is not None:
             out.append("[extraction]")
             out.append(f"certified_rate={self.certified.bits_per_sample!r}")
-            out.append(self.extraction.render(self.seed_file).rstrip("\n"))
+            out.append(self.extraction.render().rstrip("\n"))
         if self.test_results:
             out.append("[tests]")
             out.append(battery_report(self.test_results).rstrip("\n"))
@@ -454,55 +453,32 @@ def load_raw_bits(path: str) -> BitsFile | ZBits:
     with open(path, "rb") as fh:
         head = fh.read(8)
     if head.startswith(b"QRBGBITS"):
-        raw = open_bits_file(path)
-        role = raw.meta.get("role")
-        if role not in (None, "raw"):
-            raise ParameterError(f"{path} has role={role}, expected raw")
-        return raw
+        return open_bits_file(path, "raw")
     log = load_event_log(path)
     if log.n is None:
         raise ParameterError(f"{path}: a generation log's header must declare n, its record count")
     return ZBits(log)
 
 
-def read_seed_file(seed_file: str | None) -> tuple[str, BitStream] | None:
-    """A hash-seed file's path and bits, read whole, once its header shows
-    a ``role=seed`` bit file; None without a file.  Whether it holds enough
-    bits is checked by ``extract``, since that depends on the certified
-    rate."""
-    if not seed_file:
-        return None
-    stream = read_bits_file(seed_file)
-    if stream.meta.get("role") not in (None, "seed"):
-        raise ParameterError(f"{seed_file} has role={stream.meta.get('role')}, expected seed")
-    return seed_file, stream
-
-
 def extract(
-    raw: BitsFile | ZBits,
-    params: ExtractorParams,
-    seed_file: tuple[str, BitStream] | None,
-    path: Path,
-) -> tuple[ExtractionResult, str]:
+    raw: BitsFile | ZBits, params: ExtractorParams, seed_file: str | None, path: Path
+) -> ExtractionResult:
     """Hash ``raw`` into ``path`` a chunk at a time and audit the file.
 
-    ``seed_file`` is a seed file as ``read_seed_file`` returns it.  Without
-    one a seed is drawn from system entropy and, once the output is
-    complete, written next to ``path`` (``extracted.bits`` ->
-    ``extracted.seed.bits``), so a failed extraction leaves neither file.
-    The header's ``source`` is the raw stream's, and its ``seed_sha256``
-    pins the seed by content, not by where its file lives.  Returns the
-    extraction, whose output is the file written, opened for chunked
-    reading, and the seed file's path.
+    The seed is the head of the ``role=seed`` bits file ``seed_file``, as
+    many bits as the hash needs.  Without one a seed is drawn from system
+    entropy and, once the output is complete, written next to ``path``
+    (``extracted.bits`` -> ``extracted.seed.bits``), so a failed extraction
+    leaves neither file.  The header's ``source`` is the raw stream's, and
+    its ``seed_sha256`` pins the seed by content, not by where its file
+    lives.  Returns the extraction, whose output is the file written,
+    opened for chunked reading, and whose seed knows its file's path.
     """
     needed = params.seed_bits_needed
-    if seed_file is None:
-        seed_path, seed = str(path.with_suffix(".seed.bits")), HashSeed.system(needed)
+    if seed_file:
+        seed = HashSeed.read(seed_file, needed)
     else:
-        seed_path, stream = seed_file
-        if stream.bit_length < needed:
-            raise ParameterError(f"{seed_path} holds {stream.bit_length} bits, the extractor needs {needed}")
-        seed = HashSeed(stream.bits[:needed])
+        seed = HashSeed.system(needed, str(path.with_suffix(".seed.bits")))
     header = {
         "role": "extracted",
         "block_n": str(params.n),
@@ -514,8 +490,8 @@ def extract(
     }
     with BitsWriter(str(path), len(raw) // params.n * params.m, header) as out:
         result = extract_stream(raw, params, seed, sink=out.write)
-        if seed_file is None:
-            write_bits_file(seed_path, BitStream(seed.bits), {"role": "seed"})
+        if not seed_file:
+            write_bits_file(seed.path, BitStream(seed.bits), {"role": "seed"})
     # accounting audit against the file actually written: its header's
     # length and its payload's size
     result.output = written = open_bits_file(str(path))
@@ -525,7 +501,7 @@ def extract(
             f"accounting mismatch: file holds {written.bit_length} bits in "
             f"{written.payload_bytes} bytes, expected {expected}"
         )
-    return result, seed_path
+    return result
 
 
 def _certify_segments(
@@ -565,10 +541,13 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> RunReport:
             f"generation_bits={config.generation_bits} cannot fill one "
             f"block_n={config.block_n}-bit block, so nothing would be extracted"
         )
-    with _stage("seed"):
-        seed_file = read_seed_file(config.seed_file)
+    if config.seed_file:
+        with _stage("seed"):
+            open_bits_file(config.seed_file, "seed")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # a report left by an earlier run would vouch for files this run replaces
+    (out / "report.txt").unlink(missing_ok=True)
     recal = config.recalibrate_every
     segments = 1 if recal is None else max(1, math.ceil(config.generation_bits / recal))
     master, gen_seed, calib_seeds = _streams(config, segments)
@@ -593,12 +572,12 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> RunReport:
 
     with _stage("extract"):
         extracted_path = out / "extracted.bits"
-        report.extraction, report.seed_file = extract(
-            load_raw_bits(str(gen_path)), params, seed_file, extracted_path
+        report.extraction = extract(
+            load_raw_bits(str(gen_path)), params, config.seed_file, extracted_path
         )
         if not config.seed_file:
             # a configured seed file may live anywhere; only a drawn one is a run file
-            report.files.append(_digest(Path(report.seed_file), "hash_seed"))
+            report.files.append(_digest(Path(report.extraction.seed.path), "hash_seed"))
         report.files.append(_digest(extracted_path, "extracted_bits"))
 
     with _stage("test"):

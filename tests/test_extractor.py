@@ -7,7 +7,7 @@ import pytest
 
 import qrbg.bits
 import qrbg.extractor
-from qrbg.bits import BitStream, pack_bits
+from qrbg.bits import BitStream, pack_bits, write_bits_file
 from qrbg.errors import InsufficientDataError, InsufficientEntropyError, ParameterError
 from qrbg.extractor import _toeplitz_matrix  # the index definition, as the hash's reference
 from qrbg.extractor import (
@@ -512,7 +512,21 @@ class TestExtractStream:
 class TestHashSeed:
     def test_system_seed_sizes(self):
         for nbits in (1, 8, 63, 200):
-            assert HashSeed.system(nbits).bit_length == nbits
+            seed = HashSeed.system(nbits, "out.seed.bits")
+            assert (seed.bit_length, seed.path) == (nbits, "out.seed.bits")
+
+    def test_read_keeps_the_bits_the_hash_needs(self, tmp_path):
+        bits = np.random.default_rng(4).integers(0, 2, 500).astype(np.uint8)
+        path = str(tmp_path / "seed.bits")
+        write_bits_file(path, BitStream(bits), {"role": "seed"})
+        seed = HashSeed.read(path, 300)
+        assert seed.path == path
+        assert np.array_equal(seed.bits, bits[:300])
+        with pytest.raises(ParameterError, match="seed.bits holds 500 bits, the extractor needs 501"):
+            HashSeed.read(path, 501)
+        write_bits_file(path, BitStream(bits), {"role": "raw"})
+        with pytest.raises(ParameterError, match="seed.bits has role=raw, expected seed"):
+            HashSeed.read(path, 300)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -539,6 +553,10 @@ def test_epsilon_parsing():
         parse_epsilon("2^1")
     with pytest.raises(ParameterError):
         parse_epsilon("0")
+    # 2^K overflows a float from K = 1024 on; those are outside (0, 1) too
+    for text in ("2^1024", "2^99999", "2^-1075", "1e999", "nan"):
+        with pytest.raises(ParameterError, match=r"outside \(0, 1\)"):
+            parse_epsilon(text)
 
 
 def test_epsilon_formatting():

@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import qrbg.bits
 import qrbg.pipeline
 import qrbg.sources
 from qrbg.bits import MAGIC, BitStream, open_bits_file, pack_bits, read_bits_file, write_bits_file
@@ -140,7 +142,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("key, value", [("gen_format", "csv"), ("mode", "bogus"), ("block_n", 0),
                                             ("recalibrate_every", -5), ("alpha", 1.5),
-                                            ("seed_file", "\u00fbseed.bits")])
+                                            ("seed_file", "\u00fbseed.bits"), ("phase", math.inf)])
     def test_config_built_in_code_is_checked_by_the_table(self, tmp_path, key, value):
         cfg = parse_config_text(FAST_CONFIG)
         setattr(cfg, key, value)
@@ -150,6 +152,11 @@ class TestConfigParsing:
             simulate_logs(cfg, str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
 
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_phase_must_be_finite(self, value):
+        with pytest.raises(ParameterError, match=f"line 3: bad value for phase: '{value}' is not finite"):
+            parse_config_text(f"mode = entangled\ncoherence = 0.88\nphase = {value}\n")
 
     @pytest.mark.parametrize("text, message", [
         ("mode single\n", "line 1: expected key=value, got 'mode single'"),
@@ -279,6 +286,40 @@ class TestRunPipeline:
         used = read_bits_file(str(paths[0])).bits[: params.seed_bits_needed]
         assert meta["seed_sha256"] == sha256(pack_bits(used))
         assert f"seed_sha256={meta['seed_sha256']}\n" in (outs[0] / "report.txt").read_text()
+
+    def test_seed_file_is_read_only_after_generation(self, tmp_path, monkeypatch):
+        # the [seed] stage reads the seed file's header alone; its bits are
+        # read by the extract stage, so no earlier stage holds them
+        seed_path = tmp_path / "seed.bits"
+        write_seed_file(seed_path, 6000)
+        events = []
+        generate, chunks = qrbg.pipeline.generate, qrbg.bits.BitsFile.chunks
+
+        def generated(*args):
+            path = generate(*args)
+            events.append("generated")
+            return path
+
+        def read(self):
+            events.append(f"read {Path(self.path).name}")
+            return chunks(self)
+
+        monkeypatch.setattr(qrbg.pipeline, "generate", generated)
+        monkeypatch.setattr(qrbg.bits.BitsFile, "chunks", read)
+        report = run_pipeline(parse_config_text(FAST_CONFIG + f"seed_file = {seed_path}\n"), str(tmp_path / "o"))
+        assert [e for e in events if e in ("generated", "read seed.bits")] == ["generated", "read seed.bits"]
+        assert report.extraction.seed.path == str(seed_path)
+        assert report.extraction.seed.bit_length == report.extraction.params.seed_bits_needed
+
+    def test_failed_rerun_leaves_no_stale_report(self, tmp_path):
+        out = tmp_path / "o"
+        run_pipeline(parse_config_text(FAST_CONFIG), str(out))
+        assert (out / "report.txt").exists()
+        # no extractable entropy: the rerun rewrites calibration.log, then fails
+        cfg = parse_config_text(FAST_CONFIG.replace("state = 0.95, 0, 0.1", "state = 0.05,0,0"))
+        with pytest.raises(InsufficientEntropyError, match=r"\[certify\]"):
+            run_pipeline(cfg, str(out))
+        assert not (out / "report.txt").exists()
 
     def test_missing_seed_file_is_io_error(self, tmp_path):
         cfg = parse_config_text(FAST_CONFIG + "seed_file = /nonexistent/seed.bits\n")
@@ -425,6 +466,33 @@ class TestCli:
         assert r.exit_code == 2, r.output
         assert "[certify]" in r.output
         assert [p.name for p in out.iterdir()] == ["calibration.log"]
+
+    @pytest.mark.parametrize("epsilon", ["2^1024", "2^99999"])
+    def test_epsilon_of_2_to_1024_or_more_exit_code(self, tmp_path, epsilon):
+        raw = tmp_path / "raw.bits"
+        write_bits_file(str(raw), BitStream(np.ones(4000, dtype=np.uint8)), {"role": "raw"})
+        r = CliRunner().invoke(main, [
+            "extract", str(raw), "--h-rate", "1", "--block-n", "1000",
+            "--epsilon", epsilon, "--out", str(tmp_path / "ex.bits"),
+        ])
+        assert r.exit_code == 5, r.output
+        assert "bad value for epsilon: epsilon inf outside (0, 1)" in r.output
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(FAST_CONFIG.replace("2^-16", epsilon))
+        r = CliRunner().invoke(main, ["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert r.exit_code == 5, r.output
+        assert "line 8: bad value for epsilon: epsilon inf outside (0, 1)" in r.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.bits", "run.cfg"]
+
+    @pytest.mark.parametrize("command", ["pipeline", "simulate"])
+    @pytest.mark.parametrize("phase", ["inf", "nan"])
+    def test_non_finite_phase_exit_code(self, tmp_path, command, phase):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(FAST_CONFIG + f"phase = {phase}\n")
+        r = CliRunner().invoke(main, [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert r.exit_code == 5, r.output
+        assert f"bad value for phase: '{phase}' is not finite" in r.output
+        assert not (tmp_path / "o").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.cfg"
