@@ -5,7 +5,7 @@ sources, state tomography, worst-case min-entropy certification, seeded
 from .errors import InsufficientDataError, InsufficientEntropyError, ParameterError, QrbgError
 from .states import StokesVector, worst_case_decomposition
 from .minentropy import closed_form_minentropy, minimize_over_decompositions
-from .sources import SinglePhoton, SourceModel, sample_events
+from .sources import sample_events, single_photon
 from .tomography import reconstruct
 from .extractor import ExtractorParams, extract_stream
 from .stat_tests import run_battery

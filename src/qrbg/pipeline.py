@@ -27,7 +27,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
 
 from .bits import BitsFile, BitStream, BitsWriter, open_bits_file, write_bits_file
 from .errors import ParameterError, QrbgError
@@ -42,23 +41,22 @@ from .extractor import (
 from .minentropy import EntropyRate, lower_confidence_rate
 from .sources import (
     PRNG_NAME,
-    Adversarial,
-    Entangled,
     EventLog,
     EventSource,
-    SinglePhoton,
-    SourceModel,
-    Variant,
+    Source,
     ZBits,
     ZStream,
+    adversarial,
     blocked_schedule,
     derive_subseeds,
+    entangled,
     load_event_log,
     sample_events,
     save_event_log,
+    single_photon,
 )
 from .stat_tests import ALL_TESTS, DEFAULT_SIGNIFICANCE, TestResult
-from .stat_tests import battery_report, pass_fraction, run_battery
+from .stat_tests import battery_report, check_length, pass_fraction, run_battery
 from .states import Decomposition, PureState, StokesVector, worst_case_decomposition
 from .tomography import TomographyResult, reconstruct
 
@@ -125,24 +123,24 @@ def _parse_tests(text: str) -> tuple[str, ...]:
     return names
 
 
-def _single(cfg: PipelineConfig) -> Callable[[], Variant]:
+def _single(cfg: PipelineConfig) -> Source:
     if cfg.state is None:
         raise ParameterError("single mode requires 'state = s1,s2,s3'")
-    return lambda: SinglePhoton(cfg.state)
+    return single_photon(cfg.state)
 
 
-def _entangled(cfg: PipelineConfig) -> Callable[[], Variant]:
+def _entangled(cfg: PipelineConfig) -> Source:
     if cfg.coherence is None:
         raise ParameterError("entangled mode requires 'coherence'")
-    return lambda: Entangled(cfg.coherence, cfg.accidental_fraction, cfg.phase)
+    return entangled(cfg.coherence, cfg.accidental_fraction, cfg.phase)
 
 
-def _adversarial(cfg: PipelineConfig) -> Callable[[], Variant]:
+def _adversarial(cfg: PipelineConfig) -> Source:
     explicit = cfg.adv_weights is not None or cfg.adv_states is not None
     if cfg.adv_target is not None:
         if explicit:
             raise ParameterError("give either adv_target or adv_weights/adv_states, not both")
-        return lambda: Adversarial(worst_case_decomposition(cfg.adv_target))
+        return adversarial(worst_case_decomposition(cfg.adv_target))
     if not (cfg.adv_weights and cfg.adv_states):
         raise ParameterError(
             "adversarial mode requires 'adv_target' or both 'adv_weights' and 'adv_states'"
@@ -150,11 +148,10 @@ def _adversarial(cfg: PipelineConfig) -> Callable[[], Variant]:
     if len(cfg.adv_weights) != len(cfg.adv_states):
         raise ParameterError("adv_weights and adv_states differ in length")
     terms = zip(cfg.adv_weights, cfg.adv_states)
-    return lambda: Adversarial(Decomposition(tuple((w, PureState(StokesVector(*s))) for w, s in terms)))
+    return adversarial(Decomposition(tuple((w, PureState(StokesVector(*s))) for w, s in terms)))
 
 
-# mode -> the builder of its source: it checks that the mode's keys are
-# given and returns the call that builds the source from them
+# mode -> the builder of its source from the mode's keys, which it checks
 _SOURCES = {"single": _single, "entangled": _entangled, "adversarial": _adversarial}
 
 
@@ -214,18 +211,17 @@ class PipelineConfig:
                 pairs.append((spec.name, spec.metadata["show"](value)))
         return pairs
 
-    def validate(self) -> Variant:
+    def validate(self) -> Source:
         """Check every key with its parser, as if read from a file, then
         build the configured source, so that a configuration whose source
         cannot be built fails before any file is written."""
         for key, text in self.echo():
             _parse(_FIELDS[key], text)
-        return self.variant()
+        return self.source()
 
-    def variant(self) -> Variant:
-        build = _SOURCES[self.mode](self)
+    def source(self) -> Source:
         try:
-            return build()
+            return _SOURCES[self.mode](self)
         except ParameterError as exc:
             raise ParameterError(f"{self.mode} source: {exc}") from None
 
@@ -393,8 +389,8 @@ def _streams(config: PipelineConfig, segments: int) -> tuple[int, int, list[int]
     return master, gen_seed, calib_seeds
 
 
-def _calibration_log(variant: Variant, seed: int, n: int) -> EventLog:
-    return sample_events(SourceModel(variant, seed), blocked_schedule(n), n)
+def _calibration_log(source: Source, seed: int, n: int) -> EventLog:
+    return sample_events(source, seed, blocked_schedule(n), n)
 
 
 def calibrate(log: EventSource, config: PipelineConfig) -> Calibration:
@@ -406,13 +402,13 @@ def calibrate(log: EventSource, config: PipelineConfig) -> Calibration:
     return Calibration(result, lower if config.conservative else plug_in, lower, config.alpha)
 
 
-def generate(variant: Variant, seed: int, config: PipelineConfig, out: Path) -> Path:
+def generate(source: Source, seed: int, config: PipelineConfig, out: Path) -> Path:
     """Sample the generation bits a chunk at a time, each chunk written as
     it is drawn, in ``config.gen_format``: a packed raw-bit file or an
     all-Z event log.  Returns the file's path; extraction reads the file
     back through ``load_raw_bits``, as ``qrbg extract`` does.
     """
-    stream = ZStream(SourceModel(variant, seed), config.generation_bits)
+    stream = ZStream(source, seed, config.generation_bits)
     if config.gen_format == "events":
         path = out / "generation.log"
         save_event_log(stream, str(path))
@@ -427,20 +423,26 @@ def simulate_logs(
     config: PipelineConfig, out_dir: str
 ) -> tuple[Path, Path, int]:
     """Write the calibration log and the generation file that a pipeline
-    run of the same configuration, without recalibration, writes; nothing
-    is certified.
+    run of the same configuration writes; nothing is certified.  A
+    configuration with ``recalibrate_every`` is rejected, since which
+    segment's log a pipeline run writes depends on the certified rates.
 
     Returns (calibration path, generation path, master seed).
     """
-    variant = config.validate()
+    source = config.validate()
+    if config.recalibrate_every is not None:
+        raise ParameterError(
+            "recalibrate_every is for pipeline runs: which segment's calibration log a run "
+            "writes depends on the rates it certifies"
+        )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     master, gen_seed, (calib_seed,) = _streams(config, 1)
     calib_path = out / "calibration.log"
     save_event_log(
-        _calibration_log(variant, calib_seed, config.tomography_events), str(calib_path)
+        _calibration_log(source, calib_seed, config.tomography_events), str(calib_path)
     )
-    gen_path = generate(variant, gen_seed, config, out)
+    gen_path = generate(source, gen_seed, config, out)
     return calib_path, gen_path, master
 
 
@@ -505,7 +507,7 @@ def extract(
 
 
 def _certify_segments(
-    config: PipelineConfig, variant: Variant, seeds: list[int], path: Path
+    config: PipelineConfig, source: Source, seeds: list[int], path: Path
 ) -> Calibration:
     """Certify one calibration per seed; the lowest rate wins, and its log,
     the only one written, is the one the report lists.  With
@@ -513,7 +515,7 @@ def _certify_segments(
     count and the winning segment's index."""
     worst: tuple[Calibration, int, EventLog] | None = None
     for segment, seed in enumerate(seeds):
-        log = _calibration_log(variant, seed, config.tomography_events)
+        log = _calibration_log(source, seed, config.tomography_events)
         cal = calibrate(log, config)
         if worst is None or float(cal.rate) < float(worst[0].rate):
             worst = cal, segment, log
@@ -528,12 +530,13 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> RunReport:
     """Run every stage and write the report into ``out_dir``, beside the
     files it lists.
 
-    Fails fast at the first stage error; insufficient certified entropy
-    aborts before any generation happens, and a generation too short for
-    one extractor block, or a ``seed_file`` that is missing or not a
-    ``role=seed`` bit file, before any file is written.
+    Fails fast at the first stage error; insufficient certified entropy,
+    or an output too short for a configured test, aborts before any
+    generation happens, and a generation too short for one extractor
+    block, or a ``seed_file`` that is missing or not a ``role=seed`` bit
+    file, before any file is written.
     """
-    variant = config.validate()
+    source = config.validate()
     if not out_dir.isascii():  # the report records paths under it
         raise ParameterError(f"output directory {out_dir!r} is not ASCII")
     if config.generation_bits < config.block_n:
@@ -559,15 +562,17 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> RunReport:
 
     with _stage("calibrate"):
         calib_path = out / "calibration.log"
-        report.calibration = _certify_segments(config, variant, calib_seeds, calib_path)
+        report.calibration = _certify_segments(config, source, calib_seeds, calib_path)
         report.files.append(_digest(calib_path, "calibration_log"))
 
-    # certify extractor accounting before generating anything
+    # certify extractor accounting, and that the battery can test the
+    # output's length, before generating anything
     with _stage("certify"):
         params = ExtractorParams(config.block_n, config.epsilon, float(report.certified))
+        check_length(config.generation_bits // config.block_n * params.m, config.tests)
 
     with _stage("generate"):
-        gen_path = generate(variant, gen_seed, config, out)
+        gen_path = generate(source, gen_seed, config, out)
         report.files.append(_digest(gen_path, "generation_raw"))
 
     with _stage("extract"):

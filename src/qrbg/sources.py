@@ -1,15 +1,18 @@
 """Seeded simulation of polarization-qubit sources.
 
-Three source variants produce detection events:
+A source is one value, a ``Source``: the Bloch vectors it prepares and,
+when an attacker prepares it, the weights of a decomposition of the state
+(Hughston, Jozsa and Wootters) from which each event's term is drawn and
+remembered.  Three functions build one:
 
-* ``SinglePhoton``: a fixed qubit state measured event by event.
-* ``Entangled``: a photon-pair source observed through coincidence
+* ``single_photon``: a fixed qubit state measured event by event.
+* ``entangled``: a photon-pair source observed through coincidence
   detection.  Only the two-detector subspace is kept, which behaves as an
   effective qubit; dephasing and accidental-coincidence background both
   act inside that subspace before any event is recorded, and nothing is
   ever subtracted afterwards.
-* ``Adversarial``: an attacker prepares each event as one pure state drawn
-  from a decomposition of the target density matrix and remembers which.
+* ``adversarial``: an attacker prepares each event as one pure state drawn
+  from a decomposition of the target state and remembers which.
 
 Outcomes follow the Born rule in the scheduled measurement basis:
 ``P(outcome 0) = (1 + s.u)/2`` for Bloch vector ``s`` and basis direction
@@ -17,7 +20,7 @@ Outcomes follow the Born rule in the scheduled measurement basis:
 1 a V-type click (H1-V2 / V1-H2 for coincidences).
 
 Sampling uses numpy's PCG64 generator and consumes random numbers in a
-fixed chunked order, so equal (model, schedule, n, seed) inputs reproduce
+fixed chunked order, so equal (source, seed, schedule, n) inputs reproduce
 identical logs.  Distinct logs with distinct seeds may be generated
 concurrently; a single log is generated sequentially.
 """
@@ -77,60 +80,48 @@ _LOOKUP_STRETCHES = 64
 
 
 @dataclass(frozen=True)
-class SinglePhoton:
-    state: StokesVector
+class Source:
+    """A prepared source: ``name``, the ``# source=`` header of what it
+    emits; the Bloch vectors it prepares, one per term; and, for an
+    adversary, the terms' weights, from which it picks each event's term
+    and records the pick as the event's eve_label."""
 
-    def describe(self) -> str:
-        s = self.state
-        return f"single_photon(s1={s.s1!r},s2={s.s2!r},s3={s.s3!r})"
-
-
-@dataclass(frozen=True)
-class Entangled:
-    coherence: float
-    accidental_fraction: float = 0.0
-    phase: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.coherence <= 1.0:
-            raise ParameterError(f"coherence {self.coherence} outside [0, 1]")
-        if not 0.0 <= self.accidental_fraction < 1.0:
-            raise ParameterError(
-                f"accidental_fraction {self.accidental_fraction} outside [0, 1)"
-            )
-
-    def describe(self) -> str:
-        return (
-            f"entangled(coherence={self.coherence!r},"
-            f"accidental_fraction={self.accidental_fraction!r},"
-            f"phase={self.phase!r})"
-        )
+    name: str
+    states: tuple[StokesVector, ...]
+    weights: tuple[float, ...] | None = None
 
 
-@dataclass(frozen=True)
-class Adversarial:
-    decomposition: Decomposition
-
-    def describe(self) -> str:
-        return f"adversarial(terms={len(self.decomposition.terms)})"
+def single_photon(state: StokesVector) -> Source:
+    """A fixed qubit state, measured event by event."""
+    return Source(f"single_photon(s1={state.s1!r},s2={state.s2!r},s3={state.s3!r})", (state,))
 
 
-Variant = Union[SinglePhoton, Entangled, Adversarial]
+def entangled(coherence: float, accidental_fraction: float = 0.0, phase: float = 0.0) -> Source:
+    """The effective qubit that coincidence detection of a photon pair
+    sees: equatorial, of length coherence*(1 - accidental_fraction)
+    (populations stay at 1/2 each), rotated in the equatorial plane by
+    ``phase``."""
+    if not 0.0 <= coherence <= 1.0:
+        raise ParameterError(f"coherence {coherence} outside [0, 1]")
+    if not 0.0 <= accidental_fraction < 1.0:
+        raise ParameterError(f"accidental_fraction {accidental_fraction} outside [0, 1)")
+    name = f"entangled(coherence={coherence!r},accidental_fraction={accidental_fraction!r},phase={phase!r})"
+    c_eff = coherence * (1.0 - accidental_fraction)
+    return Source(name, (rotate_equatorial(StokesVector(c_eff, 0.0, 0.0), phase),))
 
 
-@dataclass(frozen=True)
-class SourceModel:
-    variant: Variant
-    rng_seed: int
+def adversarial(decomposition: Decomposition) -> Source:
+    """An attacker preparing each event as one pure state of
+    ``decomposition``, drawn with its weight."""
+    weights, states = zip(*((w, psi.bloch) for w, psi in decomposition.terms))
+    return Source(f"adversarial(terms={len(states)})", states, weights)
 
-    def __post_init__(self) -> None:
-        seed = int(self.rng_seed)
-        if not 0 <= seed < 2 ** 64:
-            raise ParameterError("rng_seed must be an unsigned 64-bit integer")
-        object.__setattr__(self, "rng_seed", seed)
 
-    def describe(self) -> str:
-        return self.variant.describe()
+def _seed(seed: int) -> int:
+    seed = int(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ParameterError("rng_seed must be an unsigned 64-bit integer")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -163,26 +154,16 @@ class EventSource(Protocol):
     def pieces(self) -> Iterator[EventLog]: ...
 
 
-def _coincidence_bloch(model: Entangled) -> StokesVector:
-    """Bloch vector of the effective qubit that coincidence detection sees:
-    equatorial, of length coherence*(1 - accidental_fraction) (populations
-    stay at 1/2 each), rotated in the equatorial plane by ``phase``."""
-    c_eff = model.coherence * (1.0 - model.accidental_fraction)
-    return rotate_equatorial(StokesVector(c_eff, 0.0, 0.0), model.phase)
-
-
-def _born_table(variant: Variant) -> tuple[np.ndarray, np.ndarray | None]:
+def _born_table(source: Source) -> tuple[np.ndarray, np.ndarray | None]:
     """P(outcome 0) per prepared term (rows) and basis code (columns Z, X,
-    Y), with the cumulative term weights of an adversarial source; any
-    other source prepares one term and has no weights."""
-    if isinstance(variant, Adversarial):
-        d = variant.decomposition
-        blochs, cum = d.bloch_vectors(), np.cumsum(d.weights())
-        cum[-1] = 1.0
-    else:
-        bloch = variant.state if isinstance(variant, SinglePhoton) else _coincidence_bloch(variant)
-        blochs, cum = bloch.as_array()[None, :], None
-    return 0.5 * (1.0 + blochs[:, BASIS_AXIS]), cum
+    Y), with the cumulative term weights if the source has weights."""
+    blochs = np.array([s.as_array() for s in source.states])
+    p0 = 0.5 * (1.0 + blochs[:, BASIS_AXIS])
+    if source.weights is None:
+        return p0, None
+    cum = np.cumsum(source.weights)
+    cum[-1] = 1.0
+    return p0, cum
 
 
 def blocked_schedule(n: int) -> np.ndarray:
@@ -204,17 +185,18 @@ def _as_schedule(schedule: np.ndarray, n: int) -> np.ndarray:
 
 
 def sample_events(
-    model: SourceModel,
-    basis_schedule: Union[np.ndarray, str],
+    source: Source,
+    seed: int,
+    schedule: Union[np.ndarray, str],
     n: int,
     rng: np.random.Generator | None = None,
 ) -> EventLog:
-    """Draw ``n`` Born-rule outcomes under the given basis schedule: a
-    uint8 array of one basis code per event, or one basis letter for every
-    event, which builds no schedule array.
+    """Draw ``n`` Born-rule outcomes of ``source`` under the given basis
+    schedule: a uint8 array of one basis code per event, or one basis
+    letter for every event, which builds no schedule array.
 
-    Adversarial sources first draw the prepared term for each event of a
-    chunk, then the outcome uniforms for that chunk; the per-event term
+    A source with weights first draws the prepared term for each event of
+    a chunk, then the outcome uniforms for that chunk; the per-event term
     index is recorded as the event's eve_label.  An event's outcome is
     ``u >= p[term]`` for its basis's column ``p`` of the Born table.  Each
     stretch of a chunk measured in one basis gets it from whole-array
@@ -222,21 +204,22 @@ def sample_events(
     is ever built; a chunk of ``_LOOKUP_STRETCHES`` stretches or more, as
     an interleaved schedule has, looks each event's threshold up in the
     table instead.  ``rng`` continues a stream that earlier calls drew from
-    in whole ``_CHUNK`` pieces, as ``ZStream`` does; by default the model's
-    seed starts one.
+    in whole ``_CHUNK`` pieces, as ``ZStream`` does; by default ``seed``
+    starts one.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    if isinstance(basis_schedule, str):
-        if basis_schedule not in _BASIS_CODE:
-            raise ParameterError(f"unknown basis {basis_schedule!r}")
-        column = _BASIS_CODE[basis_schedule]
+    seed = _seed(seed)
+    if isinstance(schedule, str):
+        if schedule not in _BASIS_CODE:
+            raise ParameterError(f"unknown basis {schedule!r}")
+        column = _BASIS_CODE[schedule]
         sched = np.broadcast_to(np.uint8(column), (n,))
     else:
-        column, sched = None, _as_schedule(basis_schedule, n)
+        column, sched = None, _as_schedule(schedule, n)
     if rng is None:
-        rng = np.random.default_rng(model.rng_seed)
-    p0, cum = _born_table(model.variant)
+        rng = np.random.default_rng(seed)
+    p0, cum = _born_table(source)
     outcomes = np.empty(n, dtype=np.uint8)
     labels = None if cum is None else np.empty(n, dtype=np.int32)
     # Both uniform draws of a chunk land in one buffer, in the order that
@@ -267,7 +250,7 @@ def sample_events(
         cuts = np.flatnonzero(changes) + 1
         for lo, hi in zip([0, *cuts], [*cuts, len(u)]):
             _compare(u[lo:hi], terms[lo:hi], p0[:, basis[lo]], out[lo:hi])
-    return EventLog(model.describe(), model.rng_seed, sched, outcomes, labels)
+    return EventLog(source.name, seed, sched, outcomes, labels)
 
 
 def _compare(u: np.ndarray, terms: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
@@ -287,30 +270,28 @@ def _compare(u: np.ndarray, terms: np.ndarray, p: np.ndarray, out: np.ndarray) -
 @dataclass(frozen=True)
 class ZStream:
     """The ``n`` Z-basis events of a generation run, drawn a ``_CHUNK`` at a
-    time from one PCG64 stream: the events of ``sample_events(model, "Z",
-    n)`` as pieces, without its whole-run arrays; each ``pieces`` call
-    draws them again.  It is what a generation file is written from;
-    extraction reads that file back, never this stream."""
+    time from one PCG64 stream: the events of ``sample_events(prepared,
+    seed, "Z", n)`` as pieces, without its whole-run arrays; each
+    ``pieces`` call draws them again.  It is what a generation file is
+    written from; extraction reads that file back, never this stream."""
 
-    model: SourceModel
+    prepared: Source
+    seed: int
     n: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "seed", _seed(self.seed))
         if self.n < 1:
             raise ParameterError("n must be >= 1")
 
     @property
     def source(self) -> str:
-        return self.model.describe()
-
-    @property
-    def seed(self) -> int:
-        return self.model.rng_seed
+        return self.prepared.name
 
     def pieces(self) -> Iterator[EventLog]:
-        rng = np.random.default_rng(self.model.rng_seed)
+        rng = np.random.default_rng(self.seed)
         for start in range(0, self.n, _CHUNK):
-            yield sample_events(self.model, "Z", min(_CHUNK, self.n - start), rng)
+            yield sample_events(self.prepared, self.seed, "Z", min(_CHUNK, self.n - start), rng)
 
 
 def _put_decimal(rows: np.ndarray, values: np.ndarray) -> None:

@@ -471,6 +471,14 @@ def run_battery(
     return _run(bits, [_BATTERY[name] for name in tests], significance)
 
 
+def check_length(n: int, tests: tuple[str, ...]) -> None:
+    """Raise what ``run_battery`` raises for an ``n``-bit stream shorter
+    than a named test needs, reading no bits: each test's constructor
+    checks the length."""
+    for name in tests:
+        _BATTERY[name](n)
+
+
 def pass_fraction(results: list[TestResult]) -> float:
     if not results:
         return 1.0

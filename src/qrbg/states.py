@@ -132,17 +132,12 @@ class Decomposition:
             )
         object.__setattr__(self, "terms", terms)
 
-    def weights(self) -> np.ndarray:
-        return np.array([w for w, _ in self.terms], dtype=float)
-
-    def bloch_vectors(self) -> np.ndarray:
-        return np.array([psi.bloch.as_array() for _, psi in self.terms])
-
 
 def mix(d: Decomposition) -> StokesVector:
     """Mixture of the decomposition's terms: the weight-averaged Bloch
     vector of the terms."""
-    avg = d.weights() @ d.bloch_vectors()
+    weights, states = zip(*d.terms)
+    avg = np.array(weights) @ np.array([psi.bloch.as_array() for psi in states])
     return StokesVector(avg[0], avg[1], avg[2])
 
 

@@ -33,9 +33,12 @@ class CountTable:
     counts: np.ndarray  # shape (3, 2): [basis code][outcome]
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.counts, dtype=np.int64)
+        c = np.asarray(self.counts)
         if c.shape != (3, 2):
             raise ParameterError(f"expected counts of shape (3, 2), got {c.shape}")
+        if not np.issubdtype(c.dtype, np.integer):  # a cast would truncate 100.9 or read True as 1
+            raise ParameterError(f"counts must be integers, got dtype {c.dtype}")
+        c = c.astype(np.int64)
         if (c < 0).any():
             raise ParameterError("counts must be nonnegative")
         c.flags.writeable = False

@@ -15,7 +15,7 @@ import qrbg.pipeline
 import qrbg.sources
 from qrbg.bits import MAGIC, BitStream, open_bits_file, pack_bits, read_bits_file, write_bits_file
 from qrbg.cli import main
-from qrbg.errors import InsufficientEntropyError, ParameterError, QrbgError
+from qrbg.errors import InsufficientDataError, InsufficientEntropyError, ParameterError, QrbgError
 from qrbg.extractor import ExtractorParams, toeplitz_extract
 from qrbg.pipeline import (
     load_raw_bits,
@@ -23,7 +23,7 @@ from qrbg.pipeline import (
     run_pipeline,
     simulate_logs,
 )
-from qrbg.sources import SourceModel, derive_subseeds, load_event_log, sample_events
+from qrbg.sources import derive_subseeds, load_event_log, sample_events
 from qrbg.tomography import reconstruct
 
 FAST_CONFIG = """
@@ -79,11 +79,11 @@ class TestConfigParsing:
             parse_config_text("mode = single\nstate = 1,0,0\nmode = single\n")
 
     def test_mode_requirements(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^single source: single mode requires 'state"):
             parse_config_text("mode = single\n")
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^entangled source: entangled mode requires 'coherence'$"):
             parse_config_text("mode = entangled\n")
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^adversarial source: adversarial mode requires 'adv_target'"):
             parse_config_text("mode = adversarial\n")
 
     def test_adversarial_explicit_terms(self):
@@ -92,13 +92,12 @@ class TestConfigParsing:
             "adv_weights = 0.6875, 0.3125\n"
             "adv_states = 0.6,0,0.8; 0.6,0,-0.8\n"
         )
-        variant = cfg.variant()
-        assert len(variant.decomposition.terms) == 2
+        source = cfg.source()
+        assert len(source.states) == len(source.weights) == 2
 
     def test_adversarial_target_shortcut(self):
         cfg = parse_config_text("mode = adversarial\nadv_target = 0.6,0,0.3\n")
-        d = cfg.variant().decomposition
-        assert [w for w, _ in d.terms] == pytest.approx([0.6875, 0.3125], abs=1e-12)
+        assert cfg.source().weights == pytest.approx((0.6875, 0.3125), abs=1e-12)
 
     def test_tests_none(self):
         cfg = parse_config_text("mode = single\nstate = 1,0,0\ntests = none\n")
@@ -321,6 +320,23 @@ class TestRunPipeline:
             run_pipeline(cfg, str(out))
         assert not (out / "report.txt").exists()
 
+    @pytest.mark.parametrize("tests", ["monobit,runs", "serial", "none"])
+    def test_output_below_a_tests_minimum_fails_before_generating(self, tmp_path, tests):
+        # one 200-bit block hashes to 56 output bits: fewer than monobit's
+        # 100, more than serial's 32
+        cfg = parse_config_text(
+            FAST_CONFIG.replace("generation_bits = 20000", "generation_bits = 200")
+            .replace("block_n = 2000", "block_n = 200")
+            .replace("tests = monobit,runs", f"tests = {tests}")
+        )
+        out = tmp_path / "o"
+        if tests == "monobit,runs":
+            with pytest.raises(InsufficientDataError, match=r"^\[certify\] monobit needs >= 100 bits, got 56$"):
+                run_pipeline(cfg, str(out))
+            assert [p.name for p in out.iterdir()] == ["calibration.log"]
+        else:
+            assert run_pipeline(cfg, str(out)).extraction.output.bit_length == 56
+
     def test_missing_seed_file_is_io_error(self, tmp_path):
         cfg = parse_config_text(FAST_CONFIG + "seed_file = /nonexistent/seed.bits\n")
         with pytest.raises(OSError):
@@ -354,7 +370,7 @@ class TestRunPipeline:
         _, _, seeds = qrbg.pipeline._streams(cfg, 4)
         rates = [
             float(qrbg.pipeline.calibrate(
-                qrbg.pipeline._calibration_log(cfg.variant(), seed, cfg.tomography_events), cfg
+                qrbg.pipeline._calibration_log(cfg.source(), seed, cfg.tomography_events), cfg
             ).rate)
             for seed in seeds
         ]
@@ -384,6 +400,19 @@ class TestSimulateLogs:
         calib, gen, _ = simulate_logs(cfg, str(tmp_path))
         for path in (calib, gen):
             assert all(piece.eve_labels is not None for piece in load_event_log(str(path)).pieces())
+
+    def test_recalibration_is_rejected_before_any_file(self, tmp_path):
+        # a pipeline run writes the log of the segment it certifies, which
+        # need not be the first
+        cfg = parse_config_text(FAST_CONFIG + "recalibrate_every = 5000\n")
+        with pytest.raises(ParameterError, match="recalibrate_every"):
+            simulate_logs(cfg, str(tmp_path / "o"))
+        assert not (tmp_path / "o").exists()
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(FAST_CONFIG + "recalibrate_every = 5000\n")
+        r = CliRunner().invoke(main, ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert r.exit_code == 5, r.output
+        assert not (tmp_path / "o").exists()
 
 
 class TestCli:
@@ -741,15 +770,19 @@ GOLDEN_SOURCES = {
 }
 
 
+def with_source(source):
+    """FAST_CONFIG with the source ``single`` (its own) or one of SOURCE_CONFIGS."""
+    if source == "single":
+        return FAST_CONFIG
+    return FAST_CONFIG.replace("mode = single\nstate = 0.95, 0, 0.1\n", SOURCE_CONFIGS[source])
+
+
 @pytest.mark.parametrize("gen_format", ["bits", "events"])
 @pytest.mark.parametrize("source", sorted(SOURCE_CONFIGS))
 def test_source_outputs_are_pinned(tmp_path, source, gen_format):
     seed_path = tmp_path / "seed.bits"
     write_seed_file(seed_path, 6000)
-    cfg = parse_config_text(
-        FAST_CONFIG.replace("mode = single\nstate = 0.95, 0, 0.1\n", SOURCE_CONFIGS[source])
-        + f"gen_format = {gen_format}\nseed_file = {seed_path}\n"
-    )
+    cfg = parse_config_text(with_source(source) + f"gen_format = {gen_format}\nseed_file = {seed_path}\n")
     out = tmp_path / "out"
     run_pipeline(cfg, str(out))
     golden = GOLDEN_SOURCES[source]
@@ -760,11 +793,12 @@ def test_source_outputs_are_pinned(tmp_path, source, gen_format):
 
 
 @pytest.mark.parametrize("gen_format", ["bits", "events"])
-def test_staged_cli_matches_pipeline(tmp_path, gen_format):
+@pytest.mark.parametrize("source", ["single", *sorted(SOURCE_CONFIGS)])
+def test_staged_cli_matches_pipeline(tmp_path, source, gen_format):
     seed_path = tmp_path / "seed.bits"
     write_seed_file(seed_path, 6000)
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(FAST_CONFIG + f"gen_format = {gen_format}\nseed_file = {seed_path}\n")
+    cfg_path.write_text(with_source(source) + f"gen_format = {gen_format}\nseed_file = {seed_path}\n")
     staged, piped = tmp_path / "staged", tmp_path / "piped"
     runner = CliRunner()
 
@@ -1127,8 +1161,7 @@ def test_streamed_run_matches_whole_array_reference(tmp_path):
     report = run_pipeline(cfg, str(out))
 
     gen_seed = derive_subseeds(cfg.rng_seed, 2)[0]
-    model = SourceModel(cfg.variant(), gen_seed)
-    outcomes = sample_events(model, "Z", n_bits).outcomes
+    outcomes = sample_events(cfg.source(), gen_seed, "Z", n_bits).outcomes
     params = ExtractorParams(block_n, cfg.epsilon, float(report.certified))
     blocks = n_bits // block_n
     seed = read_bits_file(str(seed_path)).bits[: params.seed_bits_needed]

@@ -13,24 +13,22 @@ from qrbg.minentropy import closed_form_minentropy, minentropy_decomposition
 from qrbg.sources import (
     _BASIS_BYTES,
     BASIS_CHARS,
-    Adversarial,
-    Entangled,
     EventLog,
     PRNG_NAME,
-    SinglePhoton,
-    SourceModel,
     ZBits,
     ZStream,
     _born_table,
-    _coincidence_bloch,
     _encode,
     _record_blocks,
     _write_event_log,
+    adversarial,
     blocked_schedule,
+    entangled,
     load_event_log,
     read_event_log,
     sample_events,
     save_event_log,
+    single_photon,
 )
 from qrbg.states import (
     Decomposition,
@@ -42,21 +40,21 @@ from qrbg.states import (
 
 
 def single(s1, s2, s3, seed=1):
-    return SourceModel(SinglePhoton(StokesVector(s1, s2, s3)), seed)
+    return single_photon(StokesVector(s1, s2, s3)), seed
 
 
 class TestSampleEvents:
     def test_deterministic_source_all_zero(self):
-        log = sample_events(single(0, 0, 1), "Z", 1000)
+        log = sample_events(*single(0, 0, 1), "Z", 1000)
         assert not log.outcomes.any()
 
     def test_balanced_source_statistics(self):
-        log = sample_events(single(1, 0, 0, seed=42), "Z", 10**6)
+        log = sample_events(*single(1, 0, 0, seed=42), "Z", 10**6)
         assert abs(log.outcomes.mean() - 0.5) < 0.002
 
     def test_reproducibility_bytewise(self):
-        a = sample_events(single(0.3, 0.2, 0.1, seed=99), blocked_schedule(9000), 9000)
-        b = sample_events(single(0.3, 0.2, 0.1, seed=99), blocked_schedule(9000), 9000)
+        a = sample_events(*single(0.3, 0.2, 0.1, seed=99), blocked_schedule(9000), 9000)
+        b = sample_events(*single(0.3, 0.2, 0.1, seed=99), blocked_schedule(9000), 9000)
         assert np.array_equal(a.outcomes, b.outcomes)
         assert np.array_equal(a.bases, b.bases)
         buf_a, buf_b = io.StringIO(), io.StringIO()
@@ -65,21 +63,21 @@ class TestSampleEvents:
         assert buf_a.getvalue() == buf_b.getvalue()
 
     def test_different_seeds_differ(self):
-        a = sample_events(single(1, 0, 0, seed=1), "Z", 4000)
-        b = sample_events(single(1, 0, 0, seed=2), "Z", 4000)
+        a = sample_events(*single(1, 0, 0, seed=1), "Z", 4000)
+        b = sample_events(*single(1, 0, 0, seed=2), "Z", 4000)
         assert not np.array_equal(a.outcomes, b.outcomes)
 
     def test_schedule_length_mismatch(self):
         with pytest.raises(ParameterError):
-            sample_events(single(0, 0, 1), np.zeros(10, dtype=np.uint8), 20)
+            sample_events(*single(0, 0, 1), np.zeros(10, dtype=np.uint8), 20)
 
     def test_unknown_basis(self):
         with pytest.raises(ParameterError):
-            sample_events(single(0, 0, 1), ["Q"], 1)
+            sample_events(*single(0, 0, 1), ["Q"], 1)
 
     def test_unknown_basis_letter(self):
         with pytest.raises(ParameterError, match="unknown basis 'Q'"):
-            sample_events(single(0, 0, 1), "Q", 1)
+            sample_events(*single(0, 0, 1), "Q", 1)
 
     @pytest.mark.parametrize("schedule", [
         np.array([0, 1, 2], dtype=np.int64),  # valid codes, but a cast would be needed
@@ -88,24 +86,24 @@ class TestSampleEvents:
     ])
     def test_schedule_neither_cast_nor_wrapped(self, schedule):
         with pytest.raises(ParameterError, match="uint8 array|basis codes must be"):
-            sample_events(single(0, 0, 1), schedule, 3)
+            sample_events(*single(0, 0, 1), schedule, 3)
 
     def test_basis_dependent_probabilities(self):
         # X basis on an s1-polarized state is deterministic
-        log = sample_events(single(1, 0, 0, seed=5), "X", 2000)
+        log = sample_events(*single(1, 0, 0, seed=5), "X", 2000)
         assert not log.outcomes.any()
 
-    @pytest.mark.parametrize("adversarial", [False, True])
-    def test_z_stream_matches_one_constant_z_draw(self, monkeypatch, adversarial):
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_z_stream_matches_one_constant_z_draw(self, monkeypatch, labelled):
         monkeypatch.setattr(qrbg.sources, "_CHUNK", 1000)
-        if adversarial:
+        if labelled:
             d = worst_case_decomposition(StokesVector(0.6, 0, 0.3))
-            model = SourceModel(Adversarial(d), 12)
+            model = (adversarial(d), 12)
         else:
             model = single(0.6, 0, 0.3, seed=12)
         n = 3500  # three whole chunks and a ragged one
-        log = sample_events(model, "Z", n)
-        stream = ZStream(model, n)
+        log = sample_events(*model, "Z", n)
+        stream = ZStream(*model, n)
         raw = ZBits(stream)
         assert np.array_equal(np.concatenate(list(raw.chunks())), log.outcomes)
         assert len(raw) == n and raw.meta["source"] == log.source
@@ -116,8 +114,8 @@ class TestSampleEvents:
 
     def test_raw_bits_match_constant_z(self):
         model = single(0.6, 0, 0.3, seed=77)
-        raw = sample_events(model, "Z", 50_000).outcomes
-        log = sample_events(model, np.zeros(50_000, dtype=np.uint8), 50_000)
+        raw = sample_events(*model, "Z", 50_000).outcomes
+        log = sample_events(*model, np.zeros(50_000, dtype=np.uint8), 50_000)
         assert np.array_equal(raw, log.outcomes)
 
 
@@ -125,8 +123,8 @@ class TestAdversarialSource:
     def test_labels_recorded_and_marginal(self):
         state = StokesVector(0.6, 0, 0.3)
         d = worst_case_decomposition(state)
-        model = SourceModel(Adversarial(d), 31337)
-        log = sample_events(model, "Z", 10**6)
+        model = (adversarial(d), 31337)
+        log = sample_events(*model, "Z", 10**6)
         assert log.eve_labels is not None
         zeros = 1.0 - log.outcomes.mean()
         assert abs(zeros - 0.65) < 0.002
@@ -137,14 +135,14 @@ class TestAdversarialSource:
     def test_label_frequencies_match_weights(self):
         state = StokesVector(0.6, 0, 0.3)
         d = worst_case_decomposition(state)
-        log = sample_events(SourceModel(Adversarial(d), 4), "Z", 10**6)
+        log = sample_events(adversarial(d), 4, "Z", 10**6)
         frac_up = (log.eve_labels == 0).mean()
         assert abs(frac_up - 0.6875) < 0.002
 
     def test_marginal_consistency_three_bases(self):
         state = StokesVector(0.4, -0.3, 0.5)
         d = worst_case_decomposition(state)
-        log = sample_events(SourceModel(Adversarial(d), 8), blocked_schedule(10**6), 10**6)
+        log = sample_events(adversarial(d), 8, blocked_schedule(10**6), 10**6)
         want = mix(d).as_array()
         per = 10**6 // 3
         for code, comp in ((0, 2), (1, 0), (2, 1)):
@@ -158,7 +156,7 @@ class TestAdversarialSource:
         # equals the closed-form rate of the mixed state
         state = StokesVector(0.6, 0, 0.3)
         d = worst_case_decomposition(state)
-        log = sample_events(SourceModel(Adversarial(d), 11), "Z", 10**5)
+        log = sample_events(adversarial(d), 11, "Z", 10**5)
         p_max = np.array([0.5 * (1 + abs(psi.bloch.s3)) for _, psi in d.terms])
         empirical = float(np.mean(-np.log2(p_max[log.eve_labels])))
         assert empirical == pytest.approx(float(closed_form_minentropy(state)), abs=3e-3)
@@ -172,7 +170,7 @@ class TestAdversarialSource:
         d = Decomposition(
             tuple((float(wi), PureState(StokesVector(*r))) for wi, r in zip(w, dirs))
         )
-        log = sample_events(SourceModel(Adversarial(d), 21), "Z", 10**6)
+        log = sample_events(adversarial(d), 21, "Z", 10**6)
         p_max = np.array([0.5 * (1 + abs(psi.bloch.s3)) for _, psi in d.terms])
         surprisal = -np.log2(p_max[log.eve_labels])
         want = float(minentropy_decomposition(d))
@@ -184,9 +182,9 @@ class TestAdversarialSource:
         state = StokesVector(0.2, 0.1, 0.4)
         d = worst_case_decomposition(state)
         n = (1 << 22) + 17
-        model = SourceModel(Adversarial(d), 3)
-        a = sample_events(model, "Z", n)
-        b = sample_events(model, "Z", n)
+        model = (adversarial(d), 3)
+        a = sample_events(*model, "Z", n)
+        b = sample_events(*model, "Z", n)
         assert np.array_equal(a.outcomes, b.outcomes)
         assert np.array_equal(a.eve_labels, b.eve_labels)
 
@@ -196,8 +194,9 @@ def reference_sample(model, sched, n):
     written: per chunk, each event's term by ``searchsorted`` over the
     cumulative weights, then its outcome against its own Born-table
     threshold."""
-    rng = np.random.default_rng(model.rng_seed)
-    p0, cum = _born_table(model.variant)
+    source, seed = model
+    rng = np.random.default_rng(seed)
+    p0, cum = _born_table(source)
     outcomes = np.empty(n, dtype=np.uint8)
     labels = None if cum is None else np.empty(n, dtype=np.int32)
     for start in range(0, n, qrbg.sources._CHUNK):
@@ -240,12 +239,12 @@ def test_sampler_matches_per_event_thresholds(monkeypatch, chunk, schedule, term
     if terms is None:
         model = single(0.6, -0.2, 0.3, seed=21)
     else:
-        model = SourceModel(Adversarial(random_decomposition(terms, terms)), 21)
+        model = (adversarial(random_decomposition(terms, terms)), 21)
     sched = ORACLE_SCHEDULES[schedule]
     want_outcomes, want_labels = reference_sample(model, sched, ORACLE_EVENTS)
-    drawn = [sample_events(model, sched, ORACLE_EVENTS)]
+    drawn = [sample_events(*model, sched, ORACLE_EVENTS)]
     if schedule == "constant_z":
-        drawn.append(sample_events(model, "Z", ORACLE_EVENTS))
+        drawn.append(sample_events(*model, "Z", ORACLE_EVENTS))
     for log in drawn:
         assert np.array_equal(log.outcomes, want_outcomes)
         assert (log.eve_labels is None) == (want_labels is None)
@@ -257,7 +256,7 @@ def test_z_stream_piece_draws_without_a_threshold_buffer():
     # a whole chunk's draws (32 MiB), labels (16 MiB), outcomes (4 MiB) and
     # a few one-byte masks; a float64 threshold per event adds 32 MiB more
     d = worst_case_decomposition(StokesVector(0.9, 0.3, 0.1))
-    pieces = ZStream(SourceModel(Adversarial(d), 3), qrbg.sources._CHUNK).pieces()
+    pieces = ZStream(adversarial(d), 3, qrbg.sources._CHUNK).pieces()
     tracemalloc.start()
     try:
         next(pieces)
@@ -269,7 +268,8 @@ def test_z_stream_piece_draws_without_a_threshold_buffer():
 
 def coincidence_state(coherence, accidental_fraction, phase=0.0):
     """The effective qubit that coincidence detection of a pair sees."""
-    return _coincidence_bloch(Entangled(coherence, accidental_fraction, phase))
+    (state,) = entangled(coherence, accidental_fraction, phase).states
+    return state
 
 
 class TestEffectiveQubit:
@@ -312,8 +312,7 @@ class TestEffectiveQubit:
 
 
 def coincidences(coherence, basis, n, seed):
-    model = SourceModel(Entangled(coherence, 0.0), seed)
-    return sample_events(model, basis, n)
+    return sample_events(entangled(coherence, 0.0), seed, basis, n)
 
 
 class TestSampleCoincidences:
@@ -335,7 +334,7 @@ class TestEventLogFiles:
     def test_roundtrip_with_labels(self):
         d = worst_case_decomposition(StokesVector(0.6, 0, 0.3))
         interleaved = (np.arange(500) % 3).astype(np.uint8)
-        log = sample_events(SourceModel(Adversarial(d), 5), interleaved, 500)
+        log = sample_events(adversarial(d), 5, interleaved, 500)
         buf = io.StringIO()
         _write_event_log(log, buf)
         back = read_event_log(io.StringIO(buf.getvalue()))
@@ -346,7 +345,7 @@ class TestEventLogFiles:
         assert np.array_equal(back.eve_labels, log.eve_labels)
 
     def test_roundtrip_via_path(self, tmp_path):
-        log = sample_events(single(0.5, 0, 0.5, seed=13), blocked_schedule(300), 300)
+        log = sample_events(*single(0.5, 0, 0.5, seed=13), blocked_schedule(300), 300)
         path = tmp_path / "events.log"
         save_event_log(log, str(path))
         text = path.read_text()
@@ -369,7 +368,7 @@ class TestEventLogFiles:
 
     def test_written_in_chunks_of_any_size(self, monkeypatch):
         d = worst_case_decomposition(StokesVector(0.6, 0, 0.3))
-        log = sample_events(SourceModel(Adversarial(d), 9), blocked_schedule(100), 100)
+        log = sample_events(adversarial(d), 9, blocked_schedule(100), 100)
         whole = io.StringIO()
         _write_event_log(log, whole)
         monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
@@ -381,11 +380,11 @@ class TestEventLogFiles:
     def test_read_in_pieces_of_any_size(self, monkeypatch, labelled):
         if labelled:
             d = worst_case_decomposition(StokesVector(0.6, 0, 0.3))
-            model = SourceModel(Adversarial(d), 9)
+            model = (adversarial(d), 9)
         else:
             model = single(0.6, 0, 0.3, seed=9)
         buf = io.StringIO()
-        _write_event_log(sample_events(model, blocked_schedule(100), 100), buf)
+        _write_event_log(sample_events(*model, blocked_schedule(100), 100), buf)
         whole = read_event_log(io.StringIO(buf.getvalue()))
         monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
         pieced = read_event_log(io.StringIO(buf.getvalue()))
@@ -571,7 +570,7 @@ def codec_log(labels, n, seed=3):
     """A log with 3 columns (labels None), one-digit eve_labels
     (worst-case decomposition, 2 terms) or two-digit ones (12 terms)."""
     if labels is None:
-        return sample_events(single(0.5, 0.2, 0.4, seed=seed), blocked_schedule(n), n)
+        return sample_events(*single(0.5, 0.2, 0.4, seed=seed), blocked_schedule(n), n)
     if labels == "one digit":
         d = worst_case_decomposition(StokesVector(0.6, 0, 0.3))
     else:
@@ -579,7 +578,7 @@ def codec_log(labels, n, seed=3):
         d = Decomposition(tuple(
             (1 / 12, PureState(StokesVector(0.6 * np.cos(a), 0.6 * np.sin(a), 0.8))) for a in angles
         ))
-    return sample_events(SourceModel(Adversarial(d), seed), blocked_schedule(n), n)
+    return sample_events(adversarial(d), seed, blocked_schedule(n), n)
 
 
 def in_pieces(log, sizes):
@@ -763,7 +762,7 @@ def test_header_seed_must_be_a_non_negative_decimal(seed):
 
 
 def test_event_log_fields_follow_schedule():
-    log = sample_events(single(0, 0, 1, seed=2), np.array([0, 1, 2], dtype=np.uint8), 3)
+    log = sample_events(*single(0, 0, 1, seed=2), np.array([0, 1, 2], dtype=np.uint8), 3)
     assert log.n == 3
     assert log.bases.tolist() == [0, 1, 2]
     assert log.eve_labels is None
@@ -777,14 +776,17 @@ def test_blocked_schedule_is_equal_thirds():
     assert (np.diff(np.flatnonzero(np.diff(sched))) > 0).all()
 
 
-def test_source_model_seed_range():
-    with pytest.raises(ParameterError):
-        SourceModel(SinglePhoton(StokesVector(0, 0, 0)), -1)
-    with pytest.raises(ParameterError):
-        SourceModel(SinglePhoton(StokesVector(0, 0, 0)), 2**64)
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_must_be_unsigned_64_bit(seed):
+    source = single_photon(StokesVector(0, 0, 0))
+    with pytest.raises(ParameterError, match="unsigned 64-bit"):
+        sample_events(source, seed, "Z", 1)
+    with pytest.raises(ParameterError, match="unsigned 64-bit"):
+        ZStream(source, seed, 1)
 
 
-def test_entangled_describe_round_trips_parameters():
-    v = Entangled(0.88, 0.0409, 0.25)
-    text = v.describe()
-    assert "coherence=0.88" in text and "accidental_fraction=0.0409" in text
+def test_source_names_are_the_log_headers():
+    s = StokesVector(0.6, 0, 0.3)
+    assert single_photon(s).name == "single_photon(s1=0.6,s2=0.0,s3=0.3)"
+    assert entangled(0.88, 0.0409, 0.25).name == "entangled(coherence=0.88,accidental_fraction=0.0409,phase=0.25)"
+    assert adversarial(worst_case_decomposition(s)).name == "adversarial(terms=2)"

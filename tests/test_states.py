@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qrbg.errors import ParameterError
-from qrbg.sources import SinglePhoton, _born_table
+from qrbg.sources import _born_table, single_photon
 from qrbg.states import (
     Decomposition,
     PureState,
@@ -60,7 +60,7 @@ class TestPhysicalityMatchesPositivity:
 def born_z(s):
     """Computational-basis outcome probabilities of the state with Bloch
     vector ``s``, read from the Born table that the sampler draws from."""
-    p0 = float(_born_table(SinglePhoton(s))[0][0, 0])
+    p0 = float(_born_table(single_photon(s))[0][0, 0])
     return p0, 1.0 - p0
 
 
@@ -126,7 +126,7 @@ class TestMix:
                 )
             )
             got = mix(d).as_array()
-            want = w @ d.bloch_vectors()
+            want = w @ dirs
             np.testing.assert_allclose(got, want, atol=1e-12)
 
 

@@ -8,14 +8,13 @@ from qrbg.errors import InsufficientDataError, ParameterError
 from qrbg.minentropy import closed_form_minentropy, lower_confidence_rate, rate_from_coherence
 from qrbg.pipeline import Calibration, PipelineConfig, calibrate
 from qrbg.sources import (
-    Adversarial,
     EventLog,
-    SinglePhoton,
-    SourceModel,
+    adversarial,
     blocked_schedule,
     load_event_log,
     sample_events,
     save_event_log,
+    single_photon,
 )
 from qrbg.states import StokesVector, worst_case_decomposition
 from qrbg.tomography import (
@@ -55,8 +54,7 @@ class TestTally:
         assert c.counts[0].tolist() == [500, 500]
 
     def test_simulated_fraction(self):
-        model = SourceModel(SinglePhoton(StokesVector(0.6, 0, 0.3)), 2024)
-        log = sample_events(model, blocked_schedule(3 * 10**6), 3 * 10**6)
+        log = sample_events(single_photon(StokesVector(0.6, 0, 0.3)), 2024, blocked_schedule(3 * 10**6), 3 * 10**6)
         c = _tally(log)
         frac = c.counts[1, 0] / c.counts[1].sum()
         assert abs(frac - 0.8) < 0.001
@@ -66,14 +64,13 @@ class TestTally:
         with pytest.raises(InsufficientDataError):
             _tally(log)
 
-    @pytest.mark.parametrize("adversarial", [False, True])
-    def test_pieces_read_back_tally_as_the_log_in_memory(self, tmp_path, monkeypatch, adversarial):
-        if adversarial:
-            d = worst_case_decomposition(StokesVector(0.6, 0, 0.3))
-            model = SourceModel(Adversarial(d), 5)
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_pieces_read_back_tally_as_the_log_in_memory(self, tmp_path, monkeypatch, labelled):
+        if labelled:
+            source = adversarial(worst_case_decomposition(StokesVector(0.6, 0, 0.3)))
         else:
-            model = SourceModel(SinglePhoton(StokesVector(0.6, 0, 0.3)), 5)
-        log = sample_events(model, blocked_schedule(1000), 1000)
+            source = single_photon(StokesVector(0.6, 0, 0.3))
+        log = sample_events(source, 5, blocked_schedule(1000), 1000)
         path = tmp_path / "calibration.log"
         save_event_log(log, str(path))
         monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
@@ -155,44 +152,38 @@ class TestEstimateStokes:
 
 class TestReconstruct:
     def test_high_coherence_source(self):
-        model = SourceModel(SinglePhoton(StokesVector(0.9996, 0, 0)), 515)
-        log = sample_events(model, blocked_schedule(3 * 10**6), 3 * 10**6)
+        log = sample_events(single_photon(StokesVector(0.9996, 0, 0)), 515, blocked_schedule(3 * 10**6), 3 * 10**6)
         result, rate = reconstruct(log)
         assert 0.94 <= float(rate) <= 0.98
         assert abs(float(rate) - 0.96) < 0.02
 
     def test_ideal_diagonal_source(self):
-        model = SourceModel(SinglePhoton(StokesVector(1, 0, 0)), 616)
-        log = sample_events(model, blocked_schedule(3 * 10**6), 3 * 10**6)
+        log = sample_events(single_photon(StokesVector(1, 0, 0)), 616, blocked_schedule(3 * 10**6), 3 * 10**6)
         _, rate = reconstruct(log)
         assert float(rate) >= 0.99
 
     def test_zero_coherence_source(self):
-        model = SourceModel(SinglePhoton(StokesVector(0, 0, 0.5)), 717)
-        log = sample_events(model, blocked_schedule(300_000), 300_000)
+        log = sample_events(single_photon(StokesVector(0, 0, 0.5)), 717, blocked_schedule(300_000), 300_000)
         _, rate = reconstruct(log)
         assert float(rate) < 1e-4
         conservative = calibrate(log, PipelineConfig(alpha=0.01, conservative=True)).rate
         assert float(conservative) == 0.0
 
     def test_conservative_rate_never_higher(self):
-        model = SourceModel(SinglePhoton(StokesVector(0.8, 0, 0.1)), 818)
-        log = sample_events(model, blocked_schedule(300_000), 300_000)
+        log = sample_events(single_photon(StokesVector(0.8, 0, 0.1)), 818, blocked_schedule(300_000), 300_000)
         _, plug_in = reconstruct(log)
         lower = calibrate(log, PipelineConfig(alpha=0.01, conservative=True)).rate
         assert float(lower) <= float(plug_in)
 
     def test_hoeffding_companion_below_rate(self):
-        model = SourceModel(SinglePhoton(StokesVector(0.8, 0, 0.1)), 919)
-        log = sample_events(model, blocked_schedule(300_000), 300_000)
+        log = sample_events(single_photon(StokesVector(0.8, 0, 0.1)), 919, blocked_schedule(300_000), 300_000)
         result, rate = reconstruct(log)
         lower = lower_confidence_rate(result.s_hat, int(result.n_per_basis.min()), 0.01)
         assert float(rate) == float(closed_form_minentropy(result.s_hat))
         assert float(lower) <= float(rate)
 
     def test_requires_all_bases(self):
-        model = SourceModel(SinglePhoton(StokesVector(0.5, 0, 0)), 10)
-        log = sample_events(model, "Z", 1000)
+        log = sample_events(single_photon(StokesVector(0.5, 0, 0)), 10, "Z", 1000)
         with pytest.raises(InsufficientDataError):
             reconstruct(log)
 
@@ -210,6 +201,8 @@ def test_calibration_report_block():
 @pytest.mark.parametrize("counts, message", [
     (np.ones((2, 2)), r"shape \(3, 2\), got \(2, 2\)"),
     (np.array([[5, 5], [5, -1], [5, 5]]), "nonnegative"),
+    (np.array([[100.9, 100.2], [150.7, 50], [100, 100.5]]), "integers, got dtype float64"),
+    (np.ones((3, 2), dtype=bool), "integers, got dtype bool"),
 ])
 def test_count_table_rejects_bad_counts(counts, message):
     with pytest.raises(ParameterError, match=message):
