@@ -37,6 +37,16 @@ def _is_decimal(text: str) -> bool:
     return text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")
 
 
+def _header_line(header: dict[str, str], text: str, where: str) -> None:
+    """Add the '# key=value' header line ``text`` of a bits file or an
+    event log to ``header``; a key given twice is an error."""
+    key, _, value = text[1:].partition("=")
+    key = key.strip()
+    if key in header:
+        raise ParameterError(f"{where} header repeats key {key!r}")
+    header[key] = value.strip()
+
+
 def _bit_array(values, what: str) -> np.ndarray:
     """``values`` as uint8, rejected unless every value is 0 or 1: a cast
     first would wrap 256 to 0 and 257 to 1."""
@@ -213,8 +223,7 @@ def open_bits_file(path: str, role: str | None = None) -> BitsFile:
             text = line.decode("ascii").strip()
             if not text.startswith("#"):
                 raise ParameterError(f"{path}: malformed header line {text!r}")
-            key, _, value = text[1:].strip().partition("=")
-            header[key.strip()] = value.strip()
+            _header_line(header, text, f"{path}:")
         offset = fh.tell()
         size = os.fstat(fh.fileno()).st_size - offset
     length = header.get("bit_length", "")

@@ -93,8 +93,9 @@ _FLAGS = {"0": False, "1": True, "false": False, "true": True, "no": False, "yes
 _flag = _checked(lambda t: _FLAGS.get(t.lower()), lambda v: v is not None, f"is not {'|'.join(_FLAGS)}")
 _probability = _checked(float, lambda v: 0.0 < v < 1.0, "is outside (0, 1)")
 _count = _checked(int, lambda v: v > 0, "is not positive")
-# a path the report records must be ASCII, as the report is
-_ascii_path = _checked(str, str.isascii, "is not ASCII")
+# a path the report records must be ASCII, as the report is; an empty one
+# names no file
+_ascii_path = _checked(_checked(str, bool, "is empty"), str.isascii, "is not ASCII")
 _block_size = _checked(
     int,
     lambda v: 0 < v <= ExtractorParams.MAX_N,
@@ -120,6 +121,9 @@ def _parse_tests(text: str) -> tuple[str, ...]:
     unknown = [t for t in names if t not in ALL_TESTS]
     if unknown:
         raise ValueError(f"unknown tests {unknown}")
+    repeated = sorted({t for t in names if names.count(t) > 1})
+    if repeated:
+        raise ValueError(f"repeated tests {repeated}")
     return names
 
 
@@ -151,8 +155,12 @@ def _adversarial(cfg: PipelineConfig) -> Source:
     return adversarial(Decomposition(tuple((w, PureState(StokesVector(*s))) for w, s in terms)))
 
 
-# mode -> the builder of its source from the mode's keys, which it checks
-_SOURCES = {"single": _single, "entangled": _entangled, "adversarial": _adversarial}
+# mode -> the builder of its source, and the keys it builds from, which it checks
+_SOURCES = {
+    "single": (_single, ("state",)),
+    "entangled": (_entangled, ("coherence", "accidental_fraction", "phase")),
+    "adversarial": (_adversarial, ("adv_target", "adv_weights", "adv_states")),
+}
 
 
 def _key(default, parse, show=str):
@@ -220,8 +228,14 @@ class PipelineConfig:
         return self.source()
 
     def source(self) -> Source:
+        """The configured mode's source; a key of another mode set away
+        from its default is an error, as the source would not use it."""
         try:
-            return _SOURCES[self.mode](self)
+            for mode, (_, keys) in _SOURCES.items():
+                for key in keys:
+                    if mode != self.mode and getattr(self, key) != _FIELDS[key].default:
+                        raise ParameterError(f"{key} is a key of {mode} mode")
+            return _SOURCES[self.mode][0](self)
         except ParameterError as exc:
             raise ParameterError(f"{self.mode} source: {exc}") from None
 

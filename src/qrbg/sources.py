@@ -34,7 +34,7 @@ from typing import Iterator, Protocol, TextIO, Union
 
 import numpy as np
 
-from .bits import _is_decimal
+from .bits import _header_line, _is_decimal
 from .errors import InsufficientDataError, ParameterError
 from .states import (
     Decomposition,
@@ -66,8 +66,9 @@ _INDEX_SPAN = 10 ** 5
 _INDEX_DIGITS = (
     np.arange(_INDEX_SPAN, dtype=np.int32) // 10 ** np.arange(4, -1, -1, dtype=np.int32)[:, None] % 10 + ord("0")
 ).astype(np.uint8)
-# Records per piece of event-log I/O, written or read; bounds the working
-# memory of both directions.
+# Records per piece the event-log writer encodes, and characters per read
+# of the reader, each read one piece; bounds the working memory of both
+# directions.
 _LOG_ROWS = 1 << 17
 
 # Fixed sampling chunk; part of the reproducibility contract because it
@@ -376,7 +377,7 @@ def _reject(bad: np.ndarray, first: int, what: str) -> None:
 def _read_log(fh: TextIO) -> tuple[str, int, int | None, Iterator[EventLog]]:
     """An event log's '# key=value' header, parsed now, as its source, seed
     and declared record count ``n`` (None if not given), and its records as
-    pieces of at most ``_LOG_ROWS`` lines, each checked as it is read: the
+    pieces, one per read of the file, each checked as it is read: the
     piece must equal its own re-encoding, which holds exactly when every
     line is the record the writer would put there (indices continuing from
     the previous piece, basis Z, X or Y, outcome 0 or 1, the first record's
@@ -386,8 +387,7 @@ def _read_log(fh: TextIO) -> tuple[str, int, int | None, Iterator[EventLog]]:
     for line in fh:
         text = line.strip()
         if text.startswith("#"):
-            key, _, value = text[1:].partition("=")
-            header[key.strip()] = value.strip()
+            _header_line(header, text, "event log")
         elif text:
             break
     else:
@@ -405,31 +405,23 @@ def _read_log(fh: TextIO) -> tuple[str, int, int | None, Iterator[EventLog]]:
 
 
 def _record_blocks(head: str, fh: TextIO) -> Iterator[tuple[bytearray, np.ndarray]]:
-    """The record lines from ``head`` on, as ASCII bytes cut after every
-    ``_LOG_ROWS``-th newline, each block with its newline offsets; a last
-    line with no newline is given one.  The file is read ``_LOG_ROWS``
-    characters at a time, which is faster than joining its lines, and each
-    read is scanned for newlines once, the offsets past a cut carried on."""
-    reads = chain([head], iter(lambda: fh.read(_LOG_ROWS), ""))
-    buf, found, lines = bytearray(), [], 0
-    while True:
-        while lines < _LOG_ROWS and (more := next(reads, "").encode("ascii")):
-            at = np.flatnonzero(np.frombuffer(more, dtype=np.uint8) == ord("\n"))
-            found.append(at + len(buf))
-            buf += more
-            lines += len(at)
-        if not buf:
-            return
-        if lines < _LOG_ROWS and not buf.endswith(b"\n"):  # the file ended mid-line
-            found.append(np.array([len(buf)]))
-            buf += b"\n"
-        ends = np.concatenate(found)
-        ends, rest = ends[:_LOG_ROWS], ends[_LOG_ROWS:]
-        cut = int(ends[-1]) + 1
-        block, buf = buf, buf[cut:]  # hand out the buffer, keep the rest
-        del block[cut:]
-        found, lines = [rest - cut], len(rest)
-        yield block, ends
+    """The record lines from ``head`` on, one block per read of
+    ``_LOG_ROWS`` characters that completes a line (``head`` joins the
+    first read): the lines the read completes, as ASCII bytes with their
+    newline offsets.  Only the read's partial last line is carried into the
+    next; a last line with no newline is given one."""
+    part = bytearray()
+    for text in chain([head + fh.read(_LOG_ROWS)], iter(lambda: fh.read(_LOG_ROWS), "")):
+        more = text.encode("ascii")
+        at = np.flatnonzero(np.frombuffer(more, dtype=np.uint8) == ord("\n"))
+        if not len(at):
+            part += more
+            continue
+        cut = int(at[-1]) + 1
+        yield part + more[:cut], at + len(part)
+        part = bytearray(more[cut:])
+    if part:  # the file ended mid-line
+        yield part + b"\n", np.array([len(part)])
 
 
 def _log_pieces(
@@ -495,25 +487,6 @@ def _fault(line: str, index: int, width: int) -> str:
         if outcome not in ("0", "1"):
             return "outcome is not 0 or 1"
     return f"not a canonical record: {line!r}"
-
-
-def read_event_log(fh: TextIO) -> EventLog:
-    """A whole event log in memory: its pieces, concatenated.  A handle
-    opened in another encoding may hold a character outside ASCII, which
-    no record can hold."""
-    *_, pieces = _read_log(fh)
-    try:
-        logs = list(pieces)
-    except UnicodeEncodeError as exc:
-        raise ParameterError(f"event log character {exc.object[exc.start]!r} is not ASCII") from None
-    labels = None if logs[0].eve_labels is None else np.concatenate([p.eve_labels for p in logs])
-    return EventLog(
-        logs[0].source,
-        logs[0].seed,
-        np.concatenate([p.bases for p in logs]),
-        np.concatenate([p.outcomes for p in logs]),
-        labels,
-    )
 
 
 @dataclass(frozen=True)

@@ -161,3 +161,14 @@ def test_writer_rejects_a_header_value_with_a_newline(tmp_path):
     with pytest.raises(ParameterError, match="header value for 'note' contains newline"):
         BitsWriter(str(tmp_path / "o.bits"), 8, {"note": "a\nb"})
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("head, key", [
+    (b"# bit_length=8\n# role=raw\n# role=seed\n", "role"),  # read last-wins, it passes as a seed
+    (b"# bit_length=8\n# bit_length = 8\n# role=seed\n", "bit_length"),
+], ids=["role", "bit_length"])
+def test_repeated_header_key_rejected(tmp_path, head, key):
+    path = tmp_path / "twice.bits"
+    path.write_bytes(MAGIC + head + b"\n\xff")
+    with pytest.raises(ParameterError, match=f"twice.bits: header repeats key '{key}'"):
+        open_bits_file(str(path), "seed")

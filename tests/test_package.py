@@ -13,7 +13,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # Public names kept as reference oracles and test seams, which nothing in
 # the package calls.
-ORACLES = {"toeplitz_extract", "universality_check", "minentropy_decomposition", "mix", "read_event_log"}
+ORACLES = {"toeplitz_extract", "universality_check", "minentropy_decomposition", "mix"}
 
 
 def entry_point_block() -> str:

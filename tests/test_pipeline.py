@@ -57,7 +57,12 @@ UNBUILDABLE_SOURCES = {
         "mode = adversarial\nadv_weights = 0.6, 0.3\nadv_states = 1,0,0; -1,0,0\n", "sum"
     ),
     "coherence above one": ("mode = entangled\ncoherence = 1.5\n", "coherence"),
+    "key of another mode": ("mode = single\nstate = 1,0,0\ncoherence = 0.5\n", "coherence is a key of entangled mode"),
 }
+
+
+# Each mode's keys that build its source, as a config sets them.
+MODE_KEYS = {"single": "state = 1,0,0\n", "entangled": "coherence = 0.88\n", "adversarial": "adv_target = 0.6,0,0.3\n"}
 
 
 class TestConfigParsing:
@@ -152,6 +157,21 @@ class TestConfigParsing:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("mode, key, value, owner", [
+        ("single", "coherence", "0.5", "entangled"),
+        ("single", "adv_target", "0.1,0,0", "adversarial"),
+        ("entangled", "state", "1,0,0", "single"),
+        ("adversarial", "phase", "0.3", "entangled"),
+    ])
+    def test_key_of_another_mode_rejected(self, mode, key, value, owner):
+        text = f"mode = {mode}\n{MODE_KEYS[mode]}{key} = {value}\n"
+        with pytest.raises(ParameterError, match=f"^{mode} source: {key} is a key of {owner} mode$"):
+            parse_config_text(text)
+
+    def test_key_of_another_mode_at_its_default_is_read(self):
+        cfg = parse_config_text("mode = single\nstate = 1,0,0\naccidental_fraction = 0\nphase = 0.0\n")
+        assert ("accidental_fraction", "0.0") in cfg.echo() and ("phase", "0.0") in cfg.echo()
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_phase_must_be_finite(self, value):
         with pytest.raises(ParameterError, match=f"line 3: bad value for phase: '{value}' is not finite"):
@@ -161,6 +181,9 @@ class TestConfigParsing:
         ("mode single\n", "line 1: expected key=value, got 'mode single'"),
         ("mode = adversarial\nadv_target = 0.6,0,0.3\nadv_weights = 1\n", "either adv_target or adv_weights"),
         ("mode = single\nstate = 1,0,0\ntests = bogus\n", "line 3: bad value for tests: unknown tests"),
+        ("mode = single\nstate = 1,0,0\ntests = monobit,runs,monobit\n", r"line 3: bad value for tests: repeated tests \['monobit'\]$"),
+        # read as no seed file, a run would draw a system seed instead
+        ("mode = single\nstate = 1,0,0\nseed_file =\n", "line 3: bad value for seed_file: '' is empty$"),
     ])
     def test_malformed_config_text_rejected(self, text, message):
         with pytest.raises(ParameterError, match=message):
@@ -1060,6 +1083,27 @@ def test_pipeline_rejects_a_bad_seed_file(tmp_path, case):
     else:
         assert f"[seed] {message}" in r.output
         assert not out.exists()
+
+
+def test_extract_rejects_an_empty_seed_file_option(tmp_path):
+    raw = tmp_path / "raw.bits"
+    write_bits_file(str(raw), BitStream(np.ones(20000, dtype=np.uint8)), {"role": "raw"})
+    r = CliRunner().invoke(main, [
+        "extract", str(raw), "--h-rate", "0.9", "--block-n", "2000", "--epsilon", "2^-16",
+        "--seed-file", "", "--out", str(tmp_path / "out.bits"),
+    ])
+    assert r.exit_code == 5, r.output
+    assert "bad value for seed_file: '' is empty" in r.output
+    # no output, and no seed drawn in place of the named one
+    assert [p.name for p in tmp_path.iterdir()] == ["raw.bits"]
+
+
+def test_repeated_test_name_exit_code(tmp_path):
+    path = tmp_path / "bits.bits"
+    write_bits_file(str(path), BitStream(np.arange(2000, dtype=np.uint8) % 2), {"role": "raw"})
+    r = CliRunner().invoke(main, ["test", str(path), "--tests", "monobit,monobit"])
+    assert r.exit_code == 5, r.output
+    assert "repeated tests ['monobit']" in r.output and "test=monobit" not in r.output
 
 
 ROUND_TRIP_CONFIGS = {

@@ -25,7 +25,6 @@ from qrbg.sources import (
     blocked_schedule,
     entangled,
     load_event_log,
-    read_event_log,
     sample_events,
     save_event_log,
     single_photon,
@@ -41,6 +40,23 @@ from qrbg.states import (
 
 def single(s1, s2, s3, seed=1):
     return single_photon(StokesVector(s1, s2, s3)), seed
+
+
+def read_log(tmp_path, text):
+    """``text`` written to a file and read back through ``load_event_log``,
+    its pieces joined into one log."""
+    path = tmp_path / "events.log"
+    path.write_text(text, encoding="utf-8")
+    opened = load_event_log(str(path))
+    pieces = list(opened.pieces())
+    labels = None if pieces[0].eve_labels is None else np.concatenate([p.eve_labels for p in pieces])
+    return EventLog(
+        opened.source,
+        opened.seed,
+        np.concatenate([p.bases for p in pieces]),
+        np.concatenate([p.outcomes for p in pieces]),
+        labels,
+    )
 
 
 class TestSampleEvents:
@@ -331,13 +347,13 @@ class TestSampleCoincidences:
 
 
 class TestEventLogFiles:
-    def test_roundtrip_with_labels(self):
+    def test_roundtrip_with_labels(self, tmp_path):
         d = worst_case_decomposition(StokesVector(0.6, 0, 0.3))
         interleaved = (np.arange(500) % 3).astype(np.uint8)
         log = sample_events(adversarial(d), 5, interleaved, 500)
         buf = io.StringIO()
         _write_event_log(log, buf)
-        back = read_event_log(io.StringIO(buf.getvalue()))
+        back = read_log(tmp_path, buf.getvalue())
         assert back.source == log.source
         assert back.seed == log.seed
         assert np.array_equal(back.bases, log.bases)
@@ -354,17 +370,25 @@ class TestEventLogFiles:
         first_record = text.splitlines()[4]
         assert first_record.startswith("0,Z,")
 
-    def test_empty_log_rejected(self):
+    def test_empty_log_rejected(self, tmp_path):
         with pytest.raises(InsufficientDataError):
-            read_event_log(io.StringIO("# source=x\n# seed=0\n"))
+            read_log(tmp_path, "# source=x\n# seed=0\n")
 
-    def test_index_gap_rejected(self):
+    def test_index_gap_rejected(self, tmp_path):
         with pytest.raises(ParameterError):
-            read_event_log(io.StringIO("0,Z,0\n2,Z,1\n"))
+            read_log(tmp_path, "0,Z,0\n2,Z,1\n")
 
-    def test_header_count_mismatch_rejected(self):
+    def test_header_count_mismatch_rejected(self, tmp_path):
         with pytest.raises(ParameterError):
-            read_event_log(io.StringIO("# n=3\n0,Z,0\n1,Z,1\n"))
+            read_log(tmp_path, "# n=3\n0,Z,0\n1,Z,1\n")
+
+    @pytest.mark.parametrize("key", ["n", "seed", "source"])
+    def test_repeated_header_key_rejected(self, tmp_path, key):
+        # the writer never repeats a key; read last-wins, "# n=5" then
+        # "# n=2" would declare two records
+        head = {"n": "# n=5\n# n=2\n", "seed": "# seed=1\n# seed=1\n", "source": "# source=x\n# source=y\n"}[key]
+        with pytest.raises(ParameterError, match=f"event log header repeats key '{key}'"):
+            read_log(tmp_path, head + "0,Z,0\n1,Z,1\n")
 
     def test_written_in_chunks_of_any_size(self, monkeypatch):
         d = worst_case_decomposition(StokesVector(0.6, 0, 0.3))
@@ -377,7 +401,7 @@ class TestEventLogFiles:
         assert chunked.getvalue() == whole.getvalue()
 
     @pytest.mark.parametrize("labelled", [False, True])
-    def test_read_in_pieces_of_any_size(self, monkeypatch, labelled):
+    def test_read_in_pieces_of_any_size(self, tmp_path, monkeypatch, labelled):
         if labelled:
             d = worst_case_decomposition(StokesVector(0.6, 0, 0.3))
             model = (adversarial(d), 9)
@@ -385,9 +409,9 @@ class TestEventLogFiles:
             model = single(0.6, 0, 0.3, seed=9)
         buf = io.StringIO()
         _write_event_log(sample_events(*model, blocked_schedule(100), 100), buf)
-        whole = read_event_log(io.StringIO(buf.getvalue()))
+        whole = read_log(tmp_path, buf.getvalue())
         monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
-        pieced = read_event_log(io.StringIO(buf.getvalue()))
+        pieced = read_log(tmp_path, buf.getvalue())
         assert (pieced.source, pieced.seed) == (whole.source, whole.seed)
         assert np.array_equal(pieced.bases, whole.bases)
         assert np.array_equal(pieced.outcomes, whole.outcomes)
@@ -412,10 +436,10 @@ MALFORMED_LOGS = {
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_LOGS))
-def test_malformed_log_rejected(name):
+def test_malformed_log_rejected(tmp_path, name):
     records, error = MALFORMED_LOGS[name]
     with pytest.raises(error):
-        read_event_log(io.StringIO(HEADER + records))
+        read_log(tmp_path, HEADER + records)
 
 
 # Logs whose first record or header the reader rejects before reading
@@ -428,10 +452,10 @@ BAD_LOG_HEADS = {
 
 
 @pytest.mark.parametrize("name", sorted(BAD_LOG_HEADS))
-def test_bad_first_record_or_header_rejected(name):
+def test_bad_first_record_or_header_rejected(tmp_path, name):
     text, message = BAD_LOG_HEADS[name]
     with pytest.raises(ParameterError, match=message):
-        read_event_log(io.StringIO(text))
+        read_log(tmp_path, text)
 
 
 def after_good_records(records, lead):
@@ -446,19 +470,19 @@ def after_good_records(records, lead):
 
 # "header only" has no bad record to move
 @pytest.mark.parametrize("name", sorted(set(MALFORMED_LOGS) - {"header only"}))
-def test_malformed_log_rejected_after_first_piece(monkeypatch, name):
+def test_malformed_log_rejected_after_first_piece(tmp_path, monkeypatch, name):
     monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
     records, error = MALFORMED_LOGS[name]
-    lead = 10  # the bad record lies in the second piece
+    lead = 10  # the bad record lies past the first piece
     with pytest.raises(error):
-        read_event_log(io.StringIO(f"# n={lead + 2}\n" + after_good_records(records, lead)))
+        read_log(tmp_path, f"# n={lead + 2}\n" + after_good_records(records, lead))
 
 
-def test_piece_errors_name_the_whole_log_record(monkeypatch):
+def test_piece_errors_name_the_whole_log_record(tmp_path, monkeypatch):
     monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
     log = "# n=12\n" + after_good_records(MALFORMED_LOGS["basis Q"][0], 10)
     with pytest.raises(ParameterError, match="event record 10: basis"):
-        read_event_log(io.StringIO(log))
+        read_log(tmp_path, log)
 
 
 def boundary_records(labels, final_newline):
@@ -467,51 +491,61 @@ def boundary_records(labels, final_newline):
     return text if final_newline else text[:-1]
 
 
-def read_ends(text):
-    """Where in ``text`` the reads of the record reader end with 7-row
-    pieces: after the first line, then every 7 characters."""
-    head = text.index("\n") + 1
-    return [*range(head + 7, len(text), 7), len(text)]
+def read_ends(text, rows):
+    """Where in the record lines ``text`` the record reader's reads of
+    ``rows`` characters end: the first joins the first line."""
+    head = text.find("\n") + 1 or len(text)
+    return [*range(head + rows, len(text), rows), len(text)]
 
 
-def cut_after_every_7th_newline(text):
-    """The blocks and newline offsets the reader must hand out for 7-row
-    pieces: a cut after every 7th newline, the last line given one."""
-    lines = text.splitlines(keepends=True)
-    lines[-1] = lines[-1].rstrip("\n") + "\n"
-    for start in range(0, len(lines), 7):
-        block = "".join(lines[start : start + 7]).encode()
-        yield block, [i for i, byte in enumerate(block) if byte == ord("\n")]
+def one_piece_per_read(text, rows):
+    """The blocks and newline offsets the reader must hand out for reads
+    of ``rows`` characters: for each read that completes a line, the lines
+    it completes, from the partial line the reads before it left; the last
+    line given a newline if it has none."""
+    cut = 0
+    for end in read_ends(text, rows):
+        stop = text.rfind("\n", 0, end) + 1
+        if stop > cut:
+            yield text[cut:stop].encode(), [i for i, char in enumerate(text[cut:stop]) if char == "\n"]
+            cut = stop
+    if cut < len(text):
+        yield (text[cut:] + "\n").encode(), [len(text) - cut]
 
 
-# Ten-record logs, as (eve_labels, final newline, where a read ends): with
-# 7-row pieces the first piece ends at character ``cut``, after the 7th
-# newline.
+def read_texts(text, rows):
+    """The characters of each of those reads."""
+    ends = read_ends(text, rows)
+    return [text[a:b] for a, b in zip([0, *ends], ends)]
+
+
+# Ten-record logs read 7 characters at a time, as (eve_labels, final
+# newline, what holds of the reads).
 READ_BOUNDARY_LOGS = {
-    # records 1-6 are 49 characters, so the piece ends at the end of a
-    # read and leaves nothing over
-    "piece ends where a read ends": ([0, 10, *range(2, 10)], True, lambda cut, ends: cut in ends),
-    # the read holding the cut ends one character into record 7
-    "read ends mid-line": ([1] * 10, True, lambda cut, ends: cut + 1 in ends),
-    # the read holding the cut ends on record 7's newline, so one whole
-    # line is carried into the next piece
-    "read ends on a newline": (None, True, lambda cut, ends: cut + 6 in ends),
-    "last line without newline": ([1] * 10, False, lambda cut, ends: True),
+    # 6-character lines: the read ending at character 48 ends a line, so
+    # its piece leaves nothing over
+    "piece ends where a read ends": (None, True, lambda reads: any(r.endswith("\n") for r in reads[:-1])),
+    # 8-character lines: the second read ends one character before the
+    # newline of record 1, which is carried into the third
+    "read ends mid-line": ([1] * 10, True, lambda reads: not reads[1].endswith("\n")),
+    # record 1 is 16 characters long, so the second read holds no newline
+    # and hands out no piece
+    "read holds no newline": ([0, 123456789, *range(2, 10)], True, lambda reads: "\n" not in reads[1]),
+    "last line without newline": ([1] * 10, False, lambda reads: not reads[-1].endswith("\n")),
 }
 
 
 @pytest.mark.parametrize("count", ["# n=10\n", ""], ids=["with n", "without n"])
 @pytest.mark.parametrize("case", sorted(READ_BOUNDARY_LOGS))
-def test_piece_ending_on_a_read_boundary_is_read_on(monkeypatch, count, case):
+def test_piece_ending_on_a_read_boundary_is_read_on(tmp_path, monkeypatch, count, case):
     monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
     labels, final_newline, holds = READ_BOUNDARY_LOGS[case]
     records = boundary_records(labels, final_newline)
-    cut = [i for i, char in enumerate(records) if char == "\n"][6] + 1
-    assert holds(cut, read_ends(records))
+    assert holds(read_texts(records, 7))
     fh = io.StringIO(records)
     blocks = [(bytes(block), ends.tolist()) for block, ends in _record_blocks(fh.readline(), fh)]
-    assert blocks == list(cut_after_every_7th_newline(records))
-    log = read_event_log(io.StringIO(count + records))
+    assert blocks == list(one_piece_per_read(records, 7))
+    log = read_log(tmp_path, count + records)
     assert log.bases.tolist() == [0] * 10
     assert log.outcomes.tolist() == [i % 2 for i in range(10)]
     if labels is None:
@@ -523,15 +557,71 @@ def test_piece_ending_on_a_read_boundary_is_read_on(monkeypatch, count, case):
 def test_z_log_rejects_the_piece_holding_a_non_z_event(monkeypatch, tmp_path):
     monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
     path = tmp_path / "gen.log"
-    path.write_text("# source=x\n# seed=3\n# n=20\n" + "".join(
-        f"{i},{'X' if i == 12 else 'Z'},{i % 2}\n" for i in range(20)
-    ))
+    records = "".join(f"{i},{'X' if i == 12 else 'Z'},{i % 2}\n" for i in range(20))
+    path.write_text("# source=x\n# seed=3\n# n=20\n" + records)
     raw = ZBits(load_event_log(str(path)))
     assert len(raw) == 20 and raw.meta == {"role": "raw", "source": "x", "seed": "3", "prng": PRNG_NAME}
-    chunks = raw.chunks()
-    assert next(chunks).tolist() == [0, 1, 0, 1, 0, 1, 0]
+    # the records before the piece holding record 12 are handed out
+    starts = np.cumsum([0, *(len(ends) for _, ends in one_piece_per_read(records, 7))])
+    before = int(starts[starts <= 12].max())
+    assert 0 < before <= 12
+    got = []
     with pytest.raises(ParameterError, match="event record 12: not Z-basis"):
-        next(chunks)
+        for chunk in raw.chunks():
+            got += chunk.tolist()
+    assert got == [i % 2 for i in range(before)]
+
+
+def twelve_records(labelled):
+    """Record lines 0 to 11 over all three bases, with one- and two-digit
+    eve_labels if ``labelled``."""
+    return [f"{i},{'ZXY'[i % 3]},{i // 2 % 2}" + (f",{i * 7 % 12}" if labelled else "") + "\n" for i in range(12)]
+
+
+def replace_line(index, edit):
+    def change(lines):
+        return [edit(line) if i == index else line for i, line in enumerate(lines)]
+
+    return change
+
+
+# How each log changes the twelve records, and the error it must raise
+# (None for a log that is read).
+READ_SIZE_LOGS = {
+    "canonical": (lambda lines: lines, None),
+    "last line without newline": (replace_line(11, str.rstrip), None),
+    "basis Q": (replace_line(7, lambda line: line.replace("X", "Q")), "event record 7: basis is not Z, X or Y"),
+    "index out of order": (replace_line(10, lambda line: "11" + line[2:]), "event record 10: index out of order"),
+    "extra column": (replace_line(4, lambda line: line.rstrip() + ",1\n"), "event record 4: not a canonical record"),
+    "bad last line without newline": (
+        replace_line(11, lambda line: line[:5] + "2" + line[6:].rstrip()),
+        "event record 11: outcome is not 0 or 1",
+    ),
+    "record missing": (lambda lines: lines[:-1], "header declares n=12 but log has 11 records"),
+    "not ASCII": (replace_line(5, lambda line: line.replace("Y", "\u00e9")), "byte 0xc3 is not ASCII"),
+}
+
+
+@pytest.mark.parametrize("labelled", [False, True], ids=["unlabelled", "labelled"])
+@pytest.mark.parametrize("case", sorted(READ_SIZE_LOGS))
+def test_every_read_size_reads_the_same_log(tmp_path, monkeypatch, labelled, case):
+    change, error = READ_SIZE_LOGS[case]
+    lines = twelve_records(labelled)
+    records = "".join(change(lines))
+    path = tmp_path / "events.log"
+    path.write_text("# source=x\n# seed=0\n# n=12\n" + records, encoding="utf-8")
+    for rows in range(1, len("".join(lines[-3:])) + 1):
+        monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", rows)
+        if error is not None:
+            with pytest.raises(ParameterError, match=error) as raised:
+                list(load_event_log(str(path)).pieces())
+            assert raised.value.exit_code == 5
+            continue
+        pieces = list(load_event_log(str(path)).pieces())
+        assert [p.n for p in pieces] == [len(ends) for _, ends in one_piece_per_read(records, rows)]
+        firsts = np.cumsum([0, *(p.n for p in pieces)])
+        text = b"".join(_encode(int(first), p.bases, p.outcomes, p.eve_labels) for first, p in zip(firsts, pieces))
+        assert text.decode() == "".join(lines)
 
 
 def test_opened_log_without_n_is_written_without_n(tmp_path):
@@ -593,8 +683,8 @@ def in_pieces(log, sizes):
     return SimpleNamespace(source=log.source, seed=log.seed, n=log.n, pieces=pieces)
 
 
-def assert_reads_back(text, log):
-    back = read_event_log(io.StringIO(text))
+def assert_reads_back(tmp_path, text, log):
+    back = read_log(tmp_path, text)
     assert np.array_equal(back.bases, log.bases)
     assert np.array_equal(back.outcomes, log.outcomes)
     if log.eve_labels is None:
@@ -608,7 +698,7 @@ LABELS = [None, "one digit", "two digits"]
 
 class TestEventLogCodec:
     @pytest.mark.parametrize("labels", LABELS)
-    def test_writer_matches_percent_format_across_width_crossings(self, labels):
+    def test_writer_matches_percent_format_across_width_crossings(self, tmp_path, labels):
         # 1 000 005 records: the crossings 9 -> 10, 99 999 -> 100 000 and
         # 999 999 -> 1 000 000 fall inside pieces of the default size
         log = codec_log(labels, 1_000_005)
@@ -617,11 +707,11 @@ class TestEventLogCodec:
         buf = io.StringIO()
         _write_event_log(log, buf)
         assert buf.getvalue() == percent_format_log(log)
-        assert_reads_back(buf.getvalue(), log)
+        assert_reads_back(tmp_path, buf.getvalue(), log)
 
     @pytest.mark.parametrize("labels", LABELS)
     @pytest.mark.parametrize("sizes", [(30,), (3, 7, 20)], ids=["crossing inside", "crossing at boundary"])
-    def test_writer_matches_percent_format_in_small_pieces(self, monkeypatch, labels, sizes):
+    def test_writer_matches_percent_format_in_small_pieces(self, tmp_path, monkeypatch, labels, sizes):
         # with 7-row pieces, one source piece of 30 crosses 9 -> 10 inside
         # its piece 7..13; source pieces of 3, 7 and 20 start a piece at 10
         monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
@@ -629,7 +719,7 @@ class TestEventLogCodec:
         buf = io.StringIO()
         _write_event_log(in_pieces(log, sizes), buf)
         assert buf.getvalue() == percent_format_log(log)
-        assert_reads_back(buf.getvalue(), log)
+        assert_reads_back(tmp_path, buf.getvalue(), log)
 
     @pytest.mark.parametrize("labels", [None, [0, 1, 1, 0, 1, 0, 0], [11, 3, 10, 0, 7, 12, 5]], ids=LABELS)
     @pytest.mark.parametrize("width_change", [10, 100_000, 1_000_000])
@@ -661,15 +751,19 @@ class TestEventLogCodec:
         log = codec_log(labels, 120_000)
         path = tmp_path / "events.log"
         save_event_log(log, str(path))
-        assert path.read_text() == percent_format_log(log)
+        text = path.read_text()
+        assert text == percent_format_log(log)
         pieces = list(load_event_log(str(path)).pieces())
-        assert [p.n for p in pieces] == [120_000]  # index 100 000 lies inside the one default piece
+        records = text[text.index("\n0,") + 1 :]
+        assert [p.n for p in pieces] == [len(ends) for _, ends in one_piece_per_read(records, 1 << 17)]
+        starts = np.cumsum([0, *(p.n for p in pieces)])
+        assert len(pieces) > 1 and 100_000 not in starts  # index 100 000 lies inside a piece
         assert np.array_equal(np.concatenate([p.bases for p in pieces]), log.bases)
         assert np.array_equal(np.concatenate([p.outcomes for p in pieces]), log.outcomes)
         if labels is not None:
             assert np.array_equal(np.concatenate([p.eve_labels for p in pieces]), log.eve_labels)
 
-    def test_label_wider_than_the_reader_parses_is_not_written(self):
+    def test_label_wider_than_the_reader_parses_is_not_written(self, tmp_path):
         def log(*labels):
             n = len(labels)
             return EventLog("x", 0, np.zeros(n, dtype=np.uint8), np.ones(n, dtype=np.uint8), np.array(labels, dtype=np.int32))
@@ -678,7 +772,7 @@ class TestEventLogCodec:
             _write_event_log(log(999_999_999, 10 ** 9), io.StringIO())
         buf = io.StringIO()
         _write_event_log(log(999_999_999), buf)
-        assert read_event_log(io.StringIO(buf.getvalue())).eve_labels.tolist() == [999_999_999]
+        assert read_log(tmp_path, buf.getvalue()).eve_labels.tolist() == [999_999_999]
 
 
 def f_string_records(first, bases, outcomes, labels):
@@ -728,20 +822,19 @@ NON_CANONICAL_LINES = {
     "label -1": "{i},Z,0,-1",
     "label 01": "{i},Z,0,01",
     "space before label": "{i},Z,0, 1",
-    "CRLF in memory": "{i},Z,0\r",
 }
 
 
 @pytest.mark.parametrize("bad", [0, 1, 9], ids=["first record", "second record", "second piece"])
 @pytest.mark.parametrize("name", sorted(NON_CANONICAL_LINES))
-def test_non_canonical_record_is_rejected_by_number(monkeypatch, name, bad):
+def test_non_canonical_record_is_rejected_by_number(tmp_path, monkeypatch, name, bad):
     monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
     line = NON_CANONICAL_LINES[name]
     label = ",0" if line.count(",") == 3 else ""
     good = [f"{i},X,{i % 2}{label}\n" for i in range(bad + 2)]
     good[bad] = line.format(i=bad) + "\n"
     with pytest.raises(ParameterError, match=f"^event record {bad}: "):
-        read_event_log(io.StringIO(f"# n={bad + 2}\n" + "".join(good)))
+        read_log(tmp_path, f"# n={bad + 2}\n" + "".join(good))
 
 
 def test_crlf_on_disk_and_missing_final_newline_are_accepted(tmp_path):
@@ -750,15 +843,15 @@ def test_crlf_on_disk_and_missing_final_newline_are_accepted(tmp_path):
     (piece,) = load_event_log(str(path)).pieces()
     assert piece.bases.tolist() == [0, 1, 2] and piece.outcomes.tolist() == [0, 1, 0]
     for text in ("0,Z,0\n1,X,1", "0,Z,0,4\n1,X,1,12"):
-        log = read_event_log(io.StringIO(HEADER + text))
+        log = read_log(tmp_path, HEADER + text)
         assert log.bases.tolist() == [0, 1] and log.outcomes.tolist() == [0, 1]
     assert log.eve_labels.tolist() == [4, 12]
 
 
 @pytest.mark.parametrize("seed", ["-3", "+3", " 007", "x"])
-def test_header_seed_must_be_a_non_negative_decimal(seed):
+def test_header_seed_must_be_a_non_negative_decimal(tmp_path, seed):
     with pytest.raises(ParameterError, match="seed"):
-        read_event_log(io.StringIO(f"# seed={seed}\n0,Z,0\n"))
+        read_log(tmp_path, f"# seed={seed}\n0,Z,0\n")
 
 
 def test_event_log_fields_follow_schedule():
