@@ -21,10 +21,11 @@ block group's output can be written out before the next chunk is read,
 so memory does not grow with the stream.  Output bit j is the parity of
 coefficient n - 1 + j of the integer convolution c = x * s of block and
 seed.  The hash convolves with the centred seed s' = 2s - 1 instead:
-c' = x * s' is computed as irfft(rfft(x) * S), S = rfft(s'), at a length N
-that is fast for real transforms (5-smooth), and rounded to the nearest
-integer.  Every term of an output coefficient lies inside the seed, so
-there c' = 2c - |x|, |x| the block's popcount.  S is made once per
+c' = x * s' is computed as irfft(rfft(x) * S), S = rfft(s'), at a 5-smooth
+length N >= n + m - 1 that _fft_length picks for speed (the one within
+3 % with the most factors of 5), and rounded to the nearest integer.
+Every term of an output coefficient lies inside the seed, so there
+c' = 2c - |x|, |x| the block's popcount.  S is made once per
 extraction.  Rows are transformed two at a time while two padded float64
 rows fit in _BATCH_BYTES (16 MiB, N up to 2^20), and one at a time above
 it, so at n = 1e6 a batch's transforms are the size of one row's.
@@ -132,8 +133,8 @@ Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3 and 24).
   ones or all zeros with m = n (its centred spectrum peaks at
   max|S| = L), E stays at most 1/4 for every n up to
   ExtractorParams.MAX_N (taking, for each n, the largest eps_N of any
-  5-smooth length up to its N, so that E grows with n); a larger block
-  size is rejected.
+  5-smooth length up to the N that _fft_length chooses for 2n - 1, so
+  that E grows with n); a larger block size is rejected.
 """
 
 from __future__ import annotations
@@ -208,12 +209,48 @@ def _product_norm(eps: float, spectrum_max: float, x_norm: float) -> float:
     return (1 + eps) * (1 + _SQRT2 * _gamma(2)) * spectrum_max * x_norm
 
 
+def _fft_length(target: int) -> int:
+    """The transform length for a convolution of ``target`` coefficients:
+    of the 5-smooth lengths from ``target`` to 1.03 * ``target`` (or to the
+    shortest 5-smooth length, if that is longer), the one with the most
+    factors of 5, and the shortest of those.  It never decreases as
+    ``target`` grows.
+
+    The rule is measured on pocketfft (scipy.fft), not derived.  Hashing
+    random blocks with _Hasher after a 32 MB allocate/free had warmed the
+    heap, at n = 1e4, 3e4, 1e5, 3e5 and 1e6 and rates 0.96, 0.8, 0.6 and
+    0.38, the rule keeps next_fast_len's length at 13 of the 20 sizes.  At
+    the other seven, the time per block against next_fast_len's length
+    was 0.92 at 60,000, 0.80 at 200,000, 0.94 at 140,625, 0.92 at 600,000,
+    0.96 at 421,875, 0.95 at 2,000,000 and 1.00 at 1,406,250 (medians of
+    9 alternating rounds on a 2-vCPU Intel Xeon, Python 3.11.7, numpy
+    2.4.6, scipy 1.17.1).  Lengths rich in 2s were slower than the rule's
+    pick at the same size: 163,840 by 23 %, 184,320 by 8 %, 204,800 by
+    19 % and 614,400 by 6 %.  In a fresh heap the transforms page-fault
+    on every block and some lengths read backwards, so measure candidates
+    in a warmed process."""
+    shortest = _fft.next_fast_len(target, real=True)
+    limit = max(shortest, target * 103 // 100)
+    candidates = []  # (-factors of 5, length): min() takes the most 5s, then the shortest
+    fives, power = 0, 1
+    while power <= limit:
+        odd = power
+        while odd <= limit:
+            length = odd << (-(-target // odd) - 1).bit_length()
+            if length <= limit:
+                candidates.append((-fives, length))
+            odd *= 3
+        fives, power = fives + 1, power * 5
+    return min(candidates)[1]
+
+
 def _largest_exact_n() -> int:
     """The largest n such that one block per row of any size up to n, with
     any seed of at most 2n - 1 bits, keeps E at most _FFT_GUARD."""
     # A block of n' <= n bits is transformed at a 5-smooth length up to
-    # next_fast_len(2n - 1).  With eps the largest eps_N of those lengths,
-    # E grows with n, so a bisection finds the limit.
+    # _fft_length(2n - 1), since that never decreases.  With eps the
+    # largest eps_N of those lengths, E grows with n, so a bisection finds
+    # the limit.
     cap = 1 << 30
     lengths = sorted(
         2**a * 3**b * 5**c
@@ -225,7 +262,7 @@ def _largest_exact_n() -> int:
     eps = np.maximum.accumulate([_transform_error(length) for length in lengths])
 
     def exact(n: int) -> bool:
-        length = _fft.next_fast_len(2 * n - 1, real=True)
+        length = _fft_length(2 * n - 1)
         worst = eps[np.searchsorted(lengths, length)]
         # The worst +-1 seed is constant: max|S| = 2n - 1, and its computed
         # spectrum lies within eps * sqrt(N) * ||s||_2 of the exact one.
@@ -383,7 +420,7 @@ class _Hasher:
         # coefficients below index n - 1, which the output window never
         # reads, so the transform can stay one block short of the full
         # linear-convolution length.
-        self.fft_len = _fft.next_fast_len(n + m - 1, real=True)
+        self.fft_len = _fft_length(n + m - 1)
         self.eps = _transform_error(self.fft_len)
         self.seed_norm = math.sqrt(n + m - 1)
         # The centred seed 2s - 1 has no DC spike; see the module docstring.

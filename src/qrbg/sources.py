@@ -384,7 +384,9 @@ def _read_log(fh: TextIO) -> tuple[str, int, int | None, Iterator[EventLog]]:
     column count).  ``n`` is checked against the record count after the
     last piece."""
     header: dict[str, str] = {}
-    for line in fh:
+    for number, line in enumerate(fh, 1):
+        if "\r" in line.removesuffix("\n").removesuffix("\r"):
+            raise ParameterError(f"event log line {number}: carriage return without a line feed")
         text = line.strip()
         if text.startswith("#"):
             _header_line(header, text, "event log")
@@ -409,7 +411,8 @@ def _record_blocks(head: str, fh: TextIO) -> Iterator[tuple[bytearray, np.ndarra
     ``_LOG_ROWS`` characters that completes a line (``head`` joins the
     first read): the lines the read completes, as ASCII bytes with their
     newline offsets.  Only the read's partial last line is carried into the
-    next; a last line with no newline is given one."""
+    next; a last line with no newline is given one.  A CRLF line end is
+    read as LF; a carriage return left over fails the record check."""
     part = bytearray()
     for text in chain([head + fh.read(_LOG_ROWS)], iter(lambda: fh.read(_LOG_ROWS), "")):
         more = text.encode("ascii")
@@ -418,7 +421,11 @@ def _record_blocks(head: str, fh: TextIO) -> Iterator[tuple[bytearray, np.ndarra
             part += more
             continue
         cut = int(at[-1]) + 1
-        yield part + more[:cut], at + len(part)
+        block, at = part + more[:cut], at + len(part)
+        if b"\r" in block:  # its lines are whole, so no CRLF pair is split
+            block = block.replace(b"\r\n", b"\n")
+            at = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+        yield block, at
         part = bytearray(more[cut:])
     if part:  # the file ended mid-line
         yield part + b"\n", np.array([len(part)])
@@ -477,6 +484,8 @@ def _bad_record(block: bytearray, ends: np.ndarray, encoded: bytes, first: int, 
 def _fault(line: str, index: int, width: int) -> str:
     """What keeps one line from being the record ``index`` of a log whose
     records have ``width`` fields."""
+    if "\r" in line:
+        return "carriage return without a line feed"
     fields = line.split(",")
     if len(fields) == width and _is_decimal(fields[0]):
         written, basis, outcome, *_ = fields
@@ -508,10 +517,12 @@ class _LogFile:
 
 @contextmanager
 def _open_log(path: str) -> Iterator[TextIO]:
-    """An event log opened as ASCII text; a byte outside ASCII, in the
-    header or in a record, is a ``ParameterError`` naming the file."""
+    """An event log opened as ASCII text whose lines end at LF alone, with
+    no newline translated, so that a carriage return not followed by LF
+    can be rejected; a byte outside ASCII, in the header or in a record, is
+    a ``ParameterError`` naming the file."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "r", encoding="ascii", newline="\n") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]

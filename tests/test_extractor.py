@@ -299,6 +299,70 @@ class TestPackedHash:
                 assert packed[block, j] == (row @ blocks[block]) % 2, (block, j)
 
 
+def factors_of(prime, k):
+    count = 0
+    while k % prime == 0:
+        k, count = k // prime, count + 1
+    return count
+
+
+def five_smooth(k):
+    return k == 2 ** factors_of(2, k) * 3 ** factors_of(3, k) * 5 ** factors_of(5, k)
+
+
+class TestTransformLength:
+    """_fft_length: the 5-smooth length within 3 % of the target with the
+    most factors of 5, the shortest of those."""
+
+    # Small targets, and n + m - 1 at n = 1e4 to 1e6 and rates 0.96 to 0.38.
+    @pytest.mark.parametrize(
+        "targets",
+        [range(1, 3000), [13_541, 41_141, 58_541, 137_741, 195_741, 413_741, 587_741, 1_379_741, 1_959_741]],
+        ids=["small", "grid"],
+    )
+    def test_most_fives_within_three_percent(self, targets):
+        for target in targets:
+            length = qrbg.extractor._fft_length(target)
+            shortest = qrbg.extractor._fft.next_fast_len(target, real=True)
+            # A target too small for a 5-smooth length within 3 % gets the shortest.
+            window = [k for k in range(target, max(shortest, target * 103 // 100) + 1) if five_smooth(k)]
+            assert five_smooth(length) and target <= length <= max(shortest, 1.03 * target), target
+            assert length == min(window, key=lambda k: (-factors_of(5, k), k)), target
+            if max(factors_of(5, k) for k in window) == factors_of(5, shortest):
+                assert length == shortest, target
+
+    def test_never_decreases(self):
+        lengths = [qrbg.extractor._fft_length(target) for target in range(1, 20_000)]
+        assert lengths == sorted(lengths)
+
+    # Each workload's n + m - 1 over the benchmark's seeds: scale_bits
+    # (n = 1e5, rate about 0.96), staged_events (n = 1e4, rate about 0.38)
+    # and adversarial_recal (n = 1e6, rate about 0.6).
+    @pytest.mark.parametrize(
+        "targets, length",
+        [(range(195_600, 195_900), 200_000), (range(13_530, 13_550), 13_824), (range(1_600_800, 1_601_300), 1_620_000)],
+        ids=["scale_bits", "staged_events", "adversarial_recal"],
+    )
+    def test_workload_lengths(self, targets, length):
+        assert {qrbg.extractor._fft_length(target) for target in targets} == {length}
+
+    def test_reference_run_packs_unchecked(self, rng):
+        n, m = 10**5, 95_758
+        hasher = qrbg.extractor._Hasher(rng.integers(0, 2, n + m - 1).astype(np.uint8), n)
+        assert (hasher.fft_len, hasher.checked, hasher.rows) == (200_000, False, 2)
+
+    # n + m - 1 = 243, 486, 971 and 1457, which next_fast_len takes to 243,
+    # 486, 972 and 1458 and the rule to 250, 500, 1000 and 1500.
+    @pytest.mark.parametrize("n, m", [(150, 94), (300, 187), (600, 372), (1000, 458)])
+    def test_matches_matrix_oracle_where_the_rule_differs(self, rng, n, m):
+        seed = rng.integers(0, 2, n + m - 1).astype(np.uint8)
+        blocks = rng.integers(0, 2, (5, n)).astype(np.uint8)
+        blocks[0] = 1
+        assert qrbg.extractor._Hasher(seed, n).fft_len != qrbg.extractor._fft.next_fast_len(n + m - 1, real=True)
+        want = (blocks.astype(np.int64) @ _toeplitz_matrix(seed, n, m).T) % 2
+        assert np.array_equal(toeplitz_extract(seed, blocks), want)
+
+
 class TestExactnessBound:
     def test_max_n_is_the_largest_proven_exact(self):
         assert qrbg.extractor._largest_exact_n() == ExtractorParams.MAX_N
@@ -322,7 +386,7 @@ class TestExactnessBound:
 
     # The transform lengths of n = 1e4 (staged_events' rate 0.35), n = 1e5
     # (rate 0.96) and n = 1e6 (rate 0.6).
-    @pytest.mark.parametrize("length", [13824, 196608, 1620000])
+    @pytest.mark.parametrize("length", [13824, 200000, 1620000])
     def test_transforms_within_model_at_workload_lengths(self, rng, length):
         """scipy's float64 rfft and irfft stay within eps_N of scipy.fft run
         in long double."""

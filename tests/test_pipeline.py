@@ -569,6 +569,13 @@ class TestCli:
         assert r.exit_code == 5
         assert "outcome is not 0 or 1" in r.output
 
+    def test_lone_carriage_return_log_exit_code(self, tmp_path):
+        log_path = tmp_path / "cr.log"
+        log_path.write_bytes(b"# source=x\r# seed=0\r# n=2\r0,Z,0\r1,X,1\r")
+        r = CliRunner().invoke(main, ["calibrate", str(log_path)])
+        assert r.exit_code == 5, r.output
+        assert "line 1: carriage return without a line feed" in r.output
+
     @pytest.mark.parametrize("h_rate", ["1.5", "nan"])
     def test_h_rate_outside_unit_interval_exit_code(self, tmp_path, h_rate):
         raw = tmp_path / "raw.bits"

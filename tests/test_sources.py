@@ -448,6 +448,19 @@ BAD_LOG_HEADS = {
     "2 fields": (HEADER + "0,Z\n1,Z\n", "malformed event record: '0,Z'"),
     "5 fields": (HEADER + "0,Z,0,1,1\n1,Z,1,1,1\n", "malformed event record: '0,Z,0,1,1'"),
     "header n=abc": ("# source=x\n# seed=0\n# n=abc\n0,Z,0\n", "n='abc' is not a record count"),
+    # Only LF and CRLF end a line; a lone carriage return is named by its line.
+    "carriage returns alone": (
+        "# source=x\r# seed=0\r# n=2\r0,Z,0\r1,X,1\r",
+        "^event log line 1: carriage return without a line feed",
+    ),
+    "carriage return in the header": (
+        "# source=x\n# seed=0\r\n# n=2\r\r\n0,Z,0\n1,X,1\n",
+        "^event log line 3: carriage return without a line feed",
+    ),
+    "carriage return in the first record": (
+        HEADER + "0,Z,0\r1,X,1\n",
+        "^event log line 4: carriage return without a line feed",
+    ),
 }
 
 
@@ -599,6 +612,19 @@ READ_SIZE_LOGS = {
     ),
     "record missing": (lambda lines: lines[:-1], "header declares n=12 but log has 11 records"),
     "not ASCII": (replace_line(5, lambda line: line.replace("Y", "\u00e9")), "byte 0xc3 is not ASCII"),
+    "CRLF": (lambda lines: [line.replace("\n", "\r\n") for line in lines], None),
+    "carriage return alone": (
+        replace_line(6, lambda line: line.replace("\n", "\r")),
+        "event record 6: carriage return without a line feed",
+    ),
+    "carriage return before CRLF": (
+        replace_line(3, lambda line: line.replace("\n", "\r\r\n")),
+        "event record 3: carriage return without a line feed",
+    ),
+    "last line ending in a carriage return": (
+        replace_line(11, lambda line: line.replace("\n", "\r")),
+        "event record 11: carriage return without a line feed",
+    ),
 }
 
 
