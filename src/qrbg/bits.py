@@ -6,7 +6,7 @@ zero-padded on the right.  The true bit length travels in the header, not
 in the payload.
 
 File container (also used for hash seeds and raw generation bits), read
-and written a chunk at a time by ``BitsFile`` and ``BitsWriter``:
+and written a chunk at a time by ``BitsFile`` and ``bits_writer``:
 
     16-byte ASCII magic 'QRBGBITS v1     '
     ASCII header lines '# key=value'
@@ -17,8 +17,9 @@ and written a chunk at a time by ``BitsFile`` and ``BitsWriter``:
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -141,66 +142,59 @@ class BitsFile:
                 yield unpack_bits(payload, count)
 
 
-class BitsWriter:
-    """Writes a bits file whose length is declared up front; ``write``
-    appends bits packed, carrying a partial byte to the next call.
+@contextmanager
+def _committed(path: str, mode: str = "wb", encoding: str | None = None) -> Iterator[IO]:
+    """``path`` written as ``<path>.part``, renamed to ``path`` when the
+    block completes; on any failure, a failed rename included, the part
+    file is removed and an existing ``path`` left as it was."""
+    part = f"{path}.part"
+    fh = open(part, mode, encoding=encoding)
+    try:
+        with fh:
+            yield fh
+        os.replace(part, path)
+    except BaseException:
+        os.unlink(part)
+        raise
 
-    The file is written under a temporary name and renamed when complete,
-    so a stream may be read from the path it is written to, and a failed
-    write leaves no file behind.  Header keys are emitted in insertion
-    order, after ``bit_length``, so identical inputs produce byte-identical
-    files.
-    """
 
-    def __init__(self, path: str, bit_length: int, header: dict[str, str]) -> None:
-        self.path, self.bit_length = path, bit_length
-        lines = [f"# bit_length={bit_length}\n"]
-        for key, value in header.items():
-            if key == "bit_length":
-                continue
-            if "\n" in str(value):
-                raise ParameterError(f"header value for {key!r} contains newline")
-            lines.append(f"# {key}={value}\n")
-        self._head = MAGIC + "".join(lines).encode("ascii") + b"\n"
-        self._part = path + ".part"
-        self._bytes = BlockCutter(8)
-        self._written = 0
+@contextmanager
+def bits_writer(path: str, bit_length: int, header: dict[str, str]) -> Iterator[Callable]:
+    """A bits file of ``bit_length`` bits, written through ``_committed``
+    (so a stream may be read from the path it is written to) and failed
+    unless exactly that many are written.  Yields ``write``, which appends
+    bits packed, carrying a partial byte to the next call.  Header keys
+    follow ``bit_length`` in insertion order, so identical inputs produce
+    byte-identical files."""
+    lines = [f"# bit_length={bit_length}\n"]
+    for key, value in header.items():
+        if key == "bit_length":
+            continue
+        if "\n" in str(value):
+            raise ParameterError(f"header value for {key!r} contains newline")
+        lines.append(f"# {key}={value}\n")
+    carry, written = BlockCutter(8), 0
 
-    def __enter__(self) -> "BitsWriter":
-        self._fh = open(self._part, "wb")
-        self._fh.write(self._head)
-        return self
-
-    def write(self, bits: np.ndarray) -> None:
+    def write(bits: np.ndarray) -> None:
+        nonlocal written
         bits = np.asarray(bits, dtype=np.uint8)
-        self._written += bits.shape[0]
-        self._fh.write(pack_bits(self._bytes.cut(bits)))
+        written += bits.shape[0]
+        fh.write(pack_bits(carry.cut(bits)))
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        complete = False
-        try:
-            with self._fh:
-                if exc_type is None:
-                    self._fh.write(pack_bits(self._bytes.rest))
-                    if self._written != self.bit_length:
-                        raise ParameterError(
-                            f"{self.path}: {self._written} bits written, "
-                            f"header declares {self.bit_length}"
-                        )
-                    complete = True
-        finally:
-            if complete:
-                os.replace(self._part, self.path)
-            else:
-                os.unlink(self._part)
+    with _committed(path) as fh:
+        fh.write(MAGIC + "".join(lines).encode("ascii") + b"\n")
+        yield write
+        fh.write(pack_bits(carry.rest))
+        if written != bit_length:
+            raise ParameterError(f"{path}: {written} bits written, header declares {bit_length}")
 
 
 def write_bits_file(path: str, stream, header: dict[str, str]) -> None:
     """Write ``stream`` (a ``BitStream``, a ``BitsFile`` or any source with
-    a length in bits and ``chunks()``) chunk by chunk; see ``BitsWriter``."""
-    with BitsWriter(path, len(stream), header) as out:
+    a length in bits and ``chunks()``) chunk by chunk; see ``bits_writer``."""
+    with bits_writer(path, len(stream), header) as write:
         for chunk in stream.chunks():
-            out.write(chunk)
+            write(chunk)
 
 
 def open_bits_file(path: str, role: str | None = None) -> BitsFile:

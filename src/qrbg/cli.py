@@ -15,7 +15,7 @@ from pathlib import Path
 
 import click
 
-from .bits import open_bits_file, write_bits_file
+from .bits import _committed, open_bits_file, write_bits_file
 from .errors import QrbgError
 from .extractor import ExtractorParams
 from .pipeline import (
@@ -75,7 +75,8 @@ def _config(**keys) -> PipelineConfig:
 def _write_block(block: str, report_path: str | None) -> None:
     click.echo(block, nl=False)
     if report_path:
-        Path(report_path).write_text(block, encoding="ascii")
+        with _committed(report_path, "w", "ascii") as fh:
+            fh.write(block)
 
 
 @click.group(cls=_Main)
@@ -125,6 +126,8 @@ def generate(genlog, out_path) -> None:
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def extract(rawfile, h_rate, block_n, epsilon, seed_file, out_path) -> None:
     """Extract near-uniform bits from a raw-bit file or generation log."""
+    if not Path(out_path).name:
+        raise click.BadParameter(f"{out_path!r} names no file", param_hint="'--out'")
     cfg = _config(block_n=block_n, epsilon=epsilon, seed_file=seed_file)
     params = ExtractorParams(cfg.block_n, cfg.epsilon, h_rate)
     result = extract_raw(load_raw_bits(rawfile), params, cfg.seed_file, Path(out_path))
@@ -140,6 +143,8 @@ def extract(rawfile, h_rate, block_n, epsilon, seed_file, out_path) -> None:
 def test_cmd(bitsfile, test_list, significance, report_path) -> None:
     """Run the statistical battery on a packed bit file."""
     cfg = _config(tests=test_list, significance=significance)
+    if not cfg.tests:
+        raise click.BadParameter("selects no test", param_hint="'--tests'")
     results = run_battery(open_bits_file(bitsfile), cfg.tests, cfg.significance)
     _write_block(battery_report(results), report_path)
     if any(not r.passed for r in results):

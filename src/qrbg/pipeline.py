@@ -23,12 +23,12 @@ from __future__ import annotations
 import hashlib
 import math
 import secrets
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .bits import BitsFile, BitStream, BitsWriter, open_bits_file, write_bits_file
+from .bits import BitsFile, _committed, bits_writer, open_bits_file, write_bits_file
 from .errors import ParameterError, QrbgError
 from .extractor import (
     ExtractionResult,
@@ -118,6 +118,8 @@ def _parse_tests(text: str) -> tuple[str, ...]:
     if token == "all":
         return ALL_TESTS
     names = tuple(t.strip() for t in text.split(",") if t.strip())
+    if not names:
+        raise ValueError(f"{text!r} names no test")
     unknown = [t for t in names if t not in ALL_TESTS]
     if unknown:
         raise ValueError(f"unknown tests {unknown}")
@@ -476,22 +478,30 @@ def load_raw_bits(path: str) -> BitsFile | ZBits:
     return ZBits(log)
 
 
+def _not_written(seed_file: str, *paths: Path) -> None:
+    for path in paths:
+        if Path(seed_file).resolve() == path.resolve():
+            raise ParameterError(f"seed_file {seed_file} is {path}, a file this command writes")
+
+
 def extract(
     raw: BitsFile | ZBits, params: ExtractorParams, seed_file: str | None, path: Path
 ) -> ExtractionResult:
     """Hash ``raw`` into ``path`` a chunk at a time and audit the file.
 
     The seed is the head of the ``role=seed`` bits file ``seed_file``, as
-    many bits as the hash needs.  Without one a seed is drawn from system
-    entropy and, once the output is complete, written next to ``path``
-    (``extracted.bits`` -> ``extracted.seed.bits``), so a failed extraction
-    leaves neither file.  The header's ``source`` is the raw stream's, and
-    its ``seed_sha256`` pins the seed by content, not by where its file
-    lives.  Returns the extraction, whose output is the file written,
-    opened for chunked reading, and whose seed knows its file's path.
+    many bits as the hash needs, and may not be ``path``.  Without one a
+    seed is drawn from system entropy and written next to ``path``
+    (``extracted.bits`` -> ``extracted.seed.bits``), committed after the
+    output and only with it, so a failed extraction leaves neither file.
+    The header's ``source`` is the raw stream's, and its ``seed_sha256``
+    pins the seed by content, not by where its file lives.  Returns the
+    extraction, whose output is the file written, opened for chunked
+    reading, and whose seed knows its file's path.
     """
     needed = params.seed_bits_needed
     if seed_file:
+        _not_written(seed_file, path)
         seed = HashSeed.read(seed_file, needed)
     else:
         seed = HashSeed.system(needed, str(path.with_suffix(".seed.bits")))
@@ -504,10 +514,12 @@ def extract(
         "seed_sha256": seed.sha256,
         "source": raw.meta.get("source", "unknown"),
     }
-    with BitsWriter(str(path), len(raw) // params.n * params.m, header) as out:
-        result = extract_stream(raw, params, seed, sink=out.write)
-        if not seed_file:
-            write_bits_file(seed.path, BitStream(seed.bits), {"role": "seed"})
+    with ExitStack() as files:
+        if not seed_file:  # the outer file: committed after the output, and only with it
+            write_seed = files.enter_context(bits_writer(seed.path, seed.bit_length, {"role": "seed"}))
+            write_seed(seed.bits)
+        write = files.enter_context(bits_writer(str(path), len(raw) // params.n * params.m, header))
+        result = extract_stream(raw, params, seed, sink=write)
     # accounting audit against the file actually written: its header's
     # length and its payload's size
     result.output = written = open_bits_file(str(path))
@@ -547,8 +559,8 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> RunReport:
     Fails fast at the first stage error; insufficient certified entropy,
     or an output too short for a configured test, aborts before any
     generation happens, and a generation too short for one extractor
-    block, or a ``seed_file`` that is missing or not a ``role=seed`` bit
-    file, before any file is written.
+    block, or a ``seed_file`` that is missing, not a ``role=seed`` bit
+    file or one of the files the run writes, before any file is written.
     """
     source = config.validate()
     if not out_dir.isascii():  # the report records paths under it
@@ -558,10 +570,13 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> RunReport:
             f"generation_bits={config.generation_bits} cannot fill one "
             f"block_n={config.block_n}-bit block, so nothing would be extracted"
         )
+    out = Path(out_dir)
     if config.seed_file:
         with _stage("seed"):
             open_bits_file(config.seed_file, "seed")
-    out = Path(out_dir)
+            generation = "generation.log" if config.gen_format == "events" else "raw.bits"
+            run_files = ("calibration.log", generation, "extracted.bits", "report.txt")
+            _not_written(config.seed_file, *(out / name for name in run_files))
     out.mkdir(parents=True, exist_ok=True)
     # a report left by an earlier run would vouch for files this run replaces
     (out / "report.txt").unlink(missing_ok=True)
@@ -605,5 +620,6 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> RunReport:
                 report.extraction.output, config.tests, config.significance
             )
 
-    (out / "report.txt").write_text(report.render(), encoding="ascii")
+    with _committed(str(out / "report.txt"), "w", "ascii") as fh:
+        fh.write(report.render())
     return report

@@ -34,7 +34,7 @@ from typing import Iterator, Protocol, TextIO, Union
 
 import numpy as np
 
-from .bits import _header_line, _is_decimal
+from .bits import _committed, _header_line, _is_decimal
 from .errors import InsufficientDataError, ParameterError
 from .states import (
     Decomposition,
@@ -365,7 +365,9 @@ def _write_event_log(log: EventSource, fh: TextIO) -> None:
 
 
 def save_event_log(log: EventSource, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    """Write ``log`` to ``path`` through ``bits._committed``: a write failing
+    at any piece leaves no file, and an earlier one as it was."""
+    with _committed(path, "w", "ascii") as fh:
         _write_event_log(log, fh)
 
 
@@ -556,8 +558,10 @@ class ZBits:
     def chunks(self) -> Iterator[np.ndarray]:
         done = 0
         for piece in self.events.pieces():
-            if piece.bases.max(initial=0):  # max is the fast scan of a drawn stride-0 schedule
-                _reject(piece.bases != 0, done, "not Z-basis; generation bits come from Z measurements only")
+            # a drawn schedule is one basis code at stride 0: that code is checked once
+            bases = piece.bases[:1] if piece.bases.strides == (0,) else piece.bases
+            if bases.max(initial=0):
+                _reject(bases != 0, done, "not Z-basis; generation bits come from Z measurements only")
             yield piece.outcomes
             done += piece.n
 

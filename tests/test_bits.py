@@ -5,7 +5,8 @@ import qrbg.bits
 from qrbg.bits import (
     MAGIC,
     BitStream,
-    BitsWriter,
+    _committed,
+    bits_writer,
     open_bits_file,
     pack_bits,
     read_bits_file,
@@ -113,9 +114,9 @@ def test_header_written_in_insertion_order(tmp_path):
 def test_writer_carries_partial_bytes(tmp_path, rng):
     bits = rng.integers(0, 2, 1000).astype(np.uint8)
     path = tmp_path / "w.bits"
-    with BitsWriter(str(path), 1000, {"role": "raw"}) as out:
+    with bits_writer(str(path), 1000, {"role": "raw"}) as write:
         for lo, hi in ((0, 3), (3, 3), (3, 17), (17, 600), (600, 1000)):
-            out.write(bits[lo:hi])
+            write(bits[lo:hi])
     opened = open_bits_file(str(path))
     assert (opened.bit_length, opened.meta["role"]) == (1000, "raw")
     assert path.read_bytes()[opened.offset :] == pack_bits(bits)
@@ -124,8 +125,8 @@ def test_writer_carries_partial_bytes(tmp_path, rng):
 def test_writer_checks_the_declared_length(tmp_path):
     path = tmp_path / "short.bits"
     with pytest.raises(ParameterError, match="9 bits written, header declares 10"):
-        with BitsWriter(str(path), 10, {}) as out:
-            out.write(np.ones(9, dtype=np.uint8))
+        with bits_writer(str(path), 10, {}) as write:
+            write(np.ones(9, dtype=np.uint8))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -159,8 +160,35 @@ def test_header_line_without_hash_rejected(tmp_path):
 
 def test_writer_rejects_a_header_value_with_a_newline(tmp_path):
     with pytest.raises(ParameterError, match="header value for 'note' contains newline"):
-        BitsWriter(str(tmp_path / "o.bits"), 8, {"note": "a\nb"})
+        with bits_writer(str(tmp_path / "o.bits"), 8, {"note": "a\nb"}):
+            pass
     assert list(tmp_path.iterdir()) == []
+
+
+def test_committed_file_appears_only_when_complete(tmp_path):
+    path = tmp_path / "o.txt"
+    with _committed(str(path), "w", "ascii") as fh:
+        fh.write("one")
+        assert [p.name for p in tmp_path.iterdir()] == ["o.txt.part"]
+    assert [p.name for p in tmp_path.iterdir()] == ["o.txt"]
+    with pytest.raises(RuntimeError):
+        with _committed(str(path), "w", "ascii") as fh:
+            fh.write("two")
+            raise RuntimeError
+    # the earlier file stays as it was, and no part file is left
+    assert [p.name for p in tmp_path.iterdir()] == ["o.txt"]
+    assert path.read_text() == "one"
+
+
+def test_committed_removes_its_part_file_when_the_rename_fails(tmp_path):
+    target = tmp_path / "dir"
+    target.mkdir()
+    (target / "kept").write_bytes(b"x")
+    with pytest.raises(OSError):
+        with _committed(str(target)) as fh:
+            fh.write(b"payload")
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+    assert [p.name for p in target.iterdir()] == ["kept"]
 
 
 @pytest.mark.parametrize("head, key", [

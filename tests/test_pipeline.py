@@ -182,6 +182,9 @@ class TestConfigParsing:
         ("mode = adversarial\nadv_target = 0.6,0,0.3\nadv_weights = 1\n", "either adv_target or adv_weights"),
         ("mode = single\nstate = 1,0,0\ntests = bogus\n", "line 3: bad value for tests: unknown tests"),
         ("mode = single\nstate = 1,0,0\ntests = monobit,runs,monobit\n", r"line 3: bad value for tests: repeated tests \['monobit'\]$"),
+        # separators with no name would select no test, as 'none' does
+        ("mode = single\nstate = 1,0,0\ntests = ,\n", "line 3: bad value for tests: ',' names no test$"),
+        ("mode = single\nstate = 1,0,0\ntests = , ,\n", "line 3: bad value for tests: ', ,' names no test$"),
         # read as no seed file, a run would draw a system seed instead
         ("mode = single\nstate = 1,0,0\nseed_file =\n", "line 3: bad value for seed_file: '' is empty$"),
     ])
@@ -1014,6 +1017,9 @@ USAGE_ERRORS = {
     "unknown subcommand": ["bogus"],
     "option before the subcommand": ["--alpha", "0.1", "calibrate", "events.log"],
     "bare qrbg": [],
+    # rejected before the raw file, which is missing, is read
+    "extract --out naming no file": ["extract", "missing.log", "--h-rate", "0.9", "--out", "."],
+    "extract --out empty": ["extract", "missing.log", "--h-rate", "0.9", "--out", ""],
 }
 
 
@@ -1111,6 +1117,83 @@ def test_repeated_test_name_exit_code(tmp_path):
     r = CliRunner().invoke(main, ["test", str(path), "--tests", "monobit,monobit"])
     assert r.exit_code == 5, r.output
     assert "repeated tests ['monobit']" in r.output and "test=monobit" not in r.output
+
+
+@pytest.mark.parametrize("tests", [",", " , ", "none", ""])
+def test_a_test_run_selecting_no_test_exit_code(tmp_path, tests):
+    path = tmp_path / "bits.bits"
+    write_bits_file(str(path), BitStream(np.arange(2000, dtype=np.uint8) % 2), {"role": "raw"})
+    r = CliRunner().invoke(main, ["test", str(path), "--tests", tests])
+    assert r.exit_code == 5, r.output
+    assert "no test" in r.output and "test=" not in r.output
+
+
+def extract_args(tmp_path, out, seed_file=None):
+    raw = tmp_path / "raw.bits"
+    write_bits_file(str(raw), BitStream(np.ones(20000, dtype=np.uint8)), {"role": "raw"})
+    args = ["extract", str(raw), "--h-rate", "0.5", "--block-n", "10000", "--out", str(out)]
+    return args + ["--seed-file", str(seed_file)] if seed_file else args
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["drawn seed", "seed file"])
+def test_extract_onto_a_directory_leaves_no_file(tmp_path, seeded):
+    seed = tmp_path / "seed.bits"
+    if seeded:
+        write_seed_file(seed, 20000)
+    (tmp_path / "outdir").mkdir()
+    r = CliRunner().invoke(main, extract_args(tmp_path, tmp_path / "outdir", seed if seeded else None))
+    assert r.exit_code == 4, r.output
+    # neither outdir.part nor a drawn outdir.seed.bits is left
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "raw.bits"] + ["seed.bits"] * seeded
+    assert list((tmp_path / "outdir").iterdir()) == []
+
+
+@pytest.mark.parametrize("linked", [False, True], ids=["same name", "symlink"])
+def test_extract_rejects_its_output_as_seed_file(tmp_path, monkeypatch, linked):
+    monkeypatch.chdir(tmp_path)
+    write_seed_file(tmp_path / "s.bits", 20000)
+    before = (tmp_path / "s.bits").read_bytes()
+    if linked:
+        (tmp_path / "link.bits").symlink_to("s.bits")
+    seed_file = "link.bits" if linked else "s.bits"
+    r = CliRunner().invoke(main, extract_args(tmp_path, tmp_path / "s.bits", seed_file))
+    assert r.exit_code == 5, r.output
+    assert f"seed_file {seed_file} is {tmp_path / 's.bits'}, a file this command writes" in r.output
+    assert (tmp_path / "s.bits").read_bytes() == before
+    assert not (tmp_path / "s.bits.part").exists()
+
+
+@pytest.mark.parametrize("name, config", [
+    ("extracted.bits", ""),
+    ("raw.bits", ""),
+    ("generation.log", "gen_format = events\n"),
+    ("calibration.log", ""),
+    ("report.txt", ""),
+])
+def test_pipeline_rejects_a_seed_file_it_writes(tmp_path, name, config):
+    out = tmp_path / "o"
+    out.mkdir()
+    seed = out / name
+    write_seed_file(seed, 4000)
+    before = seed.read_bytes()
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FAST_CONFIG + config + f"seed_file = {seed}\n")
+    r = CliRunner().invoke(main, ["pipeline", "--config", str(cfg_path), "--out", str(out)])
+    assert r.exit_code == 5, r.output
+    assert f"[seed] seed_file {seed} is {seed}, a file this command writes" in r.output
+    assert [p.name for p in out.iterdir()] == [name]
+    assert seed.read_bytes() == before
+
+
+def test_pipeline_takes_a_seed_file_beside_its_files(tmp_path):
+    # a seed file in the run directory that the run does not write is kept
+    out = tmp_path / "o"
+    out.mkdir()
+    write_seed_file(out / "raw.bits.seed", 4000)
+    before = (out / "raw.bits.seed").read_bytes()
+    cfg = parse_config_text(FAST_CONFIG + f"seed_file = {out / 'raw.bits.seed'}\n")
+    assert run_pipeline(cfg, str(out)).extraction.seed.path == str(out / "raw.bits.seed")
+    assert (out / "raw.bits.seed").read_bytes() == before
 
 
 ROUND_TRIP_CONFIGS = {

@@ -585,6 +585,33 @@ def test_z_log_rejects_the_piece_holding_a_non_z_event(monkeypatch, tmp_path):
     assert got == [i % 2 for i in range(before)]
 
 
+@pytest.mark.parametrize("x_piece", [0, 1])
+def test_drawn_non_z_piece_rejected_at_its_first_event(x_piece):
+    # a drawn one-basis schedule is one code at stride 0, checked as that code
+    model = single(0.6, 0, 0.3, seed=5)
+    pieces = [sample_events(*model, "Z", 30)] * x_piece + [sample_events(*model, "X", 40)]
+    assert all(p.bases.strides == (0,) for p in pieces)
+    events = SimpleNamespace(source="x", seed=5, n=sum(p.n for p in pieces), pieces=lambda: iter(pieces))
+    with pytest.raises(ParameterError, match=f"^event record {30 * x_piece}: not Z-basis"):
+        list(ZBits(events).chunks())
+
+
+def test_failed_log_write_leaves_no_file_and_an_earlier_log_as_it_was(monkeypatch, tmp_path):
+    # the second piece's eve_label is too wide to write, once the first is written
+    monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
+    labels = np.zeros(20, dtype=np.int32)
+    labels[10] = 10 ** 9
+    bad = EventLog("x", 0, np.zeros(20, dtype=np.uint8), np.ones(20, dtype=np.uint8), labels)
+    fresh, earlier = tmp_path / "fresh.log", tmp_path / "earlier.log"
+    save_event_log(sample_events(*single(0.6, 0, 0.3), "Z", 20), str(earlier))
+    before = earlier.read_bytes()
+    for path in (fresh, earlier):
+        with pytest.raises(ParameterError, match="eve_label"):
+            save_event_log(bad, str(path))
+    assert [p.name for p in tmp_path.iterdir()] == ["earlier.log"]
+    assert earlier.read_bytes() == before
+
+
 def twelve_records(labelled):
     """Record lines 0 to 11 over all three bases, with one- and two-digit
     eve_labels if ``labelled``."""
