@@ -30,7 +30,8 @@ extraction.  Rows are transformed two at a time while two padded float64
 rows fit in _BATCH_BYTES (16 MiB, N up to 2^20), and one at a time above
 it, so at n = 1e6 a batch's transforms are the size of one row's.
 Rounding, the residual guard and the parity run in buffers made once per
-extraction: a batch allocates only the two arrays the transforms return.
+extraction: a batch allocates only the two arrays the transforms return,
+and frees them before the next batch's transforms.
 The hashing runs on the calling thread alone.
 
 Two blocks per row.  With w = n.bit_length(), 2^w > n >= every
@@ -162,6 +163,17 @@ _FFT_GUARD = 0.25
 # and each batch's transforms would double the extraction's peak memory.
 _BATCH_ROWS = 2
 _BATCH_BYTES = 16 << 20
+# glibc's malloc maps each request above its mmap threshold (128 KiB at
+# start) afresh; freeing such a mapping raises the threshold to its size,
+# up to 32 MiB, and the heap's trim threshold to twice that.
+# _Hasher.__init__ allocates and frees this many bytes once, untouched (no
+# resident memory), so the transform outputs and pocketfft's per-call
+# scratch reuse heap pages whatever earlier work left the thresholds at:
+# standalone `qrbg extract` at n = 1e5 took 8.7k minor faults after import
+# against 345k.  At n = 1e6 a batch frees more than 48 MiB at the heap's
+# top, so 24 MiB left adversarial_recal's extraction 109k faults; 28 MiB
+# and up, 21k.
+_HEAP_WARMUP = 30 << 20
 
 # The error model of the module docstring: unit roundoff, and how far a
 # computed twiddle factor may lie from its exact root.
@@ -228,7 +240,8 @@ def _fft_length(target: int) -> int:
     pick at the same size: 163,840 by 23 %, 184,320 by 8 %, 204,800 by
     19 % and 614,400 by 6 %.  In a fresh heap the transforms page-fault
     on every block and some lengths read backwards, so measure candidates
-    in a warmed process."""
+    in a warmed process; _Hasher warms the heap itself
+    (_HEAP_WARMUP)."""
     shortest = _fft.next_fast_len(target, real=True)
     limit = max(shortest, target * 103 // 100)
     candidates = []  # (-factors of 5, length): min() takes the most 5s, then the shortest
@@ -443,6 +456,7 @@ class _Hasher:
         self.batch = 2 * self.rows
         self.pad = np.zeros((self.rows, self.fft_len), dtype=np.float64)
         self.rounded = np.empty((self.rows, m), dtype=np.int64)
+        np.empty(_HEAP_WARMUP, dtype=np.uint8)
 
     def _batch_error(self, spectrum: np.ndarray, ones: list[int]) -> float:
         """The largest E of a batch's rows, from each row's computed
@@ -468,55 +482,62 @@ class _Hasher:
 
     def hash(self, blocks: np.ndarray, out: np.ndarray) -> None:
         """Hash each row of ``blocks`` (k x n) into the row of ``out`` (k x m)."""
-        n, m, w = self.n, self.m, self.shift
-        # Each batch's transform outputs are released only as the next
-        # batch's are assigned.  Freed together they would leave the top
-        # of glibc's heap free, which it returns to the system, and every
-        # batch would fault its pages in again (at n = 1e6, 20 blocks took
-        # 207k minor faults against 124k).
         for start in range(0, len(blocks), self.batch):
             end = min(start + self.batch, len(blocks))
             lo, per_row = start, 2
             while lo < end:
                 k = min(self.rows * per_row, end - lo)
-                batch = blocks[lo : lo + k]
-                rows = -(-k // per_row)
-                high = k - rows  # rows that also carry a block in their high half
-                ones = [np.count_nonzero(block) for block in batch]  # |x| of each block
-                pad = self.pad[:rows]
-                np.multiply(batch[rows:], 2.0**w, out=pad[:high, :n])
-                np.add(pad[:high, :n], batch[:high], out=pad[:high, :n])
-                pad[high:, :n] = batch[high:rows]
-                spectrum = _fft.rfft(pad, axis=-1)
-                spectrum *= self.seed_fft
-                if high and self.checked and self._batch_error(spectrum, ones) > _FFT_GUARD:
+                if not self._hash_rows(blocks[lo : lo + k], out[lo : lo + k], per_row):
                     per_row = 1  # hash these blocks again, one per row
                     continue
-                conv = _fft.irfft(spectrum, self.fft_len, axis=-1, overwrite_x=True)
-                window = conv[:, n - 1 : n - 1 + m]
-                rounded = self.rounded[:rows]
-                # A coefficient that is not a number casts to an arbitrary
-                # integer here; its residual stays NaN, which the guard rejects.
-                with np.errstate(invalid="ignore"):
-                    np.rint(window, out=rounded, casting="unsafe")
-                np.subtract(window, rounded, out=window)
-                np.abs(window, out=window)
-                # rint(x * (2s - 1)) + |x_lo| + 2^w |x_hi| = 2 (c_lo + 2^w c_hi)
-                # when exact, so an odd sum is a rounding error too.
-                offset = ones[:rows]
-                for i in range(high):
-                    offset[i] += ones[rows + i] << w
-                np.add(rounded, np.array(offset)[:, None], out=rounded)
-                low_bits = out[lo : lo + rows]
-                np.bitwise_and(rounded, 3, out=low_bits, casting="unsafe")
-                if not window.max() <= _FFT_GUARD or np.bitwise_or.reduce(low_bits, axis=None) & 1:
-                    raise ParameterError(
-                        "FFT convolution lost integer precision; block size too large"
-                    )
-                np.right_shift(low_bits, 1, out=low_bits)
-                np.right_shift(rounded[:high], w + 1, out=rounded[:high])
-                np.bitwise_and(rounded[:high], 1, out=out[lo + rows : lo + k], casting="unsafe")
                 lo += k
+
+    def _hash_rows(self, batch: np.ndarray, out: np.ndarray, per_row: int) -> bool:
+        """Hash ``batch``, ``per_row`` blocks to a row, into ``out``; False,
+        with ``out`` untouched, if a packed batch fails its checked bound.
+        The transform outputs are freed on return, before the next batch's
+        transforms run.  Held through those, at n = 1e6 in
+        adversarial_recal with the heap warmed as ``__init__`` does, they
+        raised the peak RSS from 171 to 184 MB and the extraction's minor
+        faults from 21k to 75k."""
+        n, m, w = self.n, self.m, self.shift
+        k = len(batch)
+        rows = -(-k // per_row)
+        high = k - rows  # rows that also carry a block in their high half
+        ones = [np.count_nonzero(block) for block in batch]  # |x| of each block
+        pad = self.pad[:rows]
+        np.multiply(batch[rows:], 2.0**w, out=pad[:high, :n])
+        np.add(pad[:high, :n], batch[:high], out=pad[:high, :n])
+        pad[high:, :n] = batch[high:rows]
+        spectrum = _fft.rfft(pad, axis=-1)
+        spectrum *= self.seed_fft
+        if high and self.checked and self._batch_error(spectrum, ones) > _FFT_GUARD:
+            return False
+        conv = _fft.irfft(spectrum, self.fft_len, axis=-1, overwrite_x=True)
+        window = conv[:, n - 1 : n - 1 + m]
+        rounded = self.rounded[:rows]
+        # A coefficient that is not a number casts to an arbitrary
+        # integer here; its residual stays NaN, which the guard rejects.
+        with np.errstate(invalid="ignore"):
+            np.rint(window, out=rounded, casting="unsafe")
+        np.subtract(window, rounded, out=window)
+        np.abs(window, out=window)
+        # rint(x * (2s - 1)) + |x_lo| + 2^w |x_hi| = 2 (c_lo + 2^w c_hi)
+        # when exact, so an odd sum is a rounding error too.
+        offset = ones[:rows]
+        for i in range(high):
+            offset[i] += ones[rows + i] << w
+        np.add(rounded, np.array(offset)[:, None], out=rounded)
+        low_bits = out[:rows]
+        np.bitwise_and(rounded, 3, out=low_bits, casting="unsafe")
+        if not window.max() <= _FFT_GUARD or np.bitwise_or.reduce(low_bits, axis=None) & 1:
+            raise ParameterError(
+                "FFT convolution lost integer precision; block size too large"
+            )
+        np.right_shift(low_bits, 1, out=low_bits)
+        np.right_shift(rounded[:high], w + 1, out=rounded[:high])
+        np.bitwise_and(rounded[:high], 1, out=out[rows:], casting="unsafe")
+        return True
 
 
 def toeplitz_extract(seed: Union[HashSeed, np.ndarray], raw: np.ndarray) -> np.ndarray:

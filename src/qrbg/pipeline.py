@@ -20,6 +20,7 @@ accounting line reflects the bytes actually on disk.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import math
 import secrets
@@ -493,7 +494,9 @@ def extract(
     many bits as the hash needs, and may not be ``path``.  Without one a
     seed is drawn from system entropy and written next to ``path``
     (``extracted.bits`` -> ``extracted.seed.bits``), committed after the
-    output and only with it, so a failed extraction leaves neither file.
+    output and only with it, so a failed extraction leaves neither file;
+    a directory at the seed's path, which no file can replace, is rejected
+    before either is written.
     The header's ``source`` is the raw stream's, and its ``seed_sha256``
     pins the seed by content, not by where its file lives.  Returns the
     extraction, whose output is the file written, opened for chunked
@@ -505,6 +508,9 @@ def extract(
         seed = HashSeed.read(seed_file, needed)
     else:
         seed = HashSeed.system(needed, str(path.with_suffix(".seed.bits")))
+        seed_path = Path(seed.path)
+        if seed_path.is_dir() and not seed_path.is_symlink():
+            raise IsADirectoryError(errno.EISDIR, "the drawn hash seed's path is a directory", seed.path)
     header = {
         "role": "extracted",
         "block_n": str(params.n),

@@ -21,8 +21,11 @@ Outcomes follow the Born rule in the scheduled measurement basis:
 
 Sampling uses numpy's PCG64 generator and consumes random numbers in a
 fixed chunked order, so equal (source, seed, schedule, n) inputs reproduce
-identical logs.  Distinct logs with distinct seeds may be generated
-concurrently; a single log is generated sequentially.
+identical logs: per ``_CHUNK`` events, an adversary's term uniforms for
+the whole chunk, then the chunk's outcome uniforms, each drawn in order
+through one reused buffer whose length does not change the stream.
+Distinct logs with distinct seeds may be generated concurrently; a single
+log is generated sequentially.
 """
 
 from __future__ import annotations
@@ -74,6 +77,10 @@ _LOG_ROWS = 1 << 17
 # Fixed sampling chunk; part of the reproducibility contract because it
 # determines the order in which random numbers are consumed.
 _CHUNK = 1 << 22
+# Uniforms per draw: a chunk's uniforms are drawn into, and consumed from,
+# one buffer of this length, so sampling's working memory does not grow
+# with the chunk.  Lengths from 2^14 to 2^18 sample equally fast.
+_DRAWS = 1 << 16
 # One-basis stretches in a chunk from which sampling looks each event's
 # outcome threshold up in the Born table rather than comparing a stretch
 # at a time.
@@ -196,17 +203,20 @@ def sample_events(
     schedule: a uint8 array of one basis code per event, or one basis
     letter for every event, which builds no schedule array.
 
-    A source with weights first draws the prepared term for each event of
-    a chunk, then the outcome uniforms for that chunk; the per-event term
-    index is recorded as the event's eve_label.  An event's outcome is
-    ``u >= p[term]`` for its basis's column ``p`` of the Born table.  Each
-    stretch of a chunk measured in one basis gets it from whole-array
-    comparisons with that column (``_compare``), so no per-event threshold
-    is ever built; a chunk of ``_LOOKUP_STRETCHES`` stretches or more, as
-    an interleaved schedule has, looks each event's threshold up in the
-    table instead.  ``rng`` continues a stream that earlier calls drew from
-    in whole ``_CHUNK`` pieces, as ``ZStream`` does; by default ``seed``
-    starts one.
+    The stream is consumed a ``_CHUNK`` of events at a time.  A source with
+    weights first draws the prepared term of every event of a chunk, then
+    the outcome uniforms of that chunk; the per-event term index is
+    recorded as the event's eve_label.  Each pass draws its uniforms in
+    order through one buffer of ``_DRAWS`` doubles, one PCG64 output per
+    double, so the stream is that of one draw per pass.  An event's
+    outcome is ``u >= p[term]`` for its basis's column ``p`` of the Born
+    table.  Each stretch of a chunk measured in one basis gets it from
+    whole-array comparisons with that column (``_compare``), so no
+    per-event threshold is ever built; a chunk of ``_LOOKUP_STRETCHES``
+    stretches or more, as an interleaved schedule has, looks each event's
+    threshold up in the table instead, a choice made once per chunk.
+    ``rng`` continues a stream that earlier calls drew from in whole
+    ``_CHUNK`` pieces, as ``ZStream`` does; by default ``seed`` starts one.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
@@ -223,35 +233,48 @@ def sample_events(
     p0, cum = _born_table(source)
     outcomes = np.empty(n, dtype=np.uint8)
     labels = None if cum is None else np.empty(n, dtype=np.int32)
-    # Both uniform draws of a chunk land in one buffer, in the order that
-    # rng.random(size) would return them.
-    draws = np.empty(min(n, _CHUNK))
+    draws = np.empty(min(n, _DRAWS))
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        u, out = draws[: stop - start], outcomes[start:stop].view(np.bool_)
-        if labels is None:
-            terms = np.broadcast_to(np.int32(0), u.shape)  # the one prepared state
-        else:
+        if labels is not None:
             # searchsorted(cum, u, side="right") as a count of the edges at
             # or below u; the last edge, cum[-1] = 1.0, is above every u.
-            terms = labels[start:stop]
-            rng.random(out=u)
-            np.greater_equal(u, cum[0], out=terms)
-            for edge in cum[1:-1]:
-                np.add(terms, u >= edge, out=terms)
-        rng.random(out=u)
-        if column is not None:
-            _compare(u, terms, p0[:, column], out)
-            continue
-        basis = sched[start:stop]
-        changes = basis[1:] != basis[:-1]
-        if np.count_nonzero(changes) + 1 >= _LOOKUP_STRETCHES:
-            np.greater_equal(u, p0[terms, basis], out=out)
-            continue
-        cuts = np.flatnonzero(changes) + 1
-        for lo, hi in zip([0, *cuts], [*cuts, len(u)]):
-            _compare(u[lo:hi], terms[lo:hi], p0[:, basis[lo]], out[lo:hi])
+            for lo, u in _uniforms(rng, draws, start, stop):
+                terms = labels[lo : lo + len(u)]
+                np.greater_equal(u, cum[0], out=terms)
+                for edge in cum[1:-1]:
+                    np.add(terms, u >= edge, out=terms)
+        lookup = column is None and _stretches(sched[start:stop]) >= _LOOKUP_STRETCHES
+        for lo, u in _uniforms(rng, draws, start, stop):
+            hi = lo + len(u)
+            out, basis = outcomes[lo:hi].view(np.bool_), sched[lo:hi]
+            terms = np.broadcast_to(np.int32(0), u.shape) if labels is None else labels[lo:hi]
+            if lookup:
+                np.greater_equal(u, p0[terms, basis], out=out)
+                continue
+            cuts = [] if column is not None else np.flatnonzero(basis[1:] != basis[:-1]) + 1
+            for a, b in zip([0, *cuts], [*cuts, len(u)]):
+                _compare(u[a:b], terms[a:b], p0[:, basis[a]], out[a:b])
     return EventLog(source.name, seed, sched, outcomes, labels)
+
+
+def _uniforms(
+    rng: np.random.Generator, buffer: np.ndarray, start: int, stop: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The uniforms of events ``start`` to ``stop``, drawn in order into
+    ``buffer``, each draw overwriting the last: each draw's first event
+    and its uniforms."""
+    for lo in range(start, stop, len(buffer)):
+        u = buffer[: min(len(buffer), stop - lo)]
+        rng.random(out=u)
+        yield lo, u
+
+
+def _stretches(basis: np.ndarray) -> int:
+    """The one-basis stretches of ``basis``, counted ``_DRAWS`` events at a
+    time; slices overlap by one event, so each change is counted once."""
+    parts = (basis[lo : lo + _DRAWS + 1] for lo in range(0, len(basis), _DRAWS))
+    return 1 + sum(np.count_nonzero(part[1:] != part[:-1]) for part in parts)
 
 
 def _compare(u: np.ndarray, terms: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:

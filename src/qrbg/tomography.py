@@ -24,6 +24,8 @@ from .states import StokesVector
 
 # events each basis needs before its component is estimated
 MIN_BASIS_COUNT = 100
+# Events the tally counts at a time, so that its keys never span a piece.
+_TALLY_EVENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -65,10 +67,14 @@ class TomographyResult:
 
 
 def _tally(log: EventSource) -> CountTable:
-    """Count outcomes per (basis, outcome) cell, a piece at a time."""
+    """Count outcomes per (basis, outcome) cell, a piece at a time and
+    ``_TALLY_EVENTS`` events of a piece at a time."""
     counts = np.zeros(6, dtype=np.int64)
     for piece in log.pieces():
-        counts += np.bincount(piece.bases.astype(np.int64) * 2 + piece.outcomes, minlength=6)
+        for lo in range(0, piece.n, _TALLY_EVENTS):
+            cells = piece.bases[lo : lo + _TALLY_EVENTS] * np.uint8(2)
+            cells += piece.outcomes[lo : lo + _TALLY_EVENTS]
+            counts += np.bincount(cells, minlength=6)
     if not counts.any():
         raise InsufficientDataError("cannot tally an empty event log")
     return CountTable(counts.reshape(3, 2))

@@ -444,8 +444,11 @@ class TestLargeBlocks:
             tracemalloc.stop()
         return seed, raw, out, peak
 
-    def test_hash_peak_stays_under_48_mib(self, hashed):
-        assert hashed[3] < 48 << 20
+    def test_hash_peak_stays_under_25_mib(self, hashed):
+        # a batch's two transform outputs (12.8 MB each) and small
+        # temporaries; held through the next batch's transforms, the
+        # outputs raised it to 36.6 MiB
+        assert hashed[3] < 25 << 20
 
     def test_sampled_bits_match_direct_parity(self, rng, hashed):
         seed, raw, out, _ = hashed

@@ -1148,6 +1148,27 @@ def test_extract_onto_a_directory_leaves_no_file(tmp_path, seeded):
     assert list((tmp_path / "outdir").iterdir()) == []
 
 
+def test_extract_whose_drawn_seed_path_is_a_directory_leaves_no_file(tmp_path):
+    # os.replace cannot commit the seed onto the directory, so the output,
+    # committed only with its seed, is not written either
+    (tmp_path / "out.seed.bits").mkdir()
+    r = CliRunner().invoke(main, extract_args(tmp_path, tmp_path / "out.bits"))
+    assert r.exit_code == 4, r.output
+    assert "the drawn hash seed's path is a directory" in r.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.seed.bits", "raw.bits"]
+    assert list((tmp_path / "out.seed.bits").iterdir()) == []
+
+
+def test_extract_draws_its_seed_onto_a_symlink_to_a_directory(tmp_path):
+    # os.replace replaces the link itself, so the seed is committed
+    (tmp_path / "elsewhere").mkdir()
+    (tmp_path / "out.seed.bits").symlink_to("elsewhere")
+    r = CliRunner().invoke(main, extract_args(tmp_path, tmp_path / "out.bits"))
+    assert r.exit_code == 0, r.output
+    assert (tmp_path / "out.bits").is_file()
+    assert (tmp_path / "out.seed.bits").is_file() and not (tmp_path / "out.seed.bits").is_symlink()
+
+
 @pytest.mark.parametrize("linked", [False, True], ids=["same name", "symlink"])
 def test_extract_rejects_its_output_as_seed_file(tmp_path, monkeypatch, linked):
     monkeypatch.chdir(tmp_path)

@@ -268,18 +268,100 @@ def test_sampler_matches_per_event_thresholds(monkeypatch, chunk, schedule, term
             assert np.array_equal(log.eve_labels, want_labels)
 
 
-def test_z_stream_piece_draws_without_a_threshold_buffer():
-    # a whole chunk's draws (32 MiB), labels (16 MiB), outcomes (4 MiB) and
-    # a few one-byte masks; a float64 threshold per event adds 32 MiB more
-    d = worst_case_decomposition(StokesVector(0.9, 0.3, 0.1))
-    pieces = ZStream(adversarial(d), 3, qrbg.sources._CHUNK).pieces()
+# The sampler's uniform buffer against the chunk: (buffer, chunk, events).
+# Every sample crosses chunk boundaries and ends inside a buffer, its
+# ragged last chunk still long enough for an interleaved schedule to take
+# the per-event lookup; "chunk" draws each chunk whole, in one call.
+DRAW_CHUNK = 3 * 2**16 + 5
+DRAW_CASES = {
+    "1": (1, 250, 1130),
+    "7": (7, 250, 1130),
+    "2^16": (1 << 16, DRAW_CHUNK, 2 * DRAW_CHUNK + 1001),
+    "chunk": (DRAW_CHUNK, DRAW_CHUNK, 2 * DRAW_CHUNK + 1001),
+}
+DRAW_SOURCES = {
+    "single": lambda: single(0.6, -0.2, 0.3, seed=31),
+    "entangled": lambda: (entangled(0.8, 0.1, 0.4), 31),
+    "adversarial": lambda: (adversarial(random_decomposition(3, 3)), 31),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DRAW_CASES))
+@pytest.mark.parametrize("schedule", ["Z", "blocked", "interleaved"])
+@pytest.mark.parametrize("kind", sorted(DRAW_SOURCES))
+def test_buffer_length_leaves_the_stream_unchanged(monkeypatch, case, schedule, kind):
+    draws, chunk, n = DRAW_CASES[case]
+    monkeypatch.setattr(qrbg.sources, "_DRAWS", draws)
+    monkeypatch.setattr(qrbg.sources, "_CHUNK", chunk)
+    compared = []
+    compare = qrbg.sources._compare
+    monkeypatch.setattr(qrbg.sources, "_compare", lambda *args: compared.append(1) or compare(*args))
+    model = DRAW_SOURCES[kind]()
+    sched = {
+        "Z": np.zeros(n, dtype=np.uint8),
+        "blocked": blocked_schedule(n),
+        "interleaved": (np.arange(n) % 3).astype(np.uint8),
+    }[schedule]
+    want_outcomes, want_labels = reference_sample(model, sched, n)
+    log = sample_events(*model, "Z" if schedule == "Z" else sched, n)
+    assert np.array_equal(log.outcomes, want_outcomes)
+    assert (log.eve_labels is None) == (want_labels is None)
+    if want_labels is not None:
+        assert np.array_equal(log.eve_labels, want_labels)
+    # the interleaved chunks look every threshold up, even where one
+    # buffer holds fewer than _LOOKUP_STRETCHES stretches
+    assert (not compared) == (schedule == "interleaved")
+
+
+@pytest.mark.parametrize("case", sorted(DRAW_CASES))
+@pytest.mark.parametrize("kind", sorted(DRAW_SOURCES))
+def test_buffer_length_leaves_the_z_stream_unchanged(monkeypatch, case, kind):
+    draws, chunk, n = DRAW_CASES[case]
+    monkeypatch.setattr(qrbg.sources, "_DRAWS", draws)
+    monkeypatch.setattr(qrbg.sources, "_CHUNK", chunk)
+    model = DRAW_SOURCES[kind]()
+    want_outcomes, want_labels = reference_sample(model, np.zeros(n, dtype=np.uint8), n)
+    pieces = list(ZStream(*model, n).pieces())
+    assert [p.n for p in pieces] == [chunk] * (n // chunk) + [n % chunk]
+    assert np.array_equal(np.concatenate([p.outcomes for p in pieces]), want_outcomes)
+    if want_labels is not None:
+        assert np.array_equal(np.concatenate([p.eve_labels for p in pieces]), want_labels)
+
+
+def traced_peak(run) -> int:
+    """The most memory ``tracemalloc`` saw allocated while ``run()`` ran."""
     tracemalloc.start()
     try:
-        next(pieces)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 80 * 2**20
+
+
+def test_z_stream_piece_draws_without_a_threshold_buffer():
+    # a whole chunk's labels (16 MiB) and outcomes (4 MiB), one buffer of
+    # uniforms (0.5 MiB) and buffer-sized masks; a float64 threshold per
+    # event would add 32 MiB, and drawing the chunk's uniforms at once 32
+    d = worst_case_decomposition(StokesVector(0.9, 0.3, 0.1))
+    pieces = ZStream(adversarial(d), 3, qrbg.sources._CHUNK).pieces()
+    assert traced_peak(lambda: next(pieces)) < 21 * 2**20
+
+
+def test_z_stream_pass_holds_two_pieces_and_one_buffer():
+    # 2^23 events: the piece held (4 MiB), the one being drawn (4 MiB) and
+    # the buffer of uniforms (0.5 MiB); the chunk's uniforms drawn at once
+    # took 32 MiB more
+    stream = ZStream(*single(0.6, 0, 0.3, seed=4), 2 * qrbg.sources._CHUNK)
+    assert traced_peak(lambda: all(piece.n for piece in stream.pieces())) < 9 * 2**20
+
+
+def test_calibration_sample_holds_its_arrays_and_one_buffer():
+    # 3e6 events: schedule and outcomes (2.9 MiB each), labels (11.4 MiB)
+    # and one buffer of uniforms; the whole sample's uniforms took 23 MiB
+    # more
+    n = 3 * 10**6
+    d = worst_case_decomposition(StokesVector(0.9, 0.3, 0.1))
+    assert traced_peak(lambda: sample_events(adversarial(d), 7, blocked_schedule(n), n)) < 19 * 2**20
 
 
 def coincidence_state(coherence, accidental_fraction, phase=0.0):

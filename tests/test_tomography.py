@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import qrbg.sources
+import qrbg.tomography
 from qrbg.errors import InsufficientDataError, ParameterError
 from qrbg.minentropy import closed_form_minentropy, lower_confidence_rate, rate_from_coherence
 from qrbg.pipeline import Calibration, PipelineConfig, calibrate
@@ -83,6 +85,31 @@ class TestTally:
         reads = [records[: first + 7], *(records[i : i + 7] for i in range(first + 7, len(records), 7))]
         assert sum(1 for _ in opened.pieces()) == sum("\n" in r for r in reads) > 100
         assert _tally(opened).counts.tolist() == _tally(log).counts.tolist()
+
+
+    @pytest.mark.parametrize("events", [1, 7, 1000, 1 << 16])
+    def test_slice_size_leaves_the_counts_unchanged(self, monkeypatch, events):
+        n = 3 * 4096 + 5
+        rng = np.random.default_rng(events)
+        bases = rng.integers(0, 3, n).astype(np.uint8)
+        outcomes = rng.integers(0, 2, n).astype(np.uint8)
+        want = [[np.count_nonzero((bases == b) & (outcomes == o)) for o in (0, 1)] for b in range(3)]
+        monkeypatch.setattr(qrbg.tomography, "_TALLY_EVENTS", events)
+        assert _tally(EventLog("t", 0, bases, outcomes)).counts.tolist() == want
+
+    def test_counts_a_calibration_sample_in_slices(self):
+        # the whole sample's int64 cell keys took 23 MiB; a slice's take
+        # half a MiB
+        n = 3 * 10**6
+        source = adversarial(worst_case_decomposition(StokesVector(0.9, 0.3, 0.1)))
+        log = sample_events(source, 7, blocked_schedule(n), n)
+        tracemalloc.start()
+        try:
+            _tally(log)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestEstimateStokes:
