@@ -15,6 +15,19 @@ m is floored, so fractional entropy is forfeited per block; a raw tail
 shorter than one block is discarded.  Both choices keep the accounting
 stateless and auditable.
 
+Where the 4 and the 2 come from.  For a 2-universal family and a block of
+min-entropy k, the leftover hash lemma (Hastad, Impagliazzo, Levin & Luby,
+SIAM J. Comput. 28, 1364 (1999)) bounds the distance of the output from
+uniform, jointly with the public seed, by
+
+    Delta <= 1/2 * sqrt(2^(m - k))
+
+A block of the certified rate has k = h*n, and the formula above leaves
+k - m >= 4*log2(1/epsilon) + 2, so Delta <= 1/2 * 2^(-2*log2(1/epsilon) - 1)
+= epsilon^2 / 4 per block, not epsilon: a 2*log2(1/epsilon) margin would
+already give epsilon / 2.  The accounting keeps the 4, as acceptance
+criterion 05 pins it (output_length(1.0, 1000, 2^-10) = 958).
+
 The raw stream is hashed a chunk at a time: whole blocks are hashed as
 they complete, a partial block is carried to the next chunk, and each
 block group's output can be written out before the next chunk is read,

@@ -10,9 +10,11 @@ coherence c = sqrt(s1^2 + s2^2):
 
     rate(c) = -log2((1 + sqrt(1 - c^2)) / 2)
 
-This module provides the per-state and per-decomposition rates, the closed
-form, a brute-force minimizer over two-term decompositions that verifies
-the closed form independently, and a finite-statistics confidence bound.
+This module provides the per-state rate, the weighted mean of a
+decomposition's per-term rates (which can exceed the min-entropy of an
+adversary who knows each event's term), the closed form, a brute-force
+minimizer over two-term decompositions that verifies the closed form
+independently, and a finite-statistics confidence bound.
 
 Everything is a pure function; the minimizer vectorizes over chord
 directions and is deterministic for a fixed direction count.
@@ -73,10 +75,15 @@ def minentropy_pure(psi: PureState) -> EntropyRate:
 
 
 def minentropy_decomposition(d: Decomposition) -> EntropyRate:
-    """Weight-averaged pure-state min-entropy of the decomposition.
+    """Weighted mean sum_i w_i * (-log2 p_max,i) of the terms' pure-state
+    min-entropies.
 
-    This is the rate seen by an adversary who prepared the source and knows
-    which term each event came from.
+    It is not the min-entropy of an adversary who prepared the source and
+    knows which term each event came from: hers is -log2 sum_i w_i * p_max,i,
+    of her mean guessing probability, at or below this mean by Jensen's
+    inequality and equal to it when every term has the same p_max, as in
+    ``worst_case_decomposition``.  For 1/2 |0> + 1/2 |+> this mean is 0.5 and
+    hers -log2 0.75 = 0.415.
     """
     total = sum(
         w * minentropy_pure(psi).bits_per_sample for w, psi in d.terms

@@ -495,8 +495,9 @@ def extract(
     seed is drawn from system entropy and written next to ``path``
     (``extracted.bits`` -> ``extracted.seed.bits``), committed after the
     output and only with it, so a failed extraction leaves neither file;
-    a directory at the seed's path, which no file can replace, is rejected
-    before either is written.
+    a directory at the seed's path, which no file can replace, and the raw
+    input itself, which the seed would replace, are rejected before either
+    is written.
     The header's ``source`` is the raw stream's, and its ``seed_sha256``
     pins the seed by content, not by where its file lives.  Returns the
     extraction, whose output is the file written, opened for chunked
@@ -511,6 +512,9 @@ def extract(
         seed_path = Path(seed.path)
         if seed_path.is_dir() and not seed_path.is_symlink():
             raise IsADirectoryError(errno.EISDIR, "the drawn hash seed's path is a directory", seed.path)
+        raw_path = raw.path if isinstance(raw, BitsFile) else raw.events.path
+        if seed_path.resolve() == Path(raw_path).resolve():
+            raise ParameterError(f"the drawn hash seed's path {seed.path} is the raw input {raw_path}")
     header = {
         "role": "extracted",
         "block_n": str(params.n),

@@ -479,6 +479,41 @@ class TestUniversality:
             universality_check(4, 7)
 
 
+def bit_rows(count, width):
+    """The integers below ``count`` as rows of ``width`` bits, least significant first."""
+    return (np.arange(count)[:, None] >> np.arange(width)) & 1
+
+
+class TestLeftoverHash:
+    @pytest.mark.parametrize("k, m", [(6, 2), (6, 4), (7, 3), (8, 2), (8, 4)])
+    def test_flat_sources_meet_the_lemma(self, k, m):
+        # the leftover hash lemma, for any source of min-entropy k: the hash's
+        # distance from uniform, averaged over every seed, is at most
+        # 1/2 sqrt(2^(m - k))
+        n, rng = 10, np.random.default_rng(k * 16 + m)
+        seeds = bit_rows(1 << (n + m - 1), n + m - 1)
+        # each row of each seed's matrix as an n-bit word, and each word's parity
+        words = np.concatenate([_toeplitz_matrix(seed, n, m) for seed in seeds]) @ (1 << np.arange(n))
+        parity = (bit_rows(1 << n, n).sum(axis=1) % 2).astype(np.uint8)
+        # flat sources on 2^k inputs, each input an n-bit word: five random
+        # sets and an affine subspace, k coordinates free in a fixed word
+        sources = [rng.choice(1 << n, 1 << k, replace=False) for _ in range(5)]
+        sources.append(rng.integers(1 << n) ^ bit_rows(1 << k, k) @ (1 << rng.choice(n, k, replace=False)))
+        for source in sources:
+            bits = parity[words[:, None] & source].reshape(len(seeds), m, len(source))
+            # each seed's outputs as integers, offset by the seed's index
+            keys = (bits << np.arange(m, dtype=np.uint8)[:, None]).sum(axis=1, dtype=np.int64)
+            keys += (np.arange(len(seeds)) << m)[:, None]
+            counts = np.bincount(keys.ravel(), minlength=len(seeds) << m).reshape(len(seeds), 1 << m)
+            distance = 0.5 * np.abs(counts / len(source) - 2.0**-m).sum(axis=1).mean()
+            assert distance <= 0.5 * math.sqrt(2.0 ** (m - k))
+
+    @pytest.mark.parametrize("h, n, epsilon", [(1.0, 1000, 2.0**-10), (0.9, 100_000, 2.0**-64), (0.5, 2000, 2.0**-16)])
+    def test_accounting_leaves_each_block_within_epsilon_squared_over_4(self, h, n, epsilon):
+        m = output_length(h, n, epsilon)
+        assert 0.5 * 2.0 ** ((m - h * n) / 2) <= epsilon**2 / 4
+
+
 class TestExtractStream:
     def test_accounting_example(self, extract_in_memory, rng):
         params = ExtractorParams(4096, 2.0**-64, 0.96)

@@ -17,6 +17,7 @@ from qrbg.states import (
     Decomposition,
     PureState,
     StokesVector,
+    mix,
     worst_case_decomposition,
 )
 
@@ -25,6 +26,12 @@ def random_ball(rng, count, radius=1.0):
     v = rng.normal(size=(count, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     return v * (radius * rng.random(count) ** (1 / 3))[:, None]
+
+
+def labelled_minentropy(d):
+    """-log2 of the mean guessing probability of an adversary who knows
+    which term of ``d`` each event came from."""
+    return -math.log2(sum(w * (1.0 + abs(psi.bloch.s3)) / 2.0 for w, psi in d.terms))
 
 
 def closed_form(c):
@@ -63,6 +70,24 @@ class TestDecompositionRate:
         assert float(minentropy_decomposition(d)) == pytest.approx(
             -math.log2(0.9), abs=1e-12
         )
+
+    def test_mean_exceeds_the_labelled_adversarys_min_entropy(self):
+        # 1/2 |0> + 1/2 |+>: her guess is right with probability 3/4
+        d = Decomposition(
+            (
+                (0.5, PureState(StokesVector(0, 0, 1))),
+                (0.5, PureState(StokesVector(1, 0, 0))),
+            )
+        )
+        assert float(minentropy_decomposition(d)) == 0.5
+        assert labelled_minentropy(d) == pytest.approx(-math.log2(0.75), abs=1e-15)
+        assert labelled_minentropy(d) == pytest.approx(0.4150, abs=5e-5)
+        assert float(closed_form_minentropy(mix(d))) == pytest.approx(0.1000, abs=5e-5)
+
+    def test_mean_is_the_labelled_adversarys_when_terms_share_p_max(self):
+        d = worst_case_decomposition(StokesVector(0.9, 0.3, 0.1))
+        assert float(minentropy_decomposition(d)) == pytest.approx(labelled_minentropy(d), abs=1e-12)
+        assert labelled_minentropy(d) == pytest.approx(0.603591, abs=5e-7)
 
 
 class TestClosedForm:

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 import qrbg.bits
 import qrbg.pipeline
 import qrbg.sources
-from qrbg.bits import MAGIC, BitStream, open_bits_file, pack_bits, read_bits_file, write_bits_file
+from qrbg.bits import BitStream, open_bits_file, pack_bits, read_bits_file, write_bits_file
 from qrbg.cli import main
 from qrbg.errors import InsufficientDataError, InsufficientEntropyError, ParameterError, QrbgError
 from qrbg.extractor import ExtractorParams, toeplitz_extract
@@ -434,11 +434,6 @@ class TestSimulateLogs:
         with pytest.raises(ParameterError, match="recalibrate_every"):
             simulate_logs(cfg, str(tmp_path / "o"))
         assert not (tmp_path / "o").exists()
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(FAST_CONFIG + "recalibrate_every = 5000\n")
-        r = CliRunner().invoke(main, ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
-        assert r.exit_code == 5, r.output
-        assert not (tmp_path / "o").exists()
 
 
 class TestCli:
@@ -493,153 +488,6 @@ class TestCli:
         packed = read_bits_file(str(out / "raw.bits"))
         assert packed.bit_length == 20000
 
-    def test_insufficient_entropy_exit_code(self, tmp_path):
-        cfg_path = tmp_path / "zero.cfg"
-        cfg_path.write_text(
-            "mode = single\nstate = 0, 0, 0.7\nrng_seed = 9\n"
-            "tomography_events = 30000\ngeneration_bits = 10000\n"
-            "block_n = 1000\nepsilon = 2^-16\n"
-        )
-        r = CliRunner().invoke(main, ["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
-        assert r.exit_code == 2
-
-    @pytest.mark.parametrize("epsilon", ["2^-1030", "1e-310"])
-    def test_epsilon_below_2_to_minus_1024_exit_code(self, tmp_path, epsilon):
-        # 4*log2(1/eps) is about 4120 bits, more than a 1000-bit block holds
-        raw = tmp_path / "raw.bits"
-        write_bits_file(str(raw), BitStream(np.ones(4000, dtype=np.uint8)), {"role": "raw"})
-        r = CliRunner().invoke(main, [
-            "extract", str(raw), "--h-rate", "1", "--block-n", "1000",
-            "--epsilon", epsilon, "--out", str(tmp_path / "ex.bits"),
-        ])
-        assert r.exit_code == 2, r.output
-        assert [p.name for p in tmp_path.iterdir()] == ["raw.bits"]
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(FAST_CONFIG.replace("2^-16", epsilon))
-        out = tmp_path / "o"
-        r = CliRunner().invoke(main, ["pipeline", "--config", str(cfg_path), "--out", str(out)])
-        assert r.exit_code == 2, r.output
-        assert "[certify]" in r.output
-        assert [p.name for p in out.iterdir()] == ["calibration.log"]
-
-    @pytest.mark.parametrize("epsilon", ["2^1024", "2^99999"])
-    def test_epsilon_of_2_to_1024_or_more_exit_code(self, tmp_path, epsilon):
-        raw = tmp_path / "raw.bits"
-        write_bits_file(str(raw), BitStream(np.ones(4000, dtype=np.uint8)), {"role": "raw"})
-        r = CliRunner().invoke(main, [
-            "extract", str(raw), "--h-rate", "1", "--block-n", "1000",
-            "--epsilon", epsilon, "--out", str(tmp_path / "ex.bits"),
-        ])
-        assert r.exit_code == 5, r.output
-        assert "bad value for epsilon: epsilon inf outside (0, 1)" in r.output
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(FAST_CONFIG.replace("2^-16", epsilon))
-        r = CliRunner().invoke(main, ["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
-        assert r.exit_code == 5, r.output
-        assert "line 8: bad value for epsilon: epsilon inf outside (0, 1)" in r.output
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.bits", "run.cfg"]
-
-    @pytest.mark.parametrize("command", ["pipeline", "simulate"])
-    @pytest.mark.parametrize("phase", ["inf", "nan"])
-    def test_non_finite_phase_exit_code(self, tmp_path, command, phase):
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(FAST_CONFIG + f"phase = {phase}\n")
-        r = CliRunner().invoke(main, [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
-        assert r.exit_code == 5, r.output
-        assert f"bad value for phase: '{phase}' is not finite" in r.output
-        assert not (tmp_path / "o").exists()
-
-    def test_config_error_exit_code(self, tmp_path):
-        cfg_path = tmp_path / "bad.cfg"
-        cfg_path.write_text("mode = single\nstate = 1,0,0\nbogus = 1\n")
-        r = CliRunner().invoke(main, ["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
-        assert r.exit_code == 5
-
-    def test_block_size_above_exactness_limit_exit_code(self, tmp_path):
-        raw = tmp_path / "raw.bits"
-        write_bits_file(str(raw), BitStream(np.ones(4000, dtype=np.uint8)), {"role": "raw"})
-        r = CliRunner().invoke(main, [
-            "extract", str(raw), "--h-rate", "0.9", "--block-n", str(ExtractorParams.MAX_N + 1),
-            "--out", str(tmp_path / "ex.bits"),
-        ])
-        assert r.exit_code == 5
-        assert "proven exact" in r.output
-
-    def test_malformed_log_exit_code(self, tmp_path):
-        log_path = tmp_path / "bad.log"
-        log_path.write_text("# source=x\n# seed=0\n# n=2\n0,Z,2\n1,X,1\n")
-        r = CliRunner().invoke(main, ["calibrate", str(log_path)])
-        assert r.exit_code == 5
-        assert "outcome is not 0 or 1" in r.output
-
-    def test_lone_carriage_return_log_exit_code(self, tmp_path):
-        log_path = tmp_path / "cr.log"
-        log_path.write_bytes(b"# source=x\r# seed=0\r# n=2\r0,Z,0\r1,X,1\r")
-        r = CliRunner().invoke(main, ["calibrate", str(log_path)])
-        assert r.exit_code == 5, r.output
-        assert "line 1: carriage return without a line feed" in r.output
-
-    @pytest.mark.parametrize("h_rate", ["1.5", "nan"])
-    def test_h_rate_outside_unit_interval_exit_code(self, tmp_path, h_rate):
-        raw = tmp_path / "raw.bits"
-        write_bits_file(str(raw), BitStream(np.ones(4000, dtype=np.uint8)), {"role": "raw"})
-        r = CliRunner().invoke(main, [
-            "extract", str(raw), "--h-rate", h_rate, "--block-n", "1000",
-            "--epsilon", "2^-16", "--out", str(tmp_path / "ex.bits"),
-        ])
-        assert r.exit_code == 5
-        assert "entropy rate" in r.output
-        assert not (tmp_path / "ex.bits").exists()
-        assert not (tmp_path / "ex.seed.bits").exists()
-
-    def test_significance_outside_unit_interval_exit_code(self, tmp_path):
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(FAST_CONFIG + "significance = 0\n")
-        r = CliRunner().invoke(main, ["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
-        assert r.exit_code == 5
-        assert "significance" in r.output
-        assert not (tmp_path / "o").exists()
-        path = tmp_path / "ones.bits"
-        write_bits_file(str(path), BitStream(np.ones(2000, dtype=np.uint8)), {"role": "raw"})
-        r = CliRunner().invoke(main, ["test", str(path), "--tests", "monobit", "--significance", "0"])
-        assert r.exit_code == 5
-        assert "pass=" not in r.output
-
-    def test_negative_seed_exit_code(self, tmp_path):
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(FAST_CONFIG.replace("rng_seed = 4242", "rng_seed = -1"))
-        r = CliRunner().invoke(main, ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
-        assert r.exit_code == 5
-        assert "rng_seed" in r.output
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize(
-        "line",
-        [
-            b"# bit_length=abc\n",
-            b"# bit_length=-5\n",
-            b"# bit_length=8\n# note=\xe9\n",
-            b"# bit_length=9\n",  # a payload of one byte holds 8 bits only
-        ],
-    )
-    def test_malformed_bits_header_exit_code(self, tmp_path, line):
-        path = tmp_path / "bad.bits"
-        path.write_bytes(MAGIC + line + b"\n\xff")
-        r = CliRunner().invoke(main, ["test", str(path)])
-        assert r.exit_code == 5
-        assert str(path) in r.output
-
-    def test_stream_shorter_than_one_block_exit_code(self, tmp_path):
-        raw = tmp_path / "raw.bits"
-        write_bits_file(str(raw), BitStream(np.ones(500, dtype=np.uint8)), {"role": "raw"})
-        r = CliRunner().invoke(main, [
-            "extract", str(raw), "--h-rate", "0.9", "--block-n", "1000", "--out", str(tmp_path / "out.bits"),
-        ])
-        assert r.exit_code == 3, r.output
-        assert "500 bits is shorter than one 1000-bit block" in r.output
-        # neither the output, its .part file, nor a drawn hash seed is left
-        assert [p.name for p in tmp_path.iterdir()] == ["raw.bits"]
-
     def test_extract_defaults_come_from_the_config_table(self, tmp_path):
         raw = tmp_path / "raw.bits"
         write_bits_file(str(raw), BitStream(np.ones(250_000, dtype=np.uint8)), {"role": "raw"})
@@ -667,51 +515,12 @@ class TestCli:
         assert "minentropy_rate=" in whole.output
         assert pieced.output == whole.output
 
-    def test_malformed_record_past_first_piece_writes_no_report(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
-        records = "".join(f"{i},{'ZXY'[i % 3]},{2 if i == 12 else i % 2}\n" for i in range(20))
-        log_path = tmp_path / "bad.log"
-        log_path.write_text("# source=x\n# seed=0\n# n=20\n" + records)
-        report = tmp_path / "state.txt"
-        r = CliRunner().invoke(main, ["calibrate", str(log_path), "--report", str(report)])
-        assert r.exit_code == 5
-        assert "event record 12: outcome is not 0 or 1" in r.output
-        assert not report.exists()
-
-    def test_insufficient_data_exit_code(self, tmp_path):
-        log_path = tmp_path / "tiny.log"
-        log_path.write_text("# source=x\n# seed=0\n# n=2\n0,Z,0\n1,X,1\n")
-        r = CliRunner().invoke(main, ["calibrate", str(log_path)])
-        assert r.exit_code == 3
-
-    def test_io_error_exit_code(self, tmp_path):
-        cfg_path = tmp_path / "io.cfg"
-        cfg_path.write_text(FAST_CONFIG + "seed_file = /nonexistent/seed.bits\n")
-        r = CliRunner().invoke(main, ["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
-        assert r.exit_code == 4
-
     def test_pipeline_recalibrates_from_config_file(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(FAST_CONFIG + "recalibrate_every = 5000\n")
         r = self.run("pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
         assert r.exit_code == 0, r.output
         assert "recalibrations=4" in r.output
-
-    @pytest.mark.parametrize("command", ["pipeline", "simulate"])
-    @pytest.mark.parametrize("case", sorted(UNBUILDABLE_SOURCES))
-    def test_unbuildable_source_exit_code(self, tmp_path, command, case):
-        cfg_path = tmp_path / "bad.cfg"
-        cfg_path.write_text(UNBUILDABLE_SOURCES[case][0])
-        r = CliRunner().invoke(main, [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
-        assert r.exit_code == 5, r.output
-        assert not (tmp_path / "o").exists()
-
-    def test_battery_failure_exit_code(self, tmp_path):
-        path = tmp_path / "zeros.bits"
-        write_bits_file(str(path), BitStream(np.zeros(2000, dtype=np.uint8)), {"role": "raw"})
-        r = CliRunner().invoke(main, ["test", str(path), "--tests", "monobit"])
-        assert r.exit_code == 1
-        assert "pass=0" in r.output
 
 
 def sha256(data):
@@ -882,155 +691,11 @@ def test_extract_prints_the_reports_extraction_lines(tmp_path):
 
 
 def test_extract_rejects_mixed_basis_log(tmp_path):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(FAST_CONFIG)
-    out = tmp_path / "out"
-    runner = CliRunner()
-    assert runner.invoke(main, ["simulate", "--config", str(cfg_path), "--out", str(out)]).exit_code == 0
-    r = runner.invoke(main, [
-        "extract", str(out / "calibration.log"), "--h-rate", "0.5",
-        "--block-n", "2000", "--epsilon", "2^-16", "--out", str(out / "ex.bits"),
-    ])
-    assert r.exit_code == 5
-    assert "Z-basis" in r.output
-    assert not (out / "ex.bits").exists()
+    calib, _, _ = simulate_logs(parse_config_text(FAST_CONFIG), str(tmp_path))
     # the Z check runs as the log's pieces are read
-    raw = load_raw_bits(str(out / "calibration.log"))
+    raw = load_raw_bits(str(calib))
     with pytest.raises(QrbgError, match="Z-basis"):
         list(raw.chunks())
-
-
-# Generation logs that generate and extract must refuse, read in pieces of
-# 7 records: the header's n is checked after the last piece, a non-Z event
-# in the piece holding it, and n must be declared before any record is read.
-def z_records(count, x_at=None):
-    return "".join(f"{i},{'X' if i == x_at else 'Z'},{i % 2}\n" for i in range(count))
-
-
-BAD_GENERATION_LOGS = {
-    "n above record count": ("# source=x\n# seed=0\n# n=30\n" + z_records(20), "n=30 but log has 20"),
-    "n below record count": ("# source=x\n# seed=0\n# n=10\n" + z_records(20), "n=10 but log has 20"),
-    "non-Z past first piece": ("# source=x\n# seed=0\n# n=20\n" + z_records(20, x_at=12), "Z-basis"),
-    "no n header": ("# source=x\n# seed=0\n" + z_records(20), "must declare n"),
-}
-
-
-@pytest.mark.parametrize("command", ["generate", "extract"])
-@pytest.mark.parametrize("case", sorted(BAD_GENERATION_LOGS))
-def test_bad_generation_log_exit_code(tmp_path, monkeypatch, command, case):
-    monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
-    text, message = BAD_GENERATION_LOGS[case]
-    log = tmp_path / "generation.log"
-    log.write_text(text)
-    args = [command, str(log), "--out", str(tmp_path / "out.bits")]
-    if command == "extract":
-        args += ["--h-rate", "0.9", "--block-n", "10", "--epsilon", "2^-1"]
-    r = CliRunner().invoke(main, args)
-    assert r.exit_code == 5, r.output
-    assert message in r.output
-    # neither the output nor, for extract, a drawn hash seed is left
-    assert [p.name for p in tmp_path.iterdir()] == ["generation.log"]
-
-
-@pytest.mark.parametrize("command", ["calibrate", "generate", "extract"])
-@pytest.mark.parametrize("seed", ["-3", "+3", " 007"])
-def test_header_seed_must_be_a_non_negative_decimal(tmp_path, command, seed):
-    log = tmp_path / "events.log"
-    log.write_text(f"# source=x\n# seed={seed}\n# n=20\n" + z_records(20))
-    args = [command, str(log)]
-    if command != "calibrate":
-        args += ["--out", str(tmp_path / "out.bits")]
-    if command == "extract":
-        args += ["--h-rate", "0.9", "--block-n", "10", "--epsilon", "2^-1"]
-    r = CliRunner().invoke(main, args)
-    assert r.exit_code == 5, r.output
-    assert f"seed {seed.strip()!r} is not a non-negative decimal" in r.output
-
-
-# Inputs holding one byte outside ASCII: an event log, in a record past
-# the first piece of 7 or in a header line, a config file, and the output
-# directory a pipeline report would record.  Each is malformed input.
-Z_LOG = ("# source=x\n# seed=0\n# n=20\n" + z_records(20)).encode()
-NON_ASCII_RECORD = Z_LOG.replace(b"12,Z,0", b"12,Z,\xc3\xa9")
-NON_ASCII_HEADER = Z_LOG.replace(b"source=x", b"source=\xc3\xa9")
-NON_ASCII_CONFIG = FAST_CONFIG.encode() + b"# caf\xc3\xa9\n"
-EXTRACT_ARGS = ["--h-rate", "0.9", "--block-n", "10", "--epsilon", "2^-1", "--out", "out.bits"]
-NON_ASCII_INPUTS = {
-    "calibrate, record": (["calibrate", "events.log", "--report", "state.txt"], NON_ASCII_RECORD),
-    "calibrate, header": (["calibrate", "events.log", "--report", "state.txt"], NON_ASCII_HEADER),
-    "generate, record": (["generate", "events.log", "--out", "raw.bits"], NON_ASCII_RECORD),
-    "generate, header": (["generate", "events.log", "--out", "raw.bits"], NON_ASCII_HEADER),
-    "extract, record": (["extract", "events.log", *EXTRACT_ARGS], NON_ASCII_RECORD),
-    "extract, header": (["extract", "events.log", *EXTRACT_ARGS], NON_ASCII_HEADER),
-    "pipeline, config": (["pipeline", "--config", "run.cfg", "--out", "o"], NON_ASCII_CONFIG),
-    "simulate, config": (["simulate", "--config", "run.cfg", "--out", "o"], NON_ASCII_CONFIG),
-    "pipeline, out dir": (["pipeline", "--config", "run.cfg", "--out", "\u00fbo"], FAST_CONFIG.encode()),
-}
-
-
-@pytest.mark.parametrize("case", sorted(NON_ASCII_INPUTS))
-def test_non_ascii_input_exit_code(tmp_path, monkeypatch, case):
-    monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
-    monkeypatch.chdir(tmp_path)
-    args, data = NON_ASCII_INPUTS[case]
-    name = "run.cfg" if "--config" in args else "events.log"
-    (tmp_path / name).write_bytes(data)
-    r = CliRunner().invoke(main, args)
-    assert r.exit_code == 5, r.output
-    assert "ASCII" in r.output
-    # no report, output file or run directory is left
-    assert [p.name for p in tmp_path.iterdir()] == [name]
-
-
-# Each input path a subcommand reads, given a file that does not exist:
-# the stage that opens it fails with exit 4 before writing anything.
-MISSING_INPUTS = {
-    "simulate --config": ["simulate", "--config", "missing", "--out", "o"],
-    "calibrate LOGFILE": ["calibrate", "missing", "--report", "state.txt"],
-    "generate GENLOG": ["generate", "missing", "--out", "raw.bits"],
-    "extract RAWFILE": ["extract", "missing", "--h-rate", "0.9", "--out", "out.bits"],
-    "extract --seed-file": ["extract", "raw.bits", "--h-rate", "0.9", "--block-n", "1000",
-                            "--seed-file", "missing", "--out", "out.bits"],
-    "test BITSFILE": ["test", "missing", "--report", "tests.txt"],
-    "pipeline --config": ["pipeline", "--config", "missing", "--out", "o"],
-}
-
-
-@pytest.mark.parametrize("case", sorted(MISSING_INPUTS))
-def test_missing_input_exit_code(tmp_path, monkeypatch, case):
-    monkeypatch.chdir(tmp_path)
-    write_bits_file("raw.bits", BitStream(np.ones(1000, dtype=np.uint8)), {"role": "raw"})
-    r = CliRunner().invoke(main, MISSING_INPUTS[case])
-    assert r.exit_code == 4, r.output
-    assert "No such file or directory: 'missing'" in r.output
-    # no report, output file or run directory is left
-    assert [p.name for p in tmp_path.iterdir()] == ["raw.bits"]
-
-
-# Malformed command lines, each a usage error that exits 5, the code of a
-# configuration error, never 2, the code of insufficient entropy.
-USAGE_ERRORS = {
-    "bad option value": ["calibrate", "events.log", "--alpha", "abc"],
-    "missing required option": ["extract", "events.log", "--out", "out.bits"],
-    "missing argument": ["calibrate"],
-    "unknown option": ["calibrate", "events.log", "--bogus"],
-    "unknown subcommand": ["bogus"],
-    "option before the subcommand": ["--alpha", "0.1", "calibrate", "events.log"],
-    "bare qrbg": [],
-    # rejected before the raw file, which is missing, is read
-    "extract --out naming no file": ["extract", "missing.log", "--h-rate", "0.9", "--out", "."],
-    "extract --out empty": ["extract", "missing.log", "--h-rate", "0.9", "--out", ""],
-}
-
-
-@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
-def test_usage_error_exit_code(tmp_path, monkeypatch, case):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "events.log").write_text(Z_LOG.decode())
-    r = CliRunner().invoke(main, USAGE_ERRORS[case])
-    assert r.exit_code == 5, r.output
-    assert "Usage:" in r.output
-    assert [p.name for p in tmp_path.iterdir()] == ["events.log"]
 
 
 @pytest.mark.parametrize("args, code", [(["calibrate", "missing"], 4), (["calibrate", "--bogus"], 5), ([], 5)])
@@ -1052,158 +717,18 @@ def test_generate_copies_a_raw_bits_file(tmp_path):
     assert (tmp_path / "copy.bits").read_bytes() == raw.read_bytes()
 
 
-# Seed files that a run refuses: the raw data as its own seed, and
-# a seed shorter than the n + m - 1 bits the hash needs.
-BAD_SEED_FILES = {
-    "raw file as seed": ("raw", 6000, "has role=raw, expected seed"),
-    "seed too short": ("seed", 3000, "holds 3000 bits, the extractor needs"),
-}
-
-
-def write_bad_seed(path, case):
-    role, nbits, message = BAD_SEED_FILES[case]
-    write_bits_file(str(path), BitStream(np.ones(nbits, dtype=np.uint8)), {"role": role})
-    return f"{path} {message}"
-
-
-@pytest.mark.parametrize("case", sorted(BAD_SEED_FILES))
-def test_extract_rejects_a_bad_seed_file(tmp_path, case):
-    raw = tmp_path / "raw.bits"
-    write_bits_file(str(raw), BitStream(np.ones(20000, dtype=np.uint8)), {"role": "raw"})
-    message = write_bad_seed(tmp_path / "seed.bits", case)
-    r = CliRunner().invoke(main, [
-        "extract", str(raw), "--h-rate", "0.9", "--block-n", "2000", "--epsilon", "2^-16",
-        "--seed-file", str(tmp_path / "seed.bits"), "--out", str(tmp_path / "out.bits"),
-    ])
-    assert r.exit_code == 5, r.output
-    assert message in r.output
-    # neither the output, its .part file nor a drawn hash seed is written
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.bits", "seed.bits"]
-
-
-@pytest.mark.parametrize("case", sorted(BAD_SEED_FILES))
-def test_pipeline_rejects_a_bad_seed_file(tmp_path, case):
-    message = write_bad_seed(tmp_path / "seed.bits", case)
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(FAST_CONFIG + f"seed_file = {tmp_path / 'seed.bits'}\n")
-    out = tmp_path / "o"
-    r = CliRunner().invoke(main, ["pipeline", "--config", str(cfg_path), "--out", str(out)])
-    assert r.exit_code == 5, r.output
-    if case == "seed too short":  # how many bits are needed follows from the certified rate
-        assert f"[extract] {message}" in r.output
-        for name in ("extracted.bits", "extracted.bits.part", "extracted.seed.bits", "report.txt"):
-            assert not (out / name).exists()
-    else:
-        assert f"[seed] {message}" in r.output
-        assert not out.exists()
-
-
-def test_extract_rejects_an_empty_seed_file_option(tmp_path):
-    raw = tmp_path / "raw.bits"
-    write_bits_file(str(raw), BitStream(np.ones(20000, dtype=np.uint8)), {"role": "raw"})
-    r = CliRunner().invoke(main, [
-        "extract", str(raw), "--h-rate", "0.9", "--block-n", "2000", "--epsilon", "2^-16",
-        "--seed-file", "", "--out", str(tmp_path / "out.bits"),
-    ])
-    assert r.exit_code == 5, r.output
-    assert "bad value for seed_file: '' is empty" in r.output
-    # no output, and no seed drawn in place of the named one
-    assert [p.name for p in tmp_path.iterdir()] == ["raw.bits"]
-
-
-def test_repeated_test_name_exit_code(tmp_path):
-    path = tmp_path / "bits.bits"
-    write_bits_file(str(path), BitStream(np.arange(2000, dtype=np.uint8) % 2), {"role": "raw"})
-    r = CliRunner().invoke(main, ["test", str(path), "--tests", "monobit,monobit"])
-    assert r.exit_code == 5, r.output
-    assert "repeated tests ['monobit']" in r.output and "test=monobit" not in r.output
-
-
-@pytest.mark.parametrize("tests", [",", " , ", "none", ""])
-def test_a_test_run_selecting_no_test_exit_code(tmp_path, tests):
-    path = tmp_path / "bits.bits"
-    write_bits_file(str(path), BitStream(np.arange(2000, dtype=np.uint8) % 2), {"role": "raw"})
-    r = CliRunner().invoke(main, ["test", str(path), "--tests", tests])
-    assert r.exit_code == 5, r.output
-    assert "no test" in r.output and "test=" not in r.output
-
-
-def extract_args(tmp_path, out, seed_file=None):
-    raw = tmp_path / "raw.bits"
-    write_bits_file(str(raw), BitStream(np.ones(20000, dtype=np.uint8)), {"role": "raw"})
-    args = ["extract", str(raw), "--h-rate", "0.5", "--block-n", "10000", "--out", str(out)]
-    return args + ["--seed-file", str(seed_file)] if seed_file else args
-
-
-@pytest.mark.parametrize("seeded", [False, True], ids=["drawn seed", "seed file"])
-def test_extract_onto_a_directory_leaves_no_file(tmp_path, seeded):
-    seed = tmp_path / "seed.bits"
-    if seeded:
-        write_seed_file(seed, 20000)
-    (tmp_path / "outdir").mkdir()
-    r = CliRunner().invoke(main, extract_args(tmp_path, tmp_path / "outdir", seed if seeded else None))
-    assert r.exit_code == 4, r.output
-    # neither outdir.part nor a drawn outdir.seed.bits is left
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "raw.bits"] + ["seed.bits"] * seeded
-    assert list((tmp_path / "outdir").iterdir()) == []
-
-
-def test_extract_whose_drawn_seed_path_is_a_directory_leaves_no_file(tmp_path):
-    # os.replace cannot commit the seed onto the directory, so the output,
-    # committed only with its seed, is not written either
-    (tmp_path / "out.seed.bits").mkdir()
-    r = CliRunner().invoke(main, extract_args(tmp_path, tmp_path / "out.bits"))
-    assert r.exit_code == 4, r.output
-    assert "the drawn hash seed's path is a directory" in r.output
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.seed.bits", "raw.bits"]
-    assert list((tmp_path / "out.seed.bits").iterdir()) == []
-
-
 def test_extract_draws_its_seed_onto_a_symlink_to_a_directory(tmp_path):
     # os.replace replaces the link itself, so the seed is committed
+    raw = tmp_path / "raw.bits"
+    write_bits_file(str(raw), BitStream(np.ones(20000, dtype=np.uint8)), {"role": "raw"})
     (tmp_path / "elsewhere").mkdir()
     (tmp_path / "out.seed.bits").symlink_to("elsewhere")
-    r = CliRunner().invoke(main, extract_args(tmp_path, tmp_path / "out.bits"))
+    r = CliRunner().invoke(main, [
+        "extract", str(raw), "--h-rate", "0.5", "--block-n", "10000", "--out", str(tmp_path / "out.bits"),
+    ])
     assert r.exit_code == 0, r.output
     assert (tmp_path / "out.bits").is_file()
     assert (tmp_path / "out.seed.bits").is_file() and not (tmp_path / "out.seed.bits").is_symlink()
-
-
-@pytest.mark.parametrize("linked", [False, True], ids=["same name", "symlink"])
-def test_extract_rejects_its_output_as_seed_file(tmp_path, monkeypatch, linked):
-    monkeypatch.chdir(tmp_path)
-    write_seed_file(tmp_path / "s.bits", 20000)
-    before = (tmp_path / "s.bits").read_bytes()
-    if linked:
-        (tmp_path / "link.bits").symlink_to("s.bits")
-    seed_file = "link.bits" if linked else "s.bits"
-    r = CliRunner().invoke(main, extract_args(tmp_path, tmp_path / "s.bits", seed_file))
-    assert r.exit_code == 5, r.output
-    assert f"seed_file {seed_file} is {tmp_path / 's.bits'}, a file this command writes" in r.output
-    assert (tmp_path / "s.bits").read_bytes() == before
-    assert not (tmp_path / "s.bits.part").exists()
-
-
-@pytest.mark.parametrize("name, config", [
-    ("extracted.bits", ""),
-    ("raw.bits", ""),
-    ("generation.log", "gen_format = events\n"),
-    ("calibration.log", ""),
-    ("report.txt", ""),
-])
-def test_pipeline_rejects_a_seed_file_it_writes(tmp_path, name, config):
-    out = tmp_path / "o"
-    out.mkdir()
-    seed = out / name
-    write_seed_file(seed, 4000)
-    before = seed.read_bytes()
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(FAST_CONFIG + config + f"seed_file = {seed}\n")
-    r = CliRunner().invoke(main, ["pipeline", "--config", str(cfg_path), "--out", str(out)])
-    assert r.exit_code == 5, r.output
-    assert f"[seed] seed_file {seed} is {seed}, a file this command writes" in r.output
-    assert [p.name for p in out.iterdir()] == [name]
-    assert seed.read_bytes() == before
 
 
 def test_pipeline_takes_a_seed_file_beside_its_files(tmp_path):
@@ -1276,24 +801,6 @@ def test_run_shorter_than_one_block_is_rejected(tmp_path):
     with pytest.raises(ParameterError, match="cannot fill one block_n=30000-bit block"):
         run_pipeline(cfg, str(tmp_path / "out"))
     assert not (tmp_path / "out").exists()
-    cfg_path = tmp_path / "short.cfg"
-    cfg_path.write_text(FAST_CONFIG.replace("block_n = 2000", "block_n = 30000"))
-    r = CliRunner().invoke(main, ["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
-    assert r.exit_code == 5
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("name, role", [("extracted.bits", "extracted"), ("extracted.seed.bits", "seed")])
-def test_extract_accepts_only_raw_bits_files(tmp_path, name, role):
-    run_pipeline(parse_config_text(FAST_CONFIG), str(tmp_path / "run"))
-    path = tmp_path / "run" / name
-    r = CliRunner().invoke(main, [
-        "extract", str(path), "--h-rate", "0.9", "--block-n", "1000",
-        "--epsilon", "2^-16", "--out", str(tmp_path / "again.bits"),
-    ])
-    assert r.exit_code == 5
-    assert f"{path} has role={role}" in r.output
-    assert not (tmp_path / "again.bits").exists()
 
 
 # The battery's results on the streamed run below, computed from the whole
