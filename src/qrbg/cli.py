@@ -20,6 +20,7 @@ from .errors import QrbgError
 from .extractor import ExtractorParams
 from .pipeline import (
     PipelineConfig,
+    _distinct,
     calibrate as calibrate_log,
     extract as extract_raw,
     load_config,
@@ -102,6 +103,7 @@ def simulate(config_path, out_dir) -> None:
 @click.option("--report", "report_path", type=click.Path(), default=None)
 def calibrate(logfile, alpha, conservative, report_path) -> None:
     """Reconstruct the state from a calibration log and certify a rate."""
+    _distinct(calibration_log=logfile, report=report_path)
     cfg = _config(alpha=alpha, conservative=conservative)
     _write_block(calibrate_log(load_event_log(logfile), cfg).render(), report_path)
 
@@ -111,6 +113,7 @@ def calibrate(logfile, alpha, conservative, report_path) -> None:
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def generate(genlog, out_path) -> None:
     """Pack the outcomes of a generation event log into a raw-bit file."""
+    _distinct(generation_log=genlog, output=out_path)
     raw = load_raw_bits(genlog)
     write_bits_file(out_path, raw, raw.meta)
     click.echo(f"raw_bits={len(raw)}")
@@ -130,7 +133,7 @@ def extract(rawfile, h_rate, block_n, epsilon, seed_file, out_path) -> None:
         raise click.BadParameter(f"{out_path!r} names no file", param_hint="'--out'")
     cfg = _config(block_n=block_n, epsilon=epsilon, seed_file=seed_file)
     params = ExtractorParams(cfg.block_n, cfg.epsilon, h_rate)
-    result = extract_raw(load_raw_bits(rawfile), params, cfg.seed_file, Path(out_path))
+    result = extract_raw(rawfile, params, cfg.seed_file, Path(out_path))
     click.echo(result.render(), nl=False)
     click.echo(f"path={out_path}")
 
@@ -142,6 +145,7 @@ def extract(rawfile, h_rate, block_n, epsilon, seed_file, out_path) -> None:
 @click.option("--report", "report_path", type=click.Path(), default=None)
 def test_cmd(bitsfile, test_list, significance, report_path) -> None:
     """Run the statistical battery on a packed bit file."""
+    _distinct(bits_file=bitsfile, report=report_path)
     cfg = _config(tests=test_list, significance=significance)
     if not cfg.tests:
         raise click.BadParameter("selects no test", param_hint="'--tests'")
@@ -156,7 +160,7 @@ def test_cmd(bitsfile, test_list, significance, report_path) -> None:
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def pipeline_cmd(config_path, out_dir) -> None:
     """Run simulate, calibrate, certify, generate, extract and test; the
-    report is written to OUT/report.txt."""
+    report is written into OUT, beside the files it lists."""
     click.echo(run_pipeline(load_config(config_path), out_dir).render(), nl=False)
 
 

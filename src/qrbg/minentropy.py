@@ -10,11 +10,12 @@ coherence c = sqrt(s1^2 + s2^2):
 
     rate(c) = -log2((1 + sqrt(1 - c^2)) / 2)
 
-This module provides the per-state rate, the weighted mean of a
-decomposition's per-term rates (which can exceed the min-entropy of an
-adversary who knows each event's term), the closed form, a brute-force
-minimizer over two-term decompositions that verifies the closed form
-independently, and a finite-statistics confidence bound.
+This module provides the weighted mean of a decomposition's per-term
+rates (which can exceed the min-entropy of an adversary who knows each
+event's term), the closed form, which evaluates a pure state through its
+vertical component, a brute-force minimizer over two-term decompositions
+that verifies the closed form independently, and a finite-statistics
+confidence bound.
 
 Everything is a pure function; the minimizer vectorizes over chord
 directions and is deterministic for a fixed direction count.
@@ -69,11 +70,6 @@ def rate_from_coherence(c: float) -> EntropyRate:
     return EntropyRate(_pure_rate(math.sqrt(1.0 - c * c)))
 
 
-def minentropy_pure(psi: PureState) -> EntropyRate:
-    """-log2(max(P0, P1)) for a single computational-basis measurement."""
-    return EntropyRate(_pure_rate(psi.bloch.s3))
-
-
 def minentropy_decomposition(d: Decomposition) -> EntropyRate:
     """Weighted mean sum_i w_i * (-log2 p_max,i) of the terms' pure-state
     min-entropies.
@@ -85,10 +81,7 @@ def minentropy_decomposition(d: Decomposition) -> EntropyRate:
     ``worst_case_decomposition``.  For 1/2 |0> + 1/2 |+> this mean is 0.5 and
     hers -log2 0.75 = 0.415.
     """
-    total = sum(
-        w * minentropy_pure(psi).bits_per_sample for w, psi in d.terms
-    )
-    return EntropyRate(total)
+    return EntropyRate(sum(w * float(closed_form_minentropy(psi.bloch)) for w, psi in d.terms))
 
 
 def closed_form_minentropy(s: StokesVector) -> EntropyRate:
@@ -154,7 +147,7 @@ def minimize_over_decompositions(
     point = s.as_array()
     r2 = float(point @ point)
     if r2 >= _PURE_NORM2:
-        return minentropy_pure(PureState(s))
+        return closed_form_minentropy(PureState(s).bloch)
     dirs = _chord_directions(directions)
     ru = dirs @ point
     half_gap = np.sqrt(ru * ru + (1.0 - r2))

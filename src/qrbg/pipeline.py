@@ -165,6 +165,14 @@ _SOURCES = {
     "adversarial": (_adversarial, ("adv_target", "adv_weights", "adv_states")),
 }
 
+# the files a run writes, by report label; the generation file's name by gen_format
+_RUN_FILES = {
+    "calibration_log": "calibration.log",
+    "generation_raw": {"bits": "raw.bits", "events": "generation.log"},
+    "extracted_bits": "extracted.bits",
+    "report": "report.txt",
+}
+
 
 def _key(default, parse, show=str):
     """A config key: its default, its text parser and its text formatter.
@@ -202,7 +210,7 @@ class PipelineConfig:
         ALL_TESTS, _parse_tests, lambda v: ",".join(v) if v else "none"
     )
     significance: float = _key(DEFAULT_SIGNIFICANCE, _probability, repr)
-    gen_format: str = _key("bits", _choice("bits", "events"))
+    gen_format: str = _key("bits", _choice(*_RUN_FILES["generation_raw"]))
     seed_file: str | None = _key(None, _ascii_path)
     recalibrate_every: int | None = _key(None, _count)
 
@@ -396,6 +404,23 @@ def _stage(name: str):
         raise
 
 
+def _run_files(config: PipelineConfig, out: Path) -> dict[str, Path]:
+    names = {**_RUN_FILES, "generation_raw": _RUN_FILES["generation_raw"][config.gen_format]}
+    return {label: out / name for label, name in names.items()}
+
+
+def _distinct(**paths: str | Path | None) -> None:
+    """Reject two of a command's files, each keyed by what it is, that are one
+    file: a command never writes over what it reads, nor hashes data with itself."""
+    seen: dict[Path, str] = {}
+    for what, path in paths.items():
+        if path:
+            key = Path(path).resolve()
+            if key in seen:
+                raise ParameterError(f"{seen[key]} and {what} {path} are one file")
+            seen[key] = f"{what} {path}"
+
+
 def _streams(config: PipelineConfig, segments: int) -> tuple[int, int, list[int]]:
     """Master seed, generation seed and one calibration seed per segment."""
     master = config.rng_seed if config.rng_seed is not None else secrets.randbits(63)
@@ -426,11 +451,10 @@ def generate(source: Source, seed: int, config: PipelineConfig, out: Path) -> Pa
     back through ``load_raw_bits``, as ``qrbg extract`` does.
     """
     stream = ZStream(source, seed, config.generation_bits)
+    path = _run_files(config, out)["generation_raw"]
     if config.gen_format == "events":
-        path = out / "generation.log"
         save_event_log(stream, str(path))
     else:
-        path = out / "raw.bits"
         raw = ZBits(stream)
         write_bits_file(str(path), raw, raw.meta)
     return path
@@ -455,12 +479,9 @@ def simulate_logs(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     master, gen_seed, (calib_seed,) = _streams(config, 1)
-    calib_path = out / "calibration.log"
-    save_event_log(
-        _calibration_log(source, calib_seed, config.tomography_events), str(calib_path)
-    )
-    gen_path = generate(source, gen_seed, config, out)
-    return calib_path, gen_path, master
+    calib_path = _run_files(config, out)["calibration_log"]
+    save_event_log(_calibration_log(source, calib_seed, config.tomography_events), str(calib_path))
+    return calib_path, generate(source, gen_seed, config, out), master
 
 
 def load_raw_bits(path: str) -> BitsFile | ZBits:
@@ -479,42 +500,31 @@ def load_raw_bits(path: str) -> BitsFile | ZBits:
     return ZBits(log)
 
 
-def _not_written(seed_file: str, *paths: Path) -> None:
-    for path in paths:
-        if Path(seed_file).resolve() == path.resolve():
-            raise ParameterError(f"seed_file {seed_file} is {path}, a file this command writes")
-
-
-def extract(
-    raw: BitsFile | ZBits, params: ExtractorParams, seed_file: str | None, path: Path
-) -> ExtractionResult:
-    """Hash ``raw`` into ``path`` a chunk at a time and audit the file.
+def extract(raw_path: str, params: ExtractorParams, seed_file: str | None, path: Path) -> ExtractionResult:
+    """Hash the raw file ``raw_path``, read through ``load_raw_bits``, into
+    ``path`` a chunk at a time and audit the file.
 
     The seed is the head of the ``role=seed`` bits file ``seed_file``, as
-    many bits as the hash needs, and may not be ``path``.  Without one a
-    seed is drawn from system entropy and written next to ``path``
-    (``extracted.bits`` -> ``extracted.seed.bits``), committed after the
-    output and only with it, so a failed extraction leaves neither file;
-    a directory at the seed's path, which no file can replace, and the raw
-    input itself, which the seed would replace, are rejected before either
-    is written.
-    The header's ``source`` is the raw stream's, and its ``seed_sha256``
-    pins the seed by content, not by where its file lives.  Returns the
-    extraction, whose output is the file written, opened for chunked
-    reading, and whose seed knows its file's path.
+    many bits as the hash needs.  Without one a seed is drawn from system
+    entropy and written next to ``path`` (``out.bits`` -> ``out.seed.bits``),
+    committed after the output and only with it, so a failed extraction
+    leaves neither file, and a directory at its path is rejected before
+    either is written.  The raw input, seed file, output and drawn seed must
+    be distinct files, which is checked before any is opened.  The header's
+    ``source`` is the raw stream's, and its ``seed_sha256`` pins the seed by
+    content, not by where its file lives.  Returns the extraction, whose
+    output is the file written, opened for chunked reading, and whose seed
+    knows its file's path.
     """
-    needed = params.seed_bits_needed
+    drawn = None if seed_file else str(path.with_suffix(".seed.bits"))
+    _distinct(raw_input=raw_path, seed_file=seed_file, output=path, drawn_seed=drawn)
+    raw = load_raw_bits(raw_path)
     if seed_file:
-        _not_written(seed_file, path)
-        seed = HashSeed.read(seed_file, needed)
+        seed = HashSeed.read(seed_file, params.seed_bits_needed)
     else:
-        seed = HashSeed.system(needed, str(path.with_suffix(".seed.bits")))
-        seed_path = Path(seed.path)
-        if seed_path.is_dir() and not seed_path.is_symlink():
-            raise IsADirectoryError(errno.EISDIR, "the drawn hash seed's path is a directory", seed.path)
-        raw_path = raw.path if isinstance(raw, BitsFile) else raw.events.path
-        if seed_path.resolve() == Path(raw_path).resolve():
-            raise ParameterError(f"the drawn hash seed's path {seed.path} is the raw input {raw_path}")
+        seed = HashSeed.system(params.seed_bits_needed, drawn)
+        if Path(drawn).is_dir() and not Path(drawn).is_symlink():
+            raise IsADirectoryError(errno.EISDIR, "the drawn hash seed's path is a directory", drawn)
     header = {
         "role": "extracted",
         "block_n": str(params.n),
@@ -581,15 +591,14 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> RunReport:
             f"block_n={config.block_n}-bit block, so nothing would be extracted"
         )
     out = Path(out_dir)
+    files = _run_files(config, out)
     if config.seed_file:
         with _stage("seed"):
+            _distinct(seed_file=config.seed_file, **files)
             open_bits_file(config.seed_file, "seed")
-            generation = "generation.log" if config.gen_format == "events" else "raw.bits"
-            run_files = ("calibration.log", generation, "extracted.bits", "report.txt")
-            _not_written(config.seed_file, *(out / name for name in run_files))
     out.mkdir(parents=True, exist_ok=True)
     # a report left by an earlier run would vouch for files this run replaces
-    (out / "report.txt").unlink(missing_ok=True)
+    files["report"].unlink(missing_ok=True)
     recal = config.recalibrate_every
     segments = 1 if recal is None else max(1, math.ceil(config.generation_bits / recal))
     master, gen_seed, calib_seeds = _streams(config, segments)
@@ -600,9 +609,8 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> RunReport:
     )
 
     with _stage("calibrate"):
-        calib_path = out / "calibration.log"
-        report.calibration = _certify_segments(config, source, calib_seeds, calib_path)
-        report.files.append(_digest(calib_path, "calibration_log"))
+        report.calibration = _certify_segments(config, source, calib_seeds, files["calibration_log"])
+        report.files.append(_digest(files["calibration_log"], "calibration_log"))
 
     # certify extractor accounting, and that the battery can test the
     # output's length, before generating anything
@@ -615,21 +623,16 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> RunReport:
         report.files.append(_digest(gen_path, "generation_raw"))
 
     with _stage("extract"):
-        extracted_path = out / "extracted.bits"
-        report.extraction = extract(
-            load_raw_bits(str(gen_path)), params, config.seed_file, extracted_path
-        )
+        report.extraction = extract(str(gen_path), params, config.seed_file, files["extracted_bits"])
         if not config.seed_file:
             # a configured seed file may live anywhere; only a drawn one is a run file
             report.files.append(_digest(Path(report.extraction.seed.path), "hash_seed"))
-        report.files.append(_digest(extracted_path, "extracted_bits"))
+        report.files.append(_digest(files["extracted_bits"], "extracted_bits"))
 
     with _stage("test"):
         if config.tests:
-            report.test_results = run_battery(
-                report.extraction.output, config.tests, config.significance
-            )
+            report.test_results = run_battery(report.extraction.output, config.tests, config.significance)
 
-    with _committed(str(out / "report.txt"), "w", "ascii") as fh:
+    with _committed(str(files["report"]), "w", "ascii") as fh:
         fh.write(report.render())
     return report

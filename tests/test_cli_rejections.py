@@ -40,12 +40,13 @@ def bits(role, count, pattern=(1,)):
     return MAGIC + f"# bit_length={count}\n# role={role}\n\n".encode() + payload
 
 
-def z_log(count, n=None, seed="0"):
-    """An all-Z event log of ``count`` records whose header declares ``n``
-    (by default ``count``; "" declares none)."""
+def z_log(count, n=None, seed="0", bases="Z"):
+    """An event log of ``count`` records, measured in ``bases`` in turn (by
+    default all Z), whose header declares ``n`` (by default ``count``; ""
+    declares none)."""
     n = count if n is None else n
     head = f"# source=x\n# seed={seed}\n" + (f"# n={n}\n" if n != "" else "")
-    return (head + "".join(f"{i},Z,{i % 2}\n" for i in range(count))).encode()
+    return (head + "".join(f"{i},{bases[i % len(bases)]},{i % 2}\n" for i in range(count))).encode()
 
 
 def cfg(text):
@@ -53,6 +54,8 @@ def cfg(text):
 
 
 RAW = bits("raw", 4000)
+# a header naming no role passes either role check
+NO_ROLE = RAW.replace(b"# role=raw\n", b"")
 SEED = bits("seed", 4000, (1, 0, 0))
 EXTRACT = ["extract", "raw.bits", "--h-rate", "0.9", "--block-n", "1000"]
 RUN = ["--config", "run.cfg", "--out", "o"]
@@ -239,7 +242,7 @@ ROWS = {
             ("bit_length=9", b"# bit_length=9\n", "bad.bits: payload of 1 bytes cannot hold 9 bits"),
         ]
     },
-    # 5: a hash seed that is not a seed, or not apart from the data
+    # 5: a hash seed that is not a seed
     "extract: raw file as seed": Row([*EXTRACT, "--seed-file", "seed.bits", "--out", "out.bits"],
                                      {"raw.bits": RAW, "seed.bits": RAW}, 5, "seed.bits has role=raw, expected seed"),
     "extract: seed too short": Row([*EXTRACT, "--seed-file", "seed.bits", "--out", "out.bits"],
@@ -252,24 +255,47 @@ ROWS = {
     # read as no seed file, a seed would be drawn in place of the named one
     "extract: --seed-file ''": Row([*EXTRACT, "--seed-file", "", "--out", "out.bits"], {"raw.bits": RAW},
                                    5, "bad value for seed_file: '' is empty"),
+    # 5: two of a command's files are one file: it would write over what it
+    # reads, or hash the data with itself
     **{
         f"extract: output is the seed file, {how}": Row(
             [*EXTRACT, "--seed-file", seed_file, "--out", "s.bits"], {"raw.bits": RAW, "s.bits": SEED, **link},
-            5, f"seed_file {seed_file} is s.bits, a file this command writes",
+            5, f"seed_file {seed_file} and output s.bits are one file",
         )
         for how, seed_file, link in [("same name", "s.bits", {}), ("symlink", "link.bits", {"link.bits": "s.bits"})]
     },
     "extract: drawn seed path is the raw input": Row(
         ["extract", "r.seed.bits", "--h-rate", "0.9", "--block-n", "1000", "--out", "r.bits"], {"r.seed.bits": RAW},
-        5, "the drawn hash seed's path r.seed.bits is the raw input r.seed.bits",
+        5, "raw_input r.seed.bits and drawn_seed r.seed.bits are one file",
     ),
+    "extract: seed file is the raw input": Row(
+        ["extract", "x.bits", "--seed-file", "x.bits", "--h-rate", "0.9", "--block-n", "1000", "--out", "o.bits"],
+        {"x.bits": NO_ROLE}, 5, "raw_input x.bits and seed_file x.bits are one file",
+    ),
+    "extract: output is the raw input, a bits file": Row(
+        ["extract", "r.bits", "--seed-file", "s.bits", "--h-rate", "0.9", "--block-n", "1000", "--out", "r.bits"],
+        {"r.bits": RAW, "s.bits": SEED}, 5, "raw_input r.bits and output r.bits are one file",
+    ),
+    "extract: output is the raw input, an event log": Row(
+        ["extract", "gen.log", "--h-rate", "0.9", "--block-n", "1000", "--out", "gen.log"],
+        {"gen.log": z_log(4000)}, 5, "raw_input gen.log and output gen.log are one file",
+    ),
+    "generate: output is the input": Row(["generate", "gen.log", "--out", "gen.log"], {"gen.log": z_log(4000)},
+                                         5, "generation_log gen.log and output gen.log are one file"),
+    "calibrate: report is the input": Row(["calibrate", "cal.log", "--report", "cal.log"],
+                                          {"cal.log": z_log(3000, bases="ZXY")},
+                                          5, "calibration_log cal.log and report cal.log are one file"),
+    "test: report is the input": Row(["test", "x.bits", "--tests", "monobit", "--report", "x.bits"],
+                                     {"x.bits": bits("raw", 2000, (0, 1))},
+                                     5, "bits_file x.bits and report x.bits are one file"),
     **{
         f"pipeline: seed_file is its {name}": Row(
             ["pipeline", *RUN], {f"o/{name}": SEED, **cfg(FAST_CONFIG + more + f"seed_file = o/{name}\n")},
-            5, f"[seed] seed_file o/{name} is o/{name}, a file this command writes",
+            5, f"[seed] seed_file o/{name} and {label} o/{name} are one file",
         )
-        for name, more in [("extracted.bits", ""), ("raw.bits", ""), ("generation.log", "gen_format = events\n"),
-                           ("calibration.log", ""), ("report.txt", "")]
+        for name, label, more in [("extracted.bits", "extracted_bits", ""), ("raw.bits", "generation_raw", ""),
+                                  ("generation.log", "generation_raw", "gen_format = events\n"),
+                                  ("calibration.log", "calibration_log", ""), ("report.txt", "report", "")]
     },
     "pipeline: raw file as seed": Row(["pipeline", *RUN],
                                       {"seed.bits": RAW, **cfg(FAST_CONFIG + "seed_file = seed.bits\n")},

@@ -9,7 +9,6 @@ from qrbg.minentropy import (
     closed_form_minentropy,
     lower_confidence_rate,
     minentropy_decomposition,
-    minentropy_pure,
     minimize_over_decompositions,
     rate_from_coherence,
 )
@@ -39,15 +38,21 @@ def closed_form(c):
     return -math.log2((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
 
 
+def pure_rate(s3):
+    """Test-side evaluation of a pure state's rate from its vertical component."""
+    return -math.log2((1.0 + abs(s3)) / 2.0)
+
+
 class TestPureRate:
     def test_deterministic_state(self):
-        assert float(minentropy_pure(PureState(StokesVector(0, 0, 1)))) == 0.0
+        assert float(closed_form_minentropy(StokesVector(0, 0, 1))) == pure_rate(1) == 0.0
 
     def test_balanced_state(self):
-        assert float(minentropy_pure(PureState(StokesVector(1, 0, 0)))) == 1.0
+        assert float(closed_form_minentropy(StokesVector(1, 0, 0))) == pure_rate(0) == 1.0
 
     def test_biased_state(self):
-        rate = minentropy_pure(PureState(StokesVector(0.6, 0, 0.8)))
+        rate = closed_form_minentropy(StokesVector(0.6, 0, 0.8))
+        assert float(rate) == pytest.approx(pure_rate(0.8), abs=1e-12)
         assert float(rate) == pytest.approx(-math.log2(0.9), abs=1e-12)
 
 
@@ -136,7 +141,7 @@ class TestClosedForm:
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         for row in v:
             psi = PureState(StokesVector(*row))
-            a = float(minentropy_pure(psi))
+            a = pure_rate(psi.bloch.s3)
             b = float(closed_form_minentropy(psi.bloch))
             assert abs(a - b) < 1e-12
 

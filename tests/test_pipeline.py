@@ -644,20 +644,26 @@ def test_staged_cli_matches_pipeline(tmp_path, source, gen_format):
     staged, piped = tmp_path / "staged", tmp_path / "piped"
     runner = CliRunner()
 
-    def run(*args):
+    def run(*args, reads=()):
+        """Run a command that succeeds and leaves the files it ``reads`` as they were."""
+        before = {path: sha256(path.read_bytes()) for path in reads}
         r = runner.invoke(main, [str(a) for a in args], catch_exceptions=False)
         assert r.exit_code == 0, r.output
+        assert {path: sha256(path.read_bytes()) for path in reads} == before
         return r.output
 
-    run("pipeline", "--config", cfg_path, "--out", piped)
-    run("simulate", "--config", cfg_path, "--out", staged)
-    state = run("calibrate", staged / "calibration.log", "--report", staged / "state.txt")
+    run("pipeline", "--config", cfg_path, "--out", piped, reads=[cfg_path, seed_path])
+    run("simulate", "--config", cfg_path, "--out", staged, reads=[cfg_path])
+    calib = staged / "calibration.log"
+    state = run("calibrate", calib, "--report", staged / "state.txt", reads=[calib])
     rate = next(l for l in state.splitlines() if l.startswith("minentropy_rate=")).split("=")[1]
     raw = staged / "raw.bits"
     if gen_format == "events":
-        run("generate", staged / "generation.log", "--out", raw)
+        run("generate", staged / "generation.log", "--out", raw, reads=[staged / "generation.log"])
+    extracted = staged / "extracted.bits"
     run("extract", raw, "--h-rate", rate, "--block-n", "2000", "--epsilon", "2^-16",
-        "--seed-file", seed_path, "--out", staged / "extracted.bits")
+        "--seed-file", seed_path, "--out", extracted, reads=[raw, seed_path])
+    run("test", extracted, "--tests", "monobit", "--report", staged / "tests.txt", reads=[extracted])
     gen_name = "raw.bits" if gen_format == "bits" else "generation.log"
     for name in ("calibration.log", gen_name, "extracted.bits"):
         assert (staged / name).read_bytes() == (piped / name).read_bytes(), name
