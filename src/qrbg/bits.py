@@ -28,8 +28,9 @@ from .errors import ParameterError
 MAGIC = b"QRBGBITS v1     "
 
 # Bits per chunk of a streamed file; a multiple of 8, so each chunk after
-# the first starts on a byte boundary.
-CHUNK_BITS = 1 << 22
+# the first starts on a byte boundary.  Extraction and the battery hold a
+# chunk unpacked, one byte per bit, at a time.
+CHUNK_BITS = 1 << 19
 
 
 def _is_decimal(text: str) -> bool:
@@ -200,7 +201,7 @@ def write_bits_file(path: str, stream, header: dict[str, str]) -> None:
 def open_bits_file(path: str, role: str | None = None) -> BitsFile:
     """Parse a bits file's header and check that its payload holds
     ``bit_length`` bits, without reading the payload.  With ``role``, a
-    header naming another role is rejected; one naming none passes."""
+    header naming another role, or none, is rejected."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -225,8 +226,9 @@ def open_bits_file(path: str, role: str | None = None) -> BitsFile:
         raise ParameterError(f"{path}: header needs a bit_length count, got {length!r}")
     if size * 8 < int(length):
         raise ParameterError(f"{path}: payload of {size} bytes cannot hold {length} bits")
-    if role is not None and header.get("role", role) != role:
-        raise ParameterError(f"{path} has role={header['role']}, expected {role}")
+    if role is not None and header.get("role") != role:
+        named = f"role={header['role']}" if "role" in header else "no role"
+        raise ParameterError(f"{path} has {named}, expected {role}")
     return BitsFile(path, header, int(length), offset, size)
 
 

@@ -21,6 +21,7 @@ from .extractor import ExtractorParams
 from .pipeline import (
     PipelineConfig,
     _distinct,
+    _run_files,
     calibrate as calibrate_log,
     extract as extract_raw,
     load_config,
@@ -73,6 +74,14 @@ def _config(**keys) -> PipelineConfig:
     return cfg
 
 
+def _run_config(config_path: str, out_dir: str) -> PipelineConfig:
+    """The configuration at ``config_path``, rejected if it is one of the
+    files a run into ``out_dir`` writes."""
+    cfg = load_config(config_path)
+    _distinct(config=config_path, **_run_files(cfg, Path(out_dir)))
+    return cfg
+
+
 def _write_block(block: str, report_path: str | None) -> None:
     click.echo(block, nl=False)
     if report_path:
@@ -90,7 +99,7 @@ def main() -> None:
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def simulate(config_path, out_dir) -> None:
     """Write a calibration event log and a generation log/raw-bit file."""
-    calib, gen, master = simulate_logs(load_config(config_path), out_dir)
+    calib, gen, master = simulate_logs(_run_config(config_path, out_dir), out_dir)
     click.echo(f"master_seed={master}")
     click.echo(f"calibration={calib}")
     click.echo(f"generation={gen}")
@@ -161,7 +170,7 @@ def test_cmd(bitsfile, test_list, significance, report_path) -> None:
 def pipeline_cmd(config_path, out_dir) -> None:
     """Run simulate, calibrate, certify, generate, extract and test; the
     report is written into OUT, beside the files it lists."""
-    click.echo(run_pipeline(load_config(config_path), out_dir).render(), nl=False)
+    click.echo(run_pipeline(_run_config(config_path, out_dir), out_dir).render(), nl=False)
 
 
 if __name__ == "__main__":

@@ -39,9 +39,11 @@ length N >= n + m - 1 that _fft_length picks for speed (the one within
 3 % with the most factors of 5), and rounded to the nearest integer.
 Every term of an output coefficient lies inside the seed, so there
 c' = 2c - |x|, |x| the block's popcount.  S is made once per
-extraction.  Rows are transformed two at a time while two padded float64
-rows fit in _BATCH_BYTES (16 MiB, N up to 2^20), and one at a time above
-it, so at n = 1e6 a batch's transforms are the size of one row's.
+extraction, from s' written into the zero-padded input buffer, so no
+copy of the seed is made.  Rows are transformed two at a time while two
+padded float64 rows fit in _BATCH_BYTES (16 MiB, N up to 2^20), and one
+at a time above it, so at n = 1e6 a batch's transforms are the size of
+one row's.
 Rounding, the residual guard and the parity run in buffers made once per
 extraction: a batch allocates only the two arrays the transforms return,
 and frees them before the next batch's transforms.
@@ -449,14 +451,25 @@ class _Hasher:
         self.fft_len = _fft_length(n + m - 1)
         self.eps = _transform_error(self.fft_len)
         self.seed_norm = math.sqrt(n + m - 1)
+        fits = _BATCH_ROWS * self.fft_len * 8 <= _BATCH_BYTES
+        self.rows = _BATCH_ROWS if fits else 1
+        self.batch = 2 * self.rows
+        self.pad = np.zeros((self.rows, self.fft_len), dtype=np.float64)
+        self.rounded = np.empty((self.rows, m), dtype=np.int64)
         # The centred seed 2s - 1 has no DC spike; see the module docstring.
-        self.seed_fft = _fft.rfft(seed_bits * 2.0 - 1.0, self.fft_len)
+        # It is transformed in the first pad row, its spectrum's moduli are
+        # taken there too, and the row is zeroed again.
+        row, centred = self.pad[0], self.pad[0, : n + m - 1]
+        np.multiply(seed_bits, 2.0, out=centred)
+        centred -= 1.0
+        self.seed_fft = _fft.rfft(row)
+        peak = float(np.abs(self.seed_fft, out=row[: len(self.seed_fft)]).max()) * (1 + _gamma(2))
+        row[:] = 0.0
         # Row i of a batch holds its block i and its block rows + i scaled
         # by 2^shift, above every coefficient of the first.
         self.shift = n.bit_length()
         scale = 1.0 + 2.0**self.shift
         x_norm = scale * math.sqrt(n)
-        peak = float(np.abs(self.seed_fft).max()) * (1 + _gamma(2))
         product = _product_norm(self.eps, peak, x_norm)
         # Packed batches the seed-level bound does not prove are checked one
         # by one.
@@ -464,11 +477,6 @@ class _Hasher:
             _convolution_error(self.eps, product, self.seed_norm, x_norm, scale * n)
             > _FFT_GUARD
         )
-        fits = _BATCH_ROWS * self.fft_len * 8 <= _BATCH_BYTES
-        self.rows = _BATCH_ROWS if fits else 1
-        self.batch = 2 * self.rows
-        self.pad = np.zeros((self.rows, self.fft_len), dtype=np.float64)
-        self.rounded = np.empty((self.rows, m), dtype=np.int64)
         np.empty(_HEAP_WARMUP, dtype=np.uint8)
 
     def _batch_error(self, spectrum: np.ndarray, ones: list[int]) -> float:

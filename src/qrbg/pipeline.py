@@ -404,9 +404,19 @@ def _stage(name: str):
         raise
 
 
+def _drawn_seed(output: Path) -> Path:
+    """Where the seed drawn for the extracted file ``output`` is written."""
+    return output.with_suffix(".seed.bits")
+
+
 def _run_files(config: PipelineConfig, out: Path) -> dict[str, Path]:
+    """The files a run into ``out`` writes, the seed it draws without a
+    ``seed_file`` included."""
     names = {**_RUN_FILES, "generation_raw": _RUN_FILES["generation_raw"][config.gen_format]}
-    return {label: out / name for label, name in names.items()}
+    files = {label: out / name for label, name in names.items()}
+    if not config.seed_file:
+        files["hash_seed"] = _drawn_seed(files["extracted_bits"])
+    return files
 
 
 def _distinct(**paths: str | Path | None) -> None:
@@ -516,7 +526,7 @@ def extract(raw_path: str, params: ExtractorParams, seed_file: str | None, path:
     output is the file written, opened for chunked reading, and whose seed
     knows its file's path.
     """
-    drawn = None if seed_file else str(path.with_suffix(".seed.bits"))
+    drawn = None if seed_file else str(_drawn_seed(path))
     _distinct(raw_input=raw_path, seed_file=seed_file, output=path, drawn_seed=drawn)
     raw = load_raw_bits(raw_path)
     if seed_file:
@@ -626,7 +636,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> RunReport:
         report.extraction = extract(str(gen_path), params, config.seed_file, files["extracted_bits"])
         if not config.seed_file:
             # a configured seed file may live anywhere; only a drawn one is a run file
-            report.files.append(_digest(Path(report.extraction.seed.path), "hash_seed"))
+            report.files.append(_digest(files["hash_seed"], "hash_seed"))
         report.files.append(_digest(files["extracted_bits"], "extracted_bits"))
 
     with _stage("test"):

@@ -35,9 +35,11 @@ class Row(NamedTuple):
 
 
 def bits(role, count, pattern=(1,)):
-    """A bits file of ``count`` bits repeating ``pattern``, laid out as the writer lays it out."""
+    """A bits file of ``count`` bits repeating ``pattern``, laid out as the
+    writer lays it out; a ``role`` of None names none."""
     payload = pack_bits(np.resize(np.array(pattern, dtype=np.uint8), count))
-    return MAGIC + f"# bit_length={count}\n# role={role}\n\n".encode() + payload
+    named = "" if role is None else f"# role={role}\n"
+    return MAGIC + f"# bit_length={count}\n{named}\n".encode() + payload
 
 
 def z_log(count, n=None, seed="0", bases="Z"):
@@ -54,8 +56,7 @@ def cfg(text):
 
 
 RAW = bits("raw", 4000)
-# a header naming no role passes either role check
-NO_ROLE = RAW.replace(b"# role=raw\n", b"")
+NO_ROLE = bits(None, 4000)
 SEED = bits("seed", 4000, (1, 0, 0))
 EXTRACT = ["extract", "raw.bits", "--h-rate", "0.9", "--block-n", "1000"]
 RUN = ["--config", "run.cfg", "--out", "o"]
@@ -245,6 +246,10 @@ ROWS = {
     # 5: a hash seed that is not a seed
     "extract: raw file as seed": Row([*EXTRACT, "--seed-file", "seed.bits", "--out", "out.bits"],
                                      {"raw.bits": RAW, "seed.bits": RAW}, 5, "seed.bits has role=raw, expected seed"),
+    "extract: a seed file naming no role": Row(
+        ["extract", "r.bits", "--seed-file", "x.bits", "--h-rate", "0.9", "--block-n", "40", "--epsilon", "2^-1",
+         "--out", "o2.bits"], {"r.bits": RAW, "x.bits": bits(None, 128)}, 5, "x.bits has no role, expected seed",
+    ),
     "extract: seed too short": Row([*EXTRACT, "--seed-file", "seed.bits", "--out", "out.bits"],
                                    {"raw.bits": RAW, "seed.bits": bits("seed", 1000)},
                                    5, "seed.bits holds 1000 bits, the extractor needs 1641"),
@@ -268,6 +273,7 @@ ROWS = {
         ["extract", "r.seed.bits", "--h-rate", "0.9", "--block-n", "1000", "--out", "r.bits"], {"r.seed.bits": RAW},
         5, "raw_input r.seed.bits and drawn_seed r.seed.bits are one file",
     ),
+    # a file with no role fails both role checks, but the files are compared first
     "extract: seed file is the raw input": Row(
         ["extract", "x.bits", "--seed-file", "x.bits", "--h-rate", "0.9", "--block-n", "1000", "--out", "o.bits"],
         {"x.bits": NO_ROLE}, 5, "raw_input x.bits and seed_file x.bits are one file",
@@ -297,6 +303,14 @@ ROWS = {
                                   ("generation.log", "generation_raw", "gen_format = events\n"),
                                   ("calibration.log", "calibration_log", ""), ("report.txt", "report", "")]
     },
+    **{
+        f"{command}: --config is its {label}": Row(
+            [command, "--config", f"o/{name}", "--out", "o"], {f"o/{name}": FAST_CONFIG.encode()},
+            5, f"config o/{name} and {label} o/{name} are one file",
+        )
+        for command, name, label in [("pipeline", "report.txt", "report"), ("pipeline", "extracted.seed.bits", "hash_seed"),
+                                     ("simulate", "raw.bits", "generation_raw")]
+    },
     "pipeline: raw file as seed": Row(["pipeline", *RUN],
                                       {"seed.bits": RAW, **cfg(FAST_CONFIG + "seed_file = seed.bits\n")},
                                       5, "[seed] seed.bits has role=raw, expected seed"),
@@ -312,6 +326,9 @@ ROWS = {
         )
         for name, role in [("extracted.bits", "extracted"), ("extracted.seed.bits", "seed")]
     },
+    "extract: a raw input naming no role": Row(["extract", "x.bits", "--h-rate", "0.9", "--block-n", "1000",
+                                                "--out", "o.bits"], {"x.bits": NO_ROLE},
+                                               5, "x.bits has no role, expected raw"),
 }
 
 

@@ -838,34 +838,65 @@ def test_streamed_run_matches_whole_array_reference(tmp_path):
         opened = open_bits_file(str(out / name))
         assert opened.bit_length == bits.shape[0], name
         assert (out / name).read_bytes()[opened.offset :] == pack_bits(bits), name
-    assert report.extraction.output.bit_length == hashed.size > (1 << 22)  # the battery reads two chunks
+    assert report.extraction.output.bit_length == hashed.size > qrbg.bits.CHUNK_BITS  # the battery reads two chunks
     assert hashlib.sha256(repr(report.test_results).encode()).hexdigest() == STREAMED_BATTERY_SHA256
 
 
-PEAK_RSS_SCRIPT = """
-import resource, sys
+# A child's ru_maxrss starts at its parent's peak (the kernel carries the
+# peak over a vfork and exec), so each script reads the peak of its own
+# address space, VmHWM.
+PEAK_RSS = """
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+"""
+PEAK_RSS_SCRIPT = PEAK_RSS + """
+import sys
 from qrbg.pipeline import parse_config_text, run_pipeline
 run_pipeline(parse_config_text(sys.stdin.read()), sys.argv[1])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(peak_kib())
+"""
+IMPORT_RSS_SCRIPT = PEAK_RSS + """
+import qrbg.pipeline
+print(peak_kib())
 """
 
 
-def test_peak_memory_does_not_grow_with_generation_bits(tmp_path):
+@pytest.fixture(scope="module")
+def peaks_kib(tmp_path_factory):
+    """Peak RSS in KiB of a bare import of the pipeline and of runs of 5e6
+    and 5e7 raw bits at n = 1e5, each in a process of its own."""
+    tmp_path = tmp_path_factory.mktemp("peaks")
     src = str(Path(qrbg.pipeline.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
-    def peak_kib(bits):
-        text = (
-            FAST_CONFIG.replace("generation_bits = 20000", f"generation_bits = {bits}")
-            .replace("block_n = 2000", "block_n = 100000")
-        )
+    def peak_kib(*args, text=""):
         proc = subprocess.run(
-            [sys.executable, "-c", PEAK_RSS_SCRIPT, str(tmp_path / str(bits))],
-            input=text, capture_output=True, text=True, env=env, timeout=300,
+            [sys.executable, "-c", *args], input=text, capture_output=True, text=True, env=env, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         return int(proc.stdout.split()[-1])
 
-    # both runs sample, hash and test whole chunks; the second is ten times longer
-    small, large = peak_kib(5_000_000), peak_kib(50_000_000)
-    assert large - small < 20 * 1024, (small, large)
+    peaks = {"import": peak_kib(IMPORT_RSS_SCRIPT)}
+    for bits in (5_000_000, 50_000_000):
+        text = (
+            FAST_CONFIG.replace("generation_bits = 20000", f"generation_bits = {bits}")
+            .replace("block_n = 2000", "block_n = 100000")
+        )
+        peaks[bits] = peak_kib(PEAK_RSS_SCRIPT, str(tmp_path / str(bits)), text=text)
+    return peaks
+
+
+def test_peak_memory_does_not_grow_with_generation_bits(peaks_kib):
+    # both runs sample, hash and test whole chunks; the second is ten times
+    # longer.  It grew 0-0.4 MiB (7.3-7.5 MiB with 2^22-bit chunks).
+    small, large = peaks_kib[5_000_000], peaks_kib[50_000_000]
+    assert large - small < 2 * 1024, (small, large)
+
+
+def test_peak_memory_stays_near_the_import_floor(peaks_kib):
+    # A run's working set above the interpreter, numpy, scipy and qrbg:
+    # 20.9-21.4 MiB for 5e7 raw bits at n = 1e5 (33.3-33.4 MiB with 2^22-bit
+    # chunks and the seed transformed through float64 copies).
+    floor, large = peaks_kib["import"], peaks_kib[50_000_000]
+    assert large - floor < 25 * 1024, (floor, large)
