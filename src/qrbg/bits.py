@@ -103,17 +103,22 @@ class BitStream:
 
 class BlockCutter:
     """Cuts consecutive chunks of a stream into whole blocks of ``width``
-    bits, carrying a partial block to the next chunk in ``rest``."""
+    bits, carrying a partial block to the next chunk in ``rest``, a view of
+    a one-block buffer, so carried bits are not copied again per chunk."""
 
     def __init__(self, width: int) -> None:
         self.width = width
-        self.rest = np.empty(0, dtype=np.uint8)
+        self._carry = np.empty(width, dtype=np.uint8)
+        self.rest = self._carry[:0]
 
     def cut(self, chunk: np.ndarray) -> np.ndarray:
         """The blocks that ``chunk`` completes, one per row."""
-        data = np.concatenate([self.rest, chunk]) if self.rest.size else chunk
-        whole = data.shape[0] // self.width * self.width
-        self.rest = data[whole:].copy()
+        held = self.rest.shape[0]
+        total = held + chunk.shape[0]
+        whole = total // self.width * self.width
+        data = np.concatenate([self.rest, chunk]) if held and whole else chunk
+        self.rest = self._carry[: total - whole]
+        self.rest[0 if whole else held :] = data[whole:]
         return data[:whole].reshape(-1, self.width)
 
 

@@ -39,15 +39,15 @@ length N >= n + m - 1 that _fft_length picks for speed (the one within
 3 % with the most factors of 5), and rounded to the nearest integer.
 Every term of an output coefficient lies inside the seed, so there
 c' = 2c - |x|, |x| the block's popcount.  S is made once per
-extraction, from s' written into the zero-padded input buffer, so no
-copy of the seed is made.  Rows are transformed two at a time while two
-padded float64 rows fit in _BATCH_BYTES (16 MiB, N up to 2^20), and one
-at a time above it, so at n = 1e6 a batch's transforms are the size of
-one row's.
-Rounding, the residual guard and the parity run in buffers made once per
-extraction: a batch allocates only the two arrays the transforms return,
-and frees them before the next batch's transforms.
-The hashing runs on the calling thread alone.
+extraction, in place, from s' and N - n - m + 1 zeros.  Rows are
+transformed two at a time while two padded float64 rows fit in
+_BATCH_BYTES (16 MiB, N up to 2^20), and one at a time above it.
+scipy.fftpack's transforms (scipy.fft's pocketfft plans, equal bit for
+bit) keep a spectrum half-complex, [S0, Re S1, Im S1, ...], in the real
+array transformed, so a batch is transformed, multiplied by S and
+transformed back in its zero-padded input rows, and rounded, guarded and
+reduced to parities in buffers made once per extraction: it allocates no
+transform-sized array.  The hashing runs on the calling thread alone.
 
 Two blocks per row.  With w = n.bit_length(), 2^w > n >= every
 coefficient of c, so a row holding x_lo + 2^w * x_hi convolves to
@@ -120,12 +120,13 @@ Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3 and 24).
 * The per-batch bound takes, for each packed row,
   ||x||_2 <= sqrt|x_lo| + 2^w sqrt|x_hi| (the triangle inequality) and
   c_max = |x_lo| + 2^w |x_hi| from the blocks' popcounts, and ||P^||_2^2
-  at most twice np.vdot of the row's half spectrum with itself (every
-  other bin stands for a conjugate pair), over 1 - gamma_{N+2} for that
-  sum's rounding.  Its assumptions are those of one transform and numpy's
+  at most twice np.dot of the row's half-complex spectrum with itself
+  (each bin but DC and Nyquist stands for a conjugate pair), over
+  1 - gamma_{N+2} for that sum's rounding.  Its assumptions are those of
+  one transform and numpy's
   complex product rounding within sqrt(2) gamma_2.  E is evaluated in
-  float64; its own rounding is far inside the gap between 1/4 and the
-  1/2 at which rounding to the nearest integer would go wrong.
+  float64; its own rounding is far inside the gap between 1/4 and the 1/2
+  at which rounding to the nearest integer would go wrong.
 * Figures (rate 0.96 at n = 1e4 and 1e5, 0.6 at n = 1e6, random seeds).
   The seed-level bound for packed rows is 4.5e-5 at n = 1e4 and 0.0044
   at n = 1e5, so both pack unchecked, and the unchecked range ends
@@ -163,7 +164,7 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterable, Iterator, Optional, Union
 
 import numpy as np
-from scipy import fft as _fft
+from scipy import fft as _fft, fftpack as _fftpack
 
 from .bits import BitsFile, BitStream, BlockCutter, _bit_array, pack_bits, read_bits_file, unpack_bits
 from .errors import InsufficientDataError, InsufficientEntropyError, ParameterError
@@ -182,13 +183,12 @@ _BATCH_BYTES = 16 << 20
 # start) afresh; freeing such a mapping raises the threshold to its size,
 # up to 32 MiB, and the heap's trim threshold to twice that.
 # _Hasher.__init__ allocates and frees this many bytes once, untouched (no
-# resident memory), so the transform outputs and pocketfft's per-call
-# scratch reuse heap pages whatever earlier work left the thresholds at:
-# standalone `qrbg extract` at n = 1e5 took 8.7k minor faults after import
-# against 345k.  At n = 1e6 a batch frees more than 48 MiB at the heap's
-# top, so 24 MiB left adversarial_recal's extraction 109k faults; 28 MiB
-# and up, 21k.
-_HEAP_WARMUP = 30 << 20
+# resident memory), so pocketfft's per-call scratch (a transform's length
+# in float64) reuses heap pages whatever earlier work left the thresholds
+# at.  Standalone `qrbg extract` took, after import, 4.6k minor faults at
+# n = 1e5 from 8 MiB up, against 805k at 2 MiB and below; at n = 1e6,
+# 16.8k from 20 MiB up, 20.2k at 16 MiB and 79k at 12 MiB and below.
+_HEAP_WARMUP = 20 << 20
 
 # The error model of the module docstring: unit roundoff, and how far a
 # computed twiddle factor may lie from its exact root.
@@ -434,8 +434,8 @@ class HashSeed:
 
 class _Hasher:
     """Toeplitz hashing of n-bit blocks under one seed.  The seed's
-    transform, the zero-padded input array and the rounding buffer are
-    made once, for every batch of one extraction."""
+    transform, the zero-padded input array (every batch's transforms run
+    in it) and the rounding buffer are made once per extraction."""
 
     def __init__(self, seed_bits: np.ndarray, n: int) -> None:
         m = seed_bits.shape[0] - n + 1
@@ -456,15 +456,20 @@ class _Hasher:
         self.batch = 2 * self.rows
         self.pad = np.zeros((self.rows, self.fft_len), dtype=np.float64)
         self.rounded = np.empty((self.rows, m), dtype=np.int64)
-        # The centred seed 2s - 1 has no DC spike; see the module docstring.
-        # It is transformed in the first pad row, its spectrum's moduli are
-        # taken there too, and the row is zeroed again.
-        row, centred = self.pad[0], self.pad[0, : n + m - 1]
+        # A half-complex spectrum [S0, Re S1, Im S1, ...]: its real bins (DC,
+        # and Nyquist at even N), and bins 1 to (N - 1) // 2 as (re, im) pairs.
+        self.real = slice(0, None, self.fft_len - 1) if self.fft_len % 2 == 0 else slice(0, 1)
+        self.pairs = slice(1, self.fft_len - 1 + self.fft_len % 2)
+        # The centred seed 2s - 1 (its padding stays 0) has no DC spike; see
+        # the module docstring.  |S| is taken in the first pad row; at odd N
+        # the last entry is an imaginary part, within its bin's modulus.
+        self.seed_fft = np.zeros(self.fft_len)
+        centred = self.seed_fft[: n + m - 1]
         np.multiply(seed_bits, 2.0, out=centred)
         centred -= 1.0
-        self.seed_fft = _fft.rfft(row)
-        peak = float(np.abs(self.seed_fft, out=row[: len(self.seed_fft)]).max()) * (1 + _gamma(2))
-        row[:] = 0.0
+        spectrum = self.seed_fft = _fftpack.rfft(self.seed_fft, overwrite_x=True)
+        moduli = np.abs(spectrum[self.pairs].view(np.complex128), out=self.pad[0, : (self.fft_len - 1) // 2])
+        peak = max(moduli.max(initial=0.0), abs(spectrum[0]), abs(spectrum[-1])) * (1 + _gamma(2))
         # Row i of a batch holds its block i and its block rows + i scaled
         # by 2^shift, above every coefficient of the first.
         self.shift = n.bit_length()
@@ -484,13 +489,13 @@ class _Hasher:
         spectral product ``spectrum`` and its blocks' popcounts ``ones``."""
         rows, w = len(spectrum), self.shift
         high = len(ones) - rows
-        # vdot sums the N + 2 squares of the half spectrum within
-        # gamma_{N + 2}; the full spectrum counts each at most twice.
+        # dot sums the N squares of a half-complex row within gamma_{N + 2};
+        # the full spectrum counts each at most twice.
         sum_error = 1 - _gamma(self.fft_len + 2)
         worst = 0.0
         for i, row in enumerate(spectrum):
             lo, hi = ones[i], ones[rows + i] if i < high else 0
-            squares = 2 * np.vdot(row, row).real / sum_error
+            squares = 2 * np.dot(row, row) / sum_error
             error = _convolution_error(
                 self.eps,
                 math.sqrt(squares / self.fft_len),
@@ -516,11 +521,7 @@ class _Hasher:
     def _hash_rows(self, batch: np.ndarray, out: np.ndarray, per_row: int) -> bool:
         """Hash ``batch``, ``per_row`` blocks to a row, into ``out``; False,
         with ``out`` untouched, if a packed batch fails its checked bound.
-        The transform outputs are freed on return, before the next batch's
-        transforms run.  Held through those, at n = 1e6 in
-        adversarial_recal with the heap warmed as ``__init__`` does, they
-        raised the peak RSS from 171 to 184 MB and the extraction's minor
-        faults from 21k to 75k."""
+        The batch is transformed in the pad rows, in place."""
         n, m, w = self.n, self.m, self.shift
         k = len(batch)
         rows = -(-k // per_row)
@@ -530,11 +531,14 @@ class _Hasher:
         np.multiply(batch[rows:], 2.0**w, out=pad[:high, :n])
         np.add(pad[:high, :n], batch[:high], out=pad[:high, :n])
         pad[high:, :n] = batch[high:rows]
-        spectrum = _fft.rfft(pad, axis=-1)
-        spectrum *= self.seed_fft
+        pad[:, n:] = 0.0
+        spectrum = _fftpack.rfft(pad, axis=-1, overwrite_x=True)
+        spectrum[:, self.real] *= self.seed_fft[self.real]
+        pairs = spectrum[:, self.pairs].view(np.complex128)
+        pairs *= self.seed_fft[self.pairs].view(np.complex128)
         if high and self.checked and self._batch_error(spectrum, ones) > _FFT_GUARD:
             return False
-        conv = _fft.irfft(spectrum, self.fft_len, axis=-1, overwrite_x=True)
+        conv = _fftpack.irfft(spectrum, axis=-1, overwrite_x=True)
         window = conv[:, n - 1 : n - 1 + m]
         rounded = self.rounded[:rows]
         # A coefficient that is not a number casts to an arbitrary

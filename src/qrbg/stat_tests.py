@@ -103,7 +103,7 @@ class _Monobit:
         self.ones = 0
 
     def feed(self, b: np.ndarray) -> None:
-        self.ones += int(b.sum())
+        self.ones += int(np.count_nonzero(b))
 
     def finish(self, significance: float) -> TestResult:
         n = self.n
@@ -158,7 +158,7 @@ class _Runs:
     def feed(self, b: np.ndarray) -> None:
         if not b.size:
             return
-        self.ones += int(b.sum())
+        self.ones += int(np.count_nonzero(b))
         self.changes += int(np.count_nonzero(b[1:] != b[:-1]))
         if self.last is not None:
             self.changes += int(b[0]) != self.last

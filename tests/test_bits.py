@@ -5,6 +5,7 @@ import qrbg.bits
 from qrbg.bits import (
     MAGIC,
     BitStream,
+    BlockCutter,
     _committed,
     bits_writer,
     open_bits_file,
@@ -120,6 +121,25 @@ def test_writer_carries_partial_bytes(tmp_path, rng):
     opened = open_bits_file(str(path))
     assert (opened.bit_length, opened.meta["role"]) == (1000, "raw")
     assert path.read_bytes()[opened.offset :] == pack_bits(bits)
+
+
+@pytest.mark.parametrize("width", [1, 8, 13, 200])
+def test_cutter_blocks_do_not_depend_on_the_chunking(rng, width):
+    """Random chunkings, empty and longer-than-a-block chunks included,
+    give the blocks and the rest of one reshape of the whole stream; the
+    rest does not change when a chunk's buffer is reused."""
+    bits = rng.integers(0, 2, 5 * width + 3 * width // 4 + 1).astype(np.uint8)
+    whole = len(bits) // width * width
+    for _ in range(20):
+        cuts = np.sort(rng.integers(0, len(bits) + 1, rng.integers(0, 12)))
+        cutter, blocks = BlockCutter(width), []
+        for chunk in np.split(bits, cuts):
+            chunk = chunk.copy()
+            blocks.append(cutter.cut(chunk).copy())
+            assert blocks[-1].shape[1:] == (width,)
+            chunk[:] = 0
+        assert np.array_equal(np.concatenate(blocks), bits[:whole].reshape(-1, width))
+        assert np.array_equal(cutter.rest, bits[whole:])
 
 
 def test_writer_checks_the_declared_length(tmp_path):

@@ -45,6 +45,26 @@ def full_spectrum_norm(half):
     return math.sqrt(float(2 * squares.sum() - squares[0] - squares[-1]))
 
 
+def half_complex(spectrum, length):
+    """scipy.fftpack's layout [S0, Re S1, Im S1, ...] of ``spectrum``, the
+    last axis of scipy.fft's real spectra of ``length`` points."""
+    pairs = spectrum[..., 1 : (length + 1) // 2]
+    parts = [spectrum[..., :1].real, np.stack([pairs.real, pairs.imag], -1).reshape(*pairs.shape[:-1], -1)]
+    return np.concatenate(parts + [spectrum[..., -1:].real] * (length % 2 == 0), -1)
+
+
+def complex_spectrum(half, length):
+    """scipy.fft's real spectra of ``length`` points from the last axis of
+    ``half``, in scipy.fftpack's layout."""
+    out = np.zeros(half.shape[:-1] + (length // 2 + 1,), np.complex128)
+    pairs = half[..., 1 : length - 1 + length % 2]
+    out.real[..., 1 : (length + 1) // 2], out.imag[..., 1 : (length + 1) // 2] = pairs[..., 0::2], pairs[..., 1::2]
+    out.real[..., 0] = half[..., 0]
+    if length % 2 == 0:
+        out.real[..., -1] = half[..., -1]
+    return out
+
+
 class TestOutputLength:
     def test_unit_rate(self):
         assert output_length(1.0, 1000, 2.0**-10) == math.floor(1000 - 4 * 10 - 2)
@@ -169,9 +189,9 @@ class TestBatchedHash:
             toeplitz_extract(seed, blocks)
 
     def test_guard_rejects_nan(self, rng, monkeypatch):
-        irfft = qrbg.extractor._fft.irfft
+        irfft = qrbg.extractor._fftpack.irfft
         monkeypatch.setattr(
-            qrbg.extractor._fft, "irfft", lambda *a, **k: np.full_like(irfft(*a, **k), np.nan)
+            qrbg.extractor._fftpack, "irfft", lambda *a, **k: np.full_like(irfft(*a, **k), np.nan)
         )
         seed = HashSeed(rng.integers(0, 2, 300).astype(np.uint8))
         blocks = rng.integers(0, 2, (3, 200)).astype(np.uint8)
@@ -181,8 +201,8 @@ class TestBatchedHash:
     def test_odd_coefficient_sum_rejected(self, rng, monkeypatch):
         """A coefficient off by exactly one leaves no residual, but its sum
         with the blocks' popcounts turns odd."""
-        irfft = qrbg.extractor._fft.irfft
-        monkeypatch.setattr(qrbg.extractor._fft, "irfft", lambda *a, **k: irfft(*a, **k) + 1.0)
+        irfft = qrbg.extractor._fftpack.irfft
+        monkeypatch.setattr(qrbg.extractor._fftpack, "irfft", lambda *a, **k: irfft(*a, **k) + 1.0)
         seed = HashSeed(rng.integers(0, 2, 300).astype(np.uint8))
         blocks = rng.integers(0, 2, (3, 200)).astype(np.uint8)
         with pytest.raises(ParameterError, match="integer precision"):
@@ -263,9 +283,9 @@ class TestPackedHash:
         hasher.checked = True
         monkeypatch.setattr(qrbg.extractor._Hasher, "_batch_error", lambda *a: 1.0)
         inverses = []
-        irfft = qrbg.extractor._fft.irfft
+        irfft = qrbg.extractor._fftpack.irfft
         monkeypatch.setattr(
-            qrbg.extractor._fft, "irfft", lambda x, *a, **k: inverses.append(len(x)) or irfft(x, *a, **k)
+            qrbg.extractor._fftpack, "irfft", lambda x, *a, **k: inverses.append(len(x)) or irfft(x, *a, **k)
         )
         out = np.empty((count, m), dtype=np.uint8)
         hasher.hash(blocks, out)
@@ -297,6 +317,47 @@ class TestPackedHash:
             for j in rng.choice(m, 8, replace=False):
                 row = seed[j : j + n][::-1].astype(np.int64)
                 assert packed[block, j] == (row @ blocks[block]) % 2, (block, j)
+
+    def test_batch_bound_reads_the_seed_not_its_padding(self, rng, monkeypatch):
+        """n + m - 1 = 1,600,395 leaves 19,605 zeros in N = 1,620,000.  Each
+        packed batch's bound equals the one from scipy.fft's complex spectra
+        of its row and of the centred seed padded with zeros, and passes, so
+        each batch runs one inverse.  Centring the padding too leaves every
+        output bit as it is but inflates the seed spectrum, and so every
+        batch's bound (0.86 against 0.16 here): each batch would be hashed
+        again at one block per row."""
+        n, m = 10**6, 600_396
+        seed = rng.integers(0, 2, n + m - 1).astype(np.uint8)
+        blocks = rng.integers(0, 2, (4, n)).astype(np.uint8)
+        hasher = qrbg.extractor._Hasher(seed, n)
+        assert (hasher.fft_len, hasher.rows, hasher.checked) == (1_620_000, 1, True)
+        errors, inverses = [], []
+        batch_error, irfft = qrbg.extractor._Hasher._batch_error, qrbg.extractor._fftpack.irfft
+        monkeypatch.setattr(
+            qrbg.extractor._Hasher, "_batch_error", lambda *a: errors.append(batch_error(*a)) or errors[-1]
+        )
+        monkeypatch.setattr(qrbg.extractor._fftpack, "irfft", lambda *a, **k: inverses.append(1) or irfft(*a, **k))
+        hasher.hash(blocks, np.empty((4, m), np.uint8))
+        assert len(errors) == len(inverses) == 2
+        fft, length, w = qrbg.extractor._fft, hasher.fft_len, hasher.shift
+        centred = np.zeros(length)
+        centred[: n + m - 1] = 2.0 * seed - 1.0
+        seed_spectrum = fft.rfft(centred)
+        # A batch's row holds its first block and 2^w times its second.
+        for error, (lo, hi) in zip(errors, blocks.reshape(2, 2, n)):
+            row = np.zeros(length)
+            row[:n] = lo + 2.0**w * hi
+            product = fft.rfft(row) * seed_spectrum
+            squares = 2 * np.vdot(product, product).real / (1 - qrbg.extractor._gamma(length + 2))
+            a, b = np.count_nonzero(lo), np.count_nonzero(hi)
+            want = qrbg.extractor._convolution_error(
+                hasher.eps,
+                math.sqrt(squares / length),
+                math.sqrt(n + m - 1),
+                math.sqrt(a) + 2**w * math.sqrt(b),
+                a + 2**w * b,
+            )
+            assert error == pytest.approx(want, rel=1e-12) and error <= qrbg.extractor._FFT_GUARD
 
 
 def factors_of(prime, k):
@@ -404,6 +465,50 @@ class TestExactnessBound:
         assert error <= eps * (1 + gamma2) * full_spectrum_norm(spectrum) / math.sqrt(length)
 
 
+class TestHasherTransforms:
+    """The error model is tested on scipy.fft (TestExactnessBound); the
+    hasher runs scipy.fftpack's transforms in place, which must give the
+    same values bit for bit."""
+
+    # The workload lengths, an odd length, and N = 1 and 2, where a
+    # spectrum has no (re, im) pair.
+    @pytest.mark.parametrize("length", [1, 2, 960, 1000, 13824, 200000, 759375, 1620000])
+    def test_in_place_transforms_equal_scipy_fft(self, rng, monkeypatch, length):
+        fft, fftpack = qrbg.extractor._fft, qrbg.extractor._fftpack
+        calls = []
+        for name in ("rfft", "irfft"):
+
+            def spy(x, *a, _transform=getattr(fftpack, name), _name=name, **k):
+                before = x.copy()
+                got = _transform(x, *a, **k)
+                assert np.shares_memory(got, x)
+                calls.append((_name, before, got.copy()))
+                return got
+
+            monkeypatch.setattr(fftpack, name, spy)
+        monkeypatch.setattr(qrbg.extractor, "_fft_length", lambda target: length)
+        n = (length + 1) // 2
+        m = max(1, length - n - 3)  # leaves padding where the length allows
+        seed = rng.integers(0, 2, n + m - 1).astype(np.uint8)
+        blocks = rng.integers(0, 2, (3, n)).astype(np.uint8)
+        hasher = qrbg.extractor._Hasher(seed, n)
+        assert hasher.fft_len == length
+        out = np.empty((3, m), np.uint8)
+        hasher.hash(blocks, out)
+        if length <= 1000:
+            assert np.array_equal(out, (blocks.astype(np.int64) @ _toeplitz_matrix(seed, n, m).T) % 2)
+        assert [name for name, _, _ in calls] == ["rfft"] + ["rfft", "irfft"] * (2 if hasher.rows == 1 else 1)
+        for name, before, got in calls:
+            if name == "rfft":
+                want = fft.rfft(before, axis=-1)
+                # scipy.fft's DC and Nyquist bins are real, so the layout loses nothing.
+                assert not want[..., 0].imag.any() and (length % 2 or not want[..., -1].imag.any())
+                want = half_complex(want, length)
+            else:
+                want = fft.irfft(complex_spectrum(before, length), length, axis=-1)
+            assert np.array_equal(got, want), name
+
+
 class TestPinnedDigests:
     """sha256 of toeplitz_extract output recorded before blocks were packed
     two to a transform row; the hash must not change."""
@@ -445,10 +550,11 @@ class TestLargeBlocks:
         return seed, raw, out, peak
 
     def test_construction_peak_is_what_the_hasher_holds(self, rng, monkeypatch):
-        # The seed is centred and transformed in the hasher's first pad row,
-        # so construction allocates only the arrays it keeps (29.0 MiB here,
-        # traced peak 3 KiB above that); centring a float64 copy of the seed
-        # that scipy padded again peaked at 36.6 MiB.  The heap warm-up
+        # The seed is centred and transformed in place in the array that
+        # keeps its spectrum, and |S| is taken in the first pad row, so
+        # construction allocates only the arrays it keeps (29.0 MiB here,
+        # traced peak 65 KiB above that); centring a float64 copy of the
+        # seed that scipy padded again peaked at 36.6 MiB.  The heap warm-up
         # (untouched, but traced) is left out.
         monkeypatch.setattr(qrbg.extractor, "_HEAP_WARMUP", 0)
         seed = rng.integers(0, 2, self.N + self.M - 1).astype(np.uint8)
@@ -461,11 +567,12 @@ class TestLargeBlocks:
         held = hasher.pad.nbytes + hasher.rounded.nbytes + hasher.seed_fft.nbytes
         assert peak <= held + (1 << 20), (peak, held)
 
-    def test_hash_peak_stays_under_25_mib(self, hashed):
-        # a batch's two transform outputs (12.8 MB each) and small
-        # temporaries; held through the next batch's transforms, the
-        # outputs raised it to 36.6 MiB
-        assert hashed[3] < 25 << 20
+    def test_hash_allocates_no_transform_sized_array(self, hashed):
+        # Each batch is transformed in the hasher's own pad row: the traced
+        # peak is small temporaries (0.07 MiB).  A spectrum and a
+        # convolution returned by the transforms (12.8 MB each) peaked at
+        # 24.5 MiB, 36.6 MiB when held through the next batch's transforms.
+        assert hashed[3] < 256 << 10
 
     def test_sampled_bits_match_direct_parity(self, rng, hashed):
         seed, raw, out, _ = hashed
