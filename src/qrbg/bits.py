@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import IO, Callable, Iterator
 
 import numpy as np
@@ -237,8 +237,11 @@ def open_bits_file(path: str, role: str | None = None) -> BitsFile:
     return BitsFile(path, header, int(length), offset, size)
 
 
-def read_bits_file(path: str, role: str | None = None) -> BitStream:
-    """A whole bits file in memory: its chunks, concatenated; ``role`` as
-    for ``open_bits_file``."""
+def read_bits_file(path: str, role: str | None = None, head: int | None = None) -> BitStream:
+    """A bits file in memory: its chunks, concatenated; ``role`` as for
+    ``open_bits_file``.  With ``head``, only the file's first ``head`` bits
+    (all of them if it holds fewer) are read."""
     opened = open_bits_file(path, role)
+    if head is not None and head < opened.bit_length:
+        opened = replace(opened, bit_length=head)
     return BitStream(np.concatenate([np.empty(0, dtype=np.uint8), *opened.chunks()]), opened.meta)

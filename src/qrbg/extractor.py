@@ -59,14 +59,13 @@ the run-time guard rejects any batch whose residual |c' - rint(c')|
 exceeds 1/4 or is not a number, or whose sum above is odd, which a
 rounding error of an odd integer leaves as its only trace.
 
-Where it packs.  A hasher packs its rows unchecked where its seed-level
-bound E below (its own seed, any 0/1 blocks) is at most 1/4 (_FFT_GUARD).
-Where that bound is larger it still packs, but checks every packed batch:
-after the forward transform it evaluates the batch's own E from the
-computed spectral product and the blocks' popcounts, and hashes a batch
-whose E exceeds 1/4 again at one block per row, which the block-size
-limit proves exact for any seed.  An input crafted against the public
-seed can so slow hashing but never make it wrong.
+Where it packs.  Every hasher packs two blocks per row and proves each
+packed batch before its inverse transform: it evaluates the batch's own
+E below from the computed spectral product and the blocks' popcounts,
+and hashes a batch whose E exceeds 1/4 (_FFT_GUARD) again at one block
+per row, which the block-size limit proves exact for any seed.  An input
+crafted against the public seed can so slow hashing but never make it
+wrong.
 
 The bound.  Let u = 2^-53 and gamma_k = k*u / (1 - k*u) (Higham,
 Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3 and 24).
@@ -109,49 +108,49 @@ Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3 and 24).
       B = (sqrt(2) gamma_2 (1 + eps_N)^2 + eps_N (2 + eps_N)) sqrt(L) ||x||_2,
 
   where c_max bounds |c'|.
-* The seed-level bound takes ||P^||_2 <= (1 + sqrt(2) gamma_2) max|S^|
-  ||X^||_2 and ||X^||_2 <= (1 + eps_N) sqrt(N) ||x||_2, with max|S^| read
-  from the computed spectrum (widened by gamma_2 for the rounding of its
-  moduli), and the worst 0/1 blocks: ||x||_2 = sqrt(n), c_max = n for one
-  block per row, ||x||_2 = (1 + 2^w) sqrt(n), c_max = (1 + 2^w) n for
-  two.  Centring is what makes it small: a 0/1 seed with p ones has
-  S[0] = p, about 8e5 at n = 1e6, while a random centred seed's largest
-  |S| is about 4,800, near sqrt(L ln N).
 * The per-batch bound takes, for each packed row,
   ||x||_2 <= sqrt|x_lo| + 2^w sqrt|x_hi| (the triangle inequality) and
   c_max = |x_lo| + 2^w |x_hi| from the blocks' popcounts, and ||P^||_2^2
-  at most twice np.dot of the row's half-complex spectrum with itself
+  at most twice the dot of the row's half-complex spectrum with itself
   (each bin but DC and Nyquist stands for a conjugate pair), over
   1 - gamma_{N+2} for that sum's rounding.  Its assumptions are those of
-  one transform and numpy's
-  complex product rounding within sqrt(2) gamma_2.  E is evaluated in
-  float64; its own rounding is far inside the gap between 1/4 and the 1/2
-  at which rounding to the nearest integer would go wrong.
-* Figures (rate 0.96 at n = 1e4 and 1e5, 0.6 at n = 1e6, random seeds).
-  The seed-level bound for packed rows is 4.5e-5 at n = 1e4 and 0.0044
-  at n = 1e5, so both pack unchecked, and the unchecked range ends
-  between n = 5e5 and 6e5; it is 0.41-0.44 at n = 1e6 (rates 0.6 and
-  0.62) and 0.369 for an all-ones seed at n = 1e5, which is so checked
-  batch by batch.  Per batch at n = 1e6, over 40 seeds, random blocks
-  gave E = 0.14-0.21, blocks of density 0.55 at most 0.223, and all-ones
-  blocks 0.16-0.35, above 1/4 for 7 seeds; adversarial_recal's blocks
-  gave 0.147-0.202 on four benchmark seeds.  These used the exact
-  ||x||_2 from the popcount of x_lo & x_hi; the triangle inequality
-  raises E by a relative 3e-7 on random blocks and leaves it equal on
-  all-ones blocks.  The residuals of packed rows at n = 1e6 were about
-  2e-6 on random blocks and 6.1e-5 on seed-reversed ones.  Hashing a
-  block, in one process alternating with the code that hashed n = 1e6
-  one block per row (same seed and blocks, median of 10-60 paired runs
-  on one core of a shared 2-vCPU Intel Xeon, Python 3.11.7, numpy 2.4.6,
-  scipy 1.17.1), took 0.54 times as long at n = 1e6 (47-50 against
-  88-91 ms); the popcount correction and the parity check cost 4.5-5 %
-  at n = 1e4 (0.21 ms) and 1-1.5 % at n = 1e5 (4.3 ms).
+  one transform and numpy's complex product rounding within
+  sqrt(2) gamma_2.  E is evaluated in float64; its own rounding is far
+  inside the gap between 1/4 and the 1/2 at which rounding to the
+  nearest integer would go wrong.  ||P^||_2 is at most about
+  max|S^| ||X^||_2, and centring is what keeps it small: a 0/1 seed with
+  p ones has S[0] = p, about 8e5 at n = 1e6, while a random centred
+  seed's largest |S| is about 4,800, near sqrt(L ln N).
+* Figures (random seeds; the workloads' rates, 0.38 at n = 1e4, 0.96 at
+  n = 1e5 and 0.6 at n = 1e6).  The largest per-batch E over 10 seeds (5
+  at n = 1e6) was 1.8e-5 on random and 2.8e-5 on all-ones blocks at
+  n = 1e4, 0.0020 and 0.0030 at n = 1e5, and 0.14-0.16 and 0.18-0.24 at
+  n = 1e6: no batch was hashed again.  Under such a seed no 0/1 batch
+  can fail up to n = 5e5: with all-ones halves and ||P^||_2 at most
+  (1 + sqrt(2) gamma_2) max|S^| ||X^||_2, E is 4.5e-5 at n = 1e4 and
+  0.0044 at n = 1e5 (rate 0.96).  At n = 1e6, over 40 seeds, random
+  blocks gave 0.14-0.21, blocks of density 0.55 at most 0.223, all-ones
+  blocks 0.16-0.35 (above 1/4 for 7 seeds), and adversarial_recal's
+  blocks 0.147-0.202 on four benchmark seeds; the triangle inequality
+  raises E by a relative 3e-7 at most over the exact ||x||_2.  The
+  residuals of packed rows at n = 1e6 were about 2e-6 on random blocks
+  and 6.1e-5 on seed-reversed ones.  Hashing a block, in one process
+  alternating with the code that hashed n = 1e6 one block per row (same
+  seed and blocks, median of 10-60 paired runs on one core of a shared
+  2-vCPU Intel Xeon, Python 3.11.7, numpy 2.4.6, scipy 1.17.1), took
+  0.54 times as long at n = 1e6 (47-50 against 88-91 ms); the popcount
+  correction and the parity check cost 4.5-5 % at n = 1e4 (0.21 ms) and
+  1-1.5 % at n = 1e5 (4.3 ms).  Bounding each packed batch cost 8 % at
+  n = 1e4 (0.10 ms) and 3.7 % at n = 1e5 (2.1 ms), against the bound
+  stubbed out, alternating in one process.
 * Block-size limit.  For one block per row and the worst-case seed, all
   ones or all zeros with m = n (its centred spectrum peaks at
   max|S| = L), E stays at most 1/4 for every n up to
   ExtractorParams.MAX_N (taking, for each n, the largest eps_N of any
   5-smooth length up to the N that _fft_length chooses for 2n - 1, so
-  that E grows with n); a larger block size is rejected.
+  that E grows with n); a larger block size is rejected.  There
+  ||X^||_2 <= (1 + eps_N) sqrt(N n), max|S^| <= L + eps_N sqrt(N L),
+  and c_max = n.
 """
 
 from __future__ import annotations
@@ -173,10 +172,13 @@ from .minentropy import EntropyRate
 _FFT_GUARD = 0.25
 # Rows per transform call while the batch's padded input fits in
 # _BATCH_BYTES, one row per call above it.  pocketfft computes the rows
-# of a 2-D transform side by side in SIMD lanes: two rows of one block
-# each hashed a block in 0.35 ms against 0.51 at n = 1e4 and in 5.1 ms
-# against 6.7 at n = 1e5 (rate 0.96).  At n = 1e6 two rows are no faster,
-# and each batch's transforms would double the extraction's peak memory.
+# of a 2-D transform side by side in SIMD lanes: two rows of two blocks
+# each hashed a block in 0.15-0.17 ms against 0.19-0.20 for one row at
+# n = 1e4 and in 2.5-2.7 ms against 2.6-3.2 at n = 1e5 (rate 0.96; the
+# medians of two sets of 5-6 alternating fresh processes, on the machine
+# of _fft_length's figures).  At n = 1e6 two rows were no faster (30-34
+# against 28-34 ms), and each batch's transforms would double the
+# extraction's peak memory.
 _BATCH_ROWS = 2
 _BATCH_BYTES = 16 << 20
 # glibc's malloc maps each request above its mmap threshold (128 KiB at
@@ -230,12 +232,6 @@ def _convolution_error(
     return (eps * product_norm + spectrum) * (1 + _gamma(2)) + _gamma(2) * c_max
 
 
-def _product_norm(eps: float, spectrum_max: float, x_norm: float) -> float:
-    """The a-priori bound on ||P^||_2 / sqrt(N) for a computed seed spectrum
-    of modulus at most ``spectrum_max`` and an input of 2-norm ``x_norm``."""
-    return (1 + eps) * (1 + _SQRT2 * _gamma(2)) * spectrum_max * x_norm
-
-
 def _fft_length(target: int) -> int:
     """The transform length for a convolution of ``target`` coefficients:
     of the 5-smooth lengths from ``target`` to 1.03 * ``target`` (or to the
@@ -243,20 +239,23 @@ def _fft_length(target: int) -> int:
     factors of 5, and the shortest of those.  It never decreases as
     ``target`` grows.
 
-    The rule is measured on pocketfft (scipy.fft), not derived.  Hashing
-    random blocks with _Hasher after a 32 MB allocate/free had warmed the
-    heap, at n = 1e4, 3e4, 1e5, 3e5 and 1e6 and rates 0.96, 0.8, 0.6 and
-    0.38, the rule keeps next_fast_len's length at 13 of the 20 sizes.  At
-    the other seven, the time per block against next_fast_len's length
-    was 0.92 at 60,000, 0.80 at 200,000, 0.94 at 140,625, 0.92 at 600,000,
-    0.96 at 421,875, 0.95 at 2,000,000 and 1.00 at 1,406,250 (medians of
-    9 alternating rounds on a 2-vCPU Intel Xeon, Python 3.11.7, numpy
-    2.4.6, scipy 1.17.1).  Lengths rich in 2s were slower than the rule's
-    pick at the same size: 163,840 by 23 %, 184,320 by 8 %, 204,800 by
-    19 % and 614,400 by 6 %.  In a fresh heap the transforms page-fault
-    on every block and some lengths read backwards, so measure candidates
-    in a warmed process; _Hasher warms the heap itself
-    (_HEAP_WARMUP)."""
+    The rule is measured on pocketfft, not derived.  Hashing random blocks
+    with _Hasher on scipy.fft's transforms, after a 32 MB allocate/free had
+    warmed the heap, at n = 1e4, 3e4, 1e5, 3e5 and 1e6 and rates 0.96, 0.8,
+    0.6 and 0.38, the rule keeps next_fast_len's length at 13 of the 20
+    sizes.  At the other seven, the time per block against next_fast_len's
+    length was 0.92 at 60,000, 0.80 at 200,000, 0.94 at 140,625, 0.92 at
+    600,000, 0.96 at 421,875, 0.95 at 2,000,000 and 1.00 at 1,406,250
+    (medians of 9 alternating rounds on a 2-vCPU Intel Xeon, Python 3.11.7,
+    numpy 2.4.6, scipy 1.17.1).  Lengths rich in 2s were slower than the
+    rule's pick at the same size: 163,840 by 23 %, 184,320 by 8 %, 204,800
+    by 19 % and 614,400 by 6 %.  The hasher runs scipy.fftpack's in-place
+    transforms (the same pocketfft plans) and warms the heap with
+    _HEAP_WARMUP (20 MiB); on that path, a two-row rfft/irfft pair with its
+    spectral product was faster at 200,000 than at 196,608, next_fast_len's
+    pick, in 6 of 6 alternating fresh-process pairs (6.6-8.1 against 8.5-9.7
+    ms).  In a fresh heap the transforms page-fault on every block and some
+    lengths read backwards, so measure candidates in a warmed process."""
     shortest = _fft.next_fast_len(target, real=True)
     limit = max(shortest, target * 103 // 100)
     candidates = []  # (-factors of 5, length): min() takes the most 5s, then the shortest
@@ -297,7 +296,7 @@ def _largest_exact_n() -> int:
         seed_bits = 2 * n - 1
         peak = seed_bits + worst * math.sqrt(length * seed_bits)
         x_norm = math.sqrt(n)
-        product = _product_norm(worst, peak, x_norm)
+        product = (1 + worst) * (1 + _SQRT2 * _gamma(2)) * peak * x_norm
         return _convolution_error(worst, product, math.sqrt(seed_bits), x_norm, n) <= _FFT_GUARD
 
     lo, hi = 1, cap // 4
@@ -425,11 +424,11 @@ class HashSeed:
     @classmethod
     def read(cls, path: str, bit_length: int) -> "HashSeed":
         """The first ``bit_length`` bits of a ``role=seed`` bits file; the
-        rest of the file is not kept."""
-        stream = read_bits_file(path, "seed")
+        rest of the file is not read."""
+        stream = read_bits_file(path, "seed", bit_length)
         if stream.bit_length < bit_length:
             raise ParameterError(f"{path} holds {stream.bit_length} bits, the extractor needs {bit_length}")
-        return cls(stream.bits[:bit_length], path)
+        return cls(stream.bits, path)
 
 
 class _Hasher:
@@ -461,72 +460,50 @@ class _Hasher:
         self.real = slice(0, None, self.fft_len - 1) if self.fft_len % 2 == 0 else slice(0, 1)
         self.pairs = slice(1, self.fft_len - 1 + self.fft_len % 2)
         # The centred seed 2s - 1 (its padding stays 0) has no DC spike; see
-        # the module docstring.  |S| is taken in the first pad row; at odd N
-        # the last entry is an imaginary part, within its bin's modulus.
+        # the module docstring.
         self.seed_fft = np.zeros(self.fft_len)
         centred = self.seed_fft[: n + m - 1]
         np.multiply(seed_bits, 2.0, out=centred)
         centred -= 1.0
-        spectrum = self.seed_fft = _fftpack.rfft(self.seed_fft, overwrite_x=True)
-        moduli = np.abs(spectrum[self.pairs].view(np.complex128), out=self.pad[0, : (self.fft_len - 1) // 2])
-        peak = max(moduli.max(initial=0.0), abs(spectrum[0]), abs(spectrum[-1])) * (1 + _gamma(2))
+        self.seed_fft = _fftpack.rfft(self.seed_fft, overwrite_x=True)
         # Row i of a batch holds its block i and its block rows + i scaled
         # by 2^shift, above every coefficient of the first.
         self.shift = n.bit_length()
-        scale = 1.0 + 2.0**self.shift
-        x_norm = scale * math.sqrt(n)
-        product = _product_norm(self.eps, peak, x_norm)
-        # Packed batches the seed-level bound does not prove are checked one
-        # by one.
-        self.checked = (
-            _convolution_error(self.eps, product, self.seed_norm, x_norm, scale * n)
-            > _FFT_GUARD
-        )
         np.empty(_HEAP_WARMUP, dtype=np.uint8)
 
-    def _batch_error(self, spectrum: np.ndarray, ones: list[int]) -> float:
+    def _batch_error(self, spectrum: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
         """The largest E of a batch's rows, from each row's computed
-        spectral product ``spectrum`` and its blocks' popcounts ``ones``."""
-        rows, w = len(spectrum), self.shift
-        high = len(ones) - rows
-        # dot sums the N squares of a half-complex row within gamma_{N + 2};
-        # the full spectrum counts each at most twice.
-        sum_error = 1 - _gamma(self.fft_len + 2)
-        worst = 0.0
-        for i, row in enumerate(spectrum):
-            lo, hi = ones[i], ones[rows + i] if i < high else 0
-            squares = 2 * np.dot(row, row) / sum_error
-            error = _convolution_error(
-                self.eps,
-                math.sqrt(squares / self.fft_len),
-                self.seed_norm,
-                math.sqrt(lo) + 2**w * math.sqrt(hi),
-                lo + 2**w * hi,
-            )
-            worst = max(worst, error)
-        return worst
+        spectral product ``spectrum`` and the popcounts of its low and high
+        blocks, ``lo`` and ``hi``."""
+        scale = 2.0**self.shift
+        # Each row's sum of its N squares is within gamma_{N + 2}; the full
+        # spectrum counts each square at most twice.  (einsum, not BLAS:
+        # waking BLAS threads cost more than the sum at n = 1e4.)
+        squares = 2 * np.einsum("ij,ij->i", spectrum, spectrum) / (1 - _gamma(self.fft_len + 2))
+        x_norm = np.sqrt(lo) + scale * np.sqrt(hi)
+        return _convolution_error(
+            self.eps, np.sqrt(squares / self.fft_len), self.seed_norm, x_norm, lo + scale * hi
+        ).max()
 
     def hash(self, blocks: np.ndarray, out: np.ndarray) -> None:
         """Hash each row of ``blocks`` (k x n) into the row of ``out`` (k x m)."""
         for start in range(0, len(blocks), self.batch):
-            end = min(start + self.batch, len(blocks))
-            lo, per_row = start, 2
-            while lo < end:
-                k = min(self.rows * per_row, end - lo)
-                if not self._hash_rows(blocks[lo : lo + k], out[lo : lo + k], per_row):
-                    per_row = 1  # hash these blocks again, one per row
-                    continue
-                lo += k
+            batch, hashed = blocks[start : start + self.batch], out[start : start + self.batch]
+            if not self._hash_rows(batch, hashed, 2):  # hash these blocks again, one per row
+                for first in range(0, len(batch), self.rows):
+                    self._hash_rows(batch[first : first + self.rows], hashed[first : first + self.rows], 1)
 
     def _hash_rows(self, batch: np.ndarray, out: np.ndarray, per_row: int) -> bool:
         """Hash ``batch``, ``per_row`` blocks to a row, into ``out``; False,
-        with ``out`` untouched, if a packed batch fails its checked bound.
+        with ``out`` untouched, if a packed batch fails its bound.
         The batch is transformed in the pad rows, in place."""
         n, m, w = self.n, self.m, self.shift
         k = len(batch)
         rows = -(-k // per_row)
         high = k - rows  # rows that also carry a block in their high half
-        ones = [np.count_nonzero(block) for block in batch]  # |x| of each block
+        # |x| of row i's low block (block i) and high block (rows + i, or none)
+        ones = [np.count_nonzero(block) for block in batch] + [0] * (2 * rows - k)
+        lo, hi = np.array(ones, dtype=np.int64).reshape(2, rows)
         pad = self.pad[:rows]
         np.multiply(batch[rows:], 2.0**w, out=pad[:high, :n])
         np.add(pad[:high, :n], batch[:high], out=pad[:high, :n])
@@ -536,7 +513,7 @@ class _Hasher:
         spectrum[:, self.real] *= self.seed_fft[self.real]
         pairs = spectrum[:, self.pairs].view(np.complex128)
         pairs *= self.seed_fft[self.pairs].view(np.complex128)
-        if high and self.checked and self._batch_error(spectrum, ones) > _FFT_GUARD:
+        if high and self._batch_error(spectrum, lo, hi) > _FFT_GUARD:
             return False
         conv = _fftpack.irfft(spectrum, axis=-1, overwrite_x=True)
         window = conv[:, n - 1 : n - 1 + m]
@@ -549,10 +526,7 @@ class _Hasher:
         np.abs(window, out=window)
         # rint(x * (2s - 1)) + |x_lo| + 2^w |x_hi| = 2 (c_lo + 2^w c_hi)
         # when exact, so an odd sum is a rounding error too.
-        offset = ones[:rows]
-        for i in range(high):
-            offset[i] += ones[rows + i] << w
-        np.add(rounded, np.array(offset)[:, None], out=rounded)
+        np.add(rounded, (lo + (hi << w))[:, None], out=rounded)
         low_bits = out[:rows]
         np.bitwise_and(rounded, 3, out=low_bits, casting="unsafe")
         if not window.max() <= _FFT_GUARD or np.bitwise_or.reduce(low_bits, axis=None) & 1:
