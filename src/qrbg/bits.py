@@ -104,22 +104,33 @@ class BitStream:
 class BlockCutter:
     """Cuts consecutive chunks of a stream into whole blocks of ``width``
     bits, carrying a partial block to the next chunk in ``rest``, a view of
-    a one-block buffer, so carried bits are not copied again per chunk."""
+    a one-block buffer.  Nothing is concatenated: a carried block is
+    completed in that buffer, a chunk's own whole blocks are a view of it,
+    and only the new remainder is copied."""
 
     def __init__(self, width: int) -> None:
         self.width = width
         self._carry = np.empty(width, dtype=np.uint8)
         self.rest = self._carry[:0]
 
-    def cut(self, chunk: np.ndarray) -> np.ndarray:
-        """The blocks that ``chunk`` completes, one per row."""
-        held = self.rest.shape[0]
-        total = held + chunk.shape[0]
-        whole = total // self.width * self.width
-        data = np.concatenate([self.rest, chunk]) if held and whole else chunk
-        self.rest = self._carry[: total - whole]
-        self.rest[0 if whole else held :] = data[whole:]
-        return data[:whole].reshape(-1, self.width)
+    def cut(self, chunk: np.ndarray, use: Callable[[np.ndarray], None]) -> None:
+        """Hand ``use`` the blocks that ``chunk`` completes, one per row, in
+        up to two pieces: the carried block, completed in the cutter's
+        buffer, then the chunk's own whole blocks.  The buffer takes the new
+        remainder once ``use`` returns, so ``use`` must copy what it keeps."""
+        held, width = self.rest.shape[0], self.width
+        if held:
+            take = min(width - held, chunk.shape[0])
+            self._carry[held : held + take] = chunk[:take]
+            held, chunk = held + take, chunk[take:]
+            if held == width:
+                use(self._carry.reshape(1, width))
+                held = 0
+        whole = chunk.shape[0] // width * width
+        if whole:
+            use(chunk[:whole].reshape(-1, width))
+        self.rest = self._carry[: held + chunk.shape[0] - whole]
+        self.rest[held:] = chunk[whole:]
 
 
 @dataclass(frozen=True)
@@ -185,7 +196,7 @@ def bits_writer(path: str, bit_length: int, header: dict[str, str]) -> Iterator[
         nonlocal written
         bits = np.asarray(bits, dtype=np.uint8)
         written += bits.shape[0]
-        fh.write(pack_bits(carry.cut(bits)))
+        carry.cut(bits, lambda octets: fh.write(pack_bits(octets)))
 
     with _committed(path) as fh:
         fh.write(MAGIC + "".join(lines).encode("ascii") + b"\n")

@@ -46,8 +46,10 @@ scipy.fftpack's transforms (scipy.fft's pocketfft plans, equal bit for
 bit) keep a spectrum half-complex, [S0, Re S1, Im S1, ...], in the real
 array transformed, so a batch is transformed, multiplied by S and
 transformed back in its zero-padded input rows, and rounded, guarded and
-reduced to parities in buffers made once per extraction: it allocates no
-transform-sized array.  The hashing runs on the calling thread alone.
+reduced to parities _FINISH_SLICE coefficients at a time.  The seed's
+spectrum, the pad and one slice's int64 rounding buffer per row are made
+once per extraction; a batch allocates no transform-sized or m-long
+array.  The hashing runs on the calling thread alone.
 
 Two blocks per row.  With w = n.bit_length(), 2^w > n >= every
 coefficient of c, so a row holding x_lo + 2^w * x_hi convolves to
@@ -160,7 +162,7 @@ import math
 import secrets
 import time
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterable, Iterator, Optional, Union
+from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
 from scipy import fft as _fft, fftpack as _fftpack
@@ -181,6 +183,16 @@ _FFT_GUARD = 0.25
 # extraction's peak memory.
 _BATCH_ROWS = 2
 _BATCH_BYTES = 16 << 20
+# Output coefficients are rounded, guarded and reduced to parities in
+# slices of this many, so the rounding buffer is rows x slice int64
+# (256 KiB a row), not rows x m.  Hash time per block, medians of two sets
+# of 6 and 8 alternating fresh processes (random blocks, rates 0.96 and
+# 0.6, the machine of _fft_length's figures): 2^12 took 2.18 ms at
+# n = 1e5 and 22.3 ms at n = 1e6, 2^14 2.03-2.11 and 22.9-23.1 ms, 2^15
+# 2.02-2.10 and 21.1-22.0 ms, 2^16 2.01-2.11 and 21.3-21.7 ms, and one
+# slice of all m 2.13 and 22.1 ms.  At n = 1e4 (m = 3,542) every choice
+# is one slice.
+_FINISH_SLICE = 1 << 15
 # glibc's malloc maps each request above its mmap threshold (128 KiB at
 # start) afresh; freeing such a mapping raises the threshold to its size,
 # up to 32 MiB, and the heap's trim threshold to twice that.
@@ -190,6 +202,9 @@ _BATCH_BYTES = 16 << 20
 # at.  Standalone `qrbg extract` took, after import, 4.6k minor faults at
 # n = 1e5 from 8 MiB up, against 805k at 2 MiB and below; at n = 1e6,
 # 16.8k from 20 MiB up, 20.2k at 16 MiB and 79k at 12 MiB and below.
+# Extracting 2e7 random raw bits at n = 1e6 peaked at 113.7-113.8 MiB with
+# 20 MiB against 112.6-113.0 MiB with 12 MiB, which hashed a block in 29-30
+# against 24-25 ms (two fresh processes each).
 _HEAP_WARMUP = 20 << 20
 
 # The error model of the module docstring: unit roundoff, and how far a
@@ -434,7 +449,8 @@ class HashSeed:
 class _Hasher:
     """Toeplitz hashing of n-bit blocks under one seed.  The seed's
     transform, the zero-padded input array (every batch's transforms run
-    in it) and the rounding buffer are made once per extraction."""
+    in it) and the rounding buffer (rows x _FINISH_SLICE int64, not
+    rows x m) are made once per extraction."""
 
     def __init__(self, seed_bits: np.ndarray, n: int) -> None:
         m = seed_bits.shape[0] - n + 1
@@ -454,7 +470,7 @@ class _Hasher:
         self.rows = _BATCH_ROWS if fits else 1
         self.batch = 2 * self.rows
         self.pad = np.zeros((self.rows, self.fft_len), dtype=np.float64)
-        self.rounded = np.empty((self.rows, m), dtype=np.int64)
+        self.rounded = np.empty((self.rows, min(m, _FINISH_SLICE)), dtype=np.int64)
         # A half-complex spectrum [S0, Re S1, Im S1, ...]: its real bins (DC,
         # and Nyquist at even N), and bins 1 to (N - 1) // 2 as (re, im) pairs.
         self.real = slice(0, None, self.fft_len - 1) if self.fft_len % 2 == 0 else slice(0, 1)
@@ -516,26 +532,29 @@ class _Hasher:
         if high and self._batch_error(spectrum, lo, hi) > _FFT_GUARD:
             return False
         conv = _fftpack.irfft(spectrum, axis=-1, overwrite_x=True)
-        window = conv[:, n - 1 : n - 1 + m]
-        rounded = self.rounded[:rows]
-        # A coefficient that is not a number casts to an arbitrary
-        # integer here; its residual stays NaN, which the guard rejects.
-        with np.errstate(invalid="ignore"):
-            np.rint(window, out=rounded, casting="unsafe")
-        np.subtract(window, rounded, out=window)
-        np.abs(window, out=window)
         # rint(x * (2s - 1)) + |x_lo| + 2^w |x_hi| = 2 (c_lo + 2^w c_hi)
         # when exact, so an odd sum is a rounding error too.
-        np.add(rounded, (lo + (hi << w))[:, None], out=rounded)
-        low_bits = out[:rows]
-        np.bitwise_and(rounded, 3, out=low_bits, casting="unsafe")
-        if not window.max() <= _FFT_GUARD or np.bitwise_or.reduce(low_bits, axis=None) & 1:
-            raise ParameterError(
-                "FFT convolution lost integer precision; block size too large"
-            )
-        np.right_shift(low_bits, 1, out=low_bits)
-        np.right_shift(rounded[:high], w + 1, out=rounded[:high])
-        np.bitwise_and(rounded[:high], 1, out=out[rows:], casting="unsafe")
+        popcounts = (lo + (hi << w))[:, None]
+        for start in range(0, m, _FINISH_SLICE):
+            stop = min(start + _FINISH_SLICE, m)
+            window = conv[:, n - 1 + start : n - 1 + stop]
+            rounded = self.rounded[:rows, : stop - start]
+            # A coefficient that is not a number casts to an arbitrary
+            # integer here; its residual stays NaN, which the guard rejects.
+            with np.errstate(invalid="ignore"):
+                np.rint(window, out=rounded, casting="unsafe")
+            np.subtract(window, rounded, out=window)
+            np.abs(window, out=window)
+            np.add(rounded, popcounts, out=rounded)
+            low_bits = out[:rows, start:stop]
+            np.bitwise_and(rounded, 3, out=low_bits, casting="unsafe")
+            if not window.max() <= _FFT_GUARD or np.bitwise_or.reduce(low_bits, axis=None) & 1:
+                raise ParameterError(
+                    "FFT convolution lost integer precision; block size too large"
+                )
+            np.right_shift(low_bits, 1, out=low_bits)
+            np.right_shift(rounded[:high], w + 1, out=rounded[:high])
+            np.bitwise_and(rounded[:high], 1, out=out[rows:, start:stop], casting="unsafe")
         return True
 
 
@@ -552,23 +571,6 @@ def toeplitz_extract(seed: Union[HashSeed, np.ndarray], raw: np.ndarray) -> np.n
     out = np.empty(raw.shape[:-1] + (hasher.m,), dtype=np.uint8)
     hasher.hash(raw.reshape(-1, hasher.n), out.reshape(-1, hasher.m))
     return out
-
-
-def _block_groups(
-    chunks: Iterable[np.ndarray], n: int, batch: int
-) -> Iterator[np.ndarray]:
-    """The stream's whole n-bit blocks as (k x n) arrays, k a multiple of
-    ``batch`` (the blocks one transform call takes) except in the last, so
-    the batches, and which blocks share a row, are the same however the
-    stream is chunked; a tail shorter than one block is dropped."""
-    groups = BlockCutter(n * batch)
-    for chunk in chunks:
-        blocks = groups.cut(chunk).reshape(-1, n)
-        if blocks.size:
-            yield blocks
-    blocks = BlockCutter(n).cut(groups.rest)
-    if blocks.size:
-        yield blocks
 
 
 @dataclass
@@ -626,11 +628,22 @@ def extract_stream(
             f"raw stream of {len(source)} bits is shorter than one {n}-bit block"
         )
     hasher = _Hasher(seed.bits, n)
-    for group in _block_groups(source.chunks(), n, hasher.batch):
-        k = group.shape[0]
-        out = np.empty(k * m, np.uint8)
-        hasher.hash(group, out.reshape(k, m))
+
+    def hash_group(bits: np.ndarray) -> None:
+        group = bits.reshape(-1, n)
+        out = np.empty(group.shape[0] * m, np.uint8)
+        hasher.hash(group, out.reshape(-1, m))
         sink(out)
+
+    # Groups of whole batches (the blocks one transform call takes), except
+    # the last, so the batches, and which blocks share a row, are the same
+    # however the stream is chunked; a tail shorter than one block is dropped.
+    groups = BlockCutter(n * hasher.batch)
+    for chunk in source.chunks():
+        groups.cut(chunk, hash_group)
+    last = groups.rest.shape[0] // n * n
+    if last:
+        hash_group(groups.rest[:last])
     return ExtractionResult(None, seed, params, blocks, time.perf_counter() - start)
 
 

@@ -114,18 +114,18 @@ class _Monobit:
 
 
 class _Blocks:
-    """Whole m-bit blocks of a stream's first n // m * m bits, a partial
-    block carried across chunks."""
+    """Feeds ``count`` the whole m-bit blocks of a stream's first
+    n // m * m bits, one per row, a partial block carried across chunks."""
 
     def __init__(self, n: int, m: int) -> None:
         self.m, self.big_n = m, n // m
         self._left = self.big_n * m
         self._cutter = BlockCutter(m)
 
-    def _blocks(self, b: np.ndarray) -> np.ndarray:
+    def feed(self, b: np.ndarray) -> None:
         b = b[: self._left]
         self._left -= b.shape[0]
-        return self._cutter.cut(b)
+        self._cutter.cut(b, self.count)
 
 
 class _BlockFrequency(_Blocks):
@@ -137,8 +137,8 @@ class _BlockFrequency(_Blocks):
         super().__init__(n, m)
         self.ones: list[np.ndarray] = []  # per block
 
-    def feed(self, b: np.ndarray) -> None:
-        self.ones.append(self._blocks(b).sum(axis=1, dtype=np.int64))
+    def count(self, blocks: np.ndarray) -> None:
+        self.ones.append(blocks.sum(axis=1, dtype=np.int64))
 
     def finish(self, significance: float) -> TestResult:
         m, big_n = self.m, self.big_n
@@ -200,13 +200,11 @@ class _LongestRun(_Blocks):
         self.lowest, self.pis = lowest, pis
         self.nu = np.zeros(len(pis), dtype=np.int64)  # blocks per run-length class
 
-    def feed(self, b: np.ndarray) -> None:
-        blocks = self._blocks(b)
-        if blocks.shape[0]:
-            k = len(self.pis) - 1
-            longest = _longest_run_per_block(blocks)
-            classes = np.clip(longest, self.lowest, self.lowest + k) - self.lowest
-            self.nu += np.bincount(classes, minlength=k + 1)
+    def count(self, blocks: np.ndarray) -> None:
+        k = len(self.pis) - 1
+        longest = _longest_run_per_block(blocks)
+        classes = np.clip(longest, self.lowest, self.lowest + k) - self.lowest
+        self.nu += np.bincount(classes, minlength=k + 1)
 
     def finish(self, significance: float) -> TestResult:
         nu, big_n, k = self.nu, self.big_n, len(self.pis) - 1

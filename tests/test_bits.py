@@ -135,11 +135,31 @@ def test_cutter_blocks_do_not_depend_on_the_chunking(rng, width):
         cutter, blocks = BlockCutter(width), []
         for chunk in np.split(bits, cuts):
             chunk = chunk.copy()
-            blocks.append(cutter.cut(chunk).copy())
-            assert blocks[-1].shape[1:] == (width,)
+            cutter.cut(chunk, lambda piece: blocks.append(piece.copy()))
             chunk[:] = 0
+        assert all(piece.shape[1:] == (width,) and len(piece) for piece in blocks)
         assert np.array_equal(np.concatenate(blocks), bits[:whole].reshape(-1, width))
         assert np.array_equal(cutter.rest, bits[whole:])
+
+
+def test_cutter_pieces_live_until_use_returns(rng):
+    """A carried block is completed in the cutter's buffer, which takes the
+    new remainder once ``use`` returns: a piece kept without a copy is
+    overwritten.  The chunk's own blocks are a view of the chunk."""
+    bits = rng.integers(0, 2, 23).astype(np.uint8)
+    cutter, kept, copies = BlockCutter(8), [], []
+
+    def use(piece):
+        kept.append(piece)
+        copies.append(piece.copy())
+
+    cutter.cut(bits[:5], use)
+    chunk = bits[5:].copy()
+    cutter.cut(chunk, use)
+    assert [len(piece) for piece in copies] == [1, 1]
+    assert np.array_equal(np.concatenate(copies), bits[:16].reshape(2, 8))
+    assert np.shares_memory(kept[0], cutter.rest) and np.shares_memory(kept[1], chunk)
+    assert np.array_equal(kept[0].ravel()[:7], bits[16:]) and np.array_equal(cutter.rest, bits[16:])
 
 
 def test_writer_checks_the_declared_length(tmp_path):

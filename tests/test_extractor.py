@@ -233,21 +233,51 @@ class TestBatchedHash:
         with pytest.raises(ParameterError, match="integer precision"):
             toeplitz_extract(seed, blocks)
 
-    def test_guard_rejects_nan(self, rng, monkeypatch):
+    @pytest.mark.parametrize("per_row", [2, 1], ids=["packed", "one_per_row"])
+    @pytest.mark.parametrize("width", [5, 7])
+    def test_sliced_finish_matches_matrix_oracle(self, rng, monkeypatch, width, per_row):
+        """Coefficients are rounded and reduced a slice at a time; m = 101
+        leaves a partial last slice of 1 or 3 coefficients."""
+        monkeypatch.setattr(qrbg.extractor, "_FINISH_SLICE", width)
+        n, m, count = 200, 101, 7
+        seed = rng.integers(0, 2, n + m - 1).astype(np.uint8)
+        blocks = rng.integers(0, 2, (count, n)).astype(np.uint8)
+        hasher = qrbg.extractor._Hasher(seed, n)
+        assert hasher.rounded.shape == (2, width)
+        if per_row == 1:
+            monkeypatch.setattr(qrbg.extractor._Hasher, "_batch_error", lambda *a: 1.0)
+        out = np.empty((count, m), dtype=np.uint8)
+        hasher.hash(blocks, out)
+        assert np.array_equal(out, (blocks.astype(np.int64) @ _toeplitz_matrix(seed, n, m).T) % 2)
+
+    @staticmethod
+    def corrupt_one_coefficient(monkeypatch, change, position):
+        """Finish in slices of 7, and apply ``change`` to output coefficient
+        ``position`` of every inverse transform's rows, for n = 200 (the
+        output window starts at coefficient 199)."""
+        monkeypatch.setattr(qrbg.extractor, "_FINISH_SLICE", 7)
         irfft = qrbg.extractor._fftpack.irfft
-        monkeypatch.setattr(
-            qrbg.extractor._fftpack, "irfft", lambda *a, **k: np.full_like(irfft(*a, **k), np.nan)
-        )
+
+        def corrupted(*a, **k):
+            conv = irfft(*a, **k)
+            conv[:, 199 + position] = change(conv[:, 199 + position])
+            return conv
+
+        monkeypatch.setattr(qrbg.extractor._fftpack, "irfft", corrupted)
+
+    @pytest.mark.parametrize("position", [0, 100], ids=["first_slice", "last_slice"])
+    def test_guard_rejects_nan(self, rng, monkeypatch, position):
+        self.corrupt_one_coefficient(monkeypatch, lambda c: np.nan, position)
         seed = HashSeed(rng.integers(0, 2, 300).astype(np.uint8))
         blocks = rng.integers(0, 2, (3, 200)).astype(np.uint8)
         with pytest.raises(ParameterError, match="integer precision"):
             toeplitz_extract(seed, blocks)
 
-    def test_odd_coefficient_sum_rejected(self, rng, monkeypatch):
+    @pytest.mark.parametrize("position", [0, 100], ids=["first_slice", "last_slice"])
+    def test_odd_coefficient_sum_rejected(self, rng, monkeypatch, position):
         """A coefficient off by exactly one leaves no residual, but its sum
         with the blocks' popcounts turns odd."""
-        irfft = qrbg.extractor._fftpack.irfft
-        monkeypatch.setattr(qrbg.extractor._fftpack, "irfft", lambda *a, **k: irfft(*a, **k) + 1.0)
+        self.corrupt_one_coefficient(monkeypatch, lambda c: c + 1.0, position)
         seed = HashSeed(rng.integers(0, 2, 300).astype(np.uint8))
         blocks = rng.integers(0, 2, (3, 200)).astype(np.uint8)
         with pytest.raises(ParameterError, match="integer precision"):
@@ -588,7 +618,7 @@ class TestLargeBlocks:
     def test_construction_peak_is_what_the_hasher_holds(self, rng, monkeypatch):
         # The seed is centred and transformed in place in the array that
         # keeps its spectrum, so construction allocates only the arrays it
-        # keeps (29.0 MiB here, traced peak 67 KiB above that); centring a
+        # keeps (24.5 MiB here, traced peak 66 KiB above that); centring a
         # float64 copy of the seed that scipy padded again peaked at
         # 36.6 MiB.  The heap warm-up (untouched, but traced) is left out.
         monkeypatch.setattr(qrbg.extractor, "_HEAP_WARMUP", 0)

@@ -860,6 +860,26 @@ IMPORT_RSS_SCRIPT = PEAK_RSS + """
 import qrbg.pipeline
 print(peak_kib())
 """
+EXTRACT_RSS_SCRIPT = PEAK_RSS + """
+import sys
+from pathlib import Path
+from qrbg.extractor import ExtractorParams
+from qrbg.pipeline import extract
+extract(sys.argv[1], ExtractorParams(10**6, 2.0**-64, 0.6), None, Path(sys.argv[2]))
+print(peak_kib())
+"""
+
+
+def child_peak_kib(*args, text=""):
+    """The VmHWM in KiB that a script run with ``args`` prints, in an
+    interpreter of its own that imports this checkout's package."""
+    src = str(Path(qrbg.pipeline.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", *args], input=text, capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
 
 
 @pytest.fixture(scope="module")
@@ -867,23 +887,13 @@ def peaks_kib(tmp_path_factory):
     """Peak RSS in KiB of a bare import of the pipeline and of runs of 5e6
     and 5e7 raw bits at n = 1e5, each in a process of its own."""
     tmp_path = tmp_path_factory.mktemp("peaks")
-    src = str(Path(qrbg.pipeline.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-
-    def peak_kib(*args, text=""):
-        proc = subprocess.run(
-            [sys.executable, "-c", *args], input=text, capture_output=True, text=True, env=env, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        return int(proc.stdout.split()[-1])
-
-    peaks = {"import": peak_kib(IMPORT_RSS_SCRIPT)}
+    peaks = {"import": child_peak_kib(IMPORT_RSS_SCRIPT)}
     for bits in (5_000_000, 50_000_000):
         text = (
             FAST_CONFIG.replace("generation_bits = 20000", f"generation_bits = {bits}")
             .replace("block_n = 2000", "block_n = 100000")
         )
-        peaks[bits] = peak_kib(PEAK_RSS_SCRIPT, str(tmp_path / str(bits)), text=text)
+        peaks[bits] = child_peak_kib(PEAK_RSS_SCRIPT, str(tmp_path / str(bits)), text=text)
     return peaks
 
 
@@ -900,3 +910,16 @@ def test_peak_memory_stays_near_the_import_floor(peaks_kib):
     # chunks and the seed transformed through float64 copies).
     floor, large = peaks_kib["import"], peaks_kib[50_000_000]
     assert large - floor < 25 * 1024, (floor, large)
+
+
+def test_extraction_memory_at_one_million_bits_a_block(tmp_path, peaks_kib):
+    # Extracting 2e7 random raw bits at n = 1e6 (ten groups of two blocks)
+    # holds the seed's spectrum and one padded row (12.8 MB each),
+    # pocketfft's scratch and one group's output: 56.8-57.0 MiB above the
+    # import.  A group-sized copy of the carried bits per group and an
+    # m-long int64 rounding buffer raised it to 70.7-70.9 MiB.
+    raw = tmp_path / "raw.bits"
+    bits = np.random.default_rng(7).integers(0, 2, 20_000_000, np.uint8)
+    write_bits_file(str(raw), BitStream(bits), {"role": "raw"})
+    peak = child_peak_kib(EXTRACT_RSS_SCRIPT, str(raw), str(tmp_path / "out.bits"))
+    assert peak - peaks_kib["import"] < 64 * 1024, (peaks_kib["import"], peak)
