@@ -26,7 +26,10 @@ A block of the certified rate has k = h*n, and the formula above leaves
 k - m >= 4*log2(1/epsilon) + 2, so Delta <= 1/2 * 2^(-2*log2(1/epsilon) - 1)
 = epsilon^2 / 4 per block, not epsilon: a 2*log2(1/epsilon) margin would
 already give epsilon / 2.  The accounting keeps the 4, as acceptance
-criterion 05 pins it (output_length(1.0, 1000, 2^-10) = 958).
+criterion 05 pins it (output_length(1.0, 1000, 2^-10) = 958).  The report
+states epsilon^2 / 4 as ``block_distance`` and, summed over the blocks of
+a file, as ``file_distance``; a smoothing epsilon of a future entropy
+bound would add to the per-block figure.
 
 The raw stream is hashed a chunk at a time: whole blocks are hashed as
 they complete, a partial block is carried to the next chunk, and each
@@ -340,6 +343,11 @@ def format_epsilon(eps: float) -> str:
     return repr(eps)
 
 
+def _power_of_two(exponent: float) -> str:
+    """2^exponent, an integer exponent written as one."""
+    return f"2^{int(exponent)}" if exponent.is_integer() else f"2^{exponent!r}"
+
+
 def _epsilon_cost(epsilon: float) -> float:
     """4*log2(1/epsilon), the bits a block gives up for distance epsilon,
     taken as -4*log2(epsilon): 1/epsilon overflows below 2^-1024, while
@@ -590,6 +598,9 @@ class ExtractionResult:
         ``output`` that is the file written and a seed with its file's
         path."""
         p = self.params
+        # the module docstring's distance, epsilon^2/4 a block and its sum
+        # over the file's blocks, in log2, as epsilon^2 may underflow
+        per_block = 2.0 * math.log2(p.epsilon) - 2.0
         lines = [
             f"blocks={self.blocks}",
             f"block_n={p.n}",
@@ -597,6 +608,8 @@ class ExtractionResult:
             f"ratio={p.ratio!r}",
             f"output_bits={self.output.bit_length}",
             f"epsilon={format_epsilon(p.epsilon)}",
+            f"block_distance={_power_of_two(per_block)}",
+            f"file_distance={_power_of_two(per_block + math.log2(self.blocks))}",
             f"seed=seed_file={self.seed.path}",
             f"seed_sha256={self.seed.sha256}",
             f"raw_bits_per_second={self.raw_bits_per_second:.3e}",

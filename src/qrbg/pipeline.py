@@ -41,18 +41,16 @@ from .extractor import (
 )
 from .minentropy import EntropyRate, lower_confidence_rate
 from .sources import (
+    BLOCKED,
     PRNG_NAME,
-    EventLog,
     EventSource,
+    EventStream,
     Source,
     ZBits,
-    ZStream,
     adversarial,
-    blocked_schedule,
     derive_subseeds,
     entangled,
     load_event_log,
-    sample_events,
     save_event_log,
     single_photon,
 )
@@ -441,8 +439,8 @@ def _streams(config: PipelineConfig, segments: int) -> tuple[int, int, list[int]
     return master, gen_seed, calib_seeds
 
 
-def _calibration_log(source: Source, seed: int, n: int) -> EventLog:
-    return sample_events(source, seed, blocked_schedule(n), n)
+def _calibration_log(source: Source, seed: int, n: int) -> EventStream:
+    return EventStream(source, seed, n, BLOCKED)
 
 
 def calibrate(log: EventSource, config: PipelineConfig) -> Calibration:
@@ -455,12 +453,12 @@ def calibrate(log: EventSource, config: PipelineConfig) -> Calibration:
 
 
 def generate(source: Source, seed: int, config: PipelineConfig, out: Path) -> Path:
-    """Sample the generation bits a chunk at a time, each chunk written as
+    """Sample the generation bits a piece at a time, each piece written as
     it is drawn, in ``config.gen_format``: a packed raw-bit file or an
     all-Z event log.  Returns the file's path; extraction reads the file
     back through ``load_raw_bits``, as ``qrbg extract`` does.
     """
-    stream = ZStream(source, seed, config.generation_bits)
+    stream = EventStream(source, seed, config.generation_bits)
     path = _run_files(config, out)["generation_raw"]
     if config.gen_format == "events":
         save_event_log(stream, str(path))
@@ -566,17 +564,19 @@ def _certify_segments(
     config: PipelineConfig, source: Source, seeds: list[int], path: Path
 ) -> Calibration:
     """Certify one calibration per seed; the lowest rate wins, and its log,
-    the only one written, is the one the report lists.  With
-    ``recalibrate_every`` set, the calibration returned records the segment
-    count and the winning segment's index."""
-    worst: tuple[Calibration, int, EventLog] | None = None
+    the only one written, is the one the report lists.  Each segment's
+    events are tallied as they are drawn and only its stream is kept, so
+    the winner's are drawn again to be written.  With ``recalibrate_every``
+    set, the calibration returned records the segment count and the
+    winning segment's index."""
+    worst: tuple[Calibration, int, EventStream] | None = None
     for segment, seed in enumerate(seeds):
-        log = _calibration_log(source, seed, config.tomography_events)
-        cal = calibrate(log, config)
+        stream = _calibration_log(source, seed, config.tomography_events)
+        cal = calibrate(stream, config)
         if worst is None or float(cal.rate) < float(worst[0].rate):
-            worst = cal, segment, log
-    cal, segment, log = worst
-    save_event_log(log, str(path))
+            worst = cal, segment, stream
+    cal, segment, stream = worst
+    save_event_log(stream, str(path))
     if config.recalibrate_every is None:
         return cal
     return replace(cal, recalibrations=len(seeds), certified_segment=segment)

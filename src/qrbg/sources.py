@@ -21,15 +21,21 @@ Outcomes follow the Born rule in the scheduled measurement basis:
 
 Sampling uses numpy's PCG64 generator and consumes random numbers in a
 fixed chunked order, so equal (source, seed, schedule, n) inputs reproduce
-identical logs: per ``_CHUNK`` events, an adversary's term uniforms for
-the whole chunk, then the chunk's outcome uniforms, each drawn in order
-through one reused buffer whose length does not change the stream.
-Distinct logs with distinct seeds may be generated concurrently; a single
-log is generated sequentially.
+identical logs.  A run is cut into ``_CHUNK`` events.  A source with
+weights takes a chunk's term uniforms, one per event, from the generator
+as the chunk starts, and the chunk's outcome uniforms from a copy of it
+advanced past them (``PCG64.advance`` by the chunk's length); the run goes
+on from that copy.  A source without weights takes only outcome uniforms,
+in order.  One double is one PCG64 output, so an ``EventStream`` draws a
+chunk a piece of at most ``_DRAWS`` events at a time from both generators
+in step, one ``sample_events`` call a piece, and the stream is the same
+as one draw per chunk and pass.  Distinct logs with distinct seeds may be
+generated concurrently; a single log is generated sequentially.
 """
 
 from __future__ import annotations
 
+import copy
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
@@ -77,14 +83,17 @@ _LOG_ROWS = 1 << 17
 # Fixed sampling chunk; part of the reproducibility contract because it
 # determines the order in which random numbers are consumed.
 _CHUNK = 1 << 22
-# Uniforms per draw: a chunk's uniforms are drawn into, and consumed from,
-# one buffer of this length, so sampling's working memory does not grow
-# with the chunk.  Lengths from 2^14 to 2^18 sample equally fast.
+# Events per piece of an ``EventStream``, each one draw per generator, so
+# sampling's working memory does not grow with the run.  Lengths from 2^14
+# to 2^18 sample equally fast.
 _DRAWS = 1 << 16
-# One-basis stretches in a chunk from which sampling looks each event's
+# One-basis stretches in a piece from which sampling looks each event's
 # outcome threshold up in the Born table rather than comparing a stretch
 # at a time.
 _LOOKUP_STRETCHES = 64
+# The schedule of a calibration run: equal thirds of Z, X, Y in
+# consecutive blocks, the remainder going Z, X.
+BLOCKED = "blocked"
 
 
 @dataclass(frozen=True)
@@ -174,20 +183,20 @@ def _born_table(source: Source) -> tuple[np.ndarray, np.ndarray | None]:
     return p0, cum
 
 
-def blocked_schedule(n: int) -> np.ndarray:
-    """Equal thirds of Z, X, Y in consecutive blocks (remainder goes Z, X)."""
-    per, rest = divmod(n, 3)
-    codes = np.arange(len(BASIS_CHARS), dtype=np.uint8)
-    return np.concatenate([np.repeat(codes, per), codes[:rest]])
-
-
-def _as_schedule(schedule: np.ndarray, n: int) -> np.ndarray:
-    """``schedule`` if it is a uint8 array of ``n`` codes 0 to 2; never cast."""
+def _as_schedule(schedule: Union[np.ndarray, str], n: int) -> np.ndarray:
+    """One basis code for each of ``n`` events: a basis letter's code at
+    stride 0, or ``schedule`` if it is a uint8 array of ``n`` codes 0 to 2;
+    never cast."""
+    if isinstance(schedule, str):
+        if schedule not in _BASIS_CODE:
+            raise ParameterError(f"unknown basis {schedule!r}")
+        return np.broadcast_to(np.uint8(_BASIS_CODE[schedule]), (n,))
     if not (isinstance(schedule, np.ndarray) and schedule.dtype == np.uint8):
         raise ParameterError("a basis schedule is a uint8 array of basis codes")
     if schedule.shape != (n,):
         raise ParameterError(f"schedule of shape {schedule.shape} does not match n={n}")
-    if schedule.size and schedule.max() > 2:
+    # a stream's one-basis piece is one code at stride 0, checked once
+    if (schedule[:1] if schedule.strides == (0,) else schedule).max(initial=0) > 2:
         raise ParameterError("basis codes must be 0 (Z), 1 (X) or 2 (Y)")
     return schedule
 
@@ -198,83 +207,49 @@ def sample_events(
     schedule: Union[np.ndarray, str],
     n: int,
     rng: np.random.Generator | None = None,
+    outcome_rng: np.random.Generator | None = None,
 ) -> EventLog:
     """Draw ``n`` Born-rule outcomes of ``source`` under the given basis
     schedule: a uint8 array of one basis code per event, or one basis
     letter for every event, which builds no schedule array.
 
-    The stream is consumed a ``_CHUNK`` of events at a time.  A source with
-    weights first draws the prepared term of every event of a chunk, then
-    the outcome uniforms of that chunk; the per-event term index is
-    recorded as the event's eve_label.  Each pass draws its uniforms in
-    order through one buffer of ``_DRAWS`` doubles, one PCG64 output per
-    double, so the stream is that of one draw per pass.  An event's
-    outcome is ``u >= p[term]`` for its basis's column ``p`` of the Born
-    table.  Each stretch of a chunk measured in one basis gets it from
-    whole-array comparisons with that column (``_compare``), so no
-    per-event threshold is ever built; a chunk of ``_LOOKUP_STRETCHES``
-    stretches or more, as an interleaved schedule has, looks each event's
-    threshold up in the table instead, a choice made once per chunk.
-    ``rng`` continues a stream that earlier calls drew from in whole
-    ``_CHUNK`` pieces, as ``ZStream`` does; by default ``seed`` starts one.
+    Without ``rng`` this is the whole run of ``EventStream(source, seed, n,
+    schedule)``, ``BLOCKED`` included, its pieces joined.  With it, it draws
+    one piece of a stream in one draw per generator: a source with weights
+    draws each event's prepared term from ``rng`` and records it as the
+    event's eve_label, and every source draws its outcome uniforms from
+    ``outcome_rng``, by default ``rng``.  An event's outcome is
+    ``u >= p[term]`` for its basis's column ``p`` of the Born table.  Each
+    stretch measured in one basis gets it from whole-array comparisons with
+    that column (``_compare``), so no per-event threshold is ever built; a
+    piece of ``_LOOKUP_STRETCHES`` stretches or more, as an interleaved
+    schedule has, looks each event's threshold up in the table instead.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    seed = _seed(seed)
-    if isinstance(schedule, str):
-        if schedule not in _BASIS_CODE:
-            raise ParameterError(f"unknown basis {schedule!r}")
-        column = _BASIS_CODE[schedule]
-        sched = np.broadcast_to(np.uint8(column), (n,))
-    else:
-        column, sched = None, _as_schedule(schedule, n)
     if rng is None:
-        rng = np.random.default_rng(seed)
+        return _joined(EventStream(source, seed, n, schedule))
+    sched = _as_schedule(schedule, n)
     p0, cum = _born_table(source)
+    labels, terms = None, np.broadcast_to(np.int32(0), (n,))
+    if cum is not None:
+        # searchsorted(cum, u, side="right") as a count of the edges at or
+        # below u; the last edge, cum[-1] = 1.0, is above every u.
+        u = rng.random(n)
+        labels = terms = np.empty(n, dtype=np.int32)
+        np.greater_equal(u, cum[0], out=terms)
+        for edge in cum[1:-1]:
+            np.add(terms, u >= edge, out=terms)
+    u = (rng if outcome_rng is None else outcome_rng).random(n)
     outcomes = np.empty(n, dtype=np.uint8)
-    labels = None if cum is None else np.empty(n, dtype=np.int32)
-    draws = np.empty(min(n, _DRAWS))
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        if labels is not None:
-            # searchsorted(cum, u, side="right") as a count of the edges at
-            # or below u; the last edge, cum[-1] = 1.0, is above every u.
-            for lo, u in _uniforms(rng, draws, start, stop):
-                terms = labels[lo : lo + len(u)]
-                np.greater_equal(u, cum[0], out=terms)
-                for edge in cum[1:-1]:
-                    np.add(terms, u >= edge, out=terms)
-        lookup = column is None and _stretches(sched[start:stop]) >= _LOOKUP_STRETCHES
-        for lo, u in _uniforms(rng, draws, start, stop):
-            hi = lo + len(u)
-            out, basis = outcomes[lo:hi].view(np.bool_), sched[lo:hi]
-            terms = np.broadcast_to(np.int32(0), u.shape) if labels is None else labels[lo:hi]
-            if lookup:
-                np.greater_equal(u, p0[terms, basis], out=out)
-                continue
-            cuts = [] if column is not None else np.flatnonzero(basis[1:] != basis[:-1]) + 1
-            for a, b in zip([0, *cuts], [*cuts, len(u)]):
-                _compare(u[a:b], terms[a:b], p0[:, basis[a]], out[a:b])
-    return EventLog(source.name, seed, sched, outcomes, labels)
-
-
-def _uniforms(
-    rng: np.random.Generator, buffer: np.ndarray, start: int, stop: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """The uniforms of events ``start`` to ``stop``, drawn in order into
-    ``buffer``, each draw overwriting the last: each draw's first event
-    and its uniforms."""
-    for lo in range(start, stop, len(buffer)):
-        u = buffer[: min(len(buffer), stop - lo)]
-        rng.random(out=u)
-        yield lo, u
-
-
-def _stretches(basis: np.ndarray) -> int:
-    """The one-basis stretches of ``basis``, counted ``_DRAWS`` events at a
-    time; slices overlap by one event, so each change is counted once."""
-    parts = (basis[lo : lo + _DRAWS + 1] for lo in range(0, len(basis), _DRAWS))
-    return 1 + sum(np.count_nonzero(part[1:] != part[:-1]) for part in parts)
+    out = outcomes.view(np.bool_)
+    cuts = [] if sched.strides == (0,) else np.flatnonzero(sched[1:] != sched[:-1]) + 1
+    if len(cuts) + 1 >= _LOOKUP_STRETCHES:
+        np.greater_equal(u, p0[terms, sched], out=out)
+    else:
+        for a, b in zip([0, *cuts], [*cuts, n]):
+            _compare(u[a:b], terms[a:b], p0[:, sched[a]], out[a:b])
+    return EventLog(source.name, _seed(seed), sched, outcomes, labels)
 
 
 def _compare(u: np.ndarray, terms: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
@@ -291,31 +266,65 @@ def _compare(u: np.ndarray, terms: np.ndarray, p: np.ndarray, out: np.ndarray) -
         out ^= flip
 
 
-@dataclass(frozen=True)
-class ZStream:
-    """The ``n`` Z-basis events of a generation run, drawn a ``_CHUNK`` at a
-    time from one PCG64 stream: the events of ``sample_events(prepared,
-    seed, "Z", n)`` as pieces, without its whole-run arrays; each
-    ``pieces`` call draws them again.  It is what a generation file is
-    written from; extraction reads that file back, never this stream."""
+@dataclass(frozen=True, eq=False)
+class EventStream:
+    """The ``n`` events of a run of ``prepared`` under ``schedule``, a basis
+    letter, ``BLOCKED`` or a uint8 array of ``n`` codes, drawn from the PCG64
+    stream of ``seed`` in the module's draw order, again on each ``pieces``
+    call: pieces of at most ``_DRAWS`` events, none crossing a ``_CHUNK``,
+    each one ``sample_events`` call with its own basis codes, so no array
+    of the run's length is built."""
 
     prepared: Source
     seed: int
     n: int
+    schedule: Union[np.ndarray, str] = "Z"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", _seed(self.seed))
         if self.n < 1:
             raise ParameterError("n must be >= 1")
+        if not (isinstance(self.schedule, str) and self.schedule == BLOCKED):
+            object.__setattr__(self, "schedule", _as_schedule(self.schedule, self.n))
 
     @property
     def source(self) -> str:
         return self.prepared.name
 
+    def codes(self, lo: int, hi: int) -> np.ndarray:
+        """The basis codes of events ``lo`` to ``hi``."""
+        if isinstance(self.schedule, np.ndarray):
+            return self.schedule[lo:hi]
+        third = self.n // 3
+        ends = np.clip([0, third, 2 * third, 3 * third, 3 * third + 1, self.n], lo, hi)
+        return np.repeat(np.array([0, 1, 2, 0, 1], dtype=np.uint8), np.diff(ends))
+
     def pieces(self) -> Iterator[EventLog]:
         rng = np.random.default_rng(self.seed)
         for start in range(0, self.n, _CHUNK):
-            yield sample_events(self.prepared, self.seed, "Z", min(_CHUNK, self.n - start), rng)
+            stop = min(start + _CHUNK, self.n)
+            # a source with weights draws its outcomes after the chunk's terms
+            after = rng if self.prepared.weights is None else np.random.Generator(
+                copy.deepcopy(rng.bit_generator).advance(stop - start)
+            )
+            for lo in range(start, stop, _DRAWS):
+                hi = min(lo + _DRAWS, stop)
+                codes = self.codes(lo, hi)
+                yield sample_events(self.prepared, self.seed, codes, n=hi - lo, rng=rng, outcome_rng=after)
+            rng = after
+
+
+def _joined(stream: EventStream) -> EventLog:
+    """The events of ``stream`` as one log, each piece copied in place."""
+    outcomes = np.empty(stream.n, dtype=np.uint8)
+    labels = None if stream.prepared.weights is None else np.empty(stream.n, dtype=np.int32)
+    lo = 0
+    for piece in stream.pieces():
+        outcomes[lo : lo + piece.n] = piece.outcomes
+        if labels is not None:
+            labels[lo : lo + piece.n] = piece.eve_labels
+        lo += piece.n
+    return EventLog(stream.source, stream.seed, stream.codes(0, stream.n), outcomes, labels)
 
 
 def _put_decimal(rows: np.ndarray, values: np.ndarray) -> None:

@@ -35,7 +35,7 @@ from .errors import InsufficientDataError, ParameterError
 
 DEFAULT_SIGNIFICANCE = 0.01
 
-_PATTERN_CHUNK = 1 << 20  # bits per bincount in the pattern tests
+_PIECE_BITS = 1 << 16  # bits fed to a test at a time, whatever the chunk
 
 # Longest-run class probabilities. For 8-bit blocks these are the exact
 # run-length fractions out of 256 strings; the larger block sizes use the
@@ -284,18 +284,13 @@ class _CumulativeSums:
 
 def _window_counts(data: np.ndarray, m: int) -> np.ndarray:
     """Counts of the m-bit patterns lying wholly inside ``data``, indexed
-    with the first bit most significant; no index array is longer than
-    _PATTERN_CHUNK."""
-    starts = data.shape[0] - m + 1
-    counts = np.zeros(1 << m, dtype=np.int64)
-    for lo in range(0, max(starts, 0), _PATTERN_CHUNK):
-        hi = min(lo + _PATTERN_CHUNK, starts)
-        idx = np.zeros(hi - lo, dtype=np.int64)
-        for j in range(m):
-            idx <<= 1
-            idx |= data[lo + j : hi + j]
-        counts += np.bincount(idx, minlength=1 << m)
-    return counts
+    with the first bit most significant."""
+    starts = max(data.shape[0] - m + 1, 0)
+    idx = np.zeros(starts, dtype=np.int64)
+    for j in range(m):
+        idx <<= 1
+        idx |= data[j : starts + j]
+    return np.bincount(idx, minlength=1 << m)
 
 
 class _Patterns:
@@ -393,9 +388,10 @@ class _ApproximateEntropy:
 
 def _run(bits, makers: list[Callable], significance: float) -> list[TestResult]:
     """Each maker builds one test for the stream's length; every chunk is
-    fed to every test, or once to each length of pattern counts that tests
-    read, then each test reports.  ``bits`` is a source with a length and
-    ``chunks()``, or a bit array, read as a ``BitStream``."""
+    fed, ``_PIECE_BITS`` at a time, to every test, or once to each length of
+    pattern counts that tests read, then each test reports.  ``bits`` is a
+    source with a length and ``chunks()``, or a bit array, read as a
+    ``BitStream``."""
     source = bits if hasattr(bits, "chunks") else BitStream(bits)
     tests = [make(len(source)) for make in makers]
     patterns: dict[int, _Patterns] = {}
@@ -405,8 +401,9 @@ def _run(bits, makers: list[Callable], significance: float) -> list[TestResult]:
     fed = [test for test in tests if not hasattr(test, "patterns")] + list(patterns.values())
     if fed:
         for chunk in source.chunks():
-            for part in fed:
-                part.feed(chunk)
+            for lo in range(0, chunk.shape[0], _PIECE_BITS):
+                for part in fed:
+                    part.feed(chunk[lo : lo + _PIECE_BITS])
     return [test.finish(significance) for test in tests]
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import qrbg.sources
 from qrbg.bits import BitStream, open_bits_file, pack_bits, read_bits_file, write_bits_file
 from qrbg.cli import main
 from qrbg.errors import InsufficientDataError, InsufficientEntropyError, ParameterError, QrbgError
-from qrbg.extractor import ExtractorParams, toeplitz_extract
+from qrbg.extractor import ExtractionResult, ExtractorParams, toeplitz_extract
 from qrbg.pipeline import (
     load_raw_bits,
     parse_config_text,
@@ -692,8 +693,41 @@ def test_extract_prints_the_reports_extraction_lines(tmp_path):
     assert printed[-1] == f"path={tmp_path / 'staged.bits'}"
     assert [l for l in printed[:-1] if not l.startswith("raw_bits_per_second=")] == reported
     assert [l.split("=", 1)[0] for l in reported] == [
-        "blocks", "block_n", "block_m", "ratio", "output_bits", "epsilon", "seed", "seed_sha256",
+        "blocks", "block_n", "block_m", "ratio", "output_bits", "epsilon", "block_distance", "file_distance",
+        "seed", "seed_sha256",
     ]
+
+
+def power_of_two(text):
+    """The exponent of a report's '2^x' figure."""
+    assert text.startswith("2^"), text
+    return float(text[2:])
+
+
+def test_report_states_the_distance_the_extractor_delivers(tmp_path):
+    # epsilon^2/4 a block, the leftover hash lemma's 1/2 * sqrt(2^(m - h*n))
+    # at most, and blocks times that for the file
+    report = run_pipeline(parse_config_text(FAST_CONFIG), str(tmp_path))
+    section = (tmp_path / "report.txt").read_text().split("[extraction]\n")[1].split("\n[")[0]
+    lines = dict(line.split("=", 1) for line in section.splitlines())
+    p, blocks = report.extraction.params, report.extraction.blocks
+    assert (p.n, p.epsilon, blocks) == (2000, 2.0**-16, 10)
+    block = power_of_two(lines["block_distance"])
+    assert lines["block_distance"] == "2^-34" and block == 2 * math.log2(p.epsilon) - 2
+    assert (p.m - p.h_rate * p.n) / 2 - 1 <= block
+    assert power_of_two(lines["file_distance"]) == block + math.log2(blocks)
+
+
+def test_reference_run_distance_lines():
+    # 1,050 blocks of n = 1e5 at epsilon = 2^-64: 2^-130 a block and
+    # 1050 * 2^-130, about 2^-119.96, for the file
+    params = ExtractorParams(100_000, 2.0**-64, 0.96017)
+    output, seed = SimpleNamespace(bit_length=1050 * params.m), SimpleNamespace(path="s", sha256="0")
+    lines = dict(
+        line.split("=", 1) for line in ExtractionResult(output, seed, params, 1050, 1.0).render().splitlines()
+    )
+    assert lines["block_distance"] == "2^-130"
+    assert round(power_of_two(lines["file_distance"]), 2) == -119.96
 
 
 def test_extract_rejects_mixed_basis_log(tmp_path):
@@ -860,6 +894,20 @@ IMPORT_RSS_SCRIPT = PEAK_RSS + """
 import qrbg.pipeline
 print(peak_kib())
 """
+SIMULATE_RSS_SCRIPT = PEAK_RSS + """
+import sys
+from qrbg.pipeline import parse_config_text, simulate_logs
+simulate_logs(parse_config_text(sys.stdin.read()), sys.argv[1])
+print(peak_kib())
+"""
+CERTIFY_RSS_SCRIPT = PEAK_RSS + """
+import sys
+from pathlib import Path
+from qrbg.pipeline import _certify_segments, parse_config_text
+cfg = parse_config_text(sys.stdin.read())
+_certify_segments(cfg, cfg.source(), list(range(1, 9)), Path(sys.argv[1]))
+print(peak_kib())
+"""
 EXTRACT_RSS_SCRIPT = PEAK_RSS + """
 import sys
 from pathlib import Path
@@ -923,3 +971,33 @@ def test_extraction_memory_at_one_million_bits_a_block(tmp_path, peaks_kib):
     write_bits_file(str(raw), BitStream(bits), {"role": "raw"})
     peak = child_peak_kib(EXTRACT_RSS_SCRIPT, str(raw), str(tmp_path / "out.bits"))
     assert peak - peaks_kib["import"] < 64 * 1024, (peaks_kib["import"], peak)
+
+
+# The benchmark's staged_events configuration: 3e6 calibration events and
+# a 3,005,000-event generation log.
+STAGED_EVENTS_CONFIG = """
+mode = entangled
+coherence = 0.88
+accidental_fraction = 0.0409
+rng_seed = 3
+tomography_events = 3000000
+generation_bits = 3005000
+gen_format = events
+block_n = 10000
+"""
+
+
+def test_simulate_memory_holds_no_run_sized_array(tmp_path, peaks_kib):
+    # both logs are drawn and written a piece of 2^16 events at a time:
+    # 1.5-3.6 MiB above the import (8.9-10.7 MiB with whole-run arrays)
+    peak = child_peak_kib(SIMULATE_RSS_SCRIPT, str(tmp_path), text=STAGED_EVENTS_CONFIG)
+    assert peak - peaks_kib["import"] < 6 * 1024, (peaks_kib["import"], peak)
+
+
+def test_recalibration_memory_holds_no_segment_log(tmp_path, peaks_kib):
+    # eight segments of 3e6 adversarial events are each tallied as they are
+    # drawn, and the winner is drawn again to be written: 3.0-4.9 MiB above
+    # the import (51.5-53.4 MiB with two segments' labelled logs held)
+    text = "mode = adversarial\nadv_target = 0.9, 0.3, 0.1\nrng_seed = 7\ntomography_events = 3000000\n"
+    peak = child_peak_kib(CERTIFY_RSS_SCRIPT, str(tmp_path / "calibration.log"), text=text)
+    assert peak - peaks_kib["import"] < 8 * 1024, (peaks_kib["import"], peak)

@@ -13,16 +13,15 @@ from qrbg.minentropy import closed_form_minentropy, minentropy_decomposition
 from qrbg.sources import (
     _BASIS_BYTES,
     BASIS_CHARS,
+    BLOCKED,
     EventLog,
+    EventStream,
     PRNG_NAME,
     ZBits,
-    ZStream,
-    _born_table,
     _encode,
     _record_blocks,
     _write_event_log,
     adversarial,
-    blocked_schedule,
     entangled,
     load_event_log,
     sample_events,
@@ -40,6 +39,14 @@ from qrbg.states import (
 
 def single(s1, s2, s3, seed=1):
     return single_photon(StokesVector(s1, s2, s3)), seed
+
+
+def blocked_schedule(n):
+    """The oracle of ``BLOCKED``: equal thirds of Z, X, Y in consecutive
+    blocks, the remainder going Z, X."""
+    per, rest = divmod(n, 3)
+    codes = np.arange(3, dtype=np.uint8)
+    return np.concatenate([np.repeat(codes, per), codes[:rest]])
 
 
 def read_log(tmp_path, text):
@@ -69,8 +76,8 @@ class TestSampleEvents:
         assert abs(log.outcomes.mean() - 0.5) < 0.002
 
     def test_reproducibility_bytewise(self):
-        a = sample_events(*single(0.3, 0.2, 0.1, seed=99), blocked_schedule(9000), 9000)
-        b = sample_events(*single(0.3, 0.2, 0.1, seed=99), blocked_schedule(9000), 9000)
+        a = sample_events(*single(0.3, 0.2, 0.1, seed=99), BLOCKED, 9000)
+        b = sample_events(*single(0.3, 0.2, 0.1, seed=99), BLOCKED, 9000)
         assert np.array_equal(a.outcomes, b.outcomes)
         assert np.array_equal(a.bases, b.bases)
         buf_a, buf_b = io.StringIO(), io.StringIO()
@@ -119,7 +126,7 @@ class TestSampleEvents:
             model = single(0.6, 0, 0.3, seed=12)
         n = 3500  # three whole chunks and a ragged one
         log = sample_events(*model, "Z", n)
-        stream = ZStream(*model, n)
+        stream = EventStream(*model, n)
         raw = ZBits(stream)
         assert np.array_equal(np.concatenate(list(raw.chunks())), log.outcomes)
         assert len(raw) == n and raw.meta["source"] == log.source
@@ -158,7 +165,7 @@ class TestAdversarialSource:
     def test_marginal_consistency_three_bases(self):
         state = StokesVector(0.4, -0.3, 0.5)
         d = worst_case_decomposition(state)
-        log = sample_events(adversarial(d), 8, blocked_schedule(10**6), 10**6)
+        log = sample_events(adversarial(d), 8, BLOCKED, 10**6)
         want = mix(d).as_array()
         per = 10**6 // 3
         for code, comp in ((0, 2), (1, 0), (2, 1)):
@@ -206,20 +213,23 @@ class TestAdversarialSource:
 
 
 def reference_sample(model, sched, n):
-    """Labels and outcomes on the sampler's PCG64 stream, drawn as first
-    written: per chunk, each event's term by ``searchsorted`` over the
-    cumulative weights, then its outcome against its own Born-table
+    """Labels and outcomes on the sampler's PCG64 stream, drawn in plain
+    numpy as the draw order states it: per chunk, every event's term
+    uniform, then every outcome uniform; a term by ``searchsorted`` over
+    the cumulative weights, an outcome against its own Born-rule
     threshold."""
     source, seed = model
     rng = np.random.default_rng(seed)
-    p0, cum = _born_table(source)
+    blochs = np.array([[s.s1, s.s2, s.s3] for s in source.states])
+    p0 = 0.5 * (1.0 + blochs[:, [2, 0, 1]])  # columns Z, X, Y
     outcomes = np.empty(n, dtype=np.uint8)
-    labels = None if cum is None else np.empty(n, dtype=np.int32)
+    labels = None if source.weights is None else np.empty(n, dtype=np.int32)
     for start in range(0, n, qrbg.sources._CHUNK):
         stop = min(start + qrbg.sources._CHUNK, n)
         terms = 0
-        if cum is not None:
-            terms = np.searchsorted(cum, rng.random(stop - start), side="right")
+        if labels is not None:
+            # the last edge is 1 up to rounding, above every uniform
+            terms = np.searchsorted(np.cumsum(source.weights)[:-1], rng.random(stop - start), side="right")
             labels[start:stop] = terms
         outcomes[start:stop] = rng.random(stop - start) >= p0[terms, sched[start:stop]]
     return outcomes, labels
@@ -268,10 +278,53 @@ def test_sampler_matches_per_event_thresholds(monkeypatch, chunk, schedule, term
             assert np.array_equal(log.eve_labels, want_labels)
 
 
-# The sampler's uniform buffer against the chunk: (buffer, chunk, events).
-# Every sample crosses chunk boundaries and ends inside a buffer, its
+def joined(stream):
+    """The events of ``stream``'s pieces, concatenated: bases, outcomes and
+    eve_labels (None without weights)."""
+    pieces = list(stream.pieces())
+    labels = None if pieces[0].eve_labels is None else np.concatenate([p.eve_labels for p in pieces])
+    return np.concatenate([p.bases for p in pieces]), np.concatenate([p.outcomes for p in pieces]), labels
+
+
+STREAM_EVENTS = [1, 2, 3, 2**16 - 1, 2**16 + 1, 3_000_001]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("schedule", ["Z", "Y", BLOCKED])
+@pytest.mark.parametrize("n, weighted", [
+    *((n, w) for n in STREAM_EVENTS for w in (False, True)),
+    (2**22 + 5, True),  # the outcome generator advanced across a chunk boundary
+])
+def test_stream_matches_the_chunk_oracle(seed, schedule, n, weighted):
+    if weighted:
+        source = adversarial(worst_case_decomposition(StokesVector(0.4, -0.3, 0.5)))
+    else:
+        source = single_photon(StokesVector(0.4, -0.3, 0.5))
+    sched = blocked_schedule(n) if schedule == BLOCKED else np.full(n, BASIS_CHARS.index(schedule), dtype=np.uint8)
+    want_outcomes, want_labels = reference_sample((source, seed), sched, n)
+    stream = EventStream(source, seed, n, schedule)
+    assert all(0 < p.n <= qrbg.sources._DRAWS for p in stream.pieces())
+    bases, outcomes, labels = joined(stream)
+    assert np.array_equal(bases, sched)
+    assert np.array_equal(outcomes, want_outcomes)
+    assert (labels is None) == (want_labels is None)
+    if weighted:
+        assert np.array_equal(labels, want_labels)
+
+
+@pytest.mark.parametrize("schedule", ["Z", BLOCKED])
+def test_pieces_drawn_twice_are_the_same_events(schedule):
+    d = worst_case_decomposition(StokesVector(0.9, 0.3, 0.1))
+    stream = EventStream(adversarial(d), 11, 2**22 + 2**16 + 3, schedule)
+    first, second = joined(stream), joined(stream)
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
+
+
+# The piece length against the chunk: (events a piece, chunk, events).
+# Every sample crosses chunk boundaries and ends inside a piece, its
 # ragged last chunk still long enough for an interleaved schedule to take
-# the per-event lookup; "chunk" draws each chunk whole, in one call.
+# the per-event lookup; "chunk" draws each chunk whole, in one piece.
 DRAW_CHUNK = 3 * 2**16 + 5
 DRAW_CASES = {
     "1": (1, 250, 1130),
@@ -303,14 +356,16 @@ def test_buffer_length_leaves_the_stream_unchanged(monkeypatch, case, schedule, 
         "interleaved": (np.arange(n) % 3).astype(np.uint8),
     }[schedule]
     want_outcomes, want_labels = reference_sample(model, sched, n)
-    log = sample_events(*model, "Z" if schedule == "Z" else sched, n)
+    log = sample_events(*model, {"Z": "Z", "blocked": BLOCKED}.get(schedule, sched), n)
+    assert np.array_equal(log.bases, sched)
     assert np.array_equal(log.outcomes, want_outcomes)
     assert (log.eve_labels is None) == (want_labels is None)
     if want_labels is not None:
         assert np.array_equal(log.eve_labels, want_labels)
-    # the interleaved chunks look every threshold up, even where one
-    # buffer holds fewer than _LOOKUP_STRETCHES stretches
-    assert (not compared) == (schedule == "interleaved")
+    # an interleaved piece looks every threshold up once it holds
+    # _LOOKUP_STRETCHES events: pieces of 1 or 7 events, and the 5-event
+    # piece that ends each 3 * 2^16 + 5-event chunk, compare
+    assert (not compared) == (schedule == "interleaved" and case == "chunk")
 
 
 @pytest.mark.parametrize("case", sorted(DRAW_CASES))
@@ -321,8 +376,10 @@ def test_buffer_length_leaves_the_z_stream_unchanged(monkeypatch, case, kind):
     monkeypatch.setattr(qrbg.sources, "_CHUNK", chunk)
     model = DRAW_SOURCES[kind]()
     want_outcomes, want_labels = reference_sample(model, np.zeros(n, dtype=np.uint8), n)
-    pieces = list(ZStream(*model, n).pieces())
-    assert [p.n for p in pieces] == [chunk] * (n // chunk) + [n % chunk]
+    pieces = list(EventStream(*model, n).pieces())
+    # pieces of at most `draws` events, none crossing a chunk
+    stops = {start: min(start + chunk, n) for start in range(0, n, chunk)}
+    assert [p.n for p in pieces] == [min(draws, stop - lo) for start, stop in stops.items() for lo in range(start, stop, draws)]
     assert np.array_equal(np.concatenate([p.outcomes for p in pieces]), want_outcomes)
     if want_labels is not None:
         assert np.array_equal(np.concatenate([p.eve_labels for p in pieces]), want_labels)
@@ -339,29 +396,29 @@ def traced_peak(run) -> int:
 
 
 def test_z_stream_piece_draws_without_a_threshold_buffer():
-    # a whole chunk's labels (16 MiB) and outcomes (4 MiB), one buffer of
-    # uniforms (0.5 MiB) and buffer-sized masks; a float64 threshold per
-    # event would add 32 MiB, and drawing the chunk's uniforms at once 32
+    # a piece's labels (0.25 MiB) and outcomes, its two draws of uniforms
+    # (0.5 MiB each) and piece-sized masks: 1.25 MiB; a whole chunk's
+    # labels and outcomes took 20 MiB, and a float64 threshold per event
+    # would add 0.5 MiB a piece
     d = worst_case_decomposition(StokesVector(0.9, 0.3, 0.1))
-    pieces = ZStream(adversarial(d), 3, qrbg.sources._CHUNK).pieces()
-    assert traced_peak(lambda: next(pieces)) < 21 * 2**20
+    pieces = EventStream(adversarial(d), 3, qrbg.sources._CHUNK).pieces()
+    assert traced_peak(lambda: next(pieces)) < 2 * 2**20
 
 
 def test_z_stream_pass_holds_two_pieces_and_one_buffer():
-    # 2^23 events: the piece held (4 MiB), the one being drawn (4 MiB) and
-    # the buffer of uniforms (0.5 MiB); the chunk's uniforms drawn at once
-    # took 32 MiB more
-    stream = ZStream(*single(0.6, 0, 0.3, seed=4), 2 * qrbg.sources._CHUNK)
-    assert traced_peak(lambda: all(piece.n for piece in stream.pieces())) < 9 * 2**20
+    # 2^23 events, a piece at a time: the piece held and the one being
+    # drawn, with its uniforms (0.5 MiB), 0.63 MiB in all; whole-chunk
+    # pieces took 8.5 MiB
+    stream = EventStream(*single(0.6, 0, 0.3, seed=4), 2 * qrbg.sources._CHUNK)
+    assert traced_peak(lambda: all(piece.n for piece in stream.pieces())) < 2**20
 
 
 def test_calibration_sample_holds_its_arrays_and_one_buffer():
-    # 3e6 events: schedule and outcomes (2.9 MiB each), labels (11.4 MiB)
-    # and one buffer of uniforms; the whole sample's uniforms took 23 MiB
-    # more
+    # 3e6 events joined: codes and outcomes (2.9 MiB each), labels (11.4
+    # MiB) and one piece; the whole sample's uniforms took 23 MiB more
     n = 3 * 10**6
     d = worst_case_decomposition(StokesVector(0.9, 0.3, 0.1))
-    assert traced_peak(lambda: sample_events(adversarial(d), 7, blocked_schedule(n), n)) < 19 * 2**20
+    assert traced_peak(lambda: sample_events(adversarial(d), 7, BLOCKED, n)) < 19 * 2**20
 
 
 def coincidence_state(coherence, accidental_fraction, phase=0.0):
@@ -443,7 +500,7 @@ class TestEventLogFiles:
         assert np.array_equal(back.eve_labels, log.eve_labels)
 
     def test_roundtrip_via_path(self, tmp_path):
-        log = sample_events(*single(0.5, 0, 0.5, seed=13), blocked_schedule(300), 300)
+        log = sample_events(*single(0.5, 0, 0.5, seed=13), BLOCKED, 300)
         path = tmp_path / "events.log"
         save_event_log(log, str(path))
         text = path.read_text()
@@ -474,7 +531,7 @@ class TestEventLogFiles:
 
     def test_written_in_chunks_of_any_size(self, monkeypatch):
         d = worst_case_decomposition(StokesVector(0.6, 0, 0.3))
-        log = sample_events(adversarial(d), 9, blocked_schedule(100), 100)
+        log = sample_events(adversarial(d), 9, BLOCKED, 100)
         whole = io.StringIO()
         _write_event_log(log, whole)
         monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
@@ -490,7 +547,7 @@ class TestEventLogFiles:
         else:
             model = single(0.6, 0, 0.3, seed=9)
         buf = io.StringIO()
-        _write_event_log(sample_events(*model, blocked_schedule(100), 100), buf)
+        _write_event_log(sample_events(*model, BLOCKED, 100), buf)
         whole = read_log(tmp_path, buf.getvalue())
         monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
         pieced = read_log(tmp_path, buf.getvalue())
@@ -795,7 +852,7 @@ def codec_log(labels, n, seed=3):
     """A log with 3 columns (labels None), one-digit eve_labels
     (worst-case decomposition, 2 terms) or two-digit ones (12 terms)."""
     if labels is None:
-        return sample_events(*single(0.5, 0.2, 0.4, seed=seed), blocked_schedule(n), n)
+        return sample_events(*single(0.5, 0.2, 0.4, seed=seed), BLOCKED, n)
     if labels == "one digit":
         d = worst_case_decomposition(StokesVector(0.6, 0, 0.3))
     else:
@@ -803,7 +860,7 @@ def codec_log(labels, n, seed=3):
         d = Decomposition(tuple(
             (1 / 12, PureState(StokesVector(0.6 * np.cos(a), 0.6 * np.sin(a), 0.8))) for a in angles
         ))
-    return sample_events(adversarial(d), seed, blocked_schedule(n), n)
+    return sample_events(adversarial(d), seed, BLOCKED, n)
 
 
 def in_pieces(log, sizes):
@@ -998,7 +1055,7 @@ def test_event_log_fields_follow_schedule():
 
 
 def test_blocked_schedule_is_equal_thirds():
-    sched = blocked_schedule(9_999)
+    sched = EventStream(*single(0, 0, 1), 9_999, BLOCKED).codes(0, 9_999)
     counts = np.bincount(sched, minlength=3)
     assert counts.tolist() == [3333, 3333, 3333]
     assert (np.diff(np.flatnonzero(np.diff(sched))) > 0).all()
@@ -1010,7 +1067,7 @@ def test_seed_must_be_unsigned_64_bit(seed):
     with pytest.raises(ParameterError, match="unsigned 64-bit"):
         sample_events(source, seed, "Z", 1)
     with pytest.raises(ParameterError, match="unsigned 64-bit"):
-        ZStream(source, seed, 1)
+        EventStream(source, seed, 1)
 
 
 def test_source_names_are_the_log_headers():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from qrbg.stat_tests import (
 )
 import qrbg.bits
 import qrbg.stat_tests
-from qrbg.bits import BitStream
+from qrbg.bits import BitStream, open_bits_file, write_bits_file
 from qrbg.stat_tests import _cusum_p  # reference-value check at n below the floor
 from qrbg.stat_tests import _Patterns, _result
 
@@ -281,6 +282,26 @@ def test_battery_is_the_same_however_the_stream_is_chunked(name, monkeypatch):
     # and ending mid-block; all but the last chunk have this length
     monkeypatch.setattr(qrbg.bits, "CHUNK_BITS", 5 if b.shape[0] < 10**4 else 65_537)
     assert tests(BitStream(b)) == whole
+
+
+def test_battery_holds_one_chunk_and_one_piece(tmp_path):
+    # 1.2e7 bits read from a file: one unpacked 2^19-bit chunk (0.5 MiB)
+    # and each test's arrays for one 2^16-bit piece, the largest the
+    # pattern index (0.5 MiB): 1.34 MiB in all; fed whole chunks, the
+    # tests' arrays took 5.7 MiB
+    path = tmp_path / "bits"
+    bits = np.random.default_rng(12).integers(0, 2, 12_000_000, dtype=np.uint8)
+    write_bits_file(str(path), BitStream(bits), {"role": "extracted"})
+    opened = open_bits_file(str(path))
+    del bits
+    tracemalloc.start()
+    try:
+        results = run_battery(opened)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(results) == len(ALL_TESTS)
+    assert peak < 2 * 2**20, peak
 
 
 class TestCalibration:

@@ -10,9 +10,10 @@ from qrbg.errors import InsufficientDataError, ParameterError
 from qrbg.minentropy import closed_form_minentropy, lower_confidence_rate, rate_from_coherence
 from qrbg.pipeline import Calibration, PipelineConfig, calibrate
 from qrbg.sources import (
+    BLOCKED,
     EventLog,
+    EventStream,
     adversarial,
-    blocked_schedule,
     load_event_log,
     sample_events,
     save_event_log,
@@ -56,8 +57,7 @@ class TestTally:
         assert c.counts[0].tolist() == [500, 500]
 
     def test_simulated_fraction(self):
-        log = sample_events(single_photon(StokesVector(0.6, 0, 0.3)), 2024, blocked_schedule(3 * 10**6), 3 * 10**6)
-        c = _tally(log)
+        c = _tally(EventStream(single_photon(StokesVector(0.6, 0, 0.3)), 2024, 3 * 10**6, BLOCKED))
         frac = c.counts[1, 0] / c.counts[1].sum()
         assert abs(frac - 0.8) < 0.001
 
@@ -72,7 +72,7 @@ class TestTally:
             source = adversarial(worst_case_decomposition(StokesVector(0.6, 0, 0.3)))
         else:
             source = single_photon(StokesVector(0.6, 0, 0.3))
-        log = sample_events(source, 5, blocked_schedule(1000), 1000)
+        log = sample_events(source, 5, BLOCKED, 1000)
         path = tmp_path / "calibration.log"
         save_event_log(log, str(path))
         monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
@@ -102,7 +102,7 @@ class TestTally:
         # half a MiB
         n = 3 * 10**6
         source = adversarial(worst_case_decomposition(StokesVector(0.9, 0.3, 0.1)))
-        log = sample_events(source, 7, blocked_schedule(n), n)
+        log = sample_events(source, 7, BLOCKED, n)
         tracemalloc.start()
         try:
             _tally(log)
@@ -110,6 +110,20 @@ class TestTally:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_calibration_stream_memory_does_not_grow_with_its_events(self):
+        # sampling and tallying a piece at a time holds no array of the
+        # run's length: 1.76 MiB traced at either count
+        source = adversarial(worst_case_decomposition(StokesVector(0.9, 0.3, 0.1)))
+        peaks = []
+        for n in (3 * 10**6, 3 * 10**7):
+            tracemalloc.start()
+            try:
+                _tally(EventStream(source, 7, n, BLOCKED))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2**20, peaks
 
 
 class TestEstimateStokes:
@@ -185,31 +199,31 @@ class TestEstimateStokes:
 
 class TestReconstruct:
     def test_high_coherence_source(self):
-        log = sample_events(single_photon(StokesVector(0.9996, 0, 0)), 515, blocked_schedule(3 * 10**6), 3 * 10**6)
+        log = EventStream(single_photon(StokesVector(0.9996, 0, 0)), 515, 3 * 10**6, BLOCKED)
         result, rate = reconstruct(log)
         assert 0.94 <= float(rate) <= 0.98
         assert abs(float(rate) - 0.96) < 0.02
 
     def test_ideal_diagonal_source(self):
-        log = sample_events(single_photon(StokesVector(1, 0, 0)), 616, blocked_schedule(3 * 10**6), 3 * 10**6)
+        log = EventStream(single_photon(StokesVector(1, 0, 0)), 616, 3 * 10**6, BLOCKED)
         _, rate = reconstruct(log)
         assert float(rate) >= 0.99
 
     def test_zero_coherence_source(self):
-        log = sample_events(single_photon(StokesVector(0, 0, 0.5)), 717, blocked_schedule(300_000), 300_000)
+        log = EventStream(single_photon(StokesVector(0, 0, 0.5)), 717, 300_000, BLOCKED)
         _, rate = reconstruct(log)
         assert float(rate) < 1e-4
         conservative = calibrate(log, PipelineConfig(alpha=0.01, conservative=True)).rate
         assert float(conservative) == 0.0
 
     def test_conservative_rate_never_higher(self):
-        log = sample_events(single_photon(StokesVector(0.8, 0, 0.1)), 818, blocked_schedule(300_000), 300_000)
+        log = EventStream(single_photon(StokesVector(0.8, 0, 0.1)), 818, 300_000, BLOCKED)
         _, plug_in = reconstruct(log)
         lower = calibrate(log, PipelineConfig(alpha=0.01, conservative=True)).rate
         assert float(lower) <= float(plug_in)
 
     def test_hoeffding_companion_below_rate(self):
-        log = sample_events(single_photon(StokesVector(0.8, 0, 0.1)), 919, blocked_schedule(300_000), 300_000)
+        log = EventStream(single_photon(StokesVector(0.8, 0, 0.1)), 919, 300_000, BLOCKED)
         result, rate = reconstruct(log)
         lower = lower_confidence_rate(result.s_hat, int(result.n_per_basis.min()), 0.01)
         assert float(rate) == float(closed_form_minentropy(result.s_hat))
