@@ -566,21 +566,6 @@ class _Hasher:
         return True
 
 
-def toeplitz_extract(seed: Union[HashSeed, np.ndarray], raw: np.ndarray) -> np.ndarray:
-    """Hash one raw block, or each row of a 2-D array of blocks; the output
-    width is len(seed) - n + 1 for blocks of n bits.
-
-    Output bit j equals parity(sum_k seed[j - k + n - 1] * raw[k]), i.e.
-    the (n - 1 + j)-th coefficient of the seed*raw convolution mod 2.
-    """
-    seed_bits = (seed if isinstance(seed, HashSeed) else HashSeed(seed)).bits
-    raw = _bit_array(raw, "raw bits")
-    hasher = _Hasher(seed_bits, raw.shape[-1])
-    out = np.empty(raw.shape[:-1] + (hasher.m,), dtype=np.uint8)
-    hasher.hash(raw.reshape(-1, hasher.n), out.reshape(-1, hasher.m))
-    return out
-
-
 @dataclass
 class ExtractionResult:
     output: Optional[BitsFile]
@@ -618,27 +603,26 @@ class ExtractionResult:
 
 
 def extract_stream(
-    raw: Union[BitStream, BitsFile, np.ndarray],
+    raw: Union[BitStream, BitsFile],
     params: ExtractorParams,
     seed: HashSeed,
     sink: Callable[[np.ndarray], None],
 ) -> ExtractionResult:
-    """Hash every full n-bit block of ``raw`` (a source with a length and
-    ``chunks()``, or a bit array, read as a ``BitStream``) with one seed, a
-    chunk at a time, handing each block group's output to ``sink`` as it is
-    hashed; ``output`` is left for the caller to set.  The tail remainder is
-    discarded; a stream with no whole block is insufficient data."""
+    """Hash every full n-bit block of ``raw``, a source with a length and
+    ``chunks()``, with one seed, a chunk at a time, handing each block
+    group's output to ``sink`` as it is hashed; ``output`` is left for the
+    caller to set.  The tail remainder is discarded; a stream with no whole
+    block is insufficient data."""
     start = time.perf_counter()
-    source = raw if hasattr(raw, "chunks") else BitStream(raw)
     if seed.bit_length != params.seed_bits_needed:
         raise ParameterError(
             f"seed has {seed.bit_length} bits, params need {params.seed_bits_needed}"
         )
     n, m = params.n, params.m
-    blocks = len(source) // n
+    blocks = len(raw) // n
     if blocks == 0:
         raise InsufficientDataError(
-            f"raw stream of {len(source)} bits is shorter than one {n}-bit block"
+            f"raw stream of {len(raw)} bits is shorter than one {n}-bit block"
         )
     hasher = _Hasher(seed.bits, n)
 
@@ -652,67 +636,10 @@ def extract_stream(
     # the last, so the batches, and which blocks share a row, are the same
     # however the stream is chunked; a tail shorter than one block is dropped.
     groups = BlockCutter(n * hasher.batch)
-    for chunk in source.chunks():
+    for chunk in raw.chunks():
         groups.cut(chunk, hash_group)
     last = groups.rest.shape[0] // n * n
     if last:
         hash_group(groups.rest[:last])
     return ExtractionResult(None, seed, params, blocks, time.perf_counter() - start)
 
-
-def _toeplitz_matrix(seed_bits: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Materialize T[j][k] = seed[j - k + n - 1]; small sizes only."""
-    seed_bits = np.asarray(seed_bits, dtype=np.uint8)
-    if seed_bits.shape[0] != n + m - 1:
-        raise ParameterError("seed length must be n + m - 1")
-    j = np.arange(m)[:, None]
-    k = np.arange(n)[None, :]
-    return seed_bits[j - k + n - 1]
-
-
-@dataclass(frozen=True)
-class _UniversalityReport:
-    n: int
-    m: int
-    seed_count: int
-    expected_collisions: int
-    min_collisions: int
-    max_collisions: int
-
-    @property
-    def exact(self) -> bool:
-        return self.min_collisions == self.max_collisions == self.expected_collisions
-
-
-def universality_check(n: int, m: int) -> _UniversalityReport:
-    """Exhaustively verify the 2-universal property at small sizes.
-
-    For every pair of distinct inputs, counts the seeds mapping both to
-    the same output; the family is 2-universal with collision probability
-    exactly 2^-m iff every count equals 2^(n+m-1) / 2^m.  Cost grows as
-    4^n * 2^(n+m), so keep n at 8 or below in routine runs.
-    """
-    if not 1 <= n <= 12 or not 1 <= m <= 6:
-        raise ParameterError("exhaustive check limited to n <= 12, m <= 6")
-    seed_len = n + m - 1
-    num_inputs = 1 << n
-    num_seeds = 1 << seed_len
-    shifts = np.arange(n - 1, -1, -1)
-    inputs = ((np.arange(num_inputs)[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-    out_weights = 1 << np.arange(m - 1, -1, -1)
-    seed_shifts = np.arange(seed_len - 1, -1, -1)
-    collisions = np.zeros((num_inputs, num_inputs), dtype=np.int64)
-    for seed_int in range(num_seeds):
-        seed_bits = ((seed_int >> seed_shifts) & 1).astype(np.uint8)
-        t = _toeplitz_matrix(seed_bits, n, m)
-        out_ids = ((inputs @ t.T) & 1) @ out_weights
-        collisions += out_ids[:, None] == out_ids[None, :]
-    off_diag = collisions[~np.eye(num_inputs, dtype=bool)]
-    return _UniversalityReport(
-        n=n,
-        m=m,
-        seed_count=num_seeds,
-        expected_collisions=num_seeds >> m,
-        min_collisions=int(off_diag.min()),
-        max_collisions=int(off_diag.max()),
-    )

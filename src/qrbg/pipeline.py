@@ -439,10 +439,6 @@ def _streams(config: PipelineConfig, segments: int) -> tuple[int, int, list[int]
     return master, gen_seed, calib_seeds
 
 
-def _calibration_log(source: Source, seed: int, n: int) -> EventStream:
-    return EventStream(source, seed, n, BLOCKED)
-
-
 def calibrate(log: EventSource, config: PipelineConfig) -> Calibration:
     """Reconstruct the state from calibration events and certify a rate:
     the plug-in rate, or with ``conservative`` its Hoeffding deflation at
@@ -488,7 +484,7 @@ def simulate_logs(
     out.mkdir(parents=True, exist_ok=True)
     master, gen_seed, (calib_seed,) = _streams(config, 1)
     calib_path = _run_files(config, out)["calibration_log"]
-    save_event_log(_calibration_log(source, calib_seed, config.tomography_events), str(calib_path))
+    save_event_log(EventStream(source, calib_seed, config.tomography_events, BLOCKED), str(calib_path))
     return calib_path, generate(source, gen_seed, config, out), master
 
 
@@ -571,7 +567,7 @@ def _certify_segments(
     winning segment's index."""
     worst: tuple[Calibration, int, EventStream] | None = None
     for segment, seed in enumerate(seeds):
-        stream = _calibration_log(source, seed, config.tomography_events)
+        stream = EventStream(source, seed, config.tomography_events, BLOCKED)
         cal = calibrate(stream, config)
         if worst is None or float(cal.rate) < float(worst[0].rate):
             worst = cal, segment, stream

@@ -19,18 +19,24 @@ Outcomes follow the Born rule in the scheduled measurement basis:
 ``u`` in {Z=(0,0,1), X=(1,0,0), Y=(0,1,0)}.  Outcome 0 is an H-type click,
 1 a V-type click (H1-V2 / V1-H2 for coincidences).
 
-Sampling uses numpy's PCG64 generator and consumes random numbers in a
-fixed chunked order, so equal (source, seed, schedule, n) inputs reproduce
-identical logs.  A run is cut into ``_CHUNK`` events.  A source with
-weights takes a chunk's term uniforms, one per event, from the generator
-as the chunk starts, and the chunk's outcome uniforms from a copy of it
-advanced past them (``PCG64.advance`` by the chunk's length); the run goes
-on from that copy.  A source without weights takes only outcome uniforms,
-in order.  One double is one PCG64 output, so an ``EventStream`` draws a
-chunk a piece of at most ``_DRAWS`` events at a time from both generators
-in step, one ``sample_events`` call a piece, and the stream is the same
-as one draw per chunk and pass.  Distinct logs with distinct seeds may be
-generated concurrently; a single log is generated sequentially.
+A run is an ``EventStream``.  Sampling uses numpy's PCG64 generator and
+consumes random numbers in a fixed chunked order, so equal (source, seed,
+schedule, n) inputs reproduce identical logs.  A run is cut into
+``_CHUNK`` events.  A source with weights takes a chunk's term uniforms,
+one per event, from the generator as the chunk starts, and the chunk's
+outcome uniforms from a copy of it advanced past them (``PCG64.advance``
+by the chunk's length); the run goes on from that copy.  A source without
+weights takes only outcome uniforms, in order.  One double is one PCG64
+output, so the stream draws a chunk a piece of at most ``_DRAWS`` events
+at a time from both generators in step, one ``sample_events`` call a
+piece, and the stream is the same as one draw per chunk and pass.
+Distinct logs with distinct seeds may be generated concurrently; a single
+log is generated sequentially.
+
+Every consumer of events (the tally, the log writer and ``ZBits``) reads
+an ``EventSource`` a piece at a time and takes each piece whole: a drawn
+piece holds at most ``_DRAWS`` events, and a piece read from a log file
+is the lines one read of ``_LOG_ROWS`` characters completes.
 """
 
 from __future__ import annotations
@@ -75,9 +81,8 @@ _INDEX_SPAN = 10 ** 5
 _INDEX_DIGITS = (
     np.arange(_INDEX_SPAN, dtype=np.int32) // 10 ** np.arange(4, -1, -1, dtype=np.int32)[:, None] % 10 + ord("0")
 ).astype(np.uint8)
-# Records per piece the event-log writer encodes, and characters per read
-# of the reader, each read one piece; bounds the working memory of both
-# directions.
+# Characters per read of the event-log reader, each read one piece;
+# bounds the reader's working memory.
 _LOG_ROWS = 1 << 17
 
 # Fixed sampling chunk; part of the reproducibility contract because it
@@ -206,29 +211,25 @@ def sample_events(
     seed: int,
     schedule: Union[np.ndarray, str],
     n: int,
-    rng: np.random.Generator | None = None,
-    outcome_rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
+    outcome_rng: np.random.Generator,
 ) -> EventLog:
-    """Draw ``n`` Born-rule outcomes of ``source`` under the given basis
-    schedule: a uint8 array of one basis code per event, or one basis
-    letter for every event, which builds no schedule array.
-
-    Without ``rng`` this is the whole run of ``EventStream(source, seed, n,
-    schedule)``, ``BLOCKED`` included, its pieces joined.  With it, it draws
-    one piece of a stream in one draw per generator: a source with weights
-    draws each event's prepared term from ``rng`` and records it as the
-    event's eve_label, and every source draws its outcome uniforms from
-    ``outcome_rng``, by default ``rng``.  An event's outcome is
-    ``u >= p[term]`` for its basis's column ``p`` of the Born table.  Each
-    stretch measured in one basis gets it from whole-array comparisons with
-    that column (``_compare``), so no per-event threshold is ever built; a
-    piece of ``_LOOKUP_STRETCHES`` stretches or more, as an interleaved
-    schedule has, looks each event's threshold up in the table instead.
+    """Draw one piece of an ``EventStream``: ``n`` Born-rule outcomes of
+    ``source`` under the given basis schedule, a uint8 array of one basis
+    code per event or one basis letter for every event, which builds no
+    schedule array, in one draw per generator.  A source with weights draws
+    each event's prepared term from ``rng`` and records it as the event's
+    eve_label, and every source draws its outcome uniforms from
+    ``outcome_rng``, which is ``rng`` itself for a source without weights.
+    An event's outcome is ``u >= p[term]`` for its basis's column ``p`` of
+    the Born table.  Each stretch measured in one basis gets it from
+    whole-array comparisons with that column (``_compare``), so no
+    per-event threshold is ever built; a piece of ``_LOOKUP_STRETCHES``
+    stretches or more, as an interleaved schedule has, looks each event's
+    threshold up in the table instead.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    if rng is None:
-        return _joined(EventStream(source, seed, n, schedule))
     sched = _as_schedule(schedule, n)
     p0, cum = _born_table(source)
     labels, terms = None, np.broadcast_to(np.int32(0), (n,))
@@ -240,7 +241,7 @@ def sample_events(
         np.greater_equal(u, cum[0], out=terms)
         for edge in cum[1:-1]:
             np.add(terms, u >= edge, out=terms)
-    u = (rng if outcome_rng is None else outcome_rng).random(n)
+    u = outcome_rng.random(n)
     outcomes = np.empty(n, dtype=np.uint8)
     out = outcomes.view(np.bool_)
     cuts = [] if sched.strides == (0,) else np.flatnonzero(sched[1:] != sched[:-1]) + 1
@@ -314,19 +315,6 @@ class EventStream:
             rng = after
 
 
-def _joined(stream: EventStream) -> EventLog:
-    """The events of ``stream`` as one log, each piece copied in place."""
-    outcomes = np.empty(stream.n, dtype=np.uint8)
-    labels = None if stream.prepared.weights is None else np.empty(stream.n, dtype=np.int32)
-    lo = 0
-    for piece in stream.pieces():
-        outcomes[lo : lo + piece.n] = piece.outcomes
-        if labels is not None:
-            labels[lo : lo + piece.n] = piece.eve_labels
-        lo += piece.n
-    return EventLog(stream.source, stream.seed, stream.codes(0, stream.n), outcomes, labels)
-
-
 def _put_decimal(rows: np.ndarray, values: np.ndarray) -> None:
     """The ASCII decimal digits of the non-negative eve_labels ``values``,
     one column per value, into ``rows``, the last row holding the units; a
@@ -389,10 +377,7 @@ def _write_event_log(log: EventSource, fh: TextIO) -> None:
     fh.write(f"# source={log.source}\n# seed={log.seed}\n{count}# prng={PRNG_NAME}\n")
     first = 0
     for piece in log.pieces():
-        for start in range(0, piece.n, _LOG_ROWS):
-            rows = slice(start, start + _LOG_ROWS)
-            labels = None if piece.eve_labels is None else piece.eve_labels[rows]
-            fh.write(_encode(first + start, piece.bases[rows], piece.outcomes[rows], labels).decode("ascii"))
+        fh.write(_encode(first, piece.bases, piece.outcomes, piece.eve_labels).decode("ascii"))
         first += piece.n
 
 

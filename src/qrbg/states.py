@@ -133,14 +133,6 @@ class Decomposition:
         object.__setattr__(self, "terms", terms)
 
 
-def mix(d: Decomposition) -> StokesVector:
-    """Mixture of the decomposition's terms: the weight-averaged Bloch
-    vector of the terms."""
-    weights, states = zip(*d.terms)
-    avg = np.array(weights) @ np.array([psi.bloch.as_array() for psi in states])
-    return StokesVector(avg[0], avg[1], avg[2])
-
-
 def worst_case_decomposition(s: StokesVector) -> Decomposition:
     """The two-term decomposition that minimizes the decomposition
     min-entropy of the state ``s``.

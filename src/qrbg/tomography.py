@@ -3,9 +3,15 @@
 Calibration runs measure the source in the three complementary bases.
 Linear inversion maps each basis's outcome counts to one Stokes component;
 if the resulting point falls outside the unit sphere it is scaled back
-radially, which for a qubit is exactly the nearest physical state and can
-only shrink the coherence, i.e. it errs in the secure direction for the
-certified entropy rate.
+radially, which for a qubit is exactly the nearest physical state.  That
+is not conservative for the plug-in rate: an estimate pushed past the
+sphere by sampling noise lands on its surface, where a point on the
+equator has rate 1.  With Z 500/500 and X 9999/1, Y 500/500 gives the
+physical estimate (0.9998, 0, 0) and rate 0.971, while Y 515/485 gives
+raw norm 1.00025, is projected and has rate 1.0.
+
+The tally reads its event source a piece at a time and counts each piece
+whole; the package's pieces are bounded (``sources``).
 
 Calibration is a separate run from bit generation; the certified rate is
 assumed valid while the source state does not drift between the two.
@@ -24,8 +30,6 @@ from .states import StokesVector
 
 # events each basis needs before its component is estimated
 MIN_BASIS_COUNT = 100
-# Events the tally counts at a time, so that its keys never span a piece.
-_TALLY_EVENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -67,14 +71,12 @@ class TomographyResult:
 
 
 def _tally(log: EventSource) -> CountTable:
-    """Count outcomes per (basis, outcome) cell, a piece at a time and
-    ``_TALLY_EVENTS`` events of a piece at a time."""
+    """Count outcomes per (basis, outcome) cell, a piece at a time."""
     counts = np.zeros(6, dtype=np.int64)
     for piece in log.pieces():
-        for lo in range(0, piece.n, _TALLY_EVENTS):
-            cells = piece.bases[lo : lo + _TALLY_EVENTS] * np.uint8(2)
-            cells += piece.outcomes[lo : lo + _TALLY_EVENTS]
-            counts += np.bincount(cells, minlength=6)
+        cells = piece.bases * np.uint8(2)
+        cells += piece.outcomes
+        counts += np.bincount(cells, minlength=6)
     if not counts.any():
         raise InsufficientDataError("cannot tally an empty event log")
     return CountTable(counts.reshape(3, 2))
@@ -84,7 +86,9 @@ def estimate_stokes(c: CountTable) -> TomographyResult:
     """Linear inversion with radial projection to the physical ball.
 
     Component estimates are (n0 - n1)/(n0 + n1) per basis (X -> s1,
-    Y -> s2, Z -> s3) with standard error sqrt((1 - s^2)/n).
+    Y -> s2, Z -> s3) with standard error sqrt((1 - s^2)/n).  The
+    projection can raise the plug-in rate of the estimate, up to 1 for a
+    raw vector near the equator (module docstring).
     """
     per_basis = c.per_basis()
     low = [BASIS_CHARS[i] for i in range(3) if per_basis[i] < MIN_BASIS_COUNT]

@@ -12,12 +12,13 @@ def rng():
 
 @pytest.fixture
 def extract_in_memory():
-    """``extract_stream`` with what it hands its sink collected in memory
-    as the result's ``output``."""
+    """``extract_stream`` on a bit array, read as a ``BitStream``, with
+    what it hands its sink collected in memory as the result's
+    ``output``."""
 
     def extract(raw, params, seed):
         pieces = []
-        result = extract_stream(raw, params, seed, pieces.append)
+        result = extract_stream(BitStream(raw), params, seed, pieces.append)
         result.output = BitStream(np.concatenate(pieces))
         return result
 

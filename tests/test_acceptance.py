@@ -9,16 +9,12 @@ import time
 
 import numpy as np
 
+from oracles import joined, minentropy_decomposition, minimize_over_decompositions, universality_check
 from qrbg.bits import BitStream, write_bits_file
-from qrbg.extractor import ExtractorParams, HashSeed, output_length, universality_check
-from qrbg.minentropy import (
-    closed_form_minentropy,
-    minentropy_decomposition,
-    minimize_over_decompositions,
-    rate_from_coherence,
-)
+from qrbg.extractor import ExtractorParams, HashSeed, output_length
+from qrbg.minentropy import closed_form_minentropy, rate_from_coherence
 from qrbg.pipeline import parse_config_text, run_pipeline
-from qrbg.sources import adversarial, sample_events, single_photon
+from qrbg.sources import EventStream, adversarial, single_photon
 from qrbg.stat_tests import monobit, run_battery, runs
 from qrbg.states import StokesVector, worst_case_decomposition
 
@@ -168,7 +164,7 @@ def test_criterion_06_extractor_universality():
 def test_criterion_07_adversarial_soundness(extract_in_memory):
     state = StokesVector(0.6, 0, 0.3)
     d = worst_case_decomposition(state)
-    log = sample_events(adversarial(d), 707, "Z", 10**6)
+    log = joined(EventStream(adversarial(d), 707, 10**6))
     p_max = np.array([0.5 * (1 + abs(psi.bloch.s3)) for _, psi in d.terms])
     eve_mean = float(np.mean(-np.log2(p_max[log.eve_labels])))
     f = float(closed_form_minentropy(state))
@@ -190,7 +186,7 @@ def test_criterion_07_adversarial_soundness(extract_in_memory):
 
 def test_criterion_08_raw_vs_extracted(extract_in_memory):
     t0 = time.perf_counter()
-    raw = sample_events(single_photon(StokesVector(0.9, 0, 0.3)), 808, "Z", 2_200_000).outcomes
+    raw = joined(EventStream(single_photon(StokesVector(0.9, 0, 0.3)), 808, 2_200_000)).outcomes
     p_raw = monobit(raw[:10**6]).p_value
     ok_raw = p_raw < 1e-6
 

@@ -7,9 +7,9 @@ import pytest
 
 import qrbg.bits
 import qrbg.extractor
-from qrbg.bits import BitStream, pack_bits, write_bits_file
+from oracles import exact_hash, toeplitz_extract, toeplitz_matrix, universality_check
+from qrbg.bits import BitStream, open_bits_file, pack_bits, write_bits_file
 from qrbg.errors import InsufficientDataError, InsufficientEntropyError, ParameterError
-from qrbg.extractor import _toeplitz_matrix  # the index definition, as the hash's reference
 from qrbg.extractor import (
     ExtractorParams,
     HashSeed,
@@ -17,8 +17,6 @@ from qrbg.extractor import (
     format_epsilon,
     output_length,
     parse_epsilon,
-    toeplitz_extract,
-    universality_check,
 )
 
 
@@ -248,7 +246,7 @@ class TestBatchedHash:
             monkeypatch.setattr(qrbg.extractor._Hasher, "_batch_error", lambda *a: 1.0)
         out = np.empty((count, m), dtype=np.uint8)
         hasher.hash(blocks, out)
-        assert np.array_equal(out, (blocks.astype(np.int64) @ _toeplitz_matrix(seed, n, m).T) % 2)
+        assert np.array_equal(out, (blocks.astype(np.int64) @ toeplitz_matrix(seed, n, m).T) % 2)
 
     @staticmethod
     def corrupt_one_coefficient(monkeypatch, change, position):
@@ -310,7 +308,7 @@ class TestPackedHash:
         assert (hasher.rows, hasher.batch) == (2, 4)
         out = np.empty((count, m), dtype=np.uint8)
         hasher.hash(blocks, out)
-        want = (blocks.astype(np.int64) @ _toeplitz_matrix(seed, n, m).T) % 2
+        want = (blocks.astype(np.int64) @ toeplitz_matrix(seed, n, m).T) % 2
         assert np.array_equal(out, want)
 
     @pytest.mark.parametrize("ones", [False, True], ids=["random", "all_ones"])
@@ -368,7 +366,7 @@ class TestPackedHash:
         # Each batch of up to four blocks in two rows is hashed again at
         # one block per row, two rows to a transform.
         assert sum(inverses) == count and len(inverses) == math.ceil(count / 2)
-        assert np.array_equal(out, (blocks.astype(np.int64) @ _toeplitz_matrix(seed, n, m).T) % 2)
+        assert np.array_equal(out, (blocks.astype(np.int64) @ toeplitz_matrix(seed, n, m).T) % 2)
 
     def test_batch_check_at_one_million(self, rng, monkeypatch):
         """Random blocks pass the per-batch bound at n = 1e6; a batch forced
@@ -486,7 +484,7 @@ class TestTransformLength:
         blocks = rng.integers(0, 2, (5, n)).astype(np.uint8)
         blocks[0] = 1
         assert qrbg.extractor._Hasher(seed, n).fft_len != qrbg.extractor._fft.next_fast_len(n + m - 1, real=True)
-        want = (blocks.astype(np.int64) @ _toeplitz_matrix(seed, n, m).T) % 2
+        want = (blocks.astype(np.int64) @ toeplitz_matrix(seed, n, m).T) % 2
         assert np.array_equal(toeplitz_extract(seed, blocks), want)
 
 
@@ -562,7 +560,7 @@ class TestHasherTransforms:
         out = np.empty((3, m), np.uint8)
         hasher.hash(blocks, out)
         if length <= 1000:
-            assert np.array_equal(out, (blocks.astype(np.int64) @ _toeplitz_matrix(seed, n, m).T) % 2)
+            assert np.array_equal(out, (blocks.astype(np.int64) @ toeplitz_matrix(seed, n, m).T) % 2)
         assert [name for name, _, _ in calls] == ["rfft"] + ["rfft", "irfft"] * (2 if hasher.rows == 1 else 1)
         for name, before, got in calls:
             if name == "rfft":
@@ -573,6 +571,34 @@ class TestHasherTransforms:
             else:
                 want = fft.irfft(complex_spectrum(before, length), length, axis=-1)
             assert np.array_equal(got, want), name
+
+
+class TestExactHash:
+    """``extract_stream`` bit for bit against ``exact_hash``, the hash as
+    one big-integer product per block, with no float anywhere."""
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (3, 8), (17, 5), (301, 97), (1000, 958)])
+    def test_exact_hash_is_the_index_definition(self, rng, n, m):
+        seed = rng.integers(0, 2, n + m - 1).astype(np.uint8)
+        block = rng.integers(0, 2, n).astype(np.uint8)
+        want = (toeplitz_matrix(seed, n, m).astype(np.int64) @ block) % 2
+        assert np.array_equal(exact_hash(seed, block), want)
+
+    @pytest.mark.parametrize(
+        "n, rate, blocks",
+        [(10**4, 0.38, 4), (10**4, 0.6, 4), (10**4, 0.96, 4), (10**5, 0.96, 2)],
+    )
+    def test_stream_matches_exact_hash(self, extract_in_memory, n, rate, blocks):
+        # two blocks to a transform row at each size; n = 1e6 takes about
+        # 30 s a block this way
+        rng = np.random.default_rng([n, round(100 * rate)])
+        params = ExtractorParams(n, 2.0**-64, rate)
+        seed = HashSeed(rng.integers(0, 2, params.seed_bits_needed, dtype=np.uint8))
+        raw = rng.integers(0, 2, blocks * n, dtype=np.uint8)
+        assert qrbg.extractor._Hasher(seed.bits, n).batch == 4
+        got = extract_in_memory(raw, params, seed=seed).output.bits.reshape(blocks, params.m)
+        for block, out in zip(raw.reshape(blocks, n), got):
+            assert np.array_equal(out, exact_hash(seed.bits, block))
 
 
 class TestPinnedDigests:
@@ -682,7 +708,7 @@ class TestLeftoverHash:
         n, rng = 10, np.random.default_rng(k * 16 + m)
         seeds = bit_rows(1 << (n + m - 1), n + m - 1)
         # each row of each seed's matrix as an n-bit word, and each word's parity
-        words = np.concatenate([_toeplitz_matrix(seed, n, m) for seed in seeds]) @ (1 << np.arange(n))
+        words = np.concatenate([toeplitz_matrix(seed, n, m) for seed in seeds]) @ (1 << np.arange(n))
         parity = (bit_rows(1 << n, n).sum(axis=1) % 2).astype(np.uint8)
         # flat sources on 2^k inputs, each input an n-bit word: five random
         # sets and an affine subspace, k coordinates free in a fixed word
@@ -737,14 +763,14 @@ class TestExtractStream:
         seed = HashSeed(rng.integers(0, 2, params.seed_bits_needed).astype(np.uint8))
         sink = []
         with pytest.raises(InsufficientDataError, match="50 bits is shorter than one 100-bit block"):
-            extract_stream(np.ones(50, dtype=np.uint8), params, seed=seed, sink=sink.append)
+            extract_stream(BitStream(np.ones(50, dtype=np.uint8)), params, seed=seed, sink=sink.append)
         assert sink == []
 
     def test_seed_length_checked(self, rng):
         params = ExtractorParams(100, 2.0**-8, 0.9)
         with pytest.raises(ParameterError):
             extract_stream(
-                np.ones(200, dtype=np.uint8),
+                BitStream(np.ones(200, dtype=np.uint8)),
                 params,
                 seed=HashSeed(np.ones(10, dtype=np.uint8)),
                 sink=lambda out: None,
@@ -791,13 +817,18 @@ class TestExtractStream:
         with pytest.raises(ParameterError, match="bits must be 0 or 1"):
             extract_in_memory(np.array([256, 1] * 50), params, seed=seed)
 
-    def test_accepts_bitstream_input(self, extract_in_memory, rng):
+    def test_accepts_bitstream_input(self, extract_in_memory, rng, tmp_path):
+        # the bits in memory hash as the same bits read from a file
         params = ExtractorParams(64, 2.0**-4, 0.9)
         seed = HashSeed(rng.integers(0, 2, params.seed_bits_needed).astype(np.uint8))
         raw = rng.integers(0, 2, 200).astype(np.uint8)
-        a = extract_in_memory(BitStream(raw), params, seed=seed)
-        b = extract_in_memory(raw, params, seed=seed)
-        assert np.array_equal(a.output.bits, b.output.bits)
+        path = str(tmp_path / "raw.bits")
+        write_bits_file(path, BitStream(raw), {"role": "raw"})
+        pieces = []
+        b = extract_stream(open_bits_file(path, "raw"), params, seed, pieces.append)
+        a = extract_in_memory(raw, params, seed=seed)
+        assert a.blocks == b.blocks == 3
+        assert np.array_equal(a.output.bits, np.concatenate(pieces))
 
 
 class TestHashSeed:

@@ -3,20 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from oracles import minentropy_decomposition, minimize_over_decompositions, mix
 from qrbg.errors import ParameterError
 from qrbg.minentropy import (
     EntropyRate,
     closed_form_minentropy,
     lower_confidence_rate,
-    minentropy_decomposition,
-    minimize_over_decompositions,
     rate_from_coherence,
 )
 from qrbg.states import (
     Decomposition,
     PureState,
     StokesVector,
-    mix,
     worst_case_decomposition,
 )
 
@@ -204,8 +202,6 @@ class TestTheorem:
             d = Decomposition(
                 tuple((float(wi), PureState(StokesVector(*r))) for wi, r in zip(w, dirs))
             )
-            from qrbg.states import mix
-
             state = mix(d)
             assert float(minentropy_decomposition(d)) >= float(
                 closed_form_minentropy(state)

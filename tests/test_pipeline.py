@@ -17,14 +17,15 @@ import qrbg.sources
 from qrbg.bits import BitStream, open_bits_file, pack_bits, read_bits_file, write_bits_file
 from qrbg.cli import main
 from qrbg.errors import InsufficientDataError, InsufficientEntropyError, ParameterError, QrbgError
-from qrbg.extractor import ExtractionResult, ExtractorParams, toeplitz_extract
+from oracles import joined, toeplitz_extract
+from qrbg.extractor import ExtractionResult, ExtractorParams
 from qrbg.pipeline import (
     load_raw_bits,
     parse_config_text,
     run_pipeline,
     simulate_logs,
 )
-from qrbg.sources import derive_subseeds, load_event_log, sample_events
+from qrbg.sources import BLOCKED, EventStream, derive_subseeds, load_event_log
 from qrbg.tomography import reconstruct
 
 FAST_CONFIG = """
@@ -397,7 +398,7 @@ class TestRunPipeline:
         _, _, seeds = qrbg.pipeline._streams(cfg, 4)
         rates = [
             float(qrbg.pipeline.calibrate(
-                qrbg.pipeline._calibration_log(cfg.source(), seed, cfg.tomography_events), cfg
+                EventStream(cfg.source(), seed, cfg.tomography_events, BLOCKED), cfg
             ).rate)
             for seed in seeds
         ]
@@ -863,7 +864,7 @@ def test_streamed_run_matches_whole_array_reference(tmp_path):
     report = run_pipeline(cfg, str(out))
 
     gen_seed = derive_subseeds(cfg.rng_seed, 2)[0]
-    outcomes = sample_events(cfg.source(), gen_seed, "Z", n_bits).outcomes
+    outcomes = joined(EventStream(cfg.source(), gen_seed, n_bits)).outcomes
     params = ExtractorParams(block_n, cfg.epsilon, float(report.certified))
     blocks = n_bits // block_n
     seed = read_bits_file(str(seed_path)).bits[: params.seed_bits_needed]

@@ -1,5 +1,4 @@
 import io
-import itertools
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -9,7 +8,8 @@ import pytest
 
 import qrbg.sources
 from qrbg.errors import InsufficientDataError, ParameterError
-from qrbg.minentropy import closed_form_minentropy, minentropy_decomposition
+from oracles import in_pieces, joined, minentropy_decomposition, mix
+from qrbg.minentropy import closed_form_minentropy
 from qrbg.sources import (
     _BASIS_BYTES,
     BASIS_CHARS,
@@ -32,7 +32,6 @@ from qrbg.states import (
     Decomposition,
     PureState,
     StokesVector,
-    mix,
     worst_case_decomposition,
 )
 
@@ -68,16 +67,16 @@ def read_log(tmp_path, text):
 
 class TestSampleEvents:
     def test_deterministic_source_all_zero(self):
-        log = sample_events(*single(0, 0, 1), "Z", 1000)
+        log = joined(EventStream(*single(0, 0, 1), 1000, "Z"))
         assert not log.outcomes.any()
 
     def test_balanced_source_statistics(self):
-        log = sample_events(*single(1, 0, 0, seed=42), "Z", 10**6)
+        log = joined(EventStream(*single(1, 0, 0, seed=42), 10**6, "Z"))
         assert abs(log.outcomes.mean() - 0.5) < 0.002
 
     def test_reproducibility_bytewise(self):
-        a = sample_events(*single(0.3, 0.2, 0.1, seed=99), BLOCKED, 9000)
-        b = sample_events(*single(0.3, 0.2, 0.1, seed=99), BLOCKED, 9000)
+        a = joined(EventStream(*single(0.3, 0.2, 0.1, seed=99), 9000, BLOCKED))
+        b = joined(EventStream(*single(0.3, 0.2, 0.1, seed=99), 9000, BLOCKED))
         assert np.array_equal(a.outcomes, b.outcomes)
         assert np.array_equal(a.bases, b.bases)
         buf_a, buf_b = io.StringIO(), io.StringIO()
@@ -86,21 +85,21 @@ class TestSampleEvents:
         assert buf_a.getvalue() == buf_b.getvalue()
 
     def test_different_seeds_differ(self):
-        a = sample_events(*single(1, 0, 0, seed=1), "Z", 4000)
-        b = sample_events(*single(1, 0, 0, seed=2), "Z", 4000)
+        a = joined(EventStream(*single(1, 0, 0, seed=1), 4000, "Z"))
+        b = joined(EventStream(*single(1, 0, 0, seed=2), 4000, "Z"))
         assert not np.array_equal(a.outcomes, b.outcomes)
 
     def test_schedule_length_mismatch(self):
         with pytest.raises(ParameterError):
-            sample_events(*single(0, 0, 1), np.zeros(10, dtype=np.uint8), 20)
+            EventStream(*single(0, 0, 1), 20, np.zeros(10, dtype=np.uint8))
 
     def test_unknown_basis(self):
         with pytest.raises(ParameterError):
-            sample_events(*single(0, 0, 1), ["Q"], 1)
+            EventStream(*single(0, 0, 1), 1, ["Q"])
 
     def test_unknown_basis_letter(self):
         with pytest.raises(ParameterError, match="unknown basis 'Q'"):
-            sample_events(*single(0, 0, 1), "Q", 1)
+            EventStream(*single(0, 0, 1), 1, "Q")
 
     @pytest.mark.parametrize("schedule", [
         np.array([0, 1, 2], dtype=np.int64),  # valid codes, but a cast would be needed
@@ -109,11 +108,11 @@ class TestSampleEvents:
     ])
     def test_schedule_neither_cast_nor_wrapped(self, schedule):
         with pytest.raises(ParameterError, match="uint8 array|basis codes must be"):
-            sample_events(*single(0, 0, 1), schedule, 3)
+            EventStream(*single(0, 0, 1), 3, schedule)
 
     def test_basis_dependent_probabilities(self):
         # X basis on an s1-polarized state is deterministic
-        log = sample_events(*single(1, 0, 0, seed=5), "X", 2000)
+        log = joined(EventStream(*single(1, 0, 0, seed=5), 2000, "X"))
         assert not log.outcomes.any()
 
     @pytest.mark.parametrize("labelled", [False, True])
@@ -125,7 +124,7 @@ class TestSampleEvents:
         else:
             model = single(0.6, 0, 0.3, seed=12)
         n = 3500  # three whole chunks and a ragged one
-        log = sample_events(*model, "Z", n)
+        log = joined(EventStream(*model, n, "Z"))
         stream = EventStream(*model, n)
         raw = ZBits(stream)
         assert np.array_equal(np.concatenate(list(raw.chunks())), log.outcomes)
@@ -137,8 +136,8 @@ class TestSampleEvents:
 
     def test_raw_bits_match_constant_z(self):
         model = single(0.6, 0, 0.3, seed=77)
-        raw = sample_events(*model, "Z", 50_000).outcomes
-        log = sample_events(*model, np.zeros(50_000, dtype=np.uint8), 50_000)
+        raw = joined(EventStream(*model, 50_000, "Z")).outcomes
+        log = joined(EventStream(*model, 50_000, np.zeros(50_000, dtype=np.uint8)))
         assert np.array_equal(raw, log.outcomes)
 
 
@@ -147,7 +146,7 @@ class TestAdversarialSource:
         state = StokesVector(0.6, 0, 0.3)
         d = worst_case_decomposition(state)
         model = (adversarial(d), 31337)
-        log = sample_events(*model, "Z", 10**6)
+        log = joined(EventStream(*model, 10**6, "Z"))
         assert log.eve_labels is not None
         zeros = 1.0 - log.outcomes.mean()
         assert abs(zeros - 0.65) < 0.002
@@ -158,14 +157,14 @@ class TestAdversarialSource:
     def test_label_frequencies_match_weights(self):
         state = StokesVector(0.6, 0, 0.3)
         d = worst_case_decomposition(state)
-        log = sample_events(adversarial(d), 4, "Z", 10**6)
+        log = joined(EventStream(adversarial(d), 4, 10**6, "Z"))
         frac_up = (log.eve_labels == 0).mean()
         assert abs(frac_up - 0.6875) < 0.002
 
     def test_marginal_consistency_three_bases(self):
         state = StokesVector(0.4, -0.3, 0.5)
         d = worst_case_decomposition(state)
-        log = sample_events(adversarial(d), 8, BLOCKED, 10**6)
+        log = joined(EventStream(adversarial(d), 8, 10**6, BLOCKED))
         want = mix(d).as_array()
         per = 10**6 // 3
         for code, comp in ((0, 2), (1, 0), (2, 1)):
@@ -179,7 +178,7 @@ class TestAdversarialSource:
         # equals the closed-form rate of the mixed state
         state = StokesVector(0.6, 0, 0.3)
         d = worst_case_decomposition(state)
-        log = sample_events(adversarial(d), 11, "Z", 10**5)
+        log = joined(EventStream(adversarial(d), 11, 10**5, "Z"))
         p_max = np.array([0.5 * (1 + abs(psi.bloch.s3)) for _, psi in d.terms])
         empirical = float(np.mean(-np.log2(p_max[log.eve_labels])))
         assert empirical == pytest.approx(float(closed_form_minentropy(state)), abs=3e-3)
@@ -193,7 +192,7 @@ class TestAdversarialSource:
         d = Decomposition(
             tuple((float(wi), PureState(StokesVector(*r))) for wi, r in zip(w, dirs))
         )
-        log = sample_events(adversarial(d), 21, "Z", 10**6)
+        log = joined(EventStream(adversarial(d), 21, 10**6, "Z"))
         p_max = np.array([0.5 * (1 + abs(psi.bloch.s3)) for _, psi in d.terms])
         surprisal = -np.log2(p_max[log.eve_labels])
         want = float(minentropy_decomposition(d))
@@ -206,8 +205,8 @@ class TestAdversarialSource:
         d = worst_case_decomposition(state)
         n = (1 << 22) + 17
         model = (adversarial(d), 3)
-        a = sample_events(*model, "Z", n)
-        b = sample_events(*model, "Z", n)
+        a = joined(EventStream(*model, n, "Z"))
+        b = joined(EventStream(*model, n, "Z"))
         assert np.array_equal(a.outcomes, b.outcomes)
         assert np.array_equal(a.eve_labels, b.eve_labels)
 
@@ -268,9 +267,9 @@ def test_sampler_matches_per_event_thresholds(monkeypatch, chunk, schedule, term
         model = (adversarial(random_decomposition(terms, terms)), 21)
     sched = ORACLE_SCHEDULES[schedule]
     want_outcomes, want_labels = reference_sample(model, sched, ORACLE_EVENTS)
-    drawn = [sample_events(*model, sched, ORACLE_EVENTS)]
+    drawn = [joined(EventStream(*model, ORACLE_EVENTS, sched))]
     if schedule == "constant_z":
-        drawn.append(sample_events(*model, "Z", ORACLE_EVENTS))
+        drawn.append(joined(EventStream(*model, ORACLE_EVENTS, "Z")))
     for log in drawn:
         assert np.array_equal(log.outcomes, want_outcomes)
         assert (log.eve_labels is None) == (want_labels is None)
@@ -278,7 +277,7 @@ def test_sampler_matches_per_event_thresholds(monkeypatch, chunk, schedule, term
             assert np.array_equal(log.eve_labels, want_labels)
 
 
-def joined(stream):
+def concatenated(stream):
     """The events of ``stream``'s pieces, concatenated: bases, outcomes and
     eve_labels (None without weights)."""
     pieces = list(stream.pieces())
@@ -304,7 +303,7 @@ def test_stream_matches_the_chunk_oracle(seed, schedule, n, weighted):
     want_outcomes, want_labels = reference_sample((source, seed), sched, n)
     stream = EventStream(source, seed, n, schedule)
     assert all(0 < p.n <= qrbg.sources._DRAWS for p in stream.pieces())
-    bases, outcomes, labels = joined(stream)
+    bases, outcomes, labels = concatenated(stream)
     assert np.array_equal(bases, sched)
     assert np.array_equal(outcomes, want_outcomes)
     assert (labels is None) == (want_labels is None)
@@ -316,7 +315,7 @@ def test_stream_matches_the_chunk_oracle(seed, schedule, n, weighted):
 def test_pieces_drawn_twice_are_the_same_events(schedule):
     d = worst_case_decomposition(StokesVector(0.9, 0.3, 0.1))
     stream = EventStream(adversarial(d), 11, 2**22 + 2**16 + 3, schedule)
-    first, second = joined(stream), joined(stream)
+    first, second = concatenated(stream), concatenated(stream)
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
 
@@ -356,7 +355,7 @@ def test_buffer_length_leaves_the_stream_unchanged(monkeypatch, case, schedule, 
         "interleaved": (np.arange(n) % 3).astype(np.uint8),
     }[schedule]
     want_outcomes, want_labels = reference_sample(model, sched, n)
-    log = sample_events(*model, {"Z": "Z", "blocked": BLOCKED}.get(schedule, sched), n)
+    log = joined(EventStream(*model, n, {"Z": "Z", "blocked": BLOCKED}.get(schedule, sched)))
     assert np.array_equal(log.bases, sched)
     assert np.array_equal(log.outcomes, want_outcomes)
     assert (log.eve_labels is None) == (want_labels is None)
@@ -418,7 +417,7 @@ def test_calibration_sample_holds_its_arrays_and_one_buffer():
     # MiB) and one piece; the whole sample's uniforms took 23 MiB more
     n = 3 * 10**6
     d = worst_case_decomposition(StokesVector(0.9, 0.3, 0.1))
-    assert traced_peak(lambda: sample_events(adversarial(d), 7, BLOCKED, n)) < 19 * 2**20
+    assert traced_peak(lambda: joined(EventStream(adversarial(d), 7, n, BLOCKED))) < 19 * 2**20
 
 
 def coincidence_state(coherence, accidental_fraction, phase=0.0):
@@ -467,7 +466,7 @@ class TestEffectiveQubit:
 
 
 def coincidences(coherence, basis, n, seed):
-    return sample_events(entangled(coherence, 0.0), seed, basis, n)
+    return joined(EventStream(entangled(coherence, 0.0), seed, n, basis))
 
 
 class TestSampleCoincidences:
@@ -489,7 +488,7 @@ class TestEventLogFiles:
     def test_roundtrip_with_labels(self, tmp_path):
         d = worst_case_decomposition(StokesVector(0.6, 0, 0.3))
         interleaved = (np.arange(500) % 3).astype(np.uint8)
-        log = sample_events(adversarial(d), 5, interleaved, 500)
+        log = joined(EventStream(adversarial(d), 5, 500, interleaved))
         buf = io.StringIO()
         _write_event_log(log, buf)
         back = read_log(tmp_path, buf.getvalue())
@@ -500,7 +499,7 @@ class TestEventLogFiles:
         assert np.array_equal(back.eve_labels, log.eve_labels)
 
     def test_roundtrip_via_path(self, tmp_path):
-        log = sample_events(*single(0.5, 0, 0.5, seed=13), BLOCKED, 300)
+        log = joined(EventStream(*single(0.5, 0, 0.5, seed=13), 300, BLOCKED))
         path = tmp_path / "events.log"
         save_event_log(log, str(path))
         text = path.read_text()
@@ -530,13 +529,15 @@ class TestEventLogFiles:
             read_log(tmp_path, head + "0,Z,0\n1,Z,1\n")
 
     def test_written_in_chunks_of_any_size(self, monkeypatch):
+        # the log in one piece, and drawn in pieces of 7 events
         d = worst_case_decomposition(StokesVector(0.6, 0, 0.3))
-        log = sample_events(adversarial(d), 9, BLOCKED, 100)
+        stream = EventStream(adversarial(d), 9, 100, BLOCKED)
         whole = io.StringIO()
-        _write_event_log(log, whole)
-        monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
+        _write_event_log(joined(stream), whole)
+        monkeypatch.setattr(qrbg.sources, "_DRAWS", 7)
+        assert [p.n for p in stream.pieces()] == [7] * 14 + [2]
         chunked = io.StringIO()
-        _write_event_log(log, chunked)
+        _write_event_log(stream, chunked)
         assert chunked.getvalue() == whole.getvalue()
 
     @pytest.mark.parametrize("labelled", [False, True])
@@ -547,7 +548,7 @@ class TestEventLogFiles:
         else:
             model = single(0.6, 0, 0.3, seed=9)
         buf = io.StringIO()
-        _write_event_log(sample_events(*model, BLOCKED, 100), buf)
+        _write_event_log(EventStream(*model, 100, BLOCKED), buf)
         whole = read_log(tmp_path, buf.getvalue())
         monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
         pieced = read_log(tmp_path, buf.getvalue())
@@ -728,21 +729,20 @@ def test_z_log_rejects_the_piece_holding_a_non_z_event(monkeypatch, tmp_path):
 def test_drawn_non_z_piece_rejected_at_its_first_event(x_piece):
     # a drawn one-basis schedule is one code at stride 0, checked as that code
     model = single(0.6, 0, 0.3, seed=5)
-    pieces = [sample_events(*model, "Z", 30)] * x_piece + [sample_events(*model, "X", 40)]
+    pieces = [next(EventStream(*model, 30, "Z").pieces())] * x_piece + [next(EventStream(*model, 40, "X").pieces())]
     assert all(p.bases.strides == (0,) for p in pieces)
     events = SimpleNamespace(source="x", seed=5, n=sum(p.n for p in pieces), pieces=lambda: iter(pieces))
     with pytest.raises(ParameterError, match=f"^event record {30 * x_piece}: not Z-basis"):
         list(ZBits(events).chunks())
 
 
-def test_failed_log_write_leaves_no_file_and_an_earlier_log_as_it_was(monkeypatch, tmp_path):
+def test_failed_log_write_leaves_no_file_and_an_earlier_log_as_it_was(tmp_path):
     # the second piece's eve_label is too wide to write, once the first is written
-    monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
     labels = np.zeros(20, dtype=np.int32)
     labels[10] = 10 ** 9
-    bad = EventLog("x", 0, np.zeros(20, dtype=np.uint8), np.ones(20, dtype=np.uint8), labels)
+    bad = in_pieces(EventLog("x", 0, np.zeros(20, dtype=np.uint8), np.ones(20, dtype=np.uint8), labels), (10, 10))
     fresh, earlier = tmp_path / "fresh.log", tmp_path / "earlier.log"
-    save_event_log(sample_events(*single(0.6, 0, 0.3), "Z", 20), str(earlier))
+    save_event_log(EventStream(*single(0.6, 0, 0.3), 20), str(earlier))
     before = earlier.read_bytes()
     for path in (fresh, earlier):
         with pytest.raises(ParameterError, match="eve_label"):
@@ -848,11 +848,11 @@ def percent_format_log(log):
     )
 
 
-def codec_log(labels, n, seed=3):
-    """A log with 3 columns (labels None), one-digit eve_labels
+def codec_stream(labels, n, seed=3):
+    """A stream with 3 columns (labels None), one-digit eve_labels
     (worst-case decomposition, 2 terms) or two-digit ones (12 terms)."""
     if labels is None:
-        return sample_events(*single(0.5, 0.2, 0.4, seed=seed), BLOCKED, n)
+        return EventStream(*single(0.5, 0.2, 0.4, seed=seed), n, BLOCKED)
     if labels == "one digit":
         d = worst_case_decomposition(StokesVector(0.6, 0, 0.3))
     else:
@@ -860,19 +860,12 @@ def codec_log(labels, n, seed=3):
         d = Decomposition(tuple(
             (1 / 12, PureState(StokesVector(0.6 * np.cos(a), 0.6 * np.sin(a), 0.8))) for a in angles
         ))
-    return sample_events(adversarial(d), seed, BLOCKED, n)
+    return EventStream(adversarial(d), seed, n, BLOCKED)
 
 
-def in_pieces(log, sizes):
-    """``log`` as an event source that yields it cut into pieces of the
-    given sizes."""
-
-    def pieces():
-        for start, stop in itertools.pairwise(np.cumsum((0, *sizes))):
-            labels = None if log.eve_labels is None else log.eve_labels[start:stop]
-            yield EventLog(log.source, log.seed, log.bases[start:stop], log.outcomes[start:stop], labels)
-
-    return SimpleNamespace(source=log.source, seed=log.seed, n=log.n, pieces=pieces)
+def codec_log(labels, n, seed=3):
+    """The events of ``codec_stream`` as one log."""
+    return joined(codec_stream(labels, n, seed))
 
 
 def assert_reads_back(tmp_path, text, log):
@@ -892,21 +885,23 @@ class TestEventLogCodec:
     @pytest.mark.parametrize("labels", LABELS)
     def test_writer_matches_percent_format_across_width_crossings(self, tmp_path, labels):
         # 1 000 005 records: the crossings 9 -> 10, 99 999 -> 100 000 and
-        # 999 999 -> 1 000 000 fall inside pieces of the default size
-        log = codec_log(labels, 1_000_005)
+        # 999 999 -> 1 000 000 fall inside drawn pieces of the default size
+        stream = codec_stream(labels, 1_000_005)
+        log = joined(stream)
         if labels == "two digits":
             assert log.eve_labels.max() == 11
+        starts = np.cumsum([0, *(p.n for p in stream.pieces())])
+        assert not {10, 100_000, 1_000_000} & set(starts.tolist())
         buf = io.StringIO()
-        _write_event_log(log, buf)
+        _write_event_log(stream, buf)
         assert buf.getvalue() == percent_format_log(log)
         assert_reads_back(tmp_path, buf.getvalue(), log)
 
     @pytest.mark.parametrize("labels", LABELS)
-    @pytest.mark.parametrize("sizes", [(30,), (3, 7, 20)], ids=["crossing inside", "crossing at boundary"])
-    def test_writer_matches_percent_format_in_small_pieces(self, tmp_path, monkeypatch, labels, sizes):
-        # with 7-row pieces, one source piece of 30 crosses 9 -> 10 inside
-        # its piece 7..13; source pieces of 3, 7 and 20 start a piece at 10
-        monkeypatch.setattr(qrbg.sources, "_LOG_ROWS", 7)
+    @pytest.mark.parametrize("sizes", [(7, 7, 7, 7, 2), (3, 7, 20)], ids=["crossing inside", "crossing at boundary"])
+    def test_writer_matches_percent_format_in_small_pieces(self, tmp_path, labels, sizes):
+        # 7-event pieces cross 9 -> 10 inside the piece 7..13; pieces of
+        # 3, 7 and 20 start a piece at 10
         log = codec_log(labels, 30)
         buf = io.StringIO()
         _write_event_log(in_pieces(log, sizes), buf)
@@ -917,8 +912,8 @@ class TestEventLogCodec:
     @pytest.mark.parametrize("width_change", [10, 100_000, 1_000_000])
     @pytest.mark.parametrize("offset", [-7, -3, 0], ids=["ends at crossing", "crosses inside", "starts at crossing"])
     def test_piece_encoding_matches_percent_format(self, labels, width_change, offset):
-        # a 7-row piece, as the writer encodes it with _LOG_ROWS = 7, whose
-        # indices end just before, straddle or start at a digit more
+        # a 7-row piece whose indices end just before, straddle or start
+        # at a digit more
         first = width_change + offset
         bases, outcomes = np.arange(7, dtype=np.uint8) % 3, np.arange(7, dtype=np.uint8) // 2 % 2
         labels = None if labels is None else np.array(labels, dtype=np.int32)
@@ -978,7 +973,7 @@ def f_string_records(first, bases, outcomes, labels):
 
 # Runs of indices from each ``first`` straddle a change of decimal width,
 # a multiple of 10^5 (where the index digits wrap round their table), or
-# both; a full default piece from 99 999 crosses two multiples.
+# both; a run of 2^17 from 99 999 crosses two multiples.
 INDEX_FIRSTS = [0, 9, 99_990, 99_999, 199_995, 999_990, 10 ** 9 - 5]
 
 
@@ -1047,7 +1042,7 @@ def test_header_seed_must_be_a_non_negative_decimal(tmp_path, seed):
 
 
 def test_event_log_fields_follow_schedule():
-    log = sample_events(*single(0, 0, 1, seed=2), np.array([0, 1, 2], dtype=np.uint8), 3)
+    log = joined(EventStream(*single(0, 0, 1, seed=2), 3, np.array([0, 1, 2], dtype=np.uint8)))
     assert log.n == 3
     assert log.bases.tolist() == [0, 1, 2]
     assert log.eve_labels is None
@@ -1064,8 +1059,9 @@ def test_blocked_schedule_is_equal_thirds():
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seed_must_be_unsigned_64_bit(seed):
     source = single_photon(StokesVector(0, 0, 0))
+    rng = np.random.default_rng(0)
     with pytest.raises(ParameterError, match="unsigned 64-bit"):
-        sample_events(source, seed, "Z", 1)
+        sample_events(source, seed, "Z", n=1, rng=rng, outcome_rng=rng)
     with pytest.raises(ParameterError, match="unsigned 64-bit"):
         EventStream(source, seed, 1)
 

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import mix
 from qrbg.errors import ParameterError
 from qrbg.sources import _born_table, single_photon
 from qrbg.states import (
     Decomposition,
     PureState,
     StokesVector,
-    mix,
     rotate_equatorial,
     worst_case_decomposition,
 )
